@@ -29,7 +29,7 @@ from .groups import (
     quat_phi_real,
 )
 from . import equidist
-from .equidist import Alphabet, FiniteSampleSet, SMapResult, default_alphabet
+from .equidist import SMapResult, default_alphabet
 
 __all__ = [
     "CFParams",
@@ -43,6 +43,7 @@ __all__ = [
     "LevelTooDeepError",
     "OrbitLeftTruncationError",
     "ExpansionTooLargeError",
+    "InexactTranslateError",
     "default_params",
     "derive_sequences",
     "level_ratio",
@@ -63,12 +64,11 @@ __all__ = [
     "peel_batch",
     "point_eq",
     "level_dump_rows",
-    "build_sample_set",
-    "build_s_map",
     "substream",
 ]
 
 _INT64_SAFE = 2**62
+_FLOAT_EXACT = 2**53
 
 
 class LevelTooDeepError(OverflowError):
@@ -80,6 +80,10 @@ class OrbitLeftTruncationError(RuntimeError):
 
 
 class ExpansionTooLargeError(RuntimeError):
+    pass
+
+
+class InexactTranslateError(ValueError):
     pass
 
 
@@ -255,15 +259,6 @@ class CFLevel:
             + 2 * h * self.a_tilde
         )
 
-    def correction_gelement(self, h: int) -> GElement:
-        """c(h) = s(h) (2 h a~_n, I) as a group element.  The time is a float,
-        so beyond level ~5 prefer the exact fraction plus the fiber."""
-        j = h + (self.r - 1)
-        return GElement(
-            float(self.correction_time_fraction(h)),
-            SU2Element.from_array(self.s_quat[j], renormalize=False),
-        )
-
 
 @dataclass
 class CFLevels:
@@ -368,25 +363,6 @@ def build_levels(
     return CFLevels(
         params=params, seed=seed, levels=levels, seq=seq, mu_x0=mu0, mu_tail_bound=tail
     )
-
-
-# spec-level wrappers keyed on the parameter schedule --------------------------------
-
-def build_sample_set(
-    n: int, params: CFParams, count: int, rng: Optional[np.random.Generator] = None
-) -> FiniteSampleSet:
-    seq = derive_sequences(params, max(n - 1, 0))
-    return equidist.build_sample_set(n, seq[n - 1][1], count, rng)
-
-
-def build_s_map(
-    n: int,
-    params: CFParams,
-    s_hat: Alphabet,
-    rng: np.random.Generator,
-    max_retries: int = 5000,
-) -> SMapResult:
-    return equidist.build_s_map(n, params.r(n), s_hat, params.eps(n), rng, max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +617,11 @@ def act(g: GElement, x: CFPoint, levels: CFLevels) -> CFPoint:
 
     The result stays at the raised level; use normalize_point to peel back.
     """
+    if abs(g.t) >= _FLOAT_EXACT:
+        raise InexactTranslateError(
+            f"time {g.t!r} is at or above 2^53, where a float no longer carries "
+            "an exact integer translate; use act_time for integer translates"
+        )
     gi, gf = _split(g.t)
     p = x
     while True:
@@ -836,11 +817,6 @@ class Block:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def fiber_volume(self) -> float:
-        if self.fiber == "full":
-            return 1.0
-        return float(np.prod([b - a for a, b in self.cube]))
-
 
 @dataclass
 class CylinderSet:
@@ -876,7 +852,8 @@ def cylinder_measure(
     """Measure of a cylinder: exact for full-fiber blocks, else Monte Carlo.
 
     mu([A]_n) = lambda(A)/lambda(F_n) * mu(X_n); the time part is exact
-    rational arithmetic, cube fibers are estimated with reported stderr.
+    rational arithmetic, cube fibers are estimated with reported stderr from
+    draws of `rng`, which a cylinder with a cube fiber requires.
     """
     mu_xn = levels.mu_xn(c.level)
     a = levels.a(c.level)
@@ -890,7 +867,7 @@ def cylinder_measure(
             value += float(b.length() / (2 * a)) * mu_xn
             continue
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ValueError("a cube-fiber block is measured by Monte Carlo and needs an rng")
         width = float(b.length())
         t = rng.uniform(float(b.lo), float(b.hi), size=samples)
         q = quat_normalize(rng.standard_normal((samples, 4)))

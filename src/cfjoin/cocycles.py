@@ -35,10 +35,7 @@ from .rank_one import (
 )
 
 __all__ = [
-    "GroupExtension",
-    "skew_apply",
     "double_ext_apply",
-    "cocycle_eq_check",
     "constant_one_obstruction",
     "ObstructionWitness",
     "d6_root_check",
@@ -49,22 +46,6 @@ __all__ = [
     "chacon_z2_phi",
     "double_extension_orbit",
 ]
-
-
-@dataclass
-class GroupExtension:
-    """Skew product (x, g) -> (base(x), cocycle(x) * g) over an opaque base."""
-
-    base: Callable
-    cocycle: Callable
-    fiber_mul: Callable
-
-    def apply(self, x, g):
-        return self.base(x), self.fiber_mul(self.cocycle(x), g)
-
-
-def skew_apply(ext: GroupExtension, x, g):
-    return ext.apply(x, g)
 
 
 def chacon_z2_phi(scheme: TowerScheme, stage: int = 2) -> Callable[[TowerPoint], int]:
@@ -86,22 +67,6 @@ def double_ext_apply(
 ) -> tuple[TowerPoint, int, int]:
     """Double extension step (x, s, r) -> (Tx, phi(x) + s, s + r) over Z2."""
     return base(x), (phi(x) + s) % 2, (s + r) % 2
-
-
-def cocycle_eq_check(
-    lhs_cocycle: Callable,
-    rhs_transfer: Callable,
-    transform: Callable,
-    sampler: Callable[[np.random.Generator], object],
-    samples: int,
-    rng: np.random.Generator,
-) -> bool:
-    """Check lhs(x) = F(transform(x)) + F(x) over Z2 exactly at sampled points."""
-    for _ in range(samples):
-        x = sampler(rng)
-        if lhs_cocycle(x) % 2 != (rhs_transfer(transform(x)) + rhs_transfer(x)) % 2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .groups import (
 __all__ = [
     "PointCloud",
     "FiniteSampleSet",
-    "EmpiricalDistribution",
     "Alphabet",
     "radical_inverse",
     "van_der_corput",
@@ -43,8 +42,6 @@ __all__ = [
     "build_s_map",
     "SMapResult",
     "DistributionTestError",
-    "dist_l1",
-    "product_distribution",
     "window_pair_distance",
     "window_triple_distance",
     "slab_half_width",
@@ -278,51 +275,6 @@ def su2_to_chart(m: SU2Element) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# empirical distributions and the l1 distance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Finitely supported probability vector keyed by hashable atoms."""
-
-    weights: dict
-
-    def __post_init__(self):
-        total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, not 1 within 1e-12")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be nonnegative")
-
-    @staticmethod
-    def from_samples(samples: Sequence) -> "EmpiricalDistribution":
-        weights: dict = {}
-        n = len(samples)
-        for s in samples:
-            weights[s] = weights.get(s, 0.0) + 1.0 / n
-        return EmpiricalDistribution(weights)
-
-    @staticmethod
-    def uniform(atoms: Sequence) -> "EmpiricalDistribution":
-        n = len(atoms)
-        return EmpiricalDistribution({a: 1.0 / n for a in atoms})
-
-
-def dist_l1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
-    """Sum over the union support of |p(b) - q(b)|."""
-    support = set(p.weights) | set(q.weights)
-    return float(sum(abs(p.weights.get(b, 0.0) - q.weights.get(b, 0.0)) for b in support))
-
-
-def product_distribution(p: EmpiricalDistribution, q: EmpiricalDistribution) -> EmpiricalDistribution:
-    weights = {}
-    for a, wa in p.weights.items():
-        for b, wb in q.weights.items():
-            weights[(a, b)] = wa * wb
-    return EmpiricalDistribution(weights)
-
-
-# ---------------------------------------------------------------------------
 # finite sample sets on the slabs S_n
 # ---------------------------------------------------------------------------
 
@@ -355,36 +307,6 @@ class FiniteSampleSet:
     @property
     def size(self) -> int:
         return 2 * self.half_width * self.count
-
-    def elements(self, shells: Optional[Sequence[int]] = None):
-        """Yield (shell, u, quaternion) triples, optionally restricted."""
-        for l in self.shells if shells is None else shells:
-            for u, q in zip(self.u_time, self.quats):
-                yield l, float(u), q
-
-    def gelements(self, shells: Optional[Sequence[int]] = None):
-        return [
-            GElement(l + u, SU2Element.from_array(q, renormalize=False))
-            for l, u, q in self.elements(shells)
-        ]
-
-    def to_json(self, max_size: int = 200_000) -> dict:
-        if self.size > max_size:
-            return {
-                "n": self.n,
-                "half_width": self.half_width,
-                "pattern": [
-                    {"u": float(u), "q": [float(v) for v in q]}
-                    for u, q in zip(self.u_time, self.quats)
-                ],
-            }
-        return {
-            "n": self.n,
-            "half_width": self.half_width,
-            "points": [
-                {"t": l + u, "q": [float(v) for v in q]} for l, u, q in self.elements()
-            ],
-        }
 
 
 def slab_half_width(n: int, a_tilde_prev: int) -> int:
@@ -446,12 +368,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.shells)
 
-    def gelements(self) -> list[GElement]:
-        return [
-            GElement(int(l) + float(u), SU2Element.from_array(q, renormalize=False))
-            for l, u, q in zip(self.shells, self.u, self.quats)
-        ]
-
 
 def default_alphabet(n: int, half_width: int, size: int = 8) -> Alphabet:
     """Identity plus size-1 Halton points on shells spread across the slab."""
@@ -504,9 +420,6 @@ class SMapResult:
     triple_distance: float
     tolerance: float
     attempts: int
-
-    def index_of(self, h) -> np.ndarray:
-        return self.values[np.asarray(h) + (self.r - 1)]
 
     def gelement(self, h: int) -> GElement:
         j = int(self.values[h + (self.r - 1)])

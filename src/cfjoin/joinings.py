@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .cf_engine import (
 )
 
 __all__ = [
-    "FunctionDictionary",
     "CFDictionary",
     "EmpiricalJoining",
     "FolnerWindow",
     "joining_metric",
     "joining_metric_stderr",
-    "metric_invariance_check",
     "folner_window",
     "shulman_check",
     "empirical_joining",
@@ -44,7 +42,6 @@ __all__ = [
     "product_joining_target",
     "suspension_average",
     "detect_period",
-    "table_from_pairs",
     "classify",
 ]
 
@@ -53,31 +50,7 @@ __all__ = [
 # dictionaries
 # ---------------------------------------------------------------------------
 
-class FunctionDictionary:
-    """Ordered observables with batch evaluation; entries must be unit norm."""
-
-    def __init__(self, dict_id: str, functions: Sequence[Callable], labels: Sequence[str]):
-        if len(functions) != len(labels):
-            raise ValueError("functions and labels must align")
-        self.dict_id = dict_id
-        self.functions = list(functions)
-        self.labels = list(labels)
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
-
-    def evaluate(self, batch) -> np.ndarray:
-        """(K, N) complex values of all observables on an opaque batch."""
-        return np.stack([np.asarray(f(batch), dtype=complex) for f in self.functions])
-
-    def weights(self) -> np.ndarray:
-        k = self.size
-        i = np.arange(1, k + 1)
-        return 2.0 ** -(i[:, None] + i[None, :])
-
-
-class CFDictionary(FunctionDictionary):
+class CFDictionary:
     """Default K=16 dictionary on the inductive-limit space.
 
     Observables read the level-1 coordinate when the point has one and vanish
@@ -88,6 +61,7 @@ class CFDictionary(FunctionDictionary):
     """
 
     def __init__(self, levels: CFLevels, dict_id: str = "k16-default-v1"):
+        self.dict_id = dict_id
         self.levels = levels
         self.a1 = levels.a(1)
         self.scale = 1.0 / math.sqrt(levels.mu_xn(1))
@@ -109,9 +83,12 @@ class CFDictionary(FunctionDictionary):
             ("harm-7", ("harm", 7)),
             ("harm-8", ("harm", 8)),
         ]
-        labels = [name for name, _ in spec]
+        self.labels = [name for name, _ in spec]
         self._spec = [code for _, code in spec]
-        super().__init__(dict_id, [None] * len(spec), labels)
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
     def evaluate(self, batch) -> np.ndarray:
         """batch = (valid, ti, tf, q) level-1 coordinates from peel_batch."""
@@ -208,38 +185,20 @@ def joining_metric_stderr(x: EmpiricalJoining, y: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * (x.stderr**2 + y.stderr**2))))
 
 
-def table_from_pairs(
-    dictionary: FunctionDictionary, batch_x, batch_y, dict_id: Optional[str] = None
+def _correlation_table(
+    dict_id: str, fx: np.ndarray, fy: np.ndarray, scale: float = 1.0
 ) -> EmpiricalJoining:
-    """Correlation table of an empirical pair cloud (x_k, y_k)."""
-    fx = dictionary.evaluate(batch_x)
-    fy = dictionary.evaluate(batch_y)
+    """Table of the means of scale * f_i(x_k) conj(f_j(y_k)) over the N value
+    pairs of fx, fy (both (K, N)), with the stderr of each mean.
+
+    Since |f_i g_j|^2 = |f_i|^2 |g_j|^2, both moments are (K, N) x (N, K)
+    matrix products and no (K, K, N) array is formed.
+    """
     n = fx.shape[1]
-    prod = fx[:, None, :] * np.conj(fy[None, :, :])
-    corr = prod.mean(axis=2)
-    second = (np.abs(prod) ** 2).mean(axis=2)
+    corr = fx @ fy.conj().T * (scale / n)
+    second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
     var = np.maximum(second - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(
-        dict_id or dictionary.dict_id, corr, np.sqrt(var / n), n
-    )
-
-
-def metric_invariance_check(
-    xi_pairs: tuple,
-    nu_pairs: tuple,
-    transform_pair: Callable,
-    dictionary: FunctionDictionary,
-) -> float:
-    """|d(xi o (TxT), nu o (TxT)) - d(xi, nu)| on empirical pair clouds."""
-    before = joining_metric(
-        table_from_pairs(dictionary, *xi_pairs), table_from_pairs(dictionary, *nu_pairs)
-    )
-    xi_t = (transform_pair(xi_pairs[0]), transform_pair(xi_pairs[1]))
-    nu_t = (transform_pair(nu_pairs[0]), transform_pair(nu_pairs[1]))
-    after = joining_metric(
-        table_from_pairs(dictionary, *xi_t), table_from_pairs(dictionary, *nu_t)
-    )
-    return abs(after - before)
+    return EmpiricalJoining(dict_id, corr, np.sqrt(var / n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +402,7 @@ def empirical_joining(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "
             f"exceeded the point's truncation: {exc}"
         ) from exc
-    n = fx.shape[1]
-    prod = fx[:, None, :] * np.conj(fy[None, :, :])
-    corr = prod.mean(axis=2)
-    second = (np.abs(prod) ** 2).mean(axis=2)
-    var = np.maximum(second - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(dictionary.dict_id, corr, np.sqrt(var / n), n)
-
-
-def _mu_restricted_batch(
-    levels: CFLevels, samples: int, rng: np.random.Generator, depth: int = 4
-):
-    """Points of the level-1 part in factored form, with enough tail to act."""
-    return sample_point_batch(levels, samples, depth, rng)
+    return _correlation_table(dictionary.dict_id, fx, fy)
 
 
 def graph_joining_target(
@@ -471,7 +418,7 @@ def graph_joining_target(
     fiber translates used here, so conditioning the sampler on that part is
     exact; the mu(X_1) mass factor enters through the observable norms.
     """
-    ti, tf, q, tails = _mu_restricted_batch(levels, samples, rng)
+    ti, tf, q, tails = sample_point_batch(levels, samples, 4, rng)
     valid = np.ones(samples, dtype=bool)
     fx = dictionary.evaluate((valid, ti, tf, q))
     # embed two levels, translate by k, peel back
@@ -487,12 +434,7 @@ def graph_joining_target(
     q3 = quat_mul(k.m.array(), quat_phi_real(gf, quat_phi_int(np.full(samples, gi), q3)))
     valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
     fy = dictionary.evaluate((valid_y, ti1, tf1, q1))
-    mu1 = levels.mu_xn(1)
-    prod = fx[:, None, :] * np.conj(fy[None, :, :]) * mu1
-    corr = prod.mean(axis=2)
-    second = (np.abs(prod) ** 2).mean(axis=2)
-    var = np.maximum(second - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(dictionary.dict_id, corr, np.sqrt(var / samples), samples)
+    return _correlation_table(dictionary.dict_id, fx, fy, levels.mu_xn(1))
 
 
 def product_joining_target(
@@ -502,7 +444,7 @@ def product_joining_target(
     rng: np.random.Generator,
 ) -> EmpiricalJoining:
     """Monte Carlo table of the product joining: (int f_i) conj(int f_j)."""
-    ti, tf, q, _ = _mu_restricted_batch(levels, samples, rng)
+    ti, tf, q, _ = sample_point_batch(levels, samples, 4, rng)
     valid = np.ones(samples, dtype=bool)
     fx = dictionary.evaluate((valid, ti, tf, q))
     mu1 = levels.mu_xn(1)

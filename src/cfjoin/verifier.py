@@ -10,6 +10,7 @@ config seed; rerunning a config byte-reproduces every artifact.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -145,11 +146,26 @@ class CheckReport:
         }
 
 
-def _levels_cache(cfg: ExperimentConfig, _cache={}) -> CFLevels:
-    key = (cfg.seed, json.dumps(cfg.construction.to_json(), sort_keys=True))
-    if key not in _cache:
-        _cache[key] = cf_engine.build_levels(cfg.construction, seed=cfg.seed)
-    return _cache[key]
+def _levels_cache(cfg: ExperimentConfig) -> CFLevels:
+    return _build_levels(cfg.seed, cfg.construction)
+
+
+@functools.cache
+def _build_levels(seed: int, params: CFParams) -> CFLevels:
+    """Levels of one construction, built once per process and shared by the
+    runners; `_build_levels.cache_clear()` forces a rebuild."""
+    return cf_engine.build_levels(params, seed=seed)
+
+
+def _quenched_sigma(cfg: ExperimentConfig, value: float, estimate) -> float:
+    """Spread of a quantity over the correction-map draw: the sample std of
+    `value` and of `estimate(levels, i)` on the construction re-drawn under
+    the three alternate seeds i = 0, 1, 2."""
+    alts = [
+        estimate(_build_levels(cfg.seed + 1009 * (i + 1), cfg.construction), i)
+        for i in range(3)
+    ]
+    return float(np.std([value] + alts, ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +440,7 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
     for n in (2, 3):
         eps = params.eps(n)
         count = params.sample_count if n == 2 else max(params.sample_count // 4, 8)
-        ss = cf_engine.build_sample_set(n, params, count)
+        ss = equidist.build_sample_set(n, levels.a_tilde(n - 1), count)
         half = ss.half_width
         rng = substream(cfg.seed, f"techniczny-{n}")
 
@@ -581,9 +597,6 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
     mu_a = _mu_full_interval(levels, A)
     mu_b = _mu_full_interval(levels, B)
     samples = cfg.mc_samples
-    alt_levels = [
-        cf_engine.build_levels(params, seed=cfg.seed + 1009 * (i + 1)) for i in range(3)
-    ]
     rows = []
     devs = {}
     sig_tot = {}
@@ -591,13 +604,9 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
         dev, sigma, est = _weakmix_deviation(
             levels, n, samples, substream(cfg.seed, f"weakmix-{n}")
         )
-        alt = [
-            _weakmix_deviation(
-                lv, n, max(samples // 4, 50_000), substream(cfg.seed, f"weakmix-alt{i}-{n}")
-            )[0]
-            for i, lv in enumerate(alt_levels)
-        ]
-        quenched = float(np.std([dev] + alt, ddof=1))
+        quenched = _quenched_sigma(cfg, dev, lambda lv, i: _weakmix_deviation(
+            lv, n, max(samples // 4, 50_000), substream(cfg.seed, f"weakmix-alt{i}-{n}")
+        )[0])
         budget = 16.0 * (4 * n + 1) / (2 * n - 1) ** 2 * (
             levels.a(n - 1) / levels.a_tilde(n - 1)
         ) ** 2 + params.eps(n)
@@ -663,10 +672,6 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("lemma62", "lm:6.2-i;lm:6.2-ii")
     levels = _levels_cache(cfg)
     rng = substream(cfg.seed, "lemma62")
-    alt_levels = [
-        cf_engine.build_levels(cfg.construction, seed=cfg.seed + 1009 * (i + 1))
-        for i in range(3)
-    ]
 
     means = {}
     for n in (3, 4, 5, 6):
@@ -698,11 +703,9 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
         # float interval arithmetic (1e-6 absolute is plenty against
         # deviations of order 1/n)
         mean_dev, sem = _overlap_deviation(levels, n, substream(cfg.seed, f"l62-{n}"))
-        alts = [
-            _overlap_deviation(lv, n, substream(cfg.seed, f"l62-alt{i}-{n}"))[0]
-            for i, lv in enumerate(alt_levels)
-        ]
-        quenched = float(np.std([mean_dev] + alts, ddof=1))
+        quenched = _quenched_sigma(cfg, mean_dev, lambda lv, i: _overlap_deviation(
+            lv, n, substream(cfg.seed, f"l62-alt{i}-{n}")
+        )[0])
         means[n] = (mean_dev, math.sqrt(sem**2 + quenched**2))
         rep.add(f"overlap-deviation-n{n}", mean_dev, stderr=means[n][1])
     for n in (3, 4):
@@ -901,12 +904,6 @@ def run_nonuniqueness_42(cfg: ExperimentConfig) -> CheckReport:
         for kk in range(-128, 129)
     )
     rep.add("commutation-grid-1-over-64", 1.0 if grid_ok else 0.0, passed=grid_ok)
-
-    assoc = all(
-        d6_mul(d6_mul(x, y), z) == d6_mul(x, d6_mul(y, z))
-        for x in D6_ELEMENTS for y in D6_ELEMENTS for z in D6_ELEMENTS
-    )
-    rep.add("d6-associativity", 1.0 if assoc else 0.0, passed=assoc)
     return rep
 
 

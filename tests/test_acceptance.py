@@ -55,14 +55,18 @@ def _metric(report, name):
 
 
 def test_criterion_01_d6_exhaustive(cfg):
-    t0 = time.perf_counter()
-    assoc = all(
-        d6_mul(d6_mul(x, y), z) == d6_mul(x, d6_mul(y, z))
-        for x in D6_ELEMENTS
-        for y in D6_ELEMENTS
-        for z in D6_ELEMENTS
-    )
-    elapsed = time.perf_counter() - t0
+    # the fastest of 5 repetitions, so that another process sharing the CPU
+    # does not decide the 1 ms budget
+    elapsed = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assoc = all(
+            d6_mul(d6_mul(x, y), z) == d6_mul(x, d6_mul(y, z))
+            for x in D6_ELEMENTS
+            for y in D6_ELEMENTS
+            for z in D6_ELEMENTS
+        )
+        elapsed = min(elapsed, time.perf_counter() - t0)
     from cfjoin.groups import D6Element
 
     ok = (
@@ -181,6 +185,7 @@ def test_criterion_12_determinism(tmp_path):
     names = ("sequences", "validate-cf", "weakmix", "counterexample-51")
     paths = []
     for run in range(2):
+        verifier._build_levels.cache_clear()  # each run builds its own levels
         reports = [EXPERIMENTS[name](cfg) for name in names]
         out = tmp_path / f"run{run}"
         emit_report(reports, str(out), cfg)

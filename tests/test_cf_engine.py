@@ -113,6 +113,14 @@ class TestCylinders:
         expected = (100 / (2 * levels.a(1))) * vol * levels.mu_xn(1)
         assert abs(value - expected) <= 4 * err + 1e-12
 
+    def test_cube_fiber_needs_rng(self, levels):
+        # a cube fiber is measured by Monte Carlo, whose seed must come from
+        # the caller's named substream
+        cube = ((0.1, 0.6), (0.2, 0.9), (0.0, 0.5))
+        cyl = cf.CylinderSet(1, [cf.Block(Fraction(-50), Fraction(50), "cube", cube)])
+        with pytest.raises(ValueError, match="needs an rng"):
+            cf.cylinder_measure(cyl, levels)
+
     def test_y4_consistency(self, levels):
         # one level down: the measure splits equally over the #C translates
         lv0 = levels.level(0)
@@ -219,6 +227,12 @@ class TestAction:
         # the level-n coordinate is unchanged when the corrections cancel
         assert y_at_n.t_int == x.t_int and abs(y_at_n.t_frac - x.t_frac) < 1e-12
         assert max(abs(a - b) for a, b in zip(y_at_n.q, x.q)) < 1e-12
+
+    def test_inexact_float_translate_rejected(self, levels):
+        # from 2^53 on a float time cannot carry every integer translate
+        x = cf.CFPoint(1, 0, 0.5, (1.0, 0.0, 0.0, 0.0), (0, 0, 0, 0, 0))
+        with pytest.raises(cf.InexactTranslateError, match="act_time"):
+            cf.act(GElement(float(2**53), SU2_I), x, levels)
 
     def test_truncation_exhaustion(self, levels):
         x = cf.CFPoint(1, 0, 0.5, (1.0, 0.0, 0.0, 0.0), ())

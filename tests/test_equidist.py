@@ -8,19 +8,16 @@ from cfjoin import equidist
 from cfjoin.equidist import (
     Alphabet,
     DistributionTestError,
-    EmpiricalDistribution,
     PointCloud,
     build_s_map,
     build_sample_set,
     chart_to_su2,
     chart_to_su2_array,
     default_alphabet,
-    dist_l1,
     extreme_discrepancy,
     halton,
     haar_sample_su2,
     koksma_hlawka_bound,
-    product_distribution,
     star_discrepancy,
     star_discrepancy_exact_1d,
     su2_to_chart,
@@ -274,45 +271,19 @@ class TestEquidistributionUnderMaps:
         assert sups[2] <= sups[0]
 
 
-class TestDistributions:
-    def test_identical(self):
-        p = EmpiricalDistribution({"a": 0.5, "b": 0.5})
-        assert dist_l1(p, p) == 0.0
-
-    def test_disjoint_supports(self):
-        p = EmpiricalDistribution({"a": 1.0})
-        q = EmpiricalDistribution({"b": 1.0})
-        assert dist_l1(p, q) == 2.0
-
-    def test_direct_sum(self):
-        p = EmpiricalDistribution({0: 0.5, 1: 0.5})
-        q = EmpiricalDistribution({0: 1.0})
-        assert dist_l1(p, q) == pytest.approx(1.0)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution({"a": 0.7})
-
-    def test_product(self):
-        p = EmpiricalDistribution({0: 0.25, 1: 0.75})
-        pq = product_distribution(p, p)
-        assert pq.weights[(0, 1)] == pytest.approx(0.1875)
-
-
 class TestSampleSets:
     def test_elements_in_slab(self):
         ss = build_sample_set(2, 200, count=8)
         assert ss.half_width == 3 * 200
-        for l, u, q in ss.elements(shells=[-600, 0, 599]):
-            t = l + u
-            assert -600 < t <= 600
-            assert abs(np.sum(np.asarray(q) ** 2) - 1) < 1e-12
+        # element times l + u on the two extreme shells and a middle one
+        t = np.add.outer([-600, 0, 599], ss.u_time)
+        assert np.all((-600 < t) & (t <= 600))
+        assert np.all(np.abs(np.sum(ss.quats**2, axis=1) - 1) < 1e-12)
 
-    def test_size_and_json_pattern(self):
+    def test_size_and_pattern(self):
         ss = build_sample_set(2, 200, count=4)
-        assert ss.size == 2 * 600 * 4
-        data = ss.to_json(max_size=100)
-        assert "pattern" in data and len(data["pattern"]) == 4
+        assert ss.size == 2 * 600 * 4 == len(ss.shells) * ss.count
+        assert ss.u_time.shape == (4,) and ss.chart.shape == (4, 3) and ss.quats.shape == (4, 4)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -327,7 +298,8 @@ class TestSampleSets:
         q_mc = quat_normalize(rng.standard_normal((200_000, 4)))
         lo, hi = -0.6, 0.45
         mc = float(np.mean((t_mc > lo) & (t_mc <= hi)))
-        hits = sum(1 for l, u, q in ss.elements() if lo < l + u <= hi)
+        t = np.add.outer(np.array(ss.shells), ss.u_time)
+        hits = int(np.sum((lo < t) & (t <= hi)))
         assert abs(mc - hits / ss.size) < 0.02
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
@@ -45,47 +47,74 @@ class TestMetric:
             jo.joining_metric(t, other)
 
 
+def circle_table(functions, xs, ys):
+    """Correlation table of a pair cloud (x_k, y_k) of circle points."""
+    fx = np.stack([f(xs) for f in functions]).astype(complex)
+    fy = np.stack([f(ys) for f in functions]).astype(complex)
+    return jo._correlation_table("circle", fx, fy)
+
+
+def invariance_gap(functions, xi_pairs, nu_pairs, move):
+    """|d(xi o (T x T), nu o (T x T)) - d(xi, nu)| on empirical pair clouds."""
+    before = jo.joining_metric(circle_table(functions, *xi_pairs), circle_table(functions, *nu_pairs))
+    after = jo.joining_metric(
+        circle_table(functions, *map(move, xi_pairs)), circle_table(functions, *map(move, nu_pairs))
+    )
+    return abs(after - before)
+
+
+class TestCorrelationTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6), n=st.integers(1, 50),
+           scale=st.floats(0.01, 2.0))
+    def test_matches_broadcast(self, data, k, n, scale):
+        values = hnp.arrays(
+            complex, (k, n),
+            elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        )
+        fx, fy = data.draw(values), data.draw(values)
+        table = jo._correlation_table("t", fx, fy, scale)
+        prod = fx[:, None, :] * np.conj(fy[None, :, :]) * scale
+        corr = prod.mean(axis=2)
+        var = np.maximum((np.abs(prod) ** 2).mean(axis=2) - np.abs(corr) ** 2, 0.0)
+        assert table.sample_count == n
+        assert np.max(np.abs(table.corr - corr)) <= 1e-12
+        # compared before the square root, which turns rounding of a zero
+        # variance into an error of order 1e-8
+        assert np.max(np.abs(table.stderr**2 * n - var)) <= 1e-12
+
+
 class TestInvarianceCheck:
     def test_rotation_eigen_dictionary_exact(self, rng):
         # harmonics are rotation eigenfunctions: composing with the rotation
         # multiplies each correlation entry by a unit phase, so the metric is
         # exactly invariant
         alpha = 0.234
-        d = jo.FunctionDictionary(
-            "circle",
-            [lambda x, m=m: np.exp(2j * math.pi * m * np.asarray(x)) for m in (1, 2, 3)],
-            ["e1", "e2", "e3"],
-        )
+        functions = [lambda x, m=m: np.exp(2j * math.pi * m * np.asarray(x)) for m in (1, 2, 3)]
         xs, ys = rng.uniform(size=300), rng.uniform(size=300)
         xs2, ys2 = rng.uniform(size=300), rng.uniform(size=300)
         move = lambda b: np.mod(b + alpha, 1.0)
-        diff = jo.metric_invariance_check((xs, ys), (xs2, ys2), move, d)
-        assert diff < 1e-10
+        assert invariance_gap(functions, (xs, ys), (xs2, ys2), move) < 1e-10
 
     def test_identical_joinings_trivial(self, rng):
-        d = jo.FunctionDictionary(
-            "circle", [lambda x: np.exp(2j * math.pi * np.asarray(x))], ["e1"]
-        )
+        functions = [lambda x: np.exp(2j * math.pi * np.asarray(x))]
         xs, ys = rng.uniform(size=100), rng.uniform(size=100)
-        assert jo.metric_invariance_check((xs, ys), (xs, ys), lambda b: b, d) == 0.0
+        assert invariance_gap(functions, (xs, ys), (xs, ys), lambda b: b) == 0.0
 
     def test_generic_map_small_difference(self, rng):
         # a non-eigen dictionary under a measure-preserving map: the change is
         # within a few empirical standard errors
-        d = jo.FunctionDictionary(
-            "circle",
-            [lambda x: np.exp(2j * math.pi * np.asarray(x)),
-             lambda x: np.sqrt(3) * (2 * np.asarray(x) - 1) + 0j],
-            ["e1", "leg1"],
-        )
+        functions = [
+            lambda x: np.exp(2j * math.pi * np.asarray(x)),
+            lambda x: np.sqrt(3) * (2 * np.asarray(x) - 1) + 0j,
+        ]
         n = 60_000
         xs = rng.uniform(size=n)
         ys = np.mod(xs + 0.1, 1.0)
         xs2 = rng.uniform(size=n)
         ys2 = rng.uniform(size=n)
         move = lambda b: np.mod(b + 0.37, 1.0)
-        diff = jo.metric_invariance_check((xs, ys), (xs2, ys2), move, d)
-        assert diff < 8 / math.sqrt(n)
+        assert invariance_gap(functions, (xs, ys), (xs2, ys2), move) < 8 / math.sqrt(n)
 
 
 class TestWindows:
@@ -139,7 +168,7 @@ class TestDictionary:
         assert abs(vals[0, 0]) > 0.9
 
     def test_weights_are_dyadic(self, dictionary):
-        w = dictionary.weights()
+        w = jo._weights(dictionary.size)
         assert w[0, 0] == 0.25
         assert w[1, 0] == w[0, 1] == 0.125
 
