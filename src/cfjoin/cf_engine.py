@@ -3,9 +3,11 @@ and the action on finite truncations.
 
 Time coordinates blow up fast (the level-7 base interval half-width exceeds
 1e20 under the default schedule), so times are carried in split form: an
-exact integer part plus a float fraction in [0, 1).  Vectorized paths use
-int64 while magnitudes allow it and fall back to Python-int object arrays
-above that; exact set checks use Fractions built from the (exact) floats.
+exact integer part plus a float fraction in [0, 1).  One batch engine moves
+points: embed_batch and peel_batch run a single arithmetic path on int64
+times while magnitudes allow it and on Python-int object arrays above that.
+The scalar API (CFPoint, embed_to_level, normalize_point, act, act_time) is
+a batch of one.  Exact set checks use Fractions built from the (exact) floats.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 from .groups import (
     GElement,
     SU2Element,
-    SU2_I,
-    g_mul,
     quat_mul,
     quat_inv,
     quat_normalize,
@@ -42,7 +42,6 @@ __all__ = [
     "ConditionResult",
     "LevelTooDeepError",
     "OrbitLeftTruncationError",
-    "ExpansionTooLargeError",
     "InexactTranslateError",
     "default_params",
     "derive_sequences",
@@ -51,9 +50,7 @@ __all__ = [
     "validate_cf",
     "mu_total_normalizer",
     "cylinder_measure",
-    "expand_cylinder",
     "full_block",
-    "point_in_cylinder",
     "act",
     "act_time",
     "embed_to_level",
@@ -76,10 +73,6 @@ class LevelTooDeepError(OverflowError):
 
 
 class OrbitLeftTruncationError(RuntimeError):
-    pass
-
-
-class ExpansionTooLargeError(RuntimeError):
     pass
 
 
@@ -514,20 +507,20 @@ class CFPoint:
         return SU2Element.from_array(self.quat())
 
 
-def _split(t: float) -> tuple[int, float]:
-    ti = math.floor(t)
-    return int(ti), t - ti
+def _as_batch(p: CFPoint):
+    """Arrays (ti, tf, q, tails) of the batch holding p alone."""
+    lane = object if abs(p.t_int) >= _INT64_SAFE else np.int64
+    tails = np.array(p.tail, dtype=np.int64).reshape(1, -1)
+    return np.array([p.t_int], dtype=lane), np.array([p.t_frac]), np.array([p.q]), tails
 
 
-def _in_base_interval(ti: int, tf: float, a: int) -> bool:
-    # (t_int + t_frac) in (-a, a]
-    if -a < ti < a:
-        return True
-    if ti == -a:
-        return tf > 0.0
-    if ti == a:
-        return tf == 0.0
-    return False
+def _point(level: int, ti, tf, q, tail) -> CFPoint:
+    return CFPoint(level, int(ti[0]), float(tf[0]), tuple(q[0].tolist()), tuple(tail))
+
+
+def _in_base(ti, tf, a: int):
+    """Mask of the times ti + tf in the half-open base interval (-a, a]."""
+    return ((ti > -a) | ((ti == -a) & (tf > 0.0))) & ((ti < a) | ((ti == a) & (tf == 0.0)))
 
 
 def sample_point(
@@ -537,79 +530,42 @@ def sample_point(
     level: int = 1,
     h_minus: bool = False,
 ) -> CFPoint:
-    """Point with uniform time on the level base, Haar fiber, uniform tail.
-
-    With h_minus the tail indices are rejected into the shrunken ranges
-    |h_k| < (1 - k^{-2}) r_k used when selecting generic points for the
-    window averages (keeps every translate inside the next frame).
-    """
-    a = levels.a(level)
-    t = rng.uniform(-a, a)
-    ti, tf = _split(t)
-    q = quat_normalize(rng.standard_normal(4))
-    tail = []
-    for k in range(level, min(level + truncation, levels.max_level + 1)):
-        r = levels.level(k).r
-        bound = r - 1
-        if h_minus:
-            bound = max(min(bound, math.floor((1 - 1.0 / k**2) * r)), 1)
-        tail.append(int(rng.integers(-bound, bound + 1)))
-    return CFPoint(level, ti, tf, (q[0], q[1], q[2], q[3]), tuple(tail))
-
-
-def _embed_once(p: CFPoint, levels: CFLevels) -> CFPoint:
-    if not p.tail:
-        raise OrbitLeftTruncationError(
-            f"orbit left truncation at level {p.level}: no tail index available"
-        )
-    lv = levels.level(p.level)
-    h = p.tail[0]
-    j = h + (lv.r - 1)
-    ti = p.t_int + int(lv.s_shell[j]) + 2 * h * lv.a_tilde
-    tf = p.t_frac + float(lv.s_u[j])
-    if tf >= 1.0:
-        tf -= 1.0
-        ti += 1
-    s_eff = quat_phi_real(p.t_frac, quat_phi_int(p.t_int, lv.s_quat[j]))
-    q = quat_mul(np.array(p.q), s_eff)
-    return CFPoint(p.level + 1, ti, tf, tuple(float(v) for v in q), p.tail[1:])
+    """One point of sample_point_batch: uniform time on the level base, Haar
+    fiber, uniform tail (shrunken by h_minus as there)."""
+    ti, tf, q, tails = sample_point_batch(levels, 1, truncation, rng, level, h_minus)
+    return _point(level, ti, tf, q, tails[0].tolist())
 
 
 def embed_to_level(p: CFPoint, levels: CFLevels, to_level: int) -> CFPoint:
-    while p.level < to_level:
-        p = _embed_once(p, levels)
-    return p
-
-
-def _peel_once(p: CFPoint, levels: CFLevels) -> Optional[CFPoint]:
-    if p.level == 0:
-        return None
-    lv = levels.level(p.level - 1)
-    two = 2 * lv.a_tilde
-    q0, r0 = divmod(p.t_int + lv.a_tilde, two)
-    h = int(q0) if (r0 > 0 or p.t_frac > 0.0) else int(q0) - 1
-    if abs(h) > lv.r - 1:
-        return None
-    j = h + (lv.r - 1)
-    ti = p.t_int - 2 * h * lv.a_tilde - int(lv.s_shell[j])
-    tf = p.t_frac - float(lv.s_u[j])
-    if tf < 0.0:
-        tf += 1.0
-        ti -= 1
-    if not _in_base_interval(ti, tf, lv.a):
-        return None
-    s_inv_eff = quat_phi_real(tf, quat_phi_int(ti, lv.s_quat_inv[j]))
-    q = quat_mul(np.array(p.q), s_inv_eff)
-    return CFPoint(p.level - 1, ti, tf, tuple(float(v) for v in q), (h,) + p.tail)
+    if p.level >= to_level:
+        return p
+    ti, tf, q, tails = _as_batch(p)
+    ti, tf, q = embed_batch(levels, ti, tf, q, tails, p.level, to_level)
+    return _point(to_level, ti, tf, q, p.tail[to_level - p.level:])
 
 
 def normalize_point(p: CFPoint, levels: CFLevels) -> CFPoint:
     """Peel to the lowest level at which the point is defined."""
+    while p.level > 0:
+        ti, tf, q, _ = _as_batch(p)
+        valid, ti, tf, q, hs = peel_batch(levels, ti, tf, q, p.level, p.level - 1)
+        if not valid[0]:
+            break
+        p = _point(p.level - 1, ti, tf, q, (int(hs[0, 0]),) + p.tail)
+    return p
+
+
+def _raise_until_fits(x: CFPoint, gi: int, gf: float, levels: CFLevels):
+    """Embed x until its time moved by gi + gf (gf in [0, 1)) lies in the
+    base of its level; returns the raised point and the moved time."""
+    p = x
     while True:
-        lower = _peel_once(p, levels)
-        if lower is None:
-            return p
-        p = lower
+        ti, tf = p.t_int + gi, p.t_frac + gf
+        if tf >= 1.0:
+            ti, tf = ti + 1, tf - 1.0
+        if _in_base(ti, tf, levels.a(p.level)):
+            return p, ti, tf
+        p = embed_to_level(p, levels, p.level + 1)
 
 
 def act(g: GElement, x: CFPoint, levels: CFLevels) -> CFPoint:
@@ -622,32 +578,18 @@ def act(g: GElement, x: CFPoint, levels: CFLevels) -> CFPoint:
             f"time {g.t!r} is at or above 2^53, where a float no longer carries "
             "an exact integer translate; use act_time for integer translates"
         )
-    gi, gf = _split(g.t)
-    p = x
-    while True:
-        ti = p.t_int + gi
-        tf = p.t_frac + gf
-        if tf >= 1.0:
-            tf -= 1.0
-            ti += 1
-        if _in_base_interval(ti, tf, levels.a(p.level)):
-            break
-        p = _embed_once(p, levels)
-    twisted = quat_phi_real(gf, quat_phi_int(gi, np.array(p.q)))
-    q = quat_mul(g.m.array(), twisted)
-    return CFPoint(p.level, ti, tf, tuple(float(v) for v in q), p.tail)
+    gi = math.floor(g.t)
+    gf = g.t - gi
+    p, ti, tf = _raise_until_fits(x, gi, gf, levels)
+    q = quat_mul(g.m.array(), quat_phi_real(gf, quat_phi_int(gi, p.quat())))
+    return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
 
 
 def act_time(g_int: int, x: CFPoint, levels: CFLevels) -> CFPoint:
     """Action of the integer time translate (g_int, I); exact arithmetic."""
-    p = x
-    while True:
-        ti = p.t_int + g_int
-        if _in_base_interval(ti, p.t_frac, levels.a(p.level)):
-            break
-        p = _embed_once(p, levels)
-    q = quat_phi_int(g_int, np.array(p.q))
-    return CFPoint(p.level, ti, p.t_frac, tuple(float(v) for v in q), p.tail)
+    p, ti, tf = _raise_until_fits(x, g_int, 0.0, levels)
+    q = quat_phi_int(g_int, p.quat())
+    return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
 
 
 def point_eq(x: CFPoint, y: CFPoint, levels: CFLevels, tol: float = 1e-9) -> bool:
@@ -698,43 +640,44 @@ def sample_point_batch(
     return ti, tf, q, tails
 
 
-def _parity(ti: np.ndarray) -> np.ndarray:
-    if ti.dtype == object:
-        return np.array([int(v) & 1 for v in ti], dtype=np.int64)
-    return (ti % 2).astype(np.int64)
+def _check_depth(levels: CFLevels, *ns: int) -> None:
+    top = levels.max_level + 1
+    for n in ns:
+        if n > top:
+            raise LevelTooDeepError(f"level {n} is above the deepest built level {top}")
 
 
 def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: int):
     """Vectorized embedding of a batch from from_level up to to_level.
 
-    tails columns are consumed in order; the integer time lane switches to
-    Python ints once the target magnitudes no longer fit int64 safely.
+    tails columns are consumed in order; the integer times become Python ints
+    (an object array) at the first level whose magnitudes no longer fit int64
+    safely, and every step below runs unchanged on either dtype.
     Returns (ti, tf, q) at to_level.
     """
+    _check_depth(levels, from_level, to_level)
+    if tails.shape[1] < to_level - from_level:
+        raise OrbitLeftTruncationError(
+            f"orbit left truncation at level {from_level + tails.shape[1]}: "
+            "no tail index available"
+        )
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
     q = np.array(q, dtype=float, copy=True)
-    col = 0
-    for k in range(from_level, to_level):
+    for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
         h = tails[:, col].astype(np.int64)
-        col += 1
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
-        s_eff = quat_phi_real(tf, quat_phi_int(_parity(ti), lv.s_quat[j]))
-        q = quat_mul(q, s_eff)
+        q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat[j])))
         step = 2 * lv.a_tilde
-        if levels.a(k + 1) + step >= _INT64_SAFE and ti.dtype != object:
+        if levels.a(k + 1) + step >= _INT64_SAFE:
             ti = ti.astype(object)
-        if ti.dtype == object:
-            incr = np.array([int(v) * step for v in h], dtype=object)
-            ti = ti + incr + lv.s_shell[j].astype(object)
-        else:
-            ti = ti + h * np.int64(step) + lv.s_shell[j]
+        ti = ti + h.astype(ti.dtype) * step + lv.s_shell[j].astype(ti.dtype)
         tf = tf + lv.s_u[j]
         carry = tf >= 1.0
         tf = np.where(carry, tf - 1.0, tf)
-        ti = ti + carry.astype(int if ti.dtype == object else np.int64)
+        ti = ti + carry.astype(ti.dtype)
     return ti, tf, q
 
 
@@ -744,8 +687,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     Returns (valid, ti, tf, q, hs): lanes where the point has no
     representation at to_level are masked out of `valid` (their coordinate
     values are unspecified); hs[:, c] is the recovered shift index at level
-    to_level + c.
+    to_level + c.  Python-int times return to int64 at the first level where
+    they fit.
     """
+    _check_depth(levels, from_level, to_level)
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
     q = np.array(q, dtype=float, copy=True)
@@ -755,40 +700,21 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     for k in range(from_level - 1, to_level - 1, -1):
         lv = levels.level(k)
         two = 2 * lv.a_tilde
-        if ti.dtype == object:
-            q0 = (ti + lv.a_tilde) // two
-            r0 = (ti + lv.a_tilde) - q0 * two
-            zero_rem = np.array([int(v) == 0 for v in r0])
-        else:
-            q0, r0 = np.divmod(ti + np.int64(lv.a_tilde), np.int64(two))
-            zero_rem = r0 == 0
-        h = q0 - (zero_rem & (tf == 0.0)).astype(int if ti.dtype == object else np.int64)
-        if ti.dtype == object:
-            h = np.array([int(v) for v in h], dtype=np.int64)
+        shifted = ti + lv.a_tilde
+        q0 = shifted // two
+        on_edge = (shifted - q0 * two == 0) & (tf == 0.0)
+        h = (q0 - on_edge.astype(ti.dtype)).astype(np.int64)
         ok_h = np.abs(h) <= lv.r - 1
         j = np.clip(h + (lv.r - 1), 0, 2 * lv.r - 2)
-        if ti.dtype == object:
-            ti = ti - np.array([int(v) * two for v in h], dtype=object) - lv.s_shell[j].astype(object)
-        else:
-            ti = ti - h * np.int64(two) - lv.s_shell[j]
+        ti = ti - h.astype(ti.dtype) * two - lv.s_shell[j].astype(ti.dtype)
         tf = tf - lv.s_u[j]
         borrow = tf < 0.0
         tf = np.where(borrow, tf + 1.0, tf)
-        ti = ti - borrow.astype(int if ti.dtype == object else np.int64)
+        ti = ti - borrow.astype(ti.dtype)
         if ti.dtype == object and levels.a(k) + two < _INT64_SAFE:
-            safe = np.array(
-                [int(v) if ok else 0 for v, ok in zip(ti, valid & ok_h)], dtype=np.int64
-            )
-            ti = safe
-        if ti.dtype == object:
-            in_lo = np.array([int(v) > -lv.a or (int(v) == -lv.a and f > 0.0) for v, f in zip(ti, tf)])
-            in_hi = np.array([int(v) < lv.a or (int(v) == lv.a and f == 0.0) for v, f in zip(ti, tf)])
-            ok_t = in_lo & in_hi
-        else:
-            a = np.int64(lv.a)
-            ok_t = ((ti > -a) | ((ti == -a) & (tf > 0.0))) & ((ti < a) | ((ti == a) & (tf == 0.0)))
-        s_inv_eff = quat_phi_real(tf, quat_phi_int(_parity(ti), lv.s_quat_inv[j]))
-        q = quat_mul(q, s_inv_eff)
+            ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
+        ok_t = _in_base(ti, tf, lv.a)
+        q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat_inv[j])))
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
     return valid, ti, tf, q, hs
@@ -801,18 +727,13 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
 @dataclass(frozen=True)
 class Block:
     """One measurable block of a cylinder base: a half-open time interval
-    crossed with a fiber part.
-
-    fiber is "full" (all of SU(2)) or "cube" (a chart cube, optionally
-    right-translated by `translator`: membership means x * translator^{-1}
-    lands in interval x cube).
+    crossed with a fiber part, "full" (all of SU(2)) or "cube" (a chart cube).
     """
 
     lo: Fraction
     hi: Fraction
     fiber: str = "full"
     cube: Optional[tuple[tuple[float, float], ...]] = None
-    translator: Optional[GElement] = None
 
     def length(self) -> Fraction:
         return self.hi - self.lo
@@ -869,12 +790,7 @@ def cylinder_measure(
         if rng is None:
             raise ValueError("a cube-fiber block is measured by Monte Carlo and needs an rng")
         width = float(b.length())
-        t = rng.uniform(float(b.lo), float(b.hi), size=samples)
         q = quat_normalize(rng.standard_normal((samples, 4)))
-        if b.translator is not None:
-            ginv_t = -b.translator.t
-            ginv_q = quat_phi_real(ginv_t, quat_inv(b.translator.m.array()))
-            q = quat_mul(q, quat_phi_real(t, np.broadcast_to(ginv_q, q.shape)))
         u = equidist.su2_to_chart_array(q)
         inside = np.ones(samples, dtype=bool)
         for dim, (lo_b, hi_b) in enumerate(b.cube):
@@ -883,65 +799,6 @@ def cylinder_measure(
         value += p * width / (2 * a) * mu_xn
         var += (p * (1 - p) / samples) * (width / (2 * a) * mu_xn) ** 2
     return value, math.sqrt(var)
-
-
-def expand_cylinder(
-    c: CylinderSet, to_level: int, levels: CFLevels, max_blocks: int = 4_000_000
-) -> CylinderSet:
-    """Rewrite a cylinder at a deeper level by translating every block through
-    all level corrections; the block count multiplies by #C at each step."""
-    if to_level < c.level:
-        raise ValueError("to_level must be >= cylinder level")
-    blocks = list(c.blocks)
-    for k in range(c.level, to_level):
-        lv = levels.level(k)
-        if len(blocks) * lv.card_c_next > max_blocks:
-            raise ExpansionTooLargeError(
-                f"expansion too large: {len(blocks) * lv.card_c_next} blocks"
-            )
-        new_blocks = []
-        for h in lv.h_range():
-            t_c = lv.correction_time_fraction(h)
-            for b in blocks:
-                if b.fiber == "full":
-                    new_blocks.append(Block(b.lo + t_c, b.hi + t_c, "full"))
-                else:
-                    corr = GElement(
-                        float(t_c),
-                        SU2Element.from_array(lv.s_quat[h + lv.r - 1], renormalize=False),
-                    )
-                    trans = corr if b.translator is None else g_mul(b.translator, corr)
-                    new_blocks.append(Block(b.lo + t_c, b.hi + t_c, "cube", b.cube, trans))
-        blocks = new_blocks
-    out = CylinderSet(to_level, blocks)
-    out.validate(levels)
-    return out
-
-
-def point_in_cylinder(p: CFPoint, c: CylinderSet, levels: CFLevels) -> bool:
-    """Membership of a point in a cylinder (peeling or embedding as needed)."""
-    x = p
-    while x.level > c.level:
-        lower = _peel_once(x, levels)
-        if lower is None:
-            return False
-        x = lower
-    if x.level < c.level:
-        x = embed_to_level(x, levels, c.level)
-    t = Fraction(x.t_int) + Fraction(x.t_frac)
-    for b in c.blocks:
-        if not (b.lo < t <= b.hi):
-            continue
-        if b.fiber == "full":
-            return True
-        q = x.quat()
-        if b.translator is not None:
-            ginv_t = -b.translator.t
-            ginv_q = quat_phi_real(ginv_t, quat_inv(b.translator.m.array()))
-            q = quat_mul(q, quat_phi_real(x.t_frac, quat_phi_int(x.t_int, ginv_q)))
-        u = equidist.su2_to_chart_array(q)
-        return all(lo_b <= u[dim] < hi_b for dim, (lo_b, hi_b) in enumerate(b.cube))
-    return False
 
 
 def level_dump_rows(levels: CFLevels) -> list[dict]:

@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from .verifier import EXPERIMENTS, ExperimentConfig, emit_report, run_all
+from .verifier import EXPERIMENTS, ExperimentConfig, emit_report
 
 _SUBCOMMAND_SETS = {
     "sequences": ["sequences"],

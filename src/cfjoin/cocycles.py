@@ -25,10 +25,8 @@ from .groups import (
     d6_mul,
 )
 from .rank_one import (
-    LevelSetUnion,
     TowerPoint,
     TowerScheme,
-    chacon_scheme,
     sample_tower_point,
     stage_level_of,
     tower_apply,

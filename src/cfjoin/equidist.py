@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groups import (
-    GElement,
     SU2Element,
     quat_normalize,
 )
@@ -420,13 +419,6 @@ class SMapResult:
     triple_distance: float
     tolerance: float
     attempts: int
-
-    def gelement(self, h: int) -> GElement:
-        j = int(self.values[h + (self.r - 1)])
-        return GElement(
-            int(self.alphabet.shells[j]) + float(self.alphabet.u[j]),
-            SU2Element.from_array(self.alphabet.quats[j], renormalize=False),
-        )
 
 
 def window_pair_distance(values: np.ndarray, alphabet_size: int, offset: int = 1) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .cf_engine import (
     CFLevels,
     CFPoint,
     OrbitLeftTruncationError,
-    act,
     embed_batch,
     embed_to_level,
     peel_batch,
@@ -40,8 +38,6 @@ __all__ = [
     "empirical_joining",
     "graph_joining_target",
     "product_joining_target",
-    "suspension_average",
-    "detect_period",
     "classify",
 ]
 
@@ -358,8 +354,7 @@ def _window_values(
     """Dictionary values (K, R) at the translates of a point by g = b + spacing t."""
     top = min(window.n + 2, levels.max_level + 1)
     p = embed_to_level(point, levels, top)
-    g = bs.astype(object) + window.spacing * ts.astype(object)
-    ti = np.array([p.t_int + int(v) for v in g], dtype=object)
+    ti = p.t_int + bs.astype(object) + window.spacing * ts.astype(object)
     if levels.a(top) + window.max_abs() < 2**62:
         ti = ti.astype(np.int64)
     tf = np.full(len(bs), p.t_frac)
@@ -470,45 +465,8 @@ def mixture_table(a: EmpiricalJoining, b: EmpiricalJoining) -> EmpiricalJoining:
 
 
 # ---------------------------------------------------------------------------
-# suspension averaging and classification
+# classification
 # ---------------------------------------------------------------------------
-
-def suspension_average(
-    nu_estimator: Callable[[float], EmpiricalJoining], grid: int
-) -> EmpiricalJoining:
-    """Average of the flow-translated tables over t in {0, 1/grid, ...}.
-
-    Realizes the time-averaged joining of the unit suspension at dictionary
-    resolution (left endpoint rule; the integrand is 1-periodic).
-    """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    tables = [nu_estimator(t / grid) for t in range(grid)]
-    corr = np.mean([tb.corr for tb in tables], axis=0)
-    stderr = np.sqrt(np.mean([tb.stderr**2 for tb in tables], axis=0) / grid)
-    return EmpiricalJoining(tables[0].dict_id, corr, stderr, sum(tb.sample_count for tb in tables))
-
-
-def detect_period(
-    nu_estimator: Callable[[float], EmpiricalJoining],
-    k_max: int,
-    tol: float,
-) -> Optional[int]:
-    """Smallest k <= k_max with d(nu o T_{1/k}, nu) < tol, else None (no
-    period detected at this resolution).
-
-    k = 1 means full flow invariance, which is probed at a generic time
-    (every 1-periodic family trivially matches at t = 1, so that probe would
-    be vacuous); k >= 2 probes t = 1/k directly.
-    """
-    base = nu_estimator(0.0)
-    generic_t = (math.sqrt(5) - 1) / 2
-    for k in range(1, k_max + 1):
-        t = generic_t if k == 1 else 1.0 / k
-        if joining_metric(nu_estimator(t), base) < tol:
-            return k
-    return None
-
 
 @dataclass
 class ClassificationRow:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

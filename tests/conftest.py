@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cfjoin import cf_engine
+
+# the same examples on every run, and no timing-based failures
+settings.register_profile("cfjoin", derandomize=True, deadline=None)
+settings.load_profile("cfjoin")
 
 
 @pytest.fixture(scope="session")

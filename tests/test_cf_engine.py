@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
-from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul
+from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul, quat_normalize
 
 
 class TestSequences:
@@ -136,52 +137,19 @@ class TestCylinders:
         with pytest.raises(ValueError, match="overlap"):
             cyl.validate(levels)
 
-    def test_expand_identity(self, levels):
-        cyl = cf.CylinderSet(1, [cf.full_block(-10, 10)])
-        same = cf.expand_cylinder(cyl, 1, levels)
-        assert same.blocks == cyl.blocks
-
-    def test_expand_one_level_preserves_measure(self, levels):
-        cyl = cf.CylinderSet(0, [cf.full_block(Fraction(-1), Fraction(1))])
-        v0, _ = cf.cylinder_measure(cyl, levels)
-        out = cf.expand_cylinder(cyl, 1, levels)
-        assert len(out.blocks) == levels.level(0).card_c_next
-        v1, _ = cf.cylinder_measure(out, levels)
-        assert abs(v0 - v1) < 1e-12
-        out.validate(levels)  # disjointness preserved
-
     def test_funny_rank_one_refinement(self, levels):
         # a level-m cylinder is a disjoint union of level-(m+1) cylinders
-        # whose measures sum exactly
+        # (its translates by the corrections c(h)) whose measures sum exactly
         cyl = cf.CylinderSet(1, [cf.full_block(-60, 35)])
         v, _ = cf.cylinder_measure(cyl, levels)
-        ref = cf.expand_cylinder(cyl, 2, levels)
+        lv = levels.level(1)
+        shifts = [lv.correction_time_fraction(h) for h in lv.h_range()]
+        ref = cf.CylinderSet(2, [cf.full_block(-60 + t_c, 35 + t_c) for t_c in shifts])
         ref.validate(levels)
         total = sum(
             cf.cylinder_measure(cf.CylinderSet(2, [b]), levels)[0] for b in ref.blocks
         )
         assert abs(total - v) < 1e-9
-
-    def test_expansion_cap(self, levels):
-        cyl = cf.CylinderSet(1, [cf.full_block(-10, 10)])
-        with pytest.raises(cf.ExpansionTooLargeError, match="expansion too large"):
-            cf.expand_cylinder(cyl, 4, levels, max_blocks=1000)
-
-    def test_cube_fiber_expansion_round_trip(self, levels):
-        # translated cube blocks keep their measure and agree pointwise with
-        # the base cylinder through the level embedding
-        cube = ((0.15, 0.75), (0.1, 0.8), (0.2, 0.9))
-        base = cf.CylinderSet(1, [cf.Block(Fraction(-40), Fraction(40), "cube", cube)])
-        v0, e0 = cf.cylinder_measure(base, levels, samples=200_000, rng=np.random.default_rng(0))
-        expanded = cf.expand_cylinder(base, 2, levels)
-        assert len(expanded.blocks) == levels.level(1).card_c_next
-        v1, e1 = cf.cylinder_measure(expanded, levels, samples=3_000, rng=np.random.default_rng(1))
-        assert abs(v0 - v1) <= 4 * math.sqrt(e0**2 + e1**2)
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            x = cf.sample_point(levels, 6, rng)
-            up = cf.embed_to_level(x, levels, 2)
-            assert cf.point_in_cylinder(x, base, levels) == cf.point_in_cylinder(up, expanded, levels)
 
 
 class TestAction:
@@ -311,36 +279,103 @@ class TestBatchRoundTrips:
         assert np.all(ti1 == ti)
         assert np.max(np.abs(q1 - q)) < 1e-12
 
-    def test_scalar_matches_batch(self, levels, rng):
-        x = cf.sample_point(levels, 12, rng)
-        up = cf.embed_to_level(x, levels, 4)
-        ti, tf, q = cf.embed_batch(
-            levels,
-            np.array([x.t_int], dtype=np.int64),
-            np.array([x.t_frac]),
-            np.array([x.q]),
-            np.array([x.tail[:3]]),
-            1,
-            4,
+    @given(data=st.data())
+    def test_engine_matches_bigint_oracle(self, levels, data):
+        top = levels.max_level + 1
+        lo = data.draw(st.integers(0, top - 1), label="from_level")
+        hi = data.draw(st.integers(lo + 1, top), label="to_level")
+        n = data.draw(st.integers(1, 6), label="points")
+        a = levels.a(lo)
+        # fractions on a 2^-32 grid, as sampled times have: a float split
+        # time loses any fraction below one ulp of the correction it meets
+        starts = []
+        while len(starts) < n:
+            ti = data.draw(st.integers(-a, a))
+            tf = data.draw(st.integers(0, 2**32 - 1)) / 2**32
+            if -a < ti + Fraction(tf) <= a:
+                starts.append((ti, tf))
+        tails = np.array(
+            [[data.draw(st.integers(-(levels.level(k).r - 1), levels.level(k).r - 1))
+              for k in range(lo, hi)] for _ in range(n)],
+            dtype=np.int64,
         )
-        assert int(ti[0]) == up.t_int
-        assert abs(float(tf[0]) - up.t_frac) < 1e-12
-        assert np.max(np.abs(q[0] - np.array(up.q))) < 1e-12
+        ti = np.array([t for t, _ in starts], dtype=np.int64)
+        tf = np.array([f for _, f in starts])
+        q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
+
+        tin, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
+        assert (tin.dtype == object) == (hi == 7)  # level-7 times exceed int64
+        for i, (t0, f0) in enumerate(starts):
+            ref = _ref_split(_ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, hi))
+            assert int(tin[i]) == ref[0] and abs(float(tfn[i]) - ref[1]) <= 1e-12
+
+        valid, ti1, tf1, q1, hs = cf.peel_batch(levels, tin, tfn, qn, hi, lo)
+        assert valid.all()
+        assert [int(v) for v in ti1] == ti.tolist()
+        assert np.max(np.abs(tf1 - tf)) <= 1e-12 and np.max(np.abs(q1 - q)) <= 1e-12
+        assert np.array_equal(hs, tails)
+
+        # a central translate by 2 a~_m moves the shift index at level m
+        m = data.draw(st.integers(lo, hi - 1), label="translate level")
+        g = 2 * levels.a_tilde(m)
+        moved = tin + g
+        valid, ti1, tf1, _, hs = cf.peel_batch(levels, moved, tfn, qn, hi, lo)
+        for i in range(n):
+            ref = _ref_peel(levels, int(moved[i]) + Fraction(float(tfn[i])), hi, lo)
+            assert bool(valid[i]) == (ref is not None)
+            if ref is not None:
+                t_ref, hs_ref = ref
+                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(t_ref)[0], hs_ref)
+                assert abs(float(tf1[i]) - _ref_split(t_ref)[1]) <= 1e-12
+
+    def test_short_tails_raise_truncation(self, levels, rng):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 10, 2, rng)
+        with pytest.raises(cf.OrbitLeftTruncationError, match="orbit left truncation at level 3"):
+            cf.embed_batch(levels, ti, tf, q, tails, 1, 4)
+
+    def test_level_above_top_raises(self, levels, rng):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 10, 12, rng)
+        with pytest.raises(cf.LevelTooDeepError, match="level 9"):
+            cf.embed_batch(levels, ti, tf, q, tails, 1, 9)
+        with pytest.raises(cf.LevelTooDeepError, match="level 9"):
+            cf.peel_batch(levels, ti, tf, q, 9, 1)
 
 
-class TestCylinderMembership:
-    def test_point_in_full_cylinder(self, levels, rng):
-        cyl = cf.CylinderSet(1, [cf.full_block(-50, 50)])
-        inside = cf.CFPoint(1, 10, 0.2, (1.0, 0.0, 0.0, 0.0), (0, 0))
-        outside = cf.CFPoint(1, 90, 0.2, (1.0, 0.0, 0.0, 0.0), (0, 0))
-        assert cf.point_in_cylinder(inside, cyl, levels)
-        assert not cf.point_in_cylinder(outside, cyl, levels)
+# ---------------------------------------------------------------------------
+# big-int oracle: exact times as Fractions, read straight off the level tables
+# ---------------------------------------------------------------------------
 
-    def test_membership_after_embedding(self, levels, rng):
-        cyl = cf.CylinderSet(1, [cf.full_block(-50, 50)])
-        x = cf.CFPoint(1, -3, 0.7, (1.0, 0.0, 0.0, 0.0), (5, -2, 7))
-        up = cf.embed_to_level(x, levels, 3)
-        assert cf.point_in_cylinder(up, cyl, levels)
+def _correction(lv, h: int) -> Fraction:
+    j = h + (lv.r - 1)
+    return 2 * h * lv.a_tilde + int(lv.s_shell[j]) + Fraction(float(lv.s_u[j]))
+
+
+def _ref_embed(levels, t: Fraction, tail, from_level: int, to_level: int) -> Fraction:
+    for k, h in zip(range(from_level, to_level), tail):
+        t += _correction(levels.level(k), h)
+    return t
+
+
+def _ref_peel(levels, t: Fraction, from_level: int, to_level: int):
+    """(time, shift indices from to_level up) at to_level, or None when the
+    point has no representation there."""
+    hs = []
+    for k in range(from_level - 1, to_level - 1, -1):
+        lv = levels.level(k)
+        # the shell of h is (2h a~ - a~, 2h a~ + a~]
+        h = math.ceil((t - lv.a_tilde) / (2 * lv.a_tilde))
+        if abs(h) > lv.r - 1:
+            return None
+        t -= _correction(lv, h)
+        if not -lv.a < t <= lv.a:
+            return None
+        hs.append(h)
+    return t, tuple(reversed(hs))
+
+
+def _ref_split(t: Fraction) -> tuple[int, float]:
+    ti = math.floor(t)
+    return ti, float(t - ti)
 
 
 class TestSerialization:

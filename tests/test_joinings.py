@@ -254,65 +254,6 @@ class TestEmpiricalJoining:
         emp.validate()
 
 
-class TestSuspension:
-    def _synthetic_estimator(self, period=1.0):
-        def est(t):
-            phase = np.exp(2j * math.pi * t / period)
-            corr = np.array([[phase, 0], [0, 0.5 * phase]])
-            return jo.EmpiricalJoining("syn", corr, np.zeros((2, 2)), 1000)
-
-        return est
-
-    def test_flow_invariant_average(self):
-        est = lambda t: jo.EmpiricalJoining(
-            "syn", np.array([[0.7 + 0j, 0], [0, 0.2]]), np.zeros((2, 2)), 10
-        )
-        avg = jo.suspension_average(est, 8)
-        assert np.allclose(avg.corr, est(0.0).corr)
-
-    def test_periodic_family_average(self):
-        # with period 1/2 the average over [0,1] equals the average over
-        # [0,1/2]; both vanish for the pure phase table
-        est = self._synthetic_estimator(period=0.5)
-        avg_full = jo.suspension_average(est, 16)
-        half_tables = [est(t / 32) for t in range(16)]  # grid of [0, 1/2)
-        avg_half = np.mean([tb.corr for tb in half_tables], axis=0)
-        assert np.max(np.abs(avg_full.corr - avg_half)) < 1e-12
-        assert np.max(np.abs(avg_full.corr)) < 1e-12
-
-    def test_grid_refinement_cauchy(self):
-        est = self._synthetic_estimator(period=1.0)
-        a = jo.suspension_average(est, 16)
-        b = jo.suspension_average(est, 32)
-        assert np.max(np.abs(a.corr - b.corr)) < 1e-12  # exact for pure phases
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            jo.suspension_average(self._synthetic_estimator(), 1)
-
-
-class TestDetectPeriod:
-    def test_flow_invariant_returns_one(self):
-        est = lambda t: jo.EmpiricalJoining(
-            "syn", np.array([[0.4 + 0j]]), np.zeros((1, 1)), 10
-        )
-        assert jo.detect_period(est, 4, tol=0.05) == 1
-
-    def test_period_two(self):
-        def est(t):
-            corr = np.array([[np.exp(4j * math.pi * t)]])
-            return jo.EmpiricalJoining("syn", corr, np.zeros((1, 1)), 10)
-
-        assert jo.detect_period(est, 4, tol=0.05) == 2
-
-    def test_no_period_detected(self):
-        def est(t):
-            corr = np.array([[np.exp(2j * math.pi * 7.3 * t)]])
-            return jo.EmpiricalJoining("syn", corr, np.zeros((1, 1)), 10)
-
-        assert jo.detect_period(est, 3, tol=0.05) is None
-
-
 class TestClassify:
     def test_rows_and_verdict(self, rng):
         t = random_table(rng)
