@@ -43,6 +43,7 @@ __all__ = [
     "LevelTooDeepError",
     "OrbitLeftTruncationError",
     "InexactTranslateError",
+    "InexactFractionError",
     "default_params",
     "derive_sequences",
     "level_ratio",
@@ -78,6 +79,10 @@ class OrbitLeftTruncationError(RuntimeError):
 
 class InexactTranslateError(ValueError):
     pass
+
+
+class InexactFractionError(ValueError):
+    """A split time's fraction would be rounded by the correction it meets."""
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -674,7 +679,16 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         if levels.a(k + 1) + step >= _INT64_SAFE:
             ti = ti.astype(object)
         ti = ti + h.astype(ti.dtype) * step + lv.s_shell[j].astype(ti.dtype)
-        tf = tf + lv.s_u[j]
+        s_u = lv.s_u[j]
+        moved = tf + s_u
+        lost = moved - s_u != tf
+        if lost.any():
+            i = int(np.argmax(lost))
+            raise InexactFractionError(
+                f"fraction {float(tf[i])!r} of lane {i} is lost below one ulp of "
+                f"the level-{k} correction {float(s_u[i])!r}"
+            )
+        tf = moved
         carry = tf >= 1.0
         tf = np.where(carry, tf - 1.0, tf)
         ti = ti + carry.astype(ti.dtype)

@@ -259,11 +259,17 @@ class D6Element:
 
 
 D6_ELEMENTS = tuple(D6Element(s) for s in _D6_LABELS)
-D6_IDENTITY = D6Element("e")
+D6_IDENTITY = D6_ELEMENTS[0]
+
+# the Cayley table over interned elements, so a product constructs nothing
+_D6_BY_LABEL = {g.label: g for g in D6_ELEMENTS}
+_D6_PRODUCTS = {
+    g: {h: _D6_BY_LABEL[prod] for h, prod in row.items()} for g, row in _D6_TABLE.items()
+}
 
 
 def d6_mul(g: D6Element, h: D6Element) -> D6Element:
-    return D6Element(_D6_TABLE[g.label][h.label])
+    return _D6_PRODUCTS[g.label][h.label]
 
 
 def d6_inv(g: D6Element) -> D6Element:

@@ -55,7 +55,6 @@ __all__ = [
     "run_counterexample_51",
     "run_nonuniqueness_42",
     "emit_report",
-    "run_all",
     "EXPERIMENTS",
 ]
 
@@ -395,40 +394,105 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
 # sample sets: conditional-measure approximation and correction maps
 # ---------------------------------------------------------------------------
 
-def _rect_membership(t, quats, a_elem: GElement, interval, cube):
-    """Membership of slab points x in A^{-1} a_elem for a rectangle A.
-
-    x in A^{-1} a  iff  a x^{-1} in A; the time part is an interval test and
-    the fiber part (when A has a cube fiber) goes through the chart.
-    """
-    lo, hi = interval
-    ta = a_elem.t - t
-    sel = (ta > lo) & (ta <= hi)
-    if cube is None:
-        return sel
-    # fiber of a x^{-1} = M_a * phi_{t_a - t}(M_x^{-1})
-    from .groups import quat_inv
-
-    fib = quat_mul(a_elem.m.array(), quat_phi_real(ta, quat_inv(quats)))
+def _fiber_in_cube(ta, quats, m, cube):
+    """Chart-cube test of the fiber m * phi_{ta}(q^{-1}) of a x^{-1}."""
+    fib = quat_mul(m.array(), quat_phi_real(ta, quat_inv(quats)))
     u = equidist.su2_to_chart_array(fib)
-    inside = np.ones(len(t), dtype=bool)
+    inside = np.ones(len(ta), dtype=bool)
     for dim, (lo_b, hi_b) in enumerate(cube):
         inside &= (u[:, dim] >= lo_b) & (u[:, dim] < hi_b)
-    return sel & inside
+    return inside
 
 
-def _sample_set_fraction(ss: equidist.FiniteSampleSet, membership) -> float:
-    """Fraction of the (virtual) sample set satisfying a membership predicate
-    that is supported on a bounded time window."""
+def _in_rectangles(t, quats, rects):
+    """Mask of the points x lying in A^{-1} a for every rect = (a, (lo, hi], cube).
+
+    x in A^{-1} a  iff  a x^{-1} in A; the time parts are interval tests, and
+    the fiber parts (for rectangles with a cube fiber) go through the chart
+    for the points that pass every time test.
+    """
+    sel = np.ones(len(t), dtype=bool)
+    for a_elem, (lo, hi), _ in rects:
+        ta = a_elem.t - t
+        sel &= (ta > lo) & (ta <= hi)
+    for a_elem, _, cube in rects:
+        if cube is not None:
+            sel[sel] = _fiber_in_cube(a_elem.t - t[sel], quats[sel], a_elem.m, cube)
+    return sel
+
+
+def _last_shell_above(a_t: float, u: np.ndarray, x: float) -> np.ndarray:
+    """Largest integer l with a_t - (l + u) > x, for each offset u.
+
+    The float expression is non-increasing in l, so stepping down from a
+    guess above the answer stops at the last l passing the test as written.
+    """
+    l = np.floor(a_t - u - x).astype(np.int64) + 2
+    while (above := ~(a_t - (l + u) > x)).any():
+        l -= above
+    return l
+
+
+def _sample_set_fraction(ss: equidist.FiniteSampleSet, rects) -> float:
+    """Fraction of the virtual sample set in A^{-1} a for every rect =
+    (a, (lo, hi], cube), the set `_in_rectangles` tests point by point.
+
+    Point (l + u_i, q_i) passes a time test exactly on a run of shells l,
+    found per i from the float test itself.  The twist reduces its time mod
+    4, so a fiber test is taken once per residue l = r mod 4, and each run is
+    counted by residue: the 2K * count points are never built.
+    """
+    half, u = ss.half_width, ss.u_time
+    lo_l = np.full(len(u), -half, dtype=np.int64)
+    hi_l = np.full(len(u), half - 1, dtype=np.int64)
+    fiber = np.ones((4, len(u)), dtype=bool)
+    for a_elem, (lo, hi), cube in rects:
+        lo_l = np.maximum(lo_l, _last_shell_above(a_elem.t, u, hi) + 1)
+        hi_l = np.minimum(hi_l, _last_shell_above(a_elem.t, u, lo))
+        if cube is not None:
+            ta = a_elem.t - (np.arange(4)[:, None] + u[None, :]).ravel()
+            quats = np.tile(ss.quats, (4, 1))
+            fiber &= _fiber_in_cube(ta, quats, a_elem.m, cube).reshape(4, len(u))
+    nonempty = hi_l >= lo_l
     hits = 0
-    block = 4096
-    shells = np.array(list(ss.shells), dtype=np.int64)
-    for start in range(0, len(shells), block):
-        ls = shells[start : start + block]
-        t = (ls[:, None] + ss.u_time[None, :]).ravel()
-        q = np.broadcast_to(ss.quats, (len(ls),) + ss.quats.shape).reshape(-1, 4)
-        hits += int(np.sum(membership(t, q)))
+    for r in range(4):
+        per_residue = (hi_l - r) // 4 - (lo_l - 1 - r) // 4
+        hits += int(np.sum(per_residue, where=nonempty & fiber[r]))
     return hits / ss.size
+
+
+def _overlap_length(x, ta: float, wa: float, tb: float, wb: float) -> np.ndarray:
+    """Length of ((0, wa] + ta + x) n ((0, wb] + tb), elementwise in x."""
+    return np.maximum(np.minimum(ta + x + wa, tb + wb) - np.maximum(ta + x, tb), 0.0)
+
+
+def _overlap_pair_sum(u: np.ndarray, half: int, ta: float, wa: float, tb: float, wb: float) -> float:
+    """Sum over offsets u_i, u_j and shell shifts |d| < 2K of the tent weight
+    2K - |d| times overlap(d + u_i - u_j), in closed form.
+
+    overlap = _overlap_length rises with slope 1 on (p0, p1), stays
+    min(wa, wb) on [p1, p2] and falls with slope -1 on (p2, p3).  On each piece and each side of d = 0 the summand
+    is a product of two linear functions of d, summed by Faulhaber sums.
+    """
+    c = (u[:, None] - u[None, :]).ravel()
+    p0 = tb - ta - wa
+    p1, p2, p3 = p0 + min(wa, wb), p0 + max(wa, wb), tb - ta + wb
+    # piece j holds the shifts d in [cuts[j], cuts[j + 1])
+    cuts = [np.floor(p0 - c) + 1, np.ceil(p1 - c), np.floor(p2 - c) + 1, np.ceil(p3 - c)]
+    cuts = [cut.astype(np.int64) for cut in cuts]
+    top = 2 * half - 1
+    total = 0.0
+    for j, slope in enumerate((1, 0, -1)):
+        # tent weight w0 + beta * k and overlap v0 + slope * k at d = start + k
+        for lo, hi, beta in ((-top, -1, 1), (0, top, -1)):
+            start = np.maximum(cuts[j], lo)
+            n = np.maximum(np.minimum(cuts[j + 1] - 1, hi) - start + 1, 0)
+            w0 = (2 * half + beta * start).astype(float)
+            v0 = (start + c - p0, np.full(len(c), min(wa, wb)), p3 - (start + c))[j]
+            s1 = (n * (n - 1) // 2).astype(float)
+            s2 = ((n - 1) * n * (2 * n - 1) // 6).astype(float)
+            total += float(np.sum(n * w0 * v0 + (beta * v0 + slope * w0) * s1 + beta * slope * s2))
+    return total
 
 
 def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
@@ -469,15 +533,11 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             b_el = GElement(a_el.t + float(rng.uniform(-3, 3)),
                             SU2Element.from_array(rng.standard_normal(4)))
 
-            def member(t, q):
-                in_a = _rect_membership(t, q, a_el, (lo_a, lo_a + wa), cube_a)
-                in_b = _rect_membership(t, q, b_el, (lo_b, lo_b + wb), cube_b)
-                return in_a & in_b
-
+            rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), cube_b))
             t_mc = rng.uniform(-half, half, size=mc)
             q_mc = quat_normalize(rng.standard_normal((mc, 4)))
-            mc_frac = float(np.mean(member(t_mc, q_mc)))
-            ss_frac = _sample_set_fraction(ss, member)
+            mc_frac = float(np.mean(_in_rectangles(t_mc, q_mc, rects)))
+            ss_frac = _sample_set_fraction(ss, rects)
             worst = max(worst, abs(mc_frac - ss_frac))
         rep.add(f"techniczny-i-n{n}", worst, tolerance=eps, passed=worst < eps)
 
@@ -493,30 +553,11 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             ta = float(rng.uniform(-half, half))
             tb = float(rng.uniform(-half, half))
 
-            def kernel(delta, wa=wa, wb=wb, ta=ta, tb=tb):
-                # overlap length of (0, wa] + ta + delta and (0, wb] + tb
-                lo = np.maximum(ta + delta, tb)
-                hi = np.minimum(ta + delta + wa, tb + wb)
-                return np.maximum(hi - lo, 0.0) / (2.0 * a_n)
-
-            tv = rng.uniform(-half, half, size=mc)
-            tw = rng.uniform(-half, half, size=mc)
-            mc_val = float(np.mean(kernel(tv - tw)))
-
-            # exact pair sum over the virtual product set via the shell shift
-            # structure: t_v - t_w = d + u_i - u_j with multiplicity 2K - |d|
-            d_lo = int(math.floor(tb - ta - wa - 2))
-            d_hi = int(math.ceil(tb - ta + wb + 2))
-            if d_hi - d_lo > 8 * half:
-                d_lo, d_hi = -2 * half, 2 * half
-            du = ss.u_time[:, None] - ss.u_time[None, :]
-            total = 0.0
-            for dshift in range(d_lo, d_hi + 1):
-                mult = 2 * half - abs(dshift)
-                if mult <= 0:
-                    continue
-                total += mult * float(np.sum(kernel(dshift + du)))
-            ss_val = total / (ss.size**2)
+            delta = rng.uniform(-half, half, size=mc) - rng.uniform(-half, half, size=mc)
+            mc_val = float(np.mean(_overlap_length(delta, ta, wa, tb, wb) / (2.0 * a_n)))
+            # the same average over the virtual product set, summed exactly
+            total = _overlap_pair_sum(ss.u_time, half, ta, wa, tb, wb)
+            ss_val = total / (2.0 * a_n) / (ss.size**2)
             worst2 = max(worst2, abs(mc_val - ss_val))
             worst2_rel = max(worst2_rel, abs(mc_val - ss_val) / max(mc_val, 1e-12))
         rep.add(f"techniczny-ii-n{n}", worst2, tolerance=eps, passed=worst2 < eps)
@@ -943,8 +984,3 @@ def emit_report(reports: Sequence[CheckReport], out_dir: str, cfg: ExperimentCon
                 writer.writerow(header)
                 writer.writerows(rows)
     return 0 if payload["status"] == "pass" else 1
-
-
-def run_all(cfg: ExperimentConfig, names: Optional[Sequence[str]] = None) -> list[CheckReport]:
-    chosen = list(names) if names else list(EXPERIMENTS)
-    return [EXPERIMENTS[name](cfg) for name in chosen]

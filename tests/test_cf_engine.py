@@ -286,12 +286,16 @@ class TestBatchRoundTrips:
         hi = data.draw(st.integers(lo + 1, top), label="to_level")
         n = data.draw(st.integers(1, 6), label="points")
         a = levels.a(lo)
-        # fractions on a 2^-32 grid, as sampled times have: a float split
-        # time loses any fraction below one ulp of the correction it meets
+        # fractions on a 2^-32 grid, as sampled times have, or any float in
+        # [0, 1), which may carry bits below one ulp of a correction it meets
+        fractions = st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda k: k / 2**32),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
         starts = []
         while len(starts) < n:
             ti = data.draw(st.integers(-a, a))
-            tf = data.draw(st.integers(0, 2**32 - 1)) / 2**32
+            tf = data.draw(fractions)
             if -a < ti + Fraction(tf) <= a:
                 starts.append((ti, tf))
         tails = np.array(
@@ -303,6 +307,10 @@ class TestBatchRoundTrips:
         tf = np.array([f for _, f in starts])
         q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
 
+        if any(_fraction_lost(levels, f0, tails[i].tolist(), lo, hi) for i, (_, f0) in enumerate(starts)):
+            with pytest.raises(cf.InexactFractionError):
+                cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
+            return
         tin, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
         assert (tin.dtype == object) == (hi == 7)  # level-7 times exceed int64
         for i, (t0, f0) in enumerate(starts):
@@ -327,6 +335,13 @@ class TestBatchRoundTrips:
                 t_ref, hs_ref = ref
                 assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(t_ref)[0], hs_ref)
                 assert abs(float(tf1[i]) - _ref_split(t_ref)[1]) <= 1e-12
+
+    def test_sub_ulp_fraction_raises(self, levels):
+        # 5.7e-220 meets the level-1 correction 0.375 and would vanish: the
+        # point used to embed to (-1, 0.375) and peel back to (1, 0.0), valid
+        with pytest.raises(cf.InexactFractionError, match="lane 0 .* level-1 correction 0.375"):
+            cf.embed_batch(levels, np.array([-1]), np.array([5.7e-220]),
+                           np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0, 0]]), 0, 2)
 
     def test_short_tails_raise_truncation(self, levels, rng):
         ti, tf, q, tails = cf.sample_point_batch(levels, 10, 2, rng)
@@ -354,6 +369,22 @@ def _ref_embed(levels, t: Fraction, tail, from_level: int, to_level: int) -> Fra
     for k, h in zip(range(from_level, to_level), tail):
         t += _correction(levels.level(k), h)
     return t
+
+
+def _fraction_lost(levels, tf: float, tail, from_level: int, to_level: int) -> bool:
+    """Whether some level's exact fraction plus correction is not a float.
+
+    The corrections are short dyadics, so this is exactly when the engine's
+    float sum fails (tf + s_u) - s_u == tf.
+    """
+    f = Fraction(tf)
+    for k, h in zip(range(from_level, to_level), tail):
+        lv = levels.level(k)
+        f += Fraction(float(lv.s_u[h + lv.r - 1]))
+        if Fraction(float(f)) != f:
+            return True
+        f -= math.floor(f)
+    return False
 
 
 def _ref_peel(levels, t: Fraction, from_level: int, to_level: int):
