@@ -60,7 +60,6 @@ __all__ = [
     "sample_point_batch",
     "embed_batch",
     "peel_batch",
-    "point_eq",
     "level_dump_rows",
     "substream",
 ]
@@ -597,18 +596,6 @@ def act_time(g_int: int, x: CFPoint, levels: CFLevels) -> CFPoint:
     return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
 
 
-def point_eq(x: CFPoint, y: CFPoint, levels: CFLevels, tol: float = 1e-9) -> bool:
-    """Equality as points of the inductive-limit space (compare at a common level)."""
-    top = max(x.level, y.level)
-    xe = embed_to_level(x, levels, top)
-    ye = embed_to_level(y, levels, top)
-    if xe.t_int != ye.t_int or abs(xe.t_frac - ye.t_frac) > tol:
-        return False
-    if max(abs(a - b) for a, b in zip(xe.q, ye.q)) > tol:
-        return False
-    return xe.tail[: len(ye.tail)] == ye.tail[: len(xe.tail)]
-
-
 # ---------------------------------------------------------------------------
 # vectorized batches
 # ---------------------------------------------------------------------------
@@ -724,6 +711,14 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         tf = tf - lv.s_u[j]
         borrow = tf < 0.0
         tf = np.where(borrow, tf + 1.0, tf)
+        # a borrowed fraction can round up to 1.0; the max allocates no mask
+        if tf.max(initial=0.0) == 1.0:
+            lost = np.flatnonzero((tf == 1.0) & valid & ok_h)
+            if len(lost):
+                raise InexactFractionError(
+                    f"fraction of lane {lost[0]} rounds up to 1.0 when it borrows past "
+                    f"the level-{k} correction {float(lv.s_u[j[lost[0]]])!r}"
+                )
         ti = ti - borrow.astype(ti.dtype)
         if ti.dtype == object and levels.a(k) + two < _INT64_SAFE:
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)

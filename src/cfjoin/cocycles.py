@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,13 +24,7 @@ from .groups import (
     su2_mul,
     d6_mul,
 )
-from .rank_one import (
-    TowerPoint,
-    TowerScheme,
-    sample_tower_point,
-    stage_level_of,
-    tower_apply,
-)
+from .rank_one import TowerScheme, sample_tower_point, stage_level, tower_apply
 
 __all__ = [
     "double_ext_apply",
@@ -46,25 +40,32 @@ __all__ = [
 ]
 
 
-def chacon_z2_phi(scheme: TowerScheme, stage: int = 2) -> Callable[[TowerPoint], int]:
-    """Default Z2 cocycle: indicator of the top level of the stage-2 tower."""
-    top = scheme.height(stage) - 1
-
-    def phi(p: TowerPoint) -> int:
-        return 1 if stage_level_of(p, scheme, stage) == top else 0
-
-    return phi
+def chacon_z2_phi(scheme: TowerScheme, pos) -> np.ndarray:
+    """Default Z2 cocycle at positions pos: 1 on the top level of the stage-2
+    tower, 0 elsewhere."""
+    return (stage_level(scheme, pos, 2) == scheme.height(2) - 1).astype(np.int64)
 
 
-def double_ext_apply(
-    base: Callable[[TowerPoint], TowerPoint],
-    phi: Callable[[TowerPoint], int],
-    x: TowerPoint,
-    s: int,
-    r: int,
-) -> tuple[TowerPoint, int, int]:
-    """Double extension step (x, s, r) -> (Tx, phi(x) + s, s + r) over Z2."""
-    return base(x), (phi(x) + s) % 2, (s + r) % 2
+def double_ext_apply(scheme: TowerScheme, phi_x, x, s, r):
+    """Double extension step (x, s, r) -> (Tx, phi(x) + s, s + r) over Z2,
+    elementwise over arrays; phi_x holds the cocycle values phi(x)."""
+    return tower_apply(scheme, x), (phi_x + s) % 2, (s + r) % 2
+
+
+def double_extension_orbit(scheme: TowerScheme, rng: np.random.Generator, length: int):
+    """Arrays (x_k, s_k, r_k), k < length, of a random orbit of the Z2 x Z2
+    double extension over chacon_z2_phi.
+
+    The fibers are prefix sums mod 2 of the step (x, s, r) -> (Tx, phi(x) + s,
+    s + r): s_k = s_0 + sum_{j<k} phi(x_j) and r_k = r_0 + sum_{j<k} s_j.
+    """
+    x0 = sample_tower_point(scheme, rng, 1)
+    s0, r0 = rng.integers(0, 2, 2)
+    x = tower_apply(scheme, x0, np.arange(length))
+    phi = chacon_z2_phi(scheme, x)
+    s = (s0 + np.cumsum(phi) - phi) % 2
+    r = (r0 + np.cumsum(s) - s) % 2
+    return x, s, r
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +90,23 @@ class ObstructionWitness:
 
 def constant_one_obstruction(
     scheme: TowerScheme,
-    phi: Callable[[TowerPoint], int],
     stages: Sequence[int] = (3, 4, 5, 6),
 ) -> list[ObstructionWitness]:
-    """Exhibit odd-time, even-increment cylinder returns at a family of stages.
+    """Exhibit odd-time, even-increment cylinder returns of chacon_z2_phi at a
+    family of stages.
 
-    From the bottom of the first column of the stage n+1 tower, the orbit
-    re-enters the stage-n base after 2 h_n + 1 steps (two column passes plus
-    the spacer), and the cocycle sum doubles the per-pass count; these
-    witnesses are verified by direct orbit simulation, not assumed.
+    From the bottom of the first column of the stage n+1 tower (position 0),
+    the orbit re-enters the stage-n base after 2 h_n + 1 steps (two column
+    passes plus the spacer), and the cocycle sum doubles the per-pass count;
+    these witnesses are verified on the simulated orbit, not assumed.
     """
     out = []
     for n in stages:
-        h = scheme.height(n)
-        p = TowerPoint(stage=n + 1, rung=0, tail=tuple([0] * 48))
-        steps = 2 * h + 1
-        total = 0
-        q = p
-        for _ in range(steps):
-            total += phi(q)
-            q = tower_apply(scheme, q)
-        if stage_level_of(q, scheme, n) != 0:
+        steps = 2 * scheme.height(n) + 1
+        orbit = tower_apply(scheme, 0, np.arange(steps + 1))
+        if stage_level(scheme, orbit[-1], n) != 0:
             raise AssertionError(f"expected return to the stage-{n} base")
+        total = int(chacon_z2_phi(scheme, orbit[:-1]).sum())
         out.append(ObstructionWitness(stage=n, return_time=steps, fiber_increment=total))
     return out
 
@@ -127,43 +123,34 @@ class D6RootReport:
     abelian_commutes: bool
 
 
-def d6_root_check(
-    scheme: TowerScheme,
-    cocycle: Callable[[TowerPoint], D6Element],
-    samples: int,
-    rng: np.random.Generator,
-    root_element: D6Element = D6Element("a"),
-    other_element: D6Element = D6Element("b"),
-) -> D6RootReport:
-    """Verify (T_phi o sigma_a)^2 = (T_phi)^2 pointwise and exhibit a fiber
-    witness for sigma_a sigma_b != sigma_b sigma_a.
+def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -> D6RootReport:
+    """Verify (T_phi o sigma_a)^2 = (T_phi)^2 pointwise for the D6 cocycle
+    x -> d^{chacon_z2_phi(x)}, and exhibit a fiber witness for
+    sigma_a sigma_b != sigma_b sigma_a.
 
     sigma_g(x, h) = (x, h*g) commutes with T_phi, and a*a = e makes the two
     squares literally equal on every point; both facts are checked on raw
-    samples with exact group arithmetic.
+    samples with exact group arithmetic, D6 elements being indices into
+    D6_ELEMENTS and products lookups in their Cayley table.
     """
-    a = root_element
-    b = other_element
+    a = D6Element("a")
+    b = D6Element("b")
+    index = {g: i for i, g in enumerate(D6_ELEMENTS)}
+    mul = np.array([[index[d6_mul(g, h)] for h in D6_ELEMENTS] for g in D6_ELEMENTS])
+    cocycle = np.array([index[D6_IDENTITY], index[D6Element("d")]])
 
-    def t_phi(x: TowerPoint, h: D6Element) -> tuple[TowerPoint, D6Element]:
-        return tower_apply(scheme, x), d6_mul(cocycle(x), h)
+    def t_phi(x, h):
+        return tower_apply(scheme, x), mul[cocycle[chacon_z2_phi(scheme, x)], h]
 
-    def sigma(g: D6Element, x: TowerPoint, h: D6Element):
-        return x, d6_mul(h, g)
-
-    ok = True
-    for _ in range(samples):
-        x = sample_tower_point(scheme, rng, stage=min(8, scheme.stages - 2))
-        h = D6_ELEMENTS[int(rng.integers(0, 6))]
-        # (T_phi o sigma_a)^2
-        y1, g1 = t_phi(*sigma(a, x, h))
-        y1, g1 = t_phi(*sigma(a, y1, g1))
-        # (T_phi)^2
-        y2, g2 = t_phi(x, h)
-        y2, g2 = t_phi(y2, g2)
-        if g1 != g2 or stage_level_of(y1, scheme, 2) != stage_level_of(y2, scheme, 2):
-            ok = False
-            break
+    x = sample_tower_point(scheme, rng, samples)
+    fiber = rng.integers(0, 6, samples)
+    # (T_phi o sigma_a)^2
+    y1, g1 = t_phi(x, mul[fiber, index[a]])
+    y1, g1 = t_phi(y1, mul[g1, index[a]])
+    # (T_phi)^2
+    y2, g2 = t_phi(x, fiber)
+    y2, g2 = t_phi(y2, g2)
+    ok = bool(np.array_equal(y1, y2) and np.array_equal(g1, g2))
 
     witness = None
     for h in D6_ELEMENTS:
@@ -207,48 +194,26 @@ class SpectralLine:
 
 
 def eigenvalue_probe(
-    transform: Callable,
+    values,
     frequencies: Sequence[float],
-    observable: Callable,
-    orbit_len: int,
-    initial_state,
     threshold: Optional[float] = None,
 ) -> list[SpectralLine]:
-    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)| per theta.
+    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)| per theta,
+    from the observable values f(T^n x), n < N.
 
     Values near 1 flag point spectrum at theta; values of order N^{-1/2} are
     consistent with its absence.  The default threshold is the reference line
     5 N^{-1/2} log N.
     """
+    values = np.asarray(values)
+    orbit_len = len(values)
     if orbit_len < 10_000:
         raise ValueError("orbit_len must be at least 1e4 for a meaningful probe")
     if threshold is None:
         threshold = 5.0 * math.log(orbit_len) / math.sqrt(orbit_len)
-    values = np.empty(orbit_len, dtype=complex)
-    x = initial_state
-    for k in range(orbit_len):
-        values[k] = observable(x)
-        x = transform(x)
     ks = np.arange(orbit_len)
     out = []
     for theta in frequencies:
         phase = np.exp(-2j * math.pi * theta * ks)
         out.append(SpectralLine(float(theta), float(abs(np.mean(phase * values))), threshold))
     return out
-
-
-def double_extension_orbit(
-    scheme: TowerScheme,
-    phi: Callable[[TowerPoint], int],
-    rng: np.random.Generator,
-):
-    """Initial state and step function of the Z2 x Z2 double extension."""
-    x0 = sample_tower_point(scheme, rng, stage=min(10, scheme.stages - 4))
-    s0 = int(rng.integers(0, 2))
-    r0 = int(rng.integers(0, 2))
-
-    def step(state):
-        x, s, r = state
-        return double_ext_apply(lambda p: tower_apply(scheme, p), phi, x, s, r)
-
-    return (x0, s0, r0), step

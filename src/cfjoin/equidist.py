@@ -32,8 +32,6 @@ __all__ = [
     "extreme_discrepancy",
     "koksma_hlawka_bound",
     "haar_sample_su2",
-    "chart_to_su2",
-    "su2_to_chart",
     "chart_to_su2_array",
     "su2_to_chart_array",
     "build_sample_set",
@@ -254,23 +252,6 @@ def su2_to_chart_array(q: np.ndarray) -> np.ndarray:
     u2 = np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0)
     u3 = np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0)
     return np.stack([u1, u2, u3], axis=-1)
-
-
-def chart_to_su2(u: Sequence[float]) -> SU2Element:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
-        raise ValueError("chart point must have 3 coordinates")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("chart boundary")
-    return SU2Element.from_array(chart_to_su2_array(u))
-
-
-def su2_to_chart(m: SU2Element) -> np.ndarray:
-    q = m.array()
-    u1 = q[2] * q[2] + q[3] * q[3]
-    if u1 <= 0.0 or u1 >= 1.0:
-        raise ValueError("chart boundary")
-    return su2_to_chart_array(q)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,21 @@ class TestCylinders:
         assert abs(total - v) < 1e-9
 
 
+def _assert_same_point(x, y, levels, tol=1e-9):
+    """x and y are one point of the inductive limit: they agree at a common level."""
+    top = max(x.level, y.level)
+    xe, ye = cf.embed_to_level(x, levels, top), cf.embed_to_level(y, levels, top)
+    assert xe.t_int == ye.t_int and abs(xe.t_frac - ye.t_frac) <= tol
+    assert np.max(np.abs(np.subtract(xe.q, ye.q))) <= tol
+    common = min(len(xe.tail), len(ye.tail))
+    assert xe.tail[:common] == ye.tail[:common]
+
+
 class TestAction:
     def test_identity_action(self, levels, rng):
         x = cf.sample_point(levels, 12, rng)
         y = cf.act(GElement(0.0, SU2_I), x, levels)
-        assert cf.point_eq(x, y, levels)
+        _assert_same_point(x, y, levels)
 
     def test_group_action_inverse(self, levels, rng):
         for _ in range(20):
@@ -164,7 +174,7 @@ class TestAction:
             g = GElement(float(rng.uniform(-300, 300)), SU2Element.from_array(rng.standard_normal(4)))
             y = cf.act(g, x, levels)
             z = cf.act(g_inv(g), y, levels)
-            assert cf.point_eq(cf.normalize_point(z, levels), x, levels)
+            _assert_same_point(cf.normalize_point(z, levels), x, levels)
 
     def test_action_is_left_action(self, levels, rng):
         # T_g T_h x = T_{gh} x on points that stay within truncation
@@ -174,7 +184,7 @@ class TestAction:
             h = GElement(float(rng.uniform(-50, 50)), SU2Element.from_array(rng.standard_normal(4)))
             lhs = cf.act(g, cf.act(h, x, levels), levels)
             rhs = cf.act(g_mul(g, h), x, levels)
-            assert cf.point_eq(lhs, rhs, levels, tol=1e-8)
+            _assert_same_point(lhs, rhs, levels, tol=1e-8)
 
     def test_central_translate_shifts_index(self, levels, rng):
         # along the scheme identity g_n * f * c(h) = f * s(h) s(h+1)^{-1} * c(h+1):
@@ -342,6 +352,13 @@ class TestBatchRoundTrips:
         with pytest.raises(cf.InexactFractionError, match="lane 0 .* level-1 correction 0.375"):
             cf.embed_batch(levels, np.array([-1]), np.array([5.7e-220]),
                            np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0, 0]]), 0, 2)
+
+    def test_borrow_rounding_to_one_raises(self, levels):
+        # 0.5 - 2^-54 borrows past the level-1 correction 0.5, and the exact
+        # fraction 1 - 2^-54 rounds to 1.0: peel used to return (2, 1.0), valid
+        ti = np.array([2 * -96 * levels.a_tilde(1) + 2])
+        with pytest.raises(cf.InexactFractionError, match="lane 0 .* level-1 correction 0.5"):
+            cf.peel_batch(levels, ti, np.array([0.5 - 2.0**-54]), np.array([[1.0, 0.0, 0.0, 0.0]]), 2, 1)
 
     def test_short_tails_raise_truncation(self, levels, rng):
         ti, tf, q, tails = cf.sample_point_batch(levels, 10, 2, rng)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,20 @@ from cfjoin import rank_one as rk
 @pytest.fixture(scope="module")
 def scheme():
     return rk.chacon_scheme(18)
+
+
+def _levels_oracle(top: int, stage: int) -> list[int]:
+    """Stage-`stage` levels along the stage-`top` tower, bottom to top, by the
+    stacking recursion L_{n+1} = L_n + L_n + [spacer] + L_n (spacer = -1)."""
+    levels = list(range((3 ** (stage + 1) - 1) // 2))
+    for _ in range(stage, top):
+        levels = levels + levels + [-1] + levels
+    return levels
+
+
+def _reading(scheme, pos) -> str:
+    """Orbit reading over {'0','s'} relative to the stage-0 base level."""
+    return "".join("0" if lv == 0 else "s" for lv in rk.stage_level(scheme, pos, 0))
 
 
 class TestScheme:
@@ -27,101 +39,139 @@ class TestScheme:
             rk.chacon_scheme(0)
 
     def test_mass_bookkeeping(self, scheme):
-        # level width consistency: h_n * w_n = 1 - 3^{-(n+1)}, total mass -> 1
-        for n in range(10):
-            total = scheme.height(n) * rk.level_width(n)
-            assert abs(total - rk.tower_mass(n)) < 1e-12
-        assert abs(rk.tower_mass(12) - 1.0) < 1e-5
+        # rungs of width (2/3) 3^{-n} fill mass 1 - 3^{-(n+1)}: 2 h_n + 1 = 3^{n+1}
+        for n in range(scheme.stages):
+            assert 2 * scheme.height(n) + 1 == 3 ** (n + 1)
+
+
+class TestStageLevel:
+    @pytest.mark.parametrize("top", range(10))
+    def test_matches_stacking_recursion_everywhere(self, top):
+        scheme = rk.chacon_scheme(top + 1)
+        pos = np.arange(scheme.height(top))
+        for stage in (0, 1, 2):
+            if stage <= top:
+                assert rk.stage_level(scheme, pos, stage).tolist() == _levels_oracle(top, stage)
+
+    def test_top_stage_is_identity(self, scheme):
+        pos = rk.sample_tower_point(scheme, np.random.default_rng(1), 1000)
+        assert np.array_equal(rk.stage_level(scheme, pos, scheme.stages - 1), pos)
+
+    def test_scalar_position(self, scheme):
+        assert rk.stage_level(scheme, 2 * scheme.height(16), 16) == -1
+        assert rk.stage_level(scheme, 2 * scheme.height(16) + 1, 16) == 0
 
 
 class TestApply:
     def test_below_top_increments(self, scheme):
-        p = rk.TowerPoint(3, 5, (0,))
-        q = rk.tower_apply(scheme, p)
-        assert (q.stage, q.rung) == (3, 6)
+        assert rk.tower_apply(scheme, 5) == 6
+        assert rk.tower_apply(scheme, np.array([5, 9]), np.array([1, 3])).tolist() == [6, 12]
+
+    def test_across_every_tower_top(self):
+        # each of the 3^(8-n) copies of the stage-n top rung, bar the last,
+        # steps to the stage-n base or to a spacer, and every spacer steps to
+        # a stage-n base
+        scheme = rk.chacon_scheme(9)
+        pos = np.arange(scheme.heights[-1] - 1)
+        nxt = rk.tower_apply(scheme, pos)
+        assert np.array_equal(nxt, pos + 1)
+        for n in range(scheme.stages - 1):
+            lv, lv_next = rk.stage_level(scheme, pos, n), rk.stage_level(scheme, nxt, n)
+            top = lv == scheme.height(n) - 1
+            assert top.sum() == 3 ** (8 - n) - 1
+            assert set(lv_next[top].tolist()) <= {0, -1}
+            inside = (lv >= 0) & ~top
+            assert np.array_equal(lv_next[inside], lv[inside] + 1)
+            assert (lv_next[lv == -1] == 0).all()
 
     def test_orbit_returns_to_base(self, scheme):
         # from the bottom of the first stage-(n+1) column, h_n steps lead
         # back to the stage-n base (the next column's copy)
         for n in (2, 3, 4):
-            p = rk.TowerPoint(n + 1, 0, (0,) * 8)
-            q = p
-            for _ in range(scheme.height(n)):
-                q = rk.tower_apply(scheme, q)
-            assert rk.stage_level_of(q, scheme, n) == 0
+            assert rk.stage_level(scheme, rk.tower_apply(scheme, 0, scheme.height(n)), n) == 0
 
     def test_inverse_roundtrip(self, scheme, rng):
-        for _ in range(200):
-            p = rk.sample_tower_point(scheme, rng, stage=8)
-            q = rk.tower_apply_inverse(scheme, rk.tower_apply(scheme, p))
-            m = min(q.stage, 8)
-            assert rk.stage_level_of(q, scheme, m) == rk.stage_level_of(p, scheme, m)
+        p = rk.sample_tower_point(scheme, rng, 200)
+        assert np.array_equal(rk.tower_apply(scheme, rk.tower_apply(scheme, p), -1), p)
 
     def test_tail_exhaustion(self, scheme):
-        p = rk.TowerPoint(4, scheme.height(4) - 1, ())
+        top = scheme.heights[-1]
+        assert rk.tower_apply(scheme, top - 2) == top - 1
         with pytest.raises(rk.TailExhaustedError):
-            rk.tower_apply(scheme, p)
+            rk.tower_apply(scheme, top - 1)
+        with pytest.raises(rk.TailExhaustedError):
+            rk.tower_apply(scheme, np.array([0, top - 1]))
+        with pytest.raises(rk.TailExhaustedError):
+            rk.tower_apply(scheme, top - 10, np.arange(11))
+        with pytest.raises(rk.TailExhaustedError):
+            rk.tower_apply(scheme, 0, -1)
+
+    def test_sample_in_top_tower(self, scheme):
+        p = rk.sample_tower_point(scheme, np.random.default_rng(2), 5000)
+        assert p.shape == (5000,) and p.dtype == np.int64
+        assert 0 <= p.min() and p.max() < scheme.heights[-1]
 
 
 class TestWords:
     def test_substitution_words(self):
-        assert rk.substitution_word(0) == "0"
-        assert rk.substitution_word(1) == "00s0"
-        assert rk.substitution_word(2) == "00s000s0s00s0"
+        assert _reading(rk.chacon_scheme(1), np.arange(1)) == "0"
+        assert _reading(rk.chacon_scheme(2), np.arange(4)) == "00s0"
+        assert _reading(rk.chacon_scheme(3), np.arange(13)) == "00s000s0s00s0"
 
     def test_exact_base_frequency(self):
         # the base level carries 2/3 of the mass
-        assert abs(rk.exact_word_frequency("0") - 2 / 3) < 1e-5
+        scheme = rk.chacon_scheme(14)
+        lv = rk.stage_level(scheme, np.arange(scheme.heights[-1]), 0)
+        assert abs(np.mean(lv == 0) - 2 / 3) < 1e-5
 
     def test_word_frequencies_match_simulation(self, scheme):
-        rng = np.random.default_rng(3)
+        # frequencies along one long orbit match the factor counts of the
+        # stage-12 reading
+        reading = _reading(scheme, np.arange(scheme.height(12)))
         n = 40_000
-        p = rk.sample_tower_point(scheme, rng, stage=12)
-        text = rk.symbol_word(scheme, p, n + 8)
+        x = rk.sample_tower_point(scheme, np.random.default_rng(3), 1)
+        text = _reading(scheme, rk.tower_apply(scheme, x, np.arange(n + 8)))
         for word in ("0", "00", "0s", "00s0", "0s00s0s0"):
-            freq = rk.exact_word_frequency(word)
-            count = sum(1 for i in range(n) if text[i : i + len(word)] == word)
-            sim = count / n
-            # effective sample size is reduced by orbit correlation; use a
-            # generous envelope of 4 sigma with correlation factor ~ len
-            sigma = math.sqrt(freq * (1 - freq) / n) * math.sqrt(8.0)
-            assert abs(sim - freq) <= 4 * sigma + 1e-3
+            freq = sum(reading.startswith(word, i) for i in range(len(reading))) / len(reading)
+            count = sum(text.startswith(word, i) for i in range(n))
+            sigma = np.sqrt(freq * (1 - freq) / n) * np.sqrt(8.0)
+            assert abs(count / n - freq) <= 4 * sigma + 1e-3
 
     def test_invalid_word_never_occurs(self):
         # two consecutive spacers never appear in the Chacon reading
-        assert rk.exact_word_frequency("ss") == 0.0
+        scheme = rk.chacon_scheme(12)
+        assert "ss" not in _reading(scheme, np.arange(scheme.heights[-1]))
 
 
 class TestBirkhoff:
+    # time averages along one orbit of level-set indicators of a low stage
+
+    @staticmethod
+    def _correlation(scheme, stage, rungs_a, rungs_b, shift, orbit_len, seed):
+        """Fraction of n < orbit_len with T^{n+shift} x in A and T^n x in B."""
+        x = rk.sample_tower_point(scheme, np.random.default_rng(seed), 1)
+        lv = rk.stage_level(scheme, rk.tower_apply(scheme, x, np.arange(orbit_len + shift)), stage)
+        in_a, in_b = np.isin(lv, list(rungs_a)), np.isin(lv, list(rungs_b))
+        return float(np.mean(in_a[shift:] & in_b[:orbit_len]))
+
+    @staticmethod
+    def _measure(rungs, stage):
+        return len(rungs) * (2 / 3) / 3**stage
+
     def test_zero_shift_recovers_measure(self, scheme):
-        base = rk.LevelSetUnion(2, frozenset({0, 4, 7}))
-        est, se = rk.birkhoff_correlation(scheme, base, base, 0, 60_000, np.random.default_rng(4))
-        assert abs(est - base.measure()) <= 4 * (se + 1e-4) + 2e-3
+        est = self._correlation(scheme, 2, {0, 4, 7}, {0, 4, 7}, 0, 60_000, 4)
+        assert abs(est - self._measure({0, 4, 7}, 2)) <= 2e-3
 
     def test_disjoint_sets_zero(self, scheme):
-        a = rk.LevelSetUnion(2, frozenset({0}))
-        b = rk.LevelSetUnion(2, frozenset({5}))
-        est, _ = rk.birkhoff_correlation(scheme, a, b, 0, 20_000, np.random.default_rng(5))
-        assert est == 0.0
+        assert self._correlation(scheme, 2, {0}, {5}, 0, 20_000, 5) == 0.0
 
     def test_partial_rigidity_at_heights(self, scheme):
         # the Chacon correlation at shift h_n stays near mu(A)/2 + mu(A)^2-ish,
         # visibly above the mixing value mu(A)^2
-        a = rk.LevelSetUnion(2, frozenset({0}))
-        mu = a.measure()
-        est, se = rk.birkhoff_correlation(
-            scheme, a, a, scheme.height(4), 120_000, np.random.default_rng(6)
-        )
-        assert est > mu**2 + 10 * se
+        mu = self._measure({0}, 2)
+        est = self._correlation(scheme, 2, {0}, {0}, scheme.height(4), 120_000, 6)
         assert est > mu**2 + 0.01
 
     def test_level_frequency_invariance(self, scheme):
-        # frequencies of a level set along an orbit match its measure (4 sigma)
-        a = rk.LevelSetUnion(1, frozenset({2}))
-        est, se = rk.birkhoff_correlation(scheme, a, a, 0, 80_000, np.random.default_rng(7))
-        assert abs(est - a.measure()) <= 4 * (se + 1e-4) + 2e-3
-
-    def test_orbit_length_validation(self, scheme):
-        a = rk.LevelSetUnion(1, frozenset({0}))
-        with pytest.raises(ValueError):
-            rk.birkhoff_correlation(scheme, a, a, 1000, 1200, np.random.default_rng(8))
+        est = self._correlation(scheme, 1, {2}, {2}, 0, 80_000, 7)
+        assert abs(est - self._measure({2}, 1)) <= 2e-3
