@@ -6,6 +6,9 @@ Time coordinates blow up fast (the level-7 base interval half-width exceeds
 exact integer part plus a float fraction in [0, 1).  One batch engine moves
 points: embed_batch and peel_batch run a single arithmetic path on int64
 times while magnitudes allow it and on Python-int object arrays above that.
+Both take q=None for time-only work (a central time translate against
+full-fiber sets): the SU(2) fiber is then neither moved nor returned, and
+times, validity and shift indices are exactly those of the fiber path.
 The scalar API (CFPoint, embed_to_level, normalize_point, act, act_time) is
 a batch of one.  Exact set checks use Fractions built from the (exact) floats.
 """
@@ -645,7 +648,8 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     tails columns are consumed in order; the integer times become Python ints
     (an object array) at the first level whose magnitudes no longer fit int64
     safely, and every step below runs unchanged on either dtype.
-    Returns (ti, tf, q) at to_level.
+    Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
+    nor returned (None in its place); times are the same either way.
     """
     _check_depth(levels, from_level, to_level)
     if tails.shape[1] < to_level - from_level:
@@ -655,13 +659,14 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         )
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
-    q = np.array(q, dtype=float, copy=True)
+    q = None if q is None else np.array(q, dtype=float, copy=True)
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
         h = tails[:, col].astype(np.int64)
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
-        q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat[j])))
+        if q is not None:
+            q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat[j])))
         step = 2 * lv.a_tilde
         if levels.a(k + 1) + step >= _INT64_SAFE:
             ti = ti.astype(object)
@@ -689,12 +694,13 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     representation at to_level are masked out of `valid` (their coordinate
     values are unspecified); hs[:, c] is the recovered shift index at level
     to_level + c.  Python-int times return to int64 at the first level where
-    they fit.
+    they fit.  With q None the fiber is neither moved nor returned (None in
+    its place); valid, times and hs are the same either way.
     """
     _check_depth(levels, from_level, to_level)
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
-    q = np.array(q, dtype=float, copy=True)
+    q = None if q is None else np.array(q, dtype=float, copy=True)
     n = len(tf)
     valid = np.ones(n, dtype=bool)
     hs = np.zeros((n, from_level - to_level), dtype=np.int64)
@@ -723,7 +729,8 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         if ti.dtype == object and levels.a(k) + two < _INT64_SAFE:
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)
-        q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat_inv[j])))
+        if q is not None:
+            q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat_inv[j])))
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
     return valid, ti, tf, q, hs

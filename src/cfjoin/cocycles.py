@@ -204,6 +204,11 @@ def eigenvalue_probe(
     Values near 1 flag point spectrum at theta; values of order N^{-1/2} are
     consistent with its absence.  The default threshold is the reference line
     5 N^{-1/2} log N.
+
+    All frequencies share one blocked sum: with n = m a + b, m = isqrt(N),
+    the values zero-padded to V[a, b] give sum_a e^{-2 pi i theta m a}
+    sum_b e^{-2 pi i theta b} V[a, b], so 2 sqrt(N) exponentials per theta
+    and one matrix product replace N exponentials per theta.
     """
     values = np.asarray(values)
     orbit_len = len(values)
@@ -211,9 +216,15 @@ def eigenvalue_probe(
         raise ValueError("orbit_len must be at least 1e4 for a meaningful probe")
     if threshold is None:
         threshold = 5.0 * math.log(orbit_len) / math.sqrt(orbit_len)
-    ks = np.arange(orbit_len)
-    out = []
-    for theta in frequencies:
-        phase = np.exp(-2j * math.pi * theta * ks)
-        out.append(SpectralLine(float(theta), float(abs(np.mean(phase * values))), threshold))
-    return out
+    m = math.isqrt(orbit_len)
+    rows = -(-orbit_len // m)
+    padded = np.zeros(rows * m, dtype=np.result_type(values, 1.0))
+    padded[:orbit_len] = values
+    theta = np.asarray(frequencies, dtype=float)[:, None]
+    outer = np.exp(-2j * math.pi * theta * (m * np.arange(rows)))
+    inner = np.exp(-2j * math.pi * theta * np.arange(m))
+    sums = ((outer @ padded.reshape(rows, m)) * inner).sum(axis=1) / orbit_len
+    return [
+        SpectralLine(float(t), float(abs(z)), threshold)
+        for t, z in zip(frequencies, sums)
+    ]

@@ -599,23 +599,26 @@ def _mu_full_interval(levels: CFLevels, interval) -> float:
 
 def _weakmix_deviation(
     levels: CFLevels, n: int, samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """|mu(T_{g_n}[A] n [B]) - mu[A] mu[B]| for the level-1 rectangles, with
-    Monte Carlo stderr.  Conditions on the level-1 part, which contains both
-    cylinders exactly, so the only truncation effect is the vanishing mass of
-    translates leaving the deepest built frame."""
+) -> tuple[float, float, float]:
+    """(deviation, stderr, estimate): the deviation |mu(T_{g_n}[A] n [B]) -
+    mu[A] mu[B]| for the level-1 rectangles, its Monte Carlo stderr, and the
+    estimate of the correlation mu(T_{g_n}[A] n [B]) itself.  Conditions on
+    the level-1 part, which contains both cylinders exactly, so the only
+    truncation effect is the vanishing mass of translates leaving the deepest
+    built frame.  g_n = (2 a~_n, I) moves only time and both rectangles have
+    full fibers, so the points are embedded and peeled without their fiber."""
     A, B = _level1_full_rectangles(levels)
     mu_a = _mu_full_interval(levels, A)
     mu_b = _mu_full_interval(levels, B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
-    ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
+    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
     t1 = ti.astype(float) + tf
     in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
-    tin, tfn, qn = cf_engine.embed_batch(levels, ti, tf, q, tails, 1, top)
+    tin, tfn, _ = cf_engine.embed_batch(levels, ti, tf, None, tails, 1, top)
     g = 2 * levels.a_tilde(n)
     tin = tin + (g if tin.dtype == object else np.int64(g))
-    valid, ti1, tf1, _, _ = cf_engine.peel_batch(levels, tin, tfn, qn, top, 1)
+    valid, ti1, tf1, _, _ = cf_engine.peel_batch(levels, tin, tfn, None, top, 1)
     t1_shift = ti1.astype(float) + tf1
     in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
     p_hat = float(np.mean(in_a & in_b))

@@ -291,32 +291,8 @@ class TestBatchRoundTrips:
 
     @given(data=st.data())
     def test_engine_matches_bigint_oracle(self, levels, data):
-        top = levels.max_level + 1
-        lo = data.draw(st.integers(0, top - 1), label="from_level")
-        hi = data.draw(st.integers(lo + 1, top), label="to_level")
-        n = data.draw(st.integers(1, 6), label="points")
-        a = levels.a(lo)
-        # fractions on a 2^-32 grid, as sampled times have, or any float in
-        # [0, 1), which may carry bits below one ulp of a correction it meets
-        fractions = st.one_of(
-            st.integers(0, 2**32 - 1).map(lambda k: k / 2**32),
-            st.floats(0.0, 1.0, exclude_max=True),
-        )
-        starts = []
-        while len(starts) < n:
-            ti = data.draw(st.integers(-a, a))
-            tf = data.draw(fractions)
-            if -a < ti + Fraction(tf) <= a:
-                starts.append((ti, tf))
-        tails = np.array(
-            [[data.draw(st.integers(-(levels.level(k).r - 1), levels.level(k).r - 1))
-              for k in range(lo, hi)] for _ in range(n)],
-            dtype=np.int64,
-        )
-        ti = np.array([t for t, _ in starts], dtype=np.int64)
-        tf = np.array([f for _, f in starts])
-        q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
-
+        lo, hi, starts, ti, tf, q, tails = _draw_batch(levels, data)
+        n = len(starts)
         if any(_fraction_lost(levels, f0, tails[i].tolist(), lo, hi) for i, (_, f0) in enumerate(starts)):
             with pytest.raises(cf.InexactFractionError):
                 cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
@@ -346,6 +322,30 @@ class TestBatchRoundTrips:
                 assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(t_ref)[0], hs_ref)
                 assert abs(float(tf1[i]) - _ref_split(t_ref)[1]) <= 1e-12
 
+    @given(data=st.data())
+    def test_time_only_path_matches_fiber_path(self, levels, data):
+        # q=None skips the fiber and nothing else: the same times, validity
+        # and shift indices, dtype included, on both lanes
+        lo, hi, _, ti, tf, q, tails = _draw_batch(levels, data)
+        fiber = _outcome(cf.embed_batch, levels, ti, tf, q, tails, lo, hi)
+        bare = _outcome(cf.embed_batch, levels, ti, tf, None, tails, lo, hi)
+        if fiber is cf.InexactFractionError:
+            assert bare is fiber
+            return
+        assert bare[2] is None
+        _assert_same_arrays(bare[:2], fiber[:2])
+        tin, tfn, qn = fiber
+        assert (tin.dtype == object) == (hi == 7)  # level-7 times exceed 2^62
+        g = 2 * levels.a_tilde(data.draw(st.integers(lo, hi - 1), label="translate level"))
+        for start in (tin, tin + g):
+            fiber = _outcome(cf.peel_batch, levels, start, tfn, qn, hi, lo)
+            bare = _outcome(cf.peel_batch, levels, start, tfn, None, hi, lo)
+            if fiber is cf.InexactFractionError:
+                assert bare is fiber
+                continue
+            assert bare[3] is None
+            _assert_same_arrays(bare[:3] + bare[4:], fiber[:3] + fiber[4:])
+
     def test_sub_ulp_fraction_raises(self, levels):
         # 5.7e-220 meets the level-1 correction 0.375 and would vanish: the
         # point used to embed to (-1, 0.375) and peel back to (1, 0.0), valid
@@ -371,6 +371,54 @@ class TestBatchRoundTrips:
             cf.embed_batch(levels, ti, tf, q, tails, 1, 9)
         with pytest.raises(cf.LevelTooDeepError, match="level 9"):
             cf.peel_batch(levels, ti, tf, q, 9, 1)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis draws shared by the engine properties
+# ---------------------------------------------------------------------------
+
+def _draw_batch(levels, data):
+    """(from_level, to_level, starts, ti, tf, q, tails): a few points in the
+    from_level base with random tails up to to_level."""
+    top = levels.max_level + 1
+    lo = data.draw(st.integers(0, top - 1), label="from_level")
+    hi = data.draw(st.integers(lo + 1, top), label="to_level")
+    n = data.draw(st.integers(1, 6), label="points")
+    a = levels.a(lo)
+    # fractions on a 2^-32 grid, as sampled times have, or any float in
+    # [0, 1), which may carry bits below one ulp of a correction it meets
+    fractions = st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda k: k / 2**32),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    starts = []
+    while len(starts) < n:
+        ti = data.draw(st.integers(-a, a))
+        tf = data.draw(fractions)
+        if -a < ti + Fraction(tf) <= a:
+            starts.append((ti, tf))
+    tails = np.array(
+        [[data.draw(st.integers(-(levels.level(k).r - 1), levels.level(k).r - 1))
+          for k in range(lo, hi)] for _ in range(n)],
+        dtype=np.int64,
+    )
+    ti = np.array([t for t, _ in starts], dtype=np.int64)
+    tf = np.array([f for _, f in starts])
+    q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
+    return lo, hi, starts, ti, tf, q, tails
+
+
+def _outcome(f, *args):
+    """f(*args), or InexactFractionError when it raises that."""
+    try:
+        return f(*args)
+    except cf.InexactFractionError:
+        return cf.InexactFractionError
+
+
+def _assert_same_arrays(xs, ys):
+    for x, y in zip(xs, ys, strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------

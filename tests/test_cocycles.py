@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfjoin import cocycles as co
 from cfjoin import rank_one as rk
@@ -182,3 +184,35 @@ class TestSpectralProbe:
     def test_orbit_length_validation(self):
         with pytest.raises(ValueError):
             co.eigenvalue_probe(np.ones(100), [0.0])
+
+    @given(
+        orbit_len=st.integers(10_000, 30_000),
+        kind=st.sampled_from(["sign", "real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+        frequencies=st.lists(
+            st.one_of(
+                st.integers(-64, 64).map(lambda k: k / 64),
+                st.floats(-2.0, 2.0, allow_nan=False),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_blocked_sum_matches_per_theta_loop(self, orbit_len, kind, seed, frequencies):
+        rng = np.random.default_rng(seed)
+        if kind == "sign":
+            values = (-1.0) ** rng.integers(0, 2, orbit_len)
+        elif kind == "real":
+            values = rng.standard_normal(orbit_len)
+        else:
+            values = np.exp(2j * math.pi * rng.uniform(size=orbit_len))
+        lines = co.eigenvalue_probe(values, frequencies)
+        assert [line.theta for line in lines] == [float(t) for t in frequencies]
+        for line, modulus in zip(lines, _probe_loop(values, frequencies)):
+            assert abs(line.modulus - modulus) <= 1e-9
+
+
+def _probe_loop(values, frequencies):
+    """|1/N sum_n e^{-2 pi i n theta} values[n]|, one full-length phase
+    vector per theta."""
+    ks = np.arange(len(values))
+    return [abs(np.mean(np.exp(-2j * math.pi * theta * ks) * values)) for theta in frequencies]

@@ -1,8 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cfjoin import cf_engine
@@ -10,6 +12,9 @@ from cfjoin.verifier import (
     CheckReport,
     ExperimentConfig,
     Metric,
+    _level1_full_rectangles,
+    _mu_full_interval,
+    _weakmix_deviation,
     emit_report,
     run_fubini,
     run_sequences,
@@ -78,6 +83,45 @@ class TestRunners:
     def test_anchor_strings_nonempty(self, small_cfg):
         for rep in (run_sequences(small_cfg), run_validate_cf(small_cfg)):
             assert rep.anchor
+
+
+def _weakmix_deviation_with_fiber(levels, n, samples, rng):
+    """The weakmix deviation as computed when the fiber rode along."""
+    A, B = _level1_full_rectangles(levels)
+    mu_a = _mu_full_interval(levels, A)
+    mu_b = _mu_full_interval(levels, B)
+    mu1 = levels.mu_xn(1)
+    top = min(n + 2, levels.max_level + 1)
+    ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
+    t1 = ti.astype(float) + tf
+    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+    tin, tfn, qn = cf_engine.embed_batch(levels, ti, tf, q, tails, 1, top)
+    assert qn is not None
+    g = 2 * levels.a_tilde(n)
+    tin = tin + (g if tin.dtype == object else np.int64(g))
+    valid, ti1, tf1, q1, _ = cf_engine.peel_batch(levels, tin, tfn, qn, top, 1)
+    assert q1 is not None
+    t1_shift = ti1.astype(float) + tf1
+    in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
+    p_hat = float(np.mean(in_a & in_b))
+    sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
+    return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
+
+
+class TestWeakmixTimeOnly:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_fiber_arithmetic_and_same_result(self, levels, monkeypatch, n):
+        # g_n moves time only; the fiber must not be computed, and dropping
+        # it must not move a bit of (deviation, sigma, estimate)
+        ref = _weakmix_deviation_with_fiber(levels, n, 4000, np.random.default_rng(n))
+
+        def forbidden(*args):
+            raise AssertionError("weakmix computed a fiber twist")
+
+        monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
+        monkeypatch.setattr(cf_engine, "quat_phi_real", forbidden)
+        got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
+        assert got == ref
 
 
 class TestCLI:
