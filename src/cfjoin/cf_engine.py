@@ -29,7 +29,7 @@ from .groups import (
     quat_inv,
     quat_normalize,
     quat_phi_int,
-    quat_phi_real,
+    quat_twist,
 )
 from . import equidist
 from .equidist import SMapResult, default_alphabet
@@ -57,6 +57,7 @@ __all__ = [
     "full_block",
     "act",
     "act_time",
+    "split_translate",
     "embed_to_level",
     "normalize_point",
     "sample_point",
@@ -575,20 +576,29 @@ def _raise_until_fits(x: CFPoint, gi: int, gf: float, levels: CFLevels):
         p = embed_to_level(p, levels, p.level + 1)
 
 
+def split_translate(t: float) -> tuple[int, float]:
+    """Split a float time translate into (floor, fraction in [0, 1)).
+
+    Raises InexactTranslateError from 2^53 on, where a float no longer
+    carries every integer translate exactly.
+    """
+    if abs(t) >= _FLOAT_EXACT:
+        raise InexactTranslateError(
+            f"time {t!r} is at or above 2^53, where a float no longer carries "
+            "an exact integer translate; use act_time for integer translates"
+        )
+    gi = math.floor(t)
+    return gi, t - gi
+
+
 def act(g: GElement, x: CFPoint, levels: CFLevels) -> CFPoint:
     """Left action of g: raise the level until g*f fits the base, then apply.
 
     The result stays at the raised level; use normalize_point to peel back.
     """
-    if abs(g.t) >= _FLOAT_EXACT:
-        raise InexactTranslateError(
-            f"time {g.t!r} is at or above 2^53, where a float no longer carries "
-            "an exact integer translate; use act_time for integer translates"
-        )
-    gi = math.floor(g.t)
-    gf = g.t - gi
+    gi, gf = split_translate(g.t)
     p, ti, tf = _raise_until_fits(x, gi, gf, levels)
-    q = quat_mul(g.m.array(), quat_phi_real(gf, quat_phi_int(gi, p.quat())))
+    q = quat_mul(g.m.array(), quat_twist(gi, gf, p.quat()))
     return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
 
 
@@ -647,7 +657,9 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
 
     tails columns are consumed in order; the integer times become Python ints
     (an object array) at the first level whose magnitudes no longer fit int64
-    safely, and every step below runs unchanged on either dtype.
+    safely, and every step below runs unchanged on either dtype.  Each level
+    multiplies the fiber by the shift element twisted by the current time,
+    one quat_mul and the closed-form quat_twist.
     Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
     nor returned (None in its place); times are the same either way.
     """
@@ -666,7 +678,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
         if q is not None:
-            q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat[j])))
+            q = quat_mul(q, quat_twist(ti, tf, lv.s_quat[j]))
         step = 2 * lv.a_tilde
         if levels.a(k + 1) + step >= _INT64_SAFE:
             ti = ti.astype(object)
@@ -694,8 +706,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     representation at to_level are masked out of `valid` (their coordinate
     values are unspecified); hs[:, c] is the recovered shift index at level
     to_level + c.  Python-int times return to int64 at the first level where
-    they fit.  With q None the fiber is neither moved nor returned (None in
-    its place); valid, times and hs are the same either way.
+    they fit.  Each level multiplies the fiber by the inverse shift element
+    twisted by the peeled time, one quat_mul and the closed-form quat_twist.
+    With q None the fiber is neither moved nor returned (None in its place);
+    valid, times and hs are the same either way.
     """
     _check_depth(levels, from_level, to_level)
     ti = np.array(ti, copy=True)
@@ -730,7 +744,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)
         if q is not None:
-            q = quat_mul(q, quat_phi_real(tf, quat_phi_int(ti, lv.s_quat_inv[j])))
+            q = quat_mul(q, quat_twist(ti, tf, lv.s_quat_inv[j]))
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
     return valid, ti, tf, q, hs

@@ -7,7 +7,10 @@ that convention (tests verify this against direct 2x2 complex matmuls).
 
 The time-one twist of the semidirect product conjugates the fiber by
 diag(e^{i pi t/2}, e^{-i pi t/2}); it has period 2 in t as an automorphism,
-which is why the center of G sits over the even integers.
+which is why the center of G sits over the even integers.  It fixes z and
+turns w by e^{-i pi t}, so the point engine applies it in closed form to split
+times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
+general-time form and the oracle for it.
 """
 
 from __future__ import annotations
@@ -44,13 +47,15 @@ __all__ = [
     "quat_normalize",
     "quat_phi_int",
     "quat_phi_real",
+    "quat_twist",
     "quat_to_matrix",
     "adjoint_matrix",
 ]
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion kernels (shape (..., 4) float arrays)
+# vectorized quaternion kernels (shape (..., 4) float arrays); the engine's
+# fiber twist is quat_twist, one rotation of w instead of two products
 # ---------------------------------------------------------------------------
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -102,6 +107,23 @@ def quat_phi_real(t, q: np.ndarray) -> np.ndarray:
     u[..., 0] = np.cos(ang)
     u[..., 1] = np.sin(ang)
     return quat_mul(quat_mul(u, q), quat_inv(u))
+
+
+def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
+    """Fiber twist by a split time ti + tf in closed form, equal to
+    quat_phi_real(tf, quat_phi_int(ti, q)): (a, b, c, d) -> (a, b, w') with
+    w' = (c + di) e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
+    (dtype=object); for tf = 0 the result is quat_phi_int(ti, q) exactly."""
+    q = np.asarray(q, dtype=float)
+    ang = math.pi * np.asarray(tf, dtype=float)
+    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
+    cos = sign * np.cos(ang)
+    sin = sign * np.sin(ang)
+    c, d = q[..., 2], q[..., 3]
+    out = q.copy()
+    out[..., 2] = c * cos + d * sin
+    out[..., 3] = d * cos - c * sin
+    return out
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GElement, adjoint_matrix, quat_phi_int, quat_phi_real, quat_mul
+from .groups import GElement, adjoint_matrix, quat_mul, quat_phi_int, quat_twist
 from .cf_engine import (
+    _INT64_SAFE,
     CFLevels,
     CFPoint,
     OrbitLeftTruncationError,
@@ -25,6 +26,7 @@ from .cf_engine import (
     embed_to_level,
     peel_batch,
     sample_point_batch,
+    split_translate,
 )
 
 __all__ = [
@@ -93,10 +95,17 @@ class CFDictionary:
         n = len(t)
         out = np.zeros((self.size, n), dtype=complex)
         adj = None
+        # harmonic m -> its row; harmonic m is harmonic m - 1 times harmonic 1,
+        # multiplied in place, so one exponential serves all of them
+        harm_rows = {}
         for row, code in enumerate(self._spec):
             kind, arg = code
             if kind == "harm":
-                out[row] = np.exp(2j * math.pi * arg * t / self.a1)
+                if arg == 1:
+                    np.exp(2j * math.pi * t / self.a1, out=out[row])
+                else:
+                    np.multiply(out[harm_rows[arg - 1]], out[harm_rows[1]], out=out[row])
+                harm_rows[arg] = row
             elif kind == "def":
                 if arg == "z":
                     out[row] = math.sqrt(2.0) * (q[:, 0] + 1j * q[:, 1])
@@ -214,9 +223,6 @@ class FolnerWindow:
     def size(self) -> int:
         return (2 * self.i_max + 1) * (2 * self.j_max + 1)
 
-    def g(self, b: int, t: int) -> int:
-        return b + self.spacing * t
-
     def max_abs(self) -> int:
         return self.i_max + self.spacing * self.j_max
 
@@ -239,49 +245,24 @@ def folner_window(n: int, levels: CFLevels) -> FolnerWindow:
     return w
 
 
-def _merge_length(intervals: list[tuple[int, int]]) -> int:
-    """Total integer count of a union of inclusive integer intervals."""
-    intervals.sort()
-    total = 0
-    cur_lo, cur_hi = None, None
-    for lo, hi in intervals:
-        if cur_lo is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi + 1:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = lo, hi
-    if cur_lo is not None:
-        total += cur_hi - cur_lo + 1
-    return total
-
-
 @dataclass
 class ShulmanReport:
     """Exact growth accounting of the averaging windows at index n.
 
     setminus_count counts the window elements not already covered by earlier
-    windows (the literal reading of the growth inequality); diffset_count
-    counts the algebraic difference set union_m (window_n - window_m), the
-    temperedness quantity behind the pointwise ergodic theorem.  Containment
-    in the doubled next core holds from n = 3 on only: the inequality chain
+    windows (the literal reading of the growth inequality).  Containment in
+    the doubled next core holds from n = 3 on only: the inequality chain
     behind it needs (n+1)^2 < 2 n^2 regardless of the schedule.
     """
 
     n: int
     contained: bool
     setminus_count: int
-    diffset_count: int
     window_size: int
 
     @property
     def passed(self) -> bool:
         return self.setminus_count <= 3 * self.window_size
-
-    @property
-    def tempered(self) -> bool:
-        return self.diffset_count <= 3 * self.window_size
 
 
 def _window_intervals(w: FolnerWindow) -> list[tuple[int, int]]:
@@ -325,18 +306,10 @@ def shulman_check(n: int, levels: CFLevels) -> ShulmanReport:
 
     own = _window_intervals(w)
     earlier: list[tuple[int, int]] = []
-    diff: list[tuple[int, int]] = []
     for m in range(2, n):
-        wm = folner_window(m, levels)
-        earlier.extend(_window_intervals(wm))
-        half = w.i_max + wm.i_max
-        for t in range(-w.j_max, w.j_max + 1):
-            for tm in range(-wm.j_max, wm.j_max + 1):
-                center = w.spacing * t - wm.spacing * tm
-                diff.append((center - half, center + half))
+        earlier.extend(_window_intervals(folner_window(m, levels)))
     setminus = _subtract_union(own, _merged(earlier)) if earlier else w.size
-    diffset = _merge_length(diff) if diff else 0
-    return ShulmanReport(n, contained, setminus, diffset, w.size)
+    return ShulmanReport(n, contained, setminus, w.size)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +327,8 @@ def _window_values(
     """Dictionary values (K, R) at the translates of a point by g = b + spacing t."""
     top = min(window.n + 2, levels.max_level + 1)
     p = embed_to_level(point, levels, top)
-    ti = p.t_int + bs.astype(object) + window.spacing * ts.astype(object)
-    if levels.a(top) + window.max_abs() < 2**62:
-        ti = ti.astype(np.int64)
+    lane = np.int64 if levels.a(top) + window.max_abs() < _INT64_SAFE else object
+    ti = p.t_int + bs.astype(lane) + window.spacing * ts.astype(lane)
     tf = np.full(len(bs), p.t_frac)
     q = np.broadcast_to(np.array(p.q), (len(bs), 4)).copy()
     q = quat_phi_int(bs % 2, q)  # spacing is even, so parity comes from b
@@ -413,20 +385,19 @@ def graph_joining_target(
     fiber translates used here, so conditioning the sampler on that part is
     exact; the mu(X_1) mass factor enters through the observable norms.
     """
+    gi, gf = split_translate(k.t)
     ti, tf, q, tails = sample_point_batch(levels, samples, 4, rng)
     valid = np.ones(samples, dtype=bool)
     fx = dictionary.evaluate((valid, ti, tf, q))
     # embed two levels, translate by k, peel back
     top = 3
     ti3, tf3, q3 = embed_batch(levels, ti, tf, q, tails, 1, top)
-    gi = math.floor(k.t)
-    gf = k.t - gi
     ti3 = ti3 + np.int64(gi)
     tf3 = tf3 + gf
     carry = tf3 >= 1.0
     tf3 = np.where(carry, tf3 - 1.0, tf3)
     ti3 = ti3 + carry.astype(np.int64)
-    q3 = quat_mul(k.m.array(), quat_phi_real(gf, quat_phi_int(np.full(samples, gi), q3)))
+    q3 = quat_mul(k.m.array(), quat_twist(gi, gf, q3))
     valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
     fy = dictionary.evaluate((valid_y, ti1, tf1, q1))
     return _correlation_table(dictionary.dict_id, fx, fy, levels.mu_xn(1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cfjoin.groups import (
     D6_ELEMENTS,
@@ -21,6 +22,10 @@ from cfjoin.groups import (
     g_mul,
     is_central,
     phi,
+    quat_normalize,
+    quat_phi_int,
+    quat_phi_real,
+    quat_twist,
     su2_dist,
     su2_from_angle,
     su2_mul,
@@ -118,6 +123,39 @@ class TestTwist:
             s, t = rng.uniform(-4, 4, size=2)
             m = rand_su2(rng)
             assert su2_dist(phi(s + t, m), phi(s, phi(t, m))) < 1e-12
+
+
+def _split_times(data, n):
+    """n split times (ti, tf): ti an int64 array, or Python ints as a
+    dtype=object array reaching past 2^62 and int64."""
+    big = data.draw(st.booleans())
+    bound = 2**80 if big else 2**62
+    ints = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    ti = np.array(ints, dtype=object if big else np.int64)
+    tf = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+    return ti, tf
+
+
+class TestClosedFormTwist:
+    @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_product_twist(self, data, n, seed):
+        ti, tf = _split_times(data, n)
+        ti[0] = data.draw(st.sampled_from([-(2**63) + 1, -3, -1, 1, 2**62 + 1]))
+        q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
+        got = quat_twist(ti, tf, q)
+        oracle = quat_phi_real(tf, quat_phi_int(ti, q))
+        assert np.max(np.abs(got - oracle)) <= 1e-15
+        # one split time against a batch of fibers broadcasts the same way
+        one = quat_twist(ti[0], tf[0], q)
+        assert np.max(np.abs(one - quat_phi_real(tf[0], quat_phi_int(ti[0], q)))) <= 1e-15
+
+    @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_integer_time_is_exact(self, data, n, seed):
+        ti, _ = _split_times(data, n)
+        q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
+        got = quat_twist(ti, np.zeros(n), q)
+        assert np.array_equal(got, quat_phi_int(ti, q))
 
 
 class TestG:

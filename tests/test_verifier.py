@@ -119,7 +119,7 @@ class TestWeakmixTimeOnly:
             raise AssertionError("weakmix computed a fiber twist")
 
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
-        monkeypatch.setattr(cf_engine, "quat_phi_real", forbidden)
+        monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
 
