@@ -47,6 +47,7 @@ __all__ = [
     "OrbitLeftTruncationError",
     "InexactTranslateError",
     "InexactFractionError",
+    "CorrectionFractionError",
     "default_params",
     "derive_sequences",
     "level_ratio",
@@ -86,6 +87,10 @@ class InexactTranslateError(ValueError):
 
 class InexactFractionError(ValueError):
     """A split time's fraction would be rounded by the correction it meets."""
+
+
+class CorrectionFractionError(ValueError):
+    """A correction time's fractional part lies outside [0, 1)."""
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -394,9 +399,14 @@ class CFValidationReport:
 def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValidationReport:
     """Exact checks of the stacking conditions at every instantiated level.
 
-    Containment and disjointness of the translated base sets are interval
-    arithmetic over exact rationals; the base-interval tiling is pure integer
-    arithmetic; finiteness is the ratio-excess series with an explicit tail.
+    Containment and disjointness of the translated base sets are exact
+    integer tests: the interval F_n c(h) = (lo, lo + 2 a_n] has
+    lo = lo_int + u with lo_int an integer and u = s_u in [0, 1), so its
+    ends compare with integers through lo_int alone (and u == 0), and with
+    each other as (integer part, u) pairs in lexicographic order.  A
+    correction fraction outside [0, 1) raises CorrectionFractionError.  The
+    base-interval tiling is pure integer arithmetic; finiteness is the
+    ratio-excess series with an explicit tail.
     """
     out: list[ConditionResult] = []
     params = levels.params
@@ -416,19 +426,26 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
     disjoint_ok = True
     worst = ""
     for lv in levels.levels:
+        if not np.all((lv.s_u >= 0.0) & (lv.s_u < 1.0)):
+            raise CorrectionFractionError(
+                f"level {lv.n} has a correction fraction outside [0, 1)"
+            )
         a_next = levels.a(lv.n + 1)
-        ivs = []
-        for h in lv.h_range():
-            t_c = lv.correction_time_fraction(h)
-            lo, hi = t_c - lv.a, t_c + lv.a
-            ivs.append((lo, hi))
+        width = 2 * lv.a
+        # (lo_int, u) of lo = t_c - a_n, with t_c = s_shell + u + 2 h a~_n
+        los = [
+            (s + 2 * h * lv.a_tilde - lv.a, u)
+            for h, s, u in zip(lv.h_range(), lv.s_shell.tolist(), lv.s_u.tolist())
+        ]
+        for h, (lo_int, u) in zip(lv.h_range(), los):
             # (lo, hi] subset (-a_next, a_next] iff lo >= -a_next, hi <= a_next
-            if not (lo >= -a_next and hi <= a_next):
+            hi_int = lo_int + width
+            if not (lo_int >= -a_next and (hi_int < a_next or (hi_int == a_next and u == 0.0))):
                 containment_ok = False
                 worst = f"level {lv.n}, h={h}"
-        ivs.sort()
-        for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
-            if lo2 < hi1:
+        los.sort()
+        for (lo_int, u), lo2 in zip(los, los[1:]):
+            if lo2 < (lo_int + width, u):
                 disjoint_ok = False
                 worst = f"level {lv.n} overlap"
     out.append(ConditionResult("w3-containment", containment_ok, worst or "exact"))

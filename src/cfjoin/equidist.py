@@ -24,7 +24,6 @@ __all__ = [
     "PointCloud",
     "FiniteSampleSet",
     "Alphabet",
-    "radical_inverse",
     "van_der_corput",
     "halton",
     "star_discrepancy",
@@ -52,20 +51,22 @@ __all__ = [
 _HALTON_BASES = (2, 3, 5, 7)
 
 
-def radical_inverse(base: int, i: int) -> float:
-    """Digit-reversal of i in the given base, as a point of [0, 1)."""
-    inv = 0.0
+def van_der_corput(n: int, base: int = 2, start: int = 1) -> np.ndarray:
+    """First n points of the base-b radical-inverse sequence.
+
+    One digit of every index per pass, with the float operations of the
+    digit-reversal sum inv += digit / base^k in their scalar order, so each
+    point is the scalar sum bit for bit."""
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    i = np.arange(start, start + n, dtype=np.int64)
+    inv = np.zeros(n)
     denom = 1.0
-    while i > 0:
-        i, digit = divmod(i, base)
+    while i.any():
+        i, digit = np.divmod(i, base)
         denom *= base
         inv += digit / denom
     return inv
-
-
-def van_der_corput(n: int, base: int = 2, start: int = 1) -> np.ndarray:
-    """First n points of the base-b radical-inverse sequence."""
-    return np.array([radical_inverse(base, i) for i in range(start, start + n)])
 
 
 def halton(n: int, dim: int, start: int = 1) -> np.ndarray:

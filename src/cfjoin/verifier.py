@@ -37,6 +37,7 @@ from .groups import (
     quat_normalize,
     quat_phi_int,
     quat_phi_real,
+    quat_twist,
 )
 
 __all__ = [
@@ -367,7 +368,9 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
         hi = lo + rng.uniform(0.1, 0.4, size=3)
         hi = np.minimum(hi, 1.0)
         vol = float(np.prod(hi - lo))
-        inside = np.all((us >= lo) & (us < hi), axis=1)
+        inside = (us[:, 0] >= lo[0]) & (us[:, 0] < hi[0])
+        for dim in (1, 2):
+            inside &= (us[:, dim] >= lo[dim]) & (us[:, dim] < hi[dim])
         p = float(inside.mean())
         sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
         worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
@@ -395,8 +398,14 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _fiber_in_cube(ta, quats, m, cube):
-    """Chart-cube test of the fiber m * phi_{ta}(q^{-1}) of a x^{-1}."""
-    fib = quat_mul(m.array(), quat_phi_real(ta, quat_inv(quats)))
+    """Chart-cube test of the fiber m * phi_{ta}(q^{-1}) of a x^{-1}.
+
+    The twist is the closed form `quat_twist` on ta split into floor(ta) and
+    ta - floor(ta), a difference that floats hold exactly, so each point
+    costs one quaternion product.
+    """
+    ti = np.floor(ta)
+    fib = quat_mul(m.array(), quat_twist(ti.astype(np.int64), ta - ti, quat_inv(quats)))
     u = equidist.su2_to_chart_array(fib)
     inside = np.ones(len(ta), dtype=bool)
     for dim, (lo_b, hi_b) in enumerate(cube):
@@ -509,10 +518,9 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
         half = ss.half_width
         rng = substream(cfg.seed, f"techniczny-{n}")
 
-        # containment of every element in the slab (construction constraint)
-        in_slab = all(
-            -half <= l < half for l in list(ss.shells)[:: max(1, 2 * half // 64)]
-        )
+        # containment of every element l + u, -K <= l < K, in the slab
+        # (-K, K] (construction constraint): every offset u lies in (0, 1)
+        in_slab = bool(np.all((ss.u_time > 0.0) & (ss.u_time < 1.0)))
         rep.add(f"shat-in-slab-n{n}", float(in_slab), passed=in_slab)
 
         # (i): conditional measures of two-sided translate intersections;
@@ -678,6 +686,19 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
 # slab translate overlap estimates
 # ---------------------------------------------------------------------------
 
+def _correction_times(lv: cf_engine.CFLevel) -> np.ndarray:
+    """Times of the corrections c(h), h in H_n, each float(correction_time_fraction(h))
+    bit for bit: s + 2 h a~_n + u as the Python-int quotient
+    ((s + 2 h a~_n) den + num) / den with num/den = u, which is correctly
+    rounded at any size (level 6 passes 2^63)."""
+    return np.array([
+        ((s + 2 * h * lv.a_tilde) * den + num) / den
+        for h, s, (num, den) in zip(
+            lv.h_range(), lv.s_shell.tolist(), map(float.as_integer_ratio, lv.s_u.tolist())
+        )
+    ])
+
+
 def _overlap_deviation(
     levels: CFLevels, n: int, rng: np.random.Generator, draws: int = 60
 ) -> tuple[float, float]:
@@ -692,9 +713,7 @@ def _overlap_deviation(
     width = float(rng_local.uniform(0.4, 1.2)) * a_prev
     lo_a = float(rng_local.uniform(-a_prev, a_prev - width))
     target = width / (2 * a_prev)
-    offs = np.array(
-        [float(lv_prev.correction_time_fraction(h)) for h in lv_prev.h_range()]
-    )
+    offs = _correction_times(lv_prev)
     devs = []
     for _ in range(draws):
         t_f = float(rng_local.uniform(-(a_n - k_slab), a_n - k_slab))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -85,10 +86,71 @@ class TestValidation:
         assert not report_conditions["finiteness-eq-9"]["passed"]
         assert not rep.passed
 
+    @pytest.mark.parametrize("seed", [42, 20260810, 20260811])
+    def test_integer_pairs_match_fraction_reference(self, seed):
+        built = cf.build_levels(cf.default_params(), seed=seed)
+        assert _w3_w4(cf.validate_cf(built)) == _fraction_w3_w4(built) == (True, True)
+
+    @pytest.mark.parametrize("u, contained", [(0.0, True), (0.125, False)])
+    def test_containment_at_the_top_edge(self, u, contained):
+        # the top interval (2 (r-1) a~ - a, 2 (r-1) a~ + a] shifted by
+        # a~ - a + u ends at a_(n+1) + u
+        built = _edited_build(-1, _AT2 - _A2, u)
+        assert _fraction_w3_w4(built) == (contained, True)
+        assert _w3_w4(cf.validate_cf(built)) == (contained, True)
+
+    @pytest.mark.parametrize("u, disjoint", [(0.0, True), (0.125, False)])
+    def test_overlap_of_an_eighth_flagged(self, u, disjoint):
+        # the intervals at h = 0 and h = 1 are 2 (a~ - a) apart; shifting the
+        # first by that gap + u overlaps the second by u
+        built = _edited_build(_R2 - 1, 2 * (_AT2 - _A2), u)
+        assert _fraction_w3_w4(built) == (True, disjoint)
+        assert _w3_w4(cf.validate_cf(built)) == (True, disjoint)
+
+    @pytest.mark.parametrize("u", [1.0, -0.125, float("nan")])
+    def test_fraction_outside_unit_interval_raises(self, u):
+        built = _edited_build(0, 0, u)
+        with pytest.raises(cf.CorrectionFractionError, match="level 2"):
+            cf.validate_cf(built)
+
     def test_tiling_is_exact_integers(self, levels):
         # the 2r-1 widened shells tile the next base interval exactly
         for lv in levels.levels:
             assert (2 * lv.r - 1) * lv.a_tilde == levels.a(lv.n + 1)
+
+
+def _w3_w4(report) -> tuple[bool, bool]:
+    conditions = report.as_dict()
+    return conditions["w3-containment"]["passed"], conditions["w4-disjointness"]["passed"]
+
+
+def _fraction_w3_w4(levels) -> tuple[bool, bool]:
+    """Containment and disjointness of the intervals (t_c - a_n, t_c + a_n]
+    in exact rationals, one correction time at a time."""
+    contained = disjoint = True
+    for lv in levels.levels:
+        a_next = levels.a(lv.n + 1)
+        ivs = sorted(
+            (t_c - lv.a, t_c + lv.a) for t_c in map(lv.correction_time_fraction, lv.h_range())
+        )
+        contained &= all(lo >= -a_next and hi <= a_next for lo, hi in ivs)
+        disjoint &= all(lo2 >= hi1 for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]))
+    return contained, disjoint
+
+
+_A2, _AT2 = cf.derive_sequences(cf.CFParams(), 2)[2]
+_R2 = cf.CFParams().r(2)
+
+
+def _edited_build(j: int, shell: int, u: float):
+    """A two-level build whose level-2 corrections c(h) are the central
+    translates (2 h a~_2, I), except at index j, whose time gains shell + u."""
+    built = cf.build_levels(cf.CFParams(max_level=2), seed=0)
+    lv = built.levels[2]
+    s_shell, s_u = np.zeros_like(lv.s_shell), np.zeros_like(lv.s_u)
+    s_shell[j], s_u[j] = shell, u
+    built.levels[2] = dataclasses.replace(lv, s_shell=s_shell, s_u=s_u)
+    return built
 
 
 class TestCylinders:

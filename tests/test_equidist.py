@@ -137,9 +137,30 @@ class TestKoksmaHlawka:
             assert err <= bound
 
 
+def radical_inverse(base: int, i: int) -> float:
+    """Digit-reversal of i in the given base, one index at a time."""
+    inv = 0.0
+    denom = 1.0
+    while i > 0:
+        i, digit = divmod(i, base)
+        denom *= base
+        inv += digit / denom
+    return inv
+
+
 class TestRadicalInverse:
     def test_van_der_corput_prefix(self):
         assert np.allclose(van_der_corput(4), [0.5, 0.25, 0.75, 0.125])
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 7])
+    @pytest.mark.parametrize("start", [0, 1, 3**20 - 7])
+    def test_matches_scalar_digit_reversal(self, base, start):
+        ref = np.array([radical_inverse(base, i) for i in range(start, start + 3000)])
+        assert van_der_corput(3000, base, start=start).tobytes() == ref.tobytes()
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            van_der_corput(4, start=-1)
 
     def test_halton_avoids_zero(self):
         pts = halton(64, 4)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfjoin import equidist
 from cfjoin.groups import SU2_I, GElement, SU2Element, quat_inv, quat_mul, quat_phi_real
-from cfjoin.verifier import _in_rectangles, _overlap_pair_sum, _sample_set_fraction
+from cfjoin.verifier import _fiber_in_cube, _in_rectangles, _overlap_pair_sum, _sample_set_fraction
 
 
 def _dshift_pair_sum(u, half, ta, wa, tb, wb) -> float:
@@ -45,6 +45,27 @@ def _near_face(t, q, rect, tol=1e-9):
     for dim, (lo, hi) in enumerate(cube):
         near |= (np.abs(u[:, dim] - lo) < tol) | (np.abs(u[:, dim] - hi) < tol)
     return near
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_closed_form_fiber_matches_three_products(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    scale = 2.0 ** data.draw(st.integers(0, 50), label="log2 |ta|")
+    # large and negative times, with integers and eighths among them
+    ta = np.concatenate([rng.uniform(-scale, scale, 300), np.round(rng.uniform(-scale, scale, 100) * 8) / 8])
+    q = rng.standard_normal((len(ta), 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    lows = [data.draw(st.floats(0.0, 0.6), label=f"cube{d}") for d in range(3)]
+    cube = tuple((c, min(c + data.draw(st.floats(0.2, 0.6)), 1.0)) for c in lows)
+    m = SU2Element.from_array(rng.standard_normal(4))
+    u = equidist.su2_to_chart_array(quat_mul(m.array(), quat_phi_real(ta, quat_inv(q))))
+    ref = np.ones(len(ta), dtype=bool)
+    for dim, (lo, hi) in enumerate(cube):
+        ref &= (u[:, dim] >= lo) & (u[:, dim] < hi)
+    # a at time 0 and points at time -ta give a x^{-1} the time ta exactly
+    near = _near_face(-ta, q, (GElement(0.0, m), None, cube))
+    assert not np.any((_fiber_in_cube(ta, q, m, cube) != ref) & ~near)
 
 
 # shell offsets: a Halton prefix, as sample sets use, or any floats in [0, 1)

@@ -12,6 +12,7 @@ from cfjoin.verifier import (
     CheckReport,
     ExperimentConfig,
     Metric,
+    _correction_times,
     _level1_full_rectangles,
     _mu_full_interval,
     _weakmix_deviation,
@@ -83,6 +84,17 @@ class TestRunners:
     def test_anchor_strings_nonempty(self, small_cfg):
         for rep in (run_sequences(small_cfg), run_validate_cf(small_cfg)):
             assert rep.anchor
+
+
+@pytest.mark.parametrize("seed", [42, 20260810])
+def test_correction_times_are_rounded_fractions(seed):
+    # every level of the default build; level 6 times pass 2^63
+    built = cf_engine.build_levels(cf_engine.default_params(), seed=seed)
+    top = built.levels[6]
+    assert max(abs(top.correction_time_fraction(h)) for h in top.h_range()) > 2**63
+    for lv in built.levels:
+        ref = np.array([float(lv.correction_time_fraction(h)) for h in lv.h_range()])
+        assert _correction_times(lv).tobytes() == ref.tobytes()
 
 
 def _weakmix_deviation_with_fiber(levels, n, samples, rng):
