@@ -419,7 +419,8 @@ def _in_rectangles(t, quats, rects):
     x in A^{-1} a  iff  a x^{-1} in A; the time parts are interval tests, and
     the fiber parts (for rectangles with a cube fiber) go through the chart
     for the points that pass every time test.  The rows of quats need not be
-    unit: only those that reach a fiber test are normalised.
+    unit: only those that reach a fiber test are normalised.  quats may be
+    None when no rectangle has a cube fiber.
     """
     sel = np.ones(len(t), dtype=bool)
     for a_elem, (lo, hi), _ in rects:
@@ -544,8 +545,14 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
 
             rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), cube_b))
             t_mc = rng.uniform(-half, half, size=mc)
-            q_mc = rng.standard_normal((mc, 4))
-            mc_frac = float(np.mean(_in_rectangles(t_mc, q_mc, rects)))
+            # the fiber is independent of the time, so it is drawn only for
+            # the points that pass every time test, and only when a fiber is
+            # tested
+            sel = _in_rectangles(t_mc, None, tuple((a, iv, None) for a, iv, _ in rects))
+            if cube_a is not None or cube_b is not None:
+                q_sel = rng.standard_normal((int(np.count_nonzero(sel)), 4))
+                sel = _in_rectangles(t_mc[sel], q_sel, rects)
+            mc_frac = np.count_nonzero(sel) / mc
             ss_frac = _sample_set_fraction(ss, rects)
             worst = max(worst, abs(mc_frac - ss_frac))
         rep.add(f"techniczny-i-n{n}", worst, tolerance=eps, passed=worst < eps)

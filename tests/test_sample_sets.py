@@ -68,6 +68,21 @@ def test_closed_form_fiber_matches_three_products(data):
     assert not np.any((_fiber_in_cube(ta, q, m, cube) != ref) & ~near)
 
 
+@settings(max_examples=30)
+@given(data=st.data())
+def test_fiber_test_on_time_selected_rows(data):
+    # run_sample_sets draws fibers only for the rows that pass the time tests
+    half = data.draw(st.integers(1, 2000), label="half")
+    rects = (_rect(data, half, "a", cube=True), _rect(data, half, "b", cube=data.draw(st.booleans())))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    t = rng.uniform(-half, half, 5000)
+    q = rng.standard_normal((len(t), 4))
+    every_row = _in_rectangles(t, q, rects)
+    sel = _in_rectangles(t, None, tuple((a, iv, None) for a, iv, _ in rects))
+    assert not np.any(every_row & ~sel)
+    assert np.array_equal(_in_rectangles(t[sel], q[sel], rects), every_row[sel])
+
+
 # shell offsets: a Halton prefix, as sample sets use, or any floats in [0, 1)
 offsets = st.one_of(
     st.integers(1, 16).map(lambda k: equidist.halton(k, 4)[:, 0]),
