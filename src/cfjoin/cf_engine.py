@@ -10,7 +10,9 @@ Both take q=None for time-only work (a central time translate against
 full-fiber sets): the SU(2) fiber is then neither moved nor returned, and
 times, validity and shift indices are exactly those of the fiber path.
 The scalar API (CFPoint, embed_to_level, normalize_point, act, act_time) is
-a batch of one.  Exact set checks use Fractions built from the (exact) floats.
+a batch of one.  Exact set checks use Fractions built from the (exact)
+floats, or, for the stacking conditions, integer parts and fractions in
+[0, 1) compared as pairs.
 """
 
 from __future__ import annotations

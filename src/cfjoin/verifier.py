@@ -449,8 +449,8 @@ def _sample_set_fraction(ss: equidist.FiniteSampleSet, rects) -> float:
     (a, (lo, hi], cube), the set `_in_rectangles` tests point by point.
 
     Point (l + u_i, q_i) passes a time test exactly on a run of shells l,
-    found per i from the float test itself.  The twist reduces its time mod
-    4, so a fiber test is taken once per residue l = r mod 4, and each run is
+    found per i from the float test itself.  The twist has period 2 in time,
+    so a fiber test is taken once per residue l = r mod 4, and each run is
     counted by residue: the 2K * count points are never built.
     """
     half, u = ss.half_width, ss.u_time
