@@ -3,14 +3,17 @@ and the action on finite truncations.
 
 Time coordinates blow up fast (the level-7 base interval half-width exceeds
 1e20 under the default schedule), so times are carried in split form: an
-exact integer part plus a float fraction in [0, 1).  One batch engine moves
-points: embed_batch and peel_batch run a single arithmetic path on int64
-times while magnitudes allow it and on Python-int object arrays above that.
-Both take q=None for time-only work (a central time translate against
-full-fiber sets): the SU(2) fiber is then neither moved nor returned, and
-times, validity and shift indices are exactly those of the fiber path.
-The scalar API (CFPoint, embed_to_level, normalize_point, act, act_time) is
-a batch of one.  Exact set checks use Fractions built from the (exact)
+exact integer part plus a float fraction in [0, 1).  Every point is a row
+of a batch (ti, tf, q, tails) at some level: integer times, fractions, unit
+quaternion fibers, and the shift indices that embedding consumes level by
+level, as sample_point_batch draws them.  One batch engine moves points:
+embed_batch and peel_batch run a single arithmetic path on int64 times
+while magnitudes allow it and on Python-int object arrays above that
+(time_lane makes that choice).  Both take q=None for time-only work (a
+central time translate against full-fiber sets): the SU(2) fiber is then
+neither moved nor returned, and times, validity and shift indices are
+exactly those of the fiber path.  act applies a group element to a batch
+at one level.  Exact set checks use Fractions built from the (exact)
 floats, or, for the stacking conditions, integer parts and fractions in
 [0, 1) compared as pairs.
 """
@@ -24,15 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import (
-    GElement,
-    SU2Element,
-    quat_mul,
-    quat_inv,
-    quat_normalize,
-    quat_phi_int,
-    quat_twist,
-)
+from .groups import GElement, quat_inv, quat_mul, quat_normalize, quat_twist
 from . import equidist
 from .equidist import SMapResult, default_alphabet
 
@@ -40,7 +35,6 @@ __all__ = [
     "CFParams",
     "CFLevel",
     "CFLevels",
-    "CFPoint",
     "CylinderSet",
     "Block",
     "CFValidationReport",
@@ -59,11 +53,8 @@ __all__ = [
     "cylinder_measure",
     "full_block",
     "act",
-    "act_time",
     "split_translate",
-    "embed_to_level",
-    "normalize_point",
-    "sample_point",
+    "time_lane",
     "sample_point_batch",
     "embed_batch",
     "peel_batch",
@@ -507,92 +498,19 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
 
 
 # ---------------------------------------------------------------------------
-# points, embedding, peeling, acting
+# the integer lane and the group action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CFPoint:
-    """Point in factored form: level coordinate plus tail of shift indices.
-
-    The level coordinate is (t_int + t_frac, quaternion) with t_frac in [0,1);
-    tail[k] is the H-index consumed when embedding from level+k to level+k+1.
-    """
-
-    level: int
-    t_int: int
-    t_frac: float
-    q: tuple[float, float, float, float]
-    tail: tuple[int, ...]
-
-    def time(self) -> float:
-        return self.t_int + self.t_frac
-
-    def quat(self) -> np.ndarray:
-        return np.array(self.q)
-
-    def fiber(self) -> SU2Element:
-        return SU2Element.from_array(self.quat())
-
-
-def _as_batch(p: CFPoint):
-    """Arrays (ti, tf, q, tails) of the batch holding p alone."""
-    lane = object if abs(p.t_int) >= _INT64_SAFE else np.int64
-    tails = np.array(p.tail, dtype=np.int64).reshape(1, -1)
-    return np.array([p.t_int], dtype=lane), np.array([p.t_frac]), np.array([p.q]), tails
-
-
-def _point(level: int, ti, tf, q, tail) -> CFPoint:
-    return CFPoint(level, int(ti[0]), float(tf[0]), tuple(q[0].tolist()), tuple(tail))
+def time_lane(bound: int):
+    """Array dtype for integer times of magnitude below `bound`: int64 while
+    bound < 2^62, which leaves room for one more step of the same size, and
+    Python ints (object) from there on."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 def _in_base(ti, tf, a: int):
     """Mask of the times ti + tf in the half-open base interval (-a, a]."""
     return ((ti > -a) | ((ti == -a) & (tf > 0.0))) & ((ti < a) | ((ti == a) & (tf == 0.0)))
-
-
-def sample_point(
-    levels: CFLevels,
-    truncation: int,
-    rng: np.random.Generator,
-    level: int = 1,
-    h_minus: bool = False,
-) -> CFPoint:
-    """One point of sample_point_batch: uniform time on the level base, Haar
-    fiber, uniform tail (shrunken by h_minus as there)."""
-    ti, tf, q, tails = sample_point_batch(levels, 1, truncation, rng, level, h_minus)
-    return _point(level, ti, tf, q, tails[0].tolist())
-
-
-def embed_to_level(p: CFPoint, levels: CFLevels, to_level: int) -> CFPoint:
-    if p.level >= to_level:
-        return p
-    ti, tf, q, tails = _as_batch(p)
-    ti, tf, q = embed_batch(levels, ti, tf, q, tails, p.level, to_level)
-    return _point(to_level, ti, tf, q, p.tail[to_level - p.level:])
-
-
-def normalize_point(p: CFPoint, levels: CFLevels) -> CFPoint:
-    """Peel to the lowest level at which the point is defined."""
-    while p.level > 0:
-        ti, tf, q, _ = _as_batch(p)
-        valid, ti, tf, q, hs = peel_batch(levels, ti, tf, q, p.level, p.level - 1)
-        if not valid[0]:
-            break
-        p = _point(p.level - 1, ti, tf, q, (int(hs[0, 0]),) + p.tail)
-    return p
-
-
-def _raise_until_fits(x: CFPoint, gi: int, gf: float, levels: CFLevels):
-    """Embed x until its time moved by gi + gf (gf in [0, 1)) lies in the
-    base of its level; returns the raised point and the moved time."""
-    p = x
-    while True:
-        ti, tf = p.t_int + gi, p.t_frac + gf
-        if tf >= 1.0:
-            ti, tf = ti + 1, tf - 1.0
-        if _in_base(ti, tf, levels.a(p.level)):
-            return p, ti, tf
-        p = embed_to_level(p, levels, p.level + 1)
 
 
 def split_translate(t: float) -> tuple[int, float]:
@@ -604,28 +522,30 @@ def split_translate(t: float) -> tuple[int, float]:
     if abs(t) >= _FLOAT_EXACT:
         raise InexactTranslateError(
             f"time {t!r} is at or above 2^53, where a float no longer carries "
-            "an exact integer translate; use act_time for integer translates"
+            "an exact integer translate; add an integer translate to the "
+            "batch's integer times ti instead"
         )
     gi = math.floor(t)
     return gi, t - gi
 
 
-def act(g: GElement, x: CFPoint, levels: CFLevels) -> CFPoint:
-    """Left action of g: raise the level until g*f fits the base, then apply.
+def act(g: GElement, ti, tf, q):
+    """Left action of g = (t, m) on a batch of points at one level.
 
-    The result stays at the raised level; use normalize_point to peel back.
+    The split translate (gi, gf) of t is added to the times, the fraction's
+    carry going into ti, and each fiber becomes m * phi_t(q), one quat_mul
+    and the closed-form quat_twist.  The level does not change: embed the
+    batch high enough first, since a lane moved out of the level's base
+    comes back invalid from peel_batch.  ti may be int64 or Python ints
+    (dtype=object).  Returns (ti, tf, q).
     """
     gi, gf = split_translate(g.t)
-    p, ti, tf = _raise_until_fits(x, gi, gf, levels)
-    q = quat_mul(g.m.array(), quat_twist(gi, gf, p.quat()))
-    return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
-
-
-def act_time(g_int: int, x: CFPoint, levels: CFLevels) -> CFPoint:
-    """Action of the integer time translate (g_int, I); exact arithmetic."""
-    p, ti, tf = _raise_until_fits(x, g_int, 0.0, levels)
-    q = quat_phi_int(g_int, p.quat())
-    return CFPoint(p.level, ti, tf, tuple(q.tolist()), p.tail)
+    ti = ti + gi
+    tf = tf + gf
+    carry = tf >= 1.0
+    tf = np.where(carry, tf - 1.0, tf)
+    ti = ti + carry.astype(ti.dtype)
+    return ti, tf, quat_mul(g.m.array(), quat_twist(gi, gf, q))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +619,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         if q is not None:
             q = quat_mul(q, quat_twist(ti, tf, lv.s_quat[j]))
         step = 2 * lv.a_tilde
-        if levels.a(k + 1) + step >= _INT64_SAFE:
+        if time_lane(levels.a(k + 1) + step) is object:
             ti = ti.astype(object)
         ti = ti + h.astype(ti.dtype) * step + lv.s_shell[j].astype(ti.dtype)
         s_u = lv.s_u[j]
@@ -759,7 +679,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
                     f"the level-{k} correction {float(lv.s_u[j[lost[0]]])!r}"
                 )
         ti = ti - borrow.astype(ti.dtype)
-        if ti.dtype == object and levels.a(k) + two < _INT64_SAFE:
+        if ti.dtype == object and time_lane(levels.a(k) + two) is np.int64:
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)
         if q is not None:
@@ -775,14 +695,11 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
 
 @dataclass(frozen=True)
 class Block:
-    """One measurable block of a cylinder base: a half-open time interval
-    crossed with a fiber part, "full" (all of SU(2)) or "cube" (a chart cube).
-    """
+    """One block of a cylinder base: the half-open time interval (lo, hi]
+    crossed with all of SU(2)."""
 
     lo: Fraction
     hi: Fraction
-    fiber: str = "full"
-    cube: Optional[tuple[tuple[float, float], ...]] = None
 
     def length(self) -> Fraction:
         return self.hi - self.lo
@@ -810,44 +727,13 @@ class CylinderSet:
 
 
 def full_block(lo, hi) -> Block:
-    return Block(Fraction(lo), Fraction(hi), "full")
+    return Block(Fraction(lo), Fraction(hi))
 
 
-def cylinder_measure(
-    c: CylinderSet,
-    levels: CFLevels,
-    samples: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[float, float]:
-    """Measure of a cylinder: exact for full-fiber blocks, else Monte Carlo.
-
-    mu([A]_n) = lambda(A)/lambda(F_n) * mu(X_n); the time part is exact
-    rational arithmetic, cube fibers are estimated with reported stderr from
-    draws of `rng`, which a cylinder with a cube fiber requires.
-    """
-    mu_xn = levels.mu_xn(c.level)
-    a = levels.a(c.level)
-    if all(b.fiber == "full" for b in c.blocks):
-        frac = c.total_length() / (2 * a)
-        return float(frac) * mu_xn, 0.0
-    value = 0.0
-    var = 0.0
-    for b in c.blocks:
-        if b.fiber == "full":
-            value += float(b.length() / (2 * a)) * mu_xn
-            continue
-        if rng is None:
-            raise ValueError("a cube-fiber block is measured by Monte Carlo and needs an rng")
-        width = float(b.length())
-        q = quat_normalize(rng.standard_normal((samples, 4)))
-        u = equidist.su2_to_chart_array(q)
-        inside = np.ones(samples, dtype=bool)
-        for dim, (lo_b, hi_b) in enumerate(b.cube):
-            inside &= (u[:, dim] >= lo_b) & (u[:, dim] < hi_b)
-        p = float(np.mean(inside))
-        value += p * width / (2 * a) * mu_xn
-        var += (p * (1 - p) / samples) * (width / (2 * a) * mu_xn) ** 2
-    return value, math.sqrt(var)
+def cylinder_measure(c: CylinderSet, levels: CFLevels) -> float:
+    """Measure mu([A]_n) = lambda(A)/lambda(F_n) * mu(X_n) of a cylinder;
+    the time part is exact rational arithmetic."""
+    return float(c.total_length() / (2 * levels.a(c.level))) * levels.mu_xn(c.level)
 
 
 def level_dump_rows(levels: CFLevels) -> list[dict]:

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GElement, adjoint_matrix, quat_mul, quat_phi_int, quat_twist
+# quat_mul is unused here but stays importable: the benchmark's tracer wraps
+# it in every module that holds it and checks joinings.quat_mul
+from .groups import GElement, adjoint_matrix, quat_mul, quat_phi_int
 from .cf_engine import (
-    _INT64_SAFE,
     CFLevels,
-    CFPoint,
     OrbitLeftTruncationError,
+    act,
     embed_batch,
-    embed_to_level,
     peel_batch,
     sample_point_batch,
-    split_translate,
+    time_lane,
 )
 
 __all__ = [
@@ -317,35 +317,37 @@ def shulman_check(n: int, levels: CFLevels) -> ShulmanReport:
 # ---------------------------------------------------------------------------
 
 def _window_values(
-    point: CFPoint,
+    point: tuple,
     window: FolnerWindow,
     dictionary: CFDictionary,
     levels: CFLevels,
     bs: np.ndarray,
     ts: np.ndarray,
 ) -> np.ndarray:
-    """Dictionary values (K, R) at the translates of a point by g = b + spacing t."""
+    """Dictionary values (K, R) at the translates of a level-1 point, a
+    one-row batch (ti, tf, q, tails), by g = b + spacing t."""
     top = min(window.n + 2, levels.max_level + 1)
-    p = embed_to_level(point, levels, top)
-    lane = np.int64 if levels.a(top) + window.max_abs() < _INT64_SAFE else object
-    ti = p.t_int + bs.astype(lane) + window.spacing * ts.astype(lane)
-    tf = np.full(len(bs), p.t_frac)
-    q = np.broadcast_to(np.array(p.q), (len(bs), 4)).copy()
-    q = quat_phi_int(bs % 2, q)  # spacing is even, so parity comes from b
+    ti, tf, q = embed_batch(levels, *point, 1, top)
+    lane = time_lane(levels.a(top) + window.max_abs())
+    ti = ti.astype(lane) + bs.astype(lane) + window.spacing * ts.astype(lane)
+    tf = np.full(len(bs), tf[0])
+    # spacing is even, so parity comes from b
+    q = quat_phi_int(bs % 2, np.broadcast_to(q, (len(bs), 4)))
     valid, ti1, tf1, q1, _ = peel_batch(levels, ti, tf, q, top, 1)
     return dictionary.evaluate((valid, ti1, tf1, q1))
 
 
 def empirical_joining(
-    x: CFPoint,
-    x2: CFPoint,
+    x: tuple,
+    x2: tuple,
     window: FolnerWindow,
     dictionary: CFDictionary,
     levels: CFLevels,
     samples: int,
     rng: np.random.Generator,
 ) -> EmpiricalJoining:
-    """Window-average correlation table of the orbit pair of (x, x2).
+    """Window-average correlation table of the orbit pair of (x, x2), two
+    level-1 points given as one-row batches (ti, tf, q, tails).
 
     The full window is enumerated when it fits in `samples`; otherwise the
     average is estimated from uniform draws of (b, t), which is unbiased for
@@ -385,19 +387,12 @@ def graph_joining_target(
     fiber translates used here, so conditioning the sampler on that part is
     exact; the mu(X_1) mass factor enters through the observable norms.
     """
-    gi, gf = split_translate(k.t)
     ti, tf, q, tails = sample_point_batch(levels, samples, 4, rng)
     valid = np.ones(samples, dtype=bool)
     fx = dictionary.evaluate((valid, ti, tf, q))
     # embed two levels, translate by k, peel back
     top = 3
-    ti3, tf3, q3 = embed_batch(levels, ti, tf, q, tails, 1, top)
-    ti3 = ti3 + np.int64(gi)
-    tf3 = tf3 + gf
-    carry = tf3 >= 1.0
-    tf3 = np.where(carry, tf3 - 1.0, tf3)
-    ti3 = ti3 + carry.astype(np.int64)
-    q3 = quat_mul(k.m.array(), quat_twist(gi, gf, q3))
+    ti3, tf3, q3 = act(k, *embed_batch(levels, ti, tf, q, tails, 1, top))
     valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
     fy = dictionary.evaluate((valid_y, ti1, tf1, q1))
     return _correlation_table(dictionary.dict_id, fx, fy, levels.mu_xn(1))

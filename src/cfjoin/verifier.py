@@ -274,11 +274,11 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
     lv = levels.level(1)
     block = cf_engine.full_block(Fraction(-30), Fraction(55))
     cyl = cf_engine.CylinderSet(1, [block])
-    v1, _ = cf_engine.cylinder_measure(cyl, levels)
+    v1 = cf_engine.cylinder_measure(cyl, levels)
     h = 3
     t_c = lv.correction_time_fraction(h)
     cyl2 = cf_engine.CylinderSet(2, [cf_engine.full_block(block.lo + t_c, block.hi + t_c)])
-    v2, _ = cf_engine.cylinder_measure(cyl2, levels)
+    v2 = cf_engine.cylinder_measure(cyl2, levels)
     err = abs(v1 - lv.card_c_next * v2)
     rep.add("cylinder-y4-consistency", err, tolerance=1e-12, passed=err <= 1e-12)
 
@@ -854,11 +854,11 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     # window translate stays inside the next frame; the independent partner
     # additionally has all tail indices distinct from x's
     rng_pts = substream(cfg.seed, "generic-points")
-    x = cf_engine.sample_point(levels, cfg.truncation, rng_pts, h_minus=True)
-    x_paired = cf_engine.act(k, x, levels)
-    y = cf_engine.sample_point(levels, cfg.truncation, rng_pts, h_minus=True)
-    while any(a == b for a, b in zip(x.tail, y.tail)):
-        y = cf_engine.sample_point(levels, cfg.truncation, rng_pts, h_minus=True)
+    x = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
+    x_paired = (*cf_engine.act(k, *x[:3]), x[3])
+    y = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
+    while np.any(x[3] == y[3]):
+        y = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
 
     rows = []
     emp_paired = joinings.empirical_joining(

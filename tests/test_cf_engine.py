@@ -157,41 +157,23 @@ class TestCylinders:
     def test_full_base_measure(self, levels):
         a1 = levels.a(1)
         cyl = cf.CylinderSet(1, [cf.full_block(-a1, a1)])
-        value, err = cf.cylinder_measure(cyl, levels)
-        assert err == 0.0
+        value = cf.cylinder_measure(cyl, levels)
         assert abs(value - levels.mu_xn(1)) < 1e-15
 
     def test_half_interval(self, levels):
         a1 = levels.a(1)
         cyl = cf.CylinderSet(1, [cf.full_block(0, a1)])
-        value, _ = cf.cylinder_measure(cyl, levels)
+        value = cf.cylinder_measure(cyl, levels)
         assert abs(value - 0.5 * levels.mu_xn(1)) < 1e-15
-
-    def test_cube_fiber_monte_carlo(self, levels, rng):
-        cube = ((0.1, 0.6), (0.2, 0.9), (0.0, 0.5))
-        vol = 0.5 * 0.7 * 0.5
-        block = cf.Block(Fraction(-50), Fraction(50), "cube", cube)
-        cyl = cf.CylinderSet(1, [block])
-        value, err = cf.cylinder_measure(cyl, levels, samples=200_000, rng=rng)
-        expected = (100 / (2 * levels.a(1))) * vol * levels.mu_xn(1)
-        assert abs(value - expected) <= 4 * err + 1e-12
-
-    def test_cube_fiber_needs_rng(self, levels):
-        # a cube fiber is measured by Monte Carlo, whose seed must come from
-        # the caller's named substream
-        cube = ((0.1, 0.6), (0.2, 0.9), (0.0, 0.5))
-        cyl = cf.CylinderSet(1, [cf.Block(Fraction(-50), Fraction(50), "cube", cube)])
-        with pytest.raises(ValueError, match="needs an rng"):
-            cf.cylinder_measure(cyl, levels)
 
     def test_y4_consistency(self, levels):
         # one level down: the measure splits equally over the #C translates
         lv0 = levels.level(0)
         cyl = cf.CylinderSet(0, [cf.full_block(Fraction(-1, 2), Fraction(3, 4))])
-        v0, _ = cf.cylinder_measure(cyl, levels)
+        v0 = cf.cylinder_measure(cyl, levels)
         t_c = lv0.correction_time_fraction(5)
         shifted = cf.CylinderSet(1, [cf.full_block(Fraction(-1, 2) + t_c, Fraction(3, 4) + t_c)])
-        v1, _ = cf.cylinder_measure(shifted, levels)
+        v1 = cf.cylinder_measure(shifted, levels)
         assert abs(v0 - lv0.card_c_next * v1) < 1e-15
 
     def test_validation_rejects_overlap(self, levels):
@@ -203,52 +185,82 @@ class TestCylinders:
         # a level-m cylinder is a disjoint union of level-(m+1) cylinders
         # (its translates by the corrections c(h)) whose measures sum exactly
         cyl = cf.CylinderSet(1, [cf.full_block(-60, 35)])
-        v, _ = cf.cylinder_measure(cyl, levels)
+        v = cf.cylinder_measure(cyl, levels)
         lv = levels.level(1)
         shifts = [lv.correction_time_fraction(h) for h in lv.h_range()]
         ref = cf.CylinderSet(2, [cf.full_block(-60 + t_c, 35 + t_c) for t_c in shifts])
         ref.validate(levels)
-        total = sum(
-            cf.cylinder_measure(cf.CylinderSet(2, [b]), levels)[0] for b in ref.blocks
-        )
+        total = sum(cf.cylinder_measure(cf.CylinderSet(2, [b]), levels) for b in ref.blocks)
         assert abs(total - v) < 1e-9
 
 
-def _assert_same_point(x, y, levels, tol=1e-9):
-    """x and y are one point of the inductive limit: they agree at a common level."""
-    top = max(x.level, y.level)
-    xe, ye = cf.embed_to_level(x, levels, top), cf.embed_to_level(y, levels, top)
-    assert xe.t_int == ye.t_int and abs(xe.t_frac - ye.t_frac) <= tol
-    assert np.max(np.abs(np.subtract(xe.q, ye.q))) <= tol
-    common = min(len(xe.tail), len(ye.tail))
-    assert xe.tail[:common] == ye.tail[:common]
+def _act_and_peel(levels, gs, batch, top):
+    """Embed a level-1 batch to `top`, act by each element of gs in turn,
+    and peel back to level 1: (valid, ti, tf, q, hs)."""
+    ti, tf, q, tails = batch
+    point = cf.embed_batch(levels, ti, tf, q, tails, 1, top)
+    for g in gs:
+        point = cf.act(g, *point)
+    return cf.peel_batch(levels, *point, top, 1)
+
+
+def _unmoved(batch, top):
+    """The level-1 batch in the form _act_and_peel returns, all lanes valid."""
+    ti, tf, q, tails = batch
+    return np.ones(len(tf), dtype=bool), ti, tf, q, tails[:, : top - 1]
+
+
+def _assert_same_lanes(x, y, tol):
+    """Two peeled batches are one set of points: the same valid lanes and,
+    on those, the same times ti + tf (a carry may move between the parts),
+    fibers within tol and the same shift indices."""
+    valid, ti, tf, q, hs = x
+    valid_y, ti_y, tf_y, q_y, hs_y = y
+    assert np.array_equal(valid, valid_y)
+    v = valid
+    assert np.max(np.abs((ti[v] - ti_y[v]).astype(float) + (tf[v] - tf_y[v])), initial=0.0) <= tol
+    assert np.max(np.abs(q[v] - q_y[v]), initial=0.0) <= tol
+    assert np.array_equal(hs[v], hs_y[v])
+
+
+def _random_g(rng, half_width):
+    return GElement(float(rng.uniform(-half_width, half_width)),
+                    SU2Element.from_array(rng.standard_normal(4)))
 
 
 class TestAction:
     def test_identity_action(self, levels, rng):
-        x = cf.sample_point(levels, 12, rng)
-        y = cf.act(GElement(0.0, SU2_I), x, levels)
-        _assert_same_point(x, y, levels)
+        # exact at the top level on both lanes (level-7 times are Python
+        # ints, dtype=object); the embed/peel round trip rounds the fiber
+        batch = cf.sample_point_batch(levels, 200, 12, rng)
+        for top in (4, 7):
+            ti, tf, q = cf.embed_batch(levels, *batch, 1, top)
+            assert (ti.dtype == object) == (top == 7)
+            ti_e, tf_e, q_e = cf.act(GElement(0.0, SU2_I), ti, tf, q)
+            assert ti_e.dtype == ti.dtype and np.array_equal(ti_e, ti)
+            assert np.array_equal(tf_e, tf) and np.array_equal(q_e, q)
+            _assert_same_lanes(_act_and_peel(levels, [GElement(0.0, SU2_I)], batch, top),
+                               _unmoved(batch, top), 1e-12)
 
     def test_group_action_inverse(self, levels, rng):
-        for _ in range(20):
-            x = cf.sample_point(levels, 12, rng)
-            g = GElement(float(rng.uniform(-300, 300)), SU2Element.from_array(rng.standard_normal(4)))
-            y = cf.act(g, x, levels)
-            z = cf.act(g_inv(g), y, levels)
-            _assert_same_point(cf.normalize_point(z, levels), x, levels)
+        for top in (3, 7):
+            for _ in range(20):
+                batch = cf.sample_point_batch(levels, 50, 12, rng)
+                g = _random_g(rng, 300)
+                _assert_same_lanes(_act_and_peel(levels, [g, g_inv(g)], batch, top),
+                                   _unmoved(batch, top), 1e-9)
 
     def test_action_is_left_action(self, levels, rng):
-        # T_g T_h x = T_{gh} x on points that stay within truncation
+        # T_g T_h x = T_{gh} x, also on lanes the translate moves off level 1
         for _ in range(10):
-            x = cf.sample_point(levels, 12, rng)
-            g = GElement(float(rng.uniform(-50, 50)), SU2Element.from_array(rng.standard_normal(4)))
-            h = GElement(float(rng.uniform(-50, 50)), SU2Element.from_array(rng.standard_normal(4)))
-            lhs = cf.act(g, cf.act(h, x, levels), levels)
-            rhs = cf.act(g_mul(g, h), x, levels)
-            _assert_same_point(lhs, rhs, levels, tol=1e-8)
+            batch = cf.sample_point_batch(levels, 50, 12, rng)
+            g, h = _random_g(rng, 50), _random_g(rng, 50)
+            lhs = _act_and_peel(levels, [h, g], batch, 3)
+            rhs = _act_and_peel(levels, [g_mul(g, h)], batch, 3)
+            assert lhs[0].any()
+            _assert_same_lanes(lhs, rhs, 1e-8)
 
-    def test_central_translate_shifts_index(self, levels, rng):
+    def test_central_translate_shifts_index(self, levels):
         # along the scheme identity g_n * f * c(h) = f * s(h) s(h+1)^{-1} * c(h+1):
         # when the corrections at h and h+1 agree, the index simply shifts
         n = 2
@@ -260,24 +272,20 @@ class TestAction:
                 h_match = j - (lv.r - 1)
                 break
         assert h_match is not None
-        x = cf.CFPoint(n, 7, 0.25, (1.0, 0.0, 0.0, 0.0), (h_match, 0, 0, 0))
-        y = cf.act_time(2 * lv.a_tilde, x, levels)
-        y_at_n = cf.embed_to_level(cf.normalize_point(y, levels), levels, n)
-        assert y_at_n.tail[0] == h_match + 1
+        ti, tf, q = np.array([7]), np.array([0.25]), np.array([[1.0, 0.0, 0.0, 0.0]])
+        at_top = cf.embed_batch(levels, ti, tf, q, np.array([[h_match, 0]]), n, n + 2)
+        moved = cf.act(GElement(float(2 * lv.a_tilde), SU2_I), *at_top)
+        valid, ti_n, tf_n, q_n, hs = cf.peel_batch(levels, *moved, n + 2, n)
+        assert valid[0] and hs[0].tolist() == [h_match + 1, 0]
         # the level-n coordinate is unchanged when the corrections cancel
-        assert y_at_n.t_int == x.t_int and abs(y_at_n.t_frac - x.t_frac) < 1e-12
-        assert max(abs(a - b) for a, b in zip(y_at_n.q, x.q)) < 1e-12
+        assert ti_n[0] == 7 and abs(tf_n[0] - 0.25) < 1e-12
+        assert np.max(np.abs(q_n - q)) < 1e-12
 
-    def test_inexact_float_translate_rejected(self, levels):
+    def test_inexact_float_translate_rejected(self):
         # from 2^53 on a float time cannot carry every integer translate
-        x = cf.CFPoint(1, 0, 0.5, (1.0, 0.0, 0.0, 0.0), (0, 0, 0, 0, 0))
-        with pytest.raises(cf.InexactTranslateError, match="act_time"):
-            cf.act(GElement(float(2**53), SU2_I), x, levels)
-
-    def test_truncation_exhaustion(self, levels):
-        x = cf.CFPoint(1, 0, 0.5, (1.0, 0.0, 0.0, 0.0), ())
-        with pytest.raises(cf.OrbitLeftTruncationError, match="orbit left truncation"):
-            cf.act_time(10**6, x, levels)
+        ti, tf, q = np.array([0]), np.array([0.5]), np.array([[1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(cf.InexactTranslateError, match="integer translate to the batch's integer times"):
+            cf.act(GElement(float(2**53), SU2_I), ti, tf, q)
 
     def test_measure_preservation_empirical(self, levels):
         # fraction of points with act(g, x) in a full-fiber cylinder equals
@@ -287,10 +295,9 @@ class TestAction:
         cyl_lo, cyl_hi = -80.0, 45.0
         mu_c = (cyl_hi - cyl_lo) / (2 * levels.a(1)) * levels.mu_xn(1)
         ti, tf, q, tails = cf.sample_point_batch(levels, n, 3, rng)
-        g = 317  # an integer translate, no fiber component
-        ti3, tf3, q3 = cf.embed_batch(levels, ti, tf, q, tails, 1, 3)
-        ti3 = ti3 + np.int64(g)
-        valid, ti1, tf1, _, _ = cf.peel_batch(levels, ti3, tf3, q3, 3, 1)
+        g = GElement(317.0, SU2_I)  # an integer translate, no fiber component
+        moved = cf.act(g, *cf.embed_batch(levels, ti, tf, q, tails, 1, 3))
+        valid, ti1, tf1, _, _ = cf.peel_batch(levels, *moved, 3, 1)
         t1 = ti1.astype(float) + tf1
         frac = float(np.mean(valid & (t1 > cyl_lo) & (t1 <= cyl_hi))) * levels.mu_xn(1)
         sigma = levels.mu_xn(1) * math.sqrt(mu_c * (1 - mu_c) / n)
@@ -300,9 +307,9 @@ class TestAction:
 class TestSampling:
     def test_time_uniform_ks(self, levels):
         rng = np.random.default_rng(6)
-        pts = [cf.sample_point(levels, 2, rng) for _ in range(4000)]
+        ti, tf, _, _ = cf.sample_point_batch(levels, 4000, 2, rng)
         a1 = levels.a(1)
-        times = np.array([p.time() for p in pts])
+        times = ti + tf
         stat = scipy.stats.kstest(times, "uniform", args=(-a1, 2 * a1))
         assert stat.pvalue > 0.01
 

@@ -232,7 +232,7 @@ class TestTargets:
 class TestEmpiricalJoining:
     def test_diagonal_case(self, levels, dictionary):
         w = jo.folner_window(3, levels)
-        x = cf.sample_point(levels, 12, np.random.default_rng(8))
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(8))
         emp = jo.empirical_joining(x, x, w, dictionary, levels, 40_000, np.random.default_rng(9))
         diag = jo.graph_joining_target(
             GElement(0.0, SU2_I), dictionary, levels, 40_000, np.random.default_rng(10)
@@ -243,8 +243,8 @@ class TestEmpiricalJoining:
     def test_paired_case_close_to_graph_structure(self, levels, dictionary):
         w = jo.folner_window(4, levels)
         k = GElement(0.0, SU2_H0)
-        x = cf.sample_point(levels, 12, np.random.default_rng(11))
-        x2 = cf.act(k, x, levels)
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(11))
+        x2 = (*cf.act(k, *x[:3]), x[3])
         emp = jo.empirical_joining(x, x2, w, dictionary, levels, 40_000, np.random.default_rng(12))
         # time coordinates agree along the whole window, so the phases of the
         # first harmonic cancel exactly; the magnitude carries the window's
@@ -256,13 +256,14 @@ class TestEmpiricalJoining:
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)
-        x = cf.CFPoint(1, 0, 0.5, (1.0, 0.0, 0.0, 0.0), (0,))
+        # one tail index: the level-6 frame of window 4 needs five
+        x = (np.array([0]), np.array([0.5]), np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0]]))
         with pytest.raises(cf.OrbitLeftTruncationError, match="translate"):
             jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(13))
 
     def test_validate_bound(self, levels, dictionary):
         w = jo.folner_window(3, levels)
-        x = cf.sample_point(levels, 12, np.random.default_rng(14))
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(14))
         emp = jo.empirical_joining(x, x, w, dictionary, levels, 5_000, np.random.default_rng(15))
         emp.validate()
 
