@@ -35,11 +35,10 @@ __all__ = [
     "CFParams",
     "CFLevel",
     "CFLevels",
-    "CylinderSet",
-    "Block",
     "CFValidationReport",
     "ConditionResult",
     "LevelTooDeepError",
+    "DivergentScheduleError",
     "OrbitLeftTruncationError",
     "InexactTranslateError",
     "InexactFractionError",
@@ -51,7 +50,6 @@ __all__ = [
     "validate_cf",
     "mu_total_normalizer",
     "cylinder_measure",
-    "full_block",
     "act",
     "split_translate",
     "time_lane",
@@ -64,10 +62,17 @@ __all__ = [
 
 _INT64_SAFE = 2**62
 _FLOAT_EXACT = 2**53
+# product terms of the measure normalizer taken exactly; the rest is bounded
+_NORMALIZER_DEPTH = 120
 
 
 class LevelTooDeepError(OverflowError):
     pass
+
+
+class DivergentScheduleError(ValueError):
+    """The r-schedule's level ratios have an infinite product, so the
+    construction carries no finite measure to normalize."""
 
 
 class OrbitLeftTruncationError(RuntimeError):
@@ -186,14 +191,13 @@ def level_ratio(seq: Sequence[tuple[int, int]], n: int) -> Fraction:
     return Fraction(at, a)
 
 
-def mu_total_normalizer(
-    params: CFParams, depth: int, horizon: Optional[int] = None
-) -> tuple[float, float]:
+def mu_total_normalizer(params: CFParams, depth: int) -> tuple[float, float]:
     """Mass of the level-0 base set when the total measure is normalized to 1.
 
     Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= depth} (a~_n / a_n)
     with an explicit bound on the neglected tail of the product, derived from
     log(1+x) <= x and the n^4/r_n monotonicity of admissible schedules.
+    Raises DivergentScheduleError when the product does not converge.
     """
     # ratio_n = a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1) for n >= 1, ratio_0 = 1
     log_prod = 0.0
@@ -201,8 +205,7 @@ def mu_total_normalizer(
         log_prod += math.log1p((2 * n - 1) / (2 * params.r(n - 1) - 1))
     mu0 = math.exp(-log_prod)
 
-    if horizon is None:
-        horizon = max(4 * depth, 400)
+    horizon = max(4 * depth, 400)
     tail = 0.0
     xs = []
     for n in range(depth + 1, horizon + 1):
@@ -210,12 +213,12 @@ def mu_total_normalizer(
         xs.append(x)
         tail += x
     if len(xs) >= 2 and xs[-1] > xs[0] and xs[-1] > 1e-9:
-        raise ValueError("divergent product: ratio excess is not decaying")
+        raise DivergentScheduleError("divergent product: ratio excess is not decaying")
     r_m = params.r(horizon)
     remainder = (horizon**4 / r_m) * 2.0 / (horizon - 1) ** 2
     tail_bound = mu0 * (tail + remainder)
     if tail + remainder > 1.0:
-        raise ValueError("divergent product: tail estimate exceeds 1")
+        raise DivergentScheduleError("divergent product: tail estimate exceeds 1")
     return mu0, tail_bound
 
 
@@ -267,30 +270,41 @@ class CFLevels:
     seed: int
     levels: list[CFLevel]
     seq: list[tuple[int, int]]  # (a_n, a~_n) for n = 0..max_level+1
-    mu_x0: float
-    mu_tail_bound: float
+    mu_x0: Optional[float]  # None when the schedule diverges
 
     @property
     def max_level(self) -> int:
         return len(self.levels) - 1
 
+    def _built(self, n: int, top: int) -> int:
+        """n itself, once it is a level in 0..top of this build."""
+        if n < 0:
+            raise ValueError(f"level {n} is below 0 (the build has max_level {self.max_level})")
+        if n > top:
+            raise LevelTooDeepError(
+                f"level {n} is above {top}, the deepest this build holds "
+                f"(max_level {self.max_level})"
+            )
+        return n
+
     def a(self, n: int) -> int:
-        return self.seq[n][0]
+        return self.seq[self._built(n, self.max_level + 1)][0]
 
     def a_tilde(self, n: int) -> int:
-        return self.seq[n][1]
+        return self.seq[self._built(n, self.max_level + 1)][1]
 
     def mu_xn(self, n: int) -> float:
+        if self.mu_x0 is None:
+            raise DivergentScheduleError(
+                f"no measure for level {n}: the schedule's level ratios diverge"
+            )
         prod = Fraction(1)
         for k in range(n):
             prod *= level_ratio(self.seq, k)
         return self.mu_x0 * float(prod)
 
     def level(self, n: int) -> CFLevel:
-        return self.levels[n]
-
-    def to_json(self) -> dict:
-        return {**self.params.to_json(), "seed": self.seed}
+        return self.levels[self._built(n, self.max_level)]
 
 
 def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
@@ -310,17 +324,14 @@ def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
     )
 
 
-def build_levels(
-    params: Optional[CFParams] = None,
-    seed: int = 0,
-    normalizer_depth: int = 120,
-    s_map_retries: int = 5000,
-) -> CFLevels:
+def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
     """Build level data with correction maps for levels 1..max_level.
 
     Level 0 gets identity corrections (its slab is degenerate, and the level-0
     tiling is exact without them); correction maps at higher levels are drawn
-    from per-level substreams of `seed` via the retry protocol.
+    from per-level substreams of `seed` via the retry protocol.  A divergent
+    schedule still yields level data, with mu_x0 None: validate_cf reports
+    the finiteness failure and mu_xn raises DivergentScheduleError.
     """
     if params is None:
         params = default_params()
@@ -337,7 +348,6 @@ def build_levels(
             alphabet,
             params.eps(n),
             substream(seed, f"s-map-{n}"),
-            max_retries=s_map_retries,
         )
         idx = s_map.values
         levels.append(
@@ -354,14 +364,10 @@ def build_levels(
             )
         )
     try:
-        mu0, tail = mu_total_normalizer(params, normalizer_depth)
-    except ValueError:
-        # divergent schedules still yield level data; validate_cf reports the
-        # finiteness failure and measure-dependent operations will surface nan
-        mu0, tail = float("nan"), float("inf")
-    return CFLevels(
-        params=params, seed=seed, levels=levels, seq=seq, mu_x0=mu0, mu_tail_bound=tail
-    )
+        mu0, _ = mu_total_normalizer(params, _NORMALIZER_DEPTH)
+    except DivergentScheduleError:
+        mu0 = None
+    return CFLevels(params=params, seed=seed, levels=levels, seq=seq, mu_x0=mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
 
     # finiteness of the total measure
     try:
-        _, tail = mu_total_normalizer(params, depth=120)
+        _, tail = mu_total_normalizer(params, _NORMALIZER_DEPTH)
         fin_ok = tail < finiteness_threshold
         detail = f"tail bound {tail:.2e}"
     except ValueError as exc:
@@ -557,21 +563,21 @@ def sample_point_batch(
     n: int,
     truncation: int,
     rng: np.random.Generator,
-    level: int = 1,
     h_minus: bool = False,
 ):
-    """Arrays (ti, tf, q, tails) of n points at the given base level.
+    """Arrays (ti, tf, q, tails) of n points of the level-1 base set, with
+    the shift indices of levels 1..truncation (as far as the build goes).
 
     With h_minus the tail indices are rejected into the slightly shrunken
     ranges |h_k| < (1 - k^{-2}) r_k used by generic-point selection.
     """
-    a = levels.a(level)
+    a = levels.a(1)
     t = rng.uniform(-float(a), float(a), size=n)
     ti = np.floor(t)
     tf = t - ti
     ti = ti.astype(np.int64)
     q = quat_normalize(rng.standard_normal((n, 4)))
-    ks = list(range(level, min(level + truncation, levels.max_level + 1)))
+    ks = list(range(1, min(1 + truncation, levels.max_level + 1)))
     tails = np.zeros((n, len(ks)), dtype=np.int64)
     for col, k in enumerate(ks):
         r = levels.level(k).r
@@ -693,47 +699,11 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
 # cylinder sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
-    """One block of a cylinder base: the half-open time interval (lo, hi]
-    crossed with all of SU(2)."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-
-@dataclass
-class CylinderSet:
-    """Union of disjoint blocks inside the level-n base set."""
-
-    level: int
-    blocks: list[Block]
-
-    def validate(self, levels: CFLevels) -> None:
-        a = levels.a(self.level)
-        ivs = sorted((b.lo, b.hi) for b in self.blocks)
-        for lo, hi in ivs:
-            if lo < -a or hi > a or hi <= lo:
-                raise ValueError(f"block ({lo}, {hi}] outside base interval +-{a}")
-        for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
-            if lo2 < hi1:
-                raise ValueError("blocks overlap in time")
-
-    def total_length(self) -> Fraction:
-        return sum((b.length() for b in self.blocks), Fraction(0))
-
-
-def full_block(lo, hi) -> Block:
-    return Block(Fraction(lo), Fraction(hi))
-
-
-def cylinder_measure(c: CylinderSet, levels: CFLevels) -> float:
-    """Measure mu([A]_n) = lambda(A)/lambda(F_n) * mu(X_n) of a cylinder;
+def cylinder_measure(levels: CFLevels, n: int, lo, hi) -> float:
+    """Exact measure mu([A]_n) = lambda(A)/lambda(F_n) * mu(X_n) of the
+    full-fiber cylinder over A = (lo, hi] x SU(2) inside the level-n base;
     the time part is exact rational arithmetic."""
-    return float(c.total_length() / (2 * levels.a(c.level))) * levels.mu_xn(c.level)
+    return float(Fraction(hi - lo) / (2 * levels.a(n))) * levels.mu_xn(n)
 
 
 def level_dump_rows(levels: CFLevels) -> list[dict]:

@@ -8,7 +8,6 @@ correction maps of the cutting construction draw their values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -28,7 +27,6 @@ __all__ = [
     "halton",
     "star_discrepancy",
     "star_discrepancy_exact_1d",
-    "extreme_discrepancy",
     "koksma_hlawka_bound",
     "haar_sample_su2",
     "chart_to_su2_array",
@@ -170,33 +168,6 @@ def star_discrepancy(cloud: PointCloud) -> float:
     return float(max(np.max(vol - strict / n), np.max(closed / n - vol)))
 
 
-def extreme_discrepancy(cloud: PointCloud) -> float:
-    """Exact sup over boxes [alpha, beta) of |empirical - volume|."""
-    n = len(cloud)
-    if n == 0:
-        raise ValueError("no points")
-    s = cloud.dim
-    if s > 4:
-        raise ValueError("exact extreme discrepancy restricted to dim <= 4")
-    pts = cloud.points
-    lo_grids = [np.unique(np.concatenate([[0.0], pts[:, k]])) for k in range(s)]
-    hi_grids = [np.unique(np.concatenate([pts[:, k], [1.0]])) for k in range(s)]
-    best = 0.0
-    for lo in itertools.product(*lo_grids):
-        alpha = np.array(lo)
-        for hi in itertools.product(*hi_grids):
-            beta = np.array(hi)
-            if np.any(beta < alpha):
-                continue
-            vol = float(np.prod(beta - alpha))
-            # limits of the count as the box edges are approached from
-            # either side: widest includes both faces, narrowest neither
-            wide = int(np.sum(np.all((pts >= alpha) & (pts <= beta), axis=1)))
-            narrow = int(np.sum(np.all((pts > alpha) & (pts < beta), axis=1)))
-            best = max(best, wide / n - vol, vol - narrow / n)
-    return best
-
-
 def koksma_hlawka_bound(modulus: Callable[[float], float], d_star: float, s: int) -> float:
     """Quantitative equidistribution bound for a continuous integrand.
 
@@ -266,15 +237,14 @@ class FiniteSampleSet:
     The same `count` points are reused in every unit time shell [l, l+1),
     l = -K .. K-1, shifted by the integer l; this keeps the set exactly
     stackable under the integer translations the construction applies.
-    Points are stored in factored form (shell offsets u in [0,1), chart
-    coordinates, quaternions) so the full set never needs materializing:
+    Points are stored in factored form (shell offsets u in [0,1) and
+    quaternions) so the full set never needs materializing:
     at deeper levels it has millions of virtual elements.
     """
 
     n: int
     half_width: int  # K: time support is (-K, K]
     u_time: np.ndarray  # (count,) fractional time offsets in [0, 1)
-    chart: np.ndarray  # (count, 3) chart coordinates of the fiber points
     quats: np.ndarray  # (count, 4)
 
     @property
@@ -295,34 +265,22 @@ def slab_half_width(n: int, a_tilde_prev: int) -> int:
     return (2 * n - 1) * a_tilde_prev
 
 
-def build_sample_set(
-    n: int,
-    a_tilde_prev: int,
-    count: int,
-    rng: Optional[np.random.Generator] = None,
-) -> FiniteSampleSet:
-    """Per-shell net of `count` points of the 4-d Halton sequence on S_n.
+def build_sample_set(n: int, a_tilde_prev: int, count: int) -> FiniteSampleSet:
+    """Per-shell net of `count` points of the 4-d Halton sequence on S_n: the
+    first coordinate is the time offset, the other three go through the chart.
 
-    The sequence is fixed (no scrambling) so rebuilt sets are identical; the
-    rng argument applies an optional Cranley-Patterson rotation when given.
+    The sequence is fixed (no scrambling) so rebuilt sets are identical.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = halton(count, 4)
-    if rng is not None:
-        pts = np.mod(pts + rng.uniform(size=4), 1.0)
-        pts = np.clip(pts, 1e-9, 1 - 1e-9)
-    u_time = pts[:, 0]
-    chart = pts[:, 1:]
-    quats = chart_to_su2_array(chart)
     return FiniteSampleSet(
         n=n,
         half_width=slab_half_width(n, a_tilde_prev),
-        u_time=u_time,
-        chart=chart,
-        quats=quats,
+        u_time=pts[:, 0],
+        quats=chart_to_su2_array(pts[:, 1:]),
     )
 
 

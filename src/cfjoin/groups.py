@@ -40,7 +40,6 @@ __all__ = [
     "g_dist",
     "conj_star",
     "d6_mul",
-    "d6_inv",
     "is_central",
     "quat_mul",
     "quat_inv",
@@ -292,13 +291,6 @@ _D6_PRODUCTS = {
 
 def d6_mul(g: D6Element, h: D6Element) -> D6Element:
     return _D6_PRODUCTS[g.label][h.label]
-
-
-def d6_inv(g: D6Element) -> D6Element:
-    for h in D6_ELEMENTS:
-        if _D6_TABLE[g.label][h.label] == "e":
-            return h
-    raise AssertionError("Cayley table has no inverse row")  # unreachable
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ class CFDictionary:
 
     def __init__(self, levels: CFLevels, dict_id: str = "k16-default-v1"):
         self.dict_id = dict_id
-        self.levels = levels
         self.a1 = levels.a(1)
         self.scale = 1.0 / math.sqrt(levels.mu_xn(1))
         spec = [
@@ -120,21 +119,6 @@ class CFDictionary:
         out[:, ~valid] = 0.0
         return out
 
-    def norm_report(self, samples: int, rng: np.random.Generator) -> list[tuple[str, float, float]]:
-        """Monte Carlo estimates (label, norm, stderr) of every entry norm."""
-        ti, tf, q, _ = sample_point_batch(self.levels, samples, 0, rng)
-        valid = np.ones(samples, dtype=bool)
-        vals = self.evaluate((valid, ti, tf, q))
-        mu1 = self.levels.mu_xn(1)
-        out = []
-        for row, label in enumerate(self.labels):
-            sq = np.abs(vals[row]) ** 2 * mu1  # mu-integral via X_1 conditioning
-            norm2 = float(np.mean(sq))
-            se2 = float(np.std(sq, ddof=1) / math.sqrt(samples))
-            norm = math.sqrt(norm2)
-            out.append((label, norm, se2 / (2 * max(norm, 1e-9))))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # empirical joinings and the metric
@@ -148,22 +132,6 @@ class EmpiricalJoining:
     corr: np.ndarray  # (K, K) complex
     stderr: np.ndarray  # (K, K) float
     sample_count: int
-
-    def validate(self, slack: float = 0.1) -> None:
-        """Entries of a joining table are bounded by 1 for unit-norm
-        observables; estimates may exceed by sampling error (3 stderr) plus,
-        for single-orbit window averages, a small genericity slack that the
-        within-window stderr cannot see."""
-        if np.any(np.abs(self.corr) > 1.0 + 3.0 * self.stderr + slack + 1e-9):
-            raise ValueError("correlation entry exceeds 1 beyond 3 stderr")
-
-    def to_json(self) -> dict:
-        return {
-            "dict_id": self.dict_id,
-            "n_samples": self.sample_count,
-            "corr": [[[float(v.real), float(v.imag)] for v in row] for row in self.corr],
-            "stderr": [[float(v) for v in row] for row in self.stderr],
-        }
 
 
 def _check_same_dict(x: EmpiricalJoining, y: EmpiricalJoining) -> None:
@@ -250,13 +218,10 @@ class ShulmanReport:
     """Exact growth accounting of the averaging windows at index n.
 
     setminus_count counts the window elements not already covered by earlier
-    windows (the literal reading of the growth inequality).  Containment in
-    the doubled next core holds from n = 3 on only: the inequality chain
-    behind it needs (n+1)^2 < 2 n^2 regardless of the schedule.
+    windows (the literal reading of the growth inequality).
     """
 
     n: int
-    contained: bool
     setminus_count: int
     window_size: int
 
@@ -301,15 +266,12 @@ def _merged(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def shulman_check(n: int, levels: CFLevels) -> ShulmanReport:
     """Exact integer-interval arithmetic; no window is ever materialized."""
     w = folner_window(n, levels)
-    i_next = _int_interval_bound(levels.a(n + 1), (n + 1) * (n + 1))
-    contained = w.max_abs() <= 2 * i_next
-
     own = _window_intervals(w)
     earlier: list[tuple[int, int]] = []
     for m in range(2, n):
         earlier.extend(_window_intervals(folner_window(m, levels)))
     setminus = _subtract_union(own, _merged(earlier)) if earlier else w.size
-    return ShulmanReport(n, contained, setminus, w.size)
+    return ShulmanReport(n, setminus, w.size)
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,10 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
 
     # cylinder consistency: mu([A]_n) = #C_{n+1} mu([A c]_{n+1}) for full fibers
     lv = levels.level(1)
-    block = cf_engine.full_block(Fraction(-30), Fraction(55))
-    cyl = cf_engine.CylinderSet(1, [block])
-    v1 = cf_engine.cylinder_measure(cyl, levels)
-    h = 3
-    t_c = lv.correction_time_fraction(h)
-    cyl2 = cf_engine.CylinderSet(2, [cf_engine.full_block(block.lo + t_c, block.hi + t_c)])
-    v2 = cf_engine.cylinder_measure(cyl2, levels)
+    lo, hi = Fraction(-30), Fraction(55)
+    v1 = cf_engine.cylinder_measure(levels, 1, lo, hi)
+    t_c = lv.correction_time_fraction(3)
+    v2 = cf_engine.cylinder_measure(levels, 2, lo + t_c, hi + t_c)
     err = abs(v1 - lv.card_c_next * v2)
     rep.add("cylinder-y4-consistency", err, tolerance=1e-12, passed=err <= 1e-12)
 
@@ -607,11 +604,6 @@ def _level1_full_rectangles(levels: CFLevels):
     return A, B
 
 
-def _mu_full_interval(levels: CFLevels, interval) -> float:
-    lo, hi = interval
-    return float((hi - lo) / (2 * levels.a(1))) * levels.mu_xn(1)
-
-
 def _weakmix_deviation(
     levels: CFLevels, n: int, samples: int, rng: np.random.Generator
 ) -> tuple[float, float, float]:
@@ -623,8 +615,8 @@ def _weakmix_deviation(
     built frame.  g_n = (2 a~_n, I) moves only time and both rectangles have
     full fibers, so the points are embedded and peeled without their fiber."""
     A, B = _level1_full_rectangles(levels)
-    mu_a = _mu_full_interval(levels, A)
-    mu_b = _mu_full_interval(levels, B)
+    mu_a = cf_engine.cylinder_measure(levels, 1, *A)
+    mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
     ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
@@ -632,7 +624,7 @@ def _weakmix_deviation(
     in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
     tin, tfn, _ = cf_engine.embed_batch(levels, ti, tf, None, tails, 1, top)
     g = 2 * levels.a_tilde(n)
-    tin = tin + (g if tin.dtype == object else np.int64(g))
+    tin = tin + g
     valid, ti1, tf1, _, _ = cf_engine.peel_batch(levels, tin, tfn, None, top, 1)
     t1_shift = ti1.astype(float) + tf1
     in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
@@ -654,8 +646,8 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
     levels = _levels_cache(cfg)
     params = cfg.construction
     A, B = _level1_full_rectangles(levels)
-    mu_a = _mu_full_interval(levels, A)
-    mu_b = _mu_full_interval(levels, B)
+    mu_a = cf_engine.cylinder_measure(levels, 1, *A)
+    mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     samples = cfg.mc_samples
     rows = []
     devs = {}
@@ -894,7 +886,6 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     rep.add("diagonal-distance", d_diag, tolerance=8 * se_diag + 0.02,
             passed=d_diag <= 8 * se_diag + 0.02)
 
-    # metric invariance under the time-one translate on empirical pair clouds
     rep.csv_tables["joinings.csv"] = (
         ["case", "target", "distance", "stderr", "verdict"],
         rows,

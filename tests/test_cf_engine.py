@@ -80,11 +80,20 @@ class TestValidation:
     def test_constant_schedule_fails_finiteness(self):
         report_conditions = {}
         params = cf.CFParams(r_kind="constant", r_floor=2, max_level=2)
-        lv = cf.build_levels(params, seed=0, normalizer_depth=0)
+        lv = cf.build_levels(params, seed=0)
         rep = cf.validate_cf(lv)
         report_conditions = rep.as_dict()
         assert not report_conditions["finiteness-eq-9"]["passed"]
         assert not rep.passed
+
+    def test_constant_schedule_has_no_measure(self):
+        params = cf.CFParams(r_kind="constant", r_floor=2, max_level=2)
+        lv = cf.build_levels(params, seed=0)
+        assert lv.mu_x0 is None
+        with pytest.raises(cf.DivergentScheduleError, match="level 1"):
+            lv.mu_xn(1)
+        with pytest.raises(cf.DivergentScheduleError):
+            cf.cylinder_measure(lv, 1, 0, 1)
 
     @pytest.mark.parametrize("seed", [42, 20260810, 20260811])
     def test_integer_pairs_match_fraction_reference(self, seed):
@@ -156,42 +165,46 @@ def _edited_build(j: int, shell: int, u: float):
 class TestCylinders:
     def test_full_base_measure(self, levels):
         a1 = levels.a(1)
-        cyl = cf.CylinderSet(1, [cf.full_block(-a1, a1)])
-        value = cf.cylinder_measure(cyl, levels)
+        value = cf.cylinder_measure(levels, 1, -a1, a1)
         assert abs(value - levels.mu_xn(1)) < 1e-15
 
     def test_half_interval(self, levels):
-        a1 = levels.a(1)
-        cyl = cf.CylinderSet(1, [cf.full_block(0, a1)])
-        value = cf.cylinder_measure(cyl, levels)
+        value = cf.cylinder_measure(levels, 1, 0, levels.a(1))
         assert abs(value - 0.5 * levels.mu_xn(1)) < 1e-15
 
     def test_y4_consistency(self, levels):
         # one level down: the measure splits equally over the #C translates
         lv0 = levels.level(0)
-        cyl = cf.CylinderSet(0, [cf.full_block(Fraction(-1, 2), Fraction(3, 4))])
-        v0 = cf.cylinder_measure(cyl, levels)
+        lo, hi = Fraction(-1, 2), Fraction(3, 4)
+        v0 = cf.cylinder_measure(levels, 0, lo, hi)
         t_c = lv0.correction_time_fraction(5)
-        shifted = cf.CylinderSet(1, [cf.full_block(Fraction(-1, 2) + t_c, Fraction(3, 4) + t_c)])
-        v1 = cf.cylinder_measure(shifted, levels)
+        v1 = cf.cylinder_measure(levels, 1, lo + t_c, hi + t_c)
         assert abs(v0 - lv0.card_c_next * v1) < 1e-15
-
-    def test_validation_rejects_overlap(self, levels):
-        cyl = cf.CylinderSet(1, [cf.full_block(0, 10), cf.full_block(5, 15)])
-        with pytest.raises(ValueError, match="overlap"):
-            cyl.validate(levels)
 
     def test_funny_rank_one_refinement(self, levels):
         # a level-m cylinder is a disjoint union of level-(m+1) cylinders
         # (its translates by the corrections c(h)) whose measures sum exactly
-        cyl = cf.CylinderSet(1, [cf.full_block(-60, 35)])
-        v = cf.cylinder_measure(cyl, levels)
+        v = cf.cylinder_measure(levels, 1, -60, 35)
         lv = levels.level(1)
         shifts = [lv.correction_time_fraction(h) for h in lv.h_range()]
-        ref = cf.CylinderSet(2, [cf.full_block(-60 + t_c, 35 + t_c) for t_c in shifts])
-        ref.validate(levels)
-        total = sum(cf.cylinder_measure(cf.CylinderSet(2, [b]), levels) for b in ref.blocks)
+        total = sum(cf.cylinder_measure(levels, 2, -60 + t_c, 35 + t_c) for t_c in shifts)
         assert abs(total - v) < 1e-9
+
+
+class TestLevelRange:
+    @pytest.mark.parametrize("read", ["a", "a_tilde", "level"])
+    def test_above_the_build_raises(self, levels, read):
+        # a and a_tilde reach one level past the levels built
+        top = levels.max_level + (0 if read == "level" else 1)
+        getattr(levels, read)(top)
+        with pytest.raises(cf.LevelTooDeepError, match=rf"level {top + 1} .*max_level {levels.max_level}"):
+            getattr(levels, read)(top + 1)
+
+    @pytest.mark.parametrize("read", ["a", "a_tilde", "level"])
+    def test_below_zero_raises(self, levels, read):
+        # a plain list would hand back the top level's value for -1
+        with pytest.raises(ValueError, match=rf"level -1 .*max_level {levels.max_level}"):
+            getattr(levels, read)(-1)
 
 
 def _act_and_peel(levels, gs, batch, top):

@@ -13,7 +13,6 @@ from cfjoin.equidist import (
     build_sample_set,
     chart_to_su2_array,
     default_alphabet,
-    extreme_discrepancy,
     halton,
     haar_sample_su2,
     koksma_hlawka_bound,
@@ -77,38 +76,6 @@ class TestStarDiscrepancy:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             star_discrepancy(PointCloud(np.zeros((2, 5))))
-
-
-class TestExtremeDiscrepancy:
-    def test_single_point(self):
-        # brute force over intervals: a vanishing box around the atom has
-        # empirical mass 1 and volume 0, so the two-sided sup is 1 (the
-        # anchored sup for the same cloud is 0.5)
-        pts = np.array([[0.5]])
-        sup = 0.0
-        for alpha in np.linspace(0, 1, 101):
-            for beta in np.linspace(0, 1, 101):
-                if beta <= alpha:
-                    continue
-                emp = 1.0 if alpha <= 0.5 < beta else 0.0
-                sup = max(sup, abs(emp - (beta - alpha)))
-        assert sup > 0.98  # oracle approaches 1
-        assert extreme_discrepancy(PointCloud(pts)) == pytest.approx(1.0, abs=1e-15)
-        assert star_discrepancy(PointCloud(pts)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_grid(self):
-        n = 50
-        cloud = PointCloud(np.arange(n)[:, None] / n)
-        assert extreme_discrepancy(cloud) == pytest.approx(1 / n, abs=1e-14)
-
-    def test_definitional_inequality(self):
-        rng = np.random.default_rng(3)
-        for s in (1, 2):
-            pts = rng.uniform(size=(16, s))
-            cloud = PointCloud(pts)
-            d_star = star_discrepancy(cloud)
-            d = extreme_discrepancy(cloud)
-            assert d_star - 1e-12 <= d <= 2**s * d_star + 1e-12
 
 
 class TestKoksmaHlawka:
@@ -290,7 +257,7 @@ class TestSampleSets:
     def test_size_and_pattern(self):
         ss = build_sample_set(2, 200, count=4)
         assert ss.size == 2 * 600 * 4 == len(ss.shells) * ss.count
-        assert ss.u_time.shape == (4,) and ss.chart.shape == (4, 3) and ss.quats.shape == (4, 4)
+        assert ss.u_time.shape == (4,) and ss.quats.shape == (4, 4)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from cfjoin.groups import (
     SU2Element,
     adjoint_matrix,
     conj_star,
-    d6_inv,
     d6_mul,
     g_dist,
     g_inv,
@@ -231,7 +230,8 @@ class TestD6:
 
     def test_exhaustive_group_axioms(self):
         for x in D6_ELEMENTS:
-            assert d6_mul(x, d6_inv(x)) == D6Element("e")
+            # every row of the table holds the identity: x has an inverse
+            assert any(d6_mul(x, y) == D6Element("e") for y in D6_ELEMENTS)
             for y in D6_ELEMENTS:
                 assert d6_mul(x, y) in D6_ELEMENTS
                 for z in D6_ELEMENTS:

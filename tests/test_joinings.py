@@ -133,10 +133,6 @@ class TestWindows:
             rep = jo.shulman_check(n, levels)
             assert rep.passed  # covered-growth reading, exact integer count
             assert rep.setminus_count <= rep.window_size
-        # containment in the doubled next core requires (n+1)^2 < 2 n^2
-        assert not jo.shulman_check(2, levels).contained
-        for n in range(3, 7):
-            assert jo.shulman_check(n, levels).contained
 
     def test_windows_grow(self, levels):
         sizes = [jo.folner_window(n, levels).size for n in range(2, 7)]
@@ -145,8 +141,14 @@ class TestWindows:
 
 class TestDictionary:
     def test_norms_unit_within_mc_error(self, levels, dictionary):
-        rows = dictionary.norm_report(100_000, np.random.default_rng(0))
-        for label, norm, se in rows:
+        samples = 100_000
+        ti, tf, q, _ = cf.sample_point_batch(levels, samples, 0, np.random.default_rng(0))
+        vals = dictionary.evaluate((np.ones(samples, dtype=bool), ti, tf, q))
+        mu1 = levels.mu_xn(1)
+        for label, row in zip(dictionary.labels, vals):
+            sq = np.abs(row) ** 2 * mu1  # mu-integral via X_1 conditioning
+            norm = math.sqrt(float(np.mean(sq)))
+            se = float(np.std(sq, ddof=1) / math.sqrt(samples)) / (2 * max(norm, 1e-9))
             assert abs(norm - 1.0) <= 4 * se + 1e-3, (label, norm, se)
 
     def test_vanishes_off_level1(self, levels, dictionary):
@@ -261,12 +263,6 @@ class TestEmpiricalJoining:
         with pytest.raises(cf.OrbitLeftTruncationError, match="translate"):
             jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(13))
 
-    def test_validate_bound(self, levels, dictionary):
-        w = jo.folner_window(3, levels)
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(14))
-        emp = jo.empirical_joining(x, x, w, dictionary, levels, 5_000, np.random.default_rng(15))
-        emp.validate()
-
 
 class TestClassify:
     def test_rows_and_verdict(self, rng):
@@ -276,9 +272,3 @@ class TestClassify:
         verdicts = {r.target: r.verdict for r in rows}
         assert verdicts["a"] == "nearest"
         assert verdicts["b"] == ""
-
-    def test_serialization(self, rng):
-        t = random_table(rng)
-        data = t.to_json()
-        assert data["n_samples"] == 100
-        assert len(data["corr"]) == 4 and len(data["corr"][0][0]) == 2

@@ -14,12 +14,12 @@ from cfjoin.verifier import (
     Metric,
     _correction_times,
     _level1_full_rectangles,
-    _mu_full_interval,
     _weakmix_deviation,
     emit_report,
     run_fubini,
     run_sequences,
     run_validate_cf,
+    run_weak_mixing,
 )
 
 
@@ -100,8 +100,8 @@ def test_correction_times_are_rounded_fractions(seed):
 def _weakmix_deviation_with_fiber(levels, n, samples, rng):
     """The weakmix deviation as computed when the fiber rode along."""
     A, B = _level1_full_rectangles(levels)
-    mu_a = _mu_full_interval(levels, A)
-    mu_b = _mu_full_interval(levels, B)
+    mu_a = cf_engine.cylinder_measure(levels, 1, *A)
+    mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
     ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
@@ -134,6 +134,19 @@ class TestWeakmixTimeOnly:
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
+
+
+def test_weakmix_above_the_build_names_the_level(tmp_path):
+    # the default weakmix levels reach 6, so a max_level-3 build runs out at
+    # n = 5 with a named error instead of an IndexError from a plain list
+    cfg = ExperimentConfig(
+        seed=5,
+        mc_samples=2000,
+        construction=cf_engine.default_params(max_level=3),
+        output_dir=str(tmp_path),
+    )
+    with pytest.raises(cf_engine.LevelTooDeepError, match="level 5 .*max_level 3"):
+        run_weak_mixing(cfg)
 
 
 class TestCLI:
