@@ -7,15 +7,24 @@ exact integer part plus a float fraction in [0, 1).  Every point is a row
 of a batch (ti, tf, q, tails) at some level: integer times, fractions, unit
 quaternion fibers, and the shift indices that embedding consumes level by
 level, as sample_point_batch draws them.  One batch engine moves points:
-embed_batch and peel_batch run a single arithmetic path on int64 times
-while magnitudes allow it and on Python-int object arrays above that
-(time_lane makes that choice).  Both take q=None for time-only work (a
-central time translate against full-fiber sets): the SU(2) fiber is then
-neither moved nor returned, and times, validity and shift indices are
-exactly those of the fiber path.  act applies a group element to a batch
-at one level.  Exact set checks use Fractions built from the (exact)
-floats, or, for the stacking conditions, integer parts and fractions in
-[0, 1) compared as pairs.
+embed_batch and peel_batch run a single arithmetic path per level.  The
+top level of an embedding is kept in mixed radix, t = hi * 2 a~_k + lo
+with hi the last shift index h_k (a RadixTimes pair).  Its low digit is a
+level-k time plus one correction, so it stays int64 at the first level
+whose times pass 2^62 (level 7 of the default build), and
+central_translate adds a time translate to the digits without forming
+the big time.  On deeper builds the times of the levels past that one,
+and the low digit of a top above them, fall back to Python-int object
+arrays (one radix digit, not one per overflowing level); _lane is the one
+place that picks int64 or object for a level.
+At the public boundary times are one array: embed_batch joins the pair
+unless asked for it, and peel_batch takes either form.  Both take q=None for
+time-only work (a central time translate against full-fiber sets): the
+SU(2) fiber is then neither moved nor returned, and times, validity and
+shift indices are exactly those of the fiber path.  act applies a group
+element to a batch at one level.  Exact set checks use Fractions built
+from the (exact) floats, or, for the stacking conditions, integer parts
+and fractions in [0, 1) compared as pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +62,11 @@ __all__ = [
     "act",
     "split_translate",
     "time_lane",
+    "RadixTimes",
     "sample_point_batch",
     "embed_batch",
     "peel_batch",
+    "central_translate",
     "level_dump_rows",
     "substream",
 ]
@@ -514,6 +525,29 @@ def time_lane(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
+def _lane(levels: CFLevels, k: int):
+    """The dtype of level-k times inside the engine loops, and of the low
+    digit of level-(k+1) times: a level-k time plus one correction, room
+    left for a translate by up to 2 a~_k and the peel's + a~_k."""
+    return time_lane(levels.a(k) + 2 * levels.a_tilde(k))
+
+
+class RadixTimes(NamedTuple):
+    """Integer times of level k+1 in mixed radix, hi * 2 a~_k + lo: hi the
+    shift index h_k (int64), lo the rest, in the lane of level k."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+
+
+def _join(levels: CFLevels, k: int, hi, lo):
+    """Level-k times hi * 2 a~_(k-1) + lo as one array in the lane of level
+    k; lo alone, moved to that lane, when hi is None."""
+    lane = _lane(levels, k)
+    lo = lo.astype(lane, copy=False)
+    return lo if hi is None else lo + hi.astype(lane, copy=False) * (2 * levels.a_tilde(k - 1))
+
+
 def _in_base(ti, tf, a: int):
     """Mask of the times ti + tf in the half-open base interval (-a, a]."""
     return ((ti > -a) | ((ti == -a) & (tf > 0.0))) & ((ti < a) | ((ti == a) & (tf == 0.0)))
@@ -597,14 +631,20 @@ def _check_depth(levels: CFLevels, *ns: int) -> None:
             raise LevelTooDeepError(f"level {n} is above the deepest built level {top}")
 
 
-def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: int):
+def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: int,
+                *, radix: bool = False):
     """Vectorized embedding of a batch from from_level up to to_level.
 
-    tails columns are consumed in order; the integer times become Python ints
-    (an object array) at the first level whose magnitudes no longer fit int64
-    safely, and every step below runs unchanged on either dtype.  Each level
-    multiplies the fiber by the shift element twisted by the current time,
-    one quat_mul and the closed-form quat_twist.
+    tails columns are consumed in order.  Each level k adds the correction's
+    shell, fraction and carry to the time and keeps the shift index h_k as
+    the high digit of the level-(k+1) time, joined in at the next level (see
+    RadixTimes); times run in the lane _lane picks for their level.  So the
+    to_level times are the pair (h, lo), lo int64 wherever the level below
+    is.  By default they are joined into one array, Python ints (an object
+    array) where the level's times pass 2^62; with radix they come back as
+    RadixTimes, which peel_batch also takes.  Each level multiplies the
+    fiber by the shift element twisted by the current time, one quat_mul and
+    the closed-form quat_twist.
     Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
     nor returned (None in its place); times are the same either way.
     """
@@ -617,17 +657,16 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
     q = None if q is None else np.array(q, dtype=float, copy=True)
+    h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
+        ti = _join(levels, k, h, ti)
         h = tails[:, col].astype(np.int64)
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
         if q is not None:
             q = quat_mul(q, quat_twist(ti, tf, lv.s_quat[j]))
-        step = 2 * lv.a_tilde
-        if time_lane(levels.a(k + 1) + step) is object:
-            ti = ti.astype(object)
-        ti = ti + h.astype(ti.dtype) * step + lv.s_shell[j].astype(ti.dtype)
+        ti = ti + lv.s_shell[j].astype(ti.dtype)
         s_u = lv.s_u[j]
         moved = tf + s_u
         lost = moved - s_u != tf
@@ -641,22 +680,30 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         carry = tf >= 1.0
         tf = np.where(carry, tf - 1.0, tf)
         ti = ti + carry.astype(ti.dtype)
+    ti = RadixTimes(h, ti) if radix else _join(levels, to_level, h, ti)
     return ti, tf, q
 
 
 def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     """Vectorized peeling of a batch down to to_level.
 
-    Returns (valid, ti, tf, q, hs): lanes where the point has no
-    representation at to_level are masked out of `valid` (their coordinate
-    values are unspecified); hs[:, c] is the recovered shift index at level
-    to_level + c.  Python-int times return to int64 at the first level where
-    they fit.  Each level multiplies the fiber by the inverse shift element
-    twisted by the peeled time, one quat_mul and the closed-form quat_twist.
+    ti is one array of integer times, int64 or Python ints, or a RadixTimes
+    pair (hi, lo), of which the first level peels lo and adds hi to the
+    shift index it finds.  Returns (valid, ti, tf, q, hs): lanes where the
+    point has no representation at to_level are masked out of `valid` (their
+    coordinate values are unspecified); hs[:, c] is the recovered shift index
+    at level to_level + c.  Level k finds d = (t + a~_k) // 2 a~_k, less one
+    on a shell edge (remainder 0 and fraction 0), so h = hi + d (h = d
+    without hi) and the level-k time is t - d * 2 a~_k less the correction.
+    Python-int times return to int64 at the first level where they fit
+    (_lane).  Each level multiplies the fiber by the
+    inverse shift element twisted by the peeled time, one quat_mul and the
+    closed-form quat_twist.
     With q None the fiber is neither moved nor returned (None in its place);
     valid, times and hs are the same either way.
     """
     _check_depth(levels, from_level, to_level)
+    hi, ti = ti if isinstance(ti, RadixTimes) else (None, ti)
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
     q = None if q is None else np.array(q, dtype=float, copy=True)
@@ -667,12 +714,14 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         lv = levels.level(k)
         two = 2 * lv.a_tilde
         shifted = ti + lv.a_tilde
-        q0 = shifted // two
-        on_edge = (shifted - q0 * two == 0) & (tf == 0.0)
-        h = (q0 - on_edge.astype(ti.dtype)).astype(np.int64)
+        d = shifted // two
+        on_edge = (shifted - d * two == 0) & (tf == 0.0)
+        d = d - on_edge.astype(ti.dtype)
+        h = d.astype(np.int64) if hi is None else hi + d.astype(np.int64)
+        hi = None
         ok_h = np.abs(h) <= lv.r - 1
         j = np.clip(h + (lv.r - 1), 0, 2 * lv.r - 2)
-        ti = ti - h.astype(ti.dtype) * two - lv.s_shell[j].astype(ti.dtype)
+        ti = ti - d * two - lv.s_shell[j].astype(ti.dtype)
         tf = tf - lv.s_u[j]
         borrow = tf < 0.0
         tf = np.where(borrow, tf + 1.0, tf)
@@ -685,7 +734,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
                     f"the level-{k} correction {float(lv.s_u[j[lost[0]]])!r}"
                 )
         ti = ti - borrow.astype(ti.dtype)
-        if ti.dtype == object and time_lane(levels.a(k) + two) is np.int64:
+        if ti.dtype == object and _lane(levels, k) is np.int64:
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)
         if q is not None:
@@ -693,6 +742,20 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
     return valid, ti, tf, q, hs
+
+
+def central_translate(levels: CFLevels, ti, tf, tails, g: int, from_level: int, to_level: int):
+    """Peel back to from_level the batch (ti, tf) embedded up to to_level
+    with `tails` and moved there by the central time translate g, an
+    integer: peel_batch's (valid, ti, tf, None, hs) of embed_batch's times
+    plus g, fiber-free.  The to_level times stay a RadixTimes pair
+    throughout: g = gh * 2 a~_(to_level-1) + gl with 0 <= gl < 2 a~_(to_level-1)
+    adds gh to the shift digit and gl to the low digit, so no time past
+    2^62 is formed where the low digit fits int64.
+    """
+    top, tf, _ = embed_batch(levels, ti, tf, None, tails, from_level, to_level, radix=True)
+    gh, gl = divmod(g, 2 * levels.a_tilde(to_level - 1))
+    return peel_batch(levels, RadixTimes(top.hi + gh, top.lo + gl), tf, None, to_level, from_level)
 
 
 # ---------------------------------------------------------------------------

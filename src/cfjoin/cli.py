@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from .verifier import EXPERIMENTS, ExperimentConfig, emit_report
+from .verifier import EXPERIMENTS, ExperimentConfig, emit_report, min_max_level
 
 _SUBCOMMAND_SETS = {
     "sequences": ["sequences"],
@@ -39,7 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _experiments(cfg: ExperimentConfig, args: argparse.Namespace) -> list[str]:
+    return cfg.experiments or _SUBCOMMAND_SETS[args.command]
+
+
+def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
+    """The config file (or the default) with the command-line overrides;
+    a usage error when its max level is below what the selected
+    experiments read."""
     if args.config is not None:
         cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
@@ -56,13 +63,23 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         from .cf_engine import CFParams
 
         cfg.construction = CFParams.from_json(construction)
+    level = cfg.construction.max_level
+    needs = {name: min_max_level(cfg, name) for name in _experiments(cfg, args)}
+    short = [name for name, need in needs.items() if need > level]
+    if short:
+        need = max(needs[name] for name in short)
+        parser.error(
+            f"max level {level} is below {need}, the smallest at which "
+            f"{', '.join(short)} can run; pass --level {need} or higher"
+        )
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args)
-    names = cfg.experiments or _SUBCOMMAND_SETS[args.command]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = load_config(args, parser)
+    names = _experiments(cfg, args)
     reports = []
     for name in names:
         t0 = time.time()

@@ -57,6 +57,7 @@ __all__ = [
     "run_nonuniqueness_42",
     "emit_report",
     "EXPERIMENTS",
+    "min_max_level",
 ]
 
 
@@ -613,7 +614,9 @@ def _weakmix_deviation(
     the level-1 part, which contains both cylinders exactly, so the only
     truncation effect is the vanishing mass of translates leaving the deepest
     built frame.  g_n = (2 a~_n, I) moves only time and both rectangles have
-    full fibers, so the points are embedded and peeled without their fiber."""
+    full fibers, so the points are embedded, translated and peeled without
+    their fiber, by central_translate: level-7 times pass 2^62, and it moves
+    them as int64 radix digits, not as Python ints."""
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
@@ -622,10 +625,8 @@ def _weakmix_deviation(
     ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
     t1 = ti.astype(float) + tf
     in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
-    tin, tfn, _ = cf_engine.embed_batch(levels, ti, tf, None, tails, 1, top)
     g = 2 * levels.a_tilde(n)
-    tin = tin + g
-    valid, ti1, tf1, _, _ = cf_engine.peel_batch(levels, tin, tfn, None, top, 1)
+    valid, ti1, tf1, _, _ = cf_engine.central_translate(levels, ti, tf, tails, g, 1, top)
     t1_shift = ti1.astype(float) + tf1
     in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
     p_hat = float(np.mean(in_a & in_b))
@@ -724,6 +725,23 @@ def _overlap_deviation(
     return float(np.mean(devs)), float(np.std(devs) / math.sqrt(draws))
 
 
+# the levels n whose slabs run_lemma62 checks
+_LEMMA62_LEVELS = (3, 4, 5, 6)
+
+
+def min_max_level(cfg: ExperimentConfig, name: str) -> int:
+    """The smallest construction max_level at which experiment `name` runs:
+    lemma62 reads a(n) and level n - 1 for each of its levels n, and weakmix
+    needs level n + 1 as well, since g_n = (2 a~_n, I) moves the level-n
+    shift index (on a build that stops at level n every translate leaves
+    it).  The other experiments run on any build."""
+    if name == "weakmix":
+        return max(cfg.weakmix_levels, default=0)
+    if name == "lemma62":
+        return max(_LEMMA62_LEVELS) - 1
+    return 0
+
+
 def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
     """Exact symmetric-difference bound for translated slabs, and the
     conditional overlap density of expanded rectangles.
@@ -737,7 +755,7 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
     rng = substream(cfg.seed, "lemma62")
 
     means = {}
-    for n in (3, 4, 5, 6):
+    for n in _LEMMA62_LEVELS:
         at_prev = levels.a_tilde(n - 1)
         k_slab = (2 * n - 1) * at_prev
         # (i): lambda(f S_n delta fhat S_n) <= 4 lambda(F~_{n-1}), exact

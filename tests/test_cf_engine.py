@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -455,17 +456,129 @@ class TestBatchRoundTrips:
             cf.peel_batch(levels, ti, tf, q, 9, 1)
 
 
+@functools.cache
+def _build(max_level: int):
+    return cf.build_levels(cf.default_params(max_level=max_level), seed=42)
+
+
+def _same_valid_lanes(got, want):
+    """Equal validity, and bit-equal times, fractions, fibers and shift
+    indices on the valid lanes of two peel_batch results."""
+    valid = got[0]
+    assert np.array_equal(valid, want[0])
+    assert [int(t) for t in got[1][valid]] == [int(t) for t in want[1][valid]]
+    for x, y in zip(got[2:], want[2:]):
+        assert (x is None and y is None) or np.array_equal(x[valid], y[valid])
+
+
+class TestRadixLane:
+    """The top level as the int64 radix pair (h, lo) against the same
+    times as one array, Python ints past 2^62 (the object lane), and against
+    the Fraction oracle.  max_level 7 puts the low digit of its top level 8
+    past int64 as well, where it falls back to the object lane."""
+
+    @pytest.mark.parametrize("max_level", [6, 7])
+    @pytest.mark.parametrize("trap", [None, "sub-ulp", "borrow"])
+    @given(data=st.data())
+    def test_radix_matches_object_lane_and_oracle(self, max_level, trap, data):
+        levels = _build(max_level)
+        top = max_level + 1
+        lv = levels.level(top - 1)
+        r, at, two = lv.r, lv.a_tilde, 2 * lv.a_tilde
+        # sub-ulp: the embed step into the top, the radix step, loses lane 0's fraction
+        lo = top - 1 if trap == "sub-ulp" else data.draw(st.integers(1, top - 1), label="from_level")
+        _, _, starts, ti, tf, q, tails = _draw_batch(levels, data, lo, top, min_points=3)
+        if trap == "sub-ulp":
+            tf[0] = 5.7e-220
+            tails[0, -1] = data.draw(st.sampled_from(np.flatnonzero(lv.s_u).tolist())) - (r - 1)
+        embedded = [_outcome(cf.embed_batch, levels, ti, tf, q, tails, lo, top, radix=radix)
+                    for radix in (True, False)]
+        if embedded[1] is cf.InexactFractionError:
+            assert embedded[0] is cf.InexactFractionError
+            if trap == "sub-ulp":
+                with pytest.raises(cf.InexactFractionError, match=f"level-{top - 1} correction"):
+                    cf.embed_batch(levels, ti, tf, q, tails, lo, top, radix=True)
+            return
+        assert trap != "sub-ulp"
+        (pair, tfn, qn), (joined, tfj, qj) = embedded
+        # the top's times pass 2^62; its low digit does only on the deeper build
+        assert joined.dtype == object and pair.lo.dtype == (np.int64 if max_level == 6 else object)
+        assert [int(h) * two + int(t) for h, t in zip(pair.hi, pair.lo)] == joined.tolist()
+        assert np.array_equal(tfn, tfj) and np.array_equal(qn, qj)
+        for i, (t0, f0) in enumerate(starts):
+            ref = _ref_split(_ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top))
+            assert int(joined[i]) == ref[0] and abs(float(tfn[i]) - ref[1]) <= 1e-12
+
+        # central_translate against the object lane, one translate for the batch
+        g = data.draw(st.integers(-3 * two, 3 * two), label="translate")
+        _same_valid_lanes(cf.central_translate(levels, ti, tf, tails, g, lo, top),
+                          cf.peel_batch(levels, joined + g, tfn, None, top, lo))
+
+        # one translate per lane: across a top shell edge (h' = h +- 1), out
+        # of H (|h'| = r), or anywhere in three shells either way
+        h = pair.hi
+        kinds = [("cross", "leave", "any")[i % 3] for i in range(len(h))]
+        gs = [data.draw(st.sampled_from([-two, two])) if kind == "cross"
+              else data.draw(st.sampled_from([-r, r])) * two - int(hk) * two if kind == "leave"
+              else data.draw(st.integers(-3 * two, 3 * two))
+              for kind, hk in zip(kinds, h)]
+        digits = [divmod(gk, two) for gk in gs]
+        his = [int(hk) + gh for hk, (gh, _) in zip(h, digits)]
+        los = [int(t) + gl for t, (_, gl) in zip(pair.lo, digits)]
+        tfs = tfn.tolist()
+        # a lane on a shell edge: remainder 0 and fraction 0
+        his.append(data.draw(st.integers(-(r - 2), r - 2)))
+        los.append(data.draw(st.sampled_from([-at, at])))
+        tfs.append(0.0)
+        if trap == "borrow":
+            # t - s lands within 2^-54 below an integer, so the borrowed
+            # fraction rounds up to 1.0 at the radix step
+            j = data.draw(st.sampled_from(np.flatnonzero((lv.s_u > 0) & (lv.s_u <= 0.5)).tolist()))
+            his.append(j - (r - 1))
+            los.append(int(lv.s_shell[j]) + 2)
+            tfs.append(float(lv.s_u[j]) - 2.0**-54)
+        qs = np.vstack([qn, quat_normalize(np.ones((len(tfs) - len(qn), 4)))])
+        tfs = np.array(tfs)
+        radix = cf.RadixTimes(np.array(his, dtype=np.int64), np.array(los, dtype=pair.lo.dtype))
+        big = np.array([hk * two + t for hk, t in zip(his, los)], dtype=object)
+        for fiber in (qs, None):
+            got = _outcome(cf.peel_batch, levels, radix, tfs, fiber, top, lo)
+            want = _outcome(cf.peel_batch, levels, big, tfs, fiber, top, lo)
+            if trap == "borrow":
+                assert got is want is cf.InexactFractionError
+                with pytest.raises(cf.InexactFractionError, match=f"level-{top - 1} correction"):
+                    cf.peel_batch(levels, radix, tfs, fiber, top, lo)
+                continue
+            _same_valid_lanes(got, want)
+            assert np.array_equal(got[4][:, -1], want[4][:, -1])  # the top shift, every lane
+        if trap == "borrow":
+            return
+        valid, ti1, tf1, _, hs = got
+        assert hs[0, -1] != h[0] and not valid[1]  # lane 0 crossed an edge, lane 1 left H
+        for i, t in enumerate(big):
+            # the shell of h is (2h a~ - a~, 2h a~ + a~], edges included on the right
+            assert hs[i, -1] == math.ceil((t + Fraction(float(tfs[i])) - at) / two)
+            ref = _ref_peel(levels, t + Fraction(float(tfs[i])), top, lo)
+            assert bool(valid[i]) == (ref is not None)
+            if ref is not None:
+                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(ref[0])[0], ref[1])
+                assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # hypothesis draws shared by the engine properties
 # ---------------------------------------------------------------------------
 
-def _draw_batch(levels, data):
+def _draw_batch(levels, data, lo=None, hi=None, min_points=1):
     """(from_level, to_level, starts, ti, tf, q, tails): a few points in the
-    from_level base with random tails up to to_level."""
+    from_level base with random tails up to to_level; levels not given are
+    drawn."""
     top = levels.max_level + 1
-    lo = data.draw(st.integers(0, top - 1), label="from_level")
-    hi = data.draw(st.integers(lo + 1, top), label="to_level")
-    n = data.draw(st.integers(1, 6), label="points")
+    if lo is None:
+        lo = data.draw(st.integers(0, top - 1), label="from_level")
+    if hi is None:
+        hi = data.draw(st.integers(lo + 1, top), label="to_level")
+    n = data.draw(st.integers(min_points, 6), label="points")
     a = levels.a(lo)
     # fractions on a 2^-32 grid, as sampled times have, or any float in
     # [0, 1), which may carry bits below one ulp of a correction it meets
@@ -484,16 +597,16 @@ def _draw_batch(levels, data):
           for k in range(lo, hi)] for _ in range(n)],
         dtype=np.int64,
     )
-    ti = np.array([t for t, _ in starts], dtype=np.int64)
+    ti = np.array([t for t, _ in starts], dtype=cf.time_lane(a))
     tf = np.array([f for _, f in starts])
     q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
     return lo, hi, starts, ti, tf, q, tails
 
 
-def _outcome(f, *args):
-    """f(*args), or InexactFractionError when it raises that."""
+def _outcome(f, *args, **kwargs):
+    """f(*args, **kwargs), or InexactFractionError when it raises that."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except cf.InexactFractionError:
         return cf.InexactFractionError
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfjoin import cf_engine
+from cfjoin import cf_engine, cli
 from cfjoin.verifier import (
     CheckReport,
     ExperimentConfig,
@@ -150,6 +150,21 @@ def test_weakmix_above_the_build_names_the_level(tmp_path):
 
 
 class TestCLI:
+    @pytest.mark.parametrize("command, need", [("weakmix", 6), ("lemma62", 5)])
+    def test_level_below_the_runners_is_a_usage_error(self, command, need, tmp_path, capsys):
+        # --level 3 used to end in a LevelTooDeepError traceback from inside
+        # the runner (weakmix at level 5 ran, but every g_6 translate left the
+        # build, so its n = 6 correlation read 0)
+        for level in (3, need - 1):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--level", str(level), "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"max level {level} is below {need}, the smallest at which {command} can run" in err
+        parser = cli.build_parser()
+        cfg = cli.load_config(parser.parse_args([command, "--level", str(need)]), parser)
+        assert cfg.construction.max_level == need
+
     def test_cli_subcommand(self, tmp_path):
         out = tmp_path / "cli"
         proc = subprocess.run(
