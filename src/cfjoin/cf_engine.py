@@ -11,12 +11,12 @@ embed_batch and peel_batch run a single arithmetic path per level.  The
 top level of an embedding is kept in mixed radix, t = hi * 2 a~_k + lo
 with hi the last shift index h_k (a RadixTimes pair).  Its low digit is a
 level-k time plus one correction, so it stays int64 at the first level
-whose times pass 2^62 (level 7 of the default build), and
-central_translate adds a time translate to the digits without forming
-the big time.  On deeper builds the times of the levels past that one,
-and the low digit of a top above them, fall back to Python-int object
-arrays (one radix digit, not one per overflowing level); _lane is the one
-place that picks int64 or object for a level.
+whose times pass 2^62 (level 7 of the default build), and translate, which
+moves the points of weakmix and of the joining windows, adds an integer
+time translate to the digits without forming the big time.  On deeper
+builds the times past that level, and the low digit of a top above them,
+fall back to Python-int object arrays (one radix digit, not one per
+overflowing level); _lane is the one place that picks int64 or object.
 At the public boundary times are one array: embed_batch joins the pair
 unless asked for it, and peel_batch takes either form.  Both take q=None for
 time-only work (a central time translate against full-fiber sets): the
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import GElement, quat_inv, quat_mul, quat_normalize, quat_twist
+from .groups import GElement, quat_inv, quat_mul, quat_normalize, quat_phi_int, quat_twist
 from . import equidist
 from .equidist import SMapResult, default_alphabet
 
@@ -52,6 +52,8 @@ __all__ = [
     "InexactTranslateError",
     "InexactFractionError",
     "CorrectionFractionError",
+    "UnknownConfigKeyError",
+    "check_config_keys",
     "default_params",
     "derive_sequences",
     "level_ratio",
@@ -61,12 +63,11 @@ __all__ = [
     "cylinder_measure",
     "act",
     "split_translate",
-    "time_lane",
     "RadixTimes",
     "sample_point_batch",
     "embed_batch",
     "peel_batch",
-    "central_translate",
+    "translate",
     "level_dump_rows",
     "substream",
 ]
@@ -102,6 +103,10 @@ class CorrectionFractionError(ValueError):
     """A correction time's fractional part lies outside [0, 1)."""
 
 
+class UnknownConfigKeyError(ValueError):
+    """A config sets a key that no setting reads: a misspelt or retired one."""
+
+
 def substream(seed: int, label: str) -> np.random.Generator:
     """Deterministic named substream of a root seed."""
     import zlib
@@ -125,10 +130,8 @@ class CFParams:
     r_floor: int = 100
     r_power: int = 5
     r_values: tuple[int, ...] = ()
-    eps_kind: str = "harmonic"  # eps_n = 1/(n+1)
     max_level: int = 6
     alphabet_size: int = 8
-    sample_count: int = 64
 
     def r(self, n: int) -> int:
         if self.r_kind == "max_power":
@@ -142,9 +145,7 @@ class CFParams:
         raise ValueError(f"unknown r_kind {self.r_kind!r}")
 
     def eps(self, n: int) -> float:
-        if self.eps_kind == "harmonic":
-            return 1.0 / (n + 1)
-        raise ValueError(f"unknown eps_kind {self.eps_kind!r}")
+        return 1.0 / (n + 1)  # the harmonic tolerance schedule
 
     def to_json(self) -> dict:
         return {
@@ -154,25 +155,29 @@ class CFParams:
                 "power": self.r_power,
                 "values": list(self.r_values),
             },
-            "eps_schedule": {"kind": self.eps_kind},
             "max_level": self.max_level,
             "alphabet_size": self.alphabet_size,
-            "sample_count": self.sample_count,
         }
 
     @staticmethod
     def from_json(data: dict) -> "CFParams":
+        check_config_keys(data, ("r_schedule", "max_level", "alphabet_size"), "construction")
         rs = data.get("r_schedule", {})
+        check_config_keys(rs, ("kind", "floor", "power", "values"), "construction.r_schedule")
         return CFParams(
             r_kind=rs.get("kind", "max_power"),
             r_floor=int(rs.get("floor", 100)),
             r_power=int(rs.get("power", 5)),
             r_values=tuple(rs.get("values", ())),
-            eps_kind=data.get("eps_schedule", {}).get("kind", "harmonic"),
             max_level=int(data.get("max_level", 6)),
             alphabet_size=int(data.get("alphabet_size", 8)),
-            sample_count=int(data.get("sample_count", 64)),
         )
+
+
+def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
+    """UnknownConfigKeyError naming every key of `data` outside `known`."""
+    if unknown := sorted(set(data) - set(known)):
+        raise UnknownConfigKeyError(f"unknown {where} config keys {unknown}; known: {list(known)}")
 
 
 def default_params(max_level: int = 6, **kw) -> CFParams:
@@ -518,18 +523,12 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
 # the integer lane and the group action
 # ---------------------------------------------------------------------------
 
-def time_lane(bound: int):
-    """Array dtype for integer times of magnitude below `bound`: int64 while
-    bound < 2^62, which leaves room for one more step of the same size, and
-    Python ints (object) from there on."""
-    return np.int64 if bound < _INT64_SAFE else object
-
-
 def _lane(levels: CFLevels, k: int):
     """The dtype of level-k times inside the engine loops, and of the low
     digit of level-(k+1) times: a level-k time plus one correction, room
-    left for a translate by up to 2 a~_k and the peel's + a~_k."""
-    return time_lane(levels.a(k) + 2 * levels.a_tilde(k))
+    left for a translate by up to 2 a~_k and the peel's + a~_k.  int64 below
+    2^62, room for one more such step, and Python ints (object) from there."""
+    return np.int64 if levels.a(k) + 2 * levels.a_tilde(k) < _INT64_SAFE else object
 
 
 class RadixTimes(NamedTuple):
@@ -624,13 +623,6 @@ def sample_point_batch(
     return ti, tf, q, tails
 
 
-def _check_depth(levels: CFLevels, *ns: int) -> None:
-    top = levels.max_level + 1
-    for n in ns:
-        if n > top:
-            raise LevelTooDeepError(f"level {n} is above the deepest built level {top}")
-
-
 def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: int,
                 *, radix: bool = False):
     """Vectorized embedding of a batch from from_level up to to_level.
@@ -648,7 +640,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
     nor returned (None in its place); times are the same either way.
     """
-    _check_depth(levels, from_level, to_level)
+    levels._built(to_level, levels.max_level + 1)
     if tails.shape[1] < to_level - from_level:
         raise OrbitLeftTruncationError(
             f"orbit left truncation at level {from_level + tails.shape[1]}: "
@@ -696,13 +688,12 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     on a shell edge (remainder 0 and fraction 0), so h = hi + d (h = d
     without hi) and the level-k time is t - d * 2 a~_k less the correction.
     Python-int times return to int64 at the first level where they fit
-    (_lane).  Each level multiplies the fiber by the
-    inverse shift element twisted by the peeled time, one quat_mul and the
-    closed-form quat_twist.
+    (_lane).  Each level multiplies the fiber by the inverse shift element
+    twisted by the peeled time, one quat_mul and the closed-form quat_twist.
     With q None the fiber is neither moved nor returned (None in its place);
     valid, times and hs are the same either way.
     """
-    _check_depth(levels, from_level, to_level)
+    levels._built(from_level, levels.max_level + 1)
     hi, ti = ti if isinstance(ti, RadixTimes) else (None, ti)
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
@@ -744,18 +735,23 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     return valid, ti, tf, q, hs
 
 
-def central_translate(levels: CFLevels, ti, tf, tails, g: int, from_level: int, to_level: int):
-    """Peel back to from_level the batch (ti, tf) embedded up to to_level
-    with `tails` and moved there by the central time translate g, an
-    integer: peel_batch's (valid, ti, tf, None, hs) of embed_batch's times
-    plus g, fiber-free.  The to_level times stay a RadixTimes pair
-    throughout: g = gh * 2 a~_(to_level-1) + gl with 0 <= gl < 2 a~_(to_level-1)
-    adds gh to the shift digit and gl to the low digit, so no time past
-    2^62 is formed where the low digit fits int64.
-    """
-    top, tf, _ = embed_batch(levels, ti, tf, None, tails, from_level, to_level, radix=True)
-    gh, gl = divmod(g, 2 * levels.a_tilde(to_level - 1))
-    return peel_batch(levels, RadixTimes(top.hi + gh, top.lo + gl), tf, None, to_level, from_level)
+def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
+    """peel_batch back to from_level of the batch embedded up to to_level
+    with `tails` and moved there by the integer time translate (g, I), the
+    fiber (if any) turned by phi_g, the parity twist quat_phi_int.  g is a
+    Python int or an int64 array, one per lane, to which a one-row batch is
+    broadcast.  The top times stay a RadixTimes pair: g = gh * 2 a~_(to-1)
+    + gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl to the
+    low digit, so no time past 2^62 is formed where the low digit fits int64."""
+    top, tf, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
+    radix = 2 * levels.a_tilde(to_level - 1)
+    # the digits of g in the low digit's lane, which holds the radix too
+    g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
+    lanes = np.broadcast_shapes(tf.shape, g.shape)
+    if q is not None:
+        q = quat_phi_int(g % 2, np.broadcast_to(q, lanes + (4,)))
+    top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix)
+    return peel_batch(levels, top, np.broadcast_to(tf, lanes), q, to_level, from_level)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -58,11 +59,7 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
     if args.samples is not None:
         cfg.mc_samples = args.samples
     if args.level is not None:
-        construction = cfg.construction.to_json()
-        construction["max_level"] = args.level
-        from .cf_engine import CFParams
-
-        cfg.construction = CFParams.from_json(construction)
+        cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
     level = cfg.construction.max_level
     needs = {name: min_max_level(cfg, name) for name in _experiments(cfg, args)}
     short = [name for name, need in needs.items() if need > level]

@@ -18,15 +18,16 @@ import numpy as np
 
 # quat_mul is unused here but stays importable: the benchmark's tracer wraps
 # it in every module that holds it and checks joinings.quat_mul
-from .groups import GElement, adjoint_matrix, quat_mul, quat_phi_int
+from .groups import GElement, adjoint_matrix, quat_mul
 from .cf_engine import (
     CFLevels,
+    LevelTooDeepError,
     OrbitLeftTruncationError,
     act,
     embed_batch,
     peel_batch,
     sample_point_batch,
-    time_lane,
+    translate,
 )
 
 __all__ = [
@@ -58,8 +59,9 @@ class CFDictionary:
     each classification target pair separates at low metric weight.
     """
 
-    def __init__(self, levels: CFLevels, dict_id: str = "k16-default-v1"):
-        self.dict_id = dict_id
+    dict_id = "k16-default-v1"
+
+    def __init__(self, levels: CFLevels):
         self.a1 = levels.a(1)
         self.scale = 1.0 / math.sqrt(levels.mu_xn(1))
         spec = [
@@ -288,15 +290,10 @@ def _window_values(
 ) -> np.ndarray:
     """Dictionary values (K, R) at the translates of a level-1 point, a
     one-row batch (ti, tf, q, tails), by g = b + spacing t."""
+    if window.max_abs() >= 2**63:
+        raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
     top = min(window.n + 2, levels.max_level + 1)
-    ti, tf, q = embed_batch(levels, *point, 1, top)
-    lane = time_lane(levels.a(top) + window.max_abs())
-    ti = ti.astype(lane) + bs.astype(lane) + window.spacing * ts.astype(lane)
-    tf = np.full(len(bs), tf[0])
-    # spacing is even, so parity comes from b
-    q = quat_phi_int(bs % 2, np.broadcast_to(q, (len(bs), 4)))
-    valid, ti1, tf1, q1, _ = peel_batch(levels, ti, tf, q, top, 1)
-    return dictionary.evaluate((valid, ti1, tf1, q1))
+    return dictionary.evaluate(translate(levels, *point, bs + window.spacing * ts, 1, top)[:4])
 
 
 def empirical_joining(

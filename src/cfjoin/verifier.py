@@ -13,7 +13,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -70,10 +70,7 @@ class ExperimentConfig:
     seed: int = 0
     construction: CFParams = field(default_factory=cf_engine.default_params)
     mc_samples: int = 1_000_000
-    truncation: int = 12
-    dictionary_id: str = "k16-default-v1"
     output_dir: str = "out"
-    window_level: int = 4
     weakmix_levels: tuple[int, ...] = (2, 3, 4, 5, 6)
     experiments: tuple[str, ...] = ()
 
@@ -82,24 +79,19 @@ class ExperimentConfig:
             "seed": self.seed,
             "construction": self.construction.to_json(),
             "mc_samples": self.mc_samples,
-            "truncation": self.truncation,
-            "dictionary_id": self.dictionary_id,
             "output_dir": self.output_dir,
-            "window_level": self.window_level,
             "weakmix_levels": list(self.weakmix_levels),
             "experiments": list(self.experiments),
         }
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
+        cf_engine.check_config_keys(data, [f.name for f in fields(ExperimentConfig)], "experiment")
         return ExperimentConfig(
             seed=int(data.get("seed", 0)),
             construction=CFParams.from_json(data.get("construction", {})),
             mc_samples=int(data.get("mc_samples", 1_000_000)),
-            truncation=int(data.get("truncation", 12)),
-            dictionary_id=data.get("dictionary_id", "k16-default-v1"),
             output_dir=data.get("output_dir", "out"),
-            window_level=int(data.get("window_level", 4)),
             weakmix_levels=tuple(data.get("weakmix_levels", (2, 3, 4, 5, 6))),
             experiments=tuple(data.get("experiments", ())),
         )
@@ -506,13 +498,12 @@ def _overlap_pair_sum(u: np.ndarray, half: int, ta: float, wa: float, tb: float,
 
 def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("sample-sets", "techniczny-i;techniczny-ii;lm:6.2")
-    params = cfg.construction
     levels = _levels_cache(cfg)
     mc = cfg.mc_samples
 
     for n in (2, 3):
-        eps = params.eps(n)
-        count = params.sample_count if n == 2 else max(params.sample_count // 4, 8)
+        eps = cfg.construction.eps(n)
+        count = 64 if n == 2 else 16  # sample-set elements
         ss = equidist.build_sample_set(n, levels.a_tilde(n - 1), count)
         half = ss.half_width
         rng = substream(cfg.seed, f"techniczny-{n}")
@@ -613,10 +604,11 @@ def _weakmix_deviation(
     estimate of the correlation mu(T_{g_n}[A] n [B]) itself.  Conditions on
     the level-1 part, which contains both cylinders exactly, so the only
     truncation effect is the vanishing mass of translates leaving the deepest
-    built frame.  g_n = (2 a~_n, I) moves only time and both rectangles have
-    full fibers, so the points are embedded, translated and peeled without
-    their fiber, by central_translate: level-7 times pass 2^62, and it moves
-    them as int64 radix digits, not as Python ints."""
+    built frame.  g_n = (2 a~_n, I) moves the level-n shift index, so a build
+    without level n raises LevelTooDeepError (the correlation would read 0).
+    It moves only time and both rectangles have full fibers, so translate
+    moves the points without their fiber, as int64 radix digits."""
+    g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
@@ -625,8 +617,7 @@ def _weakmix_deviation(
     ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
     t1 = ti.astype(float) + tf
     in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
-    g = 2 * levels.a_tilde(n)
-    valid, ti1, tf1, _, _ = cf_engine.central_translate(levels, ti, tf, tails, g, 1, top)
+    valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
     t1_shift = ti1.astype(float) + tf1
     in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
     p_hat = float(np.mean(in_a & in_b))
@@ -843,9 +834,8 @@ def run_fubini(cfg: ExperimentConfig) -> CheckReport:
 def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("joinings", "2:1;6-15;metryka")
     levels = _levels_cache(cfg)
-    d = joinings.CFDictionary(levels, cfg.dictionary_id)
-    n = cfg.window_level
-    window = joinings.folner_window(n, levels)
+    d = joinings.CFDictionary(levels)
+    window = joinings.folner_window(4, levels)  # translates reach level 6
     target_samples = max(cfg.mc_samples // 5, 50_000)
     window_samples = max(cfg.mc_samples // 5, 50_000)
 
@@ -860,15 +850,15 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     )
     targets = {"product": prod, "graph_k": gk, "graph_kstar": gks, "mixture": mix}
 
-    # generic points: tails rejected into the shrunken index ranges so every
-    # window translate stays inside the next frame; the independent partner
-    # additionally has all tail indices distinct from x's
+    # generic points with every tail the build holds, rejected into the
+    # shrunken index ranges so every window translate stays inside the next
+    # frame; the independent partner has all tail indices distinct from x's
     rng_pts = substream(cfg.seed, "generic-points")
-    x = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
+    x = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
     x_paired = (*cf_engine.act(k, *x[:3]), x[3])
-    y = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
+    y = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
     while np.any(x[3] == y[3]):
-        y = cf_engine.sample_point_batch(levels, 1, cfg.truncation, rng_pts, h_minus=True)
+        y = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
 
     rows = []
     emp_paired = joinings.empirical_joining(

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
-from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul, quat_normalize
+from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul, quat_normalize, quat_phi_int
 
 
 class TestSequences:
@@ -509,9 +509,9 @@ class TestRadixLane:
             ref = _ref_split(_ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top))
             assert int(joined[i]) == ref[0] and abs(float(tfn[i]) - ref[1]) <= 1e-12
 
-        # central_translate against the object lane, one translate for the batch
+        # a fiber-free translate against the object lane, one g for the batch
         g = data.draw(st.integers(-3 * two, 3 * two), label="translate")
-        _same_valid_lanes(cf.central_translate(levels, ti, tf, tails, g, lo, top),
+        _same_valid_lanes(cf.translate(levels, ti, tf, None, tails, g, lo, top),
                           cf.peel_batch(levels, joined + g, tfn, None, top, lo))
 
         # one translate per lane: across a top shell edge (h' = h +- 1), out
@@ -565,6 +565,81 @@ class TestRadixLane:
                 assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
 
 
+def _window_arithmetic(levels, ti, tf, q, tails, g, lo, top):
+    """The joining windows' own translate, the oracle for translate: the
+    joined times of embed_batch plus g as Python ints, the fiber turned by
+    the parity of g, then peel_batch."""
+    joined, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, top)
+    moved = joined.astype(object) + np.asarray(g).astype(object)
+    tfn = np.broadcast_to(tfn, moved.shape)
+    if q is not None:
+        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn, moved.shape + (4,)))
+    return cf.peel_batch(levels, moved, tfn, qn, top, lo)
+
+
+class TestTranslate:
+    """translate against the windows' former arithmetic and the Fraction
+    oracle at the top of the default build and of the deeper one, whose
+    radix 2 a~_7 passes int64.  Rows 0 and 1 start at the right end of their
+    base with every lower tail at r - 1, so their top times sit within an
+    int64 g of the right edge of their top shell: lane 0 crosses it into
+    h + 1, lane 1 (top tail r - 1) leaves H."""
+
+    @pytest.mark.parametrize("max_level", [6, 7])
+    @pytest.mark.parametrize("form", ["lanes", "broadcast", "scalar"])
+    @given(data=st.data())
+    def test_matches_window_arithmetic_and_oracle(self, max_level, form, data):
+        levels = _build(max_level)
+        top = max_level + 1
+        lv = levels.level(top - 1)
+        r, at, two = lv.r, lv.a_tilde, 2 * lv.a_tilde
+        lo, _, _, ti, tf, q, tails = _draw_batch(levels, data, hi=top, min_points=3)
+        ti[:2] = levels.a(lo) - 1
+        tails[:2, :-1] = [levels.level(k).r - 1 for k in range(lo, top - 1)]
+        tails[0, -1] = data.draw(st.integers(-(r - 2), r - 2), label="top tail")
+        tails[1, -1] = r - 1
+        embedded = _outcome(cf.embed_batch, levels, ti, tf, None, tails, lo, top, radix=True)
+        if embedded is cf.InexactFractionError:
+            assert _outcome(cf.translate, levels, ti, tf, q, tails, 0, lo, top) is embedded
+            return
+        # the g that takes a lane just past the right edge of its top shell
+        edge = [at - int(t) + 1 + data.draw(st.integers(0, 3)) for t in embedded[0].lo[:2]]
+        bound = min(3 * two, 2**62)
+        odd = 2 * data.draw(st.integers(-bound // 2, bound // 2 - 1)) + 1
+        if form == "lanes":
+            g = np.array(edge + [odd] + [data.draw(st.integers(-bound, bound))
+                                         for _ in range(len(tf) - 3)], dtype=np.int64)
+        elif form == "broadcast":
+            row = data.draw(st.sampled_from([0, 1]), label="row")
+            ti, tf, q, tails = (x[row:row + 1] for x in (ti, tf, q, tails))
+            g = np.array([edge[row], 0, odd, data.draw(st.integers(-bound, bound))], dtype=np.int64)
+        else:
+            g = data.draw(st.integers(-3 * two, 3 * two), label="translate")
+        for fiber in (q, None):
+            got = _outcome(cf.translate, levels, ti, tf, fiber, tails, g, lo, top)
+            want = _outcome(_window_arithmetic, levels, ti, tf, fiber, tails, g, lo, top)
+            if want is cf.InexactFractionError:
+                assert got is want
+                return
+            assert (got[3] is None) == (fiber is None)
+            _same_valid_lanes(got, want)
+            assert np.array_equal(got[4][:, -1], want[4][:, -1])  # the top shift, every lane
+        valid, ti1, tf1, _, hs = got
+        if form == "lanes":
+            assert hs[0, -1] == tails[0, -1] + 1 and hs[1, -1] == r and not valid[1]
+        elif form == "broadcast":
+            assert hs[0, -1] == tails[0, -1] + 1 and (row == 0 or not valid[0])
+        gs = np.broadcast_to(np.asarray(g, dtype=object), valid.shape)
+        for i, gi in enumerate(gs):
+            row = min(i, len(tf) - 1)
+            t = _ref_embed(levels, int(ti[row]) + Fraction(float(tf[row])), tails[row].tolist(), lo, top)
+            ref = _ref_peel(levels, t + gi, top, lo)
+            assert bool(valid[i]) == (ref is not None)
+            if ref is not None:
+                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(ref[0])[0], ref[1])
+                assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # hypothesis draws shared by the engine properties
 # ---------------------------------------------------------------------------
@@ -597,7 +672,7 @@ def _draw_batch(levels, data, lo=None, hi=None, min_points=1):
           for k in range(lo, hi)] for _ in range(n)],
         dtype=np.int64,
     )
-    ti = np.array([t for t, _ in starts], dtype=cf.time_lane(a))
+    ti = np.array([t for t, _ in starts], dtype=cf._lane(levels, lo))
     tf = np.array([f for _, f in starts])
     q = quat_normalize(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 4)))
     return lo, hi, starts, ti, tf, q, tails
@@ -671,7 +746,7 @@ def _ref_split(t: Fraction) -> tuple[int, float]:
 
 class TestSerialization:
     def test_params_round_trip(self):
-        params = cf.CFParams(max_level=4, alphabet_size=12, sample_count=32)
+        params = cf.CFParams(max_level=4, alphabet_size=12)
         again = cf.CFParams.from_json(params.to_json())
         assert again == params
 

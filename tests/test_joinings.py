@@ -264,6 +264,14 @@ class TestEmpiricalJoining:
             jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(13))
 
 
+    def test_window_past_int64_raises(self, levels, dictionary):
+        # window 6 reaches |g| ~ 2.3e19, where int64 window translates would wrap
+        w = jo.folner_window(6, levels)
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(14))
+        with pytest.raises(cf.LevelTooDeepError, match="window-6 .* past int64"):
+            jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(15))
+
+
 class TestClassify:
     def test_rows_and_verdict(self, rng):
         t = random_table(rng)

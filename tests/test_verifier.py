@@ -30,7 +30,7 @@ def small_cfg(tmp_path):
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = ExperimentConfig(seed=9, mc_samples=1234, dictionary_id="alt")
+        cfg = ExperimentConfig(seed=9, mc_samples=1234, weakmix_levels=(2, 3))
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
 
@@ -38,6 +38,24 @@ class TestConfig:
         cfg = ExperimentConfig.from_json({"seed": 3})
         assert cfg.seed == 3
         assert cfg.construction == cf_engine.default_params()
+
+    @pytest.mark.parametrize("data, key", [
+        ({"seed": 3, "window_level": 4}, "'window_level'"),
+        ({"construction": {"max_level": 5, "sample_count": 64}}, "'sample_count'"),
+        ({"construction": {"r_schedule": {"kind": "max_power", "flor": 90}}}, "'flor'"),
+    ])
+    def test_unknown_key_is_named(self, data, key):
+        # a retired or misspelt setting used to be dropped without a word
+        with pytest.raises(cf_engine.UnknownConfigKeyError, match=key):
+            ExperimentConfig.from_json(data)
+
+    def test_readme_config_parses_and_round_trips(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("A config file is JSON with the shape")[1].split("```json")[1]
+        data = json.loads(block.split("```")[0])
+        cfg = ExperimentConfig.from_json(data)
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert all(cfg.to_json()[key] == data[key] for key in data if key != "construction")
 
 
 class TestReports:
@@ -138,14 +156,29 @@ class TestWeakmixTimeOnly:
 
 def test_weakmix_above_the_build_names_the_level(tmp_path):
     # the default weakmix levels reach 6, so a max_level-3 build runs out at
-    # n = 5 with a named error instead of an IndexError from a plain list
+    # n = 4, whose translate moves the level-4 shift index, with a named
+    # error instead of an IndexError from a plain list
     cfg = ExperimentConfig(
         seed=5,
         mc_samples=2000,
         construction=cf_engine.default_params(max_level=3),
         output_dir=str(tmp_path),
     )
-    with pytest.raises(cf_engine.LevelTooDeepError, match="level 5 .*max_level 3"):
+    with pytest.raises(cf_engine.LevelTooDeepError, match="level 4 .*max_level 3"):
+        run_weak_mixing(cfg)
+
+
+def test_weakmix_one_level_short_raises(tmp_path):
+    # on a max_level-5 build every g_6 translate leaves the frame: the n = 6
+    # correlation used to read 0.0 and only the trend gate failed
+    cfg = ExperimentConfig(
+        seed=5,
+        mc_samples=2000,
+        construction=cf_engine.default_params(max_level=5),
+        output_dir=str(tmp_path),
+        weakmix_levels=(6,),
+    )
+    with pytest.raises(cf_engine.LevelTooDeepError, match="level 6 .*max_level 5"):
         run_weak_mixing(cfg)
 
 
