@@ -70,12 +70,18 @@ __all__ = [
     "translate",
     "level_dump_rows",
     "substream",
+    "ROW_BLOCK",
+    "row_blocks",
 ]
 
 _INT64_SAFE = 2**62
 _FLOAT_EXACT = 2**53
 # product terms of the measure normalizer taken exactly; the rest is bounded
 _NORMALIZER_DEPTH = 120
+# rows per block of the batch passes whose rows are reduced as they go (the
+# joining tables, the sample-sets fiber test), so that a pass holds a few MB
+# of temporaries whatever its length
+ROW_BLOCK = 2**14
 
 
 class LevelTooDeepError(OverflowError):
@@ -590,6 +596,12 @@ def act(g: GElement, ti, tf, q):
 # ---------------------------------------------------------------------------
 # vectorized batches
 # ---------------------------------------------------------------------------
+
+def row_blocks(n: int):
+    """Slices of ROW_BLOCK consecutive rows (the last one shorter) covering
+    rows 0 .. n - 1; none when n is 0."""
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+
 
 def sample_point_batch(
     levels: CFLevels,

@@ -46,8 +46,8 @@ def _experiments(cfg: ExperimentConfig, args: argparse.Namespace) -> list[str]:
 
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The config file (or the default) with the command-line overrides;
-    a usage error when its max level is below what the selected
-    experiments read."""
+    a usage error when it names an unknown experiment, or when its max
+    level is below what the selected experiments read."""
     if args.config is not None:
         cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
@@ -60,6 +60,8 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
         cfg.mc_samples = args.samples
     if args.level is not None:
         cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
+    if unknown := [name for name in _experiments(cfg, args) if name not in EXPERIMENTS]:
+        parser.error(f"unknown experiments {unknown} in the config; known: {sorted(EXPERIMENTS)}")
     level = cfg.construction.max_level
     needs = {name: min_max_level(cfg, name) for name in _experiments(cfg, args)}
     short = [name for name, need in needs.items() if need > level]

@@ -26,6 +26,7 @@ from .cf_engine import (
     act,
     embed_batch,
     peel_batch,
+    row_blocks,
     sample_point_batch,
     translate,
 )
@@ -160,19 +161,23 @@ def joining_metric_stderr(x: EmpiricalJoining, y: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * (x.stderr**2 + y.stderr**2))))
 
 
-def _correlation_table(
-    dict_id: str, fx: np.ndarray, fy: np.ndarray, scale: float = 1.0
-) -> EmpiricalJoining:
-    """Table of the means of scale * f_i(x_k) conj(f_j(y_k)) over the N value
-    pairs of fx, fy (both (K, N)), with the stderr of each mean.
+def _correlation_table(dict_id: str, blocks, scale: float = 1.0) -> EmpiricalJoining:
+    """Table of the means of scale * f_i(x_k) conj(f_j(y_k)) over the value
+    pairs of `blocks`, an iterable of (fx, fy) row blocks (both (K, n_b)),
+    with the stderr of each mean.
 
-    Since |f_i g_j|^2 = |f_i|^2 |g_j|^2, both moments are (K, N) x (N, K)
-    matrix products and no (K, K, N) array is formed.
+    Since |f_i g_j|^2 = |f_i|^2 |g_j|^2, both moments are (K, n_b) x (n_b, K)
+    matrix products summed over the blocks, and no (K, K, N) array, nor any
+    (K, N) table of all N pairs, is formed.
     """
-    n = fx.shape[1]
-    corr = fx @ fy.conj().T * (scale / n)
-    second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
-    var = np.maximum(second - np.abs(corr) ** 2, 0.0)
+    n = 0
+    cross = second = 0.0
+    for fx, fy in blocks:
+        n += fx.shape[1]
+        cross = cross + fx @ fy.conj().T
+        second = second + (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T
+    corr = cross * (scale / n)
+    var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
     return EmpiricalJoining(dict_id, corr, np.sqrt(var / n), n)
 
 
@@ -280,20 +285,26 @@ def shulman_check(n: int, levels: CFLevels) -> ShulmanReport:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _window_values(
-    point: tuple,
+def _window_blocks(
+    x: tuple,
+    x2: tuple,
     window: FolnerWindow,
     dictionary: CFDictionary,
     levels: CFLevels,
     bs: np.ndarray,
     ts: np.ndarray,
-) -> np.ndarray:
-    """Dictionary values (K, R) at the translates of a level-1 point, a
-    one-row batch (ti, tf, q, tails), by g = b + spacing t."""
+):
+    """Row blocks (fx, fy) of the dictionary values at the translates of two
+    level-1 points, one-row batches (ti, tf, q, tails), by g = b + spacing t;
+    fy is fx itself when x2 is x."""
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
     top = min(window.n + 2, levels.max_level + 1)
-    return dictionary.evaluate(translate(levels, *point, bs + window.spacing * ts, 1, top)[:4])
+    for rows in row_blocks(len(bs)):
+        g = bs[rows] + window.spacing * ts[rows]
+        fx = dictionary.evaluate(translate(levels, *x, g, 1, top)[:4])
+        fy = fx if x2 is x else dictionary.evaluate(translate(levels, *x2, g, 1, top)[:4])
+        yield fx, fy
 
 
 def empirical_joining(
@@ -322,15 +333,14 @@ def empirical_joining(
     else:
         bs = rng.integers(-window.i_max, window.i_max + 1, size=samples)
         ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
+    blocks = _window_blocks(x, x2, window, dictionary, levels, bs, ts)
     try:
-        fx = _window_values(x, window, dictionary, levels, bs, ts)
-        fy = _window_values(x2, window, dictionary, levels, bs, ts)
+        return _correlation_table(dictionary.dict_id, blocks)
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "
             f"exceeded the point's truncation: {exc}"
         ) from exc
-    return _correlation_table(dictionary.dict_id, fx, fy)
 
 
 def graph_joining_target(
@@ -345,16 +355,21 @@ def graph_joining_target(
     The observables vanish off the level-1 part and T_k preserves it for the
     fiber translates used here, so conditioning the sampler on that part is
     exact; the mu(X_1) mass factor enters through the observable norms.
+    The sample is drawn whole, then moved and evaluated in row blocks.
     """
     ti, tf, q, tails = sample_point_batch(levels, samples, 4, rng)
-    valid = np.ones(samples, dtype=bool)
-    fx = dictionary.evaluate((valid, ti, tf, q))
-    # embed two levels, translate by k, peel back
     top = 3
-    ti3, tf3, q3 = act(k, *embed_batch(levels, ti, tf, q, tails, 1, top))
-    valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
-    fy = dictionary.evaluate((valid_y, ti1, tf1, q1))
-    return _correlation_table(dictionary.dict_id, fx, fy, levels.mu_xn(1))
+
+    def blocks():
+        for rows in row_blocks(samples):
+            x = ti[rows], tf[rows], q[rows]
+            fx = dictionary.evaluate((np.ones(len(x[0]), dtype=bool), *x))
+            # embed two levels, translate by k, peel back
+            ti3, tf3, q3 = act(k, *embed_batch(levels, *x, tails[rows], 1, top))
+            valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
+            yield fx, dictionary.evaluate((valid_y, ti1, tf1, q1))
+
+    return _correlation_table(dictionary.dict_id, blocks(), levels.mu_xn(1))
 
 
 def product_joining_target(
@@ -363,13 +378,23 @@ def product_joining_target(
     samples: int,
     rng: np.random.Generator,
 ) -> EmpiricalJoining:
-    """Monte Carlo table of the product joining: (int f_i) conj(int f_j)."""
+    """Monte Carlo table of the product joining: (int f_i) conj(int f_j).
+
+    The entry means and their stderrs come from the sums of f and |f|^2,
+    accumulated over row blocks of the sample.
+    """
     ti, tf, q, _ = sample_point_batch(levels, samples, 4, rng)
-    valid = np.ones(samples, dtype=bool)
-    fx = dictionary.evaluate((valid, ti, tf, q))
+    total = total_sq = 0.0
+    for rows in row_blocks(samples):
+        x = ti[rows], tf[rows], q[rows]
+        fx = dictionary.evaluate((np.ones(len(x[0]), dtype=bool), *x))
+        total = total + fx.sum(axis=1)
+        total_sq = total_sq + (np.abs(fx) ** 2).sum(axis=1)
     mu1 = levels.mu_xn(1)
-    means = fx.mean(axis=1) * mu1
-    se = np.std(fx * mu1, axis=1, ddof=1) / math.sqrt(samples)
+    means = total / samples * mu1
+    # the sample variance (ddof 1) of f * mu1, from the two sums
+    var = (total_sq * mu1**2 - samples * np.abs(means) ** 2) / (samples - 1)
+    se = np.sqrt(np.maximum(var, 0.0) / samples)
     corr = means[:, None] * np.conj(means[None, :])
     stderr = (
         np.abs(means[:, None]) * se[None, :]

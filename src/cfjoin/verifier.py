@@ -409,8 +409,8 @@ def _in_rectangles(t, quats, rects):
     x in A^{-1} a  iff  a x^{-1} in A; the time parts are interval tests, and
     the fiber parts (for rectangles with a cube fiber) go through the chart
     for the points that pass every time test.  The rows of quats need not be
-    unit: only those that reach a fiber test are normalised.  quats may be
-    None when no rectangle has a cube fiber.
+    unit: only those that reach a fiber test are normalised, in row blocks.
+    quats may be None when no rectangle has a cube fiber.
     """
     sel = np.ones(len(t), dtype=bool)
     for a_elem, (lo, hi), _ in rects:
@@ -418,7 +418,10 @@ def _in_rectangles(t, quats, rects):
         sel &= (ta > lo) & (ta <= hi)
     for a_elem, _, cube in rects:
         if cube is not None:
-            sel[sel] = _fiber_in_cube(a_elem.t - t[sel], quat_normalize(quats[sel]), a_elem.m, cube)
+            idx = np.flatnonzero(sel)
+            for rows in cf_engine.row_blocks(len(idx)):
+                i = idx[rows]
+                sel[i] = _fiber_in_cube(a_elem.t - t[i], quat_normalize(quats[i]), a_elem.m, cube)
     return sel
 
 

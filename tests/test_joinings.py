@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def circle_table(functions, xs, ys):
     """Correlation table of a pair cloud (x_k, y_k) of circle points."""
     fx = np.stack([f(xs) for f in functions]).astype(complex)
     fy = np.stack([f(ys) for f in functions]).astype(complex)
-    return jo._correlation_table("circle", fx, fy)
+    return jo._correlation_table("circle", [(fx, fy)])
 
 
 def invariance_gap(functions, xi_pairs, nu_pairs, move):
@@ -73,7 +74,7 @@ class TestCorrelationTable:
             elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
         )
         fx, fy = data.draw(values), data.draw(values)
-        table = jo._correlation_table("t", fx, fy, scale)
+        table = jo._correlation_table("t", [(fx, fy)], scale)
         prod = fx[:, None, :] * np.conj(fy[None, :, :]) * scale
         corr = prod.mean(axis=2)
         var = np.maximum((np.abs(prod) ** 2).mean(axis=2) - np.abs(corr) ** 2, 0.0)
@@ -82,6 +83,21 @@ class TestCorrelationTable:
         # compared before the square root, which turns rounding of a zero
         # variance into an error of order 1e-8
         assert np.max(np.abs(table.stderr**2 * n - var)) <= 1e-12
+
+
+    def test_row_blocks_match_one_shot_matmul(self, rng):
+        # one row past a block: the sums run over two blocks, the second of
+        # one row
+        n, scale = cf.ROW_BLOCK + 1, 0.37
+        fx, fy = (rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n)) for _ in "xy")
+        blocks = [(fx[:, rows], fy[:, rows]) for rows in cf.row_blocks(n)]
+        assert [b[0].shape[1] for b in blocks] == [cf.ROW_BLOCK, 1]
+        table = jo._correlation_table("t", blocks, scale)
+        corr = fx @ fy.conj().T * (scale / n)
+        second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
+        assert table.sample_count == n
+        assert np.max(np.abs(table.corr - corr)) <= 1e-12
+        assert np.max(np.abs(table.stderr**2 * n - (second - np.abs(corr) ** 2))) <= 1e-12
 
 
 class TestInvarianceCheck:
@@ -231,6 +247,52 @@ class TestTargets:
         assert gk.corr[0, 0].real == pytest.approx(1.0, abs=0.03)
 
 
+class TestTargetsInRowBlocks:
+    """The targets draw their sample whole and reduce it block by block; the
+    oracles take the same draws all at once."""
+
+    samples = cf.ROW_BLOCK + 1
+
+    def test_graph_target_matches_all_rows_at_once(self, levels, dictionary):
+        k = GElement(0.0, SU2_H0)
+        table = jo.graph_joining_target(k, dictionary, levels, self.samples, np.random.default_rng(21))
+        ti, tf, q, tails = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(21))
+        fx = dictionary.evaluate((np.ones(self.samples, dtype=bool), ti, tf, q))
+        moved = cf.act(k, *cf.embed_batch(levels, ti, tf, q, tails, 1, 3))
+        fy = dictionary.evaluate(cf.peel_batch(levels, *moved, 3, 1)[:4])
+        whole = jo._correlation_table("k16-default-v1", [(fx, fy)], levels.mu_xn(1))
+        assert np.max(np.abs(table.corr - whole.corr)) <= 1e-12
+        # before the square root, as in TestCorrelationTable
+        assert np.max(np.abs(table.stderr**2 - whole.stderr**2)) * self.samples <= 1e-12
+
+    def test_product_stderr_matches_two_pass_std(self, levels, dictionary):
+        prod = jo.product_joining_target(dictionary, levels, self.samples, np.random.default_rng(22))
+        ti, tf, q, _ = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(22))
+        fx = dictionary.evaluate((np.ones(self.samples, dtype=bool), ti, tf, q)) * levels.mu_xn(1)
+        means = fx.mean(axis=1)
+        se = np.std(fx, axis=1, ddof=1) / math.sqrt(self.samples)
+        stderr = np.abs(means[:, None]) * se[None, :] + np.abs(means[None, :]) * se[:, None] + np.outer(se, se)
+        assert np.max(np.abs(prod.corr - np.outer(means, means.conj()))) <= 1e-12
+        assert np.allclose(prod.stderr, stderr, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("target", ["graph", "product"])
+    def test_peak_memory_below_two_value_tables(self, levels, dictionary, target):
+        # a (16, N) complex table of all N values is 32 MB at N = 2^17; the
+        # blocked targets hold the draws and one block's tables
+        n = 2**17
+        rng = np.random.default_rng(23)
+        tracemalloc.start()
+        try:
+            if target == "graph":
+                jo.graph_joining_target(GElement(0.0, SU2_H0), dictionary, levels, n, rng)
+            else:
+                jo.product_joining_target(dictionary, levels, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dictionary.size * n * np.dtype(complex).itemsize
+
+
 class TestEmpiricalJoining:
     def test_diagonal_case(self, levels, dictionary):
         w = jo.folner_window(3, levels)
@@ -255,6 +317,15 @@ class TestEmpiricalJoining:
         assert emp.corr[0, 0].real == pytest.approx(1.0, abs=0.05)
         # the fiber cross-entry averages the +1/-1 graph values to ~0
         assert abs(emp.corr[1, 2]) < 0.05
+
+    def test_diagonal_reuses_values_bit_for_bit(self, levels, dictionary):
+        # x paired with itself evaluates each block once; a copy of x takes
+        # the two-evaluation path
+        w = jo.folner_window(3, levels)
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(16))
+        same = jo.empirical_joining(x, x, w, dictionary, levels, cf.ROW_BLOCK + 1, np.random.default_rng(17))
+        copy = jo.empirical_joining(x, tuple(x), w, dictionary, levels, cf.ROW_BLOCK + 1, np.random.default_rng(17))
+        assert np.array_equal(same.corr, copy.corr) and np.array_equal(same.stderr, copy.stderr)
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)

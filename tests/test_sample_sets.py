@@ -8,10 +8,12 @@ techniczny-i fraction over every one of the 2K * count sample-set points.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfjoin import equidist
-from cfjoin.groups import SU2_I, GElement, SU2Element, quat_inv, quat_mul, quat_phi_real
+from cfjoin.cf_engine import ROW_BLOCK
+from cfjoin.groups import SU2_I, GElement, SU2Element, quat_inv, quat_mul, quat_normalize, quat_phi_real
 from cfjoin.verifier import _fiber_in_cube, _in_rectangles, _overlap_pair_sum, _sample_set_fraction
 
 
@@ -81,6 +83,20 @@ def test_fiber_test_on_time_selected_rows(data):
     sel = _in_rectangles(t, None, tuple((a, iv, None) for a, iv, _ in rects))
     assert not np.any(every_row & ~sel)
     assert np.array_equal(_in_rectangles(t[sel], q[sel], rects), every_row[sel])
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_fiber_pass_in_row_blocks_matches_all_rows_at_once(rows):
+    # the fiber test runs ROW_BLOCK selected rows at a time; every row passes
+    # the time test here, so the counts straddle the block edges exactly
+    rng = np.random.default_rng(rows)
+    t = rng.uniform(-50.0, 50.0, rows)
+    q = rng.standard_normal((rows, 4))
+    a = GElement(3.25, SU2Element.from_array(rng.standard_normal(4)))
+    cube = ((0.1, 0.8), (0.2, 0.9), (0.0, 0.7))
+    mask = _in_rectangles(t, q, ((a, (-100.0, 100.0), cube),))
+    assert np.array_equal(mask, _fiber_in_cube(a.t - t, quat_normalize(q), a.m, cube))
+    assert 0 < np.count_nonzero(mask) < rows or rows <= 1
 
 
 # shell offsets: a Halton prefix, as sample sets use, or any floats in [0, 1)

@@ -198,6 +198,17 @@ class TestCLI:
         cfg = cli.load_config(parser.parse_args([command, "--level", str(need)]), parser)
         assert cfg.construction.max_level == need
 
+    def test_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):
+        # a misspelt name used to pass the config and die in cli.main with a
+        # bare KeyError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiments": ["sequences", "weakmx"]}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unknown experiments ['weakmx']" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_cli_subcommand(self, tmp_path):
         out = tmp_path / "cli"
         proc = subprocess.run(
