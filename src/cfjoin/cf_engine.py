@@ -57,6 +57,7 @@ __all__ = [
     "default_params",
     "derive_sequences",
     "level_ratio",
+    "check_level_depth",
     "build_levels",
     "validate_cf",
     "mu_total_normalizer",
@@ -213,7 +214,7 @@ def level_ratio(seq: Sequence[tuple[int, int]], n: int) -> Fraction:
     return Fraction(at, a)
 
 
-def mu_total_normalizer(params: CFParams, depth: int) -> tuple[float, float]:
+def mu_total_normalizer(params: CFParams, depth: int = _NORMALIZER_DEPTH) -> tuple[float, float]:
     """Mass of the level-0 base set when the total measure is normalized to 1.
 
     Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= depth} (a~_n / a_n)
@@ -346,6 +347,20 @@ def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
     )
 
 
+def check_level_depth(params: CFParams) -> None:
+    """LevelTooDeepError unless the correction shells of every level up to
+    params.max_level fit int64: level n draws them from its slab, as the
+    integers -K .. K - 1 with K = (2n - 1) a~_(n-1)."""
+    seq = derive_sequences(params, params.max_level)
+    for n in range(1, params.max_level + 1):
+        half_width = equidist.slab_half_width(n, seq[n - 1][1])
+        if half_width > 2**63:
+            raise LevelTooDeepError(
+                f"level {n} correction shells reach -{half_width}, past int64 (-2^63): "
+                f"max_level {params.max_level} is above {n - 1}, the deepest this schedule builds"
+            )
+
+
 def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
     """Build level data with correction maps for levels 1..max_level.
 
@@ -353,16 +368,18 @@ def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
     tiling is exact without them); correction maps at higher levels are drawn
     from per-level substreams of `seed` via the retry protocol.  A divergent
     schedule still yields level data, with mu_x0 None: validate_cf reports
-    the finiteness failure and mu_xn raises DivergentScheduleError.
+    the finiteness failure and mu_xn raises DivergentScheduleError.  A
+    max_level whose shells pass int64 raises LevelTooDeepError.
     """
     if params is None:
         params = default_params()
+    check_level_depth(params)
     seq = derive_sequences(params, params.max_level + 1)
     levels = [_identity_level(0, 1, 1, params.r(0))]
     for n in range(1, params.max_level + 1):
         a, at = seq[n]
         r = params.r(n)
-        half_width = (2 * n - 1) * seq[n - 1][1]
+        half_width = equidist.slab_half_width(n, seq[n - 1][1])
         alphabet = default_alphabet(n, half_width, params.alphabet_size)
         s_map = equidist.build_s_map(
             n,
@@ -386,7 +403,7 @@ def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
             )
         )
     try:
-        mu0, _ = mu_total_normalizer(params, _NORMALIZER_DEPTH)
+        mu0, _ = mu_total_normalizer(params)
     except DivergentScheduleError:
         mu0 = None
     return CFLevels(params=params, seed=seed, levels=levels, seq=seq, mu_x0=mu0)
@@ -514,7 +531,7 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
 
     # finiteness of the total measure
     try:
-        _, tail = mu_total_normalizer(params, _NORMALIZER_DEPTH)
+        _, tail = mu_total_normalizer(params)
         fin_ok = tail < finiteness_threshold
         detail = f"tail bound {tail:.2e}"
     except ValueError as exc:

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+from .cf_engine import LevelTooDeepError, check_level_depth
 from .verifier import EXPERIMENTS, ExperimentConfig, emit_report, min_max_level
 
 _SUBCOMMAND_SETS = {
@@ -46,8 +47,9 @@ def _experiments(cfg: ExperimentConfig, args: argparse.Namespace) -> list[str]:
 
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The config file (or the default) with the command-line overrides;
-    a usage error when it names an unknown experiment, or when its max
-    level is below what the selected experiments read."""
+    a usage error when it names an unknown experiment, when its max level
+    is below what the selected experiments read, or when it is too deep to
+    build."""
     if args.config is not None:
         cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
@@ -71,6 +73,10 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
             f"max level {level} is below {need}, the smallest at which "
             f"{', '.join(short)} can run; pass --level {need} or higher"
         )
+    try:
+        check_level_depth(cfg.construction)
+    except LevelTooDeepError as exc:
+        parser.error(str(exc))
     return cfg
 
 

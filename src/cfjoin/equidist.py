@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -111,10 +112,8 @@ def _star_discrepancy_1d(x: np.ndarray) -> float:
     return float(np.max(np.maximum(i / n - xs, xs - (i - 1) / n)))
 
 
-def star_discrepancy_exact_1d(points: Sequence) -> "Fraction":
+def star_discrepancy_exact_1d(points: Sequence) -> Fraction:
     """Sorted-formula anchored discrepancy over exact rationals."""
-    from fractions import Fraction
-
     n = len(points)
     if n == 0:
         raise ValueError("no points")
@@ -317,9 +316,11 @@ def default_alphabet(n: int, half_width: int, size: int = 8) -> Alphabet:
     quats = [np.array([1.0, 0.0, 0.0, 0.0])]
     if size > 1:
         pts = halton(size - 1, 4)
-        spread = np.linspace(-half_width, half_width - 1, size - 1)
+        # size - 1 shells from -K to K - 1 at exact rational positions,
+        # rounded half to even: a float step is off by whole shells past 2^53
+        step = Fraction(2 * half_width - 1, max(size - 2, 1))
         for j in range(size - 1):
-            shells.append(int(round(spread[j])))
+            shells.append(round(-half_width + j * step))
             u.append(float(pts[j, 0]))
             quats.append(chart_to_su2_array(pts[j, 1:]))
     return Alphabet(

@@ -16,16 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# quat_mul is unused here but stays importable: the benchmark's tracer wraps
-# it in every module that holds it and checks joinings.quat_mul
-from .groups import GElement, adjoint_matrix, quat_mul
+from .groups import SU2Element, adjoint_matrix, quat_mul
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
     OrbitLeftTruncationError,
-    act,
-    embed_batch,
-    peel_batch,
     row_blocks,
     sample_point_batch,
     translate,
@@ -344,30 +339,29 @@ def empirical_joining(
 
 
 def graph_joining_target(
-    k: GElement,
+    m: SU2Element,
     dictionary: CFDictionary,
     levels: CFLevels,
     samples: int,
     rng: np.random.Generator,
 ) -> EmpiricalJoining:
-    """Monte Carlo table of the graph joining along k: int f_i(x) conj(f_j(T_k x)).
+    """Monte Carlo table of the graph joining along the fiber element
+    k = (0, m): int f_i(x) conj(f_j(T_k x)).
 
-    The observables vanish off the level-1 part and T_k preserves it for the
-    fiber translates used here, so conditioning the sampler on that part is
-    exact; the mu(X_1) mass factor enters through the observable norms.
-    The sample is drawn whole, then moved and evaluated in row blocks.
+    The observables vanish off the level-1 part, and (0, m) (t, q) = (t, m q)
+    leaves the level-1 cut (t, q) c_1 c_2 ... of every point in place, so
+    conditioning the sampler on that part is exact and T_k is applied to the
+    level-1 coordinate alone; the mu(X_1) mass factor enters through the
+    observable norms.  The sample is drawn whole, then moved and evaluated
+    in row blocks.
     """
-    ti, tf, q, tails = sample_point_batch(levels, samples, 4, rng)
-    top = 3
+    ti, tf, q, _ = sample_point_batch(levels, samples, 0, rng)
 
     def blocks():
         for rows in row_blocks(samples):
-            x = ti[rows], tf[rows], q[rows]
-            fx = dictionary.evaluate((np.ones(len(x[0]), dtype=bool), *x))
-            # embed two levels, translate by k, peel back
-            ti3, tf3, q3 = act(k, *embed_batch(levels, *x, tails[rows], 1, top))
-            valid_y, ti1, tf1, q1, _ = peel_batch(levels, ti3, tf3, q3, top, 1)
-            yield fx, dictionary.evaluate((valid_y, ti1, tf1, q1))
+            valid = np.ones(rows.stop - rows.start, dtype=bool)
+            yield (dictionary.evaluate((valid, ti[rows], tf[rows], q[rows])),
+                   dictionary.evaluate((valid, ti[rows], tf[rows], quat_mul(m.array(), q[rows]))))
 
     return _correlation_table(dictionary.dict_id, blocks(), levels.mu_xn(1))
 
@@ -383,7 +377,7 @@ def product_joining_target(
     The entry means and their stderrs come from the sums of f and |f|^2,
     accumulated over row blocks of the sample.
     """
-    ti, tf, q, _ = sample_point_batch(levels, samples, 4, rng)
+    ti, tf, q, _ = sample_point_batch(levels, samples, 0, rng)
     total = total_sq = 0.0
     for rows in row_blocks(samples):
         x = ti[rows], tf[rows], q[rows]

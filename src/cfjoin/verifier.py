@@ -251,7 +251,7 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
         worst = max(worst, abs(float(lhs) - float(rhs)))
     rep.add("ratio-identity-max-err", worst, tolerance=1e-12, passed=exact)
 
-    mu0, tail = cf_engine.mu_total_normalizer(params, depth=120)
+    mu0, tail = cf_engine.mu_total_normalizer(params)
     rep.add("mu-x0", mu0)
     rep.add("mu-tail-bound", tail, tolerance=1e-6, passed=tail < 1e-6)
 
@@ -562,7 +562,11 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             tb = float(rng.uniform(-half, half))
 
             delta = rng.uniform(-half, half, size=mc) - rng.uniform(-half, half, size=mc)
-            mc_val = float(np.mean(_overlap_length(delta, ta, wa, tb, wb) / (2.0 * a_n)))
+            # summed in row blocks, so no temporary is as long as the draws
+            mc_val = sum(
+                float(np.sum(_overlap_length(delta[rows], ta, wa, tb, wb) / (2.0 * a_n)))
+                for rows in cf_engine.row_blocks(mc)
+            ) / mc
             # the same average over the virtual product set, summed exactly
             total = _overlap_pair_sum(ss.u_time, half, ta, wa, tb, wb)
             ss_val = total / (2.0 * a_n) / (ss.size**2)
@@ -843,14 +847,13 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     window_samples = max(cfg.mc_samples // 5, 50_000)
 
     k = GElement(0.0, SU2_H0)
-    ks = conj_star(k)
-    gk = joinings.graph_joining_target(k, d, levels, target_samples, substream(cfg.seed, "target-k"))
-    gks = joinings.graph_joining_target(ks, d, levels, target_samples, substream(cfg.seed, "target-ks"))
+    gk = joinings.graph_joining_target(k.m, d, levels, target_samples, substream(cfg.seed, "target-k"))
+    gks = joinings.graph_joining_target(
+        conj_star(k).m, d, levels, target_samples, substream(cfg.seed, "target-ks")
+    )
     prod = joinings.product_joining_target(d, levels, target_samples, substream(cfg.seed, "target-prod"))
     mix = joinings.mixture_table(gk, gks)
-    diag = joinings.graph_joining_target(
-        GElement(0.0, SU2_I), d, levels, target_samples, substream(cfg.seed, "target-e")
-    )
+    diag = joinings.graph_joining_target(SU2_I, d, levels, target_samples, substream(cfg.seed, "target-e"))
     targets = {"product": prod, "graph_k": gk, "graph_kstar": gks, "mixture": mix}
 
     # generic points with every tail the build holds, rejected into the

@@ -73,6 +73,20 @@ class TestValidation:
         report = cf.validate_cf(levels)
         assert report.passed, report.as_dict()
 
+    @pytest.mark.parametrize("seed", [42, 20260810, 20260811])
+    def test_level_7_passes(self, seed):
+        # float-spread alphabet shells were off by whole shells at level 7,
+        # and w4 failed with "level 7 overlap"
+        report = cf.validate_cf(cf.build_levels(cf.default_params(max_level=7), seed=seed))
+        assert report.passed, report.as_dict()
+
+    def test_shells_past_int64_raise(self):
+        # level-8 shells reach -1.2e22: an OverflowError used to escape from
+        # the alphabet's int64 array
+        cf.check_level_depth(cf.default_params(max_level=7))
+        with pytest.raises(cf.LevelTooDeepError, match="level 8 correction shells .* past int64 .* deepest this schedule builds"):
+            cf.build_levels(cf.default_params(max_level=8))
+
     def test_single_level_vacuous(self):
         lv = cf.build_levels(cf.CFParams(max_level=1), seed=0)
         rep = cf.validate_cf(lv)
@@ -273,6 +287,24 @@ class TestAction:
             rhs = _act_and_peel(levels, [g_mul(g, h)], batch, 3)
             assert lhs[0].any()
             _assert_same_lanes(lhs, rhs, 1e-8)
+
+    @pytest.mark.parametrize("top", [2, 3, 5, 7])
+    def test_fiber_element_acts_at_level_1(self, levels, top):
+        # (0, m) (t, q) = (t, m q) leaves the level-1 cut in place, so acting
+        # at level 1 gives the round trip through any frame above it (top 7
+        # runs the Python-int lane)
+        rng = np.random.default_rng(100 + top)
+        batch = cf.sample_point_batch(levels, 300, 12, rng)
+        ti, tf, q, tails = batch
+        assert (cf.embed_batch(levels, *batch, 1, top)[0].dtype == object) == (top == 7)
+        for _ in range(5):
+            g = GElement(0.0, SU2Element.from_array(rng.standard_normal(4)))
+            ti1, tf1, q1 = cf.act(g, ti, tf, q)
+            valid, ti_p, tf_p, q_p, hs = _act_and_peel(levels, [g], batch, top)
+            assert valid.all()
+            assert np.array_equal(ti_p, ti1) and np.array_equal(tf_p, tf1)
+            assert np.array_equal(hs, tails[:, : top - 1])
+            assert np.max(np.abs(q_p - q1)) <= 1e-12
 
     def test_central_translate_shifts_index(self, levels):
         # along the scheme identity g_n * f * c(h) = f * s(h) s(h+1)^{-1} * c(h+1):

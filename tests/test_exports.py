@@ -60,3 +60,24 @@ def test_every_export_has_a_caller():
         if attr not in read and attr not in ORACLES
     ]
     assert unread == []
+
+
+def _imported_names(tree) -> set[str]:
+    """Names bound by the module-level imports of a parsed module, less
+    `from __future__` (a compiler directive, never read)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return bound
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cfjoin").glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    # an import its module never reads is dead weight, or a stale reason to
+    # keep a name importable
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(_imported_names(tree) - read) == []

@@ -198,33 +198,16 @@ class TestDictionary:
 
 class TestTargets:
     def test_identity_graph_is_diagonal(self, levels, dictionary):
-        diag = jo.graph_joining_target(
-            GElement(0.0, SU2_I), dictionary, levels, 40_000, np.random.default_rng(1)
-        )
+        diag = jo.graph_joining_target(SU2_I, dictionary, levels, 40_000, np.random.default_rng(1))
         # diagonal correlations: <f_i, f_j> with mass mu(X_1); diagonal
         # entries are the squared norms = 1
         for i in range(dictionary.size):
             assert abs(diag.corr[i, i] - 1.0) <= 5 * diag.stderr[i, i] + 0.01
 
-    def test_central_translate_fixed_by_star(self, levels, dictionary):
-        k = GElement(2.0, SU2_I)
-        assert conj_star(k) == k
-        a = jo.graph_joining_target(k, dictionary, levels, 20_000, np.random.default_rng(2))
-        b = jo.graph_joining_target(k, dictionary, levels, 20_000, np.random.default_rng(2))
-        assert np.allclose(a.corr, b.corr)
-
-    def test_inexact_float_translate_rejected(self, levels, dictionary):
-        # the float 2^53 no longer carries every integer translate; flooring
-        # it silently would round the graph's time shift
-        with pytest.raises(cf.InexactTranslateError):
-            jo.graph_joining_target(
-                GElement(2.0**53, SU2_I), dictionary, levels, 100, np.random.default_rng(0)
-            )
-
     def test_mixture_is_average(self, levels, dictionary):
         k = GElement(0.0, SU2_H0)
-        a = jo.graph_joining_target(k, dictionary, levels, 20_000, np.random.default_rng(3))
-        b = jo.graph_joining_target(conj_star(k), dictionary, levels, 20_000, np.random.default_rng(4))
+        a = jo.graph_joining_target(k.m, dictionary, levels, 20_000, np.random.default_rng(3))
+        b = jo.graph_joining_target(conj_star(k).m, dictionary, levels, 20_000, np.random.default_rng(4))
         mix = jo.mixture_table(a, b)
         assert np.allclose(mix.corr, 0.5 * (a.corr + b.corr))
 
@@ -238,8 +221,8 @@ class TestTargets:
         # correlation of the h0 graph is +1, of its star graph -1, and the
         # first adjoint diagonal entry is -1 for both
         k = GElement(0.0, SU2_H0)
-        gk = jo.graph_joining_target(k, dictionary, levels, 60_000, np.random.default_rng(6))
-        gks = jo.graph_joining_target(conj_star(k), dictionary, levels, 60_000, np.random.default_rng(7))
+        gk = jo.graph_joining_target(k.m, dictionary, levels, 60_000, np.random.default_rng(6))
+        gks = jo.graph_joining_target(conj_star(k).m, dictionary, levels, 60_000, np.random.default_rng(7))
         assert gk.corr[1, 2].real == pytest.approx(1.0, abs=0.03)
         assert gks.corr[1, 2].real == pytest.approx(-1.0, abs=0.03)
         assert gk.corr[3, 3].real == pytest.approx(-1.0, abs=0.03)
@@ -249,13 +232,14 @@ class TestTargets:
 
 class TestTargetsInRowBlocks:
     """The targets draw their sample whole and reduce it block by block; the
-    oracles take the same draws all at once."""
+    oracles take the same draws all at once, and the graph target's oracle
+    moves them through the level-3 frame."""
 
     samples = cf.ROW_BLOCK + 1
 
     def test_graph_target_matches_all_rows_at_once(self, levels, dictionary):
         k = GElement(0.0, SU2_H0)
-        table = jo.graph_joining_target(k, dictionary, levels, self.samples, np.random.default_rng(21))
+        table = jo.graph_joining_target(k.m, dictionary, levels, self.samples, np.random.default_rng(21))
         ti, tf, q, tails = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(21))
         fx = dictionary.evaluate((np.ones(self.samples, dtype=bool), ti, tf, q))
         moved = cf.act(k, *cf.embed_batch(levels, ti, tf, q, tails, 1, 3))
@@ -284,7 +268,7 @@ class TestTargetsInRowBlocks:
         tracemalloc.start()
         try:
             if target == "graph":
-                jo.graph_joining_target(GElement(0.0, SU2_H0), dictionary, levels, n, rng)
+                jo.graph_joining_target(SU2_H0, dictionary, levels, n, rng)
             else:
                 jo.product_joining_target(dictionary, levels, n, rng)
             _, peak = tracemalloc.get_traced_memory()
@@ -298,9 +282,7 @@ class TestEmpiricalJoining:
         w = jo.folner_window(3, levels)
         x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(8))
         emp = jo.empirical_joining(x, x, w, dictionary, levels, 40_000, np.random.default_rng(9))
-        diag = jo.graph_joining_target(
-            GElement(0.0, SU2_I), dictionary, levels, 40_000, np.random.default_rng(10)
-        )
+        diag = jo.graph_joining_target(SU2_I, dictionary, levels, 40_000, np.random.default_rng(10))
         d = jo.joining_metric(emp, diag)
         assert d <= 8 * jo.joining_metric_stderr(emp, diag) + 0.03
 

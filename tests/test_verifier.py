@@ -9,6 +9,7 @@ import pytest
 
 from cfjoin import cf_engine, cli
 from cfjoin.verifier import (
+    EXPERIMENTS,
     CheckReport,
     ExperimentConfig,
     Metric,
@@ -182,6 +183,18 @@ def test_weakmix_one_level_short_raises(tmp_path):
         run_weak_mixing(cfg)
 
 
+def test_every_experiment_passes_at_level_7(tmp_path):
+    # the deepest build whose correction shells fit int64
+    cfg = ExperimentConfig(
+        seed=20260810,
+        mc_samples=20_000,
+        construction=cf_engine.default_params(max_level=7),
+        output_dir=str(tmp_path),
+    )
+    reports = [run(cfg) for run in EXPERIMENTS.values()]
+    assert [(rep.name, m.name) for rep in reports for m in rep.metrics if m.passed is False] == []
+
+
 class TestCLI:
     @pytest.mark.parametrize("command, need", [("weakmix", 6), ("lemma62", 5)])
     def test_level_below_the_runners_is_a_usage_error(self, command, need, tmp_path, capsys):
@@ -197,6 +210,15 @@ class TestCLI:
         parser = cli.build_parser()
         cfg = cli.load_config(parser.parse_args([command, "--level", str(need)]), parser)
         assert cfg.construction.max_level == need
+
+    def test_level_past_int64_is_a_usage_error(self, tmp_path, capsys):
+        # --level 8 used to end in an OverflowError traceback from the
+        # level build
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--level", "8", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "level 8 correction shells" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):
         # a misspelt name used to pass the config and die in cli.main with a
