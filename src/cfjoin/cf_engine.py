@@ -54,7 +54,6 @@ __all__ = [
     "CorrectionFractionError",
     "UnknownConfigKeyError",
     "check_config_keys",
-    "default_params",
     "derive_sequences",
     "level_ratio",
     "check_level_depth",
@@ -187,8 +186,8 @@ def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
         raise UnknownConfigKeyError(f"unknown {where} config keys {unknown}; known: {list(known)}")
 
 
-def default_params(max_level: int = 6, **kw) -> CFParams:
-    return CFParams(max_level=max_level, **kw)
+# the benchmark's tests build their parameters under this name
+default_params = CFParams
 
 
 def derive_sequences(params: CFParams, upto: int) -> list[tuple[int, int]]:
@@ -214,24 +213,25 @@ def level_ratio(seq: Sequence[tuple[int, int]], n: int) -> Fraction:
     return Fraction(at, a)
 
 
-def mu_total_normalizer(params: CFParams, depth: int = _NORMALIZER_DEPTH) -> tuple[float, float]:
+def mu_total_normalizer(params: CFParams) -> tuple[float, float]:
     """Mass of the level-0 base set when the total measure is normalized to 1.
 
-    Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= depth} (a~_n / a_n)
-    with an explicit bound on the neglected tail of the product, derived from
-    log(1+x) <= x and the n^4/r_n monotonicity of admissible schedules.
+    Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= _NORMALIZER_DEPTH}
+    (a~_n / a_n) with an explicit bound on the neglected tail of the product,
+    derived from log(1+x) <= x and the n^4/r_n monotonicity of admissible
+    schedules.
     Raises DivergentScheduleError when the product does not converge.
     """
     # ratio_n = a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1) for n >= 1, ratio_0 = 1
     log_prod = 0.0
-    for n in range(1, depth + 1):
+    for n in range(1, _NORMALIZER_DEPTH + 1):
         log_prod += math.log1p((2 * n - 1) / (2 * params.r(n - 1) - 1))
     mu0 = math.exp(-log_prod)
 
-    horizon = max(4 * depth, 400)
+    horizon = max(4 * _NORMALIZER_DEPTH, 400)
     tail = 0.0
     xs = []
-    for n in range(depth + 1, horizon + 1):
+    for n in range(_NORMALIZER_DEPTH + 1, horizon + 1):
         x = (2 * n - 1) / (2 * params.r(n - 1) - 1)
         xs.append(x)
         tail += x
@@ -350,10 +350,11 @@ def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
 def check_level_depth(params: CFParams) -> None:
     """LevelTooDeepError unless the correction shells of every level up to
     params.max_level fit int64: level n draws them from its slab, as the
-    integers -K .. K - 1 with K = (2n - 1) a~_(n-1)."""
-    seq = derive_sequences(params, params.max_level)
+    integers -K .. K - 1 with K = (2n - 1) a~_(n-1).  Levels are checked
+    from the bottom, each deriving the sequences only up to n - 1, so the
+    error names the first level past int64 however deep max_level is."""
     for n in range(1, params.max_level + 1):
-        half_width = equidist.slab_half_width(n, seq[n - 1][1])
+        half_width = equidist.slab_half_width(n, derive_sequences(params, n - 1)[n - 1][1])
         if half_width > 2**63:
             raise LevelTooDeepError(
                 f"level {n} correction shells reach -{half_width}, past int64 (-2^63): "
@@ -361,7 +362,7 @@ def check_level_depth(params: CFParams) -> None:
             )
 
 
-def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
+def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
     """Build level data with correction maps for levels 1..max_level.
 
     Level 0 gets identity corrections (its slab is degenerate, and the level-0
@@ -371,8 +372,6 @@ def build_levels(params: Optional[CFParams] = None, seed: int = 0) -> CFLevels:
     the finiteness failure and mu_xn raises DivergentScheduleError.  A
     max_level whose shells pass int64 raises LevelTooDeepError.
     """
-    if params is None:
-        params = default_params()
     check_level_depth(params)
     seq = derive_sequences(params, params.max_level + 1)
     levels = [_identity_level(0, 1, 1, params.r(0))]
@@ -434,7 +433,7 @@ class CFValidationReport:
         }
 
 
-def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValidationReport:
+def validate_cf(levels: CFLevels) -> CFValidationReport:
     """Exact checks of the stacking conditions at every instantiated level.
 
     Containment and disjointness of the translated base sets are exact
@@ -444,7 +443,7 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
     each other as (integer part, u) pairs in lexicographic order.  A
     correction fraction outside [0, 1) raises CorrectionFractionError.  The
     base-interval tiling is pure integer arithmetic; finiteness is the
-    ratio-excess series with an explicit tail.
+    ratio-excess series with an explicit tail below 1e-6.
     """
     out: list[ConditionResult] = []
     params = levels.params
@@ -532,7 +531,7 @@ def validate_cf(levels: CFLevels, finiteness_threshold: float = 1e-6) -> CFValid
     # finiteness of the total measure
     try:
         _, tail = mu_total_normalizer(params)
-        fin_ok = tail < finiteness_threshold
+        fin_ok = tail < 1e-6
         detail = f"tail bound {tail:.2e}"
     except ValueError as exc:
         fin_ok = False
@@ -631,7 +630,9 @@ def sample_point_batch(
     the shift indices of levels 1..truncation (as far as the build goes).
 
     With h_minus the tail indices are rejected into the slightly shrunken
-    ranges |h_k| < (1 - k^{-2}) r_k used by generic-point selection.
+    ranges |h_k| < (1 - k^{-2}) r_k used by generic-point selection, strict
+    and in integers: |h_k| k^2 < (k^2 - 1) r_k, and never narrower than
+    |h_k| <= 1.
     """
     a = levels.a(1)
     t = rng.uniform(-float(a), float(a), size=n)
@@ -645,9 +646,7 @@ def sample_point_batch(
         r = levels.level(k).r
         bound = r - 1
         if h_minus:
-            bound = min(bound, math.floor((1 - 1.0 / k**2) * r))
-            if bound < 1:
-                bound = 1
+            bound = max(1, min(bound, ((k * k - 1) * r - 1) // (k * k)))
         tails[:, col] = rng.integers(-bound, bound + 1, size=n)
     return ti, tf, q, tails
 

@@ -41,15 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiments(cfg: ExperimentConfig, args: argparse.Namespace) -> list[str]:
-    return cfg.experiments or _SUBCOMMAND_SETS[args.command]
-
-
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The config file (or the default) with the command-line overrides;
-    a usage error when it names an unknown experiment, when its max level
-    is below what the selected experiments read, or when it is too deep to
-    build."""
+    a usage error when its max level is below what the subcommand's
+    experiments read, or when it is too deep to build."""
     if args.config is not None:
         cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
@@ -62,10 +57,8 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
         cfg.mc_samples = args.samples
     if args.level is not None:
         cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
-    if unknown := [name for name in _experiments(cfg, args) if name not in EXPERIMENTS]:
-        parser.error(f"unknown experiments {unknown} in the config; known: {sorted(EXPERIMENTS)}")
     level = cfg.construction.max_level
-    needs = {name: min_max_level(cfg, name) for name in _experiments(cfg, args)}
+    needs = {name: min_max_level(cfg, name) for name in _SUBCOMMAND_SETS[args.command]}
     short = [name for name, need in needs.items() if need > level]
     if short:
         need = max(needs[name] for name in short)
@@ -84,9 +77,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = load_config(args, parser)
-    names = _experiments(cfg, args)
     reports = []
-    for name in names:
+    for name in _SUBCOMMAND_SETS[args.command]:
         t0 = time.time()
         rep = EXPERIMENTS[name](cfg)
         dt = time.time() - t0

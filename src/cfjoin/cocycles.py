@@ -88,12 +88,9 @@ class ObstructionWitness:
         return self.return_time % 2 == 1 and self.fiber_increment % 2 == 0
 
 
-def constant_one_obstruction(
-    scheme: TowerScheme,
-    stages: Sequence[int] = (3, 4, 5, 6),
-) -> list[ObstructionWitness]:
-    """Exhibit odd-time, even-increment cylinder returns of chacon_z2_phi at a
-    family of stages.
+def constant_one_obstruction(scheme: TowerScheme) -> list[ObstructionWitness]:
+    """Exhibit odd-time, even-increment cylinder returns of chacon_z2_phi at
+    stages 3 to 6.
 
     From the bottom of the first column of the stage n+1 tower (position 0),
     the orbit re-enters the stage-n base after 2 h_n + 1 steps (two column
@@ -101,7 +98,7 @@ def constant_one_obstruction(
     these witnesses are verified on the simulated orbit, not assumed.
     """
     out = []
-    for n in stages:
+    for n in (3, 4, 5, 6):
         steps = 2 * scheme.height(n) + 1
         orbit = tower_apply(scheme, 0, np.arange(steps + 1))
         if stage_level(scheme, orbit[-1], n) != 0:
@@ -193,16 +190,12 @@ class SpectralLine:
         return self.modulus <= self.threshold
 
 
-def eigenvalue_probe(
-    values,
-    frequencies: Sequence[float],
-    threshold: Optional[float] = None,
-) -> list[SpectralLine]:
+def eigenvalue_probe(values, frequencies: Sequence[float]) -> list[SpectralLine]:
     """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)| per theta,
     from the observable values f(T^n x), n < N.
 
     Values near 1 flag point spectrum at theta; values of order N^{-1/2} are
-    consistent with its absence.  The default threshold is the reference line
+    consistent with its absence.  The threshold is the reference line
     5 N^{-1/2} log N.
 
     All frequencies share one blocked sum: with n = m a + b, m = isqrt(N),
@@ -214,8 +207,7 @@ def eigenvalue_probe(
     orbit_len = len(values)
     if orbit_len < 10_000:
         raise ValueError("orbit_len must be at least 1e4 for a meaningful probe")
-    if threshold is None:
-        threshold = 5.0 * math.log(orbit_len) / math.sqrt(orbit_len)
+    threshold = 5.0 * math.log(orbit_len) / math.sqrt(orbit_len)
     m = math.isqrt(orbit_len)
     rows = -(-orbit_len // m)
     padded = np.zeros(rows * m, dtype=np.result_type(values, 1.0))

@@ -11,17 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import (
-    SU2Element,
-    quat_normalize,
-)
+from .groups import quat_normalize
 
 __all__ = [
-    "PointCloud",
     "FiniteSampleSet",
     "Alphabet",
     "van_der_corput",
@@ -50,15 +46,13 @@ __all__ = [
 _HALTON_BASES = (2, 3, 5, 7)
 
 
-def van_der_corput(n: int, base: int = 2, start: int = 1) -> np.ndarray:
-    """First n points of the base-b radical-inverse sequence.
+def van_der_corput(n: int, base: int = 2) -> np.ndarray:
+    """Points 1..n of the base-b radical-inverse sequence.
 
     One digit of every index per pass, with the float operations of the
     digit-reversal sum inv += digit / base^k in their scalar order, so each
     point is the scalar sum bit for bit."""
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    i = np.arange(start, start + n, dtype=np.int64)
+    i = np.arange(1, n + 1, dtype=np.int64)
     inv = np.zeros(n)
     denom = 1.0
     while i.any():
@@ -68,7 +62,7 @@ def van_der_corput(n: int, base: int = 2, start: int = 1) -> np.ndarray:
     return inv
 
 
-def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
+def halton(n: int, dim: int) -> np.ndarray:
     """First n points of the Halton sequence in the given dimension.
 
     Indexing starts at 1 so the all-zero point is never produced (it would sit
@@ -76,41 +70,13 @@ def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
     """
     if dim > len(_HALTON_BASES):
         raise ValueError(f"halton supports dim <= {len(_HALTON_BASES)}")
-    cols = [van_der_corput(n, _HALTON_BASES[k], start=start) for k in range(dim)]
+    cols = [van_der_corput(n, _HALTON_BASES[k]) for k in range(dim)]
     return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # discrepancy
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Finite list of points in [0,1]^s."""
-
-    points: np.ndarray  # shape (N, s)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-            raise ValueError("point coordinates must lie in [0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def _star_discrepancy_1d(x: np.ndarray) -> float:
-    """Exact anchored discrepancy in one dimension via the sorted formula."""
-    n = len(x)
-    xs = np.sort(x)
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - xs, xs - (i - 1) / n)))
-
 
 def star_discrepancy_exact_1d(points: Sequence) -> Fraction:
     """Sorted-formula anchored discrepancy over exact rationals."""
@@ -124,47 +90,20 @@ def star_discrepancy_exact_1d(points: Sequence) -> Fraction:
     return best
 
 
-def star_discrepancy(cloud: PointCloud) -> float:
-    """Exact sup over anchored boxes [0, beta) of |empirical - volume|.
-
-    Dimension 1 uses the sorted closed form.  Dimensions 2..4 evaluate every
-    candidate corner of the coordinate grid at once: point counts below all
-    corners come from prefix sums of an occupancy tensor, so the cost is
-    O(N^s) rather than O(N^{s+1}).
-    """
-    n = len(cloud)
+def star_discrepancy(x) -> float:
+    """Exact sup over anchored intervals [0, beta) of |empirical - length|
+    for a 1-d array of points in [0, 1], by the sorted closed form."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("star discrepancy takes a 1-d array of points")
+    n = len(x)
     if n == 0:
         raise ValueError("no points")
-    s = cloud.dim
-    if s > 4:
-        raise ValueError("exact star discrepancy restricted to dim <= 4")
-    pts = cloud.points
-    if s == 1:
-        return _star_discrepancy_1d(pts[:, 0])
-    grids = [np.unique(np.concatenate([pts[:, k], [1.0]])) for k in range(s)]
-    sizes = [len(g) for g in grids]
-    if np.prod([sz + 1 for sz in sizes]) > 5e7:
-        raise ValueError("candidate corner grid too large for exact evaluation")
-    strict_occ = np.zeros([sz + 1 for sz in sizes])
-    closed_occ = np.zeros([sz + 1 for sz in sizes])
-    pos_strict = tuple(
-        np.searchsorted(grids[k], pts[:, k], side="right") for k in range(s)
-    )
-    pos_closed = tuple(
-        np.searchsorted(grids[k], pts[:, k], side="left") for k in range(s)
-    )
-    np.add.at(strict_occ, pos_strict, 1.0)
-    np.add.at(closed_occ, pos_closed, 1.0)
-    for axis in range(s):
-        strict_occ = np.cumsum(strict_occ, axis=axis)
-        closed_occ = np.cumsum(closed_occ, axis=axis)
-    sl = tuple(slice(0, sz) for sz in sizes)
-    strict = strict_occ[sl]
-    closed = closed_occ[sl]
-    vol = grids[0]
-    for k in range(1, s):
-        vol = np.multiply.outer(vol, grids[k])
-    return float(max(np.max(vol - strict / n), np.max(closed / n - vol)))
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise ValueError("points must lie in [0, 1]")
+    xs = np.sort(x)
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(i / n - xs, xs - (i - 1) / n)))
 
 
 def koksma_hlawka_bound(modulus: Callable[[float], float], d_star: float, s: int) -> float:
@@ -186,13 +125,9 @@ def koksma_hlawka_bound(modulus: Callable[[float], float], d_star: float, s: int
 # Haar sampling and the measure-transport chart
 # ---------------------------------------------------------------------------
 
-def haar_sample_su2(rng: np.random.Generator, n: Optional[int] = None):
-    """Haar-uniform SU(2) elements (normalized 4-d Gaussians).
-
-    Returns a single element when n is None, else an (n, 4) quaternion array.
-    """
-    if n is None:
-        return SU2Element.from_array(quat_normalize(rng.standard_normal(4)))
+def haar_sample_su2(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-uniform SU(2) elements (normalized 4-d Gaussians) as an (n, 4)
+    quaternion array."""
     return quat_normalize(rng.standard_normal((n, 4)))
 
 
@@ -362,11 +297,10 @@ class SMapResult:
     attempts: int
 
 
-def window_pair_distance(values: np.ndarray, alphabet_size: int, offset: int = 1) -> float:
-    """L1 distance between the sliding-pair distribution at the given offset
-    and the product of uniform laws on the alphabet."""
-    a = values[:-offset] if offset > 0 else values
-    b = values[offset:]
+def window_pair_distance(values: np.ndarray, alphabet_size: int) -> float:
+    """L1 distance between the distribution of adjacent pairs and the
+    product of uniform laws on the alphabet."""
+    a, b = values[:-1], values[1:]
     m = len(a)
     counts = np.bincount(a * alphabet_size + b, minlength=alphabet_size**2)
     return float(np.sum(np.abs(counts / m - 1.0 / alphabet_size**2)))

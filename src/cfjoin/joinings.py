@@ -314,20 +314,14 @@ def empirical_joining(
     """Window-average correlation table of the orbit pair of (x, x2), two
     level-1 points given as one-row batches (ti, tf, q, tails).
 
-    The full window is enumerated when it fits in `samples`; otherwise the
-    average is estimated from uniform draws of (b, t), which is unbiased for
-    the window average (the level-4 window already has ~6e10 elements, far
-    beyond desk scale) with the reported stderr.
+    The average is estimated from `samples` uniform draws of (b, t), with
+    the reported stderr.  The draws are unbiased for the window average
+    whatever its size, so a window that `samples` could enumerate (only an
+    r_schedule far below the default makes one) is drawn too; the level-4
+    window of the default build has about 6.3e10 elements.
     """
-    if window.size <= samples:
-        bs, ts = np.meshgrid(
-            np.arange(-window.i_max, window.i_max + 1),
-            np.arange(-window.j_max, window.j_max + 1),
-        )
-        bs, ts = bs.ravel(), ts.ravel()
-    else:
-        bs = rng.integers(-window.i_max, window.i_max + 1, size=samples)
-        ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
+    bs = rng.integers(-window.i_max, window.i_max + 1, size=samples)
+    ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
     blocks = _window_blocks(x, x2, window, dictionary, levels, bs, ts)
     try:
         return _correlation_table(dictionary.dict_id, blocks)

@@ -68,11 +68,10 @@ __all__ = [
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    construction: CFParams = field(default_factory=cf_engine.default_params)
+    construction: CFParams = field(default_factory=CFParams)
     mc_samples: int = 1_000_000
     output_dir: str = "out"
     weakmix_levels: tuple[int, ...] = (2, 3, 4, 5, 6)
-    experiments: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +80,6 @@ class ExperimentConfig:
             "mc_samples": self.mc_samples,
             "output_dir": self.output_dir,
             "weakmix_levels": list(self.weakmix_levels),
-            "experiments": list(self.experiments),
         }
 
     @staticmethod
@@ -93,7 +91,6 @@ class ExperimentConfig:
             mc_samples=int(data.get("mc_samples", 1_000_000)),
             output_dir=data.get("output_dir", "out"),
             weakmix_levels=tuple(data.get("weakmix_levels", (2, 3, 4, 5, 6))),
-            experiments=tuple(data.get("experiments", ())),
         )
 
 
@@ -328,7 +325,7 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     prev = None
     mono = True
     for k in range(8, 15):
-        d = equidist.star_discrepancy(equidist.PointCloud(seq[: 2**k, None]))
+        d = equidist.star_discrepancy(seq[: 2**k])
         if prev is not None and d > prev + 1e-15:
             mono = False
         rep.add(f"vdc-dstar-2^{k}", d)
@@ -338,7 +335,7 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     # quantitative bound dominates empirical integration error
     rng = substream(cfg.seed, "lipschitz")
     pts = seq[:1024]
-    d_star = equidist.star_discrepancy(equidist.PointCloud(pts[:, None]))
+    d_star = equidist.star_discrepancy(pts)
     ok = True
     worst_ratio = 0.0
     for f, integral, lip in _lipschitz_family(rng, 20):
@@ -525,7 +522,6 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             lo_a = rng.uniform(-0.3, 0.1) * half - wa / 2
             lo_b = rng.uniform(-0.3, 0.1) * half - wb / 2
             cube_a = None
-            cube_b = None
             if trial >= 3:
                 clo = rng.uniform(0.0, 0.4, size=3)
                 chi = clo + rng.uniform(0.4, 0.6, size=3)
@@ -535,13 +531,13 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             b_el = GElement(a_el.t + float(rng.uniform(-3, 3)),
                             SU2Element.from_array(rng.standard_normal(4)))
 
-            rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), cube_b))
+            rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), None))
             t_mc = rng.uniform(-half, half, size=mc)
             # the fiber is independent of the time, so it is drawn only for
             # the points that pass every time test, and only when a fiber is
             # tested
             sel = _in_rectangles(t_mc, None, tuple((a, iv, None) for a, iv, _ in rects))
-            if cube_a is not None or cube_b is not None:
+            if cube_a is not None:
                 q_sel = rng.standard_normal((int(np.count_nonzero(sel)), 4))
                 sel = _in_rectangles(t_mc[sel], q_sel, rects)
             mc_frac = np.count_nonzero(sel) / mc
@@ -614,20 +610,29 @@ def _weakmix_deviation(
     built frame.  g_n = (2 a~_n, I) moves the level-n shift index, so a build
     without level n raises LevelTooDeepError (the correlation would read 0).
     It moves only time and both rectangles have full fibers, so translate
-    moves the points without their fiber, as int64 radix digits."""
+    moves the points without their fiber, as int64 radix digits.  The draws
+    are whole (the fiber is drawn, to keep the stream, and dropped); the
+    translate and both rectangle tests run over row blocks, whose hits sum
+    to an int, so p_hat = hits / samples is the mean of the whole mask."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
-    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
-    t1 = ti.astype(float) + tf
-    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
-    valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
-    t1_shift = ti1.astype(float) + tf1
-    in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
-    p_hat = float(np.mean(in_a & in_b))
+    ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
+    del q
+    hits = 0
+    for rows in cf_engine.row_blocks(samples):
+        t1 = ti[rows].astype(float) + tf[rows]
+        in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+        valid, ti1, tf1, _, _ = cf_engine.translate(
+            levels, ti[rows], tf[rows], None, tails[rows], g, 1, top
+        )
+        t1_shift = ti1.astype(float) + tf1
+        in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
+        hits += int(np.count_nonzero(in_a & in_b))
+    p_hat = hits / samples
     sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
     return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
 
@@ -697,30 +702,27 @@ def _correction_times(lv: cf_engine.CFLevel) -> np.ndarray:
     ])
 
 
-def _overlap_deviation(
-    levels: CFLevels, n: int, rng: np.random.Generator, draws: int = 60
-) -> tuple[float, float]:
-    """Mean |lambda(A C_n n f S_n)/lambda(S_n) - lambda_F(A)| over sampled f,
-    with the f-sampling standard error."""
+def _overlap_deviation(levels: CFLevels, n: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Mean |lambda(A C_n n f S_n)/lambda(S_n) - lambda_F(A)| over 60 sampled
+    f, with the f-sampling standard error."""
     at_prev = levels.a_tilde(n - 1)
     k_slab = (2 * n - 1) * at_prev
     lv_prev = levels.level(n - 1)
     a_prev = levels.a(n - 1)
     a_n = levels.a(n)
-    rng_local = rng
-    width = float(rng_local.uniform(0.4, 1.2)) * a_prev
-    lo_a = float(rng_local.uniform(-a_prev, a_prev - width))
+    width = float(rng.uniform(0.4, 1.2)) * a_prev
+    lo_a = float(rng.uniform(-a_prev, a_prev - width))
     target = width / (2 * a_prev)
     offs = _correction_times(lv_prev)
     devs = []
-    for _ in range(draws):
-        t_f = float(rng_local.uniform(-(a_n - k_slab), a_n - k_slab))
+    for _ in range(60):
+        t_f = float(rng.uniform(-(a_n - k_slab), a_n - k_slab))
         lo_s, hi_s = t_f - k_slab, t_f + k_slab
         lo_i = np.maximum(offs + lo_a, lo_s)
         hi_i = np.minimum(offs + lo_a + width, hi_s)
         overlap = float(np.sum(np.maximum(hi_i - lo_i, 0.0)))
         devs.append(abs(overlap / (2 * k_slab) - target))
-    return float(np.mean(devs)), float(np.std(devs) / math.sqrt(draws))
+    return float(np.mean(devs)), float(np.std(devs) / math.sqrt(len(devs)))
 
 
 # the levels n whose slabs run_lemma62 checks

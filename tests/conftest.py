@@ -12,7 +12,7 @@ settings.load_profile("cfjoin")
 @pytest.fixture(scope="session")
 def levels():
     """Default construction, fixed seed, shared across the suite."""
-    return cf_engine.build_levels(cf_engine.default_params(), seed=42)
+    return cf_engine.build_levels(cf_engine.CFParams(), seed=42)
 
 
 @pytest.fixture()

@@ -14,29 +14,29 @@ from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul, quat_normal
 
 class TestSequences:
     def test_initial_values(self):
-        seq = cf.derive_sequences(cf.default_params(), 0)
+        seq = cf.derive_sequences(cf.CFParams(), 0)
         assert seq == [(1, 1)]
 
     def test_first_level_r100(self):
-        seq = cf.derive_sequences(cf.default_params(), 1)
+        seq = cf.derive_sequences(cf.CFParams(), 1)
         assert seq[1] == (199, 200)
 
     def test_gap_identity(self):
         # a~_{n+1} - a_{n+1} = (2n+1) a~_n exactly, all integers
-        params = cf.default_params()
+        params = cf.CFParams()
         seq = cf.derive_sequences(params, 8)
         for n in range(8):
             assert seq[n + 1][1] - seq[n + 1][0] == (2 * n + 1) * seq[n][1]
 
     def test_ratio_identity(self):
-        params = cf.default_params()
+        params = cf.CFParams()
         seq = cf.derive_sequences(params, 8)
         for n in range(1, 8):
             assert cf.level_ratio(seq, n) == 1 + Fraction(2 * n - 1, 2 * params.r(n - 1) - 1)
 
     def test_level_too_deep(self):
         with pytest.raises(cf.LevelTooDeepError, match="level too deep"):
-            cf.derive_sequences(cf.default_params(), 500)
+            cf.derive_sequences(cf.CFParams(), 500)
 
     def test_explicit_schedule(self):
         params = cf.CFParams(r_kind="explicit", r_values=(10, 20, 30))
@@ -49,18 +49,18 @@ class TestNormalizer:
     def test_near_trivial_ratios(self):
         # huge r makes every ratio 1 + tiny, so the base keeps almost all mass
         params = cf.CFParams(r_floor=10**9)
-        mu0, tail = cf.mu_total_normalizer(params, 100)
+        mu0, tail = cf.mu_total_normalizer(params)
         assert 0.9999 < mu0 <= 1.0
         assert tail < 1e-6
 
     def test_default_schedule(self):
-        mu0, tail = cf.mu_total_normalizer(cf.default_params(), 120)
+        mu0, tail = cf.mu_total_normalizer(cf.CFParams())
         assert 0.9 < mu0 < 0.95
         assert tail < 1e-6
 
     def test_divergent_schedule_rejected(self):
         with pytest.raises(ValueError, match="divergent product"):
-            cf.mu_total_normalizer(cf.CFParams(r_kind="constant", r_floor=2), 50)
+            cf.mu_total_normalizer(cf.CFParams(r_kind="constant", r_floor=2))
 
     def test_mu_consistency(self, levels):
         for n in range(6):
@@ -77,15 +77,15 @@ class TestValidation:
     def test_level_7_passes(self, seed):
         # float-spread alphabet shells were off by whole shells at level 7,
         # and w4 failed with "level 7 overlap"
-        report = cf.validate_cf(cf.build_levels(cf.default_params(max_level=7), seed=seed))
+        report = cf.validate_cf(cf.build_levels(cf.CFParams(max_level=7), seed=seed))
         assert report.passed, report.as_dict()
 
     def test_shells_past_int64_raise(self):
         # level-8 shells reach -1.2e22: an OverflowError used to escape from
         # the alphabet's int64 array
-        cf.check_level_depth(cf.default_params(max_level=7))
+        cf.check_level_depth(cf.CFParams(max_level=7))
         with pytest.raises(cf.LevelTooDeepError, match="level 8 correction shells .* past int64 .* deepest this schedule builds"):
-            cf.build_levels(cf.default_params(max_level=8))
+            cf.build_levels(cf.CFParams(max_level=8))
 
     def test_single_level_vacuous(self):
         lv = cf.build_levels(cf.CFParams(max_level=1), seed=0)
@@ -112,7 +112,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("seed", [42, 20260810, 20260811])
     def test_integer_pairs_match_fraction_reference(self, seed):
-        built = cf.build_levels(cf.default_params(), seed=seed)
+        built = cf.build_levels(cf.CFParams(), seed=seed)
         assert _w3_w4(cf.validate_cf(built)) == _fraction_w3_w4(built) == (True, True)
 
     @pytest.mark.parametrize("u, contained", [(0.0, True), (0.125, False)])
@@ -376,12 +376,14 @@ class TestSampling:
         assert abs(z2 - 0.5) < 4 * 0.3 / math.sqrt(len(q))
 
     def test_h_minus_rejection(self, levels):
+        # |h_k| < (1 - k^-2) r_k is strict: the float bound floor((1 - k^-2) r_k)
+        # is an integer on the default schedule, and used to be drawn
         rng = np.random.default_rng(9)
-        _, _, _, tails = cf.sample_point_batch(levels, 5000, 4, rng, h_minus=True)
-        for col, k in enumerate(range(1, 5)):
+        _, _, _, tails = cf.sample_point_batch(levels, 5000, 6, rng, h_minus=True)
+        assert np.max(np.abs(tails[:, 0])) <= 1
+        for col, k in enumerate(range(2, 7), start=1):
             r = levels.level(k).r
-            bound = max(math.floor((1 - 1 / k**2) * r), 1)
-            assert np.max(np.abs(tails[:, col])) <= bound
+            assert int(np.max(np.abs(tails[:, col]))) * k * k < (k * k - 1) * r
 
 
 class TestBatchRoundTrips:
@@ -490,7 +492,7 @@ class TestBatchRoundTrips:
 
 @functools.cache
 def _build(max_level: int):
-    return cf.build_levels(cf.default_params(max_level=max_level), seed=42)
+    return cf.build_levels(cf.CFParams(max_level=max_level), seed=42)
 
 
 def _same_valid_lanes(got, want):

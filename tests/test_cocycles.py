@@ -134,9 +134,9 @@ class TestObstruction:
             assert w.contradictory
 
     def test_return_times_follow_heights(self, scheme):
-        ws = co.constant_one_obstruction(scheme, stages=(3, 4))
-        assert ws[0].return_time == 2 * scheme.height(3) + 1
-        assert ws[1].return_time == 2 * scheme.height(4) + 1
+        ws = co.constant_one_obstruction(scheme)
+        assert [w.stage for w in ws] == [3, 4, 5, 6]
+        assert [w.return_time for w in ws] == [2 * scheme.height(n) + 1 for n in (3, 4, 5, 6)]
 
 
 class TestD6Root:

@@ -81,3 +81,61 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text())
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(_imported_names(tree) - read) == []
+
+
+# defaulted parameters that no program call passes, each kept because a test
+# needs the other value
+ONE_VALUE_DEFAULTS = {
+    "build_s_map.max_retries": "test_retry_cap_error reaches DistributionTestError with a cap of 5",
+}
+
+
+def _defaulted_parameters(tree):
+    """(callable name, parameter, position or None) of every defaulted
+    parameter of the module-level functions and methods; a method's position
+    skips self or cls, and a constructor goes by its class name.  Nested
+    functions are not walked."""
+    defs = [(node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                defs.append((cls.name if node.name == "__init__" else node.name, node, 0 if static else 1))
+    for name, node, skip in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield name, positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call, parameter, position) -> bool:
+    """Whether a call passes the parameter by keyword or by position; a
+    *args or **kwargs in the call may pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    by_position = position is not None and len(call.args) > position
+    return by_position or any(k.arg == parameter for k in call.keywords)
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that every program call keeps is a constant dressed as a
+    # parameter, and its other values are code no run reaches
+    sources = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
+    callers = sources + [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [
+        f"{name}.{parameter}"
+        for path in sources
+        for name, parameter, position in _defaulted_parameters(ast.parse(path.read_text()))
+        if not any(_passes(call, parameter, position) for call in calls.get(name, []))
+        and f"{name}.{parameter}" not in ONE_VALUE_DEFAULTS
+    ]
+    assert unpassed == []

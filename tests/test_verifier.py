@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,14 @@ class TestConfig:
     def test_from_partial_json(self):
         cfg = ExperimentConfig.from_json({"seed": 3})
         assert cfg.seed == 3
-        assert cfg.construction == cf_engine.default_params()
+        assert cfg.construction == cf_engine.CFParams()
 
     @pytest.mark.parametrize("data, key", [
         ({"seed": 3, "window_level": 4}, "'window_level'"),
         ({"construction": {"max_level": 5, "sample_count": 64}}, "'sample_count'"),
         ({"construction": {"r_schedule": {"kind": "max_power", "flor": 90}}}, "'flor'"),
+        # the subcommand is the one selector of experiments
+        ({"experiments": ["sequences"]}, "'experiments'"),
     ])
     def test_unknown_key_is_named(self, data, key):
         # a retired or misspelt setting used to be dropped without a word
@@ -108,7 +111,7 @@ class TestRunners:
 @pytest.mark.parametrize("seed", [42, 20260810])
 def test_correction_times_are_rounded_fractions(seed):
     # every level of the default build; level 6 times pass 2^63
-    built = cf_engine.build_levels(cf_engine.default_params(), seed=seed)
+    built = cf_engine.build_levels(cf_engine.CFParams(), seed=seed)
     top = built.levels[6]
     assert max(abs(top.correction_time_fraction(h)) for h in top.h_range()) > 2**63
     for lv in built.levels:
@@ -155,6 +158,50 @@ class TestWeakmixTimeOnly:
         assert got == ref
 
 
+def _weakmix_deviation_whole(levels, n, samples, rng):
+    """The weakmix deviation with the translate and both rectangle tests run
+    on the whole batch at once, as before the row blocks."""
+    A, B = _level1_full_rectangles(levels)
+    mu_a = cf_engine.cylinder_measure(levels, 1, *A)
+    mu_b = cf_engine.cylinder_measure(levels, 1, *B)
+    mu1 = levels.mu_xn(1)
+    top = min(n + 2, levels.max_level + 1)
+    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
+    t1 = ti.astype(float) + tf
+    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+    g = 2 * levels.a_tilde(n)
+    valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
+    t1_shift = ti1.astype(float) + tf1
+    in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
+    p_hat = float(np.mean(in_a & in_b))
+    sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
+    return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
+
+
+class TestWeakmixInRowBlocks:
+    @pytest.mark.parametrize("samples", [
+        1, cf_engine.ROW_BLOCK, cf_engine.ROW_BLOCK + 1, 3 * cf_engine.ROW_BLOCK,
+    ])
+    def test_matches_the_whole_batch(self, levels, samples):
+        # the hits summed over the blocks give the whole mask's mean bit for bit
+        ref = _weakmix_deviation_whole(levels, 5, samples, np.random.default_rng(samples))
+        assert _weakmix_deviation(levels, 5, samples, np.random.default_rng(samples)) == ref
+
+    def test_peak_memory_below_sixteen_columns(self, levels):
+        # an (N,) float or int64 column is 1 MB at N = 2^17.  The draws are
+        # 8 columns (ti, tf and 6 tail indices), and sample_point_batch holds
+        # 8 more while it draws and normalises the (N, 4) fiber; the whole-
+        # batch translate at n = 6 peaked near 32 columns
+        n = 2**17
+        tracemalloc.start()
+        try:
+            _weakmix_deviation(levels, 6, n, np.random.default_rng(24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * np.dtype(np.int64).itemsize
+
+
 def test_weakmix_above_the_build_names_the_level(tmp_path):
     # the default weakmix levels reach 6, so a max_level-3 build runs out at
     # n = 4, whose translate moves the level-4 shift index, with a named
@@ -162,7 +209,7 @@ def test_weakmix_above_the_build_names_the_level(tmp_path):
     cfg = ExperimentConfig(
         seed=5,
         mc_samples=2000,
-        construction=cf_engine.default_params(max_level=3),
+        construction=cf_engine.CFParams(max_level=3),
         output_dir=str(tmp_path),
     )
     with pytest.raises(cf_engine.LevelTooDeepError, match="level 4 .*max_level 3"):
@@ -175,7 +222,7 @@ def test_weakmix_one_level_short_raises(tmp_path):
     cfg = ExperimentConfig(
         seed=5,
         mc_samples=2000,
-        construction=cf_engine.default_params(max_level=5),
+        construction=cf_engine.CFParams(max_level=5),
         output_dir=str(tmp_path),
         weakmix_levels=(6,),
     )
@@ -188,7 +235,7 @@ def test_every_experiment_passes_at_level_7(tmp_path):
     cfg = ExperimentConfig(
         seed=20260810,
         mc_samples=20_000,
-        construction=cf_engine.default_params(max_level=7),
+        construction=cf_engine.CFParams(max_level=7),
         output_dir=str(tmp_path),
     )
     reports = [run(cfg) for run in EXPERIMENTS.values()]
@@ -213,23 +260,16 @@ class TestCLI:
 
     def test_level_past_int64_is_a_usage_error(self, tmp_path, capsys):
         # --level 8 used to end in an OverflowError traceback from the
-        # level build
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sequences", "--level", "8", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "level 8 correction shells" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-
-    def test_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):
-        # a misspelt name used to pass the config and die in cli.main with a
-        # bare KeyError
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiments": ["sequences", "weakmx"]}))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sequences", "--config", str(cfg_path), "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "unknown experiments ['weakmx']" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        # level build, and --level 100 in a bare "level too deep" from
+        # deriving all 100 levels' sequences
+        for command, level in (("sequences", 8), ("all", 100)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--level", str(level), "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "level 8 correction shells" in err
+            assert f"max_level {level} is above 7" in err
+            assert not (tmp_path / "report.json").exists()
 
     def test_cli_subcommand(self, tmp_path):
         out = tmp_path / "cli"
