@@ -135,17 +135,12 @@ class CFParams:
     r_kind: str = "max_power"
     r_floor: int = 100
     r_power: int = 5
-    r_values: tuple[int, ...] = ()
     max_level: int = 6
     alphabet_size: int = 8
 
     def r(self, n: int) -> int:
         if self.r_kind == "max_power":
             return max(self.r_floor, n**self.r_power)
-        if self.r_kind == "explicit":
-            if n >= len(self.r_values):
-                raise ValueError(f"explicit r_schedule has no entry for n={n}")
-            return int(self.r_values[n])
         if self.r_kind == "constant":
             return self.r_floor
         raise ValueError(f"unknown r_kind {self.r_kind!r}")
@@ -159,7 +154,6 @@ class CFParams:
                 "kind": self.r_kind,
                 "floor": self.r_floor,
                 "power": self.r_power,
-                "values": list(self.r_values),
             },
             "max_level": self.max_level,
             "alphabet_size": self.alphabet_size,
@@ -169,12 +163,11 @@ class CFParams:
     def from_json(data: dict) -> "CFParams":
         check_config_keys(data, ("r_schedule", "max_level", "alphabet_size"), "construction")
         rs = data.get("r_schedule", {})
-        check_config_keys(rs, ("kind", "floor", "power", "values"), "construction.r_schedule")
+        check_config_keys(rs, ("kind", "floor", "power"), "construction.r_schedule")
         return CFParams(
             r_kind=rs.get("kind", "max_power"),
             r_floor=int(rs.get("floor", 100)),
             r_power=int(rs.get("power", 5)),
-            r_values=tuple(rs.get("values", ())),
             max_level=int(data.get("max_level", 6)),
             alphabet_size=int(data.get("alphabet_size", 8)),
         )

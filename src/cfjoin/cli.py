@@ -43,33 +43,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The config file (or the default) with the command-line overrides;
-    a usage error when its max level is below what the subcommand's
-    experiments read, or when it is too deep to build."""
-    if args.config is not None:
-        cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = str(args.out)
-    if args.samples is not None:
-        cfg.mc_samples = args.samples
-    if args.level is not None:
-        cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
-    level = cfg.construction.max_level
-    needs = {name: min_max_level(cfg, name) for name in _SUBCOMMAND_SETS[args.command]}
-    short = [name for name, need in needs.items() if need > level]
-    if short:
-        need = max(needs[name] for name in short)
-        parser.error(
-            f"max level {level} is below {need}, the smallest at which "
-            f"{', '.join(short)} can run; pass --level {need} or higher"
-        )
+    a usage error when the file is unreadable or malformed, when its max
+    level is below what the subcommand's experiments read, or when it is
+    too deep to build."""
     try:
+        if args.config is not None:
+            cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
+        else:
+            cfg = ExperimentConfig()
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.out is not None:
+            cfg.output_dir = str(args.out)
+        if args.samples is not None:
+            cfg.mc_samples = args.samples
+        if args.level is not None:
+            cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
+        level = cfg.construction.max_level
+        needs = {name: min_max_level(cfg, name) for name in _SUBCOMMAND_SETS[args.command]}
+        short = [name for name, need in needs.items() if need > level]
+        if short:
+            need = max(needs[name] for name in short)
+            parser.error(
+                f"max level {level} is below {need}, the smallest at which "
+                f"{', '.join(short)} can run; pass --level {need} or higher"
+            )
         check_level_depth(cfg.construction)
-    except LevelTooDeepError as exc:
-        parser.error(str(exc))
+    except (OSError, ValueError, TypeError, LevelTooDeepError) as exc:
+        parser.error(f"config {args.config}: {exc}" if args.config else str(exc))
     return cfg
 
 

@@ -400,28 +400,6 @@ def _fiber_in_cube(ta, quats, m, cube):
     return inside
 
 
-def _in_rectangles(t, quats, rects):
-    """Mask of the points x lying in A^{-1} a for every rect = (a, (lo, hi], cube).
-
-    x in A^{-1} a  iff  a x^{-1} in A; the time parts are interval tests, and
-    the fiber parts (for rectangles with a cube fiber) go through the chart
-    for the points that pass every time test.  The rows of quats need not be
-    unit: only those that reach a fiber test are normalised, in row blocks.
-    quats may be None when no rectangle has a cube fiber.
-    """
-    sel = np.ones(len(t), dtype=bool)
-    for a_elem, (lo, hi), _ in rects:
-        ta = a_elem.t - t
-        sel &= (ta > lo) & (ta <= hi)
-    for a_elem, _, cube in rects:
-        if cube is not None:
-            idx = np.flatnonzero(sel)
-            for rows in cf_engine.row_blocks(len(idx)):
-                i = idx[rows]
-                sel[i] = _fiber_in_cube(a_elem.t - t[i], quat_normalize(quats[i]), a_elem.m, cube)
-    return sel
-
-
 def _last_shell_above(a_t: float, u: np.ndarray, x: float) -> np.ndarray:
     """Largest integer l with a_t - (l + u) > x, for each offset u.
 
@@ -436,7 +414,8 @@ def _last_shell_above(a_t: float, u: np.ndarray, x: float) -> np.ndarray:
 
 def _sample_set_fraction(ss: equidist.FiniteSampleSet, rects) -> float:
     """Fraction of the virtual sample set in A^{-1} a for every rect =
-    (a, (lo, hi], cube), the set `_in_rectangles` tests point by point.
+    (a, (lo, hi], cube): the points x with a.t - x.t in (lo, hi] and, where
+    there is a cube, the fiber of a x^{-1} in it (`_fiber_in_cube`).
 
     Point (l + u_i, q_i) passes a time test exactly on a run of shells l,
     found per i from the float test itself.  The twist has period 2 in time,
@@ -460,6 +439,20 @@ def _sample_set_fraction(ss: equidist.FiniteSampleSet, rects) -> float:
         per_residue = (hi_l - r) // 4 - (lo_l - 1 - r) // 4
         hits += int(np.sum(per_residue, where=nonempty & fiber[r]))
     return hits / ss.size
+
+
+def _rectangle_measure(half: int, rects) -> float:
+    """Measure of A^{-1} a for every rect = (a, (lo, hi], cube) under the
+    normalised Lebesgue x Haar measure of (-K, K] x SU(2), K = half: the
+    clipped window of times t with a.t - t in (lo, hi], times vol(cube):
+    q -> m phi_t(q^{-1}) preserves Haar measure, the chart's image of
+    Lebesgue measure.  Two cube fibers are not independent: ValueError."""
+    cubes = [cube for _, _, cube in rects if cube is not None]
+    if len(cubes) > 1:
+        raise ValueError("the fiber tests of two cubes are not independent")
+    lo_t = max([-half] + [a_elem.t - hi for a_elem, (lo, hi), _ in rects])
+    hi_t = min([half] + [a_elem.t - lo for a_elem, (lo, hi), _ in rects])
+    return max(hi_t - lo_t, 0.0) / (2 * half) * math.prod(b - a for cube in cubes for a, b in cube)
 
 
 def _overlap_length(x, ta: float, wa: float, tb: float, wb: float) -> np.ndarray:
@@ -496,10 +489,21 @@ def _overlap_pair_sum(u: np.ndarray, half: int, ta: float, wa: float, tb: float,
     return total
 
 
+def _mean_overlap(half: int, ta: float, wa: float, tb: float, wb: float) -> float:
+    """E overlap(U - V), U and V uniform on (-K, K], K = half: the tent
+    density (2K - |d|) / (2K)^2 times the overlap (`_overlap_length`) is
+    quadratic between the cuts, so Simpson's rule on each piece is exact."""
+    k2, p0 = 2.0 * half, tb - ta - wa
+    breaks = (p0, p0 + min(wa, wb), p0 + max(wa, wb), tb - ta + wb)
+    x = np.array(sorted({-k2, 0.0, k2, *(min(max(p, -k2), k2) for p in breaks)}))
+    d = np.stack([x[:-1], (x[:-1] + x[1:]) / 2.0, x[1:]])
+    f = _overlap_length(d, ta, wa, tb, wb) * (k2 - np.abs(d)) / k2**2
+    return float(np.sum(np.diff(x) / 6.0 * (f[0] + 4.0 * f[1] + f[2])))
+
+
 def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("sample-sets", "techniczny-i;techniczny-ii;lm:6.2")
     levels = _levels_cache(cfg)
-    mc = cfg.mc_samples
 
     for n in (2, 3):
         eps = cfg.construction.eps(n)
@@ -532,22 +536,13 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
                             SU2Element.from_array(rng.standard_normal(4)))
 
             rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), None))
-            t_mc = rng.uniform(-half, half, size=mc)
-            # the fiber is independent of the time, so it is drawn only for
-            # the points that pass every time test, and only when a fiber is
-            # tested
-            sel = _in_rectangles(t_mc, None, tuple((a, iv, None) for a, iv, _ in rects))
-            if cube_a is not None:
-                q_sel = rng.standard_normal((int(np.count_nonzero(sel)), 4))
-                sel = _in_rectangles(t_mc[sel], q_sel, rects)
-            mc_frac = np.count_nonzero(sel) / mc
-            ss_frac = _sample_set_fraction(ss, rects)
-            worst = max(worst, abs(mc_frac - ss_frac))
+            exact = _rectangle_measure(half, rects)
+            worst = max(worst, abs(exact - _sample_set_fraction(ss, rects)))
         rep.add(f"techniczny-i-n{n}", worst, tolerance=eps, passed=worst < eps)
 
         # (ii): double averages of the base-overlap kernel.  The kernel is of
         # order K/a_n, so the absolute gate is easy; the relative agreement
-        # of the two averages is reported as the informative quality figure.
+        # with the exact mean is reported as the informative quality figure.
         a_n = levels.a(n)
         worst2 = 0.0
         worst2_rel = 0.0
@@ -557,17 +552,12 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             ta = float(rng.uniform(-half, half))
             tb = float(rng.uniform(-half, half))
 
-            delta = rng.uniform(-half, half, size=mc) - rng.uniform(-half, half, size=mc)
-            # summed in row blocks, so no temporary is as long as the draws
-            mc_val = sum(
-                float(np.sum(_overlap_length(delta[rows], ta, wa, tb, wb) / (2.0 * a_n)))
-                for rows in cf_engine.row_blocks(mc)
-            ) / mc
+            exact = _mean_overlap(half, ta, wa, tb, wb) / (2.0 * a_n)
             # the same average over the virtual product set, summed exactly
             total = _overlap_pair_sum(ss.u_time, half, ta, wa, tb, wb)
             ss_val = total / (2.0 * a_n) / (ss.size**2)
-            worst2 = max(worst2, abs(mc_val - ss_val))
-            worst2_rel = max(worst2_rel, abs(mc_val - ss_val) / max(mc_val, 1e-12))
+            worst2 = max(worst2, abs(exact - ss_val))
+            worst2_rel = max(worst2_rel, abs(exact - ss_val) / max(exact, 1e-12))
         rep.add(f"techniczny-ii-n{n}", worst2, tolerance=eps, passed=worst2 < eps)
         rep.add(f"techniczny-ii-rel-n{n}", worst2_rel)
 

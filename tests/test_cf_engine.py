@@ -38,12 +38,6 @@ class TestSequences:
         with pytest.raises(cf.LevelTooDeepError, match="level too deep"):
             cf.derive_sequences(cf.CFParams(), 500)
 
-    def test_explicit_schedule(self):
-        params = cf.CFParams(r_kind="explicit", r_values=(10, 20, 30))
-        assert params.r(2) == 30
-        with pytest.raises(ValueError):
-            params.r(3)
-
 
 class TestNormalizer:
     def test_near_trivial_ratios(self):

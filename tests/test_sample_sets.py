@@ -1,8 +1,10 @@
-"""Oracles for the closed-form sample-set averages of `run_sample_sets`.
+"""Oracles for the closed forms of `run_sample_sets`.
 
 The per-shell loops below are the brute-force sums that the closed forms
 replace: the techniczny-ii pair sum over every shell shift d, and the
 techniczny-i fraction over every one of the 2K * count sample-set points.
+The exact references those are compared with (the rectangle measure and the
+mean overlap) are checked against uniform draws and against quadrature.
 """
 
 import math
@@ -10,11 +12,33 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from cfjoin import equidist
-from cfjoin.cf_engine import ROW_BLOCK
 from cfjoin.groups import SU2_I, GElement, SU2Element, quat_inv, quat_mul, quat_normalize, quat_phi_real
-from cfjoin.verifier import _fiber_in_cube, _in_rectangles, _overlap_pair_sum, _sample_set_fraction
+from cfjoin.verifier import (
+    ExperimentConfig,
+    _fiber_in_cube,
+    _mean_overlap,
+    _overlap_length,
+    _overlap_pair_sum,
+    _rectangle_measure,
+    _sample_set_fraction,
+    run_sample_sets,
+)
+
+
+def _in_rectangles(t, quats, rects):
+    """Mask of the points x = (t, q) lying in A^{-1} a for every rect =
+    (a, (lo, hi], cube): a x^{-1} in A, so a.t - t in (lo, hi] and, where
+    there is a cube, the fiber m phi_{a.t - t}(q^{-1}) in it."""
+    sel = np.ones(len(t), dtype=bool)
+    for a_elem, (lo, hi), cube in rects:
+        ta = a_elem.t - t
+        sel &= (ta > lo) & (ta <= hi)
+        if cube is not None:
+            sel &= _fiber_in_cube(ta, quat_normalize(quats), a_elem.m, cube)
+    return sel
 
 
 def _dshift_pair_sum(u, half, ta, wa, tb, wb) -> float:
@@ -68,35 +92,6 @@ def test_closed_form_fiber_matches_three_products(data):
     # a at time 0 and points at time -ta give a x^{-1} the time ta exactly
     near = _near_face(-ta, q, (GElement(0.0, m), None, cube))
     assert not np.any((_fiber_in_cube(ta, q, m, cube) != ref) & ~near)
-
-
-@settings(max_examples=30)
-@given(data=st.data())
-def test_fiber_test_on_time_selected_rows(data):
-    # run_sample_sets draws fibers only for the rows that pass the time tests
-    half = data.draw(st.integers(1, 2000), label="half")
-    rects = (_rect(data, half, "a", cube=True), _rect(data, half, "b", cube=data.draw(st.booleans())))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
-    t = rng.uniform(-half, half, 5000)
-    q = rng.standard_normal((len(t), 4))
-    every_row = _in_rectangles(t, q, rects)
-    sel = _in_rectangles(t, None, tuple((a, iv, None) for a, iv, _ in rects))
-    assert not np.any(every_row & ~sel)
-    assert np.array_equal(_in_rectangles(t[sel], q[sel], rects), every_row[sel])
-
-
-@pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK, ROW_BLOCK + 1])
-def test_fiber_pass_in_row_blocks_matches_all_rows_at_once(rows):
-    # the fiber test runs ROW_BLOCK selected rows at a time; every row passes
-    # the time test here, so the counts straddle the block edges exactly
-    rng = np.random.default_rng(rows)
-    t = rng.uniform(-50.0, 50.0, rows)
-    q = rng.standard_normal((rows, 4))
-    a = GElement(3.25, SU2Element.from_array(rng.standard_normal(4)))
-    cube = ((0.1, 0.8), (0.2, 0.9), (0.0, 0.7))
-    mask = _in_rectangles(t, q, ((a, (-100.0, 100.0), cube),))
-    assert np.array_equal(mask, _fiber_in_cube(a.t - t, quat_normalize(q), a.m, cube))
-    assert 0 < np.count_nonzero(mask) < rows or rows <= 1
 
 
 # shell offsets: a Halton prefix, as sample sets use, or any floats in [0, 1)
@@ -193,3 +188,59 @@ def test_fraction_counts_shells_far_from_zero():
         hits = int(np.sum(_in_rectangles(t, q, (rect_a, rect_b))))
         assert hits > 0
         assert _sample_set_fraction(ss, (rect_a, rect_b)) == hits / ss.size
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_rectangle_measure_matches_uniform_draws(data):
+    # windows past either slab edge, empty windows, and a cube on one
+    # rectangle or on none; uniform points of (-K, K] x SU(2) at 4 sigma
+    half = data.draw(st.integers(1, 2000), label="half")
+    with_cube = data.draw(st.sampled_from([None, "a", "b"]), label="cube on")
+    rects = (_rect(data, half, "a", cube=with_cube == "a"), _rect(data, half, "b", cube=with_cube == "b"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    draws = 20_000
+    t = rng.uniform(-half, half, draws)
+    q = rng.standard_normal((draws, 4))
+    exact = _rectangle_measure(half, rects)
+    assert 0.0 <= exact <= 1.0
+    hit = np.count_nonzero(_in_rectangles(t, q, rects)) / draws
+    assert abs(hit - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws) + 1e-12
+
+
+def test_rectangle_measure_rejects_two_cubes():
+    # the fiber tests of two cubes are not independent, so the product of
+    # their volumes would be wrong
+    cube = ((0.1, 0.8), (0.2, 0.9), (0.0, 0.7))
+    rects = ((GElement(0.0, SU2_I), (-10.0, 10.0), cube), (GElement(1.0, SU2_I), (-10.0, 10.0), cube))
+    with pytest.raises(ValueError, match="two cubes"):
+        _rectangle_measure(20, rects)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_mean_overlap_matches_quadrature(data):
+    half = data.draw(st.integers(1, 2000), label="half")
+    # rectangles at slab scale, as run_sample_sets draws them
+    wa = data.draw(st.floats(0.5, 1.5), label="wa") * half
+    wb = data.draw(st.floats(0.5, 1.5), label="wb") * half
+    ta = data.draw(st.floats(-1.0, 1.0), label="ta") * half
+    tb = data.draw(st.floats(-1.0, 1.0), label="tb") * half
+    k2 = 2.0 * half
+    p0 = tb - ta - wa
+    breaks = [p for p in (0.0, p0, p0 + min(wa, wb), p0 + max(wa, wb), tb - ta + wb) if -k2 < p < k2]
+    ref, _ = integrate.quad(
+        lambda d: float(_overlap_length(d, ta, wa, tb, wb)) * (k2 - abs(d)) / k2**2,
+        -k2, k2, points=breaks, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    assert abs(_mean_overlap(half, ta, wa, tb, wb) - ref) <= 1e-12 * ref
+
+
+def test_sample_set_report_does_not_read_mc_samples(tmp_path):
+    # the references are exact, so the Monte Carlo sample size of the
+    # other experiments leaves every sample-set figure as it is
+    reports = [
+        run_sample_sets(ExperimentConfig(seed=20260810, mc_samples=samples, output_dir=str(tmp_path)))
+        for samples in (2000, 1_000_000)
+    ]
+    assert reports[0].metrics == reports[1].metrics

@@ -47,6 +47,8 @@ class TestConfig:
         ({"construction": {"r_schedule": {"kind": "max_power", "flor": 90}}}, "'flor'"),
         # the subcommand is the one selector of experiments
         ({"experiments": ["sequences"]}, "'experiments'"),
+        # the explicit r schedule is gone with its list of values
+        ({"construction": {"r_schedule": {"kind": "explicit", "values": [100] * 481}}}, "'values'"),
     ])
     def test_unknown_key_is_named(self, data, key):
         # a retired or misspelt setting used to be dropped without a word
@@ -270,6 +272,27 @@ class TestCLI:
             assert "level 8 correction shells" in err
             assert f"max_level {level} is above 7" in err
             assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("{bad", "Expecting property name"),
+        ('{"experiments": ["sequences"]}', "unknown experiment config keys ['experiments']"),
+        ('{"seed": "seven"}', "invalid literal for int()"),
+        ('{"seed": null}', "not 'NoneType'"),
+        ('{"construction": {"r_schedule": {"kind": "bogus"}}}', "unknown r_kind 'bogus'"),
+    ])
+    def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
+        # each of these used to end in a traceback with exit code 1
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config {cfg_path}: " in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_subcommand(self, tmp_path):
         out = tmp_path / "cli"
