@@ -761,16 +761,19 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     with `tails` and moved there by the integer time translate (g, I), the
     fiber (if any) turned by phi_g, the parity twist quat_phi_int.  g is a
     Python int or an int64 array, one per lane, to which a one-row batch is
-    broadcast.  The top times stay a RadixTimes pair: g = gh * 2 a~_(to-1)
-    + gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl to the
-    low digit, so no time past 2^62 is formed where the low digit fits int64."""
+    broadcast.  q may carry leading fiber axes, shape (..., n, 4): fibers
+    over the same times and tails share one time peel, and each comes back
+    as its own translate would return it.  The top times stay a RadixTimes
+    pair: g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds gh to the
+    shift digit and gl to the low digit, so no time past 2^62 is formed
+    where the low digit fits int64."""
     top, tf, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
     g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(tf.shape, g.shape)
     if q is not None:
-        q = quat_phi_int(g % 2, np.broadcast_to(q, lanes + (4,)))
+        q = quat_phi_int(g % 2, np.broadcast_to(q, q.shape[:-2] + lanes + (4,)))
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix)
     return peel_batch(levels, top, np.broadcast_to(tf, lanes), q, to_level, from_level)
 

@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """The config file (or the default) with the command-line overrides;
-    a usage error when the file is unreadable or malformed, when its max
-    level is below what the subcommand's experiments read, or when it is
-    too deep to build."""
+    a usage error when the file is unreadable or malformed, when mc_samples
+    is not positive, when its max level is below what the subcommand's
+    experiments read, or when it is too deep to build."""
     try:
         if args.config is not None:
             cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
@@ -59,6 +59,8 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
             cfg.mc_samples = args.samples
         if args.level is not None:
             cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
+        if cfg.mc_samples < 1:
+            raise ValueError(f"mc_samples must be a positive int, not {cfg.mc_samples}")
         level = cfg.construction.max_level
         needs = {name: min_max_level(cfg, name) for name in _SUBCOMMAND_SETS[args.command]}
         short = [name for name, need in needs.items() if need > level]

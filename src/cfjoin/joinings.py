@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2Element, adjoint_matrix, quat_mul
+from .groups import SU2_I, SU2Element, quat_mul
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
@@ -79,7 +79,9 @@ class CFDictionary:
             ("harm-8", ("harm", 8)),
         ]
         self.labels = [name for name, _ in spec]
-        self._spec = [code for _, code in spec]
+        # the harmonic rows in the order of m, and the (row, code) of the rest
+        self._harm = [row for row, (_, (kind, _)) in enumerate(spec) if kind == "harm"]
+        self._fiber = [(row, code) for row, (_, code) in enumerate(spec) if code[0] != "harm"]
 
     @property
     def size(self) -> int:
@@ -89,33 +91,58 @@ class CFDictionary:
         """batch = (valid, ti, tf, q) level-1 coordinates from peel_batch."""
         valid, ti, tf, q = batch
         t = np.asarray(ti, dtype=float) + tf
-        n = len(t)
-        out = np.zeros((self.size, n), dtype=complex)
-        adj = None
-        # harmonic m -> its row; harmonic m is harmonic m - 1 times harmonic 1,
-        # multiplied in place, so one exponential serves all of them
-        harm_rows = {}
-        for row, code in enumerate(self._spec):
-            kind, arg = code
-            if kind == "harm":
-                if arg == 1:
-                    np.exp(2j * math.pi * t / self.a1, out=out[row])
-                else:
-                    np.multiply(out[harm_rows[arg - 1]], out[harm_rows[1]], out=out[row])
-                harm_rows[arg] = row
-            elif kind == "def":
-                if arg == "z":
-                    out[row] = math.sqrt(2.0) * (q[:, 0] + 1j * q[:, 1])
-                else:
-                    out[row] = math.sqrt(2.0) * (q[:, 2] + 1j * q[:, 3])
-            else:
-                if adj is None:
-                    adj = adjoint_matrix(q)
-                a, b = arg
-                out[row] = math.sqrt(3.0) * adj[:, a, b]
-        out *= self.scale
-        out[:, ~valid] = 0.0
+        out = np.empty((self.size, len(t)), dtype=complex)
+        # harmonic m is harmonic m - 1 times harmonic 1, multiplied in place,
+        # so one exponential serves all of them
+        first = out[self._harm[0]]
+        np.exp(2j * math.pi * t / self.a1, out=first)
+        for prev, row in zip(self._harm, self._harm[1:]):
+            np.multiply(out[prev], first, out=out[row])
+        for row in self._harm:
+            out[row] *= self.scale
+        self._fiber_rows(valid, q, out)
         return out
+
+    def _fiber_rows(self, valid, q, out) -> None:
+        """Write the fiber rows of q into `out`, whose time rows hold the
+        values at the same times, and zero the lanes off `valid`.  Each row
+        is sqrt 2 or sqrt 3 times a matrix coefficient, then scaled, written
+        as real and imaginary parts; the adjoint entries are those of
+        groups.adjoint_matrix, without its (n, 3, 3) array."""
+        a, b, c, d = q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]
+        adj = {
+            (0, 0): a * a + b * b - c * c - d * d,
+            (1, 1): a * a - b * b + c * c - d * d,
+            (2, 2): a * a - b * b - c * c + d * d,
+            (0, 1): 2 * (b * c - a * d),
+            (1, 2): 2 * (c * d - a * b),
+            (0, 2): 2 * (b * d + a * c),
+        }
+        for row, (kind, arg) in self._fiber:
+            if kind == "def":
+                lo = 0 if arg == "z" else 2
+                parts = [(out[row].real, q[:, lo]), (out[row].imag, q[:, lo + 1])]
+                root = math.sqrt(2.0)
+            else:
+                parts = [(out[row].real, adj[arg])]
+                out[row].imag = 0.0
+                root = math.sqrt(3.0)
+            for part, value in parts:
+                np.multiply(value, root, out=part)
+                part *= self.scale
+        out[:, ~valid] = 0.0
+
+    def evaluate_shared_times(self, batch, q2) -> tuple[np.ndarray, np.ndarray]:
+        """Values (fx, fy) of two points with the same times and fibers q
+        and q2, batch = (valid, ti, tf, q): fy copies the time rows of fx,
+        which the fiber does not enter, and computes only its fiber rows.
+        fy is fx when q2 is None."""
+        fx = self.evaluate(batch)
+        if q2 is None:
+            return fx, fx
+        fy = fx.copy()
+        self._fiber_rows(batch[0], q2, fy)
+        return fx, fy
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +190,21 @@ def _correlation_table(dict_id: str, blocks, scale: float = 1.0) -> EmpiricalJoi
 
     Since |f_i g_j|^2 = |f_i|^2 |g_j|^2, both moments are (K, n_b) x (n_b, K)
     matrix products summed over the blocks, and no (K, K, N) array, nor any
-    (K, N) table of all N pairs, is formed.
+    (K, N) table of all N pairs, is formed.  When fy is fx, |fx|^2 is
+    computed once.
     """
     n = 0
     cross = second = 0.0
     for fx, fy in blocks:
         n += fx.shape[1]
         cross = cross + fx @ fy.conj().T
-        second = second + (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T
+        sq_x = np.abs(fx) ** 2
+        # a copy, not sq_x itself: numpy takes the product of an array with
+        # its own transpose through syrk, which rounds differently
+        sq_y = sq_x.copy() if fy is fx else np.abs(fy) ** 2
+        second = second + sq_x @ sq_y.T
+        # free this block's tables before the next block is computed
+        del fx, fy, sq_x, sq_y
     corr = cross * (scale / n)
     var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
     return EmpiricalJoining(dict_id, corr, np.sqrt(var / n), n)
@@ -290,16 +324,27 @@ def _window_blocks(
     ts: np.ndarray,
 ):
     """Row blocks (fx, fy) of the dictionary values at the translates of two
-    level-1 points, one-row batches (ti, tf, q, tails), by g = b + spacing t;
-    fy is fx itself when x2 is x."""
+    level-1 points, one-row batches (ti, tf, q, tails), by g = b + spacing t.
+
+    Points with the same times and tails, such as x and its fiber partner
+    act((0, m), x), share one translate of both fibers and the time rows of
+    their values; fy is fx when the fibers are the same too.
+    """
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
     top = min(window.n + 2, levels.max_level + 1)
+    shared = all(np.array_equal(x[i], x2[i]) for i in (0, 1, 3))
+    same = shared and np.array_equal(x[2], x2[2])
+    q = x[2] if same else np.stack([x[2], x2[2]])
     for rows in row_blocks(len(bs)):
         g = bs[rows] + window.spacing * ts[rows]
-        fx = dictionary.evaluate(translate(levels, *x, g, 1, top)[:4])
-        fy = fx if x2 is x else dictionary.evaluate(translate(levels, *x2, g, 1, top)[:4])
-        yield fx, fy
+        if shared:
+            valid, ti, tf, qg, _ = translate(levels, x[0], x[1], q, x[3], g, 1, top)
+            qx, qy = (qg, None) if same else qg
+            yield dictionary.evaluate_shared_times((valid, ti, tf, qx), qy)
+        else:
+            yield (dictionary.evaluate(translate(levels, *x, g, 1, top)[:4]),
+                   dictionary.evaluate(translate(levels, *x2, g, 1, top)[:4]))
 
 
 def empirical_joining(
@@ -347,15 +392,16 @@ def graph_joining_target(
     conditioning the sampler on that part is exact and T_k is applied to the
     level-1 coordinate alone; the mu(X_1) mass factor enters through the
     observable norms.  The sample is drawn whole, then moved and evaluated
-    in row blocks.
+    in row blocks; T_k leaves t in place, so both sides share the time rows
+    of their values, and for m = I the two sides are one.
     """
     ti, tf, q, _ = sample_point_batch(levels, samples, 0, rng)
 
     def blocks():
         for rows in row_blocks(samples):
             valid = np.ones(rows.stop - rows.start, dtype=bool)
-            yield (dictionary.evaluate((valid, ti[rows], tf[rows], q[rows])),
-                   dictionary.evaluate((valid, ti[rows], tf[rows], quat_mul(m.array(), q[rows]))))
+            moved = None if m == SU2_I else quat_mul(m.array(), q[rows])
+            yield dictionary.evaluate_shared_times((valid, ti[rows], tf[rows], q[rows]), moved)
 
     return _correlation_table(dictionary.dict_id, blocks(), levels.mu_xn(1))
 

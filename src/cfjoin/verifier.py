@@ -85,11 +85,14 @@ class ExperimentConfig:
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         cf_engine.check_config_keys(data, [f.name for f in fields(ExperimentConfig)], "experiment")
+        output_dir = data.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise TypeError(f"output_dir must be a string, not {output_dir!r}")
         return ExperimentConfig(
             seed=int(data.get("seed", 0)),
             construction=CFParams.from_json(data.get("construction", {})),
             mc_samples=int(data.get("mc_samples", 1_000_000)),
-            output_dir=data.get("output_dir", "out"),
+            output_dir=output_dir,
             weakmix_levels=tuple(data.get("weakmix_levels", (2, 3, 4, 5, 6))),
         )
 

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
-from cfjoin.groups import GElement, SU2_I, SU2Element, g_inv, g_mul, quat_normalize, quat_phi_int
+from cfjoin.groups import GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_normalize, quat_phi_int
 
 
 class TestSequences:
@@ -666,6 +666,32 @@ class TestTranslate:
             if ref is not None:
                 assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(ref[0])[0], ref[1])
                 assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
+
+
+    @pytest.mark.parametrize("lanes", [0, 1, cf.ROW_BLOCK, cf.ROW_BLOCK + 1])
+    def test_stacked_fibers_match_separate_translates(self, levels, lanes):
+        # a point and its fiber partner (0, h0) x share times and tails: one
+        # translate of the two stacked fibers returns, bit for bit, what the
+        # two translates of the points return
+        top = levels.max_level
+        x = cf.sample_point_batch(levels, 1, top, np.random.default_rng(31), h_minus=True)
+        q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
+        # translates within one top shell keep most lanes valid; the wide
+        # ones leave it
+        rng = np.random.default_rng(32)
+        two = 2 * levels.a_tilde(top - 1)
+        g = np.where(rng.random(lanes) < 0.5, rng.integers(-two, two, lanes),
+                     rng.integers(-3 * two, 3 * two, lanes))
+        ti, tf, q, tails = x
+        stacked = cf.translate(levels, ti, tf, np.stack([q, q2]), tails, g, 1, top)
+        assert stacked[3].shape == (2, lanes, 4)
+        for fiber, q_fiber in ((0, q), (1, q2)):
+            one = cf.translate(levels, ti, tf, q_fiber, tails, g, 1, top)
+            for got, want in zip(stacked[:3] + (stacked[3][fiber],) + stacked[4:], one):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        if lanes > 1:
+            assert 0 < stacked[0].sum() < lanes
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,53 @@ from hypothesis.extra import numpy as hnp
 
 from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
-from cfjoin.groups import GElement, SU2_H0, SU2_I, conj_star
+from cfjoin.groups import GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul
 
 
 @pytest.fixture(scope="module")
 def dictionary(levels):
     return jo.CFDictionary(levels)
+
+
+def reference_evaluate(dictionary, batch):
+    """CFDictionary.evaluate as it was before it wrote the fiber rows from q
+    directly: zeroed complex rows, complex temporaries, the (n, 3, 3)
+    adjoint_matrix, then one scale pass.  The oracle for evaluate."""
+    valid, ti, tf, q = batch
+    t = np.asarray(ti, dtype=float) + tf
+    out = np.zeros((dictionary.size, len(t)), dtype=complex)
+    adj = None
+    harm_rows = {}
+    for row, label in enumerate(dictionary.labels):
+        kind, arg = label.split("-")
+        if kind == "harm":
+            m = int(arg)
+            if m == 1:
+                np.exp(2j * math.pi * t / dictionary.a1, out=out[row])
+            else:
+                np.multiply(out[harm_rows[m - 1]], out[harm_rows[1]], out=out[row])
+            harm_rows[m] = row
+        elif kind == "def":
+            if arg == "z":
+                out[row] = math.sqrt(2.0) * (q[:, 0] + 1j * q[:, 1])
+            else:
+                out[row] = math.sqrt(2.0) * (q[:, 2] + 1j * q[:, 3])
+        else:
+            if adj is None:
+                adj = adjoint_matrix(q)
+            out[row] = math.sqrt(3.0) * adj[:, int(arg[0]) - 1, int(arg[1]) - 1]
+    out *= dictionary.scale
+    out[:, ~valid] = 0.0
+    return out
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_table(a, b) -> bool:
+    return (same_bits(a.corr, b.corr) and same_bits(a.stderr, b.stderr)
+            and a.sample_count == b.sample_count)
 
 
 def random_table(rng, k=4):
@@ -98,6 +139,16 @@ class TestCorrelationTable:
         assert table.sample_count == n
         assert np.max(np.abs(table.corr - corr)) <= 1e-12
         assert np.max(np.abs(table.stderr**2 * n - (second - np.abs(corr) ** 2))) <= 1e-12
+
+    def test_fy_is_fx_matches_a_copy_bit_for_bit(self, rng):
+        # |fx|^2 is computed once when fy is fx, and must not reach numpy's
+        # syrk product of an array with its own transpose, which rounds
+        # differently from the product with an equal copy
+        blocks = [rng.standard_normal((16, n)) * rng.uniform(0, 5, (16, 1))
+                  + 1j * rng.standard_normal((16, n)) for n in (cf.ROW_BLOCK, 1000)]
+        once = jo._correlation_table("t", [(fx, fx) for fx in blocks], 0.37)
+        copies = jo._correlation_table("t", [(fx, fx.copy()) for fx in blocks], 0.37)
+        assert same_table(once, copies)
 
 
 class TestInvarianceCheck:
@@ -190,6 +241,32 @@ class TestDictionary:
             direct = dictionary.scale * np.exp(2j * math.pi * m * t / a1)
             assert np.max(np.abs(vals[row] - direct)) <= 1e-12
 
+    @pytest.mark.parametrize("lanes", [0, 1, 1000])
+    def test_matches_reference_evaluate(self, levels, dictionary, lanes):
+        # some lanes invalid, some of them holding NaN fibers and times far
+        # off level 1, as peel_batch may leave them; one valid lane holds
+        # the fiber element h0 itself, whose quaternion has exact zeros
+        rng = np.random.default_rng(24)
+        ti, tf, q, _ = cf.sample_point_batch(levels, lanes, 0, rng)
+        valid = rng.random(lanes) < 0.8
+        ti = np.where(valid, ti, 2**40)
+        q[~valid] = np.nan
+        if lanes:
+            valid[0], q[0] = True, SU2_H0.array()
+        batch = (valid, ti, tf, q)
+        assert same_bits(dictionary.evaluate(batch), reference_evaluate(dictionary, batch))
+
+    def test_shared_times_match_two_evaluates(self, levels, dictionary):
+        rng = np.random.default_rng(25)
+        ti, tf, q, _ = cf.sample_point_batch(levels, 1000, 0, rng)
+        valid = rng.random(1000) < 0.8
+        moved = quat_mul(SU2_H0.array(), q)
+        fx, fy = dictionary.evaluate_shared_times((valid, ti, tf, q), moved)
+        assert same_bits(fx, reference_evaluate(dictionary, (valid, ti, tf, q)))
+        assert same_bits(fy, reference_evaluate(dictionary, (valid, ti, tf, moved)))
+        fx, fy = dictionary.evaluate_shared_times((valid, ti, tf, q), None)
+        assert fy is fx
+
     def test_weights_are_dyadic(self, dictionary):
         w = jo._weights(dictionary.size)
         assert w[0, 0] == 0.25
@@ -249,6 +326,20 @@ class TestTargetsInRowBlocks:
         # before the square root, as in TestCorrelationTable
         assert np.max(np.abs(table.stderr**2 - whole.stderr**2)) * self.samples <= 1e-12
 
+    @pytest.mark.parametrize("m", [SU2_I, SU2_H0], ids=["I", "h0"])
+    def test_graph_target_matches_two_evaluates(self, levels, dictionary, m):
+        # the table of two evaluates per block, the fiber moved by quat_mul,
+        # as the target was computed before it shared the time rows
+        table = jo.graph_joining_target(m, dictionary, levels, self.samples, np.random.default_rng(26))
+        ti, tf, q, _ = cf.sample_point_batch(levels, self.samples, 0, np.random.default_rng(26))
+        blocks = []
+        for rows in cf.row_blocks(self.samples):
+            valid = np.ones(rows.stop - rows.start, dtype=bool)
+            blocks.append((reference_evaluate(dictionary, (valid, ti[rows], tf[rows], q[rows])),
+                           reference_evaluate(dictionary, (valid, ti[rows], tf[rows],
+                                                           quat_mul(m.array(), q[rows])))))
+        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(1)))
+
     def test_product_stderr_matches_two_pass_std(self, levels, dictionary):
         prod = jo.product_joining_target(dictionary, levels, self.samples, np.random.default_rng(22))
         ti, tf, q, _ = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(22))
@@ -301,13 +392,40 @@ class TestEmpiricalJoining:
         assert abs(emp.corr[1, 2]) < 0.05
 
     def test_diagonal_reuses_values_bit_for_bit(self, levels, dictionary):
-        # x paired with itself evaluates each block once; a copy of x takes
-        # the two-evaluation path
-        w = jo.folner_window(3, levels)
+        # x paired with itself translates and evaluates each block once
         x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(16))
-        same = jo.empirical_joining(x, x, w, dictionary, levels, cf.ROW_BLOCK + 1, np.random.default_rng(17))
-        copy = jo.empirical_joining(x, tuple(x), w, dictionary, levels, cf.ROW_BLOCK + 1, np.random.default_rng(17))
-        assert np.array_equal(same.corr, copy.corr) and np.array_equal(same.stderr, copy.stderr)
+        self._assert_matches_two_translates(levels, dictionary, x, x, 17)
+
+    @pytest.mark.parametrize("partner", ["paired", "independent"])
+    def test_partner_matches_two_translates(self, levels, dictionary, partner):
+        # the fiber partner (0, h0) x shares one translate and the time rows;
+        # an independent point takes two translates
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(18))
+        if partner == "paired":
+            x2 = (*cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3])
+        else:
+            x2 = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(19))
+        self._assert_matches_two_translates(levels, dictionary, x, x2, 20)
+
+    @staticmethod
+    def _assert_matches_two_translates(levels, dictionary, x, x2, seed):
+        """empirical_joining equals, bit for bit, the table of two translates
+        and two evaluates per block, as it was computed before points with
+        shared times shared them."""
+        w = jo.folner_window(4, levels)
+        samples = cf.ROW_BLOCK + 1
+        table = jo.empirical_joining(x, x2, w, dictionary, levels, samples, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        bs = rng.integers(-w.i_max, w.i_max + 1, size=samples)
+        ts = rng.integers(-w.j_max, w.j_max + 1, size=samples)
+        top = min(w.n + 2, levels.max_level + 1)
+        blocks = []
+        for rows in cf.row_blocks(samples):
+            g = bs[rows] + w.spacing * ts[rows]
+            blocks.append(tuple(reference_evaluate(dictionary, cf.translate(levels, *p, g, 1, top)[:4])
+                                for p in (x, x2)))
+        assert 0 < (blocks[0][0][0] != 0).sum() < cf.ROW_BLOCK  # some lanes off level 1
+        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks))
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)

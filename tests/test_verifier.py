@@ -280,6 +280,12 @@ class TestCLI:
         ('{"seed": "seven"}', "invalid literal for int()"),
         ('{"seed": null}', "not 'NoneType'"),
         ('{"construction": {"r_schedule": {"kind": "bogus"}}}', "unknown r_kind 'bogus'"),
+        # these ended in a ZeroDivisionError, a numpy shape error and a
+        # TypeError; --out replaces output_dir, so the file's value is
+        # checked where the file is read
+        ('{"mc_samples": 0}', "mc_samples must be a positive int, not 0"),
+        ('{"mc_samples": -5}', "mc_samples must be a positive int, not -5"),
+        ('{"output_dir": 5}', "output_dir must be a string, not 5"),
     ])
     def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
         # each of these used to end in a traceback with exit code 1
