@@ -54,6 +54,7 @@ __all__ = [
     "CorrectionFractionError",
     "UnknownConfigKeyError",
     "check_config_keys",
+    "config_int",
     "derive_sequences",
     "level_ratio",
     "check_level_depth",
@@ -166,10 +167,10 @@ class CFParams:
         check_config_keys(rs, ("kind", "floor", "power"), "construction.r_schedule")
         return CFParams(
             r_kind=rs.get("kind", "max_power"),
-            r_floor=int(rs.get("floor", 100)),
-            r_power=int(rs.get("power", 5)),
-            max_level=int(data.get("max_level", 6)),
-            alphabet_size=int(data.get("alphabet_size", 8)),
+            r_floor=config_int(rs.get("floor", 100), "construction.r_schedule.floor"),
+            r_power=config_int(rs.get("power", 5), "construction.r_schedule.power"),
+            max_level=config_int(data.get("max_level", 6), "construction.max_level"),
+            alphabet_size=config_int(data.get("alphabet_size", 8), "construction.alphabet_size"),
         )
 
 
@@ -177,6 +178,15 @@ def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
     """UnknownConfigKeyError naming every key of `data` outside `known`."""
     if unknown := sorted(set(data) - set(known)):
         raise UnknownConfigKeyError(f"unknown {where} config keys {unknown}; known: {list(known)}")
+
+
+def config_int(value, key: str) -> int:
+    """int(value) for an integer config key.  A bool or a fractional float
+    is a ValueError, where int() would read it as 0 or 1 or truncate it;
+    any other value goes to int() and its own error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an int, not {value!r}")
+    return int(value)
 
 
 # the benchmark's tests build their parameters under this name

@@ -156,7 +156,6 @@ class EmpiricalJoining:
     dict_id: str
     corr: np.ndarray  # (K, K) complex
     stderr: np.ndarray  # (K, K) float
-    sample_count: int
 
 
 def _check_same_dict(x: EmpiricalJoining, y: EmpiricalJoining) -> None:
@@ -207,7 +206,7 @@ def _correlation_table(dict_id: str, blocks, scale: float = 1.0) -> EmpiricalJoi
         del fx, fy, sq_x, sq_y
     corr = cross * (scale / n)
     var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(dict_id, corr, np.sqrt(var / n), n)
+    return EmpiricalJoining(dict_id, corr, np.sqrt(var / n))
 
 
 # ---------------------------------------------------------------------------
@@ -406,36 +405,16 @@ def graph_joining_target(
     return _correlation_table(dictionary.dict_id, blocks(), levels.mu_xn(1))
 
 
-def product_joining_target(
-    dictionary: CFDictionary,
-    levels: CFLevels,
-    samples: int,
-    rng: np.random.Generator,
-) -> EmpiricalJoining:
-    """Monte Carlo table of the product joining: (int f_i) conj(int f_j).
-
-    The entry means and their stderrs come from the sums of f and |f|^2,
-    accumulated over row blocks of the sample.
+def product_joining_target(dictionary: CFDictionary) -> EmpiricalJoining:
+    """Exact table of the product joining, (int f_i) conj(int f_j), with
+    zero stderr: every observable of the dictionary has mean 0, so the table
+    is 0.  The harmonics exp(2 pi i m t / a_1), m >= 1, run over whole
+    periods of the level-1 times (-a_1, a_1], and the fiber rows are matrix
+    coefficients of non-trivial irreducible representations of SU(2), whose
+    Haar means vanish by Schur orthogonality.
     """
-    ti, tf, q, _ = sample_point_batch(levels, samples, 0, rng)
-    total = total_sq = 0.0
-    for rows in row_blocks(samples):
-        x = ti[rows], tf[rows], q[rows]
-        fx = dictionary.evaluate((np.ones(len(x[0]), dtype=bool), *x))
-        total = total + fx.sum(axis=1)
-        total_sq = total_sq + (np.abs(fx) ** 2).sum(axis=1)
-    mu1 = levels.mu_xn(1)
-    means = total / samples * mu1
-    # the sample variance (ddof 1) of f * mu1, from the two sums
-    var = (total_sq * mu1**2 - samples * np.abs(means) ** 2) / (samples - 1)
-    se = np.sqrt(np.maximum(var, 0.0) / samples)
-    corr = means[:, None] * np.conj(means[None, :])
-    stderr = (
-        np.abs(means[:, None]) * se[None, :]
-        + np.abs(means[None, :]) * se[:, None]
-        + se[:, None] * se[None, :]
-    )
-    return EmpiricalJoining(dictionary.dict_id, corr, stderr, samples)
+    k = dictionary.size
+    return EmpiricalJoining(dictionary.dict_id, np.zeros((k, k), dtype=complex), np.zeros((k, k)))
 
 
 def mixture_table(a: EmpiricalJoining, b: EmpiricalJoining) -> EmpiricalJoining:
@@ -444,7 +423,6 @@ def mixture_table(a: EmpiricalJoining, b: EmpiricalJoining) -> EmpiricalJoining:
         a.dict_id,
         0.5 * (a.corr + b.corr),
         0.5 * np.sqrt(a.stderr**2 + b.stderr**2),
-        a.sample_count + b.sample_count,
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -53,14 +54,13 @@ def same_bits(a, b) -> bool:
 
 
 def same_table(a, b) -> bool:
-    return (same_bits(a.corr, b.corr) and same_bits(a.stderr, b.stderr)
-            and a.sample_count == b.sample_count)
+    return same_bits(a.corr, b.corr) and same_bits(a.stderr, b.stderr)
 
 
 def random_table(rng, k=4):
     corr = rng.uniform(-1, 1, size=(k, k)) + 1j * rng.uniform(-1, 1, size=(k, k))
     corr /= np.max(np.abs(corr))
-    return jo.EmpiricalJoining("test", corr, np.zeros((k, k)), 100)
+    return jo.EmpiricalJoining("test", corr, np.zeros((k, k)))
 
 
 class TestMetric:
@@ -72,7 +72,7 @@ class TestMetric:
         t = random_table(rng)
         corr2 = t.corr.copy()
         corr2[0, 0] += 0.12
-        t2 = jo.EmpiricalJoining("test", corr2, t.stderr, 100)
+        t2 = jo.EmpiricalJoining("test", corr2, t.stderr)
         assert jo.joining_metric(t, t2) == pytest.approx(0.12 / 4)
 
     def test_metric_axioms(self, rng):
@@ -84,7 +84,7 @@ class TestMetric:
 
     def test_dictionary_mismatch(self, rng):
         t = random_table(rng)
-        other = jo.EmpiricalJoining("other", t.corr, t.stderr, 100)
+        other = jo.EmpiricalJoining("other", t.corr, t.stderr)
         with pytest.raises(ValueError, match="dictionary mismatch"):
             jo.joining_metric(t, other)
 
@@ -119,7 +119,6 @@ class TestCorrelationTable:
         prod = fx[:, None, :] * np.conj(fy[None, :, :]) * scale
         corr = prod.mean(axis=2)
         var = np.maximum((np.abs(prod) ** 2).mean(axis=2) - np.abs(corr) ** 2, 0.0)
-        assert table.sample_count == n
         assert np.max(np.abs(table.corr - corr)) <= 1e-12
         # compared before the square root, which turns rounding of a zero
         # variance into an error of order 1e-8
@@ -136,7 +135,6 @@ class TestCorrelationTable:
         table = jo._correlation_table("t", blocks, scale)
         corr = fx @ fy.conj().T * (scale / n)
         second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
-        assert table.sample_count == n
         assert np.max(np.abs(table.corr - corr)) <= 1e-12
         assert np.max(np.abs(table.stderr**2 * n - (second - np.abs(corr) ** 2))) <= 1e-12
 
@@ -288,10 +286,28 @@ class TestTargets:
         mix = jo.mixture_table(a, b)
         assert np.allclose(mix.corr, 0.5 * (a.corr + b.corr))
 
-    def test_product_target_entries(self, levels, dictionary):
-        prod = jo.product_joining_target(dictionary, levels, 50_000, np.random.default_rng(5))
-        # every observable has zero mean, so the product table vanishes
-        assert np.max(np.abs(prod.corr)) < 0.02
+    def test_product_target_is_exact(self, levels, dictionary):
+        # the product table (int f_i) conj(int f_j) is 0 because every row
+        # has mean 0.  The oracle averages the rows over a product cubature
+        # that is exact for them and for their squared moduli: 32 equally
+        # spaced level-1 times, over which exp(2 pi i m t / a_1), m = 1..8,
+        # runs whole periods, times the 24 binary-tetrahedral units, a
+        # spherical 5-design, which averages the fiber rows (polynomials of
+        # degree 1 and 2 in q) and their squared moduli (degree 2 and 4)
+        prod = jo.product_joining_target(dictionary)
+        k = dictionary.size
+        assert same_bits(prod.corr, np.zeros((k, k), dtype=complex))
+        assert same_bits(prod.stderr, np.zeros((k, k)))
+        a1 = dictionary.a1
+        t = -a1 + 2 * a1 * np.arange(1, 33) / 32
+        units = [np.roll([sign, 0.0, 0.0, 0.0], axis) for axis in range(4) for sign in (1.0, -1.0)]
+        units += [np.array(signs) / 2 for signs in itertools.product((1.0, -1.0), repeat=4)]
+        q = np.tile(np.array(units), (len(t), 1))
+        t = np.repeat(t, len(units))
+        ti = np.floor(t).astype(np.int64)
+        vals = dictionary.evaluate((np.ones(len(t), dtype=bool), ti, t - ti, q))
+        assert np.max(np.abs(vals.mean(axis=1))) <= 1e-14
+        assert np.max(np.abs((np.abs(vals) ** 2).mean(axis=1) * levels.mu_xn(1) - 1.0)) <= 1e-14
 
     def test_graph_target_discriminating_entries(self, levels, dictionary):
         # frozen from the representation-theoretic oracle: the (z, w)-cross
@@ -308,9 +324,9 @@ class TestTargets:
 
 
 class TestTargetsInRowBlocks:
-    """The targets draw their sample whole and reduce it block by block; the
-    oracles take the same draws all at once, and the graph target's oracle
-    moves them through the level-3 frame."""
+    """The graph target draws its sample whole and reduces it block by block;
+    the oracles take the same draws all at once through the level-3 frame,
+    or block by block through two evaluates."""
 
     samples = cf.ROW_BLOCK + 1
 
@@ -340,28 +356,14 @@ class TestTargetsInRowBlocks:
                                                            quat_mul(m.array(), q[rows])))))
         assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(1)))
 
-    def test_product_stderr_matches_two_pass_std(self, levels, dictionary):
-        prod = jo.product_joining_target(dictionary, levels, self.samples, np.random.default_rng(22))
-        ti, tf, q, _ = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(22))
-        fx = dictionary.evaluate((np.ones(self.samples, dtype=bool), ti, tf, q)) * levels.mu_xn(1)
-        means = fx.mean(axis=1)
-        se = np.std(fx, axis=1, ddof=1) / math.sqrt(self.samples)
-        stderr = np.abs(means[:, None]) * se[None, :] + np.abs(means[None, :]) * se[:, None] + np.outer(se, se)
-        assert np.max(np.abs(prod.corr - np.outer(means, means.conj()))) <= 1e-12
-        assert np.allclose(prod.stderr, stderr, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize("target", ["graph", "product"])
-    def test_peak_memory_below_two_value_tables(self, levels, dictionary, target):
+    def test_peak_memory_below_two_value_tables(self, levels, dictionary):
         # a (16, N) complex table of all N values is 32 MB at N = 2^17; the
-        # blocked targets hold the draws and one block's tables
+        # blocked target holds the draws and one block's tables
         n = 2**17
         rng = np.random.default_rng(23)
         tracemalloc.start()
         try:
-            if target == "graph":
-                jo.graph_joining_target(SU2_H0, dictionary, levels, n, rng)
-            else:
-                jo.product_joining_target(dictionary, levels, n, rng)
+            jo.graph_joining_target(SU2_H0, dictionary, levels, n, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

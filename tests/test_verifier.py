@@ -41,6 +41,14 @@ class TestConfig:
         assert cfg.seed == 3
         assert cfg.construction == cf_engine.CFParams()
 
+    def test_whole_floats_and_int_strings_load_as_ints(self):
+        cfg = ExperimentConfig.from_json(
+            {"seed": 7.0, "mc_samples": "500", "weakmix_levels": [3.0, 4],
+             "construction": {"max_level": 6.0}}
+        )
+        assert (cfg.seed, cfg.mc_samples, cfg.weakmix_levels) == (7, 500, (3, 4))
+        assert type(cfg.construction.max_level) is int and cfg.construction.max_level == 6
+
     @pytest.mark.parametrize("data, key", [
         ({"seed": 3, "window_level": 4}, "'window_level'"),
         ({"construction": {"max_level": 5, "sample_count": 64}}, "'sample_count'"),
@@ -286,6 +294,17 @@ class TestCLI:
         ('{"mc_samples": 0}', "mc_samples must be a positive int, not 0"),
         ('{"mc_samples": -5}', "mc_samples must be a positive int, not -5"),
         ('{"output_dir": 5}', "output_dir must be a string, not 5"),
+        # these loaded as seed 1, 2 samples, level 6 and floor 1, wrote
+        # true into report.json, or failed inside the weakmix runner
+        ('{"seed": 1.5}', "seed must be an int, not 1.5"),
+        ('{"mc_samples": 2.7}', "mc_samples must be an int, not 2.7"),
+        ('{"construction": {"max_level": 6.9}}', "construction.max_level must be an int, not 6.9"),
+        ('{"construction": {"r_schedule": {"floor": true}}}',
+         "construction.r_schedule.floor must be an int, not True"),
+        ('{"weakmix_levels": [true, 3]}', "weakmix_levels must be an int, not True"),
+        ('{"weakmix_levels": [2.5]}', "weakmix_levels must be an int, not 2.5"),
+        ('{"weakmix_levels": [0]}', "weakmix_levels must be at least 1, not [0]"),
+        ('{"weakmix_levels": [-1]}', "weakmix_levels must be at least 1, not [-1]"),
     ])
     def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
         # each of these used to end in a traceback with exit code 1
