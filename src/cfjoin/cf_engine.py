@@ -131,6 +131,11 @@ class CFParams:
 
     r_schedule(n) must be increasing with n^4/r_n eventually decreasing to 0;
     the default max(100, n^5) keeps level data tractable through level ~8.
+    alphabet_size and r_floor are at least 1, the smallest values that
+    build: alphabet size 0 has no correction to draw, and floor 0 makes
+    r_0 = 0 and H_0 a set of 2 r_0 - 1 = -1 shifts.  A floor of 1 builds
+    with alphabet sizes 1 to 3; with the default alphabet of 8, floors
+    below about 65 fail the level-2 distribution test instead.
     """
 
     r_kind: str = "max_power"
@@ -138,6 +143,11 @@ class CFParams:
     r_power: int = 5
     max_level: int = 6
     alphabet_size: int = 8
+
+    def __post_init__(self):
+        for key, value in (("alphabet_size", self.alphabet_size), ("r_schedule.floor", self.r_floor)):
+            if value < 1:
+                raise ValueError(f"construction.{key} must be at least 1, not {value}")
 
     def r(self, n: int) -> int:
         if self.r_kind == "max_power":

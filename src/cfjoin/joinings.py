@@ -11,18 +11,18 @@ low-index slots where the metric can see them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2_I, SU2Element, quat_mul
+from .groups import SU2Element, adjoint_matrix, quat_mul
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
     OrbitLeftTruncationError,
     row_blocks,
-    sample_point_batch,
     translate,
 )
 
@@ -356,7 +356,19 @@ def empirical_joining(
     rng: np.random.Generator,
 ) -> EmpiricalJoining:
     """Window-average correlation table of the orbit pair of (x, x2), two
-    level-1 points given as one-row batches (ti, tf, q, tails).
+    level-1 points given as one-row batches (ti, tf, q, tails), read on the
+    window's own frame.
+
+    The frame factor.  A translate g = b + 2 a~_n t with |b| <= a_n / n^2
+    moves the level-n copy that holds the point by t shift indices and its
+    time inside that copy by b, so the orbit points of the level-n window
+    lie in copies of the level-n base X_n and the window sees X_n, not X:
+    as the corrections of the copies equidistribute, the window average of
+    F = f_i(.) conj(f_j(.)) tends to the conditional mean
+    (1 / mu(X_n)) int_{X_n} F dmu.  Every observable vanishes off
+    X_1, a subset of X_n, so that mean is T_ij / mu(X_n), T the joining's
+    table on the whole space, and the average is multiplied by mu(X_n);
+    the stderr scales with it.
 
     The average is estimated from `samples` uniform draws of (b, t), with
     the reported stderr.  The draws are unbiased for the window average
@@ -368,7 +380,7 @@ def empirical_joining(
     ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
     blocks = _window_blocks(x, x2, window, dictionary, levels, bs, ts)
     try:
-        return _correlation_table(dictionary.dict_id, blocks)
+        return _correlation_table(dictionary.dict_id, blocks, levels.mu_xn(window.n))
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "
@@ -376,33 +388,42 @@ def empirical_joining(
         ) from exc
 
 
-def graph_joining_target(
-    m: SU2Element,
-    dictionary: CFDictionary,
-    levels: CFLevels,
-    samples: int,
-    rng: np.random.Generator,
-) -> EmpiricalJoining:
-    """Monte Carlo table of the graph joining along the fiber element
-    k = (0, m): int f_i(x) conj(f_j(T_k x)).
+# the defining rows read sqrt 2 times these coefficients of q
+_DEF_COEFFS = {"z": np.array([1.0, 1j, 0.0, 0.0]), "w": np.array([0.0, 0.0, 1.0, 1j])}
 
-    The observables vanish off the level-1 part, and (0, m) (t, q) = (t, m q)
-    leaves the level-1 cut (t, q) c_1 c_2 ... of every point in place, so
-    conditioning the sampler on that part is exact and T_k is applied to the
-    level-1 coordinate alone; the mu(X_1) mass factor enters through the
-    observable norms.  The sample is drawn whole, then moved and evaluated
-    in row blocks; T_k leaves t in place, so both sides share the time rows
-    of their values, and for m = I the two sides are one.
+
+def graph_joining_target(m: SU2Element, dictionary: CFDictionary) -> EmpiricalJoining:
+    """Exact table of the graph joining along the fiber element k = (0, m),
+    int f_i(x) conj(f_j(T_k x)), with zero stderr.
+
+    T_k (t, q) = (t, m q) leaves the level-1 time in place and the
+    observables vanish off X_1, so the table is the mean over a uniform
+    level-1 time and a Haar fiber of g_i(t, q) conj(g_j(t, m q)), g the
+    observables without their mu(X_1)^{-1/2} scale.  By Schur orthogonality:
+    - the harmonic rows give the identity, the harmonics running over whole
+      periods of (-a_1, a_1];
+    - a harmonic against a fiber row gives 0, the fiber rows having Haar
+      mean 0;
+    - two defining rows sqrt 2 c.q and sqrt 2 c'.(m q) give
+      (1/2) c^T P conj(c'), where E[q q^T] = I/4 and P = quat_mul(m, I_4),
+      whose row e is m e_e, so that m q = P^T q;
+    - two adjoint rows sqrt 3 A(q)_ab and sqrt 3 A(m q)_cd give
+      delta_bd A(m)_ca, A = adjoint_matrix;
+    - a defining row against an adjoint row gives 0, the representations
+      being inequivalent.
     """
-    ti, tf, q, _ = sample_point_batch(levels, samples, 0, rng)
-
-    def blocks():
-        for rows in row_blocks(samples):
-            valid = np.ones(rows.stop - rows.start, dtype=bool)
-            moved = None if m == SU2_I else quat_mul(m.array(), q[rows])
-            yield dictionary.evaluate_shared_times((valid, ti[rows], tf[rows], q[rows]), moved)
-
-    return _correlation_table(dictionary.dict_id, blocks(), levels.mu_xn(1))
+    k = dictionary.size
+    corr = np.zeros((k, k), dtype=complex)
+    corr[dictionary._harm, dictionary._harm] = 1.0
+    left = quat_mul(m.array(), np.eye(4))
+    adj = adjoint_matrix(m.array())
+    for (i, (kind, arg)), (j, (kind2, arg2)) in itertools.product(dictionary._fiber, repeat=2):
+        if kind == kind2 == "def":
+            corr[i, j] = 0.5 * (_DEF_COEFFS[arg] @ left @ _DEF_COEFFS[arg2].conj())
+        elif kind == kind2 == "adj":
+            (a, b), (c, d) = arg, arg2
+            corr[i, j] = adj[c, a] if b == d else 0.0
+    return EmpiricalJoining(dictionary.dict_id, corr, np.zeros((k, k)))
 
 
 def product_joining_target(dictionary: CFDictionary) -> EmpiricalJoining:

@@ -88,9 +88,12 @@ class ExperimentConfig:
         output_dir = data.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise TypeError(f"output_dir must be a string, not {output_dir!r}")
-        weakmix_levels = tuple(
-            cf_engine.config_int(n, "weakmix_levels") for n in data.get("weakmix_levels", (2, 3, 4, 5, 6))
-        )
+        weakmix_levels = data.get("weakmix_levels", (2, 3, 4, 5, 6))
+        # a string would be read character by character, and no level
+        # leaves the weakmix gate only its trend check
+        if not isinstance(weakmix_levels, (list, tuple)) or not weakmix_levels:
+            raise ValueError(f"weakmix_levels must be a non-empty list, not {weakmix_levels!r}")
+        weakmix_levels = tuple(cf_engine.config_int(n, "weakmix_levels") for n in weakmix_levels)
         if any(n < 1 for n in weakmix_levels):
             raise ValueError(f"weakmix_levels must be at least 1, not {list(weakmix_levels)}")
         return ExperimentConfig(
@@ -839,13 +842,11 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     samples = max(cfg.mc_samples // 5, 50_000)
 
     k = GElement(0.0, SU2_H0)
-    gk = joinings.graph_joining_target(k.m, d, levels, samples, substream(cfg.seed, "target-k"))
-    gks = joinings.graph_joining_target(
-        conj_star(k).m, d, levels, samples, substream(cfg.seed, "target-ks")
-    )
+    gk = joinings.graph_joining_target(k.m, d)
+    gks = joinings.graph_joining_target(conj_star(k).m, d)
     prod = joinings.product_joining_target(d)
     mix = joinings.mixture_table(gk, gks)
-    diag = joinings.graph_joining_target(SU2_I, d, levels, samples, substream(cfg.seed, "target-e"))
+    diag = joinings.graph_joining_target(SU2_I, d)
     targets = {"product": prod, "graph_k": gk, "graph_kstar": gks, "mixture": mix}
 
     # generic points with every tail the build holds, rejected into the

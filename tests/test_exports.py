@@ -33,7 +33,6 @@ ORACLES = {
     "g_dist": "scalar distance, the comparison for the group-law oracle",
     "G_IDENTITY": "identity of the scalar group law",
     "SU2_MINUS_I": "distinguishes M from -M in quat_mul's matrix convention",
-    "adjoint_matrix": "conjugation action as a rotation, the oracle for the dictionary's adjoint rows",
 }
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
-from cfjoin.groups import GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul
+from cfjoin.groups import GElement, SU2_H0, SU2_I, SU2Element, adjoint_matrix, conj_star, quat_mul
 
 
 @pytest.fixture(scope="module")
@@ -271,103 +270,98 @@ class TestDictionary:
         assert w[1, 0] == w[0, 1] == 0.125
 
 
-class TestTargets:
-    def test_identity_graph_is_diagonal(self, levels, dictionary):
-        diag = jo.graph_joining_target(SU2_I, dictionary, levels, 40_000, np.random.default_rng(1))
-        # diagonal correlations: <f_i, f_j> with mass mu(X_1); diagonal
-        # entries are the squared norms = 1
-        for i in range(dictionary.size):
-            assert abs(diag.corr[i, i] - 1.0) <= 5 * diag.stderr[i, i] + 0.01
+def cubature_batch(dictionary):
+    """A product cubature on the level-1 part: 32 equally spaced level-1
+    times, over which exp(2 pi i m t / a_1) runs whole periods for m < 32,
+    times the 24 binary-tetrahedral units, a spherical 5-design.  It
+    averages every product of two rows, and of a row and a moved row, exactly:
+    harmonic differences below 32, and polynomials of degree at most 4 in q."""
+    a1 = dictionary.a1
+    t = -a1 + 2 * a1 * np.arange(1, 33) / 32
+    units = [np.roll([sign, 0.0, 0.0, 0.0], axis) for axis in range(4) for sign in (1.0, -1.0)]
+    units += [np.array(signs) / 2 for signs in itertools.product((1.0, -1.0), repeat=4)]
+    q = np.tile(np.array(units), (len(t), 1))
+    t = np.repeat(t, len(units))
+    ti = np.floor(t).astype(np.int64)
+    return np.ones(len(t), dtype=bool), ti, t - ti, q
 
-    def test_mixture_is_average(self, levels, dictionary):
+
+def random_su2(seed):
+    return SU2Element.from_array(np.random.default_rng(seed).standard_normal(4))
+
+
+GRAPH_ELEMENTS = {
+    "I": SU2_I,
+    "h0": SU2_H0,
+    "h0-star": conj_star(GElement(0.0, SU2_H0)).m,
+    "random": random_su2(30),
+}
+
+
+class TestTargets:
+    def test_identity_graph_is_diagonal(self, dictionary):
+        diag = jo.graph_joining_target(SU2_I, dictionary)
+        k = dictionary.size
+        assert same_bits(diag.corr, np.eye(k, dtype=complex))
+        assert same_bits(diag.stderr, np.zeros((k, k)))
+
+    def test_mixture_is_average(self, dictionary):
         k = GElement(0.0, SU2_H0)
-        a = jo.graph_joining_target(k.m, dictionary, levels, 20_000, np.random.default_rng(3))
-        b = jo.graph_joining_target(conj_star(k).m, dictionary, levels, 20_000, np.random.default_rng(4))
+        a = jo.graph_joining_target(k.m, dictionary)
+        b = jo.graph_joining_target(conj_star(k).m, dictionary)
         mix = jo.mixture_table(a, b)
         assert np.allclose(mix.corr, 0.5 * (a.corr + b.corr))
 
     def test_product_target_is_exact(self, levels, dictionary):
         # the product table (int f_i) conj(int f_j) is 0 because every row
-        # has mean 0.  The oracle averages the rows over a product cubature
-        # that is exact for them and for their squared moduli: 32 equally
-        # spaced level-1 times, over which exp(2 pi i m t / a_1), m = 1..8,
-        # runs whole periods, times the 24 binary-tetrahedral units, a
-        # spherical 5-design, which averages the fiber rows (polynomials of
-        # degree 1 and 2 in q) and their squared moduli (degree 2 and 4)
+        # has mean 0; the cubature averages the rows and their squared moduli
         prod = jo.product_joining_target(dictionary)
         k = dictionary.size
         assert same_bits(prod.corr, np.zeros((k, k), dtype=complex))
         assert same_bits(prod.stderr, np.zeros((k, k)))
-        a1 = dictionary.a1
-        t = -a1 + 2 * a1 * np.arange(1, 33) / 32
-        units = [np.roll([sign, 0.0, 0.0, 0.0], axis) for axis in range(4) for sign in (1.0, -1.0)]
-        units += [np.array(signs) / 2 for signs in itertools.product((1.0, -1.0), repeat=4)]
-        q = np.tile(np.array(units), (len(t), 1))
-        t = np.repeat(t, len(units))
-        ti = np.floor(t).astype(np.int64)
-        vals = dictionary.evaluate((np.ones(len(t), dtype=bool), ti, t - ti, q))
+        vals = dictionary.evaluate(cubature_batch(dictionary))
         assert np.max(np.abs(vals.mean(axis=1))) <= 1e-14
         assert np.max(np.abs((np.abs(vals) ** 2).mean(axis=1) * levels.mu_xn(1) - 1.0)) <= 1e-14
 
-    def test_graph_target_discriminating_entries(self, levels, dictionary):
-        # frozen from the representation-theoretic oracle: the (z, w)-cross
-        # correlation of the h0 graph is +1, of its star graph -1, and the
-        # first adjoint diagonal entry is -1 for both
+    @pytest.mark.parametrize("name", sorted(GRAPH_ELEMENTS))
+    def test_graph_target_matches_cubature(self, levels, dictionary, name):
+        # the mean of f_i(t, q) conj(f_j(t, m q)) over the cubature, with
+        # the mu(X_1) mass of the level-1 part, through the program's own
+        # evaluate and estimator; its rounding reaches 6 ulp of 1 on the
+        # adjoint diagonal
+        m = GRAPH_ELEMENTS[name]
+        table = jo.graph_joining_target(m, dictionary)
+        batch = cubature_batch(dictionary)
+        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m.array(), batch[3]))]
+        cubature = jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(1))
+        assert np.max(np.abs(table.corr - cubature.corr)) <= 2e-15
+        assert same_bits(table.stderr, np.zeros_like(table.stderr))
+
+    def test_fiber_blocks_are_representations(self, dictionary):
+        # T_(0, m1 m2) = T_(0, m2) T_(0, m1) on functions of q, so the table
+        # of m1 m2 is the table of m2 times that of m1 on each block of rows
+        # closed under the fiber action: the two defining rows, and the
+        # adjoint rows of the third column (adj-13, adj-23, adj-33); the six
+        # adjoint rows together are not closed, being 6 of the 9 entries
+        m1, m2 = random_su2(31), random_su2(32)
+        m12 = SU2Element.from_array(quat_mul(m1.array(), m2.array()))
+        tables = [jo.graph_joining_target(m, dictionary).corr for m in (m1, m2, m12)]
+        for labels in (["def-z", "def-w"], ["adj-13", "adj-23", "adj-33"]):
+            rows = [dictionary.labels.index(label) for label in labels]
+            b1, b2, b12 = (t[np.ix_(rows, rows)] for t in tables)
+            assert np.max(np.abs(b12 - b2 @ b1)) <= 1e-15
+
+    def test_graph_target_discriminating_entries(self, dictionary):
+        # the (z, w)-cross correlation of the h0 graph is +1, of its star
+        # graph -1, and the first adjoint diagonal entry is -1 for both
         k = GElement(0.0, SU2_H0)
-        gk = jo.graph_joining_target(k.m, dictionary, levels, 60_000, np.random.default_rng(6))
-        gks = jo.graph_joining_target(conj_star(k).m, dictionary, levels, 60_000, np.random.default_rng(7))
-        assert gk.corr[1, 2].real == pytest.approx(1.0, abs=0.03)
-        assert gks.corr[1, 2].real == pytest.approx(-1.0, abs=0.03)
-        assert gk.corr[3, 3].real == pytest.approx(-1.0, abs=0.03)
-        assert gks.corr[3, 3].real == pytest.approx(-1.0, abs=0.03)
-        assert gk.corr[0, 0].real == pytest.approx(1.0, abs=0.03)
-
-
-class TestTargetsInRowBlocks:
-    """The graph target draws its sample whole and reduces it block by block;
-    the oracles take the same draws all at once through the level-3 frame,
-    or block by block through two evaluates."""
-
-    samples = cf.ROW_BLOCK + 1
-
-    def test_graph_target_matches_all_rows_at_once(self, levels, dictionary):
-        k = GElement(0.0, SU2_H0)
-        table = jo.graph_joining_target(k.m, dictionary, levels, self.samples, np.random.default_rng(21))
-        ti, tf, q, tails = cf.sample_point_batch(levels, self.samples, 4, np.random.default_rng(21))
-        fx = dictionary.evaluate((np.ones(self.samples, dtype=bool), ti, tf, q))
-        moved = cf.act(k, *cf.embed_batch(levels, ti, tf, q, tails, 1, 3))
-        fy = dictionary.evaluate(cf.peel_batch(levels, *moved, 3, 1)[:4])
-        whole = jo._correlation_table("k16-default-v1", [(fx, fy)], levels.mu_xn(1))
-        assert np.max(np.abs(table.corr - whole.corr)) <= 1e-12
-        # before the square root, as in TestCorrelationTable
-        assert np.max(np.abs(table.stderr**2 - whole.stderr**2)) * self.samples <= 1e-12
-
-    @pytest.mark.parametrize("m", [SU2_I, SU2_H0], ids=["I", "h0"])
-    def test_graph_target_matches_two_evaluates(self, levels, dictionary, m):
-        # the table of two evaluates per block, the fiber moved by quat_mul,
-        # as the target was computed before it shared the time rows
-        table = jo.graph_joining_target(m, dictionary, levels, self.samples, np.random.default_rng(26))
-        ti, tf, q, _ = cf.sample_point_batch(levels, self.samples, 0, np.random.default_rng(26))
-        blocks = []
-        for rows in cf.row_blocks(self.samples):
-            valid = np.ones(rows.stop - rows.start, dtype=bool)
-            blocks.append((reference_evaluate(dictionary, (valid, ti[rows], tf[rows], q[rows])),
-                           reference_evaluate(dictionary, (valid, ti[rows], tf[rows],
-                                                           quat_mul(m.array(), q[rows])))))
-        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(1)))
-
-    def test_peak_memory_below_two_value_tables(self, levels, dictionary):
-        # a (16, N) complex table of all N values is 32 MB at N = 2^17; the
-        # blocked target holds the draws and one block's tables
-        n = 2**17
-        rng = np.random.default_rng(23)
-        tracemalloc.start()
-        try:
-            jo.graph_joining_target(SU2_H0, dictionary, levels, n, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * dictionary.size * n * np.dtype(complex).itemsize
+        gk = jo.graph_joining_target(k.m, dictionary)
+        gks = jo.graph_joining_target(conj_star(k).m, dictionary)
+        assert gk.corr[1, 2] == pytest.approx(1.0, abs=1e-15)
+        assert gks.corr[1, 2] == pytest.approx(-1.0, abs=1e-15)
+        assert gk.corr[3, 3] == pytest.approx(-1.0, abs=1e-15)
+        assert gks.corr[3, 3] == pytest.approx(-1.0, abs=1e-15)
+        assert gk.corr[0, 0] == 1.0
 
 
 class TestEmpiricalJoining:
@@ -375,7 +369,7 @@ class TestEmpiricalJoining:
         w = jo.folner_window(3, levels)
         x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(8))
         emp = jo.empirical_joining(x, x, w, dictionary, levels, 40_000, np.random.default_rng(9))
-        diag = jo.graph_joining_target(SU2_I, dictionary, levels, 40_000, np.random.default_rng(10))
+        diag = jo.graph_joining_target(SU2_I, dictionary)
         d = jo.joining_metric(emp, diag)
         assert d <= 8 * jo.joining_metric_stderr(emp, diag) + 0.03
 
@@ -386,12 +380,29 @@ class TestEmpiricalJoining:
         x2 = (*cf.act(k, *x[:3]), x[3])
         emp = jo.empirical_joining(x, x2, w, dictionary, levels, 40_000, np.random.default_rng(12))
         # time coordinates agree along the whole window, so the phases of the
-        # first harmonic cancel exactly; the magnitude carries the window's
-        # level-1 occupation frequency (a genericity fluctuation around 1)
+        # first harmonic cancel exactly; the magnitude is the window's
+        # level-1 visit frequency over mu(X_1), read on the window's frame
         assert abs(emp.corr[0, 0].imag) < 1e-9
         assert emp.corr[0, 0].real == pytest.approx(1.0, abs=0.05)
         # the fiber cross-entry averages the +1/-1 graph values to ~0
         assert abs(emp.corr[1, 2]) < 0.05
+
+    def test_frame_factor_is_the_windows_level(self, levels, dictionary):
+        # |f|^2 is 1/mu(X_1) on X_1 and 0 off it, so the raw harmonic
+        # diagonal, the estimate before the frame factor, is the window's
+        # X_1 visit frequency over mu(X_1): 1/mu(X_3) for the level-3 window,
+        # which sees X_3, and not the 1/mu(X_2) or 1/mu(X_4) of the
+        # neighbouring frames
+        n = 3
+        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(27))
+        emp = jo.empirical_joining(x, x, jo.folner_window(n, levels), dictionary, levels,
+                                   10**6, np.random.default_rng(28))
+        rows = [dictionary.labels.index(f"harm-{m}") for m in range(1, 9)]
+        raw = emp.corr[rows, rows].real / levels.mu_xn(n)
+        sigma = emp.stderr[rows, rows] / levels.mu_xn(n)
+        assert np.all(np.abs(raw - 1 / levels.mu_xn(n)) <= 4 * sigma)
+        for other in (n - 1, n + 1):
+            assert np.all(np.abs(raw - 1 / levels.mu_xn(other)) > 10 * sigma)
 
     def test_diagonal_reuses_values_bit_for_bit(self, levels, dictionary):
         # x paired with itself translates and evaluates each block once
@@ -427,7 +438,7 @@ class TestEmpiricalJoining:
             blocks.append(tuple(reference_evaluate(dictionary, cf.translate(levels, *p, g, 1, top)[:4])
                                 for p in (x, x2)))
         assert 0 < (blocks[0][0][0] != 0).sum() < cf.ROW_BLOCK  # some lanes off level 1
-        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks))
+        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(w.n)))
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)

@@ -305,6 +305,14 @@ class TestCLI:
         ('{"weakmix_levels": [2.5]}', "weakmix_levels must be an int, not 2.5"),
         ('{"weakmix_levels": [0]}', "weakmix_levels must be at least 1, not [0]"),
         ('{"weakmix_levels": [-1]}', "weakmix_levels must be at least 1, not [-1]"),
+        # no level ran and the trend gate alone passed; a string was read
+        # character by character; the schedule values ended in tracebacks
+        # from default_alphabet and numpy
+        ('{"weakmix_levels": []}', "weakmix_levels must be a non-empty list, not []"),
+        ('{"weakmix_levels": "56"}', "weakmix_levels must be a non-empty list, not '56'"),
+        ('{"construction": {"alphabet_size": 0}}', "construction.alphabet_size must be at least 1, not 0"),
+        ('{"construction": {"r_schedule": {"floor": 0}}}',
+         "construction.r_schedule.floor must be at least 1, not 0"),
     ])
     def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
         # each of these used to end in a traceback with exit code 1
