@@ -135,7 +135,9 @@ class CFParams:
     build: alphabet size 0 has no correction to draw, and floor 0 makes
     r_0 = 0 and H_0 a set of 2 r_0 - 1 = -1 shifts.  A floor of 1 builds
     with alphabet sizes 1 to 3; with the default alphabet of 8, floors
-    below about 65 fail the level-2 distribution test instead.
+    below about 65 fail the level-2 distribution test instead.  r_power is
+    at least 0: a negative power divides by 0 at n = 0 (powers 0 and 1 fail
+    the level-3 distribution test at the default floor).
     """
 
     r_kind: str = "max_power"
@@ -148,6 +150,8 @@ class CFParams:
         for key, value in (("alphabet_size", self.alphabet_size), ("r_schedule.floor", self.r_floor)):
             if value < 1:
                 raise ValueError(f"construction.{key} must be at least 1, not {value}")
+        if self.r_power < 0:
+            raise ValueError(f"construction.r_schedule.power must be at least 0, not {self.r_power}")
 
     def r(self, n: int) -> int:
         if self.r_kind == "max_power":
@@ -638,29 +642,42 @@ def sample_point_batch(
     truncation: int,
     rng: np.random.Generator,
     h_minus: bool = False,
+    *,
+    fiber: bool = True,
 ):
     """Arrays (ti, tf, q, tails) of n points of the level-1 base set, with
-    the shift indices of levels 1..truncation (as far as the build goes).
+    the shift indices of levels 1..truncation (as far as the build goes),
+    as int32 (a level with r >= 2^31 cannot be built: its correction tables
+    hold 2r - 1 entries).
 
     With h_minus the tail indices are rejected into the slightly shrunken
     ranges |h_k| < (1 - k^{-2}) r_k used by generic-point selection, strict
     and in integers: |h_k| k^2 < (k^2 - 1) r_k, and never narrower than
     |h_k| <= 1.
+
+    With fiber False q is None: the (n, 4) normals are still drawn, so the
+    random stream and ti, tf and tails are the same, but in ROW_BLOCK
+    chunks, each dropped without being normalised.
     """
     a = levels.a(1)
     t = rng.uniform(-float(a), float(a), size=n)
     ti = np.floor(t)
-    tf = t - ti
+    tf = np.subtract(t, ti, out=t)
     ti = ti.astype(np.int64)
-    q = quat_normalize(rng.standard_normal((n, 4)))
+    if fiber:
+        q = quat_normalize(rng.standard_normal((n, 4)))
+    else:
+        q = None
+        for rows in row_blocks(n):
+            rng.standard_normal((rows.stop - rows.start, 4))
     ks = list(range(1, min(1 + truncation, levels.max_level + 1)))
-    tails = np.zeros((n, len(ks)), dtype=np.int64)
+    tails = np.zeros((n, len(ks)), dtype=np.int32)
     for col, k in enumerate(ks):
         r = levels.level(k).r
         bound = r - 1
         if h_minus:
             bound = max(1, min(bound, ((k * k - 1) * r - 1) // (k * k)))
-        tails[:, col] = rng.integers(-bound, bound + 1, size=n)
+        tails[:, col] = rng.integers(-bound, bound + 1, size=n, dtype=np.int32)
     return ti, tf, q, tails
 
 

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from .cf_engine import LevelTooDeepError, check_level_depth
-from .verifier import EXPERIMENTS, ExperimentConfig, emit_report, min_max_level
+from .verifier import EXPERIMENTS, ExperimentConfig, check_builds, emit_report, min_max_level
 
 _SUBCOMMAND_SETS = {
     "sequences": ["sequences"],
@@ -45,7 +45,9 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
     """The config file (or the default) with the command-line overrides;
     a usage error when the file is unreadable or malformed, when mc_samples
     is not positive, when its max level is below what the subcommand's
-    experiments read, or when it is too deep to build."""
+    experiments read, or when it is too deep to build.  The constructions
+    the subcommand reads are built here, and the runners reuse them, so a
+    schedule that does not build is a usage error too."""
     try:
         if args.config is not None:
             cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
@@ -71,6 +73,7 @@ def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ex
                 f"{', '.join(short)} can run; pass --level {need} or higher"
             )
         check_level_depth(cfg.construction)
+        check_builds(cfg, _SUBCOMMAND_SETS[args.command])
     except (OSError, ValueError, TypeError, LevelTooDeepError) as exc:
         parser.error(f"config {args.config}: {exc}" if args.config else str(exc))
     return cfg

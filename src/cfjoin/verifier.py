@@ -58,6 +58,7 @@ __all__ = [
     "emit_report",
     "EXPERIMENTS",
     "min_max_level",
+    "check_builds",
 ]
 
 
@@ -158,15 +159,52 @@ def _build_levels(seed: int, params: CFParams) -> CFLevels:
     return cf_engine.build_levels(params, seed=seed)
 
 
+def _alt_seeds(seed: int) -> tuple[int, ...]:
+    """The seeds of the three constructions re-drawn for a quenched sigma."""
+    return tuple(seed + 1009 * (i + 1) for i in range(3))
+
+
 def _quenched_sigma(cfg: ExperimentConfig, value: float, estimate) -> float:
     """Spread of a quantity over the correction-map draw: the sample std of
     `value` and of `estimate(levels, i)` on the construction re-drawn under
     the three alternate seeds i = 0, 1, 2."""
     alts = [
-        estimate(_build_levels(cfg.seed + 1009 * (i + 1), cfg.construction), i)
-        for i in range(3)
+        estimate(_build_levels(seed, cfg.construction), i)
+        for i, seed in enumerate(_alt_seeds(cfg.seed))
     ]
     return float(np.std([value] + alts, ddof=1))
+
+
+# the experiments that read the construction, and those of them that also
+# read it re-drawn for a quenched sigma
+_READS_LEVELS = ("sequences", "validate-cf", "sample-sets", "weakmix", "lemma62", "joinings")
+_QUENCHED = ("weakmix", "lemma62")
+
+
+def _build_seeds(cfg: ExperimentConfig, name: str) -> tuple[int, ...]:
+    """The seeds of the constructions experiment `name` builds: none, the
+    config seed, or the config seed and the alternate seeds of its
+    quenched sigma."""
+    if name not in _READS_LEVELS:
+        return ()
+    return (cfg.seed,) + (_alt_seeds(cfg.seed) if name in _QUENCHED else ())
+
+
+def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
+    """Build every construction the experiments `names` read, into the
+    cache the runners share, so that a schedule which does not build fails
+    before any experiment runs: a ValueError naming its floor, power,
+    alphabet size and seed, in place of the DistributionTestError."""
+    params = cfg.construction
+    for seed in sorted({seed for name in names for seed in _build_seeds(cfg, name)}):
+        try:
+            _build_levels(seed, params)
+        except equidist.DistributionTestError as exc:
+            raise ValueError(
+                f"the construction with r_schedule floor {params.r_floor}, power "
+                f"{params.r_power} and alphabet size {params.alphabet_size} does "
+                f"not build at seed {seed}: {exc}"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +649,18 @@ def _weakmix_deviation(
     built frame.  g_n = (2 a~_n, I) moves the level-n shift index, so a build
     without level n raises LevelTooDeepError (the correlation would read 0).
     It moves only time and both rectangles have full fibers, so translate
-    moves the points without their fiber, as int64 radix digits.  The draws
-    are whole (the fiber is drawn, to keep the stream, and dropped); the
-    translate and both rectangle tests run over row blocks, whose hits sum
-    to an int, so p_hat = hits / samples is the mean of the whole mask."""
+    moves the points without their fiber, as int64 radix digits.  The times
+    and tails are drawn whole and the fiber not at all (its normals are
+    drawn, to keep the stream, and dropped block by block); the translate
+    and both rectangle tests run over row blocks, whose hits sum to an int,
+    so p_hat = hits / samples is the mean of the whole mask."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
-    ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
-    del q
+    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng, fiber=False)
     hits = 0
     for rows in cf_engine.row_blocks(samples):
         t1 = ti[rows].astype(float) + tf[rows]

@@ -134,7 +134,7 @@ def test_criterion_06_sample_sets(cfg):
         ok &= _metric(rep, f"smap-pair-l1-n{n}").value < eps
     for n in range(1, 7):
         ok &= bool(_metric(rep, f"smap-boundary-n{n}").passed)
-    _line(6, ok, 300.0, elapsed, "conditional-measure tests at 1e6 MC; pair l1 < eps_n")
+    _line(6, ok, 300.0, elapsed, "conditional-measure tests against exact references; pair l1 < eps_n")
 
 
 def test_criterion_07_weak_mixing(cfg):

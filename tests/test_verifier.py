@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfjoin import cf_engine, cli
+from cfjoin import cf_engine, cli, verifier
 from cfjoin.verifier import (
     EXPERIMENTS,
     CheckReport,
     ExperimentConfig,
     Metric,
+    _build_seeds,
     _correction_times,
     _level1_full_rectangles,
     _weakmix_deviation,
@@ -155,13 +156,14 @@ def _weakmix_deviation_with_fiber(levels, n, samples, rng):
 class TestWeakmixTimeOnly:
     @pytest.mark.parametrize("n", [2, 5])
     def test_no_fiber_arithmetic_and_same_result(self, levels, monkeypatch, n):
-        # g_n moves time only; the fiber must not be computed, and dropping
-        # it must not move a bit of (deviation, sigma, estimate)
+        # g_n moves time only; the fiber must not be normalised or moved,
+        # and dropping it must not move a bit of (deviation, sigma, estimate)
         ref = _weakmix_deviation_with_fiber(levels, n, 4000, np.random.default_rng(n))
 
         def forbidden(*args):
-            raise AssertionError("weakmix computed a fiber twist")
+            raise AssertionError("weakmix computed a fiber")
 
+        monkeypatch.setattr(cf_engine, "quat_normalize", forbidden)
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
@@ -197,11 +199,12 @@ class TestWeakmixInRowBlocks:
         ref = _weakmix_deviation_whole(levels, 5, samples, np.random.default_rng(samples))
         assert _weakmix_deviation(levels, 5, samples, np.random.default_rng(samples)) == ref
 
-    def test_peak_memory_below_sixteen_columns(self, levels):
+    def test_peak_memory_below_ten_columns(self, levels):
         # an (N,) float or int64 column is 1 MB at N = 2^17.  The draws are
-        # 8 columns (ti, tf and 6 tail indices), and sample_point_batch holds
-        # 8 more while it draws and normalises the (N, 4) fiber; the whole-
-        # batch translate at n = 6 peaked near 32 columns
+        # 5 columns (ti, tf and 6 int32 tail indices), and the translate of
+        # one row block adds about 2.3 more.  Drawing and normalising the
+        # whole (N, 4) fiber peaked near 14 columns, and the whole-batch
+        # translate at n = 6 near 32
         n = 2**17
         tracemalloc.start()
         try:
@@ -209,7 +212,7 @@ class TestWeakmixInRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n * np.dtype(np.int64).itemsize
+        assert peak < 10 * n * np.dtype(np.int64).itemsize
 
 
 def test_weakmix_above_the_build_names_the_level(tmp_path):
@@ -240,15 +243,30 @@ def test_weakmix_one_level_short_raises(tmp_path):
         run_weak_mixing(cfg)
 
 
-def test_every_experiment_passes_at_level_7(tmp_path):
-    # the deepest build whose correction shells fit int64
+def test_every_experiment_passes_at_level_7(tmp_path, monkeypatch):
+    # the deepest build whose correction shells fit int64; each experiment
+    # reads exactly the builds _build_seeds names, which the CLI builds (and
+    # so checks) before any experiment runs
     cfg = ExperimentConfig(
         seed=20260810,
         mc_samples=20_000,
         construction=cf_engine.CFParams(max_level=7),
         output_dir=str(tmp_path),
     )
-    reports = [run(cfg) for run in EXPERIMENTS.values()]
+    build = verifier._build_levels
+    seeds = []
+
+    def recording(seed, params):
+        assert params == cfg.construction
+        seeds.append(seed)
+        return build(seed, params)
+
+    monkeypatch.setattr(verifier, "_build_levels", recording)
+    reports = []
+    for name, run in EXPERIMENTS.items():
+        seeds.clear()
+        reports.append(run(cfg))
+        assert set(seeds) == set(_build_seeds(cfg, name)), name
     assert [(rep.name, m.name) for rep in reports for m in rep.metrics if m.passed is False] == []
 
 
@@ -313,6 +331,9 @@ class TestCLI:
         ('{"construction": {"alphabet_size": 0}}', "construction.alphabet_size must be at least 1, not 0"),
         ('{"construction": {"r_schedule": {"floor": 0}}}',
          "construction.r_schedule.floor must be at least 1, not 0"),
+        # 0.0 cannot be raised to a negative power: a ZeroDivisionError
+        ('{"construction": {"r_schedule": {"power": -1}}}',
+         "construction.r_schedule.power must be at least 0, not -1"),
     ])
     def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
         # each of these used to end in a traceback with exit code 1
@@ -325,6 +346,32 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"config {cfg_path}: " in err
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, schedule, seed, level", [
+        ("sequences", {"floor": 10}, 0, 2),
+        ("sequences", {"power": 0}, 0, 3),
+        ("sequences", {"power": 1}, 0, 3),
+        # builds at the config seed but not at the first alternate seed,
+        # which only the quenched sigma of weakmix and lemma62 reads
+        ("weakmix", {"floor": 66}, 1009, 2),
+    ])
+    def test_schedule_that_does_not_build_is_a_usage_error(
+        self, command, schedule, seed, level, tmp_path, capsys
+    ):
+        # each used to end in a DistributionTestError traceback from inside
+        # the first runner that read the levels
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"construction": {"r_schedule": schedule}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        params = {"floor": 100, "power": 5} | schedule
+        err = capsys.readouterr().err
+        assert (
+            f"r_schedule floor {params['floor']}, power {params['power']} and alphabet "
+            f"size 8 does not build at seed {seed}: distribution test failed at level {level}"
+        ) in err
         assert not (tmp_path / "out").exists()
 
     def test_cli_subcommand(self, tmp_path):
