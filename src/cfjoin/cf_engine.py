@@ -127,17 +127,21 @@ def substream(seed: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CFParams:
-    """Schedules driving the construction.
+    """Schedules driving the construction, and every rule a construction
+    obeys, whether built in code or read from a config.
 
-    r_schedule(n) must be increasing with n^4/r_n eventually decreasing to 0;
-    the default max(100, n^5) keeps level data tractable through level ~8.
+    r_n is max(floor, n^power) for r_kind "max_power" and floor for
+    "constant"; it must be increasing with n^4/r_n eventually decreasing to
+    0, and the default max(100, n^5) keeps level data tractable through
+    level ~8.  Each integer field goes through config_int.
     alphabet_size and r_floor are at least 1, the smallest values that
     build: alphabet size 0 has no correction to draw, and floor 0 makes
     r_0 = 0 and H_0 a set of 2 r_0 - 1 = -1 shifts.  A floor of 1 builds
     with alphabet sizes 1 to 3; with the default alphabet of 8, floors
     below about 65 fail the level-2 distribution test instead.  r_power is
     at least 0: a negative power divides by 0 at n = 0 (powers 0 and 1 fail
-    the level-3 distribution test at the default floor).
+    the level-3 distribution test at the default floor).  max_level is at
+    least 0 and no deeper than check_level_depth allows.
     """
 
     r_kind: str = "max_power"
@@ -147,18 +151,21 @@ class CFParams:
     alphabet_size: int = 8
 
     def __post_init__(self):
-        for key, value in (("alphabet_size", self.alphabet_size), ("r_schedule.floor", self.r_floor)):
-            if value < 1:
-                raise ValueError(f"construction.{key} must be at least 1, not {value}")
-        if self.r_power < 0:
-            raise ValueError(f"construction.r_schedule.power must be at least 0, not {self.r_power}")
+        for name, key, least in (("r_floor", "r_schedule.floor", 1), ("r_power", "r_schedule.power", 0),
+                                 ("max_level", "max_level", 0), ("alphabet_size", "alphabet_size", 1)):
+            value = config_int(getattr(self, name), f"construction.{key}")
+            if value < least:
+                raise ValueError(f"construction.{key} must be at least {least}, not {value}")
+            object.__setattr__(self, name, value)
+        if self.r_kind not in ("max_power", "constant"):
+            kinds = "construction.r_schedule.kind is max_power or constant"
+            raise ValueError(f"unknown r_kind {self.r_kind!r}: {kinds}")
+        check_level_depth(self)
 
     def r(self, n: int) -> int:
-        if self.r_kind == "max_power":
-            return max(self.r_floor, n**self.r_power)
         if self.r_kind == "constant":
             return self.r_floor
-        raise ValueError(f"unknown r_kind {self.r_kind!r}")
+        return max(self.r_floor, n**self.r_power)
 
     def eps(self, n: int) -> float:
         return 1.0 / (n + 1)  # the harmonic tolerance schedule
@@ -179,13 +186,8 @@ class CFParams:
         check_config_keys(data, ("r_schedule", "max_level", "alphabet_size"), "construction")
         rs = data.get("r_schedule", {})
         check_config_keys(rs, ("kind", "floor", "power"), "construction.r_schedule")
-        return CFParams(
-            r_kind=rs.get("kind", "max_power"),
-            r_floor=config_int(rs.get("floor", 100), "construction.r_schedule.floor"),
-            r_power=config_int(rs.get("power", 5), "construction.r_schedule.power"),
-            max_level=config_int(data.get("max_level", 6), "construction.max_level"),
-            alphabet_size=config_int(data.get("alphabet_size", 8), "construction.alphabet_size"),
-        )
+        renamed = {f"r_{key}": value for key, value in rs.items()}
+        return CFParams(**{key: value for key, value in data.items() if key != "r_schedule"}, **renamed)
 
 
 def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
@@ -197,10 +199,13 @@ def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
 def config_int(value, key: str) -> int:
     """int(value) for an integer config key.  A bool or a fractional float
     is a ValueError, where int() would read it as 0 or 1 or truncate it;
-    any other value goes to int() and its own error."""
+    any other value goes to int(), whose error is raised naming the key."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} must be an int, not {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key} must be an int, not {value!r}: {exc}") from exc
 
 
 # the benchmark's tests build their parameters under this name
@@ -386,10 +391,8 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
     tiling is exact without them); correction maps at higher levels are drawn
     from per-level substreams of `seed` via the retry protocol.  A divergent
     schedule still yields level data, with mu_x0 None: validate_cf reports
-    the finiteness failure and mu_xn raises DivergentScheduleError.  A
-    max_level whose shells pass int64 raises LevelTooDeepError.
+    the finiteness failure and mu_xn raises DivergentScheduleError.
     """
-    check_level_depth(params)
     seq = derive_sequences(params, params.max_level + 1)
     levels = [_identity_level(0, 1, 1, params.r(0))]
     for n in range(1, params.max_level + 1):

@@ -9,8 +9,8 @@ import sys
 import time
 from pathlib import Path
 
-from .cf_engine import LevelTooDeepError, check_level_depth
-from .verifier import EXPERIMENTS, ExperimentConfig, check_builds, emit_report, min_max_level
+from .cf_engine import LevelTooDeepError
+from .verifier import EXPERIMENTS, ExperimentConfig, check_builds, emit_report
 
 _SUBCOMMAND_SETS = {
     "sequences": ["sequences"],
@@ -42,37 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
-    """The config file (or the default) with the command-line overrides;
-    a usage error when the file is unreadable or malformed, when mc_samples
-    is not positive, when its max level is below what the subcommand's
-    experiments read, or when it is too deep to build.  The constructions
-    the subcommand reads are built here, and the runners reuse them, so a
-    schedule that does not build is a usage error too."""
+    """The config file (or the default) with the command-line overrides.
+    The config's constructors check every value, and verifier.check_builds
+    checks that the subcommand's experiments can run on it, building the
+    constructions they read for the runners to reuse; any error is a usage
+    error (exit 2)."""
     try:
-        if args.config is not None:
-            cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
-        else:
-            cfg = ExperimentConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = str(args.out)
-        if args.samples is not None:
-            cfg.mc_samples = args.samples
+        data = {} if args.config is None else json.loads(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_json(data)
+        out = None if args.out is None else str(args.out)
+        flags = {"seed": args.seed, "output_dir": out, "mc_samples": args.samples}
         if args.level is not None:
-            cfg.construction = dataclasses.replace(cfg.construction, max_level=args.level)
-        if cfg.mc_samples < 1:
-            raise ValueError(f"mc_samples must be a positive int, not {cfg.mc_samples}")
-        level = cfg.construction.max_level
-        needs = {name: min_max_level(cfg, name) for name in _SUBCOMMAND_SETS[args.command]}
-        short = [name for name, need in needs.items() if need > level]
-        if short:
-            need = max(needs[name] for name in short)
-            parser.error(
-                f"max level {level} is below {need}, the smallest at which "
-                f"{', '.join(short)} can run; pass --level {need} or higher"
-            )
-        check_level_depth(cfg.construction)
+            flags["construction"] = dataclasses.replace(cfg.construction, max_level=args.level)
+        cfg = dataclasses.replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         check_builds(cfg, _SUBCOMMAND_SETS[args.command])
     except (OSError, ValueError, TypeError, LevelTooDeepError) as exc:
         parser.error(f"config {args.config}: {exc}" if args.config else str(exc))
@@ -85,9 +67,9 @@ def main(argv=None) -> int:
     cfg = load_config(args, parser)
     reports = []
     for name in _SUBCOMMAND_SETS[args.command]:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = EXPERIMENTS[name](cfg)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         print(f"[{rep.status:4s}] {name} ({dt:.1f}s)")
         for m in rep.metrics:
             flag = "" if m.passed is None else (" ok" if m.passed else " FAIL")

@@ -244,8 +244,6 @@ class Alphabet:
 
 def default_alphabet(n: int, half_width: int, size: int = 8) -> Alphabet:
     """Identity plus size-1 Halton points on shells spread across the slab."""
-    if size < 1:
-        raise ValueError("alphabet size must be >= 1")
     shells = [0]
     u = [0.0]
     quats = [np.array([1.0, 0.0, 0.0, 0.0])]

@@ -57,7 +57,6 @@ __all__ = [
     "run_nonuniqueness_42",
     "emit_report",
     "EXPERIMENTS",
-    "min_max_level",
     "check_builds",
 ]
 
@@ -68,11 +67,34 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  seed (at least 0) and mc_samples (at least 1) go
+    through config_int, output_dir is a string, and weakmix_levels is a
+    non-empty, strictly increasing list or tuple of ints from 1, kept as a
+    tuple: the weakmix trend check reads them in order."""
+
     seed: int = 0
     construction: CFParams = field(default_factory=CFParams)
     mc_samples: int = 1_000_000
     output_dir: str = "out"
     weakmix_levels: tuple[int, ...] = (2, 3, 4, 5, 6)
+
+    def __post_init__(self):
+        self.seed = cf_engine.config_int(self.seed, "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, not {self.seed}")
+        self.mc_samples = cf_engine.config_int(self.mc_samples, "mc_samples")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be a positive int, not {self.mc_samples}")
+        if not isinstance(self.output_dir, str):
+            raise TypeError(f"output_dir must be a string, not {self.output_dir!r}")
+        if not isinstance(self.weakmix_levels, (list, tuple)) or not self.weakmix_levels:
+            raise ValueError(f"weakmix_levels must be a non-empty list, not {self.weakmix_levels!r}")
+        levels = [cf_engine.config_int(n, "weakmix_levels") for n in self.weakmix_levels]
+        if min(levels) < 1:
+            raise ValueError(f"weakmix_levels must be at least 1, not {levels}")
+        if any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"weakmix_levels must be strictly increasing, not {levels}")
+        self.weakmix_levels = tuple(levels)
 
     def to_json(self) -> dict:
         return {
@@ -86,24 +108,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         cf_engine.check_config_keys(data, [f.name for f in fields(ExperimentConfig)], "experiment")
-        output_dir = data.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise TypeError(f"output_dir must be a string, not {output_dir!r}")
-        weakmix_levels = data.get("weakmix_levels", (2, 3, 4, 5, 6))
-        # a string would be read character by character, and no level
-        # leaves the weakmix gate only its trend check
-        if not isinstance(weakmix_levels, (list, tuple)) or not weakmix_levels:
-            raise ValueError(f"weakmix_levels must be a non-empty list, not {weakmix_levels!r}")
-        weakmix_levels = tuple(cf_engine.config_int(n, "weakmix_levels") for n in weakmix_levels)
-        if any(n < 1 for n in weakmix_levels):
-            raise ValueError(f"weakmix_levels must be at least 1, not {list(weakmix_levels)}")
-        return ExperimentConfig(
-            seed=cf_engine.config_int(data.get("seed", 0), "seed"),
-            construction=CFParams.from_json(data.get("construction", {})),
-            mc_samples=cf_engine.config_int(data.get("mc_samples", 1_000_000), "mc_samples"),
-            output_dir=output_dir,
-            weakmix_levels=weakmix_levels,
-        )
+        if "construction" in data:
+            data = data | {"construction": CFParams.from_json(data["construction"])}
+        return ExperimentConfig(**data)
 
 
 @dataclass
@@ -155,8 +162,16 @@ def _levels_cache(cfg: ExperimentConfig) -> CFLevels:
 @functools.cache
 def _build_levels(seed: int, params: CFParams) -> CFLevels:
     """Levels of one construction, built once per process and shared by the
-    runners; `_build_levels.cache_clear()` forces a rebuild."""
-    return cf_engine.build_levels(params, seed=seed)
+    runners; `_build_levels.cache_clear()` forces a rebuild.  A schedule
+    that fails a level's distribution test is a ValueError naming it."""
+    try:
+        return cf_engine.build_levels(params, seed=seed)
+    except equidist.DistributionTestError as exc:
+        raise ValueError(
+            f"the construction with r_schedule floor {params.r_floor}, power "
+            f"{params.r_power} and alphabet size {params.alphabet_size} does "
+            f"not build at seed {seed}: {exc}"
+        ) from exc
 
 
 def _alt_seeds(seed: int) -> tuple[int, ...]:
@@ -191,20 +206,20 @@ def _build_seeds(cfg: ExperimentConfig, name: str) -> tuple[int, ...]:
 
 
 def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
-    """Build every construction the experiments `names` read, into the
-    cache the runners share, so that a schedule which does not build fails
-    before any experiment runs: a ValueError naming its floor, power,
-    alphabet size and seed, in place of the DistributionTestError."""
-    params = cfg.construction
+    """ValueError unless the experiments `names` can run on cfg: its
+    max_level reaches min_max_level of each, and its construction builds at
+    every seed they read.  The builds fill the runners' shared cache, so a
+    schedule that does not build fails before any experiment runs."""
+    level = cfg.construction.max_level
+    needs = {name: min_max_level(cfg, name) for name in names}
+    if short := [name for name, need in needs.items() if need > level]:
+        need = max(needs[name] for name in short)
+        raise ValueError(
+            f"max level {level} is below {need}, the smallest at which "
+            f"{', '.join(short)} can run; pass --level {need} or higher"
+        )
     for seed in sorted({seed for name in names for seed in _build_seeds(cfg, name)}):
-        try:
-            _build_levels(seed, params)
-        except equidist.DistributionTestError as exc:
-            raise ValueError(
-                f"the construction with r_schedule floor {params.r_floor}, power "
-                f"{params.r_power} and alphabet size {params.alphabet_size} does "
-                f"not build at seed {seed}: {exc}"
-            ) from exc
+        _build_levels(seed, cfg.construction)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +790,7 @@ def min_max_level(cfg: ExperimentConfig, name: str) -> int:
     shift index (on a build that stops at level n every translate leaves
     it).  The other experiments run on any build."""
     if name == "weakmix":
-        return max(cfg.weakmix_levels, default=0)
+        return cfg.weakmix_levels[-1]
     if name == "lemma62":
         return max(_LEMMA62_LEVELS) - 1
     return 0

@@ -42,7 +42,9 @@ class TestSequences:
 class TestNormalizer:
     def test_near_trivial_ratios(self):
         # huge r makes every ratio 1 + tiny, so the base keeps almost all mass
-        params = cf.CFParams(r_floor=10**9)
+        # (its level-3 shells pass int64, so the build stops at level 2; the
+        # normalizer reads no max_level)
+        params = cf.CFParams(r_floor=10**9, max_level=2)
         mu0, tail = cf.mu_total_normalizer(params)
         assert 0.9999 < mu0 <= 1.0
         assert tail < 1e-6
@@ -76,10 +78,10 @@ class TestValidation:
 
     def test_shells_past_int64_raise(self):
         # level-8 shells reach -1.2e22: an OverflowError used to escape from
-        # the alphabet's int64 array
-        cf.check_level_depth(cf.CFParams(max_level=7))
+        # the alphabet's int64 array; the parameters refuse the depth
+        cf.CFParams(max_level=7)
         with pytest.raises(cf.LevelTooDeepError, match="level 8 correction shells .* past int64 .* deepest this schedule builds"):
-            cf.build_levels(cf.CFParams(max_level=8))
+            cf.CFParams(max_level=8)
 
     def test_single_level_vacuous(self):
         lv = cf.build_levels(cf.CFParams(max_level=1), seed=0)

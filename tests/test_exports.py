@@ -139,3 +139,34 @@ def test_every_optional_parameter_is_passed():
         and f"{name}.{parameter}" not in ONE_VALUE_DEFAULTS
     ]
     assert unpassed == []
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and method, and
+    (class or '<module>', node) of every other statement at those levels."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef) else node.name), item
+        else:
+            yield (node.name if isinstance(node, ast.FunctionDef) else "<module>"), node
+
+
+@pytest.mark.parametrize("checker, owners", [
+    ("config_int", {"cf_engine.CFParams.__post_init__", "verifier.ExperimentConfig.__post_init__"}),
+    ("check_level_depth", {"cf_engine.CFParams.__post_init__"}),
+])
+def test_config_checks_stay_in_the_constructors(checker, owners):
+    # a config rule checked anywhere but the constructor that holds the
+    # value is a rule that a config built another way skips
+    sources = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
+    sources += [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    callers = {
+        f"{path.stem}.{name}"
+        for path in sources
+        for name, definition in _definitions(ast.parse(path.read_text()))
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Call)
+        and checker in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == owners

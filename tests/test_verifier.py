@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,70 @@ from cfjoin.verifier import (
     run_validate_cf,
     run_weak_mixing,
 )
+
+
+# (config, error, message): values the config's constructors reject, each
+# checked three ways: built in code, read by from_json, and passed to the CLI
+BAD_VALUES = [
+    ({"seed": "seven"}, ValueError, "invalid literal for int()"),
+    ({"seed": None}, TypeError, "not 'NoneType'"),
+    ({"construction": {"r_schedule": {"kind": "bogus"}}}, ValueError, "unknown r_kind 'bogus'"),
+    # these ended in a ZeroDivisionError, a numpy shape error and a
+    # TypeError; --out replaces output_dir, so the file's value is checked
+    # where the file is read
+    ({"mc_samples": 0}, ValueError, "mc_samples must be a positive int, not 0"),
+    ({"mc_samples": -5}, ValueError, "mc_samples must be a positive int, not -5"),
+    ({"output_dir": 5}, TypeError, "output_dir must be a string, not 5"),
+    # these loaded as seed 1, 2 samples, level 6 and floor 1, wrote true
+    # into report.json, or failed inside the weakmix runner
+    ({"seed": 1.5}, ValueError, "seed must be an int, not 1.5"),
+    ({"mc_samples": 2.7}, ValueError, "mc_samples must be an int, not 2.7"),
+    ({"construction": {"max_level": 6.9}}, ValueError, "construction.max_level must be an int, not 6.9"),
+    ({"construction": {"r_schedule": {"floor": True}}}, ValueError,
+     "construction.r_schedule.floor must be an int, not True"),
+    ({"weakmix_levels": [True, 3]}, ValueError, "weakmix_levels must be an int, not True"),
+    ({"weakmix_levels": [2.5]}, ValueError, "weakmix_levels must be an int, not 2.5"),
+    ({"weakmix_levels": [0]}, ValueError, "weakmix_levels must be at least 1, not [0]"),
+    ({"weakmix_levels": [-1]}, ValueError, "weakmix_levels must be at least 1, not [-1]"),
+    # no level ran and the trend gate alone passed; a string was read
+    # character by character; the schedule values ended in tracebacks
+    # from default_alphabet and numpy
+    ({"weakmix_levels": []}, ValueError, "weakmix_levels must be a non-empty list, not []"),
+    ({"weakmix_levels": "56"}, ValueError, "weakmix_levels must be a non-empty list, not '56'"),
+    ({"construction": {"alphabet_size": 0}}, ValueError, "construction.alphabet_size must be at least 1, not 0"),
+    ({"construction": {"r_schedule": {"floor": 0}}}, ValueError,
+     "construction.r_schedule.floor must be at least 1, not 0"),
+    # 0.0 cannot be raised to a negative power: a ZeroDivisionError
+    ({"construction": {"r_schedule": {"power": -1}}}, ValueError,
+     "construction.r_schedule.power must be at least 0, not -1"),
+    # numpy's "expected non-negative integer" from substream, in any
+    # experiment that draws
+    ({"seed": -1}, ValueError, "seed must be at least 0, not -1"),
+    # the weakmix trend check ran backwards and passed, or compared level 3
+    # with itself
+    ({"weakmix_levels": [6, 2]}, ValueError, "weakmix_levels must be strictly increasing, not [6, 2]"),
+    ({"weakmix_levels": [3, 3]}, ValueError, "weakmix_levels must be strictly increasing, not [3, 3]"),
+    # built a one-level construction
+    ({"construction": {"max_level": -1}}, ValueError, "construction.max_level must be at least 0, not -1"),
+    # a config built in code met the depth check only when it built
+    ({"construction": {"max_level": 8}}, cf_engine.LevelTooDeepError, "level 8 correction shells"),
+]
+
+
+def _construct(data: dict) -> ExperimentConfig:
+    """The config `data` states, built by the constructors alone."""
+    kwargs = dict(data)
+    if "construction" in data:
+        construction = dict(data["construction"])
+        schedule = construction.pop("r_schedule", {})
+        kwargs["construction"] = cf_engine.CFParams(**construction, **{f"r_{k}": v for k, v in schedule.items()})
+    return ExperimentConfig(**kwargs)
+
+
+def _leaf_key(data: dict) -> str:
+    """The innermost key of a config that sets one value."""
+    key, value = next(iter(data.items()))
+    return _leaf_key(value) if isinstance(value, dict) else key
 
 
 @pytest.fixture()
@@ -63,6 +128,17 @@ class TestConfig:
         # a retired or misspelt setting used to be dropped without a word
         with pytest.raises(cf_engine.UnknownConfigKeyError, match=key):
             ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("data, error, message", BAD_VALUES, ids=[json.dumps(row[0]) for row in BAD_VALUES])
+    def test_bad_value_is_a_named_error(self, data, error, message):
+        # the constructors hold every check, so a config built in code meets
+        # the error that the same values read from JSON meet
+        raised = []
+        for build in (_construct, ExperimentConfig.from_json):
+            with pytest.raises(error, match=re.escape(message)) as exc:
+                build(data)
+            raised.append((exc.type, str(exc.value)))
+        assert raised[0] == raised[1] and raised[0][0] is error
 
     def test_readme_config_parses_and_round_trips(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -270,6 +346,15 @@ def test_every_experiment_passes_at_level_7(tmp_path, monkeypatch):
     assert [(rep.name, m.name) for rep in reports for m in rep.metrics if m.passed is False] == []
 
 
+def test_schedule_that_does_not_build_is_named_in_code(tmp_path):
+    # a config built in code met a bare DistributionTestError inside the
+    # first runner that read the levels
+    cfg = ExperimentConfig(seed=0, construction=cf_engine.CFParams(r_floor=10), output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="floor 10, power 5 and alphabet size 8 does not build at seed 0: "
+                       "distribution test failed at level 2"):
+        run_sequences(cfg)
+
+
 class TestCLI:
     @pytest.mark.parametrize("command, need", [("weakmix", 6), ("lemma62", 5)])
     def test_level_below_the_runners_is_a_usage_error(self, command, need, tmp_path, capsys):
@@ -303,38 +388,7 @@ class TestCLI:
         (None, "No such file or directory"),
         ("{bad", "Expecting property name"),
         ('{"experiments": ["sequences"]}', "unknown experiment config keys ['experiments']"),
-        ('{"seed": "seven"}', "invalid literal for int()"),
-        ('{"seed": null}', "not 'NoneType'"),
-        ('{"construction": {"r_schedule": {"kind": "bogus"}}}', "unknown r_kind 'bogus'"),
-        # these ended in a ZeroDivisionError, a numpy shape error and a
-        # TypeError; --out replaces output_dir, so the file's value is
-        # checked where the file is read
-        ('{"mc_samples": 0}', "mc_samples must be a positive int, not 0"),
-        ('{"mc_samples": -5}', "mc_samples must be a positive int, not -5"),
-        ('{"output_dir": 5}', "output_dir must be a string, not 5"),
-        # these loaded as seed 1, 2 samples, level 6 and floor 1, wrote
-        # true into report.json, or failed inside the weakmix runner
-        ('{"seed": 1.5}', "seed must be an int, not 1.5"),
-        ('{"mc_samples": 2.7}', "mc_samples must be an int, not 2.7"),
-        ('{"construction": {"max_level": 6.9}}', "construction.max_level must be an int, not 6.9"),
-        ('{"construction": {"r_schedule": {"floor": true}}}',
-         "construction.r_schedule.floor must be an int, not True"),
-        ('{"weakmix_levels": [true, 3]}', "weakmix_levels must be an int, not True"),
-        ('{"weakmix_levels": [2.5]}', "weakmix_levels must be an int, not 2.5"),
-        ('{"weakmix_levels": [0]}', "weakmix_levels must be at least 1, not [0]"),
-        ('{"weakmix_levels": [-1]}', "weakmix_levels must be at least 1, not [-1]"),
-        # no level ran and the trend gate alone passed; a string was read
-        # character by character; the schedule values ended in tracebacks
-        # from default_alphabet and numpy
-        ('{"weakmix_levels": []}', "weakmix_levels must be a non-empty list, not []"),
-        ('{"weakmix_levels": "56"}', "weakmix_levels must be a non-empty list, not '56'"),
-        ('{"construction": {"alphabet_size": 0}}', "construction.alphabet_size must be at least 1, not 0"),
-        ('{"construction": {"r_schedule": {"floor": 0}}}',
-         "construction.r_schedule.floor must be at least 1, not 0"),
-        # 0.0 cannot be raised to a negative power: a ZeroDivisionError
-        ('{"construction": {"r_schedule": {"power": -1}}}',
-         "construction.r_schedule.power must be at least 0, not -1"),
-    ])
+    ] + [(json.dumps(data), message) for data, _, message in BAD_VALUES])
     def test_config_error_is_a_usage_error(self, text, message, tmp_path, capsys):
         # each of these used to end in a traceback with exit code 1
         cfg_path = tmp_path / "cfg.json"
@@ -346,6 +400,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"config {cfg_path}: " in err
         assert message in err
+        if text is not None and text.startswith('{"'):
+            assert _leaf_key(json.loads(text)) in err.split(f"config {cfg_path}: ", 1)[1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["groups", "fubini", "equidist", "cocycles"])
+    def test_negative_seed_is_a_usage_error(self, command, tmp_path, capsys):
+        # each ended in numpy's "expected non-negative integer" traceback
+        # from substream, with exit code 1 and no report
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "-3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "seed must be at least 0, not -3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, schedule, seed, level", [
