@@ -191,7 +191,9 @@ class CFParams:
 
 
 def check_config_keys(data: dict, known: Sequence[str], where: str) -> None:
-    """UnknownConfigKeyError naming every key of `data` outside `known`."""
+    """TypeError unless `data` is a dict, UnknownConfigKeyError naming its keys outside `known`."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} config must be a JSON object, not {data!r}")
     if unknown := sorted(set(data) - set(known)):
         raise UnknownConfigKeyError(f"unknown {where} config keys {unknown}; known: {list(known)}")
 

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override root seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--level", type=int, default=None, help="override max level")
-    parser.add_argument("--samples", type=int, default=None, help="override mc_samples")
+    parser.add_argument("--samples", type=int, default=None, help="override mc_samples (read by weakmix, joinings)")
     return parser
 
 

@@ -505,6 +505,32 @@ def _sample_set_fraction(ss: equidist.FiniteSampleSet, rects) -> float:
     return hits / ss.size
 
 
+def _common_length(*intervals):
+    """Length of the intersection of the intervals (lo, hi]; 0 if it is empty."""
+    return max(min(hi for _, hi in intervals) - max(lo for lo, _ in intervals), 0)
+
+
+def _simpson(f, lo, hi, breaks):
+    """Simpson's rule for f on (lo, hi) between the breaks: exact where f is a cubic between them."""
+    x = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    return sum((b - a) / 6 * (f(a) + 4 * f((a + b) / 2) + f(b)) for a, b in zip(x, x[1:]))
+
+
+def _translate_integral(I, J, F, V, W) -> Fraction:
+    """The integral over x in V, y in W of |(I + x) n (J + y) n F| for intervals
+    (lo, hi] of Fractions, exactly.  In y the integrand is linear between the
+    breaks where an end of J + y meets one of I + x or F; in x the inner integral
+    is quadratic between the points where two breaks cross or one meets W's end."""
+    moving = [i - j for i in I for j in J]  # the breaks y = x + c
+    fixed = [f - j for f in F for j in J]  # the breaks y = c
+
+    def inner(x):
+        return _simpson(lambda y: _common_length((I[0] + x, I[1] + x), (J[0] + y, J[1] + y), F),
+                        *W, [x + c for c in moving] + fixed)
+
+    return _simpson(inner, *V, [d - c for c in moving for d in fixed + list(W)])
+
+
 def _rectangle_measure(half: int, rects) -> float:
     """Measure of A^{-1} a for every rect = (a, (lo, hi], cube) under the
     normalised Lebesgue x Haar measure of (-K, K] x SU(2), K = half: the
@@ -514,21 +540,15 @@ def _rectangle_measure(half: int, rects) -> float:
     cubes = [cube for _, _, cube in rects if cube is not None]
     if len(cubes) > 1:
         raise ValueError("the fiber tests of two cubes are not independent")
-    lo_t = max([-half] + [a_elem.t - hi for a_elem, (lo, hi), _ in rects])
-    hi_t = min([half] + [a_elem.t - lo for a_elem, (lo, hi), _ in rects])
-    return max(hi_t - lo_t, 0.0) / (2 * half) * math.prod(b - a for cube in cubes for a, b in cube)
-
-
-def _overlap_length(x, ta: float, wa: float, tb: float, wb: float) -> np.ndarray:
-    """Length of ((0, wa] + ta + x) n ((0, wb] + tb), elementwise in x."""
-    return np.maximum(np.minimum(ta + x + wa, tb + wb) - np.maximum(ta + x, tb), 0.0)
+    window = _common_length((-half, half), *((a_elem.t - hi, a_elem.t - lo) for a_elem, (lo, hi), _ in rects))
+    return window / (2 * half) * math.prod(b - a for cube in cubes for a, b in cube)
 
 
 def _overlap_pair_sum(u: np.ndarray, half: int, ta: float, wa: float, tb: float, wb: float) -> float:
     """Sum over offsets u_i, u_j and shell shifts |d| < 2K of the tent weight
     2K - |d| times overlap(d + u_i - u_j), in closed form.
 
-    overlap = _overlap_length rises with slope 1 on (p0, p1), stays
+    overlap(x) = |((0, wa] + ta + x) n ((0, wb] + tb)| rises with slope 1 on (p0, p1), stays
     min(wa, wb) on [p1, p2] and falls with slope -1 on (p2, p3).  On each piece and each side of d = 0 the summand
     is a product of two linear functions of d, summed by Faulhaber sums.
     """
@@ -554,15 +574,11 @@ def _overlap_pair_sum(u: np.ndarray, half: int, ta: float, wa: float, tb: float,
 
 
 def _mean_overlap(half: int, ta: float, wa: float, tb: float, wb: float) -> float:
-    """E overlap(U - V), U and V uniform on (-K, K], K = half: the tent
-    density (2K - |d|) / (2K)^2 times the overlap (`_overlap_length`) is
-    quadratic between the cuts, so Simpson's rule on each piece is exact."""
-    k2, p0 = 2.0 * half, tb - ta - wa
-    breaks = (p0, p0 + min(wa, wb), p0 + max(wa, wb), tb - ta + wb)
-    x = np.array(sorted({-k2, 0.0, k2, *(min(max(p, -k2), k2) for p in breaks)}))
-    d = np.stack([x[:-1], (x[:-1] + x[1:]) / 2.0, x[1:]])
-    f = _overlap_length(d, ta, wa, tb, wb) * (k2 - np.abs(d)) / k2**2
-    return float(np.sum(np.diff(x) / 6.0 * (f[0] + 4.0 * f[1] + f[2])))
+    """E |((0, wa] + ta + U) n ((0, wb] + tb + V)| for U, V uniform on (-K, K],
+    K = half: `_translate_integral` over (-K, K]^2 / (2K)^2, rounded once."""
+    ta, wa, tb, wb, k = map(Fraction, (ta, wa, tb, wb, half))
+    reach = (ta - k, ta + wa + k)  # as F: holds every translate, so clips none
+    return float(_translate_integral((ta, ta + wa), (tb, tb + wb), reach, (-k, k), (-k, k)) / (2 * k) ** 2)
 
 
 def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
@@ -844,42 +860,24 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
 
 
 def run_fubini(cfg: ExperimentConfig) -> CheckReport:
-    """Two-sided translate averaging identity for rectangles, Monte Carlo."""
+    """Two-sided translate averaging: the integral over v, w in S of |(A + v) n
+    (B + w) n F| equals the one over a in A, b in B of |(S + a) n (S + b) n F|.
+    Both sides are exact Fractions, each in its own order, and must be equal."""
     rep = CheckReport("fubini", "lm:fubini")
     rng = substream(cfg.seed, "fubini")
-    mc = max(cfg.mc_samples // 2, 10_000)
-    worst = 0.0
-    ok_all = True
+    worst, positive = Fraction(0), 0
     for trial in range(10):
         wa, wb, ws, wf = rng.uniform(2.0, 12.0, size=4)
-        la, lb, ls, lf = rng.uniform(-20.0, 20.0, size=4)
-        if trial == 9:
-            wf = 0.0  # degenerate target set: both sides vanish exactly
-        # lhs: integral over (v, w) in S x S of |Av n Bw n F|
-        tv = rng.uniform(ls, ls + ws, size=mc)
-        tw = rng.uniform(ls, ls + ws, size=mc)
-        lo = np.maximum(np.maximum(la + tv, lb + tw), lf)
-        hi = np.minimum(np.minimum(la + wa + tv, lb + wb + tw), lf + wf)
-        vals = np.maximum(hi - lo, 0.0)
-        lhs = float(np.mean(vals)) * ws * ws
-        se_l = float(np.std(vals) / math.sqrt(mc)) * ws * ws
-        # rhs: integral over (a, b) in A x B of |aS n bS n F|
-        ta = rng.uniform(la, la + wa, size=mc)
-        tb = rng.uniform(lb, lb + wb, size=mc)
-        lo2 = np.maximum(np.maximum(ta + ls, tb + ls), lf)
-        hi2 = np.minimum(np.minimum(ta + ls + ws, tb + ls + ws), lf + wf)
-        vals2 = np.maximum(hi2 - lo2, 0.0)
-        rhs = float(np.mean(vals2)) * wa * wb
-        se_r = float(np.std(vals2) / math.sqrt(mc)) * wa * wb
-        diff = abs(lhs - rhs)
-        tol = 4 * math.sqrt(se_l**2 + se_r**2)
-        if wf == 0.0:
-            ok = lhs == 0.0 and rhs == 0.0
-        else:
-            ok = diff <= tol
-        ok_all &= ok
-        worst = max(worst, diff / tol if tol > 0 else 0.0)
-    rep.add("fubini-worst-ratio", worst, tolerance=1.0, passed=ok_all)
+        # left ends in (-1, 1) give 1_S * 1_A and 1_S * 1_B a common support longer than 2,
+        # which F meets: both sides are positive, where ends in (-20, 20) left them 0
+        la, lb, ls = rng.uniform(-1.0, 1.0, size=3)
+        wf = 0.0 if trial == 9 else wf  # F empty, both sides 0
+        lf = rng.uniform(ls + max(la, lb) - wf, ls + ws + min(la + wa, lb + wb))
+        A, B, S, F = ((Fraction(lo), Fraction(lo) + Fraction(w)) for lo, w in ((la, wa), (lb, wb), (ls, ws), (lf, wf)))
+        lhs, rhs = _translate_integral(A, B, F, S, S), _translate_integral(S, S, F, A, B)
+        worst, positive = max(worst, abs(lhs - rhs)), positive + (lhs > 0)
+    rep.add("fubini-max-abs-difference", worst, tolerance=0.0, passed=worst == 0)
+    rep.add("fubini-positive-trials", positive, passed=positive == 9)
     return rep
 
 

@@ -151,7 +151,7 @@ def test_criterion_08_lemma62_fubini(cfg):
         _metric(rep1, f"symdiff-bound-n{n}").passed for n in (3, 4, 5, 6)
     )
     ok &= rep1.status == "pass" and rep2.status == "pass"
-    _line(8, ok, 300.0, t1 + t2, "exact slab bounds at the shell-block ends; 10 MC quadruples at 4 sigma")
+    _line(8, ok, 300.0, t1 + t2, "exact slab bounds at the shell-block ends; both fubini sides equal as Fractions in 10 trials")
 
 
 def test_criterion_09_joining_classification(cfg):

@@ -17,14 +17,12 @@ from scipy import integrate
 from cfjoin import equidist
 from cfjoin.groups import SU2_I, GElement, SU2Element, quat_inv, quat_mul, quat_normalize, quat_phi_real
 from cfjoin.verifier import (
-    ExperimentConfig,
+    _common_length,
     _fiber_in_cube,
     _mean_overlap,
-    _overlap_length,
     _overlap_pair_sum,
     _rectangle_measure,
     _sample_set_fraction,
-    run_sample_sets,
 )
 
 
@@ -230,17 +228,8 @@ def test_mean_overlap_matches_quadrature(data):
     p0 = tb - ta - wa
     breaks = [p for p in (0.0, p0, p0 + min(wa, wb), p0 + max(wa, wb), tb - ta + wb) if -k2 < p < k2]
     ref, _ = integrate.quad(
-        lambda d: float(_overlap_length(d, ta, wa, tb, wb)) * (k2 - abs(d)) / k2**2,
+        lambda d: _common_length((ta + d, ta + d + wa), (tb, tb + wb)) * (k2 - abs(d)) / k2**2,
         -k2, k2, points=breaks, epsabs=0.0, epsrel=1e-13, limit=200,
     )
     assert abs(_mean_overlap(half, ta, wa, tb, wb) - ref) <= 1e-12 * ref
 
-
-def test_sample_set_report_does_not_read_mc_samples(tmp_path):
-    # the references are exact, so the Monte Carlo sample size of the
-    # other experiments leaves every sample-set figure as it is
-    reports = [
-        run_sample_sets(ExperimentConfig(seed=20260810, mc_samples=samples, output_dir=str(tmp_path)))
-        for samples in (2000, 1_000_000)
-    ]
-    assert reports[0].metrics == reports[1].metrics

@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfjoin import cf_engine, cli, verifier
 from cfjoin.verifier import (
@@ -16,8 +18,11 @@ from cfjoin.verifier import (
     ExperimentConfig,
     Metric,
     _build_seeds,
+    _common_length,
     _correction_times,
     _level1_full_rectangles,
+    _simpson,
+    _translate_integral,
     _weakmix_deviation,
     emit_report,
     run_fubini,
@@ -72,6 +77,15 @@ BAD_VALUES = [
     ({"construction": {"max_level": -1}}, ValueError, "construction.max_level must be at least 0, not -1"),
     # a config built in code met the depth check only when it built
     ({"construction": {"max_level": 8}}, cf_engine.LevelTooDeepError, "level 8 correction shells"),
+    # sections that are not JSON objects, which no constructor takes: the
+    # first two ended in an AttributeError traceback, the others in errors
+    # that did not name the section
+    ({"construction": []}, TypeError, "construction config must be a JSON object, not []"),
+    ({"construction": {"r_schedule": []}}, TypeError,
+     "construction.r_schedule config must be a JSON object, not []"),
+    (None, TypeError, "experiment config must be a JSON object, not None"),
+    ("ab", TypeError, "experiment config must be a JSON object, not 'ab'"),
+    ([], TypeError, "experiment config must be a JSON object, not []"),
 ]
 
 
@@ -132,13 +146,17 @@ class TestConfig:
     @pytest.mark.parametrize("data, error, message", BAD_VALUES, ids=[json.dumps(row[0]) for row in BAD_VALUES])
     def test_bad_value_is_a_named_error(self, data, error, message):
         # the constructors hold every check, so a config built in code meets
-        # the error that the same values read from JSON meet
-        raised = []
-        for build in (_construct, ExperimentConfig.from_json):
+        # the error that the same values read from JSON meet; the shape of a
+        # section is read by from_json alone
+        builds = [_construct, ExperimentConfig.from_json]
+        if "must be a JSON object" in message:
+            builds.remove(_construct)
+        raised = set()
+        for build in builds:
             with pytest.raises(error, match=re.escape(message)) as exc:
                 build(data)
-            raised.append((exc.type, str(exc.value)))
-        assert raised[0] == raised[1] and raised[0][0] is error
+            raised.add((exc.type, str(exc.value)))
+        assert len(raised) == 1 and raised.pop()[0] is error
 
     def test_readme_config_parses_and_round_trips(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -190,9 +208,102 @@ class TestRunners:
     def test_fubini_pass(self, small_cfg):
         assert run_fubini(small_cfg).status == "pass"
 
+    @pytest.mark.parametrize("seed", [20260810, 20260811, 1, 2, 3])
+    def test_fubini_sides_equal_and_positive(self, seed, monkeypatch):
+        # with every end drawn in (-20, 20), both sides were 0 in all ten
+        # trials at seeds 20260810 and 2, and in nine of ten at 20260811
+        values = [value for _, value in _fubini_calls(seed, monkeypatch)]
+        assert values[::2] == values[1::2]
+        assert [lhs > 0 for lhs in values[::2]] == [True] * 9 + [False]
+
     def test_anchor_strings_nonempty(self, small_cfg):
         for rep in (run_sequences(small_cfg), run_validate_cf(small_cfg)):
             assert rep.anchor
+
+
+@pytest.mark.parametrize("name", [name for name in EXPERIMENTS if name not in ("weakmix", "joinings")])
+def test_report_does_not_read_mc_samples(name, tmp_path):
+    # only weakmix and joinings draw mc_samples points; every other report
+    # is exact or draws sample sizes of its own, as the README states
+    reports = [
+        EXPERIMENTS[name](ExperimentConfig(seed=20260810, mc_samples=samples, output_dir=str(tmp_path)))
+        for samples in (2000, 1_000_000)
+    ]
+    assert reports[0].metrics == reports[1].metrics
+
+
+# interval ends on a grid of halves meet, nest and coincide often; the
+# float ends carry long binary fractions
+_ENDS = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-10.0, 10.0))
+_INTERVALS = st.tuples(_ENDS, _ENDS).map(lambda ends: tuple(Fraction(end) for end in sorted(ends)))
+
+
+def _convolution_integral(S, A, B, F):
+    """The integral over F of (1_S * 1_A)(1_S * 1_B), the 1-D form of both
+    sides of the fubini identity.  Each factor is linear between the sums
+    of an end of S and an end of A or B, so the product is quadratic."""
+    def conv(z, X):
+        return _common_length(X, (z - S[1], z - S[0]))
+
+    return _simpson(lambda z: conv(z, A) * conv(z, B), *F, [s + x for s in S for x in A + B])
+
+
+def test_simpson_is_exact_on_cubics():
+    # the integral of x^3 - 2x over (-1, 3) is 12, with or without breaks
+    for breaks in ([], [Fraction(1, 3), Fraction(-5), Fraction(3), Fraction(2)]):
+        assert _simpson(lambda x: x**3 - 2 * x, Fraction(-1), Fraction(3), breaks) == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=_INTERVALS, B=_INTERVALS, S=_INTERVALS, F=_INTERVALS)
+@example(A=(0, 1), B=(5, 6), S=(0, 1), F=(-10, 10))  # disjoint trapezoids
+@example(A=(0, 1), B=(1, 2), S=(0, 1), F=(2, 3))  # touching at one end
+@example(A=(0, 4), B=(1, 2), S=(-1, 1), F=(0, 2))  # nested
+@example(A=(1, 1), B=(0, 3), S=(0, 2), F=(0, 5))  # zero-width A
+@example(A=(0, 3), B=(0, 3), S=(0, 2), F=(2, 2))  # zero-width F
+def test_translate_integral_matches_the_convolution(A, B, S, F):
+    A, B, S, F = (tuple(map(Fraction, iv)) for iv in (A, B, S, F))
+    lhs = _translate_integral(A, B, F, S, S)
+    rhs = _translate_integral(S, S, F, A, B)
+    assert lhs == rhs == _convolution_integral(S, A, B, F)
+
+
+def _monte_carlo_side(I, J, F, V, W, draws, rng):
+    """(estimate, stderr) of the integral over x in V, y in W of
+    |(I + x) n (J + y) n F| from uniform draws: run_fubini's Monte Carlo
+    before it integrated exactly."""
+    I, J, F, V, W = (tuple(map(float, iv)) for iv in (I, J, F, V, W))
+    x = rng.uniform(*V, size=draws)
+    y = rng.uniform(*W, size=draws)
+    lo = np.maximum(np.maximum(I[0] + x, J[0] + y), F[0])
+    hi = np.minimum(np.minimum(I[1] + x, J[1] + y), F[1])
+    vals = np.maximum(hi - lo, 0.0)
+    area = (V[1] - V[0]) * (W[1] - W[0])
+    return float(np.mean(vals)) * area, float(np.std(vals)) / math.sqrt(draws) * area
+
+
+def _fubini_calls(seed, monkeypatch):
+    """[(intervals, value)] of every `_translate_integral` call run_fubini
+    makes at `seed`, the two sides of each trial in turn."""
+    calls = []
+
+    def recording(*intervals):
+        calls.append((intervals, _translate_integral(*intervals)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verifier, "_translate_integral", recording)
+    assert run_fubini(ExperimentConfig(seed=seed)).status == "pass"
+    return calls
+
+
+def test_fubini_sides_match_monte_carlo(monkeypatch):
+    # both sides of the first three trials at the acceptance seed, each
+    # within 4 sigma of 10^5 uniform draws
+    rng = np.random.default_rng(24)
+    for intervals, value in _fubini_calls(20260810, monkeypatch)[:6]:
+        assert value > 0
+        estimate, stderr = _monte_carlo_side(*intervals, 10**5, rng)
+        assert abs(estimate - float(value)) <= 4 * stderr
 
 
 @pytest.mark.parametrize("seed", [42, 20260810])
