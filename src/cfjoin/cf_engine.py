@@ -60,6 +60,7 @@ __all__ = [
     "check_level_depth",
     "build_levels",
     "validate_cf",
+    "growth_conditions",
     "mu_total_normalizer",
     "cylinder_measure",
     "act",
@@ -130,10 +131,13 @@ class CFParams:
     """Schedules driving the construction, and every rule a construction
     obeys, whether built in code or read from a config.
 
-    r_n is max(floor, n^power) for r_kind "max_power" and floor for
-    "constant"; it must be increasing with n^4/r_n eventually decreasing to
-    0, and the default max(100, n^5) keeps level data tractable through
-    level ~8.  Each integer field goes through config_int.
+    r_n = max(floor, n^p) with the exponent p = power, or 0 for r_kind
+    "constant".  The growth conditions depend on p alone (the floor only
+    delays them): (2n - 1)/(2 r_(n-1) - 1) -> 0 iff p >= 2, n^4/r_n -> 0
+    iff p >= 5, and the level ratios have a finite product (eq. 9) iff
+    p >= 3.  The default max(100, n^5) meets all three and keeps level
+    data tractable through level ~8.  Each integer field goes through
+    config_int.
     alphabet_size and r_floor are at least 1, the smallest values that
     build: alphabet size 0 has no correction to draw, and floor 0 makes
     r_0 = 0 and H_0 a set of 2 r_0 - 1 = -1 shifts.  A floor of 1 builds
@@ -162,10 +166,12 @@ class CFParams:
             raise ValueError(f"unknown r_kind {self.r_kind!r}: {kinds}")
         check_level_depth(self)
 
+    @property
+    def exponent(self) -> int:
+        return 0 if self.r_kind == "constant" else self.r_power
+
     def r(self, n: int) -> int:
-        if self.r_kind == "constant":
-            return self.r_floor
-        return max(self.r_floor, n**self.r_power)
+        return max(self.r_floor, n**self.exponent)
 
     def eps(self, n: int) -> float:
         return 1.0 / (n + 1)  # the harmonic tolerance schedule
@@ -240,33 +246,40 @@ def level_ratio(seq: Sequence[tuple[int, int]], n: int) -> Fraction:
 def mu_total_normalizer(params: CFParams) -> tuple[float, float]:
     """Mass of the level-0 base set when the total measure is normalized to 1.
 
-    Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= _NORMALIZER_DEPTH}
-    (a~_n / a_n) with an explicit bound on the neglected tail of the product,
-    derived from log(1+x) <= x and the n^4/r_n monotonicity of admissible
-    schedules.
-    Raises DivergentScheduleError when the product does not converge.
+    The level ratios are 1 + e_n, e_n = (2n - 1)/(2 r_(n-1) - 1), and with
+    r_n = max(floor, n^p) (p = power, or 0 for a constant schedule) e_n ~
+    n^(1-p): e_n -> 0 iff p >= 2, and the product (eq. 9) is finite iff
+    p >= 3, else DivergentScheduleError (n^4/r_n -> 0, the third growth
+    condition, iff p >= 5).
+
+    Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= D} (1 + e_n), D =
+    _NORMALIZER_DEPTH, and tail_bound = mu_X0 (sum_{D < n <= H} e_n + R),
+    H = 4 D, bounds the neglected mu_X0 (1 - prod_{n > D} (1 + e_n)^-1) by
+    1 - e^-x <= x and log(1 + x) <= x.  For m = n - 1 >= H and p >= 3,
+    r_m >= m^p at any floor, so e_n <= (2m + 1)/(2 m^p - 1) <= H^(3-p)
+    (2m + 1)/(2 m^3 - 1) <= H^(3-p)/(m (m - 1)), as 2 m^p - 1 >= m^(p-3)
+    (2 m^3 - 1) and (2m + 1) m (m - 1) = 2 m^3 - m^2 - m; the sum over
+    m >= H telescopes to H^(3-p)/(H - 1) <= R = 2 H^(4-p)/(H - 1)^2.
     """
+    p = params.exponent
+    if p < 3:
+        raise DivergentScheduleError(
+            f"divergent product: the r_schedule kind {params.r_kind}, floor {params.r_floor} and "
+            f"power {params.r_power} has exponent {p}, below 3, so its ratio excess "
+            f"(2n - 1)/(2 r_(n-1) - 1) ~ n^{1 - p} has no finite sum and it carries no finite measure"
+        )
     # ratio_n = a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1) for n >= 1, ratio_0 = 1
     log_prod = 0.0
     for n in range(1, _NORMALIZER_DEPTH + 1):
         log_prod += math.log1p((2 * n - 1) / (2 * params.r(n - 1) - 1))
     mu0 = math.exp(-log_prod)
 
-    horizon = max(4 * _NORMALIZER_DEPTH, 400)
+    horizon = 4 * _NORMALIZER_DEPTH
     tail = 0.0
-    xs = []
     for n in range(_NORMALIZER_DEPTH + 1, horizon + 1):
-        x = (2 * n - 1) / (2 * params.r(n - 1) - 1)
-        xs.append(x)
-        tail += x
-    if len(xs) >= 2 and xs[-1] > xs[0] and xs[-1] > 1e-9:
-        raise DivergentScheduleError("divergent product: ratio excess is not decaying")
-    r_m = params.r(horizon)
-    remainder = (horizon**4 / r_m) * 2.0 / (horizon - 1) ** 2
-    tail_bound = mu0 * (tail + remainder)
-    if tail + remainder > 1.0:
-        raise DivergentScheduleError("divergent product: tail estimate exceeds 1")
-    return mu0, tail_bound
+        tail += (2 * n - 1) / (2 * params.r(n - 1) - 1)
+    remainder = (horizon**4 / horizon**p) * 2.0 / (horizon - 1) ** 2
+    return mu0, mu0 * (tail + remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +468,21 @@ class CFValidationReport:
         }
 
 
+def growth_conditions(params: CFParams) -> list[ConditionResult]:
+    """The growth conditions of validate_cf, which read the schedule alone."""
+    p = params.exponent
+    schedule = f"r_n = max({params.r_floor}, n^{p})"
+    try:
+        finite = True, f"{schedule}: tail bound {mu_total_normalizer(params)[1]:.2e}"
+    except DivergentScheduleError as exc:
+        finite = False, str(exc)
+    return [
+        ConditionResult("w-fo-folner-ratios", p >= 2, f"{schedule}: ratio excess ~ n^{1 - p}"),
+        ConditionResult("growth-n4-over-r", p >= 5, f"{schedule}: n^4/r_n ~ n^{4 - p}"),
+        ConditionResult("finiteness-eq-9", *finite),
+    ]
+
+
 def validate_cf(levels: CFLevels) -> CFValidationReport:
     """Exact checks of the stacking conditions at every instantiated level.
 
@@ -464,11 +492,12 @@ def validate_cf(levels: CFLevels) -> CFValidationReport:
     ends compare with integers through lo_int alone (and u == 0), and with
     each other as (integer part, u) pairs in lexicographic order.  A
     correction fraction outside [0, 1) raises CorrectionFractionError.  The
-    base-interval tiling is pure integer arithmetic; finiteness is the
-    ratio-excess series with an explicit tail below 1e-6.
+    base-interval tiling is pure integer arithmetic.  The growth conditions
+    are exact in the exponent p of r_n = max(floor, n^p), p = power or 0 for
+    a constant schedule: (2n - 1)/(2 r_(n-1) - 1) ~ n^(1-p) -> 0 iff p >= 2,
+    n^4/r_n -> 0 iff p >= 5, and the ratios' product (eq. 9) is finite iff p >= 3.
     """
     out: list[ConditionResult] = []
-    params = levels.params
 
     # choice-set size > 1
     ok = all(lv.card_c_next > 1 for lv in levels.levels)
@@ -525,41 +554,7 @@ def validate_cf(levels: CFLevels) -> CFValidationReport:
         )
     )
 
-    # Folner growth: ratio excess eventually decreasing to 0, and n^4/r_n
-    # eventually nonincreasing (both peak while r_n sits at a flat floor and
-    # decay once the power law takes over; probe well past the built range)
-    horizon = max(2 * levels.max_level + 2, 40)
-    excesses = [(2 * n - 1) / (2 * params.r(n - 1) - 1) for n in range(1, horizon)]
-    eq_gr = [n**4 / params.r(n) for n in range(1, horizon)]
-
-    def _eventually_decaying(xs: list[float]) -> bool:
-        peak = max(range(len(xs)), key=xs.__getitem__)
-        tail_mono = all(x >= y - 1e-12 for x, y in zip(xs[peak:], xs[peak:][1:]))
-        return tail_mono and xs[-1] < 0.5 * max(xs[0], xs[peak] * 0.2 + xs[0])
-
-    folner_ok = _eventually_decaying(excesses)
-    gr_ok = _eventually_decaying(eq_gr)
-    out.append(
-        ConditionResult(
-            "w-fo-folner-ratios",
-            folner_ok,
-            f"ratio excesses head {['%.3g' % e for e in excesses[:6]]}",
-        )
-    )
-    out.append(
-        ConditionResult("growth-n4-over-r", gr_ok, f"n^4/r_n head {['%.3g' % e for e in eq_gr[:6]]}")
-    )
-
-    # finiteness of the total measure
-    try:
-        _, tail = mu_total_normalizer(params)
-        fin_ok = tail < 1e-6
-        detail = f"tail bound {tail:.2e}"
-    except ValueError as exc:
-        fin_ok = False
-        detail = str(exc)
-    out.append(ConditionResult("finiteness-eq-9", fin_ok, detail))
-
+    out.extend(growth_conditions(levels.params))
     return CFValidationReport(out)
 
 

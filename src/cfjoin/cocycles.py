@@ -115,7 +115,6 @@ def constant_one_obstruction(scheme: TowerScheme) -> list[ObstructionWitness]:
 @dataclass
 class D6RootReport:
     root_identity_holds: bool
-    samples: int
     commutation_witness: Optional[tuple[str, str, str]]  # (fiber, sig_a sig_b, sig_b sig_a)
     abelian_commutes: bool
 
@@ -161,7 +160,7 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
         d6_mul(d6_mul(h, a), D6_IDENTITY) == d6_mul(d6_mul(h, D6_IDENTITY), a)
         for h in (D6_IDENTITY, a)
     )
-    return D6RootReport(ok, samples, witness, abelian)
+    return D6RootReport(ok, witness, abelian)
 
 
 # ---------------------------------------------------------------------------

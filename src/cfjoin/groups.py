@@ -302,9 +302,6 @@ class CentralityResult:
     central: bool
     witness: Optional[GElement]
 
-    def __bool__(self) -> bool:
-        return self.central
-
 
 def _haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal((n, 4))

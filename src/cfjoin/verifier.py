@@ -190,10 +190,11 @@ def _quenched_sigma(cfg: ExperimentConfig, value: float, estimate) -> float:
     return float(np.std([value] + alts, ddof=1))
 
 
-# the experiments that read the construction, and those of them that also
-# read it re-drawn for a quenched sigma
+# the experiments that read the construction, those of them that also read
+# it re-drawn for a quenched sigma, and those that read its measure
 _READS_LEVELS = ("sequences", "validate-cf", "sample-sets", "weakmix", "lemma62", "joinings")
 _QUENCHED = ("weakmix", "lemma62")
+_READS_MEASURE = ("sequences", "weakmix", "joinings")
 
 
 def _build_seeds(cfg: ExperimentConfig, name: str) -> tuple[int, ...]:
@@ -207,9 +208,11 @@ def _build_seeds(cfg: ExperimentConfig, name: str) -> tuple[int, ...]:
 
 def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
     """ValueError unless the experiments `names` can run on cfg: its
-    max_level reaches min_max_level of each, and its construction builds at
-    every seed they read.  The builds fill the runners' shared cache, so a
-    schedule that does not build fails before any experiment runs."""
+    max_level reaches min_max_level of each, its construction builds at
+    every seed they read, and it carries a finite measure if one of them
+    reads the measure (DivergentScheduleError from mu_total_normalizer).
+    The builds fill the runners' shared cache, so a schedule that does not
+    build fails before any experiment runs."""
     level = cfg.construction.max_level
     needs = {name: min_max_level(cfg, name) for name in names}
     if short := [name for name, need in needs.items() if need > level]:
@@ -220,6 +223,8 @@ def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
         )
     for seed in sorted({seed for name in names for seed in _build_seeds(cfg, name)}):
         _build_levels(seed, cfg.construction)
+    if any(name in _READS_MEASURE for name in names):
+        cf_engine.mu_total_normalizer(cfg.construction)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +518,8 @@ def _common_length(*intervals):
 def _simpson(f, lo, hi, breaks):
     """Simpson's rule for f on (lo, hi) between the breaks: exact where f is a cubic between them."""
     x = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
-    return sum((b - a) / 6 * (f(a) + 4 * f((a + b) / 2) + f(b)) for a, b in zip(x, x[1:]))
+    fx = [f(b) for b in x]
+    return sum((b - a) / 6 * (fa + 4 * f((a + b) / 2) + fb) for a, b, fa, fb in zip(x, x[1:], fx, fx[1:]))
 
 
 def _translate_integral(I, J, F, V, W) -> Fraction:

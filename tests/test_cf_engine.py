@@ -58,6 +58,27 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="divergent product"):
             cf.mu_total_normalizer(cf.CFParams(r_kind="constant", r_floor=2))
 
+    @pytest.mark.parametrize("floor", [10**8, 10**9])
+    def test_cubic_power_past_a_high_floor(self, floor):
+        # the ratio excess climbs to (2n - 1)/(2 floor - 1) until n^3 passes
+        # the floor near n = 1000, and was called "not decaying"; its sum is
+        # finite all the same
+        mu0, tail = cf.mu_total_normalizer(cf.CFParams(r_floor=floor, r_power=3, max_level=0))
+        assert 0.9999 < mu0 < 1.0
+        assert 0 < tail < 0.01
+
+    @pytest.mark.parametrize("floor", [1, 100, 10**9, 10**20])
+    @pytest.mark.parametrize("power", [3, 4, 5, 6])
+    def test_tail_bound_covers_the_tail(self, floor, power):
+        # tail_bound / mu_X0 bounds sum_{n > 120} e_n; at floor 10^20 and
+        # power 5 it read 5.7e-15 against a tail of more than 8.3e-13, as it
+        # took the remainder past n = 480 from r_480 = 10^20, not from 480^5
+        mu0, tail = cf.mu_total_normalizer(cf.CFParams(r_floor=floor, r_power=power, max_level=0))
+        total = 0.0
+        for n in np.array_split(np.arange(121, 4 * 10**6 + 1, dtype=float), 4):
+            total += float(np.sum((2 * n - 1) / (2 * np.maximum(float(floor), (n - 1) ** power) - 1)))
+        assert tail / mu0 >= total
+
     def test_mu_consistency(self, levels):
         for n in range(6):
             ratio = float(cf.level_ratio(levels.seq, n))
@@ -87,6 +108,20 @@ class TestValidation:
         lv = cf.build_levels(cf.CFParams(max_level=1), seed=0)
         rep = cf.validate_cf(lv)
         assert rep.passed
+
+    @pytest.mark.parametrize("kind", ["max_power", "constant"])
+    @pytest.mark.parametrize("floor", [1, 100, 1000, 10**4, 10**6])
+    def test_growth_verdicts_match_the_oracle(self, kind, floor):
+        for power in range(7):
+            params = cf.CFParams(r_kind=kind, r_floor=floor, r_power=power, max_level=0)
+            got = {c.name: c.passed for c in cf.growth_conditions(params)}
+            assert got == _growth_oracle(kind, floor, power), (kind, floor, power)
+            try:
+                cf.mu_total_normalizer(params)
+                finite = True
+            except cf.DivergentScheduleError:
+                finite = False
+            assert finite == got["finiteness-eq-9"]
 
     def test_constant_schedule_fails_finiteness(self):
         report_conditions = {}
@@ -137,6 +172,32 @@ class TestValidation:
         # the 2r-1 widened shells tile the next base interval exactly
         for lv in levels.levels:
             assert (2 * lv.r - 1) * lv.a_tilde == levels.a(lv.n + 1)
+
+
+def _growth_oracle(kind: str, floor: int, power: int) -> dict[str, bool]:
+    """The growth verdicts of r_n = floor (constant) or max(floor, n^power),
+    read on exact rationals far past the floor.  A term x_n ~ c n^-q has
+    x_2m / x_m -> 2^-q, so it tends to 0 iff that ratio ends at most 1/2
+    (q >= 1) rather than at least 1 (q <= 0); by Cauchy condensation its
+    sum is finite iff 2 x_2m / x_m ends at most 1/2 (q >= 2) rather than at
+    least 1 (q <= 1).  Each verdict is read at eight doublings past
+    n = 1000 floor, and they must agree."""
+    def r(n):
+        return floor if kind == "constant" else max(floor, n**power)
+
+    def excess(n):
+        return Fraction(2 * n - 1, 2 * r(n - 1) - 1)
+
+    def decays(x, scale=1):
+        verdicts = {scale * x(2 * m) / x(m) <= Fraction(3, 4) for m in (1000 * floor * 2**k for k in range(8))}
+        assert len(verdicts) == 1
+        return verdicts.pop()
+
+    return {
+        "w-fo-folner-ratios": decays(excess),
+        "growth-n4-over-r": decays(lambda n: Fraction(n**4, r(n))),
+        "finiteness-eq-9": decays(excess, scale=2),
+    }
 
 
 def _w3_w4(report) -> tuple[bool, bool]:

@@ -32,8 +32,9 @@ from cfjoin.verifier import (
 )
 
 
-# (config, error, message): values the config's constructors reject, each
-# checked three ways: built in code, read by from_json, and passed to the CLI
+# (config, error, message): values the config's constructors or check_builds
+# reject, each checked three ways: built in code, read by from_json, and
+# passed to the CLI
 BAD_VALUES = [
     ({"seed": "seven"}, ValueError, "invalid literal for int()"),
     ({"seed": None}, TypeError, "not 'NoneType'"),
@@ -86,6 +87,12 @@ BAD_VALUES = [
     (None, TypeError, "experiment config must be a JSON object, not None"),
     ("ab", TypeError, "experiment config must be a JSON object, not 'ab'"),
     ([], TypeError, "experiment config must be a JSON object, not []"),
+    # schedules whose level ratios have an infinite product: they built,
+    # and the measure's readers ended in DivergentScheduleError tracebacks
+    ({"construction": {"r_schedule": {"kind": "constant", "floor": 1000}}}, cf_engine.DivergentScheduleError,
+     "the r_schedule kind constant, floor 1000 and power 5 has exponent 0, below 3"),
+    ({"construction": {"r_schedule": {"floor": 1000, "power": 2}}}, cf_engine.DivergentScheduleError,
+     "the r_schedule kind max_power, floor 1000 and power 2 has exponent 2, below 3"),
 ]
 
 
@@ -145,16 +152,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("data, error, message", BAD_VALUES, ids=[json.dumps(row[0]) for row in BAD_VALUES])
     def test_bad_value_is_a_named_error(self, data, error, message):
-        # the constructors hold every check, so a config built in code meets
-        # the error that the same values read from JSON meet; the shape of a
-        # section is read by from_json alone
+        # the constructors hold every check of a value, and check_builds
+        # those of a schedule, so a config built in code meets the error
+        # that the same values read from JSON meet; the shape of a section
+        # is read by from_json alone
         builds = [_construct, ExperimentConfig.from_json]
         if "must be a JSON object" in message:
             builds.remove(_construct)
         raised = set()
         for build in builds:
             with pytest.raises(error, match=re.escape(message)) as exc:
-                build(data)
+                verifier.check_builds(build(data), ["sequences"])
             raised.add((exc.type, str(exc.value)))
         assert len(raised) == 1 and raised.pop()[0] is error
 
@@ -246,6 +254,14 @@ def _convolution_integral(S, A, B, F):
         return _common_length(X, (z - S[1], z - S[0]))
 
     return _simpson(lambda z: conv(z, A) * conv(z, B), *F, [s + x for s in S for x in A + B])
+
+
+def test_simpson_evaluates_each_point_once():
+    # each interior break is the end of one piece and the start of the next
+    points = []
+    x = [Fraction(k, 3) for k in range(7)]
+    assert _simpson(lambda y: points.append(y) or y * y, x[0], x[-1], x[1:-1]) == Fraction(8, 3)
+    assert sorted(points) == sorted(set(points)) and len(points) == 2 * len(x) - 1
 
 
 def test_simpson_is_exact_on_cubics():
@@ -550,6 +566,20 @@ class TestCLI:
             f"size 8 does not build at seed {seed}: distribution test failed at level {level}"
         ) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("schedule, code, failed", [
+        # r_n = n^5 from n = 4 on, so n^4/r_n = 1/n: growth-n4-over-r used
+        # to fail, as the floor held n^4/r_n rising over the probed terms
+        ({"floor": 1000}, 0, []),
+        # the measure's readers refuse this schedule; validate-cf reports it
+        ({"kind": "constant", "floor": 1000}, 1, ["w-fo-folner-ratios", "growth-n4-over-r", "finiteness-eq-9"]),
+    ])
+    def test_validate_cf_reads_the_exponent(self, schedule, code, failed, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"construction": {"r_schedule": schedule, "max_level": 3}}))
+        assert cli.main(["validate-cf", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+        (entry,) = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+        assert [m["name"] for m in entry["metrics"] if not m["passed"]] == failed
 
     def test_cli_subcommand(self, tmp_path):
         out = tmp_path / "cli"
