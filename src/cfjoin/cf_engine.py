@@ -177,15 +177,11 @@ class CFParams:
         return 1.0 / (n + 1)  # the harmonic tolerance schedule
 
     def to_json(self) -> dict:
-        return {
-            "r_schedule": {
-                "kind": self.r_kind,
-                "floor": self.r_floor,
-                "power": self.r_power,
-            },
-            "max_level": self.max_level,
-            "alphabet_size": self.alphabet_size,
-        }
+        """The config; a constant schedule reads no power, so it states none."""
+        schedule = {"kind": self.r_kind, "floor": self.r_floor}
+        if self.r_kind != "constant":
+            schedule["power"] = self.r_power
+        return {"r_schedule": schedule, "max_level": self.max_level, "alphabet_size": self.alphabet_size}
 
     @staticmethod
     def from_json(data: dict) -> "CFParams":
@@ -264,8 +260,8 @@ def mu_total_normalizer(params: CFParams) -> tuple[float, float]:
     p = params.exponent
     if p < 3:
         raise DivergentScheduleError(
-            f"divergent product: the r_schedule kind {params.r_kind}, floor {params.r_floor} and "
-            f"power {params.r_power} has exponent {p}, below 3, so its ratio excess "
+            f"divergent product: the r_schedule kind {params.r_kind} with floor {params.r_floor} "
+            f"has exponent {p}, below 3, so its ratio excess "
             f"(2n - 1)/(2 r_(n-1) - 1) ~ n^{1 - p} has no finite sum and it carries no finite measure"
         )
     # ratio_n = a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1) for n >= 1, ratio_0 = 1
@@ -696,7 +692,9 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     fiber by the shift element twisted by the current time, one quat_mul and
     the closed-form quat_twist.
     Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
-    nor returned (None in its place); times are the same either way.
+    nor returned (None in its place); times are the same either way.  The
+    carries are made in place, on times copied at entry, so the caller's
+    arrays are never written.
     """
     levels._built(to_level, levels.max_level + 1)
     if tails.shape[1] < to_level - from_level:
@@ -716,7 +714,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         # fiber twist by the current time, before the time moves
         if q is not None:
             q = quat_mul(q, quat_twist(ti, tf, lv.s_quat[j]))
-        ti = ti + lv.s_shell[j].astype(ti.dtype)
+        ti += lv.s_shell[j].astype(ti.dtype, copy=False)
         s_u = lv.s_u[j]
         moved = tf + s_u
         lost = moved - s_u != tf
@@ -727,9 +725,10 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
                 f"the level-{k} correction {float(s_u[i])!r}"
             )
         tf = moved
+        # the carry in place: tf - 1.0 is exact on [1, 2), and tf - 0.0 = tf
         carry = tf >= 1.0
-        tf = np.where(carry, tf - 1.0, tf)
-        ti = ti + carry.astype(ti.dtype)
+        np.subtract(tf, carry, out=tf)
+        np.add(ti, carry, out=ti)
     ti = RadixTimes(h, ti) if radix else _join(levels, to_level, h, ti)
     return ti, tf, q
 
@@ -749,7 +748,9 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     (_lane).  Each level multiplies the fiber by the inverse shift element
     twisted by the peeled time, one quat_mul and the closed-form quat_twist.
     With q None the fiber is neither moved nor returned (None in its place);
-    valid, times and hs are the same either way.
+    valid, times and hs are the same either way.  Times are peeled and
+    borrowed in place, on the copies made at entry: the caller's arrays,
+    or the read-only broadcast translate passes, are never written.
     """
     levels._built(from_level, levels.max_level + 1)
     hi, ti = ti if isinstance(ti, RadixTimes) else (None, ti)
@@ -762,18 +763,26 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     for k in range(from_level - 1, to_level - 1, -1):
         lv = levels.level(k)
         two = 2 * lv.a_tilde
-        shifted = ti + lv.a_tilde
-        d = shifted // two
-        on_edge = (shifted - d * two == 0) & (tf == 0.0)
-        d = d - on_edge.astype(ti.dtype)
-        h = d.astype(np.int64) if hi is None else hi + d.astype(np.int64)
+        # ti becomes the remainder t + a~_k - d * 2 a~_k, in [0, 2 a~_k)
+        ti += lv.a_tilde
+        d = ti // two
+        ti -= d * two
+        # a shell edge (remainder 0 and fraction 0) is the top of the shell below
+        on_edge = (ti == 0) & (tf == 0.0)
+        np.subtract(d, on_edge, out=d)
+        np.add(ti, two, out=ti, where=on_edge)
+        h = d.astype(np.int64, copy=False)
+        h = h if hi is None else hi + h
         hi = None
         ok_h = np.abs(h) <= lv.r - 1
         j = np.clip(h + (lv.r - 1), 0, 2 * lv.r - 2)
-        ti = ti - d * two - lv.s_shell[j].astype(ti.dtype)
-        tf = tf - lv.s_u[j]
+        # the level-k time: the remainder less a~_k and the correction's shell
+        ti -= lv.a_tilde
+        ti -= lv.s_shell[j].astype(ti.dtype, copy=False)
+        # the borrow in place, tf + 0.0 = tf where there is none
+        np.subtract(tf, lv.s_u[j], out=tf)
         borrow = tf < 0.0
-        tf = np.where(borrow, tf + 1.0, tf)
+        np.add(tf, borrow, out=tf)
         # a borrowed fraction can round up to 1.0; the max allocates no mask
         if tf.max(initial=0.0) == 1.0:
             lost = np.flatnonzero((tf == 1.0) & valid & ok_h)
@@ -782,7 +791,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
                     f"fraction of lane {lost[0]} rounds up to 1.0 when it borrows past "
                     f"the level-{k} correction {float(lv.s_u[j[lost[0]]])!r}"
                 )
-        ti = ti - borrow.astype(ti.dtype)
+        np.subtract(ti, borrow, out=ti)
         if ti.dtype == object and _lane(levels, k) is np.int64:
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)

@@ -168,8 +168,8 @@ def _build_levels(seed: int, params: CFParams) -> CFLevels:
         return cf_engine.build_levels(params, seed=seed)
     except equidist.DistributionTestError as exc:
         raise ValueError(
-            f"the construction with r_schedule floor {params.r_floor}, power "
-            f"{params.r_power} and alphabet size {params.alphabet_size} does "
+            f"the construction with r_schedule floor {params.r_floor}, exponent "
+            f"{params.exponent} and alphabet size {params.alphabet_size} does "
             f"not build at seed {seed}: {exc}"
         ) from exc
 
@@ -688,9 +688,13 @@ def _weakmix_deviation(
     It moves only time and both rectangles have full fibers, so translate
     moves the points without their fiber, as int64 radix digits.  The times
     and tails are drawn whole and the fiber not at all (its normals are
-    drawn, to keep the stream, and dropped block by block); the translate
-    and both rectangle tests run over row blocks, whose hits sum to an int,
-    so p_hat = hits / samples is the mean of the whole mask."""
+    drawn, to keep the stream, and dropped block by block).  The rectangle
+    tests run over row blocks, and translate gets only the block's rows in
+    [B]: a hit lies in [B] before the translate, so no other row can count.
+    The whole batch is drawn and the blocks' hits sum to the whole mask's
+    int, so p_hat = hits / samples is its mean bit for bit.  The exactness
+    guards of embed and peel (InexactFractionError) run on every translated
+    lane; the lanes outside [B], which they do not see, never reach p_hat."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
@@ -701,13 +705,12 @@ def _weakmix_deviation(
     hits = 0
     for rows in cf_engine.row_blocks(samples):
         t1 = ti[rows].astype(float) + tf[rows]
-        in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+        b_rows = rows.start + np.flatnonzero((t1 > float(B[0])) & (t1 <= float(B[1])))
         valid, ti1, tf1, _, _ = cf_engine.translate(
-            levels, ti[rows], tf[rows], None, tails[rows], g, 1, top
+            levels, ti[b_rows], tf[b_rows], None, tails[b_rows], g, 1, top
         )
         t1_shift = ti1.astype(float) + tf1
-        in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
-        hits += int(np.count_nonzero(in_a & in_b))
+        hits += int(np.count_nonzero(valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))))
     p_hat = hits / samples
     sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
     return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat

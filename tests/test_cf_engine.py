@@ -790,6 +790,55 @@ class TestTranslate:
             assert 0 < stacked[0].sum() < lanes
 
 
+def _frozen(*arrays):
+    """Dtype, shape and contents of each array, Python ints by value."""
+    return [(x.dtype, x.shape, x.tolist() if x.dtype == object else x.tobytes()) for x in arrays]
+
+
+class TestInputsUnchanged:
+    """embed_batch and peel_batch carry and borrow in place, on the arrays
+    they copied at entry: the caller's arrays come back byte for byte."""
+
+    def test_int64_times(self, levels):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(41))
+        before = _frozen(ti, tf, q, tails)
+        ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
+        assert ti6.dtype == np.int64 and _frozen(ti, tf, q, tails) == before
+        embedded = _frozen(ti6, tf6, q6)
+        valid, ti1, _, _, _ = cf.peel_batch(levels, ti6, tf6, q6, 6, 1)
+        assert valid.all() and np.array_equal(ti1, ti)
+        assert _frozen(ti6, tf6, q6) == embedded
+
+    def test_python_int_times(self, levels):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(42))
+        ti7, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
+        assert ti7.dtype == object
+        embedded = _frozen(ti7, tf7, q7)
+        objects = list(ti7)
+        valid, ti1, _, _, _ = cf.peel_batch(levels, ti7, tf7, q7, 7, 1)
+        assert valid.all() and np.array_equal(ti1, ti)
+        assert _frozen(ti7, tf7, q7) == embedded
+        assert all(x is y for x, y in zip(ti7, objects))
+
+    def test_radix_times(self, levels):
+        ti, tf, _, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(43))
+        pair, tf7, _ = cf.embed_batch(levels, ti, tf, None, tails, 1, 7, radix=True)
+        embedded = _frozen(pair.hi, pair.lo, tf7)
+        valid, ti1, _, _, _ = cf.peel_batch(levels, pair, tf7, None, 7, 1)
+        assert valid.all() and np.array_equal(ti1, ti)
+        assert _frozen(pair.hi, pair.lo, tf7) == embedded
+
+    def test_translate_of_one_row_to_many_g(self, levels):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 4, 6, np.random.default_rng(44))
+        before = _frozen(ti, tf, q, tails)
+        two = 2 * levels.a_tilde(6)
+        g = np.random.default_rng(45).integers(-3 * two, 3 * two, 500)
+        frozen_g = _frozen(g)
+        valid, _, _, q1, _ = cf.translate(levels, ti[:1], tf[:1], q[:1], tails[:1], g, 1, 7)
+        assert q1.shape == (500, 4) and 0 < valid.sum() < 500
+        assert _frozen(ti, tf, q, tails) == before and _frozen(g) == frozen_g
+
+
 # ---------------------------------------------------------------------------
 # hypothesis draws shared by the engine properties
 # ---------------------------------------------------------------------------

@@ -90,9 +90,9 @@ BAD_VALUES = [
     # schedules whose level ratios have an infinite product: they built,
     # and the measure's readers ended in DivergentScheduleError tracebacks
     ({"construction": {"r_schedule": {"kind": "constant", "floor": 1000}}}, cf_engine.DivergentScheduleError,
-     "the r_schedule kind constant, floor 1000 and power 5 has exponent 0, below 3"),
+     "the r_schedule kind constant with floor 1000 has exponent 0, below 3"),
     ({"construction": {"r_schedule": {"floor": 1000, "power": 2}}}, cf_engine.DivergentScheduleError,
-     "the r_schedule kind max_power, floor 1000 and power 2 has exponent 2, below 3"),
+     "the r_schedule kind max_power with floor 1000 has exponent 2, below 3"),
 ]
 
 
@@ -122,6 +122,20 @@ class TestConfig:
         cfg = ExperimentConfig(seed=9, mc_samples=1234, weakmix_levels=(2, 3))
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_constant_schedule_states_no_power(self):
+        # a constant schedule reads no power: its config and its
+        # divergent-schedule error used to say "power 5", a value with no effect
+        data = {"r_schedule": {"kind": "constant", "floor": 1000}}
+        params = cf_engine.CFParams.from_json(data)
+        assert params.to_json()["r_schedule"] == data["r_schedule"]
+        assert cf_engine.CFParams.from_json(params.to_json()) == params
+        with pytest.raises(cf_engine.DivergentScheduleError) as exc:
+            cf_engine.mu_total_normalizer(params)
+        assert "exponent 0" in str(exc.value) and "power" not in str(exc.value)
+        assert cf_engine.CFParams().to_json() == {
+            "r_schedule": {"kind": "max_power", "floor": 100, "power": 5}, "max_level": 6, "alphabet_size": 8,
+        }
 
     def test_from_partial_json(self):
         cfg = ExperimentConfig.from_json({"seed": 3})
@@ -402,12 +416,13 @@ class TestWeakmixInRowBlocks:
         ref = _weakmix_deviation_whole(levels, 5, samples, np.random.default_rng(samples))
         assert _weakmix_deviation(levels, 5, samples, np.random.default_rng(samples)) == ref
 
-    def test_peak_memory_below_ten_columns(self, levels):
+    def test_peak_memory_below_eight_columns(self, levels):
         # an (N,) float or int64 column is 1 MB at N = 2^17.  The draws are
         # 5 columns (ti, tf and 6 int32 tail indices), and the translate of
-        # one row block adds about 2.3 more.  Drawing and normalising the
-        # whole (N, 4) fiber peaked near 14 columns, and the whole-batch
-        # translate at n = 6 near 32
+        # the B rows of one row block adds about 1.5 more.  Translating every
+        # row of the block peaked near 8.6 columns, drawing and normalising
+        # the whole (N, 4) fiber near 14, and the whole-batch translate at
+        # n = 6 near 32
         n = 2**17
         tracemalloc.start()
         try:
@@ -415,7 +430,51 @@ class TestWeakmixInRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * n * np.dtype(np.int64).itemsize
+        assert peak < 8 * n * np.dtype(np.int64).itemsize
+
+
+class TestWeakmixTranslatesBRows:
+    """Only the rows in B can count, so only they reach translate."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+        translate = cf_engine.translate
+
+        def recording(levels, ti, tf, q, tails, *args):
+            calls.append((ti.copy(), tf.copy(), tails.copy()))
+            return translate(levels, ti, tf, q, tails, *args)
+
+        monkeypatch.setattr(cf_engine, "translate", recording)
+        return calls
+
+    @staticmethod
+    def _in_b(levels, samples, rng):
+        _, B = _level1_full_rectangles(levels)
+        ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, 6, rng, fiber=False)
+        t1 = ti.astype(float) + tf
+        return (t1 > float(B[0])) & (t1 <= float(B[1])), ti, tf, tails
+
+    def test_each_block_hands_over_its_b_rows(self, levels, monkeypatch):
+        samples = 3 * cf_engine.ROW_BLOCK + 5
+        in_b, ti, tf, tails = self._in_b(levels, samples, np.random.default_rng(7))
+        calls = self._record(monkeypatch)
+        _weakmix_deviation(levels, 5, samples, np.random.default_rng(7))
+        blocks = list(cf_engine.row_blocks(samples))
+        assert len(calls) == len(blocks)
+        assert sum(len(c[1]) for c in calls) == in_b.sum() < samples
+        for rows, (ti_b, tf_b, tails_b) in zip(blocks, calls):
+            mask = in_b[rows]
+            assert np.array_equal(ti_b, ti[rows][mask]) and np.array_equal(tf_b, tf[rows][mask])
+            assert np.array_equal(tails_b, tails[rows][mask])
+
+    def test_a_block_without_b_rows(self, levels, monkeypatch):
+        # the first seed whose one point lies outside B: no lane is translated
+        seed = next(s for s in range(100) if not self._in_b(levels, 1, np.random.default_rng(s))[0][0])
+        ref = _weakmix_deviation_whole(levels, 5, 1, np.random.default_rng(seed))
+        calls = self._record(monkeypatch)
+        assert _weakmix_deviation(levels, 5, 1, np.random.default_rng(seed)) == ref
+        assert [len(c[1]) for c in calls] == [0]
 
 
 def test_weakmix_above_the_build_names_the_level(tmp_path):
@@ -477,7 +536,7 @@ def test_schedule_that_does_not_build_is_named_in_code(tmp_path):
     # a config built in code met a bare DistributionTestError inside the
     # first runner that read the levels
     cfg = ExperimentConfig(seed=0, construction=cf_engine.CFParams(r_floor=10), output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="floor 10, power 5 and alphabet size 8 does not build at seed 0: "
+    with pytest.raises(ValueError, match="floor 10, exponent 5 and alphabet size 8 does not build at seed 0: "
                        "distribution test failed at level 2"):
         run_sequences(cfg)
 
@@ -562,7 +621,7 @@ class TestCLI:
         params = {"floor": 100, "power": 5} | schedule
         err = capsys.readouterr().err
         assert (
-            f"r_schedule floor {params['floor']}, power {params['power']} and alphabet "
+            f"r_schedule floor {params['floor']}, exponent {params['power']} and alphabet "
             f"size 8 does not build at seed {seed}: distribution test failed at level {level}"
         ) in err
         assert not (tmp_path / "out").exists()
