@@ -25,6 +25,12 @@ shift indices are exactly those of the fiber path.  act applies a group
 element to a batch at one level.  Exact set checks use Fractions built
 from the (exact) floats, or, for the stacking conditions, integer parts
 and fractions in [0, 1) compared as pairs.
+
+Inside embed_batch and peel_batch a batch's fibers are component-major, a
+(4, ..., n) stack of contiguous rows, as are the level tables s_quat and
+s_quat_inv, (4, 2r - 1); each level twists and multiplies them with one
+kernel, groups.quat_mul_twisted_rows.  At the public boundary fibers stay
+(..., n, 4), returned as views of those rows.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import GElement, quat_inv, quat_mul, quat_normalize, quat_phi_int, quat_twist
+from .groups import GElement, quat_inv, quat_mul, quat_mul_twisted_rows, quat_normalize, quat_twist
 from . import equidist
 from .equidist import SMapResult, default_alphabet
 
@@ -298,8 +304,10 @@ class CFLevel:
     s_map: Optional[SMapResult]  # None at level 0 (identity corrections)
     s_shell: np.ndarray  # (2r-1,) int64 integer parts of the correction times
     s_u: np.ndarray  # (2r-1,) float fractional parts
-    s_quat: np.ndarray  # (2r-1, 4)
-    s_quat_inv: np.ndarray  # (2r-1, 4)
+    # the correction fibers component-major, (4, 2r-1), so that a level
+    # gathers its lanes' corrections as four contiguous rows
+    s_quat: np.ndarray
+    s_quat_inv: np.ndarray
 
     @property
     def card_c_next(self) -> int:
@@ -365,8 +373,8 @@ class CFLevels:
 
 def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
     size = 2 * r - 1
-    quats = np.zeros((size, 4))
-    quats[:, 0] = 1.0
+    quats = np.zeros((4, size))
+    quats[0] = 1.0
     return CFLevel(
         n=n,
         a=a,
@@ -428,8 +436,8 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
                 s_map=s_map,
                 s_shell=alphabet.shells[idx].astype(np.int64),
                 s_u=alphabet.u[idx],
-                s_quat=alphabet.quats[idx],
-                s_quat_inv=quat_inv(alphabet.quats[idx]),
+                s_quat=alphabet.quats[idx].T.copy(),
+                s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy(),
             )
         )
     try:
@@ -626,6 +634,22 @@ def act(g: GElement, ti, tf, q):
 # vectorized batches
 # ---------------------------------------------------------------------------
 
+def _own_rows(q):
+    """(rows, spare): a (4, ..., n) copy of the (..., n, 4) fibers q as
+    contiguous component rows, which embed_batch and peel_batch step level
+    by level, and a buffer of its shape for the next level's rows; (None,
+    None) when q is None."""
+    if q is None:
+        return None, None
+    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0).copy()
+    return rows, np.empty_like(rows)
+
+
+def _fiber_view(rows):
+    """The (..., n, 4) fibers of component rows (a view), or None."""
+    return None if rows is None else np.moveaxis(rows, 0, -1)
+
+
 def row_blocks(n: int):
     """Slices of ROW_BLOCK consecutive rows (the last one shorter) covering
     rows 0 .. n - 1; none when n is 0."""
@@ -689,12 +713,15 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     is.  By default they are joined into one array, Python ints (an object
     array) where the level's times pass 2^62; with radix they come back as
     RadixTimes, which peel_batch also takes.  Each level multiplies the
-    fiber by the shift element twisted by the current time, one quat_mul and
-    the closed-form quat_twist.
-    Returns (ti, tf, q) at to_level.  With q None the fiber is neither moved
-    nor returned (None in its place); times are the same either way.  The
-    carries are made in place, on times copied at entry, so the caller's
-    arrays are never written.
+    fiber by the shift element twisted by the current time, in one
+    groups.quat_mul_twisted_rows step on the fibers held component-major, a
+    (4, ..., n) stack of contiguous rows, with the same bits as
+    quat_mul(q, quat_twist(ti, tf, s)).
+    Returns (ti, tf, q) at to_level, q a (..., n, 4) view of those rows.
+    With q None the fiber is neither moved nor returned (None in its
+    place); times are the same either way.  The carries are made in place,
+    on times copied at entry, and the fibers are stepped on their own copy,
+    so the caller's arrays are never written.
     """
     levels._built(to_level, levels.max_level + 1)
     if tails.shape[1] < to_level - from_level:
@@ -704,7 +731,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         )
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
-    q = None if q is None else np.array(q, dtype=float, copy=True)
+    q, spare = _own_rows(q)
     h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
@@ -713,7 +740,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
         if q is not None:
-            q = quat_mul(q, quat_twist(ti, tf, lv.s_quat[j]))
+            q, spare = quat_mul_twisted_rows(q, ti, tf, lv.s_quat.take(j, axis=1), out=spare), q
         ti += lv.s_shell[j].astype(ti.dtype, copy=False)
         s_u = lv.s_u[j]
         moved = tf + s_u
@@ -730,7 +757,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         np.subtract(tf, carry, out=tf)
         np.add(ti, carry, out=ti)
     ti = RadixTimes(h, ti) if radix else _join(levels, to_level, h, ti)
-    return ti, tf, q
+    return ti, tf, _fiber_view(q)
 
 
 def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
@@ -746,9 +773,11 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     without hi) and the level-k time is t - d * 2 a~_k less the correction.
     Python-int times return to int64 at the first level where they fit
     (_lane).  Each level multiplies the fiber by the inverse shift element
-    twisted by the peeled time, one quat_mul and the closed-form quat_twist.
-    With q None the fiber is neither moved nor returned (None in its place);
-    valid, times and hs are the same either way.  Times are peeled and
+    twisted by the peeled time, as embed_batch does: one
+    groups.quat_mul_twisted_rows step on a (4, ..., n) stack of contiguous
+    rows, copied from q at entry, and q comes back as a (..., n, 4) view of
+    them.  With q None the fiber is neither moved nor returned (None in its
+    place); valid, times and hs are the same either way.  Times are peeled and
     borrowed in place, on the copies made at entry: the caller's arrays,
     or the read-only broadcast translate passes, are never written.
     """
@@ -756,7 +785,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     hi, ti = ti if isinstance(ti, RadixTimes) else (None, ti)
     ti = np.array(ti, copy=True)
     tf = np.array(tf, dtype=float, copy=True)
-    q = None if q is None else np.array(q, dtype=float, copy=True)
+    q, spare = _own_rows(q)
     n = len(tf)
     valid = np.ones(n, dtype=bool)
     hs = np.zeros((n, from_level - to_level), dtype=np.int64)
@@ -796,16 +825,17 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
             ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
         ok_t = _in_base(ti, tf, lv.a)
         if q is not None:
-            q = quat_mul(q, quat_twist(ti, tf, lv.s_quat_inv[j]))
+            q, spare = quat_mul_twisted_rows(q, ti, tf, lv.s_quat_inv.take(j, axis=1), out=spare), q
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
-    return valid, ti, tf, q, hs
+    return valid, ti, tf, _fiber_view(q), hs
 
 
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
     """peel_batch back to from_level of the batch embedded up to to_level
     with `tails` and moved there by the integer time translate (g, I), the
-    fiber (if any) turned by phi_g, the parity twist quat_phi_int.  g is a
+    fiber (if any) turned by phi_g, the parity twist quat_phi_int, as a
+    sign on the c and d rows of the fibers broadcast to the lanes.  g is a
     Python int or an int64 array, one per lane, to which a one-row batch is
     broadcast.  q may carry leading fiber axes, shape (..., n, 4): fibers
     over the same times and tails share one time peel, and each comes back
@@ -819,7 +849,10 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(tf.shape, g.shape)
     if q is not None:
-        q = quat_phi_int(g % 2, np.broadcast_to(q, q.shape[:-2] + lanes + (4,)))
+        rows = np.empty((4,) + q.shape[:-2] + lanes)
+        rows[...] = np.moveaxis(q, -1, 0)
+        rows[2:] *= np.where(g & 1, -1.0, 1.0)
+        q = np.moveaxis(rows, 0, -1)
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix)
     return peel_batch(levels, top, np.broadcast_to(tf, lanes), q, to_level, from_level)
 

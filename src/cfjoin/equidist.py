@@ -151,13 +151,16 @@ def chart_to_su2_array(u: np.ndarray) -> np.ndarray:
 
 
 def su2_to_chart_array(q: np.ndarray) -> np.ndarray:
-    """Vectorized chart inverse (defined off the two null circles)."""
+    """Vectorized chart inverse (defined off the two null circles).  The
+    (..., 3) result is a view of three contiguous coordinate rows, so each
+    coordinate u[..., i] reads contiguously and no stacked copy is made."""
     q = np.asarray(q, dtype=float)
     a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    u1 = c * c + d * d
-    u2 = np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0)
-    u3 = np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0)
-    return np.stack([u1, u2, u3], axis=-1)
+    u = np.empty((3,) + q.shape[:-1])
+    np.add(c * c, d * d, out=u[0, ...])
+    np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0, out=u[1, ...])
+    np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0, out=u[2, ...])
+    return np.moveaxis(u, 0, -1)
 
 
 # ---------------------------------------------------------------------------

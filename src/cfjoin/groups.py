@@ -10,7 +10,9 @@ diag(e^{i pi t/2}, e^{-i pi t/2}); it has period 2 in t as an automorphism,
 which is why the center of G sits over the even integers.  It fixes z and
 turns w by e^{-i pi t}, so the point engine applies it in closed form to split
 times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
-general-time form and the oracle for it.
+general-time form and the oracle for it.  The product and the closed-form
+twist are written once, on component rows (quat_mul_rows, quat_twist_rows);
+quat_mul and quat_twist are their (..., 4) forms, with the same bits.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = [
     "d6_mul",
     "is_central",
     "quat_mul",
+    "quat_mul_rows",
+    "quat_twist_rows",
+    "quat_mul_twisted_rows",
     "quat_inv",
     "quat_normalize",
     "quat_phi_int",
@@ -53,21 +58,63 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion kernels (shape (..., 4) float arrays); the engine's
-# fiber twist is quat_twist, one rotation of w instead of two products
+# vectorized quaternion kernels.  The product and the closed-form twist are
+# written once, on component rows: a quaternion array is its four rows a, b,
+# c, d, either a (4, ...) stack or the four columns of a (..., 4) array.
+# quat_mul and quat_twist are their (..., 4) forms; the point engine keeps
+# its fibers as a (4, ..., n) stack of contiguous rows and steps them with
+# quat_mul_twisted_rows.
 # ---------------------------------------------------------------------------
+
+def _rows(q: np.ndarray) -> np.ndarray:
+    """The component rows of a (..., 4) array, as a (4, ...) view."""
+    return q.transpose((q.ndim - 1,) + tuple(range(q.ndim - 1)))
+
+
+def quat_mul_rows(p, q, out):
+    """The quaternion product p q on component rows, written with out= into
+    the four preallocated rows of the (4, ...) array `out` (which must not
+    overlap p or q) and returned.  Each row is the expression of the matrix
+    convention evaluated left to right, every product and sum rounded once,
+    its last term taken in the out= call, so each form of the product gives
+    the same bits:
+        a1 a2 - b1 b2 - c1 c2 - d1 d2,   a1 b2 + b1 a2 - c1 d2 + d1 c2,
+        a1 c2 + b1 d2 + c1 a2 - d1 b2,   a1 d2 - b1 c2 + c1 b2 + d1 a2."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    np.subtract(a1 * a2 - b1 * b2 - c1 * c2, d1 * d2, out=out[0, ...])
+    np.add(a1 * b2 + b1 * a2 - c1 * d2, d1 * c2, out=out[1, ...])
+    np.subtract(a1 * c2 + b1 * d2 + c1 * a2, d1 * b2, out=out[2, ...])
+    np.add(a1 * d2 - b1 * c2 + c1 * b2, d1 * a2, out=out[3, ...])
+    return out
+
+
+def quat_twist_rows(ti, tf, q):
+    """The rows (a, b, c', d') of the fiber twist by a split time ti + tf on
+    component rows q: a and b are q's own rows, and w' = c' + d'i is
+    (c + di) e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
+    (dtype=object)."""
+    ang = math.pi * np.asarray(tf, dtype=float)
+    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
+    cos = sign * np.cos(ang)
+    sin = sign * np.sin(ang)
+    a, b, c, d = q
+    return a, b, c * cos + d * sin, d * cos - c * sin
+
+
+def quat_mul_twisted_rows(q, ti, tf, s, out):
+    """q * quat_twist(ti, tf, s) on component rows, written into `out`: one
+    level's fiber step of the point engine, with q a (4, ..., n) stack of
+    fibers and s the (4, n) rows of the level's corrections."""
+    return quat_mul_rows(q, quat_twist_rows(ti, tf, s), out)
+
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quaternion product matching the SU(2) matrix product convention above."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    a1, b1, c1, d1 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    a2, b2, c2, d2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=float)
-    out[..., 0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
-    out[..., 1] = a1 * b2 + b1 * a2 - c1 * d2 + d1 * c2
-    out[..., 2] = a1 * c2 + b1 * d2 + c1 * a2 - d1 * b2
-    out[..., 3] = a1 * d2 - b1 * c2 + c1 * b2 + d1 * a2
+    quat_mul_rows(_rows(p), _rows(q), _rows(out))
     return out
 
 
@@ -111,17 +158,12 @@ def quat_phi_real(t, q: np.ndarray) -> np.ndarray:
 def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
     """Fiber twist by a split time ti + tf in closed form, equal to
     quat_phi_real(tf, quat_phi_int(ti, q)): (a, b, c, d) -> (a, b, w') with
-    w' = (c + di) e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
-    (dtype=object); for tf = 0 the result is quat_phi_int(ti, q) exactly."""
+    w' = (c + di) e^{-i pi tf} (-1)^ti (quat_twist_rows).  ti may be int64
+    or Python ints (dtype=object); for tf = 0 the result is
+    quat_phi_int(ti, q) exactly."""
     q = np.asarray(q, dtype=float)
-    ang = math.pi * np.asarray(tf, dtype=float)
-    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
-    cos = sign * np.cos(ang)
-    sin = sign * np.sin(ang)
-    c, d = q[..., 2], q[..., 3]
     out = q.copy()
-    out[..., 2] = c * cos + d * sin
-    out[..., 3] = d * cos - c * sin
+    _, _, out[..., 2], out[..., 3] = quat_twist_rows(ti, tf, _rows(q))
     return out
 
 

@@ -208,11 +208,15 @@ def _build_seeds(cfg: ExperimentConfig, name: str) -> tuple[int, ...]:
 
 def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
     """ValueError unless the experiments `names` can run on cfg: its
-    max_level reaches min_max_level of each, its construction builds at
-    every seed they read, and it carries a finite measure if one of them
-    reads the measure (DivergentScheduleError from mu_total_normalizer).
-    The builds fill the runners' shared cache, so a schedule that does not
-    build fails before any experiment runs."""
+    max_level reaches min_max_level of each, it carries a finite measure if
+    one of them reads the measure (DivergentScheduleError from
+    mu_total_normalizer), and its construction builds at every seed they
+    read.  Finiteness is decided first, from the exponent alone: a
+    divergent schedule builds at the config seed only, so that one that
+    also does not build is one ValueError naming both faults, and the
+    alternate seeds are never built for it.  The builds fill the runners'
+    shared cache, so a schedule that does not build fails before any
+    experiment runs."""
     level = cfg.construction.max_level
     needs = {name: min_max_level(cfg, name) for name in names}
     if short := [name for name, need in needs.items() if need > level]:
@@ -221,10 +225,17 @@ def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
             f"max level {level} is below {need}, the smallest at which "
             f"{', '.join(short)} can run; pass --level {need} or higher"
         )
+    if any(name in _READS_MEASURE for name in names):
+        try:
+            cf_engine.mu_total_normalizer(cfg.construction)
+        except cf_engine.DivergentScheduleError as divergent:
+            try:
+                _build_levels(cfg.seed, cfg.construction)
+            except ValueError as unbuilt:
+                raise ValueError(f"{divergent}; and {unbuilt}") from unbuilt
+            raise
     for seed in sorted({seed for name in names for seed in _build_seeds(cfg, name)}):
         _build_levels(seed, cfg.construction)
-    if any(name in _READS_MEASURE for name in names):
-        cf_engine.mu_total_normalizer(cfg.construction)
 
 
 # ---------------------------------------------------------------------------

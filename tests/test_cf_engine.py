@@ -9,7 +9,9 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
-from cfjoin.groups import GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_normalize, quat_phi_int
+from cfjoin.groups import (
+    GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_mul, quat_normalize, quat_phi_int, quat_twist,
+)
 
 
 class TestSequences:
@@ -837,6 +839,111 @@ class TestInputsUnchanged:
         valid, _, _, q1, _ = cf.translate(levels, ti[:1], tf[:1], q[:1], tails[:1], g, 1, 7)
         assert q1.shape == (500, 4) and 0 < valid.sum() < 500
         assert _frozen(ti, tf, q, tails) == before and _frozen(g) == frozen_g
+
+
+def _aos_embed_fiber(levels, ti, tf, q, tails, lo, hi):
+    """The fiber embed_batch returns, composed per level on (..., n, 4)
+    arrays: q times quat_twist(t_k, s(h_k)) at each level k, with t_k the
+    level-k times of the time-only embed."""
+    for col, k in enumerate(range(lo, hi)):
+        lv = levels.level(k)
+        tk, fk, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, k)
+        q = quat_mul(q, quat_twist(tk, fk, lv.s_quat.T[tails[:, col] + (lv.r - 1)]))
+    return q
+
+
+def _aos_peel_fiber(levels, ti, tf, q, hi, lo):
+    """The fiber peel_batch returns, composed per level on (..., n, 4)
+    arrays: q times quat_twist(t_k, s(h_k)^-1) at each level k from the top
+    down, with t_k the peeled level-k times of the time-only peel and h_k
+    its shift index, clipped into the table."""
+    for k in range(hi - 1, lo - 1, -1):
+        lv = levels.level(k)
+        _, tk, fk, _, hs = cf.peel_batch(levels, ti, tf, None, hi, k)
+        j = np.clip(hs[:, 0] + (lv.r - 1), 0, 2 * lv.r - 2)
+        q = quat_mul(q, quat_twist(tk, fk, lv.s_quat_inv.T[j]))
+    return q
+
+
+def _aos_translate_fiber(levels, ti, tf, q, tails, g, lo, top):
+    """The fiber translate returns, composed per level on (..., n, 4)
+    arrays: the embedded fiber turned by quat_phi_int(g) on its broadcast to
+    the lanes, then peeled from the top's radix digits moved by g."""
+    pair, tfn, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, top, radix=True)
+    qn = _aos_embed_fiber(levels, ti, tf, q, tails, lo, top)
+    radix = 2 * levels.a_tilde(top - 1)
+    g = np.asarray(g).astype(pair.lo.dtype)
+    moved = cf.RadixTimes(pair.hi + np.asarray(g // radix, dtype=np.int64), pair.lo + g % radix)
+    lanes = np.broadcast_shapes(tfn.shape, g.shape)
+    qn = quat_phi_int(g % 2, np.broadcast_to(qn, qn.shape[:-2] + lanes + (4,)))
+    return _aos_peel_fiber(levels, moved, np.broadcast_to(tfn, lanes), qn, top, lo)
+
+
+class TestComponentMajorFiber:
+    """embed_batch, peel_batch and translate step their fibers as a
+    (4, ..., n) stack of contiguous rows (groups.quat_mul_twisted_rows).
+    Against the per-level (..., n, 4) composition quat_mul(q,
+    quat_twist(t, s[j])) they agree bit for bit on every lane, valid or
+    not, and return (..., n, 4) fibers whose columns are contiguous."""
+
+    @staticmethod
+    def _moves(rng, two, n):
+        """Offsets within three shells of radix `two` either way, so that
+        some lanes leave the build."""
+        return rng.integers(-3 * two, 3 * two, n)
+
+    def test_int64_times(self, levels):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(51))
+        ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
+        assert ti6.dtype == np.int64 and q6[:, 0].flags.c_contiguous
+        assert np.array_equal(q6, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 6))
+        moved = ti6 + self._moves(np.random.default_rng(52), 2 * levels.a_tilde(5), 300)
+        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf6, q6, 6, 1)
+        assert 0 < valid.sum() < 300
+        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf6, q6, 6, 1))
+
+    def test_python_int_times(self, levels):
+        # a level-7 top: the joined times are Python ints, and the peel
+        # turns invalid lanes' times to 0 where they return to int64
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(53))
+        ti7, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
+        assert ti7.dtype == object
+        assert np.array_equal(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7))
+        moved = ti7 + self._moves(np.random.default_rng(54), 2 * levels.a_tilde(6), 300).astype(object)
+        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
+        assert 0 < valid.sum() < 300
+        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1))
+
+    def test_radix_times(self, levels):
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(55))
+        pair, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+        assert np.array_equal(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7))
+        rng = np.random.default_rng(56)
+        two = 2 * levels.a_tilde(6)
+        moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300), pair.lo + rng.integers(-two, two, 300))
+        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
+        assert 0 < valid.sum() < 300
+        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1))
+
+    @pytest.mark.parametrize("top", [6, 7])
+    def test_translate_of_a_fiber_stack(self, levels, top):
+        # a point and its fiber partner, one row to many g, as the joining
+        # windows translate them; and a batch with one g per row
+        x = cf.sample_point_batch(levels, 1, 6, np.random.default_rng(57), h_minus=True)
+        q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
+        two = 2 * levels.a_tilde(top - 1)
+        g = self._moves(np.random.default_rng(58), two, 2000)
+        ti, tf, q, tails = x
+        stacked = np.stack([q, q2])
+        valid, _, _, qg, _ = cf.translate(levels, ti, tf, stacked, tails, g, 1, top)
+        assert qg.shape == (2, 2000, 4) and qg[..., 0].flags.c_contiguous
+        assert 0 < valid.sum() < 2000
+        assert np.array_equal(qg, _aos_translate_fiber(levels, ti, tf, stacked, tails, g, 1, top))
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(59))
+        g = self._moves(np.random.default_rng(60), two, 300)
+        for gs in (g, int(g[0])):
+            qg = cf.translate(levels, ti, tf, q, tails, gs, 1, top)[3]
+            assert np.array_equal(qg, _aos_translate_fiber(levels, ti, tf, q, tails, gs, 1, top))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,18 @@ class TestHaarAndChart:
         u = np.random.default_rng(9).uniform(0.01, 0.99, size=(100, 3))
         assert np.max(np.abs(su2_to_chart_array(chart_to_su2_array(u)) - u)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(4,), (100, 4), (3, 5, 4)])
+    def test_chart_columns_are_contiguous_and_unchanged(self, shape):
+        # the coordinates are written into three contiguous rows: the same
+        # bits as the stacked (..., 3) copy they replace
+        q = quat_normalize(np.random.default_rng(14).standard_normal(shape))
+        a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+        stacked = np.stack([c * c + d * d, np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0),
+                            np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0)], axis=-1)
+        u = su2_to_chart_array(q)
+        assert np.array_equal(u, stacked)
+        assert all(u[..., i].flags.c_contiguous for i in range(3))
+
     def test_pushforward_is_haar(self):
         # low-discrepancy cube points map to a cloud passing Haar moment tests
         u = halton(100_000, 3)

@@ -21,6 +21,7 @@ from cfjoin.groups import (
     g_mul,
     is_central,
     phi,
+    quat_mul,
     quat_normalize,
     quat_phi_int,
     quat_phi_real,
@@ -155,6 +156,59 @@ class TestClosedFormTwist:
         q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
         got = quat_twist(ti, np.zeros(n), q)
         assert np.array_equal(got, quat_phi_int(ti, q))
+
+
+def _literal_mul(p, q):
+    """quat_mul as the (..., 4) expression it was written as before the
+    component-rows kernel."""
+    a1, b1, c1, d1 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    a2, b2, c2, d2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+    out[..., 1] = a1 * b2 + b1 * a2 - c1 * d2 + d1 * c2
+    out[..., 2] = a1 * c2 + b1 * d2 + c1 * a2 - d1 * b2
+    out[..., 3] = a1 * d2 - b1 * c2 + c1 * b2 + d1 * a2
+    return out
+
+
+def _literal_twist(ti, tf, q):
+    """quat_twist as the (..., 4) expression it was written as before the
+    component-rows kernel."""
+    ang = math.pi * np.asarray(tf, dtype=float)
+    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
+    cos = sign * np.cos(ang)
+    sin = sign * np.sin(ang)
+    c, d = q[..., 2], q[..., 3]
+    out = q.copy()
+    out[..., 2] = c * cos + d * sin
+    out[..., 3] = d * cos - c * sin
+    return out
+
+
+class TestRowsWrappers:
+    """quat_mul and quat_twist are (..., 4) forms of the component-rows
+    kernels: the same bits as their former expressions, broadcast shapes
+    included, in a C-contiguous (..., 4) result."""
+
+    @pytest.mark.parametrize("p_shape, q_shape", [
+        ((4,), (4,)), ((4,), (50, 4)), ((4,), (4, 4)), ((50, 4), (4,)),
+        ((50, 4), (50, 4)), ((3, 1, 4), (1, 5, 4)), ((2, 50, 4), (50, 4)),
+    ])
+    def test_quat_mul_is_the_literal_product(self, p_shape, q_shape):
+        rng = np.random.default_rng(61)
+        p, q = rng.standard_normal(p_shape), rng.standard_normal(q_shape)
+        got = quat_mul(p, q)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _literal_mul(p, q))
+
+    @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_quat_twist_is_the_literal_twist(self, data, n, seed):
+        ti, tf = _split_times(data, n)
+        q = np.random.default_rng(seed).standard_normal((n, 4))
+        for args in ((ti, tf, q), (ti[0], tf[0], q), (ti[0], tf[0], q[0])):
+            got = quat_twist(*args)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _literal_twist(*args))
 
 
 class TestG:

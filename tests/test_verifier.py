@@ -383,6 +383,7 @@ class TestWeakmixTimeOnly:
         monkeypatch.setattr(cf_engine, "quat_normalize", forbidden)
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
+        monkeypatch.setattr(cf_engine, "quat_mul_twisted_rows", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
 
@@ -624,6 +625,39 @@ class TestCLI:
             f"r_schedule floor {params['floor']}, exponent {params['power']} and alphabet "
             f"size 8 does not build at seed {seed}: distribution test failed at level {level}"
         ) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("schedule, faults", [
+        # builds at the config seed: the divergence alone is refused
+        ({"kind": "constant", "floor": 1000}, ["kind constant with floor 1000 has exponent 0, below 3"]),
+        # does not build either: one error names both faults
+        ({"power": 1}, ["kind max_power with floor 100 has exponent 1, below 3",
+                        "exponent 1 and alphabet size 8 does not build at seed 0: "
+                        "distribution test failed at level 3"]),
+    ])
+    def test_divergent_schedule_builds_the_config_seed_at_most(
+        self, schedule, faults, tmp_path, capsys, monkeypatch
+    ):
+        # `all` used to build four level sets (the config seed and the three
+        # alternate seeds of the quenched sigma) before it refused a
+        # divergent schedule
+        verifier._build_levels.cache_clear()
+        seeds = []
+        build = cf_engine.build_levels
+
+        def counted(params, seed=0):
+            seeds.append(seed)
+            return build(params, seed=seed)
+
+        monkeypatch.setattr(cf_engine, "build_levels", counted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"construction": {"r_schedule": schedule}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert seeds == [0]
+        err = capsys.readouterr().err
+        assert all(fault in err for fault in faults)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("schedule, code, failed", [
