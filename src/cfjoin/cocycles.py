@@ -14,16 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import (
-    D6Element,
-    D6_ELEMENTS,
-    D6_IDENTITY,
-    SU2_H0,
-    su2_dist,
-    su2_from_angle,
-    su2_mul,
-    d6_mul,
-)
+from .groups import D6_LABELS, D6_MUL, SU2_H0, quat_mul
 from .rank_one import TowerScheme, sample_tower_point, stage_level, tower_apply
 
 __all__ = [
@@ -127,39 +118,33 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
     sigma_g(x, h) = (x, h*g) commutes with T_phi, and a*a = e makes the two
     squares literally equal on every point; both facts are checked on raw
     samples with exact group arithmetic, D6 elements being indices into
-    D6_ELEMENTS and products lookups in their Cayley table.
+    D6_LABELS and products lookups in the Cayley table D6_MUL.
     """
-    a = D6Element("a")
-    b = D6Element("b")
-    index = {g: i for i, g in enumerate(D6_ELEMENTS)}
-    mul = np.array([[index[d6_mul(g, h)] for h in D6_ELEMENTS] for g in D6_ELEMENTS])
-    cocycle = np.array([index[D6_IDENTITY], index[D6Element("d")]])
+    e, a, b, d = (D6_LABELS.index(label) for label in "eabd")
+    cocycle = np.array([e, d])
 
     def t_phi(x, h):
-        return tower_apply(scheme, x), mul[cocycle[chacon_z2_phi(scheme, x)], h]
+        return tower_apply(scheme, x), D6_MUL[cocycle[chacon_z2_phi(scheme, x)], h]
 
     x = sample_tower_point(scheme, rng, samples)
     fiber = rng.integers(0, 6, samples)
     # (T_phi o sigma_a)^2
-    y1, g1 = t_phi(x, mul[fiber, index[a]])
-    y1, g1 = t_phi(y1, mul[g1, index[a]])
+    y1, g1 = t_phi(x, D6_MUL[fiber, a])
+    y1, g1 = t_phi(y1, D6_MUL[g1, a])
     # (T_phi)^2
     y2, g2 = t_phi(x, fiber)
     y2, g2 = t_phi(y2, g2)
     ok = bool(np.array_equal(y1, y2) and np.array_equal(g1, g2))
 
     witness = None
-    for h in D6_ELEMENTS:
-        ab = d6_mul(d6_mul(h, b), a)  # sigma_a(sigma_b(.,h)) fiber
-        ba = d6_mul(d6_mul(h, a), b)
+    for h in range(6):
+        ab = D6_MUL[D6_MUL[h, b], a]  # sigma_a(sigma_b(.,h)) fiber
+        ba = D6_MUL[D6_MUL[h, a], b]
         if ab != ba:
-            witness = (h.label, ab.label, ba.label)
+            witness = (D6_LABELS[h], D6_LABELS[ab], D6_LABELS[ba])
             break
 
-    abelian = all(
-        d6_mul(d6_mul(h, a), D6_IDENTITY) == d6_mul(d6_mul(h, D6_IDENTITY), a)
-        for h in (D6_IDENTITY, a)
-    )
+    abelian = all(D6_MUL[D6_MUL[h, a], e] == D6_MUL[D6_MUL[h, e], a] for h in (e, a))
     return D6RootReport(ok, witness, abelian)
 
 
@@ -170,8 +155,9 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
 def su2_flow_commutation(t: float) -> bool:
     """Whether the fixed fiber rotation commutes with the diagonal flow at
     time t (true exactly when 2t is an integer)."""
-    g_t = su2_from_angle(t)
-    return su2_dist(su2_mul(SU2_H0, g_t), su2_mul(g_t, SU2_H0)) <= 1e-10
+    g_t = np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.0, 0.0])
+    h0 = SU2_H0.array()
+    return float(np.max(np.abs(quat_mul(h0, g_t) - quat_mul(g_t, h0)))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

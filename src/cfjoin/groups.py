@@ -1,4 +1,5 @@
-"""Exact arithmetic for SU(2), the semidirect product G = R x| SU(2), D6 and Z2.
+"""Exact arithmetic for SU(2), the semidirect product G = R x| SU(2) and D6,
+each group written once, on arrays.
 
 SU(2) elements are stored as unit quaternions (a, b, c, d).  The associated
 matrix is [[z, -conj(w)], [w, conj(z)]] with z = a + bi and w = c + di, and the
@@ -13,6 +14,10 @@ times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
 general-time form and the oracle for it.  The product and the closed-form
 twist are written once, on component rows (quat_mul_rows, quat_twist_rows);
 quat_mul and quat_twist are their (..., 4) forms, with the same bits.
+
+The law of G is g_mul and g_inv on times and (..., 4) fibers; GElement and
+SU2Element are the value types of single elements.  D6 is its Cayley table of
+indices, D6_MUL, with D6_LABELS naming the elements.
 """
 
 from __future__ import annotations
@@ -26,22 +31,13 @@ import numpy as np
 __all__ = [
     "SU2Element",
     "GElement",
-    "D6Element",
     "SU2_I",
-    "SU2_MINUS_I",
     "SU2_H0",
-    "G_IDENTITY",
-    "D6_ELEMENTS",
-    "su2_mul",
-    "su2_inv",
-    "su2_dist",
-    "su2_from_angle",
-    "phi",
     "g_mul",
     "g_inv",
-    "g_dist",
     "conj_star",
-    "d6_mul",
+    "D6_LABELS",
+    "D6_MUL",
     "is_central",
     "quat_mul",
     "quat_mul_rows",
@@ -201,7 +197,7 @@ def adjoint_matrix(q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar SU(2) and G elements
+# SU(2) and G value types, and the group law on arrays
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -231,40 +227,8 @@ class SU2Element:
 
 
 SU2_I = SU2Element((1.0, 0.0, 0.0, 0.0))
-SU2_MINUS_I = SU2Element((-1.0, 0.0, 0.0, 0.0))
 # fiber element with matrix [[0, -1], [1, 0]] (the quaternion j)
 SU2_H0 = SU2Element((0.0, 0.0, 1.0, 0.0))
-
-
-def su2_mul(p: SU2Element, q: SU2Element) -> SU2Element:
-    """Product of two SU(2) elements, renormalized to control drift."""
-    return SU2Element.from_array(quat_mul(p.array(), q.array()))
-
-
-def su2_inv(p: SU2Element) -> SU2Element:
-    return SU2Element.from_array(quat_inv(p.array()), renormalize=False)
-
-
-def su2_dist(p: SU2Element, q: SU2Element) -> float:
-    """Max componentwise quaternion distance (distinguishes M from -M)."""
-    return float(np.max(np.abs(p.array() - q.array())))
-
-
-def su2_from_angle(t: float) -> SU2Element:
-    """Diagonal element diag(e^{2 pi i t}, e^{-2 pi i t}) as a quaternion."""
-    return SU2Element((math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.0, 0.0))
-
-
-def phi(t: float, n: SU2Element) -> SU2Element:
-    """Twist automorphism: conjugation by diag(e^{i pi t/2}, e^{-i pi t/2}).
-
-    Integer times take an exact branch (the conjugator is then one of
-    1, i, -1, -i), so the period-2 identity holds to machine precision.
-    """
-    ti = round(t)
-    if t == ti:
-        return SU2Element.from_array(quat_phi_int(ti, n.array()), renormalize=False)
-    return SU2Element.from_array(quat_phi_real(t, n.array()))
 
 
 @dataclass(frozen=True)
@@ -275,64 +239,35 @@ class GElement:
     m: SU2Element
 
 
-G_IDENTITY = GElement(0.0, SU2_I)
+def g_mul(ta, ma, tb, mb):
+    """The group law (ta, ma)(tb, mb) = (ta + tb, ma phi_ta(mb)) on times
+    and (..., 4) fibers, broadcast against each other."""
+    return ta + tb, quat_mul(ma, quat_phi_real(ta, mb))
 
 
-def g_mul(x: GElement, y: GElement) -> GElement:
-    return GElement(x.t + y.t, su2_mul(x.m, phi(x.t, y.m)))
-
-
-def g_inv(x: GElement) -> GElement:
-    return GElement(-x.t, phi(-x.t, su2_inv(x.m)))
-
-
-def g_dist(x: GElement, y: GElement) -> float:
-    return max(abs(x.t - y.t), su2_dist(x.m, y.m))
+def g_inv(t, m):
+    """The inverse (t, m)^{-1} = (-t, phi_{-t}(m^{-1})) on times and
+    (..., 4) fibers."""
+    return -t, quat_phi_real(-t, quat_inv(m))
 
 
 def conj_star(k: GElement) -> GElement:
-    """Conjugation by the time-one translate: (t, M) -> (t, phi_1(M))."""
-    return GElement(k.t, phi(1, k.m))
+    """Conjugation by the time-one translate: (t, M) -> (t, phi_1(M)), with
+    the exact integer-time twist."""
+    return GElement(k.t, SU2Element.from_array(quat_phi_int(1, k.m.array()), renormalize=False))
 
 
 # ---------------------------------------------------------------------------
 # D6 (the symmetric group on three letters, smallest non-abelian group)
 # ---------------------------------------------------------------------------
 
-_D6_LABELS = ("e", "a", "b", "c", "d", "f")
+D6_LABELS = "eabcdf"
 
-# Cayley table, row * column.
-_D6_TABLE = {
-    "e": {"e": "e", "a": "a", "b": "b", "c": "c", "d": "d", "f": "f"},
-    "a": {"e": "a", "a": "e", "b": "d", "c": "f", "d": "b", "f": "c"},
-    "b": {"e": "b", "a": "f", "b": "e", "c": "d", "d": "c", "f": "a"},
-    "c": {"e": "c", "a": "d", "b": "f", "c": "e", "d": "a", "f": "b"},
-    "d": {"e": "d", "a": "c", "b": "a", "c": "b", "d": "f", "f": "e"},
-    "f": {"e": "f", "a": "b", "b": "c", "c": "a", "d": "e", "f": "d"},
-}
-
-
-@dataclass(frozen=True)
-class D6Element:
-    label: str
-
-    def __post_init__(self):
-        if self.label not in _D6_LABELS:
-            raise ValueError(f"unknown D6 label {self.label!r}")
-
-
-D6_ELEMENTS = tuple(D6Element(s) for s in _D6_LABELS)
-D6_IDENTITY = D6_ELEMENTS[0]
-
-# the Cayley table over interned elements, so a product constructs nothing
-_D6_BY_LABEL = {g.label: g for g in D6_ELEMENTS}
-_D6_PRODUCTS = {
-    g: {h: _D6_BY_LABEL[prod] for h, prod in row.items()} for g, row in _D6_TABLE.items()
-}
-
-
-def d6_mul(g: D6Element, h: D6Element) -> D6Element:
-    return _D6_PRODUCTS[g.label][h.label]
+# Cayley table, row * column, as indices into D6_LABELS.
+D6_MUL = np.array([
+    [D6_LABELS.index(label) for label in row]
+    for row in ("eabcdf", "aedfbc", "bfedca", "cdfeab", "dcabfe", "fbcaed")
+])
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +280,24 @@ class CentralityResult:
     witness: Optional[GElement]
 
 
-def _haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 4))
-    return quat_normalize(v)
-
-
 def is_central(k: GElement, trials: int, rng: np.random.Generator) -> CentralityResult:
     """Probabilistic centrality test: commute with `trials` random elements.
 
-    Time coordinates always commute exactly, so only the fiber is compared,
-    at tolerance 1e-10.  Random elements mix integer, half-integer and
-    continuous times so that the twist is exercised away from its period.
+    Both sides are products of g_mul.  Time coordinates always commute
+    exactly, so only the fiber is compared, at tolerance 1e-10.  Random
+    elements mix integer, half-integer and continuous times so that the
+    twist is exercised away from its period.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     times = rng.uniform(-4.0, 4.0, size=trials)
     # make sure some plain time translations are tested as well
     times[::3] = np.round(times[::3] * 2) / 2 + 0.25
-    quats = _haar_quaternions(rng, trials)
+    quats = quat_normalize(rng.standard_normal((trials, 4)))
     quats[1::3] = np.array([1.0, 0.0, 0.0, 0.0])
     kq = k.m.array()
-    kt_twist = (
-        quat_phi_int(round(k.t), quats)
-        if k.t == round(k.t)
-        else quat_phi_real(np.full(trials, k.t), quats)
-    )
-    left = quat_mul(quats, quat_phi_real(times, np.broadcast_to(kq, quats.shape)))
-    right = quat_mul(np.broadcast_to(kq, quats.shape), kt_twist)
+    _, left = g_mul(times, quats, k.t, kq)
+    _, right = g_mul(k.t, kq, times, quats)
     bad = np.max(np.abs(left - right), axis=-1) > 1e-10
     if np.any(bad):
         i = int(np.argmax(bad))

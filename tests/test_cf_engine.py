@@ -315,6 +315,11 @@ def _random_g(rng, half_width):
                     SU2Element.from_array(rng.standard_normal(4)))
 
 
+def _element(t, m):
+    """The GElement of a (time, (4,) fiber) pair from the array group law."""
+    return GElement(float(t), SU2Element.from_array(m))
+
+
 class TestAction:
     def test_identity_action(self, levels, rng):
         # exact at the top level on both lanes (level-7 times are Python
@@ -334,7 +339,7 @@ class TestAction:
             for _ in range(20):
                 batch = cf.sample_point_batch(levels, 50, 12, rng)
                 g = _random_g(rng, 300)
-                _assert_same_lanes(_act_and_peel(levels, [g, g_inv(g)], batch, top),
+                _assert_same_lanes(_act_and_peel(levels, [g, _element(*g_inv(g.t, g.m.array()))], batch, top),
                                    _unmoved(batch, top), 1e-9)
 
     def test_action_is_left_action(self, levels, rng):
@@ -343,7 +348,7 @@ class TestAction:
             batch = cf.sample_point_batch(levels, 50, 12, rng)
             g, h = _random_g(rng, 50), _random_g(rng, 50)
             lhs = _act_and_peel(levels, [h, g], batch, 3)
-            rhs = _act_and_peel(levels, [g_mul(g, h)], batch, 3)
+            rhs = _act_and_peel(levels, [_element(*g_mul(g.t, g.m.array(), h.t, h.m.array()))], batch, 3)
             assert lhs[0].any()
             _assert_same_lanes(lhs, rhs, 1e-8)
 

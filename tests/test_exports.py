@@ -25,17 +25,6 @@ def test_all_names_resolve(name):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# names kept in an __all__ although only the tests read them, each because
-# the tests use it as the oracle of a batch kernel
-ORACLES = {
-    "g_mul": "scalar group law, the oracle for act",
-    "g_inv": "scalar inverse, the oracle for act's inverse",
-    "g_dist": "scalar distance, the comparison for the group-law oracle",
-    "G_IDENTITY": "identity of the scalar group law",
-    "SU2_MINUS_I": "distinguishes M from -M in quat_mul's matrix convention",
-}
-
-
 def _names_read(paths) -> set[str]:
     """Names loaded (ast.Name) or taken as an attribute (ast.Attribute)."""
     read = set()
@@ -57,7 +46,7 @@ def test_every_export_has_a_caller():
         f"{name}.{attr}"
         for name in MODULES
         for attr in getattr(importlib.import_module(f"cfjoin.{name}"), "__all__", ())
-        if attr not in read and attr not in ORACLES
+        if attr not in read
     ]
     assert unread == []
 

@@ -5,65 +5,73 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfjoin.groups import (
-    D6_ELEMENTS,
-    D6Element,
-    G_IDENTITY,
+    D6_LABELS,
+    D6_MUL,
     GElement,
     SU2_H0,
     SU2_I,
-    SU2_MINUS_I,
     SU2Element,
     adjoint_matrix,
     conj_star,
-    d6_mul,
-    g_dist,
     g_inv,
     g_mul,
     is_central,
-    phi,
+    quat_inv,
     quat_mul,
     quat_normalize,
     quat_phi_int,
     quat_phi_real,
+    quat_to_matrix,
     quat_twist,
-    su2_dist,
-    su2_from_angle,
-    su2_mul,
 )
 
+I = SU2_I.array()
+MINUS_I = -I
+H0 = SU2_H0.array()
 
-def rand_su2(rng):
-    return SU2Element.from_array(rng.standard_normal(4))
+
+def rand_su2(rng, n=None):
+    """n Haar-random unit quaternions as an (n, 4) array, or one as (4,)."""
+    return quat_normalize(rng.standard_normal(4 if n is None else (n, 4)))
 
 
-def rand_g(rng, tmax=3.0):
-    return GElement(float(rng.uniform(-tmax, tmax)), rand_su2(rng))
+def rand_g(rng, n=None, tmax=3.0):
+    """Random elements (t, m) of G: times in (-tmax, tmax), Haar fibers."""
+    return rng.uniform(-tmax, tmax, size=n), rand_su2(rng, n)
+
+
+def rand_element(rng):
+    t, m = rand_g(rng)
+    return GElement(float(t), SU2Element.from_array(m))
+
+
+def pair(k):
+    """A GElement as the (time, (4,) fiber) pair that g_mul reads."""
+    return k.t, k.m.array()
+
+
+def dist(x, y):
+    """Max over times and quaternion components (distinguishes M from -M)."""
+    (tx, mx), (ty, my) = x, y
+    return float(max(np.max(np.abs(np.subtract(tx, ty))), np.max(np.abs(mx - my))))
 
 
 class TestSU2:
     def test_identity_product(self):
-        assert su2_dist(su2_mul(SU2_I, SU2_I), SU2_I) == 0.0
+        assert np.array_equal(quat_mul(I, I), I)
 
     def test_h0_squared_is_minus_identity(self):
         # oracle: direct 2x2 complex matrix product
         m = SU2_H0.matrix() @ SU2_H0.matrix()
-        assert np.max(np.abs(m - SU2_MINUS_I.matrix())) < 1e-15
-        assert su2_dist(su2_mul(SU2_H0, SU2_H0), SU2_MINUS_I) < 1e-15
+        assert np.max(np.abs(m - quat_to_matrix(MINUS_I))) < 1e-15
+        assert np.max(np.abs(quat_mul(H0, H0) - MINUS_I)) < 1e-15
 
     def test_matrix_form_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            p, q = rand_su2(rng), rand_su2(rng)
-            lhs = su2_mul(p, q).matrix()
-            rhs = p.matrix() @ q.matrix()
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_renormalization_keeps_unit(self):
-        rng = np.random.default_rng(1)
-        p = rand_su2(rng)
-        for _ in range(2000):
-            p = su2_mul(p, rand_su2(rng))
-        assert abs(sum(c * c for c in p.q) - 1.0) < 1e-12
+        p, q = rand_su2(rng, 200), rand_su2(rng, 200)
+        lhs = quat_to_matrix(quat_mul(p, q))
+        rhs = quat_to_matrix(p) @ quat_to_matrix(q)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_nonunit_rejected(self):
         with pytest.raises(ValueError):
@@ -71,58 +79,47 @@ class TestSU2:
 
     def test_adjoint_is_conjugation_action(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            q = rand_su2(rng)
-            rot = adjoint_matrix(q.array())
-            for basis in (np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1])):
-                conj = su2_mul(su2_mul(q, SU2Element.from_array(basis, renormalize=False)), su2_inv_el(q))
-                assert np.max(np.abs(conj.array()[1:] - rot @ basis[1:])) < 1e-10
+        q = rand_su2(rng, 50)
+        rot = adjoint_matrix(q)
+        for basis in (np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1])):
+            conj = quat_mul(quat_mul(q, basis), quat_inv(q))
+            assert np.max(np.abs(conj[:, 1:] - rot @ basis[1:])) < 1e-10
 
     def test_adjoint_orthogonality_moment(self):
         # Schur: the mean square of any adjoint entry over Haar is 1/3
         rng = np.random.default_rng(3)
-        qs = np.array([rand_su2(rng).array() for _ in range(20000)])
-        rot = adjoint_matrix(qs)
+        rot = adjoint_matrix(rand_su2(rng, 20000))
         m = float(np.mean(rot[:, 0, 0] ** 2))
         assert abs(m - 1 / 3) < 0.02
 
 
-def su2_inv_el(q):
-    from cfjoin.groups import su2_inv
-
-    return su2_inv(q)
-
-
 class TestTwist:
     def test_phi_zero_fixes(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            m = rand_su2(rng)
-            assert su2_dist(phi(0, m), m) == 0.0
+        m = rand_su2(np.random.default_rng(4), 20)
+        assert np.array_equal(quat_phi_int(0, m), m)
+        assert np.array_equal(quat_phi_real(0.0, m), m)
 
     def test_phi_two_is_identity(self):
         # conjugation by -I acts trivially; oracle is the matrix computation
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = rand_su2(rng)
-            u = np.diag([np.exp(1j * math.pi), np.exp(-1j * math.pi)])
-            oracle = u @ m.matrix() @ np.conj(u.T)
-            assert np.max(np.abs(oracle - m.matrix())) < 1e-12
-            assert su2_dist(phi(2, m), m) < 1e-12
+        m = rand_su2(np.random.default_rng(5), 20)
+        u = np.diag([np.exp(1j * math.pi), np.exp(-1j * math.pi)])
+        oracle = u @ quat_to_matrix(m) @ np.conj(u.T)
+        assert np.max(np.abs(oracle - quat_to_matrix(m))) < 1e-12
+        assert np.array_equal(quat_phi_int(2, m), m)
+        assert np.max(np.abs(quat_phi_real(2.0, m) - m)) < 1e-12
 
     def test_phi_one_h0(self):
         u = np.diag([1j, -1j])
         oracle = u @ SU2_H0.matrix() @ np.conj(u.T)
-        got = phi(1, SU2_H0)
-        assert np.max(np.abs(got.matrix() - oracle)) < 1e-12
-        assert su2_dist(got, su2_mul(SU2_MINUS_I, SU2_H0)) < 1e-12  # -h0
+        for got in (quat_phi_int(1, H0), quat_phi_real(1.0, H0)):
+            assert np.max(np.abs(quat_to_matrix(got) - oracle)) < 1e-12
+            assert np.max(np.abs(got - quat_mul(MINUS_I, H0))) < 1e-12  # -h0
 
     def test_phi_additive(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            s, t = rng.uniform(-4, 4, size=2)
-            m = rand_su2(rng)
-            assert su2_dist(phi(s + t, m), phi(s, phi(t, m))) < 1e-12
+        s, t = rng.uniform(-4, 4, size=(2, 100))
+        m = rand_su2(rng, 100)
+        assert np.max(np.abs(quat_phi_real(s + t, m) - quat_phi_real(s, quat_phi_real(t, m)))) < 1e-12
 
 
 def _split_times(data, n):
@@ -213,116 +210,130 @@ class TestRowsWrappers:
 
 class TestG:
     def test_identity(self):
-        rng = np.random.default_rng(7)
-        x = rand_g(rng)
-        assert g_dist(g_mul(G_IDENTITY, x), x) < 1e-15
-        assert g_dist(g_mul(x, G_IDENTITY), x) < 1e-12
+        x = rand_g(np.random.default_rng(7), 100)
+        assert dist(g_mul(0.0, I, *x), x) < 1e-15
+        assert dist(g_mul(*x, 0.0, I), x) < 1e-12
 
     def test_center_time_two(self):
         # (2, I) and (2, -I) commute with everything
-        rng = np.random.default_rng(8)
-        for center in (GElement(2.0, SU2_I), GElement(2.0, SU2_MINUS_I)):
-            for _ in range(50):
-                y = rand_g(rng)
-                assert g_dist(g_mul(center, y), g_mul(y, center)) < 1e-12
+        y = rand_g(np.random.default_rng(8), 50)
+        for center in ((2.0, I), (2.0, MINUS_I)):
+            assert dist(g_mul(*center, *y), g_mul(*y, *center)) < 1e-12
 
     def test_associativity_random(self):
         rng = np.random.default_rng(9)
-        for _ in range(300):
-            x, y, z = rand_g(rng), rand_g(rng), rand_g(rng)
-            assert g_dist(g_mul(g_mul(x, y), z), g_mul(x, g_mul(y, z))) < 1e-12
+        x, y, z = rand_g(rng, 300), rand_g(rng, 300), rand_g(rng, 300)
+        assert dist(g_mul(*g_mul(*x, *y), *z), g_mul(*x, *g_mul(*y, *z))) < 1e-12
 
     def test_inverse(self):
-        rng = np.random.default_rng(10)
-        assert g_dist(g_inv(G_IDENTITY), G_IDENTITY) == 0.0
-        for _ in range(100):
-            x = rand_g(rng)
-            assert g_dist(g_mul(x, g_inv(x)), G_IDENTITY) < 1e-12
-            assert g_dist(g_inv(g_inv(x)), x) < 1e-12
-        x = GElement(1.0, SU2_H0)
-        inv = g_inv(x)
-        assert inv.t == -1.0
-        assert g_dist(g_mul(x, inv), G_IDENTITY) < 1e-12
+        assert dist(g_inv(0.0, I), (0.0, I)) == 0.0
+        x = rand_g(np.random.default_rng(10), 100)
+        assert dist(g_mul(*x, *g_inv(*x)), (0.0, I)) < 1e-12
+        assert dist(g_inv(*g_inv(*x)), x) < 1e-12
+        t, m = g_inv(1.0, H0)
+        assert t == -1.0
+        assert dist(g_mul(1.0, H0, t, m), (0.0, I)) < 1e-12
+
+    def test_broadcasts_one_element_against_a_batch(self):
+        # the law of a single (t, (4,)) element against n rows is the law row by row
+        rng = np.random.default_rng(17)
+        x, (ty, my) = rand_g(rng), rand_g(rng, 20)
+        t, m = g_mul(*x, ty, my)
+        for i in range(20):
+            assert dist((t[i], m[i]), g_mul(*x, ty[i], my[i])) == 0.0
 
     def test_star_fixed_points_and_involution(self):
         rng = np.random.default_rng(11)
         k = GElement(0.7, SU2_I)
-        assert g_dist(conj_star(k), k) == 0.0
+        assert conj_star(k) == k
         for _ in range(100):
-            x = rand_g(rng)
-            assert g_dist(conj_star(conj_star(x)), x) < 1e-12
+            x = rand_element(rng)
+            assert dist(pair(conj_star(conj_star(x))), pair(x)) < 1e-12
 
     def test_star_on_h0(self):
         got = conj_star(GElement(0.0, SU2_H0))
-        assert g_dist(got, GElement(0.0, su2_mul(SU2_MINUS_I, SU2_H0))) < 1e-12
+        assert dist(pair(got), (0.0, quat_mul(MINUS_I, H0))) < 1e-12
 
     def test_star_is_conjugation(self):
-        one = GElement(1.0, SU2_I)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            k = rand_g(rng)
-            direct = g_mul(g_mul(one, k), g_inv(one))
-            assert g_dist(conj_star(k), direct) < 1e-12
+            k = rand_element(rng)
+            direct = g_mul(*g_mul(1.0, I, *pair(k)), *g_inv(1.0, I))
+            assert dist(pair(conj_star(k)), direct) < 1e-12
 
     def test_star_homomorphism(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            x, y = rand_g(rng), rand_g(rng)
-            assert g_dist(conj_star(g_mul(x, y)), g_mul(conj_star(x), conj_star(y))) < 1e-12
+            x, y = rand_element(rng), rand_element(rng)
+            t, m = g_mul(*pair(x), *pair(y))
+            lhs = conj_star(GElement(float(t), SU2Element.from_array(m)))
+            rhs = g_mul(*pair(conj_star(x)), *pair(conj_star(y)))
+            assert dist(pair(lhs), rhs) < 1e-12
+
+
+# the Cayley table of D6 by label, row * column: the oracle for D6_MUL
+D6_TABLE = {
+    "e": {"e": "e", "a": "a", "b": "b", "c": "c", "d": "d", "f": "f"},
+    "a": {"e": "a", "a": "e", "b": "d", "c": "f", "d": "b", "f": "c"},
+    "b": {"e": "b", "a": "f", "b": "e", "c": "d", "d": "c", "f": "a"},
+    "c": {"e": "c", "a": "d", "b": "f", "c": "e", "d": "a", "f": "b"},
+    "d": {"e": "d", "a": "c", "b": "a", "c": "b", "d": "f", "f": "e"},
+    "f": {"e": "f", "a": "b", "b": "c", "c": "a", "d": "e", "f": "d"},
+}
+
+
+def d6(label):
+    return D6_LABELS.index(label)
 
 
 class TestD6:
+    def test_table_matches_the_label_oracle(self):
+        assert D6_MUL.shape == (6, 6)
+        assert sorted(D6_LABELS) == sorted(D6_TABLE)
+        for g, row in D6_TABLE.items():
+            for h, prod in row.items():
+                assert D6_LABELS[D6_MUL[d6(g), d6(h)]] == prod
+
     def test_table_reads(self):
-        assert d6_mul(D6Element("a"), D6Element("b")) == D6Element("d")
-        assert d6_mul(D6Element("b"), D6Element("a")) == D6Element("f")
-        assert d6_mul(D6Element("a"), D6Element("a")) == D6Element("e")
+        assert D6_MUL[d6("a"), d6("b")] == d6("d")
+        assert D6_MUL[d6("b"), d6("a")] == d6("f")
+        assert D6_MUL[d6("a"), d6("a")] == d6("e")
 
     def test_identity_row(self):
-        for x in D6_ELEMENTS:
-            assert d6_mul(D6Element("e"), x) == x
-            assert d6_mul(x, D6Element("e")) == x
+        e = d6("e")
+        assert np.array_equal(D6_MUL[e, :], np.arange(6))
+        assert np.array_equal(D6_MUL[:, e], np.arange(6))
 
     def test_exhaustive_group_axioms(self):
-        for x in D6_ELEMENTS:
-            # every row of the table holds the identity: x has an inverse
-            assert any(d6_mul(x, y) == D6Element("e") for y in D6_ELEMENTS)
-            for y in D6_ELEMENTS:
-                assert d6_mul(x, y) in D6_ELEMENTS
-                for z in D6_ELEMENTS:
-                    assert d6_mul(d6_mul(x, y), z) == d6_mul(x, d6_mul(y, z))
+        # closure: every product is an element
+        assert set(D6_MUL.ravel()) <= set(range(6))
+        # every row of the table holds the identity: each x has an inverse
+        assert all(d6("e") in D6_MUL[x] for x in range(6))
+        x, y, z = np.indices((6, 6, 6))
+        assert np.array_equal(D6_MUL[D6_MUL[x, y], z], D6_MUL[x, D6_MUL[y, z]])
 
     def test_nonabelian(self):
-        assert d6_mul(D6Element("a"), D6Element("b")) != d6_mul(D6Element("b"), D6Element("a"))
+        assert D6_MUL[d6("a"), d6("b")] != D6_MUL[d6("b"), d6("a")]
 
 
 class TestCentrality:
     def test_central_elements(self):
         rng = np.random.default_rng(14)
         assert is_central(GElement(2.0, SU2_I), 500, rng).central
-        assert is_central(GElement(-4.0, SU2_MINUS_I), 500, rng).central
+        assert is_central(GElement(-4.0, SU2Element((-1.0, 0.0, 0.0, 0.0))), 500, rng).central
 
     def test_time_one_not_central(self):
         res = is_central(GElement(1.0, SU2_I), 200, np.random.default_rng(15))
         assert not res.central
-        w = res.witness
-        assert g_dist(g_mul(GElement(1.0, SU2_I), w), g_mul(w, GElement(1.0, SU2_I))) > 1e-10
+        w = pair(res.witness)
+        assert dist(g_mul(1.0, I, *w), g_mul(*w, 1.0, I)) > 1e-10
 
     def test_h0_not_central(self):
         res = is_central(GElement(0.0, SU2_H0), 200, np.random.default_rng(16))
         assert not res.central
         # the flow direction alone already fails to commute with h0
-        g_t = GElement(0.25, SU2_I)
-        k = GElement(0.0, SU2_H0)
-        assert g_dist(g_mul(k, g_t), g_mul(g_t, k)) > 1e-6
+        assert dist(g_mul(0.0, H0, 0.25, I), g_mul(0.25, I, 0.0, H0)) > 1e-6
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            is_central(G_IDENTITY, 0, np.random.default_rng(0))
-
-
-def test_su2_from_angle_matches_diagonal():
-    t = 0.3
-    m = su2_from_angle(t).matrix()
-    assert abs(m[0, 0] - np.exp(2j * math.pi * t)) < 1e-15
-    assert abs(m[1, 1] - np.exp(-2j * math.pi * t)) < 1e-15
-    assert abs(m[0, 1]) == 0.0
+            is_central(GElement(0.0, SU2_I), 0, np.random.default_rng(0))

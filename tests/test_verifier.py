@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfjoin import cf_engine, cli, verifier
+from cfjoin.groups import quat_mul, quat_phi_real
 from cfjoin.verifier import (
     EXPERIMENTS,
     CheckReport,
@@ -237,6 +238,20 @@ class TestRunners:
         values = [value for _, value in _fubini_calls(seed, monkeypatch)]
         assert values[::2] == values[1::2]
         assert [lhs > 0 for lhs in values[::2]] == [True] * 9 + [False]
+
+    def test_groups_checks_the_library_law(self, small_cfg, monkeypatch):
+        # run_groups multiplies with groups.g_mul, not a copy of its own: a
+        # law that twists by the right factor's time is not associative
+        def associative():
+            metrics = {m.name: m for m in verifier.run_groups(small_cfg).metrics}
+            return metrics["g-associativity-max"].passed
+
+        def twisted_by_tb(ta, ma, tb, mb):
+            return ta + tb, quat_mul(ma, quat_phi_real(tb, mb))
+
+        assert associative()
+        monkeypatch.setattr(verifier, "g_mul", twisted_by_tb)
+        assert not associative()
 
     def test_anchor_strings_nonempty(self, small_cfg):
         for rep in (run_sequences(small_cfg), run_validate_cf(small_cfg)):
