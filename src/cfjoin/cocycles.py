@@ -20,12 +20,10 @@ from .rank_one import TowerScheme, sample_tower_point, stage_level, tower_apply
 __all__ = [
     "double_ext_apply",
     "constant_one_obstruction",
-    "ObstructionWitness",
     "d6_root_check",
     "D6RootReport",
     "su2_flow_commutation",
     "eigenvalue_probe",
-    "SpectralLine",
     "chacon_z2_phi",
     "double_extension_orbit",
 ]
@@ -63,40 +61,28 @@ def double_extension_orbit(scheme: TowerScheme, rng: np.random.Generator, length
 # non-coboundary obstruction for the constant-1 cocycle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    """Return to the same base cylinder at an odd time with an even fiber
-    increment: the transfer equation F o T_phi + F = 1 would force the parity
-    of the return time onto the fiber increment, so such a return rules out
-    any transfer function that is near-constant on the cylinder."""
+def constant_one_obstruction(scheme: TowerScheme) -> bool:
+    """Whether chacon_z2_phi returns to a cylinder at an odd time with an even
+    fiber increment at each of stages 3 to 6.
 
-    stage: int
-    return_time: int
-    fiber_increment: int
-
-    @property
-    def contradictory(self) -> bool:
-        return self.return_time % 2 == 1 and self.fiber_increment % 2 == 0
-
-
-def constant_one_obstruction(scheme: TowerScheme) -> list[ObstructionWitness]:
-    """Exhibit odd-time, even-increment cylinder returns of chacon_z2_phi at
-    stages 3 to 6.
-
-    From the bottom of the first column of the stage n+1 tower (position 0),
-    the orbit re-enters the stage-n base after 2 h_n + 1 steps (two column
-    passes plus the spacer), and the cocycle sum doubles the per-pass count;
-    these witnesses are verified on the simulated orbit, not assumed.
+    Such a return rules out the constant 1 as a coboundary: the transfer
+    equation F o T_phi + F = 1 would force the parity of the return time
+    onto the fiber increment, so no transfer function near-constant on the
+    cylinder exists.  From the bottom of the first column of the stage n+1
+    tower (position 0), the orbit re-enters the stage-n base after 2 h_n + 1
+    steps (two column passes plus the spacer), and the cocycle sum doubles
+    the per-pass count; the returns are verified on the simulated orbit, not
+    assumed, and a missed one is an AssertionError.
     """
-    out = []
+    contradictory = True
     for n in (3, 4, 5, 6):
         steps = 2 * scheme.height(n) + 1
         orbit = tower_apply(scheme, 0, np.arange(steps + 1))
         if stage_level(scheme, orbit[-1], n) != 0:
             raise AssertionError(f"expected return to the stage-{n} base")
         total = int(chacon_z2_phi(scheme, orbit[:-1]).sum())
-        out.append(ObstructionWitness(stage=n, return_time=steps, fiber_increment=total))
-    return out
+        contradictory &= steps % 2 == 1 and total % 2 == 0
+    return contradictory
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +150,13 @@ def su2_flow_commutation(t: float) -> bool:
 # spectral probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralLine:
-    theta: float
-    modulus: float
-    threshold: float
-
-    @property
-    def below(self) -> bool:
-        return self.modulus <= self.threshold
-
-
-def eigenvalue_probe(values, frequencies: Sequence[float]) -> list[SpectralLine]:
-    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)| per theta,
-    from the observable values f(T^n x), n < N.
+def eigenvalue_probe(values, frequencies: Sequence[float]) -> tuple[list[float], float]:
+    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)|, one per
+    theta of `frequencies`, from the observable values f(T^n x), n < N, and
+    the threshold, the reference line 5 N^{-1/2} log N.
 
     Values near 1 flag point spectrum at theta; values of order N^{-1/2} are
-    consistent with its absence.  The threshold is the reference line
-    5 N^{-1/2} log N.
+    consistent with its absence.
 
     All frequencies share one blocked sum: with n = m a + b, m = isqrt(N),
     the values zero-padded to V[a, b] give sum_a e^{-2 pi i theta m a}
@@ -201,7 +176,4 @@ def eigenvalue_probe(values, frequencies: Sequence[float]) -> list[SpectralLine]
     outer = np.exp(-2j * math.pi * theta * (m * np.arange(rows)))
     inner = np.exp(-2j * math.pi * theta * np.arange(m))
     sums = ((outer @ padded.reshape(rows, m)) * inner).sum(axis=1) / orbit_len
-    return [
-        SpectralLine(float(t), float(abs(z)), threshold)
-        for t, z in zip(frequencies, sums)
-    ]
+    return [float(abs(z)) for z in sums], threshold

@@ -11,20 +11,22 @@ diag(e^{i pi t/2}, e^{-i pi t/2}); it has period 2 in t as an automorphism,
 which is why the center of G sits over the even integers.  It fixes z and
 turns w by e^{-i pi t}, so the point engine applies it in closed form to split
 times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
-general-time form and the oracle for it.  The product and the closed-form
-twist are written once, on component rows (quat_mul_rows, quat_twist_rows);
-quat_mul and quat_twist are their (..., 4) forms, with the same bits.
+general-time form and the oracle for it.  The product, the closed-form
+twist and the adjoint representation are written once, on component rows
+(quat_mul_rows, quat_twist_rows, adjoint_entry_rows); quat_mul, quat_twist and
+adjoint_matrix are their (..., 4) forms, with the same bits.
 
-The law of G is g_mul and g_inv on times and (..., 4) fibers; GElement and
-SU2Element are the value types of single elements.  D6 is its Cayley table of
-indices, D6_MUL, with D6_LABELS naming the elements.
+The law of G is g_mul and g_inv on times and (..., 4) fibers, with conj_star
+the conjugation by the time-one translate; GElement and SU2Element are the
+value types of single elements, and is_central tells whether one commutes
+with random elements.  D6 is its Cayley table of indices, D6_MUL, with
+D6_LABELS naming the elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,17 +51,18 @@ __all__ = [
     "quat_phi_real",
     "quat_twist",
     "quat_to_matrix",
+    "adjoint_entry_rows",
     "adjoint_matrix",
 ]
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion kernels.  The product and the closed-form twist are
-# written once, on component rows: a quaternion array is its four rows a, b,
-# c, d, either a (4, ...) stack or the four columns of a (..., 4) array.
-# quat_mul and quat_twist are their (..., 4) forms; the point engine keeps
-# its fibers as a (4, ..., n) stack of contiguous rows and steps them with
-# quat_mul_twisted_rows.
+# vectorized quaternion kernels.  The product, the closed-form twist and the
+# adjoint entries are written once, on component rows: a quaternion array is
+# its four rows a, b, c, d, either a (4, ...) stack or the four columns of a
+# (..., 4) array.  quat_mul, quat_twist and adjoint_matrix are their
+# (..., 4) forms; the point engine keeps its fibers as a (4, ..., n) stack of
+# contiguous rows and steps them with quat_mul_twisted_rows.
 # ---------------------------------------------------------------------------
 
 def _rows(q: np.ndarray) -> np.ndarray:
@@ -176,24 +179,35 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return m
 
 
+def adjoint_entry_rows(q, i, j):
+    """Entry (i, j) of the adjoint matrix (adjoint_matrix) on component rows
+    q = (a, v0, v1, v2).  The product convention here is opposite to
+    Hamilton's, so conjugation by q acts as the classical rotation matrix of
+    the conjugate quaternion (a, -v): entry (i, i) is a a + v_i v_i less the
+    other two v_k v_k, and entry (i, j), k the third index, is
+    2 (v_i v_j + a v_k) when (i, j, k) is a cyclic order of (0, 1, 2) and
+    2 (v_i v_j - a v_k) otherwise.  Each is evaluated left to right, the
+    squares in the order of k: negation being exact, these are the bits of
+    the same forms on the conjugate's components, and adjoint_matrix and
+    the dictionary's adjoint rows read the same bits."""
+    a, v = q[0], q[1:]
+    if i == j:
+        out = a * a
+        for k in range(3):
+            out = out + v[k] * v[k] if k == i else out - v[k] * v[k]
+        return out
+    k = 3 - i - j
+    if (j - i) % 3 == 1:
+        return 2 * (v[i] * v[j] + a * v[k])
+    return 2 * (v[i] * v[j] - a * v[k])
+
+
 def adjoint_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of the conjugation action m -> q m q^{-1} on the
     imaginary part (b, c, d).  Columns are the images of i, j, k."""
-    q = np.asarray(q, dtype=float)
-    # The product convention here is opposite to Hamilton's, so conjugation by
-    # q acts as the classical rotation matrix of the conjugate quaternion.
-    a, b, c, d = q[..., 0], -q[..., 1], -q[..., 2], -q[..., 3]
-    m = np.empty(q.shape[:-1] + (3, 3), dtype=float)
-    m[..., 0, 0] = a * a + b * b - c * c - d * d
-    m[..., 0, 1] = 2 * (b * c - a * d)
-    m[..., 0, 2] = 2 * (b * d + a * c)
-    m[..., 1, 0] = 2 * (b * c + a * d)
-    m[..., 1, 1] = a * a - b * b + c * c - d * d
-    m[..., 1, 2] = 2 * (c * d - a * b)
-    m[..., 2, 0] = 2 * (b * d - a * c)
-    m[..., 2, 1] = 2 * (c * d + a * b)
-    m[..., 2, 2] = a * a - b * b - c * c + d * d
-    return m
+    rows = _rows(np.asarray(q, dtype=float))
+    m = [[adjoint_entry_rows(rows, i, j) for j in range(3)] for i in range(3)]
+    return np.moveaxis(np.array(m), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +227,9 @@ class SU2Element:
             raise ValueError(f"quaternion norm^2 {norm2!r} is not 1 within 1e-12")
 
     @staticmethod
-    def from_array(q: np.ndarray, renormalize: bool = True) -> "SU2Element":
-        q = np.asarray(q, dtype=float)
-        if renormalize:
-            q = quat_normalize(q)
+    def from_array(q: np.ndarray) -> "SU2Element":
+        """The element of the quaternion q, normalised to unit norm."""
+        q = quat_normalize(q)
         return SU2Element((float(q[0]), float(q[1]), float(q[2]), float(q[3])))
 
     def array(self) -> np.ndarray:
@@ -251,10 +264,10 @@ def g_inv(t, m):
     return -t, quat_phi_real(-t, quat_inv(m))
 
 
-def conj_star(k: GElement) -> GElement:
-    """Conjugation by the time-one translate: (t, M) -> (t, phi_1(M)), with
-    the exact integer-time twist."""
-    return GElement(k.t, SU2Element.from_array(quat_phi_int(1, k.m.array()), renormalize=False))
+def conj_star(t, m):
+    """Conjugation by the time-one translate, (t, m) -> (t, phi_1(m)), on
+    times and (..., 4) fibers, with the exact integer-time twist."""
+    return t, quat_phi_int(1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +287,9 @@ D6_MUL = np.array([
 # centrality probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralityResult:
-    central: bool
-    witness: Optional[GElement]
-
-
-def is_central(k: GElement, trials: int, rng: np.random.Generator) -> CentralityResult:
-    """Probabilistic centrality test: commute with `trials` random elements.
+def is_central(k: GElement, trials: int, rng: np.random.Generator) -> bool:
+    """Probabilistic centrality test: whether k commutes with `trials`
+    random elements.
 
     Both sides are products of g_mul.  Time coordinates always commute
     exactly, so only the fiber is compared, at tolerance 1e-10.  Random
@@ -298,8 +306,4 @@ def is_central(k: GElement, trials: int, rng: np.random.Generator) -> Centrality
     kq = k.m.array()
     _, left = g_mul(times, quats, k.t, kq)
     _, right = g_mul(k.t, kq, times, quats)
-    bad = np.max(np.abs(left - right), axis=-1) > 1e-10
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        return CentralityResult(False, GElement(float(times[i]), SU2Element.from_array(quats[i])))
-    return CentralityResult(True, None)
+    return not np.any(np.max(np.abs(left - right), axis=-1) > 1e-10)

@@ -1,10 +1,12 @@
 """Joining metric, Folner windows, and empirical joining estimation.
 
-An empirical joining is a K x K table of correlations int f_i(x) conj(f_j(y))
+A joining is read as a K x K table of correlations int f_i(x) conj(f_j(y))
 against a fixed ordered dictionary of unit-norm observables; the metric
 weights entry (i, j) by 2^{-(i+j)} (1-indexed), so the dictionary ORDER is
-part of the experiment identity.  The default dictionary interleaves the
-observables that separate the classification targets (time harmonic, the two
+part of the experiment identity.  The graph and product targets are exact
+tables; an EmpiricalJoining is a window estimate, its table with the stderr
+of each entry.  The default dictionary interleaves the observables that
+separate the classification targets (time harmonic, the two
 defining-representation coefficients, an adjoint diagonal entry) into the
 low-index slots where the metric can see them.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2Element, adjoint_matrix, quat_mul
+from .groups import adjoint_entry_rows, adjoint_matrix, quat_mul
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
@@ -37,7 +39,6 @@ __all__ = [
     "empirical_joining",
     "graph_joining_target",
     "product_joining_target",
-    "classify",
 ]
 
 
@@ -54,8 +55,6 @@ class CFDictionary:
     (two defining-representation entries, six adjoint entries), interleaved so
     each classification target pair separates at low metric weight.
     """
-
-    dict_id = "k16-default-v1"
 
     def __init__(self, levels: CFLevels):
         self.a1 = levels.a(1)
@@ -108,23 +107,14 @@ class CFDictionary:
         values at the same times, and zero the lanes off `valid`.  Each row
         is sqrt 2 or sqrt 3 times a matrix coefficient, then scaled, written
         as real and imaginary parts; the adjoint entries are those of
-        groups.adjoint_matrix, without its (n, 3, 3) array."""
-        a, b, c, d = q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]
-        adj = {
-            (0, 0): a * a + b * b - c * c - d * d,
-            (1, 1): a * a - b * b + c * c - d * d,
-            (2, 2): a * a - b * b - c * c + d * d,
-            (0, 1): 2 * (b * c - a * d),
-            (1, 2): 2 * (c * d - a * b),
-            (0, 2): 2 * (b * d + a * c),
-        }
+        groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array."""
         for row, (kind, arg) in self._fiber:
             if kind == "def":
                 lo = 0 if arg == "z" else 2
                 parts = [(out[row].real, q[:, lo]), (out[row].imag, q[:, lo + 1])]
                 root = math.sqrt(2.0)
             else:
-                parts = [(out[row].real, adj[arg])]
+                parts = [(out[row].real, adjoint_entry_rows(q.T, *arg))]
                 out[row].imag = 0.0
                 root = math.sqrt(3.0)
             for part, value in parts:
@@ -151,16 +141,11 @@ class CFDictionary:
 
 @dataclass
 class EmpiricalJoining:
-    """Correlation table of a (candidate) 2-fold joining at dictionary resolution."""
+    """Estimated correlation table of a (candidate) 2-fold joining at
+    dictionary resolution, with the stderr of each entry."""
 
-    dict_id: str
     corr: np.ndarray  # (K, K) complex
     stderr: np.ndarray  # (K, K) float
-
-
-def _check_same_dict(x: EmpiricalJoining, y: EmpiricalJoining) -> None:
-    if x.dict_id != y.dict_id or x.corr.shape != y.corr.shape:
-        raise ValueError(f"dictionary mismatch: {x.dict_id!r} vs {y.dict_id!r}")
 
 
 def _weights(k: int) -> np.ndarray:
@@ -168,21 +153,21 @@ def _weights(k: int) -> np.ndarray:
     return 2.0 ** -(i[:, None] + i[None, :])
 
 
-def joining_metric(x: EmpiricalJoining, y: EmpiricalJoining) -> float:
-    """Weighted l1 distance sum_{ij} 2^{-(i+j)} |x_ij - y_ij| (1-indexed)."""
-    _check_same_dict(x, y)
+def joining_metric(x: np.ndarray, y: np.ndarray) -> float:
+    """Weighted l1 distance sum_{ij} 2^{-(i+j)} |x_ij - y_ij| (1-indexed)
+    between two (K, K) tables."""
+    w = _weights(x.shape[0])
+    return float(np.sum(w * np.abs(x - y)))
+
+
+def joining_metric_stderr(x: EmpiricalJoining) -> float:
+    """Conservative propagated error of the metric from the estimate x to an
+    exact table, from x's entry stderrs."""
     w = _weights(x.corr.shape[0])
-    return float(np.sum(w * np.abs(x.corr - y.corr)))
+    return float(np.sqrt(np.sum(w**2 * x.stderr**2)))
 
 
-def joining_metric_stderr(x: EmpiricalJoining, y: EmpiricalJoining) -> float:
-    """Conservative propagated error of the metric from the entry stderrs."""
-    _check_same_dict(x, y)
-    w = _weights(x.corr.shape[0])
-    return float(np.sqrt(np.sum(w**2 * (x.stderr**2 + y.stderr**2))))
-
-
-def _correlation_table(dict_id: str, blocks, scale: float = 1.0) -> EmpiricalJoining:
+def _correlation_table(blocks, scale: float = 1.0) -> EmpiricalJoining:
     """Table of the means of scale * f_i(x_k) conj(f_j(y_k)) over the value
     pairs of `blocks`, an iterable of (fx, fy) row blocks (both (K, n_b)),
     with the stderr of each mean.
@@ -206,7 +191,7 @@ def _correlation_table(dict_id: str, blocks, scale: float = 1.0) -> EmpiricalJoi
         del fx, fy, sq_x, sq_y
     corr = cross * (scale / n)
     var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(dict_id, corr, np.sqrt(var / n))
+    return EmpiricalJoining(corr, np.sqrt(var / n))
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +233,6 @@ def folner_window(n: int, levels: CFLevels) -> FolnerWindow:
     return w
 
 
-@dataclass
-class ShulmanReport:
-    """Exact growth accounting of the averaging windows at index n.
-
-    setminus_count counts the window elements not already covered by earlier
-    windows (the literal reading of the growth inequality).
-    """
-
-    n: int
-    setminus_count: int
-    window_size: int
-
-    @property
-    def passed(self) -> bool:
-        return self.setminus_count <= 3 * self.window_size
-
-
 def _window_intervals(w: FolnerWindow) -> list[tuple[int, int]]:
     return [
         (w.spacing * t - w.i_max, w.spacing * t + w.i_max)
@@ -298,15 +266,19 @@ def _merged(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def shulman_check(n: int, levels: CFLevels) -> ShulmanReport:
-    """Exact integer-interval arithmetic; no window is ever materialized."""
+def shulman_check(n: int, levels: CFLevels) -> tuple[int, int]:
+    """Exact growth accounting of the averaging windows at index n: the
+    count of window-n elements not already covered by earlier windows (the
+    literal reading of the growth inequality, which bounds it by 3 times
+    the window size) and the window size.  Exact integer-interval
+    arithmetic; no window is ever materialized."""
     w = folner_window(n, levels)
     own = _window_intervals(w)
     earlier: list[tuple[int, int]] = []
     for m in range(2, n):
         earlier.extend(_window_intervals(folner_window(m, levels)))
     setminus = _subtract_union(own, _merged(earlier)) if earlier else w.size
-    return ShulmanReport(n, setminus, w.size)
+    return setminus, w.size
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +352,7 @@ def empirical_joining(
     ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
     blocks = _window_blocks(x, x2, window, dictionary, levels, bs, ts)
     try:
-        return _correlation_table(dictionary.dict_id, blocks, levels.mu_xn(window.n))
+        return _correlation_table(blocks, levels.mu_xn(window.n))
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "
@@ -392,9 +364,9 @@ def empirical_joining(
 _DEF_COEFFS = {"z": np.array([1.0, 1j, 0.0, 0.0]), "w": np.array([0.0, 0.0, 1.0, 1j])}
 
 
-def graph_joining_target(m: SU2Element, dictionary: CFDictionary) -> EmpiricalJoining:
-    """Exact table of the graph joining along the fiber element k = (0, m),
-    int f_i(x) conj(f_j(T_k x)), with zero stderr.
+def graph_joining_target(m: np.ndarray, dictionary: CFDictionary) -> np.ndarray:
+    """Exact (K, K) table of the graph joining along the fiber element
+    k = (0, m), m a (4,) unit quaternion: int f_i(x) conj(f_j(T_k x)).
 
     T_k (t, q) = (t, m q) leaves the level-1 time in place and the
     observables vanish off X_1, so the table is the mean over a uniform
@@ -415,61 +387,23 @@ def graph_joining_target(m: SU2Element, dictionary: CFDictionary) -> EmpiricalJo
     k = dictionary.size
     corr = np.zeros((k, k), dtype=complex)
     corr[dictionary._harm, dictionary._harm] = 1.0
-    left = quat_mul(m.array(), np.eye(4))
-    adj = adjoint_matrix(m.array())
+    left = quat_mul(m, np.eye(4))
+    adj = adjoint_matrix(m)
     for (i, (kind, arg)), (j, (kind2, arg2)) in itertools.product(dictionary._fiber, repeat=2):
         if kind == kind2 == "def":
             corr[i, j] = 0.5 * (_DEF_COEFFS[arg] @ left @ _DEF_COEFFS[arg2].conj())
         elif kind == kind2 == "adj":
             (a, b), (c, d) = arg, arg2
             corr[i, j] = adj[c, a] if b == d else 0.0
-    return EmpiricalJoining(dictionary.dict_id, corr, np.zeros((k, k)))
+    return corr
 
 
-def product_joining_target(dictionary: CFDictionary) -> EmpiricalJoining:
-    """Exact table of the product joining, (int f_i) conj(int f_j), with
-    zero stderr: every observable of the dictionary has mean 0, so the table
-    is 0.  The harmonics exp(2 pi i m t / a_1), m >= 1, run over whole
-    periods of the level-1 times (-a_1, a_1], and the fiber rows are matrix
+def product_joining_target(dictionary: CFDictionary) -> np.ndarray:
+    """Exact (K, K) table of the product joining, (int f_i) conj(int f_j):
+    every observable of the dictionary has mean 0, so the table is 0.  The
+    harmonics exp(2 pi i m t / a_1), m >= 1, run over whole periods of the
+    level-1 times (-a_1, a_1], and the fiber rows are matrix
     coefficients of non-trivial irreducible representations of SU(2), whose
     Haar means vanish by Schur orthogonality.
     """
-    k = dictionary.size
-    return EmpiricalJoining(dictionary.dict_id, np.zeros((k, k), dtype=complex), np.zeros((k, k)))
-
-
-def mixture_table(a: EmpiricalJoining, b: EmpiricalJoining) -> EmpiricalJoining:
-    _check_same_dict(a, b)
-    return EmpiricalJoining(
-        a.dict_id,
-        0.5 * (a.corr + b.corr),
-        0.5 * np.sqrt(a.stderr**2 + b.stderr**2),
-    )
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClassificationRow:
-    case: str
-    target: str
-    distance: float
-    stderr: float
-    verdict: str
-
-
-def classify(
-    case: str, estimate: EmpiricalJoining, targets: dict[str, EmpiricalJoining]
-) -> list[ClassificationRow]:
-    """Distances from an estimate to the named targets, nearest marked."""
-    dists = {
-        name: (joining_metric(estimate, tb), joining_metric_stderr(estimate, tb))
-        for name, tb in targets.items()
-    }
-    best = min(dists, key=lambda name: dists[name][0])
-    return [
-        ClassificationRow(case, name, d, se, "nearest" if name == best else "")
-        for name, (d, se) in sorted(dists.items())
-    ]
+    return np.zeros((dictionary.size, dictionary.size), dtype=complex)

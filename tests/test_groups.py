@@ -11,6 +11,7 @@ from cfjoin.groups import (
     SU2_H0,
     SU2_I,
     SU2Element,
+    adjoint_entry_rows,
     adjoint_matrix,
     conj_star,
     g_inv,
@@ -38,16 +39,6 @@ def rand_su2(rng, n=None):
 def rand_g(rng, n=None, tmax=3.0):
     """Random elements (t, m) of G: times in (-tmax, tmax), Haar fibers."""
     return rng.uniform(-tmax, tmax, size=n), rand_su2(rng, n)
-
-
-def rand_element(rng):
-    t, m = rand_g(rng)
-    return GElement(float(t), SU2Element.from_array(m))
-
-
-def pair(k):
-    """A GElement as the (time, (4,) fiber) pair that g_mul reads."""
-    return k.t, k.m.array()
 
 
 def dist(x, y):
@@ -84,6 +75,27 @@ class TestSU2:
         for basis in (np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1])):
             conj = quat_mul(quat_mul(q, basis), quat_inv(q))
             assert np.max(np.abs(conj[:, 1:] - rot @ basis[1:])) < 1e-10
+
+    def test_adjoint_matches_the_written_out_matrix(self):
+        # the oracle: the nine entries written out one by one on the
+        # conjugate's components; the same bits, signed zeros of the units
+        # included
+        q = np.vstack([rand_su2(np.random.default_rng(21), 1000), np.eye(4), -np.eye(4)])
+        a, b, c, d = q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]
+        m = np.empty((len(q), 3, 3))
+        m[:, 0, 0] = a * a + b * b - c * c - d * d
+        m[:, 0, 1] = 2 * (b * c - a * d)
+        m[:, 0, 2] = 2 * (b * d + a * c)
+        m[:, 1, 0] = 2 * (b * c + a * d)
+        m[:, 1, 1] = a * a - b * b + c * c - d * d
+        m[:, 1, 2] = 2 * (c * d - a * b)
+        m[:, 2, 0] = 2 * (b * d - a * c)
+        m[:, 2, 1] = 2 * (c * d + a * b)
+        m[:, 2, 2] = a * a - b * b - c * c + d * d
+        assert adjoint_matrix(q).tobytes() == m.tobytes()
+        assert adjoint_matrix(q[7]).tobytes() == m[7].tobytes()
+        for i, j in np.ndindex(3, 3):
+            assert adjoint_entry_rows(q.T, i, j).tobytes() == m[:, i, j].tobytes()
 
     def test_adjoint_orthogonality_moment(self):
         # Schur: the mean square of any adjoint entry over Haar is 1/3
@@ -243,32 +255,24 @@ class TestG:
             assert dist((t[i], m[i]), g_mul(*x, ty[i], my[i])) == 0.0
 
     def test_star_fixed_points_and_involution(self):
-        rng = np.random.default_rng(11)
-        k = GElement(0.7, SU2_I)
-        assert conj_star(k) == k
-        for _ in range(100):
-            x = rand_element(rng)
-            assert dist(pair(conj_star(conj_star(x))), pair(x)) < 1e-12
+        assert dist(conj_star(0.7, I), (0.7, I)) == 0.0
+        # the integer-time twist only flips signs, so the star is exactly
+        # an involution
+        x = rand_g(np.random.default_rng(11), 100)
+        assert dist(conj_star(*conj_star(*x)), x) == 0.0
 
     def test_star_on_h0(self):
-        got = conj_star(GElement(0.0, SU2_H0))
-        assert dist(pair(got), (0.0, quat_mul(MINUS_I, H0))) < 1e-12
+        assert dist(conj_star(0.0, H0), (0.0, quat_mul(MINUS_I, H0))) < 1e-12
 
     def test_star_is_conjugation(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            k = rand_element(rng)
-            direct = g_mul(*g_mul(1.0, I, *pair(k)), *g_inv(1.0, I))
-            assert dist(pair(conj_star(k)), direct) < 1e-12
+        x = rand_g(np.random.default_rng(12), 50)
+        direct = g_mul(*g_mul(1.0, I, *x), *g_inv(1.0, I))
+        assert dist(conj_star(*x), direct) < 1e-12
 
     def test_star_homomorphism(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            x, y = rand_element(rng), rand_element(rng)
-            t, m = g_mul(*pair(x), *pair(y))
-            lhs = conj_star(GElement(float(t), SU2Element.from_array(m)))
-            rhs = g_mul(*pair(conj_star(x)), *pair(conj_star(y)))
-            assert dist(pair(lhs), rhs) < 1e-12
+        x, y = rand_g(rng, 100), rand_g(rng, 100)
+        assert dist(conj_star(*g_mul(*x, *y)), g_mul(*conj_star(*x), *conj_star(*y))) < 1e-12
 
 
 # the Cayley table of D6 by label, row * column: the oracle for D6_MUL
@@ -319,18 +323,16 @@ class TestD6:
 class TestCentrality:
     def test_central_elements(self):
         rng = np.random.default_rng(14)
-        assert is_central(GElement(2.0, SU2_I), 500, rng).central
-        assert is_central(GElement(-4.0, SU2Element((-1.0, 0.0, 0.0, 0.0))), 500, rng).central
+        assert is_central(GElement(2.0, SU2_I), 500, rng) is True
+        assert is_central(GElement(-4.0, SU2Element((-1.0, 0.0, 0.0, 0.0))), 500, rng) is True
 
     def test_time_one_not_central(self):
-        res = is_central(GElement(1.0, SU2_I), 200, np.random.default_rng(15))
-        assert not res.central
-        w = pair(res.witness)
-        assert dist(g_mul(1.0, I, *w), g_mul(*w, 1.0, I)) > 1e-10
+        assert is_central(GElement(1.0, SU2_I), 200, np.random.default_rng(15)) is False
+        # the time-one twist moves the fiber h0 to -h0
+        assert dist(g_mul(1.0, I, 0.0, H0), g_mul(0.0, H0, 1.0, I)) > 1e-10
 
     def test_h0_not_central(self):
-        res = is_central(GElement(0.0, SU2_H0), 200, np.random.default_rng(16))
-        assert not res.central
+        assert is_central(GElement(0.0, SU2_H0), 200, np.random.default_rng(16)) is False
         # the flow direction alone already fails to commute with h0
         assert dist(g_mul(0.0, H0, 0.25, I), g_mul(0.25, I, 0.0, H0)) > 1e-6
 

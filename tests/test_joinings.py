@@ -8,7 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
-from cfjoin.groups import GElement, SU2_H0, SU2_I, SU2Element, adjoint_matrix, conj_star, quat_mul
+from cfjoin import verifier
+from cfjoin.groups import GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul, quat_normalize
+
+H0 = SU2_H0.array()
+H0_STAR = conj_star(0.0, H0)[1]
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +62,7 @@ def same_table(a, b) -> bool:
 
 def random_table(rng, k=4):
     corr = rng.uniform(-1, 1, size=(k, k)) + 1j * rng.uniform(-1, 1, size=(k, k))
-    corr /= np.max(np.abs(corr))
-    return jo.EmpiricalJoining("test", corr, np.zeros((k, k)))
+    return corr / np.max(np.abs(corr))
 
 
 class TestMetric:
@@ -69,9 +72,8 @@ class TestMetric:
 
     def test_single_entry_delta(self, rng):
         t = random_table(rng)
-        corr2 = t.corr.copy()
-        corr2[0, 0] += 0.12
-        t2 = jo.EmpiricalJoining("test", corr2, t.stderr)
+        t2 = t.copy()
+        t2[0, 0] += 0.12
         assert jo.joining_metric(t, t2) == pytest.approx(0.12 / 4)
 
     def test_metric_axioms(self, rng):
@@ -81,18 +83,20 @@ class TestMetric:
         assert dab >= 0
         assert dab <= jo.joining_metric(a, c) + jo.joining_metric(c, b) + 1e-12
 
-    def test_dictionary_mismatch(self, rng):
-        t = random_table(rng)
-        other = jo.EmpiricalJoining("other", t.corr, t.stderr)
-        with pytest.raises(ValueError, match="dictionary mismatch"):
-            jo.joining_metric(t, other)
+    def test_stderr_reads_the_estimate(self, rng):
+        # the targets are exact, so the metric's stderr is the weighted
+        # stderr of the estimate's entries alone
+        stderr = np.zeros((4, 4))
+        stderr[0, 0], stderr[1, 0] = 0.4, 0.8
+        estimate = jo.EmpiricalJoining(random_table(rng), stderr)
+        assert jo.joining_metric_stderr(estimate) == pytest.approx(math.hypot(0.4 / 4, 0.8 / 8))
 
 
 def circle_table(functions, xs, ys):
     """Correlation table of a pair cloud (x_k, y_k) of circle points."""
     fx = np.stack([f(xs) for f in functions]).astype(complex)
     fy = np.stack([f(ys) for f in functions]).astype(complex)
-    return jo._correlation_table("circle", [(fx, fy)])
+    return jo._correlation_table([(fx, fy)]).corr
 
 
 def invariance_gap(functions, xi_pairs, nu_pairs, move):
@@ -114,7 +118,7 @@ class TestCorrelationTable:
             elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
         )
         fx, fy = data.draw(values), data.draw(values)
-        table = jo._correlation_table("t", [(fx, fy)], scale)
+        table = jo._correlation_table([(fx, fy)], scale)
         prod = fx[:, None, :] * np.conj(fy[None, :, :]) * scale
         corr = prod.mean(axis=2)
         var = np.maximum((np.abs(prod) ** 2).mean(axis=2) - np.abs(corr) ** 2, 0.0)
@@ -131,7 +135,7 @@ class TestCorrelationTable:
         fx, fy = (rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n)) for _ in "xy")
         blocks = [(fx[:, rows], fy[:, rows]) for rows in cf.row_blocks(n)]
         assert [b[0].shape[1] for b in blocks] == [cf.ROW_BLOCK, 1]
-        table = jo._correlation_table("t", blocks, scale)
+        table = jo._correlation_table(blocks, scale)
         corr = fx @ fy.conj().T * (scale / n)
         second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
         assert np.max(np.abs(table.corr - corr)) <= 1e-12
@@ -143,8 +147,8 @@ class TestCorrelationTable:
         # differently from the product with an equal copy
         blocks = [rng.standard_normal((16, n)) * rng.uniform(0, 5, (16, 1))
                   + 1j * rng.standard_normal((16, n)) for n in (cf.ROW_BLOCK, 1000)]
-        once = jo._correlation_table("t", [(fx, fx) for fx in blocks], 0.37)
-        copies = jo._correlation_table("t", [(fx, fx.copy()) for fx in blocks], 0.37)
+        once = jo._correlation_table([(fx, fx) for fx in blocks], 0.37)
+        copies = jo._correlation_table([(fx, fx.copy()) for fx in blocks], 0.37)
         assert same_table(once, copies)
 
 
@@ -194,9 +198,10 @@ class TestWindows:
 
     def test_shulman_reports(self, levels):
         for n in range(2, 7):
-            rep = jo.shulman_check(n, levels)
-            assert rep.passed  # covered-growth reading, exact integer count
-            assert rep.setminus_count <= rep.window_size
+            uncovered, size = jo.shulman_check(n, levels)
+            assert size == jo.folner_window(n, levels).size
+            # covered-growth reading, exact integer count
+            assert uncovered <= size
 
     def test_windows_grow(self, levels):
         sizes = [jo.folner_window(n, levels).size for n in range(2, 7)]
@@ -287,38 +292,39 @@ def cubature_batch(dictionary):
 
 
 def random_su2(seed):
-    return SU2Element.from_array(np.random.default_rng(seed).standard_normal(4))
+    return quat_normalize(np.random.default_rng(seed).standard_normal(4))
 
 
 GRAPH_ELEMENTS = {
-    "I": SU2_I,
-    "h0": SU2_H0,
-    "h0-star": conj_star(GElement(0.0, SU2_H0)).m,
+    "I": SU2_I.array(),
+    "h0": H0,
+    "h0-star": H0_STAR,
     "random": random_su2(30),
 }
 
 
 class TestTargets:
     def test_identity_graph_is_diagonal(self, dictionary):
-        diag = jo.graph_joining_target(SU2_I, dictionary)
-        k = dictionary.size
-        assert same_bits(diag.corr, np.eye(k, dtype=complex))
-        assert same_bits(diag.stderr, np.zeros((k, k)))
+        diag = jo.graph_joining_target(SU2_I.array(), dictionary)
+        assert same_bits(diag, np.eye(dictionary.size, dtype=complex))
 
-    def test_mixture_is_average(self, dictionary):
-        k = GElement(0.0, SU2_H0)
-        a = jo.graph_joining_target(k.m, dictionary)
-        b = jo.graph_joining_target(conj_star(k).m, dictionary)
-        mix = jo.mixture_table(a, b)
-        assert np.allclose(mix.corr, 0.5 * (a.corr + b.corr))
+    def test_mixture_is_average(self, levels, dictionary):
+        # the mixture joining pairs x with (0, h0) x or with (0, h0*) x, each
+        # with probability 1/2: its table over the cubature, both pairings in
+        # one estimate, is the average of the two graph tables, the mixture
+        # target of the joinings experiment
+        gk, gks = (jo.graph_joining_target(m, dictionary) for m in (H0, H0_STAR))
+        batch = cubature_batch(dictionary)
+        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m, batch[3])) for m in (H0, H0_STAR)]
+        cubature = jo._correlation_table(blocks, levels.mu_xn(1))
+        assert np.max(np.abs(0.5 * (gk + gks) - cubature.corr)) <= 2e-15
 
     def test_product_target_is_exact(self, levels, dictionary):
         # the product table (int f_i) conj(int f_j) is 0 because every row
         # has mean 0; the cubature averages the rows and their squared moduli
         prod = jo.product_joining_target(dictionary)
         k = dictionary.size
-        assert same_bits(prod.corr, np.zeros((k, k), dtype=complex))
-        assert same_bits(prod.stderr, np.zeros((k, k)))
+        assert same_bits(prod, np.zeros((k, k), dtype=complex))
         vals = dictionary.evaluate(cubature_batch(dictionary))
         assert np.max(np.abs(vals.mean(axis=1))) <= 1e-14
         assert np.max(np.abs((np.abs(vals) ** 2).mean(axis=1) * levels.mu_xn(1) - 1.0)) <= 1e-14
@@ -332,10 +338,9 @@ class TestTargets:
         m = GRAPH_ELEMENTS[name]
         table = jo.graph_joining_target(m, dictionary)
         batch = cubature_batch(dictionary)
-        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m.array(), batch[3]))]
-        cubature = jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(1))
-        assert np.max(np.abs(table.corr - cubature.corr)) <= 2e-15
-        assert same_bits(table.stderr, np.zeros_like(table.stderr))
+        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m, batch[3]))]
+        cubature = jo._correlation_table(blocks, levels.mu_xn(1))
+        assert np.max(np.abs(table - cubature.corr)) <= 2e-15
 
     def test_fiber_blocks_are_representations(self, dictionary):
         # T_(0, m1 m2) = T_(0, m2) T_(0, m1) on functions of q, so the table
@@ -344,8 +349,8 @@ class TestTargets:
         # adjoint rows of the third column (adj-13, adj-23, adj-33); the six
         # adjoint rows together are not closed, being 6 of the 9 entries
         m1, m2 = random_su2(31), random_su2(32)
-        m12 = SU2Element.from_array(quat_mul(m1.array(), m2.array()))
-        tables = [jo.graph_joining_target(m, dictionary).corr for m in (m1, m2, m12)]
+        m12 = quat_mul(m1, m2)
+        tables = [jo.graph_joining_target(m, dictionary) for m in (m1, m2, m12)]
         for labels in (["def-z", "def-w"], ["adj-13", "adj-23", "adj-33"]):
             rows = [dictionary.labels.index(label) for label in labels]
             b1, b2, b12 = (t[np.ix_(rows, rows)] for t in tables)
@@ -354,14 +359,13 @@ class TestTargets:
     def test_graph_target_discriminating_entries(self, dictionary):
         # the (z, w)-cross correlation of the h0 graph is +1, of its star
         # graph -1, and the first adjoint diagonal entry is -1 for both
-        k = GElement(0.0, SU2_H0)
-        gk = jo.graph_joining_target(k.m, dictionary)
-        gks = jo.graph_joining_target(conj_star(k).m, dictionary)
-        assert gk.corr[1, 2] == pytest.approx(1.0, abs=1e-15)
-        assert gks.corr[1, 2] == pytest.approx(-1.0, abs=1e-15)
-        assert gk.corr[3, 3] == pytest.approx(-1.0, abs=1e-15)
-        assert gks.corr[3, 3] == pytest.approx(-1.0, abs=1e-15)
-        assert gk.corr[0, 0] == 1.0
+        gk = jo.graph_joining_target(H0, dictionary)
+        gks = jo.graph_joining_target(H0_STAR, dictionary)
+        assert gk[1, 2] == pytest.approx(1.0, abs=1e-15)
+        assert gks[1, 2] == pytest.approx(-1.0, abs=1e-15)
+        assert gk[3, 3] == pytest.approx(-1.0, abs=1e-15)
+        assert gks[3, 3] == pytest.approx(-1.0, abs=1e-15)
+        assert gk[0, 0] == 1.0
 
 
 class TestEmpiricalJoining:
@@ -369,9 +373,9 @@ class TestEmpiricalJoining:
         w = jo.folner_window(3, levels)
         x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(8))
         emp = jo.empirical_joining(x, x, w, dictionary, levels, 40_000, np.random.default_rng(9))
-        diag = jo.graph_joining_target(SU2_I, dictionary)
-        d = jo.joining_metric(emp, diag)
-        assert d <= 8 * jo.joining_metric_stderr(emp, diag) + 0.03
+        diag = jo.graph_joining_target(SU2_I.array(), dictionary)
+        d = jo.joining_metric(emp.corr, diag)
+        assert d <= 8 * jo.joining_metric_stderr(emp) + 0.03
 
     def test_paired_case_close_to_graph_structure(self, levels, dictionary):
         w = jo.folner_window(4, levels)
@@ -438,7 +442,7 @@ class TestEmpiricalJoining:
             blocks.append(tuple(reference_evaluate(dictionary, cf.translate(levels, *p, g, 1, top)[:4])
                                 for p in (x, x2)))
         assert 0 < (blocks[0][0][0] != 0).sum() < cf.ROW_BLOCK  # some lanes off level 1
-        assert same_table(table, jo._correlation_table(dictionary.dict_id, blocks, levels.mu_xn(w.n)))
+        assert same_table(table, jo._correlation_table(blocks, levels.mu_xn(w.n)))
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)
@@ -457,10 +461,29 @@ class TestEmpiricalJoining:
 
 
 class TestClassify:
-    def test_rows_and_verdict(self, rng):
-        t = random_table(rng)
-        targets = {"a": t, "b": random_table(rng)}
-        rows = jo.classify("case", t, targets)
-        verdicts = {r.target: r.verdict for r in rows}
-        assert verdicts["a"] == "nearest"
-        assert verdicts["b"] == ""
+    def test_rows_and_verdict(self, tmp_path, monkeypatch):
+        # the joinings experiment measures each estimate against the exact
+        # targets, marks the first nearest in the order product, graph_k,
+        # graph_kstar, mixture, and writes the rows sorted by target name,
+        # each with the estimate's stderr
+        estimates = []
+        estimate = jo.empirical_joining
+
+        def recording(*args):
+            estimates.append(estimate(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(jo, "empirical_joining", recording)
+        cfg = verifier.ExperimentConfig(seed=5, mc_samples=20_000, output_dir=str(tmp_path))
+        _, rows = verifier.run_joining_classification(cfg).csv_tables["joinings.csv"]
+        d = jo.CFDictionary(verifier._build_levels(cfg.seed, cfg.construction))
+        gk, gks = (jo.graph_joining_target(m, d) for m in (H0, H0_STAR))
+        targets = {"product": np.zeros_like(gk), "graph_k": gk, "graph_kstar": gks, "mixture": 0.5 * (gk + gks)}
+        for case, emp in zip(("paired", "independent"), estimates):
+            dist = {name: jo.joining_metric(emp.corr, table) for name, table in targets.items()}
+            nearest = min(dist, key=dist.get)
+            se = repr(jo.joining_metric_stderr(emp))
+            assert [row for row in rows if row[0] == case] == [
+                [case, name, repr(dist[name]), se, "nearest" if name == nearest else ""]
+                for name in sorted(targets)
+            ]

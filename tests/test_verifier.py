@@ -253,6 +253,20 @@ class TestRunners:
         monkeypatch.setattr(verifier, "g_mul", twisted_by_tb)
         assert not associative()
 
+    def test_groups_checks_the_library_star(self, small_cfg, monkeypatch):
+        # run_groups applies groups.conj_star, not a twist of its own: a star
+        # that twists by half a period is not an involution
+        def involutive():
+            metrics = {m.name: m for m in verifier.run_groups(small_cfg).metrics}
+            return metrics["star-involution-max"].passed
+
+        def half_twist(t, m):
+            return t, quat_phi_real(0.5, m)
+
+        assert involutive()
+        monkeypatch.setattr(verifier, "conj_star", half_twist)
+        assert not involutive()
+
     def test_anchor_strings_nonempty(self, small_cfg):
         for rep in (run_sequences(small_cfg), run_validate_cf(small_cfg)):
             assert rep.anchor
@@ -558,17 +572,24 @@ def test_schedule_that_does_not_build_is_named_in_code(tmp_path):
 
 
 class TestCLI:
-    @pytest.mark.parametrize("command, need", [("weakmix", 6), ("lemma62", 5)])
+    @pytest.mark.parametrize("command, need", [
+        ("weakmix", 6), ("lemma62", 5), ("sequences", 4), ("equidist", 2), ("joinings", 4),
+    ])
     def test_level_below_the_runners_is_a_usage_error(self, command, need, tmp_path, capsys):
-        # --level 3 used to end in a LevelTooDeepError traceback from inside
-        # the runner (weakmix at level 5 ran, but every g_6 translate left the
-        # build, so its n = 6 correlation read 0)
-        for level in (3, need - 1):
+        # below its floor each used to end in a traceback from inside the
+        # runner: a LevelTooDeepError (weakmix, lemma62, equidist's
+        # sample-sets, joinings below 3) or an IndexError (sequences).  At
+        # the level under its floor, weakmix read 0 for its n = 6
+        # correlation and joinings wrote a FAIL report: their translates
+        # left the build
+        experiment = "sample-sets" if command == "equidist" else command
+        for level in (0, need - 1):
             with pytest.raises(SystemExit) as exc:
                 cli.main([command, "--level", str(level), "--out", str(tmp_path)])
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert f"max level {level} is below {need}, the smallest at which {command} can run" in err
+            assert f"max level {level} is below {need}, the smallest at which {experiment} can run" in err
+            assert f"pass --level {need} or higher" in err
         parser = cli.build_parser()
         cfg = cli.load_config(parser.parse_args([command, "--level", str(need)]), parser)
         assert cfg.construction.max_level == need
