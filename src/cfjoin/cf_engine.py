@@ -6,7 +6,7 @@ Time coordinates blow up fast (the level-7 base interval half-width exceeds
 exact integer part plus a float fraction in [0, 1).  Every point is a row
 of a batch (ti, tf, q, tails) at some level: integer times, fractions, unit
 quaternion fibers, and the shift indices that embedding consumes level by
-level, as sample_point_batch draws them.  One batch engine moves points:
+level, as sample_tails draws them.  One batch engine moves points:
 embed_batch and peel_batch run a single arithmetic path per level.  The
 top level of an embedding is kept in mixed radix, t = hi * 2 a~_k + lo
 with hi the last shift index h_k (a RadixTimes pair).  Its low digit is a
@@ -71,6 +71,7 @@ __all__ = [
     "split_translate",
     "RadixTimes",
     "sample_point_batch",
+    "sample_tails",
     "embed_batch",
     "peel_batch",
     "translate",
@@ -596,40 +597,29 @@ def row_blocks(n: int):
     return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
-def sample_point_batch(
-    levels: CFLevels,
-    n: int,
-    truncation: int,
-    rng: np.random.Generator,
-    h_minus: bool = False,
-    *,
-    fiber: bool = True,
-):
-    """Arrays (ti, tf, q, tails) of n points of the level-1 base set, with
-    the shift indices of levels 1..truncation (as far as the build goes),
-    as int32 (a level with r >= 2^31 cannot be built: its correction tables
-    hold 2r - 1 entries).
-
-    With h_minus the tail indices are rejected into the slightly shrunken
-    ranges |h_k| < (1 - k^{-2}) r_k used by generic-point selection, strict
-    and in integers: |h_k| k^2 < (k^2 - 1) r_k, and never narrower than
-    |h_k| <= 1.
-
-    With fiber False q is None: the (n, 4) normals are still drawn, so the
-    random stream and ti, tf and tails are the same, but in ROW_BLOCK
-    chunks, each dropped without being normalised.
-    """
+def sample_point_batch(levels: CFLevels, n: int, truncation: int, rng: np.random.Generator,
+                       h_minus: bool = False):
+    """Arrays (ti, tf, q, tails) of n points of the level-1 base set, drawn
+    in this order: uniform times (split into int64 ti and tf in [0, 1)),
+    Haar fibers, and sample_tails(levels, n, truncation, rng, h_minus)."""
     a = levels.a(1)
     t = rng.uniform(-float(a), float(a), size=n)
     ti = np.floor(t)
     tf = np.subtract(t, ti, out=t)
-    ti = ti.astype(np.int64)
-    if fiber:
-        q = quat_normalize(rng.standard_normal((n, 4)))
-    else:
-        q = None
-        for rows in row_blocks(n):
-            rng.standard_normal((rows.stop - rows.start, 4))
+    q = quat_normalize(rng.standard_normal((n, 4)))
+    return ti.astype(np.int64), tf, q, sample_tails(levels, n, truncation, rng, h_minus)
+
+
+def sample_tails(levels: CFLevels, n: int, truncation: int, rng: np.random.Generator,
+                 h_minus: bool = False):
+    """(n, k) shift indices of levels 1..truncation (as far as the build goes,
+    k levels), drawn a level at a time, as int32 (a level with r >= 2^31
+    cannot be built: its correction tables hold 2r - 1 entries).
+
+    With h_minus the indices are rejected into the slightly shrunken ranges
+    |h_k| < (1 - k^{-2}) r_k used by generic-point selection, strict and in
+    integers: |h_k| k^2 < (k^2 - 1) r_k, and never narrower than |h_k| <= 1.
+    """
     ks = list(range(1, min(1 + truncation, levels.max_level + 1)))
     tails = np.zeros((n, len(ks)), dtype=np.int32)
     for col, k in enumerate(ks):
@@ -638,7 +628,7 @@ def sample_point_batch(
         if h_minus:
             bound = max(1, min(bound, ((k * k - 1) * r - 1) // (k * k)))
         tails[:, col] = rng.integers(-bound, bound + 1, size=n, dtype=np.int32)
-    return ti, tf, q, tails
+    return tails
 
 
 def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: int,

@@ -685,30 +685,29 @@ def _weakmix_deviation(
     truncation effect is the vanishing mass of translates leaving the deepest
     built frame.  g_n = (2 a~_n, I) moves the level-n shift index, so a build
     without level n raises LevelTooDeepError (the correlation would read 0).
-    It moves only time and both rectangles have full fibers, so translate
-    moves the points without their fiber, as int64 radix digits.  The times
-    and tails are drawn whole and the fiber not at all (its normals are
-    drawn, to keep the stream, and dropped block by block).  The rectangle
-    tests run over row blocks, and translate gets only the block's rows in
-    [B]: a hit lies in [B] before the translate, so no other row can count.
-    The whole batch is drawn and the blocks' hits sum to the whole mask's
-    int, so p_hat = hits / samples is its mean bit for bit.  The exactness
-    guards of embed and peel (InexactFractionError) run on every translated
-    lane; the lanes outside [B], which they do not see, never reach p_hat."""
+    It moves only time and both rectangles have full fibers, so no fiber is
+    drawn and translate moves the points as int64 radix digits.  A hit lies
+    in [B] before the translate, so only the rows in [B] go on: the level-1
+    times are drawn for every sample and tested against B, and only the kept
+    rows get shift indices (sample_tails) and a translate, in ROW_BLOCK
+    blocks; p_hat = hits / samples.  The exactness guards of embed and peel
+    (InexactFractionError) run on every translated lane."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
     top = min(n + 2, levels.max_level + 1)
-    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng, fiber=False)
+    a1 = float(levels.a(1))
+    t = rng.uniform(-a1, a1, size=samples)
+    t = t[(t > float(B[0])) & (t <= float(B[1]))]
+    ti = np.floor(t)
+    tf = np.subtract(t, ti, out=t)
+    ti = ti.astype(np.int64)
+    tails = cf_engine.sample_tails(levels, len(tf), top - 1, rng)
     hits = 0
-    for rows in cf_engine.row_blocks(samples):
-        t1 = ti[rows].astype(float) + tf[rows]
-        b_rows = rows.start + np.flatnonzero((t1 > float(B[0])) & (t1 <= float(B[1])))
-        valid, ti1, tf1, _, _ = cf_engine.translate(
-            levels, ti[b_rows], tf[b_rows], None, tails[b_rows], g, 1, top
-        )
+    for rows in cf_engine.row_blocks(len(tf)):
+        valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti[rows], tf[rows], None, tails[rows], g, 1, top)
         t1_shift = ti1.astype(float) + tf1
         hits += int(np.count_nonzero(valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))))
     p_hat = hits / samples

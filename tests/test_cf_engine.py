@@ -438,20 +438,6 @@ class TestSampling:
         assert abs(z2 - 0.5) < 4 * 0.3 / math.sqrt(len(q))
 
     @pytest.mark.parametrize("h_minus", [False, True])
-    @pytest.mark.parametrize("n", [0, 1, cf.ROW_BLOCK, cf.ROW_BLOCK + 1])
-    def test_without_fiber_the_stream_is_the_same(self, levels, n, h_minus):
-        # the normals are drawn in row blocks and dropped unnormalised: the
-        # same times and tails, bit for bit, and the generator left where
-        # the whole draw leaves it
-        rng, bare_rng = np.random.default_rng(n), np.random.default_rng(n)
-        ti, tf, q, tails = cf.sample_point_batch(levels, n, 6, rng, h_minus)
-        bare = cf.sample_point_batch(levels, n, 6, bare_rng, h_minus, fiber=False)
-        assert q.shape == (n, 4) and bare[2] is None
-        for x, y in zip((ti, tf, tails), bare[:2] + bare[3:], strict=True):
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert bare_rng.bit_generator.state == rng.bit_generator.state
-
-    @pytest.mark.parametrize("h_minus", [False, True])
     def test_int32_tails_are_the_int64_draws(self, h_minus):
         # every level's r (16807 at level 7) lies far inside int32, where
         # integers draws the same values as for int64 and leaves the
@@ -459,10 +445,8 @@ class TestSampling:
         levels7 = _build(7)
         n = 1000
         rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-        tails = cf.sample_point_batch(levels7, n, 7, rng, h_minus)[3]
+        tails = cf.sample_tails(levels7, n, 7, rng, h_minus)
         assert tails.dtype == np.int32 and tails.shape == (n, 7)
-        replay.uniform(-1.0, 1.0, size=n)
-        replay.standard_normal((n, 4))
         for col, k in enumerate(range(1, 8)):
             r = levels7.level(k).r
             bound = max(1, min(r - 1, ((k * k - 1) * r - 1) // (k * k))) if h_minus else r - 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfjoin import cf_engine, cli, verifier
-from cfjoin.groups import quat_mul, quat_phi_real
+from cfjoin.groups import quat_mul, quat_normalize, quat_phi_real
 from cfjoin.verifier import (
     EXPERIMENTS,
     CheckReport,
@@ -376,34 +376,59 @@ def test_correction_times_are_rounded_fractions(seed):
         assert _correction_times(lv).tobytes() == ref.tobytes()
 
 
-def _weakmix_deviation_with_fiber(levels, n, samples, rng):
-    """The weakmix deviation as computed when the fiber rode along."""
+def _weakmix_draw(levels, n, samples, rng):
+    """(in_b, ti, tf, tails, top): the weakmix draw of the whole batch.  The
+    level-1 times for every sample, split, with the mask of [B] taken on the
+    split ti + tf; then the shift indices of the rows in [B] only.  ti, tf
+    and tails are those rows'."""
+    _, B = _level1_full_rectangles(levels)
+    top = min(n + 2, levels.max_level + 1)
+    a1 = float(levels.a(1))
+    t = rng.uniform(-a1, a1, size=samples)
+    ti = np.floor(t)
+    tf = t - ti
+    t1 = ti + tf
+    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+    tails = cf_engine.sample_tails(levels, int(in_b.sum()), top - 1, rng)
+    return in_b, ti[in_b].astype(np.int64), tf[in_b], tails, top
+
+
+def _weakmix_result(levels, samples, in_b, valid, ti1, tf1):
+    """(deviation, stderr, estimate) from the peeled B rows, with p_hat the
+    mean of the whole batch's hit mask."""
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
     mu_b = cf_engine.cylinder_measure(levels, 1, *B)
     mu1 = levels.mu_xn(1)
-    top = min(n + 2, levels.max_level + 1)
-    ti, tf, q, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
-    t1 = ti.astype(float) + tf
-    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+    t1_shift = ti1.astype(float) + tf1
+    hit = np.zeros(samples, dtype=bool)
+    hit[in_b] = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
+    p_hat = float(np.mean(hit))
+    sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
+    return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
+
+
+def _weakmix_deviation_with_fiber(levels, n, samples, rng):
+    """The weakmix deviation with a Haar fiber riding along the B rows (drawn
+    from its own generator, so the stream is the weakmix one), moved by
+    embed_batch, a plain time shift and peel_batch."""
+    in_b, ti, tf, tails, top = _weakmix_draw(levels, n, samples, rng)
+    q = quat_normalize(np.random.default_rng(samples).standard_normal((len(tf), 4)))
     tin, tfn, qn = cf_engine.embed_batch(levels, ti, tf, q, tails, 1, top)
     assert qn is not None
     g = 2 * levels.a_tilde(n)
     tin = tin + (g if tin.dtype == object else np.int64(g))
     valid, ti1, tf1, q1, _ = cf_engine.peel_batch(levels, tin, tfn, qn, top, 1)
     assert q1 is not None
-    t1_shift = ti1.astype(float) + tf1
-    in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
-    p_hat = float(np.mean(in_a & in_b))
-    sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
-    return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
+    return _weakmix_result(levels, samples, in_b, valid, ti1, tf1)
 
 
 class TestWeakmixTimeOnly:
     @pytest.mark.parametrize("n", [2, 5])
     def test_no_fiber_arithmetic_and_same_result(self, levels, monkeypatch, n):
-        # g_n moves time only; the fiber must not be normalised or moved,
-        # and dropping it must not move a bit of (deviation, sigma, estimate)
+        # g_n moves time only; the fiber must not be drawn, normalised or
+        # moved, and leaving it out must not move a bit of (deviation,
+        # sigma, estimate)
         ref = _weakmix_deviation_with_fiber(levels, n, 4000, np.random.default_rng(n))
 
         def forbidden(*args):
@@ -418,23 +443,12 @@ class TestWeakmixTimeOnly:
 
 
 def _weakmix_deviation_whole(levels, n, samples, rng):
-    """The weakmix deviation with the translate and both rectangle tests run
-    on the whole batch at once, as before the row blocks."""
-    A, B = _level1_full_rectangles(levels)
-    mu_a = cf_engine.cylinder_measure(levels, 1, *A)
-    mu_b = cf_engine.cylinder_measure(levels, 1, *B)
-    mu1 = levels.mu_xn(1)
-    top = min(n + 2, levels.max_level + 1)
-    ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, top - 1, rng)
-    t1 = ti.astype(float) + tf
-    in_b = (t1 > float(B[0])) & (t1 <= float(B[1]))
+    """The weakmix deviation with all the B rows translated at once and the
+    rectangle tests run on the whole batch's masks, as without row blocks."""
+    in_b, ti, tf, tails, top = _weakmix_draw(levels, n, samples, rng)
     g = 2 * levels.a_tilde(n)
     valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
-    t1_shift = ti1.astype(float) + tf1
-    in_a = valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))
-    p_hat = float(np.mean(in_a & in_b))
-    sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
-    return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat
+    return _weakmix_result(levels, samples, in_b, valid, ti1, tf1)
 
 
 class TestWeakmixInRowBlocks:
@@ -446,13 +460,13 @@ class TestWeakmixInRowBlocks:
         ref = _weakmix_deviation_whole(levels, 5, samples, np.random.default_rng(samples))
         assert _weakmix_deviation(levels, 5, samples, np.random.default_rng(samples)) == ref
 
-    def test_peak_memory_below_eight_columns(self, levels):
-        # an (N,) float or int64 column is 1 MB at N = 2^17.  The draws are
-        # 5 columns (ti, tf and 6 int32 tail indices), and the translate of
-        # the B rows of one row block adds about 1.5 more.  Translating every
-        # row of the block peaked near 8.6 columns, drawing and normalising
-        # the whole (N, 4) fiber near 14, and the whole-batch translate at
-        # n = 6 near 32
+    def test_peak_memory_below_six_columns(self, levels):
+        # an (N,) float or int64 column is 1 MB at N = 2^17.  The times of
+        # every row, then the split times and 6 int32 tail indices of the B
+        # rows (36%) and one block's translate peak near 4.9 columns.
+        # Drawing times and tails for every row peaked near 6.5, translating
+        # every row of the block near 8.6, drawing and normalising the whole
+        # (N, 4) fiber near 14, and the whole-batch translate at n = 6 near 32
         n = 2**17
         tracemalloc.start()
         try:
@@ -460,51 +474,70 @@ class TestWeakmixInRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * np.dtype(np.int64).itemsize
+        assert peak < 6 * n * np.dtype(np.int64).itemsize
 
 
 class TestWeakmixTranslatesBRows:
-    """Only the rows in B can count, so only they reach translate."""
+    """Only the rows in B can count, so only they get tails and reach
+    translate."""
 
     @staticmethod
-    def _record(monkeypatch):
+    def _record(monkeypatch, name):
+        """The arguments after levels of each call to cf_engine.<name>,
+        arrays copied."""
         calls = []
-        translate = cf_engine.translate
+        original = getattr(cf_engine, name)
 
-        def recording(levels, ti, tf, q, tails, *args):
-            calls.append((ti.copy(), tf.copy(), tails.copy()))
-            return translate(levels, ti, tf, q, tails, *args)
+        def recording(levels, *args):
+            calls.append([np.copy(x) if isinstance(x, np.ndarray) else x for x in args])
+            return original(levels, *args)
 
-        monkeypatch.setattr(cf_engine, "translate", recording)
+        monkeypatch.setattr(cf_engine, name, recording)
         return calls
 
     @staticmethod
-    def _in_b(levels, samples, rng):
-        _, B = _level1_full_rectangles(levels)
-        ti, tf, _, tails = cf_engine.sample_point_batch(levels, samples, 6, rng, fiber=False)
-        t1 = ti.astype(float) + tf
-        return (t1 > float(B[0])) & (t1 <= float(B[1])), ti, tf, tails
+    def _outside_b_seed(levels):
+        """The first seed whose one point lies outside B."""
+        return next(s for s in range(100) if not _weakmix_draw(levels, 5, 1, np.random.default_rng(s))[0][0])
 
     def test_each_block_hands_over_its_b_rows(self, levels, monkeypatch):
         samples = 3 * cf_engine.ROW_BLOCK + 5
-        in_b, ti, tf, tails = self._in_b(levels, samples, np.random.default_rng(7))
-        calls = self._record(monkeypatch)
+        in_b, ti, tf, tails, _ = _weakmix_draw(levels, 5, samples, np.random.default_rng(7))
+        calls = self._record(monkeypatch, "translate")
         _weakmix_deviation(levels, 5, samples, np.random.default_rng(7))
-        blocks = list(cf_engine.row_blocks(samples))
-        assert len(calls) == len(blocks)
+        blocks = list(cf_engine.row_blocks(int(in_b.sum())))
+        assert len(calls) == len(blocks) == 2
         assert sum(len(c[1]) for c in calls) == in_b.sum() < samples
-        for rows, (ti_b, tf_b, tails_b) in zip(blocks, calls):
-            mask = in_b[rows]
-            assert np.array_equal(ti_b, ti[rows][mask]) and np.array_equal(tf_b, tf[rows][mask])
-            assert np.array_equal(tails_b, tails[rows][mask])
+        for rows, (ti_b, tf_b, _, tails_b, *_) in zip(blocks, calls):
+            assert np.array_equal(ti_b, ti[rows]) and np.array_equal(tf_b, tf[rows])
+            assert np.array_equal(tails_b, tails[rows])
+
+    @pytest.mark.parametrize("samples", [5000, 3 * cf_engine.ROW_BLOCK + 5])
+    def test_tails_once_for_the_b_rows(self, levels, monkeypatch, samples):
+        in_b = _weakmix_draw(levels, 6, samples, np.random.default_rng(samples))[0]
+        calls = self._record(monkeypatch, "sample_tails")
+        _weakmix_deviation(levels, 6, samples, np.random.default_rng(samples))
+        assert [c[0] for c in calls] == [in_b.sum()]
 
     def test_a_block_without_b_rows(self, levels, monkeypatch):
-        # the first seed whose one point lies outside B: no lane is translated
-        seed = next(s for s in range(100) if not self._in_b(levels, 1, np.random.default_rng(s))[0][0])
+        # one point outside B: no tails drawn, no lane translated, and the
+        # same result as the whole batch
+        seed = self._outside_b_seed(levels)
         ref = _weakmix_deviation_whole(levels, 5, 1, np.random.default_rng(seed))
-        calls = self._record(monkeypatch)
+        tails = self._record(monkeypatch, "sample_tails")
+        translated = self._record(monkeypatch, "translate")
         assert _weakmix_deviation(levels, 5, 1, np.random.default_rng(seed)) == ref
-        assert [len(c[1]) for c in calls] == [0]
+        assert [c[0] for c in tails] == [0] and sum(len(c[1]) for c in translated) == 0
+
+    @pytest.mark.parametrize("samples", [1, 4000, cf_engine.ROW_BLOCK + 1])
+    def test_stream_is_the_times_then_the_b_rows_tails(self, levels, samples):
+        # the generator ends where uniform(samples) and then the tails of
+        # the rows in B leave it
+        for seed in (samples, self._outside_b_seed(levels)):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            _weakmix_deviation(levels, 4, samples, rng)
+            _weakmix_draw(levels, 4, samples, replay)
+            assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_weakmix_above_the_build_names_the_level(tmp_path):
