@@ -2,29 +2,37 @@
 and the action on finite truncations.
 
 Time coordinates blow up fast (the level-7 base interval half-width exceeds
-1e20 under the default schedule), so times are carried in split form: an
-exact integer part plus a float fraction in [0, 1).  Every point is a row
-of a batch (ti, tf, q, tails) at some level: integer times, fractions, unit
-quaternion fibers, and the shift indices that embedding consumes level by
-level, as sample_tails draws them.  One batch engine moves points:
-embed_batch and peel_batch run a single arithmetic path per level.  The
-top level of an embedding is kept in mixed radix, t = hi * 2 a~_k + lo
-with hi the last shift index h_k (a RadixTimes pair).  Its low digit is a
-level-k time plus one correction, so it stays int64 at the first level
-whose times pass 2^62 (level 7 of the default build), and translate, which
-moves the points of weakmix and of the joining windows, adds an integer
-time translate to the digits without forming the big time.  On deeper
-builds the times past that level, and the low digit of a top above them,
-fall back to Python-int object arrays (one radix digit, not one per
-overflowing level); _lane is the one place that picks int64 or object.
+1e20 under the default schedule), so at the public boundary times are
+carried in split form: an exact integer part plus a float fraction in
+[0, 1).  Every point is a row of a batch (ti, tf, q, tails) at some level:
+integer times, fractions, unit quaternion fibers, and the shift indices
+that embedding consumes level by level, as sample_tails draws them.  One
+batch engine moves points: embed_batch and peel_batch run a single
+arithmetic path per level.  Every correction time is a multiple of 1/D,
+D = CFLevels.grid the largest denominator of the correction alphabets'
+fractions (a power of two, 8 at the default alphabet), so inside the
+engine a time is t = (T + rho)/D: T an integer count of ticks of 1/D, and
+rho in [0, 1) a residual that no embed, peel or integer translate moves.
+Times then move only as integer ticks (CFLevel.ticks), and nothing
+rounds; the public fraction (T mod D + rho)/D is one rounding of the
+exact one.  The top level of an embedding is kept in mixed radix,
+T = hi * 2 a~_k D + lo with hi the last shift index h_k (a RadixTimes
+pair).  Its low digit is a level-k time plus one correction, so it stays
+int64 at the first level whose times pass 2^62 (level 7 of the default
+build), and translate, which moves the points of weakmix and of the
+joining windows, adds an integer time translate to the digits without
+forming the big time.  On deeper builds the times past that level, and
+the low digit of a top above them, fall back to Python-int object arrays
+(one radix digit, not one per overflowing level); _tick_lane is the one
+place that picks int64 or object.
 At the public boundary times are one array: embed_batch joins the pair
 unless asked for it, and peel_batch takes either form.  Both take q=None for
 time-only work (a central time translate against full-fiber sets): the
 SU(2) fiber is then neither moved nor returned, and times, validity and
 shift indices are exactly those of the fiber path.  act applies a group
 element to a batch at one level.  Exact set checks use Fractions built
-from the (exact) floats, or, for the stacking conditions, integer parts
-and fractions in [0, 1) compared as pairs.
+from the ticks, or, for the stacking conditions, integer parts and
+fractions in [0, 1) compared as pairs.
 
 Inside embed_batch and peel_batch a batch's fibers are component-major, a
 (4, ..., n) stack of contiguous rows, as are the level tables s_quat and
@@ -54,7 +62,6 @@ __all__ = [
     "DivergentScheduleError",
     "OrbitLeftTruncationError",
     "InexactTranslateError",
-    "InexactFractionError",
     "CorrectionFractionError",
     "UnknownConfigKeyError",
     "check_config_keys",
@@ -106,10 +113,6 @@ class OrbitLeftTruncationError(RuntimeError):
 
 class InexactTranslateError(ValueError):
     pass
-
-
-class InexactFractionError(ValueError):
-    """A split time's fraction would be rounded by the correction it meets."""
 
 
 class CorrectionFractionError(ValueError):
@@ -293,7 +296,8 @@ class CFLevel:
 
     c(h) = s(h) * (2 h a~_n, I) for h in H_n = {|h| < r_n}; the arrays below
     are indexed by j = h + (r_n - 1) and spell out the correction s(h) in
-    factored time form (integer shell + fraction) plus its fiber.
+    factored time form (integer shell + fraction, and the same time in
+    ticks) plus its fiber.
     """
 
     n: int
@@ -303,6 +307,10 @@ class CFLevel:
     s_map: Optional[SMapResult]  # None at level 0 (identity corrections)
     s_shell: np.ndarray  # (2r-1,) int64 integer parts of the correction times
     s_u: np.ndarray  # (2r-1,) float fractional parts
+    # (2r-1,) the correction times s_shell + s_u in ticks of 1/grid, exact
+    # integers in the level's lane (_lane)
+    ticks: np.ndarray
+    grid: int  # D, ticks per unit of time: the build's CFLevels.grid
     # the correction fibers component-major, (4, 2r-1), so that a level
     # gathers its lanes' corrections as four contiguous rows
     s_quat: np.ndarray
@@ -316,13 +324,8 @@ class CFLevel:
         return range(-(self.r - 1), self.r)
 
     def correction_time_fraction(self, h: int) -> Fraction:
-        """Exact time of c(h) as a Fraction (floats are exact binary rationals)."""
-        j = h + (self.r - 1)
-        return (
-            Fraction(int(self.s_shell[j]))
-            + Fraction(float(self.s_u[j]))
-            + 2 * h * self.a_tilde
-        )
+        """Exact time of c(h) as a Fraction, read off the tick table."""
+        return Fraction(int(self.ticks[h + (self.r - 1)]), self.grid) + 2 * h * self.a_tilde
 
 
 @dataclass
@@ -338,6 +341,12 @@ class CFLevels:
     @property
     def max_level(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def grid(self) -> int:
+        """D, the ticks of 1/D per unit of time that every correction time
+        is a whole number of (see build_levels)."""
+        return self.levels[0].grid
 
     def _built(self, n: int, top: int) -> int:
         """n itself, once it is a level in 0..top of this build."""
@@ -370,23 +379,6 @@ class CFLevels:
         return self.levels[self._built(n, self.max_level)]
 
 
-def _identity_level(n: int, a: int, a_tilde: int, r: int) -> CFLevel:
-    size = 2 * r - 1
-    quats = np.zeros((4, size))
-    quats[0] = 1.0
-    return CFLevel(
-        n=n,
-        a=a,
-        a_tilde=a_tilde,
-        r=r,
-        s_map=None,
-        s_shell=np.zeros(size, dtype=np.int64),
-        s_u=np.zeros(size),
-        s_quat=quats,
-        s_quat_inv=quats.copy(),
-    )
-
-
 def check_level_depth(params: CFParams) -> None:
     """LevelTooDeepError unless the correction shells of every level up to
     params.max_level fit int64: level n draws them from its slab, as the
@@ -407,38 +399,33 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
 
     Level 0 gets identity corrections (its slab is degenerate, and the level-0
     tiling is exact without them); correction maps at higher levels are drawn
-    from per-level substreams of `seed` via the retry protocol.  A divergent
-    schedule still yields level data, with mu_x0 None: validate_cf reports
-    the finiteness failure and mu_xn raises DivergentScheduleError.
+    from per-level substreams of `seed` via the retry protocol.  The grid D
+    is the largest denominator of the alphabets' fractions; floats are
+    dyadic, so it is a power of two and every correction time is a whole
+    number of ticks of 1/D.  Each level's maps and tables are made in turn,
+    D being known from the alphabets first.  A divergent schedule still
+    yields level data, with mu_x0 None: validate_cf reports the finiteness
+    failure and mu_xn raises DivergentScheduleError.
     """
     seq = derive_sequences(params, params.max_level + 1)
-    levels = [_identity_level(0, 1, 1, params.r(0))]
-    for n in range(1, params.max_level + 1):
-        a, at = seq[n]
-        r = params.r(n)
-        half_width = equidist.slab_half_width(n, seq[n - 1][1])
-        alphabet = default_alphabet(n, half_width, params.alphabet_size)
-        s_map = equidist.build_s_map(
-            n,
-            r,
-            alphabet,
-            params.eps(n),
-            substream(seed, f"s-map-{n}"),
-        )
+    alphabets = [default_alphabet(n, equidist.slab_half_width(n, seq[n - 1][1]), params.alphabet_size)
+                 for n in range(1, params.max_level + 1)]
+    grid = max((u.as_integer_ratio()[1] for alphabet in alphabets for u in alphabet.u.tolist()), default=1)
+    size = 2 * params.r(0) - 1
+    identity = np.zeros((4, size))
+    identity[0] = 1.0
+    levels = [CFLevel(n=0, a=1, a_tilde=1, r=params.r(0), s_map=None, s_shell=np.zeros(size, dtype=np.int64),
+                      s_u=np.zeros(size), ticks=np.zeros(size, dtype=_tick_lane(grid, 1, 1)), grid=grid,
+                      s_quat=identity, s_quat_inv=identity.copy())]
+    for n, alphabet in enumerate(alphabets, start=1):
+        s_map = equidist.build_s_map(n, params.r(n), alphabet, params.eps(n), substream(seed, f"s-map-{n}"))
         idx = s_map.values
-        levels.append(
-            CFLevel(
-                n=n,
-                a=a,
-                a_tilde=at,
-                r=r,
-                s_map=s_map,
-                s_shell=alphabet.shells[idx].astype(np.int64),
-                s_u=alphabet.u[idx],
-                s_quat=alphabet.quats[idx].T.copy(),
-                s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy(),
-            )
-        )
+        lane = _tick_lane(grid, *seq[n])
+        ticks = alphabet.shells.astype(lane) * grid + (alphabet.u * grid).astype(np.int64).astype(lane)
+        levels.append(CFLevel(n=n, a=seq[n][0], a_tilde=seq[n][1], r=params.r(n), s_map=s_map,
+                              s_shell=alphabet.shells[idx].astype(np.int64), s_u=alphabet.u[idx], ticks=ticks[idx],
+                              grid=grid, s_quat=alphabet.quats[idx].T.copy(),
+                              s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy()))
     try:
         mu0, _ = mu_total_normalizer(params)
     except DivergentScheduleError:
@@ -507,33 +494,59 @@ def validate_cf(levels: CFLevels) -> dict[str, bool]:
 # the integer lane and the group action
 # ---------------------------------------------------------------------------
 
+def _tick_lane(grid: int, a: int, a_tilde: int):
+    """The dtype of a level's times in ticks, and of the low digit of the
+    level above (a time plus one correction), room left for a translate by
+    up to 2 a~ and the peel's + a~: int64 while D (a + 2 a~) < 2^62, room
+    for one more such step, and Python ints (object) from there."""
+    return np.int64 if grid * (a + 2 * a_tilde) < _INT64_SAFE else object
+
+
 def _lane(levels: CFLevels, k: int):
-    """The dtype of level-k times inside the engine loops, and of the low
-    digit of level-(k+1) times: a level-k time plus one correction, room
-    left for a translate by up to 2 a~_k and the peel's + a~_k.  int64 below
-    2^62, room for one more such step, and Python ints (object) from there."""
-    return np.int64 if levels.a(k) + 2 * levels.a_tilde(k) < _INT64_SAFE else object
+    return _tick_lane(levels.grid, levels.a(k), levels.a_tilde(k))
 
 
 class RadixTimes(NamedTuple):
-    """Integer times of level k+1 in mixed radix, hi * 2 a~_k + lo: hi the
-    shift index h_k (int64), lo the rest, in the lane of level k."""
+    """Times of level k+1 in ticks and in mixed radix, hi * 2 a~_k D + lo:
+    hi the shift index h_k (int64), lo the rest, in the lane of level k.
+    Beside them the residual rho takes the place of tf."""
 
     hi: np.ndarray
     lo: np.ndarray
 
 
 def _join(levels: CFLevels, k: int, hi, lo):
-    """Level-k times hi * 2 a~_(k-1) + lo as one array in the lane of level
-    k; lo alone, moved to that lane, when hi is None."""
+    """Level-k times in ticks hi * 2 a~_(k-1) D + lo as one array in the
+    lane of level k; lo alone, moved to that lane, when hi is None."""
     lane = _lane(levels, k)
     lo = lo.astype(lane, copy=False)
-    return lo if hi is None else lo + hi.astype(lane, copy=False) * (2 * levels.a_tilde(k - 1))
+    return lo if hi is None else lo + hi.astype(lane, copy=False) * (2 * levels.a_tilde(k - 1) * levels.grid)
 
 
-def _in_base(ti, tf, a: int):
-    """Mask of the times ti + tf in the half-open base interval (-a, a]."""
-    return ((ti > -a) | ((ti == -a) & (tf > 0.0))) & ((ti < a) | ((ti == a) & (tf == 0.0)))
+def _to_ticks(levels: CFLevels, k: int, ti, tf):
+    """(T, rho), exactly, of level-k times ti + tf = (T + rho)/D: T new
+    ticks in the lane of level k (Python ints wherever ti is)."""
+    scaled = np.asarray(tf, dtype=float) * levels.grid
+    ticks = np.floor(scaled)
+    ti = np.asarray(ti)
+    lane = object if ti.dtype == object else _lane(levels, k)
+    T = ti.astype(lane, copy=False) * levels.grid
+    T += ticks.astype(np.int64).astype(lane, copy=False)
+    return T, np.subtract(scaled, ticks, out=scaled)
+
+
+def _from_ticks(levels: CFLevels, T, rho):
+    """The split time (ti, tf) of (T + rho)/D, D a power of two: ti the
+    floor, tf = (T mod D + rho)/D one rounding of the exact fraction."""
+    tf = (T & (levels.grid - 1)).astype(float)
+    tf += rho
+    tf /= levels.grid
+    return T >> (levels.grid.bit_length() - 1), tf
+
+
+def _in_base(T, rho, a: int):
+    """Mask of the times T + rho, rho in [0, 1), in the half-open (-a, a]."""
+    return ((T > -a) | ((T == -a) & (rho > 0.0))) & ((T < a) | ((T == a) & (rho == 0.0)))
 
 
 def split_translate(t: float) -> tuple[int, float]:
@@ -635,23 +648,23 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
                 *, radix: bool = False):
     """Vectorized embedding of a batch from from_level up to to_level.
 
-    tails columns are consumed in order.  Each level k adds the correction's
-    shell, fraction and carry to the time and keeps the shift index h_k as
-    the high digit of the level-(k+1) time, joined in at the next level (see
-    RadixTimes); times run in the lane _lane picks for their level.  So the
-    to_level times are the pair (h, lo), lo int64 wherever the level below
-    is.  By default they are joined into one array, Python ints (an object
-    array) where the level's times pass 2^62; with radix they come back as
-    RadixTimes, which peel_batch also takes.  Each level multiplies the
+    tails columns are consumed in order.  Each level adds the correction's
+    ticks to the time, in the lane _lane picks for the level, and keeps the
+    shift index h_k as the high digit of the level-(k+1) time, joined in at
+    the next level (see RadixTimes).  So the to_level times are the pair
+    (h, lo), lo int64 wherever the level below is.  By default they are
+    joined and split into (ti, tf), ti Python ints (an object array) where
+    the level's times pass 2^62; with radix they come back as RadixTimes
+    and rho, which peel_batch takes as they are.  Each level multiplies the
     fiber by the shift element twisted by the current time, in one
     groups.quat_mul_twisted_rows step on the fibers held component-major, a
     (4, ..., n) stack of contiguous rows, with the same bits as
     quat_mul(q, quat_twist(ti, tf, s)).
     Returns (ti, tf, q) at to_level, q a (..., n, 4) view of those rows.
     With q None the fiber is neither moved nor returned (None in its
-    place); times are the same either way.  The carries are made in place,
-    on times copied at entry, and the fibers are stepped on their own copy,
-    so the caller's arrays are never written.
+    place); times are the same either way.  Times are moved in place, on
+    the tick arrays made at entry, and the fibers are stepped on their own
+    copy, so the caller's arrays are never written.
     """
     levels._built(to_level, levels.max_level + 1)
     if tails.shape[1] < to_level - from_level:
@@ -659,106 +672,86 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
             f"orbit left truncation at level {from_level + tails.shape[1]}: "
             "no tail index available"
         )
-    ti = np.array(ti, copy=True)
-    tf = np.array(tf, dtype=float, copy=True)
+    T, rho = _to_ticks(levels, from_level, ti, tf)
     q, spare = _own_rows(q)
     h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
-        ti = _join(levels, k, h, ti)
+        T = _join(levels, k, h, T)
         h = tails[:, col].astype(np.int64)
         j = h + (lv.r - 1)
         # fiber twist by the current time, before the time moves
         if q is not None:
-            q, spare = quat_mul_twisted_rows(q, ti, tf, lv.s_quat.take(j, axis=1), out=spare), q
-        ti += lv.s_shell[j].astype(ti.dtype, copy=False)
-        s_u = lv.s_u[j]
-        moved = tf + s_u
-        lost = moved - s_u != tf
-        if lost.any():
-            i = int(np.argmax(lost))
-            raise InexactFractionError(
-                f"fraction {float(tf[i])!r} of lane {i} is lost below one ulp of "
-                f"the level-{k} correction {float(s_u[i])!r}"
-            )
-        tf = moved
-        # the carry in place: tf - 1.0 is exact on [1, 2), and tf - 0.0 = tf
-        carry = tf >= 1.0
-        np.subtract(tf, carry, out=tf)
-        np.add(ti, carry, out=ti)
-    ti = RadixTimes(h, ti) if radix else _join(levels, to_level, h, ti)
-    return ti, tf, _fiber_view(q)
+            q, spare = quat_mul_twisted_rows(q, *_from_ticks(levels, T, rho), lv.s_quat.take(j, axis=1),
+                                             out=spare), q
+        T += lv.ticks[j]
+    if radix:
+        return RadixTimes(h, T), rho, _fiber_view(q)
+    return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), _fiber_view(q))
 
 
 def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     """Vectorized peeling of a batch down to to_level.
 
     ti is one array of integer times, int64 or Python ints, or a RadixTimes
-    pair (hi, lo), of which the first level peels lo and adds hi to the
-    shift index it finds.  Returns (valid, ti, tf, q, hs): lanes where the
-    point has no representation at to_level are masked out of `valid` (their
-    coordinate values are unspecified); hs[:, c] is the recovered shift index
-    at level to_level + c.  Level k finds d = (t + a~_k) // 2 a~_k, less one
-    on a shell edge (remainder 0 and fraction 0), so h = hi + d (h = d
-    without hi) and the level-k time is t - d * 2 a~_k less the correction.
-    Python-int times return to int64 at the first level where they fit
-    (_lane).  Each level multiplies the fiber by the inverse shift element
-    twisted by the peeled time, as embed_batch does: one
-    groups.quat_mul_twisted_rows step on a (4, ..., n) stack of contiguous
-    rows, copied from q at entry, and q comes back as a (..., n, 4) view of
-    them.  With q None the fiber is neither moved nor returned (None in its
-    place); valid, times and hs are the same either way.  Times are peeled and
-    borrowed in place, on the copies made at entry: the caller's arrays,
-    or the read-only broadcast translate passes, are never written.
+    pair (hi, lo) with tf the residual rho, as embed_batch(radix=True)
+    returns them; the first level peels lo and adds hi to the shift index
+    it finds.  Returns (valid, ti, tf, q, hs): lanes where the point has no
+    representation at to_level are masked out of `valid` (their coordinate
+    values are unspecified); hs[:, c] is the recovered shift index at level
+    to_level + c.  Level k finds d = (T + a~_k D) // 2 a~_k D in ticks T,
+    less one on a shell edge (remainder 0 and rho 0), so h = hi + d (h = d
+    without hi) and the level-k time is T - d * 2 a~_k D less the
+    correction's ticks.  Python-int times return to int64 at the first
+    level where they fit (_lane).  Each level multiplies the fiber by the
+    inverse shift element twisted by the peeled time, as embed_batch does:
+    one groups.quat_mul_twisted_rows step on a (4, ..., n) stack of
+    contiguous rows, copied from q at entry, and q comes back as a
+    (..., n, 4) view of them.  With q None the fiber is
+    neither moved nor returned (None in its place); valid, times and hs are
+    the same either way.  Times are peeled in place, on the tick array made
+    at entry: the caller's arrays, or the read-only broadcast translate
+    passes, are never written.
     """
     levels._built(from_level, levels.max_level + 1)
-    hi, ti = ti if isinstance(ti, RadixTimes) else (None, ti)
-    ti = np.array(ti, copy=True)
-    tf = np.array(tf, dtype=float, copy=True)
+    if isinstance(ti, RadixTimes):
+        hi, T, rho = ti.hi, np.array(ti.lo, copy=True), np.asarray(tf, dtype=float)
+    else:
+        hi = None
+        T, rho = _to_ticks(levels, from_level, ti, tf)
     q, spare = _own_rows(q)
-    n = len(tf)
+    n = len(rho)
+    on_grid = rho == 0.0
     valid = np.ones(n, dtype=bool)
     hs = np.zeros((n, from_level - to_level), dtype=np.int64)
     for k in range(from_level - 1, to_level - 1, -1):
         lv = levels.level(k)
-        two = 2 * lv.a_tilde
-        # ti becomes the remainder t + a~_k - d * 2 a~_k, in [0, 2 a~_k)
-        ti += lv.a_tilde
-        d = ti // two
-        ti -= d * two
-        # a shell edge (remainder 0 and fraction 0) is the top of the shell below
-        on_edge = (ti == 0) & (tf == 0.0)
+        half = lv.a_tilde * levels.grid
+        # T becomes the remainder T + a~_k D - d * 2 a~_k D, in [0, 2 a~_k D)
+        T += half
+        d = T // (2 * half)
+        T -= d * (2 * half)
+        # a shell edge (remainder 0 and rho 0) is the top of the shell below
+        on_edge = (T == 0) & on_grid
         np.subtract(d, on_edge, out=d)
-        np.add(ti, two, out=ti, where=on_edge)
+        np.add(T, 2 * half, out=T, where=on_edge)
         h = d.astype(np.int64, copy=False)
         h = h if hi is None else hi + h
         hi = None
         ok_h = np.abs(h) <= lv.r - 1
         j = np.clip(h + (lv.r - 1), 0, 2 * lv.r - 2)
-        # the level-k time: the remainder less a~_k and the correction's shell
-        ti -= lv.a_tilde
-        ti -= lv.s_shell[j].astype(ti.dtype, copy=False)
-        # the borrow in place, tf + 0.0 = tf where there is none
-        np.subtract(tf, lv.s_u[j], out=tf)
-        borrow = tf < 0.0
-        np.add(tf, borrow, out=tf)
-        # a borrowed fraction can round up to 1.0; the max allocates no mask
-        if tf.max(initial=0.0) == 1.0:
-            lost = np.flatnonzero((tf == 1.0) & valid & ok_h)
-            if len(lost):
-                raise InexactFractionError(
-                    f"fraction of lane {lost[0]} rounds up to 1.0 when it borrows past "
-                    f"the level-{k} correction {float(lv.s_u[j[lost[0]]])!r}"
-                )
-        np.subtract(ti, borrow, out=ti)
-        if ti.dtype == object and _lane(levels, k) is np.int64:
-            ti = np.where(valid & ok_h, ti, 0).astype(np.int64)
-        ok_t = _in_base(ti, tf, lv.a)
+        # the level-k time: the remainder less a~_k D and the correction's ticks
+        T -= half
+        T -= lv.ticks[j].astype(T.dtype, copy=False)
+        if T.dtype == object and _lane(levels, k) is np.int64:
+            T = np.where(valid & ok_h, T, 0).astype(np.int64)
+        ok_t = _in_base(T, rho, lv.a * levels.grid)
         if q is not None:
-            q, spare = quat_mul_twisted_rows(q, ti, tf, lv.s_quat_inv.take(j, axis=1), out=spare), q
+            q, spare = quat_mul_twisted_rows(q, *_from_ticks(levels, T, rho), lv.s_quat_inv.take(j, axis=1),
+                                             out=spare), q
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
-    return valid, ti, tf, _fiber_view(q), hs
+    return (valid, *_from_ticks(levels, T, rho), _fiber_view(q), hs)
 
 
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
@@ -770,21 +763,22 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     broadcast.  q may carry leading fiber axes, shape (..., n, 4): fibers
     over the same times and tails share one time peel, and each comes back
     as its own translate would return it.  The top times stay a RadixTimes
-    pair: g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds gh to the
-    shift digit and gl to the low digit, so no time past 2^62 is formed
-    where the low digit fits int64."""
-    top, tf, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
+    pair, and rho goes from the embed to the peel as it is, so no float
+    fraction is formed: g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1),
+    adds gh to the shift digit and gl D ticks to the low digit, so no time
+    past 2^62 is formed where the low digit fits int64."""
+    top, rho, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
     g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
-    lanes = np.broadcast_shapes(tf.shape, g.shape)
+    lanes = np.broadcast_shapes(rho.shape, g.shape)
     if q is not None:
         rows = np.empty((4,) + q.shape[:-2] + lanes)
         rows[...] = np.moveaxis(q, -1, 0)
         rows[2:] *= np.where(g & 1, -1.0, 1.0)
         q = np.moveaxis(rows, 0, -1)
-    top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix)
-    return peel_batch(levels, top, np.broadcast_to(tf, lanes), q, to_level, from_level)
+    top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
+    return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
 
 
 # ---------------------------------------------------------------------------

@@ -690,8 +690,8 @@ def _weakmix_deviation(
     in [B] before the translate, so only the rows in [B] go on: the level-1
     times are drawn for every sample and tested against B, and only the kept
     rows get shift indices (sample_tails) and a translate, in ROW_BLOCK
-    blocks; p_hat = hits / samples.  The exactness guards of embed and peel
-    (InexactFractionError) run on every translated lane."""
+    blocks; p_hat = hits / samples.  translate moves every lane's time as
+    integer ticks of 1/D, so no translated time is rounded."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
@@ -769,14 +769,10 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
 
 def _correction_times(lv: cf_engine.CFLevel) -> np.ndarray:
     """Times of the corrections c(h), h in H_n, each float(correction_time_fraction(h))
-    bit for bit: s + 2 h a~_n + u as the Python-int quotient
-    ((s + 2 h a~_n) den + num) / den with num/den = u, which is correctly
-    rounded at any size (level 6 passes 2^63)."""
+    bit for bit: the Python-int quotient (2 h a~_n D + ticks) / D, which is
+    correctly rounded at any size (level 6 passes 2^63)."""
     return np.array([
-        ((s + 2 * h * lv.a_tilde) * den + num) / den
-        for h, s, (num, den) in zip(
-            lv.h_range(), lv.s_shell.tolist(), map(float.as_integer_ratio, lv.s_u.tolist())
-        )
+        (2 * h * lv.a_tilde * lv.grid + ticks) / lv.grid for h, ticks in zip(lv.h_range(), lv.ticks.tolist())
     ])
 
 

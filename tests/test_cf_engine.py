@@ -225,13 +225,41 @@ _R2 = cf.CFParams().r(2)
 
 def _edited_build(j: int, shell: int, u: float):
     """A two-level build whose level-2 corrections c(h) are the central
-    translates (2 h a~_2, I), except at index j, whose time gains shell + u."""
+    translates (2 h a~_2, I), except at index j, whose time gains shell + u
+    (in ticks too where u is a fraction on the grid)."""
     built = cf.build_levels(cf.CFParams(max_level=2), seed=0)
     lv = built.levels[2]
-    s_shell, s_u = np.zeros_like(lv.s_shell), np.zeros_like(lv.s_u)
+    s_shell, s_u, ticks = np.zeros_like(lv.s_shell), np.zeros_like(lv.s_u), np.zeros_like(lv.ticks)
     s_shell[j], s_u[j] = shell, u
-    built.levels[2] = dataclasses.replace(lv, s_shell=s_shell, s_u=s_u)
+    if 0.0 <= u < 1.0:
+        ticks[j] = shell * lv.grid + int(u * lv.grid)
+    built.levels[2] = dataclasses.replace(lv, s_shell=s_shell, s_u=s_u, ticks=ticks)
     return built
+
+
+class TestTickGrid:
+    def test_grid_is_the_alphabet_denominator(self, levels):
+        # the alphabet fractions are the van der Corput points 1 .. size - 1,
+        # whose largest denominator is 2^ceil(log2 size)
+        assert levels.grid == 8
+        for size in range(1, 65):
+            built = cf.build_levels(cf.CFParams(max_level=1, alphabet_size=size), seed=0)
+            assert built.grid == 2 ** math.ceil(math.log2(size)), size
+
+    @pytest.mark.parametrize("seed", [20260810, 20260811])
+    def test_acceptance_build_ticks_stay_int64(self, seed):
+        # level-6 ticks reach 2^60.1 at D = 8: the tick tables of levels 0-6,
+        # each the exact correction times, and the low digit of level-7
+        # times are int64; only the joined level-7 times are Python ints
+        built = cf.build_levels(cf.CFParams(), seed=seed)
+        for lv in built.levels:
+            assert lv.ticks.dtype == np.int64 and lv.grid == built.grid == 8
+            assert [Fraction(t, 8) for t in lv.ticks.tolist()] == \
+                [s + Fraction(u) for s, u in zip(lv.s_shell.tolist(), lv.s_u.tolist())]
+        assert [cf._lane(built, k) for k in range(8)] == [np.int64] * 7 + [object]
+        ti, tf, _, tails = cf.sample_point_batch(built, 50, 6, np.random.default_rng(1))
+        assert cf.embed_batch(built, ti, tf, None, tails, 1, 7, radix=True)[0].lo.dtype == np.int64
+        assert cf.embed_batch(built, ti, tf, None, tails, 1, 7)[0].dtype == object
 
 
 class TestCylinders:
@@ -386,7 +414,7 @@ class TestAction:
         valid, ti_n, tf_n, q_n, hs = cf.peel_batch(levels, *moved, n + 2, n)
         assert valid[0] and hs[0].tolist() == [h_match + 1, 0]
         # the level-n coordinate is unchanged when the corrections cancel
-        assert ti_n[0] == 7 and abs(tf_n[0] - 0.25) < 1e-12
+        assert ti_n[0] == 7 and tf_n[0] == 0.25
         assert np.max(np.abs(q_n - q)) < 1e-12
 
     def test_inexact_float_translate_rejected(self):
@@ -471,8 +499,7 @@ class TestBatchRoundTrips:
         ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
         valid, ti1, tf1, q1, hs = cf.peel_batch(levels, ti6, tf6, q6, 6, 1)
         assert valid.all()
-        assert np.all(ti1 == ti)
-        assert np.max(np.abs(tf1 - tf)) < 1e-12
+        assert np.all(ti1 == ti) and np.array_equal(tf1, tf)  # sampled fractions lose no bits
         assert np.max(np.abs(q1 - q)) < 1e-12
         assert np.all(hs == tails[:, :5])
 
@@ -487,74 +514,88 @@ class TestBatchRoundTrips:
 
     @given(data=st.data())
     def test_engine_matches_bigint_oracle(self, levels, data):
+        # exact to the float: ti is the oracle's floor and tf its fraction
+        # rounded once, whatever bits the drawn fraction carries
         lo, hi, starts, ti, tf, q, tails = _draw_batch(levels, data)
         n = len(starts)
-        if any(_fraction_lost(levels, f0, tails[i].tolist(), lo, hi) for i, (_, f0) in enumerate(starts)):
-            with pytest.raises(cf.InexactFractionError):
-                cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
-            return
         tin, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
         assert (tin.dtype == object) == (hi == 7)  # level-7 times exceed int64
         for i, (t0, f0) in enumerate(starts):
-            ref = _ref_split(_ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, hi))
-            assert int(tin[i]) == ref[0] and abs(float(tfn[i]) - ref[1]) <= 1e-12
+            ref = _ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, hi)
+            assert (int(tin[i]), float(tfn[i])) == _ref_split(ref)
 
-        valid, ti1, tf1, q1, hs = cf.peel_batch(levels, tin, tfn, qn, hi, lo)
-        assert valid.all()
-        assert [int(v) for v in ti1] == ti.tolist()
-        assert np.max(np.abs(tf1 - tf)) <= 1e-12 and np.max(np.abs(q1 - q)) <= 1e-12
-        assert np.array_equal(hs, tails)
+        # through the radix form, ticks and rho, the round trip is exact
+        pair, rho, qr = cf.embed_batch(levels, ti, tf, q, tails, lo, hi, radix=True)
+        valid, ti1, tf1, q1, hs = cf.peel_batch(levels, pair, rho, qr, hi, lo)
+        assert valid.all() and [int(v) for v in ti1] == ti.tolist() and np.array_equal(tf1, tf)
+        assert np.max(np.abs(q1 - q)) <= 1e-12 and np.array_equal(hs, tails)
 
-        # a central translate by 2 a~_m moves the shift index at level m
+        # the public tf may round away bits below one ulp of the corrections
+        # met (5.7e-220 at 0.375), so from it, as it is and moved by the
+        # central translate by 2 a~_m that moves the shift index at level m,
+        # peel_batch is the oracle's peel of that rounded point
         m = data.draw(st.integers(lo, hi - 1), label="translate level")
-        g = 2 * levels.a_tilde(m)
-        moved = tin + g
-        valid, ti1, tf1, _, hs = cf.peel_batch(levels, moved, tfn, qn, hi, lo)
-        for i in range(n):
-            ref = _ref_peel(levels, int(moved[i]) + Fraction(float(tfn[i])), hi, lo)
-            assert bool(valid[i]) == (ref is not None)
-            if ref is not None:
-                t_ref, hs_ref = ref
-                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(t_ref)[0], hs_ref)
-                assert abs(float(tf1[i]) - _ref_split(t_ref)[1]) <= 1e-12
+        for g in (0, 2 * levels.a_tilde(m)):
+            moved = tin + g
+            valid, ti1, tf1, _, hs = cf.peel_batch(levels, moved, tfn, qn, hi, lo)
+            for i in range(n):
+                ref = _ref_peel(levels, int(moved[i]) + Fraction(float(tfn[i])), hi, lo)
+                assert bool(valid[i]) == (ref is not None)
+                if ref is not None:
+                    t_ref, hs_ref = ref
+                    assert (int(ti1[i]), float(tf1[i]), tuple(hs[i].tolist())) == (*_ref_split(t_ref), hs_ref)
 
     @given(data=st.data())
     def test_time_only_path_matches_fiber_path(self, levels, data):
         # q=None skips the fiber and nothing else: the same times, validity
         # and shift indices, dtype included, on both lanes
         lo, hi, _, ti, tf, q, tails = _draw_batch(levels, data)
-        fiber = _outcome(cf.embed_batch, levels, ti, tf, q, tails, lo, hi)
-        bare = _outcome(cf.embed_batch, levels, ti, tf, None, tails, lo, hi)
-        if fiber is cf.InexactFractionError:
-            assert bare is fiber
-            return
+        fiber = cf.embed_batch(levels, ti, tf, q, tails, lo, hi)
+        bare = cf.embed_batch(levels, ti, tf, None, tails, lo, hi)
         assert bare[2] is None
         _assert_same_arrays(bare[:2], fiber[:2])
         tin, tfn, qn = fiber
         assert (tin.dtype == object) == (hi == 7)  # level-7 times exceed 2^62
         g = 2 * levels.a_tilde(data.draw(st.integers(lo, hi - 1), label="translate level"))
         for start in (tin, tin + g):
-            fiber = _outcome(cf.peel_batch, levels, start, tfn, qn, hi, lo)
-            bare = _outcome(cf.peel_batch, levels, start, tfn, None, hi, lo)
-            if fiber is cf.InexactFractionError:
-                assert bare is fiber
-                continue
+            fiber = cf.peel_batch(levels, start, tfn, qn, hi, lo)
+            bare = cf.peel_batch(levels, start, tfn, None, hi, lo)
             assert bare[3] is None
             _assert_same_arrays(bare[:3] + bare[4:], fiber[:3] + fiber[4:])
 
-    def test_sub_ulp_fraction_raises(self, levels):
-        # 5.7e-220 meets the level-1 correction 0.375 and would vanish: the
-        # point used to embed to (-1, 0.375) and peel back to (1, 0.0), valid
-        with pytest.raises(cf.InexactFractionError, match="lane 0 .* level-1 correction 0.375"):
-            cf.embed_batch(levels, np.array([-1]), np.array([5.7e-220]),
-                           np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0, 0]]), 0, 2)
+    def test_lanes_the_float_engine_rounded_match_the_oracle(self, levels):
+        # 5.7e-220 meeting the level-1 correction 0.375 vanished in a float
+        # carry, and 0.5 - 2^-54 borrowing past the level-1 correction 0.5
+        # rounded up to 1.0.  In ticks, through embed_batch, peel_batch and
+        # translate, valid, ti and the shift indices are the oracle's, and tf
+        # its fraction rounded once (1.0 for the borrow)
+        lv = levels.level(1)
+        assert (lv.s_u[lv.r - 1], lv.s_u[lv.r - 97], lv.ticks[-1]) == (0.375, 0.5, 0)  # the last is the identity
 
-    def test_borrow_rounding_to_one_raises(self, levels):
-        # 0.5 - 2^-54 borrows past the level-1 correction 0.5, and the exact
-        # fraction 1 - 2^-54 rounds to 1.0: peel used to return (2, 1.0), valid
-        ti = np.array([2 * -96 * levels.a_tilde(1) + 2])
-        with pytest.raises(cf.InexactFractionError, match="lane 0 .* level-1 correction 0.5"):
-            cf.peel_batch(levels, ti, np.array([0.5 - 2.0**-54]), np.array([[1.0, 0.0, 0.0, 0.0]]), 2, 1)
+        def assert_oracle(got, t, hi, lo):
+            ref = _ref_peel(levels, t, hi, lo)
+            assert ref is not None and got[0].all()
+            assert {(int(x), float(f), tuple(h.tolist())) for x, f, h in zip(*got[1:3], got[4])} == \
+                {(*_ref_split(ref[0]), ref[1])}
+
+        ti, tf, tails = np.array([-1]), np.array([5.7e-220]), np.array([[0, 0]])
+        t = _ref_embed(levels, -1 + Fraction(5.7e-220), [0, 0], 0, 2)
+        tin, tfn, _ = cf.embed_batch(levels, ti, tf, None, tails, 0, 2)
+        assert (int(tin[0]), float(tfn[0])) == _ref_split(t)
+        assert_oracle(cf.peel_batch(levels, *cf.embed_batch(levels, ti, tf, None, tails, 0, 2, radix=True)[:2],
+                                    None, 2, 0), t, 2, 0)
+        assert_oracle(cf.peel_batch(levels, tin, tfn, None, 2, 0), int(tin[0]) + Fraction(float(tfn[0])), 2, 0)
+        for g in (0, 2 * levels.a_tilde(1), -2 * levels.a_tilde(0)):
+            assert_oracle(cf.translate(levels, ti, tf, None, tails, g, 0, 2), t + g, 2, 0)
+
+        # the borrow lane peeled from level 2, and translated there from a
+        # level-1 point embedded by the identity
+        ti = 2 * -96 * lv.a_tilde + 2
+        t = ti + Fraction(0.5 - 2.0**-54)
+        assert_oracle(cf.peel_batch(levels, np.array([ti]), np.array([0.5 - 2.0**-54]), None, 2, 1), t, 2, 1)
+        assert_oracle(cf.translate(levels, np.array([0]), np.array([0.5 - 2.0**-54]), None, np.array([[lv.r - 1]]),
+                                   ti - 2 * (lv.r - 1) * lv.a_tilde, 1, 2), t, 2, 1)
+        assert _ref_split(_ref_peel(levels, t, 2, 1)[0])[1] == 1.0
 
     def test_short_tails_raise_truncation(self, levels, rng):
         ti, tf, q, tails = cf.sample_point_batch(levels, 10, 2, rng)
@@ -584,48 +625,45 @@ def _same_valid_lanes(got, want):
         assert (x is None and y is None) or np.array_equal(x[valid], y[valid])
 
 
+def _peel_ticks(levels, ticks, rho, q, hi, lo):
+    """peel_batch of times given as one array of Python-int ticks (an
+    object array, with a high digit of 0) and their residuals rho."""
+    ticks = np.asarray(ticks, dtype=object)
+    return cf.peel_batch(levels, cf.RadixTimes(np.zeros(ticks.shape, dtype=np.int64), ticks), rho, q, hi, lo)
+
+
 class TestRadixLane:
-    """The top level as the int64 radix pair (h, lo) against the same
-    times as one array, Python ints past 2^62 (the object lane), and against
-    the Fraction oracle.  max_level 7 puts the low digit of its top level 8
-    past int64 as well, where it falls back to the object lane."""
+    """The top level as the int64 radix pair (h, lo) in ticks against the
+    same times as one array of Python-int ticks (the object lane), and
+    against the Fraction oracle.  max_level 7 puts the low digit of its top
+    level 8 past int64 as well, where it falls back to the object lane."""
 
     @pytest.mark.parametrize("max_level", [6, 7])
-    @pytest.mark.parametrize("trap", [None, "sub-ulp", "borrow"])
     @given(data=st.data())
-    def test_radix_matches_object_lane_and_oracle(self, max_level, trap, data):
+    def test_radix_matches_object_lane_and_oracle(self, max_level, data):
         levels = _build(max_level)
         top = max_level + 1
         lv = levels.level(top - 1)
-        r, at, two = lv.r, lv.a_tilde, 2 * lv.a_tilde
-        # sub-ulp: the embed step into the top, the radix step, loses lane 0's fraction
-        lo = top - 1 if trap == "sub-ulp" else data.draw(st.integers(1, top - 1), label="from_level")
+        r, at, two, grid = lv.r, lv.a_tilde, 2 * lv.a_tilde, levels.grid
+        lo = data.draw(st.integers(1, top - 1), label="from_level")
         _, _, starts, ti, tf, q, tails = _draw_batch(levels, data, lo, top, min_points=3)
-        if trap == "sub-ulp":
-            tf[0] = 5.7e-220
-            tails[0, -1] = data.draw(st.sampled_from(np.flatnonzero(lv.s_u).tolist())) - (r - 1)
-        embedded = [_outcome(cf.embed_batch, levels, ti, tf, q, tails, lo, top, radix=radix)
-                    for radix in (True, False)]
-        if embedded[1] is cf.InexactFractionError:
-            assert embedded[0] is cf.InexactFractionError
-            if trap == "sub-ulp":
-                with pytest.raises(cf.InexactFractionError, match=f"level-{top - 1} correction"):
-                    cf.embed_batch(levels, ti, tf, q, tails, lo, top, radix=True)
-            return
-        assert trap != "sub-ulp"
-        (pair, tfn, qn), (joined, tfj, qj) = embedded
+        (pair, rho, qn), (joined, tfj, qj) = (cf.embed_batch(levels, ti, tf, q, tails, lo, top, radix=radix)
+                                             for radix in (True, False))
         # the top's times pass 2^62; its low digit does only on the deeper build
         assert joined.dtype == object and pair.lo.dtype == (np.int64 if max_level == 6 else object)
-        assert [int(h) * two + int(t) for h, t in zip(pair.hi, pair.lo)] == joined.tolist()
-        assert np.array_equal(tfn, tfj) and np.array_equal(qn, qj)
+        ticks = [int(h) * two * grid + int(t) for h, t in zip(pair.hi, pair.lo)]
+        assert [t // grid for t in ticks] == joined.tolist()
+        assert tfj.tolist() == [(t % grid + p) / grid for t, p in zip(ticks, rho.tolist())]
+        assert np.array_equal(qn, qj)
         for i, (t0, f0) in enumerate(starts):
-            ref = _ref_split(_ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top))
-            assert int(joined[i]) == ref[0] and abs(float(tfn[i]) - ref[1]) <= 1e-12
+            ref = _ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top)
+            assert ticks[i] + Fraction(float(rho[i])) == ref * grid
+            assert (int(joined[i]), float(tfj[i])) == _ref_split(ref)
 
         # a fiber-free translate against the object lane, one g for the batch
         g = data.draw(st.integers(-3 * two, 3 * two), label="translate")
         _same_valid_lanes(cf.translate(levels, ti, tf, None, tails, g, lo, top),
-                          cf.peel_batch(levels, joined + g, tfn, None, top, lo))
+                          _peel_ticks(levels, [t + g * grid for t in ticks], rho, None, top, lo))
 
         # one translate per lane: across a top shell edge (h' = h +- 1), out
         # of H (|h'| = r), or anywhere in three shells either way
@@ -637,57 +675,43 @@ class TestRadixLane:
               for kind, hk in zip(kinds, h)]
         digits = [divmod(gk, two) for gk in gs]
         his = [int(hk) + gh for hk, (gh, _) in zip(h, digits)]
-        los = [int(t) + gl for t, (_, gl) in zip(pair.lo, digits)]
-        tfs = tfn.tolist()
-        # a lane on a shell edge: remainder 0 and fraction 0
+        los = [int(t) + gl * grid for t, (_, gl) in zip(pair.lo, digits)]
+        rhos = rho.tolist()
+        # a lane on a shell edge: remainder 0 and rho 0
         his.append(data.draw(st.integers(-(r - 2), r - 2)))
-        los.append(data.draw(st.sampled_from([-at, at])))
-        tfs.append(0.0)
-        if trap == "borrow":
-            # t - s lands within 2^-54 below an integer, so the borrowed
-            # fraction rounds up to 1.0 at the radix step
-            j = data.draw(st.sampled_from(np.flatnonzero((lv.s_u > 0) & (lv.s_u <= 0.5)).tolist()))
-            his.append(j - (r - 1))
-            los.append(int(lv.s_shell[j]) + 2)
-            tfs.append(float(lv.s_u[j]) - 2.0**-54)
-        qs = np.vstack([qn, quat_normalize(np.ones((len(tfs) - len(qn), 4)))])
-        tfs = np.array(tfs)
+        los.append(data.draw(st.sampled_from([-at, at])) * grid)
+        rhos.append(0.0)
+        qs = np.vstack([qn, quat_normalize(np.ones((len(rhos) - len(qn), 4)))])
+        rhos = np.array(rhos)
         radix = cf.RadixTimes(np.array(his, dtype=np.int64), np.array(los, dtype=pair.lo.dtype))
-        big = np.array([hk * two + t for hk, t in zip(his, los)], dtype=object)
+        big = [hk * two * grid + t for hk, t in zip(his, los)]
         for fiber in (qs, None):
-            got = _outcome(cf.peel_batch, levels, radix, tfs, fiber, top, lo)
-            want = _outcome(cf.peel_batch, levels, big, tfs, fiber, top, lo)
-            if trap == "borrow":
-                assert got is want is cf.InexactFractionError
-                with pytest.raises(cf.InexactFractionError, match=f"level-{top - 1} correction"):
-                    cf.peel_batch(levels, radix, tfs, fiber, top, lo)
-                continue
+            got = cf.peel_batch(levels, radix, rhos, fiber, top, lo)
+            want = _peel_ticks(levels, big, rhos, fiber, top, lo)
             _same_valid_lanes(got, want)
             assert np.array_equal(got[4][:, -1], want[4][:, -1])  # the top shift, every lane
-        if trap == "borrow":
-            return
         valid, ti1, tf1, _, hs = got
         assert hs[0, -1] != h[0] and not valid[1]  # lane 0 crossed an edge, lane 1 left H
         for i, t in enumerate(big):
+            exact = (t + Fraction(float(rhos[i]))) / grid
             # the shell of h is (2h a~ - a~, 2h a~ + a~], edges included on the right
-            assert hs[i, -1] == math.ceil((t + Fraction(float(tfs[i])) - at) / two)
-            ref = _ref_peel(levels, t + Fraction(float(tfs[i])), top, lo)
+            assert hs[i, -1] == math.ceil((exact - at) / two)
+            ref = _ref_peel(levels, exact, top, lo)
             assert bool(valid[i]) == (ref is not None)
             if ref is not None:
-                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(ref[0])[0], ref[1])
-                assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
+                assert (int(ti1[i]), float(tf1[i]), tuple(hs[i].tolist())) == (*_ref_split(ref[0]), ref[1])
 
 
 def _window_arithmetic(levels, ti, tf, q, tails, g, lo, top):
     """The joining windows' own translate, the oracle for translate: the
-    joined times of embed_batch plus g as Python ints, the fiber turned by
-    the parity of g, then peel_batch."""
-    joined, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, top)
-    moved = joined.astype(object) + np.asarray(g).astype(object)
-    tfn = np.broadcast_to(tfn, moved.shape)
+    embedded times as one array of Python-int ticks plus g D, the fiber
+    turned by the parity of g, then peel_batch."""
+    (hi, low), rho, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, top, radix=True)
+    ticks = (hi.astype(object) * (2 * levels.a_tilde(top - 1)) + np.asarray(g).astype(object)) * levels.grid
+    ticks = ticks + low.astype(object)
     if q is not None:
-        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn, moved.shape + (4,)))
-    return cf.peel_batch(levels, moved, tfn, qn, top, lo)
+        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn, ticks.shape + (4,)))
+    return _peel_ticks(levels, ticks, np.broadcast_to(rho, ticks.shape), qn, top, lo)
 
 
 class TestTranslate:
@@ -711,12 +735,9 @@ class TestTranslate:
         tails[:2, :-1] = [levels.level(k).r - 1 for k in range(lo, top - 1)]
         tails[0, -1] = data.draw(st.integers(-(r - 2), r - 2), label="top tail")
         tails[1, -1] = r - 1
-        embedded = _outcome(cf.embed_batch, levels, ti, tf, None, tails, lo, top, radix=True)
-        if embedded is cf.InexactFractionError:
-            assert _outcome(cf.translate, levels, ti, tf, q, tails, 0, lo, top) is embedded
-            return
+        pair = cf.embed_batch(levels, ti, tf, None, tails, lo, top, radix=True)[0]
         # the g that takes a lane just past the right edge of its top shell
-        edge = [at - int(t) + 1 + data.draw(st.integers(0, 3)) for t in embedded[0].lo[:2]]
+        edge = [at - int(t) // levels.grid + 1 + data.draw(st.integers(0, 3)) for t in pair.lo[:2]]
         bound = min(3 * two, 2**62)
         odd = 2 * data.draw(st.integers(-bound // 2, bound // 2 - 1)) + 1
         if form == "lanes":
@@ -729,11 +750,8 @@ class TestTranslate:
         else:
             g = data.draw(st.integers(-3 * two, 3 * two), label="translate")
         for fiber in (q, None):
-            got = _outcome(cf.translate, levels, ti, tf, fiber, tails, g, lo, top)
-            want = _outcome(_window_arithmetic, levels, ti, tf, fiber, tails, g, lo, top)
-            if want is cf.InexactFractionError:
-                assert got is want
-                return
+            got = cf.translate(levels, ti, tf, fiber, tails, g, lo, top)
+            want = _window_arithmetic(levels, ti, tf, fiber, tails, g, lo, top)
             assert (got[3] is None) == (fiber is None)
             _same_valid_lanes(got, want)
             assert np.array_equal(got[4][:, -1], want[4][:, -1])  # the top shift, every lane
@@ -749,9 +767,7 @@ class TestTranslate:
             ref = _ref_peel(levels, t + gi, top, lo)
             assert bool(valid[i]) == (ref is not None)
             if ref is not None:
-                assert (int(ti1[i]), tuple(hs[i].tolist())) == (_ref_split(ref[0])[0], ref[1])
-                assert abs(float(tf1[i]) - _ref_split(ref[0])[1]) <= 1e-12
-
+                assert (int(ti1[i]), float(tf1[i]), tuple(hs[i].tolist())) == (*_ref_split(ref[0]), ref[1])
 
     @pytest.mark.parametrize("lanes", [0, 1, cf.ROW_BLOCK, cf.ROW_BLOCK + 1])
     def test_stacked_fibers_match_separate_translates(self, levels, lanes):
@@ -785,8 +801,8 @@ def _frozen(*arrays):
 
 
 class TestInputsUnchanged:
-    """embed_batch and peel_batch carry and borrow in place, on the arrays
-    they copied at entry: the caller's arrays come back byte for byte."""
+    """embed_batch and peel_batch move times in place, on the tick arrays
+    they made at entry: the caller's arrays come back byte for byte."""
 
     def test_int64_times(self, levels):
         ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(41))
@@ -856,14 +872,14 @@ def _aos_translate_fiber(levels, ti, tf, q, tails, g, lo, top):
     """The fiber translate returns, composed per level on (..., n, 4)
     arrays: the embedded fiber turned by quat_phi_int(g) on its broadcast to
     the lanes, then peeled from the top's radix digits moved by g."""
-    pair, tfn, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, top, radix=True)
+    pair, rho, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, top, radix=True)
     qn = _aos_embed_fiber(levels, ti, tf, q, tails, lo, top)
     radix = 2 * levels.a_tilde(top - 1)
     g = np.asarray(g).astype(pair.lo.dtype)
-    moved = cf.RadixTimes(pair.hi + np.asarray(g // radix, dtype=np.int64), pair.lo + g % radix)
-    lanes = np.broadcast_shapes(tfn.shape, g.shape)
+    moved = cf.RadixTimes(pair.hi + np.asarray(g // radix, dtype=np.int64), pair.lo + g % radix * levels.grid)
+    lanes = np.broadcast_shapes(rho.shape, g.shape)
     qn = quat_phi_int(g % 2, np.broadcast_to(qn, qn.shape[:-2] + lanes + (4,)))
-    return _aos_peel_fiber(levels, moved, np.broadcast_to(tfn, lanes), qn, top, lo)
+    return _aos_peel_fiber(levels, moved, np.broadcast_to(rho, lanes), qn, top, lo)
 
 
 class TestComponentMajorFiber:
@@ -907,7 +923,8 @@ class TestComponentMajorFiber:
         assert np.array_equal(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7))
         rng = np.random.default_rng(56)
         two = 2 * levels.a_tilde(6)
-        moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300), pair.lo + rng.integers(-two, two, 300))
+        moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300),
+                              pair.lo + rng.integers(-two, two, 300) * levels.grid)
         valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
         assert 0 < valid.sum() < 300
         assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1))
@@ -971,14 +988,6 @@ def _draw_batch(levels, data, lo=None, hi=None, min_points=1):
     return lo, hi, starts, ti, tf, q, tails
 
 
-def _outcome(f, *args, **kwargs):
-    """f(*args, **kwargs), or InexactFractionError when it raises that."""
-    try:
-        return f(*args, **kwargs)
-    except cf.InexactFractionError:
-        return cf.InexactFractionError
-
-
 def _assert_same_arrays(xs, ys):
     for x, y in zip(xs, ys, strict=True):
         assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -989,30 +998,13 @@ def _assert_same_arrays(xs, ys):
 # ---------------------------------------------------------------------------
 
 def _correction(lv, h: int) -> Fraction:
-    j = h + (lv.r - 1)
-    return 2 * h * lv.a_tilde + int(lv.s_shell[j]) + Fraction(float(lv.s_u[j]))
+    return 2 * h * lv.a_tilde + Fraction(int(lv.ticks[h + (lv.r - 1)]), lv.grid)
 
 
 def _ref_embed(levels, t: Fraction, tail, from_level: int, to_level: int) -> Fraction:
     for k, h in zip(range(from_level, to_level), tail):
         t += _correction(levels.level(k), h)
     return t
-
-
-def _fraction_lost(levels, tf: float, tail, from_level: int, to_level: int) -> bool:
-    """Whether some level's exact fraction plus correction is not a float.
-
-    The corrections are short dyadics, so this is exactly when the engine's
-    float sum fails (tf + s_u) - s_u == tf.
-    """
-    f = Fraction(tf)
-    for k, h in zip(range(from_level, to_level), tail):
-        lv = levels.level(k)
-        f += Fraction(float(lv.s_u[h + lv.r - 1]))
-        if Fraction(float(f)) != f:
-            return True
-        f -= math.floor(f)
-    return False
 
 
 def _ref_peel(levels, t: Fraction, from_level: int, to_level: int):
