@@ -30,9 +30,9 @@ unless asked for it, and peel_batch takes either form.  Both take q=None for
 time-only work (a central time translate against full-fiber sets): the
 SU(2) fiber is then neither moved nor returned, and times, validity and
 shift indices are exactly those of the fiber path.  act applies a group
-element to a batch at one level.  Exact set checks use Fractions built
-from the ticks, or, for the stacking conditions, integer parts and
-fractions in [0, 1) compared as pairs.
+element to a batch at one level.  The stacking conditions compare the
+interval ends as integers in ticks, and the exact cylinder and shift
+identities use Fractions built from the ticks.
 
 Inside embed_batch and peel_batch a batch's fibers are component-major, a
 (4, ..., n) stack of contiguous rows, as are the level tables s_quat and
@@ -62,7 +62,6 @@ __all__ = [
     "DivergentScheduleError",
     "OrbitLeftTruncationError",
     "InexactTranslateError",
-    "CorrectionFractionError",
     "UnknownConfigKeyError",
     "check_config_keys",
     "config_int",
@@ -113,10 +112,6 @@ class OrbitLeftTruncationError(RuntimeError):
 
 class InexactTranslateError(ValueError):
     pass
-
-
-class CorrectionFractionError(ValueError):
-    """A correction time's fractional part lies outside [0, 1)."""
 
 
 class UnknownConfigKeyError(ValueError):
@@ -295,9 +290,9 @@ class CFLevel:
     """Data of one level, including the transition into the next level.
 
     c(h) = s(h) * (2 h a~_n, I) for h in H_n = {|h| < r_n}; the arrays below
-    are indexed by j = h + (r_n - 1) and spell out the correction s(h) in
-    factored time form (integer shell + fraction, and the same time in
-    ticks) plus its fiber.
+    are indexed by j = h + (r_n - 1) and spell out the correction s(h): its
+    time as a whole number of ticks of 1/grid, the one table of it, and its
+    fiber.
     """
 
     n: int
@@ -305,10 +300,8 @@ class CFLevel:
     a_tilde: int
     r: int
     s_map: Optional[SMapResult]  # None at level 0 (identity corrections)
-    s_shell: np.ndarray  # (2r-1,) int64 integer parts of the correction times
-    s_u: np.ndarray  # (2r-1,) float fractional parts
-    # (2r-1,) the correction times s_shell + s_u in ticks of 1/grid, exact
-    # integers in the level's lane (_lane)
+    # (2r-1,) the correction times in ticks of 1/grid, exact integers in the
+    # level's lane (_lane)
     ticks: np.ndarray
     grid: int  # D, ticks per unit of time: the build's CFLevels.grid
     # the correction fibers component-major, (4, 2r-1), so that a level
@@ -322,6 +315,18 @@ class CFLevel:
 
     def h_range(self) -> range:
         return range(-(self.r - 1), self.r)
+
+    @property
+    def s_shell(self) -> np.ndarray:
+        """(2r-1,) int64 integer parts ticks // grid of the correction
+        times: the view of the table that bench/reference.py reads."""
+        return (self.ticks // self.grid).astype(np.int64)
+
+    @property
+    def s_u(self) -> np.ndarray:
+        """(2r-1,) float fractions (ticks mod grid)/grid in [0, 1) of the
+        correction times, exact: the view that bench/reference.py reads."""
+        return (self.ticks % self.grid).astype(float) / self.grid
 
     def correction_time_fraction(self, h: int) -> Fraction:
         """Exact time of c(h) as a Fraction, read off the tick table."""
@@ -414,16 +419,15 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
     size = 2 * params.r(0) - 1
     identity = np.zeros((4, size))
     identity[0] = 1.0
-    levels = [CFLevel(n=0, a=1, a_tilde=1, r=params.r(0), s_map=None, s_shell=np.zeros(size, dtype=np.int64),
-                      s_u=np.zeros(size), ticks=np.zeros(size, dtype=_tick_lane(grid, 1, 1)), grid=grid,
+    levels = [CFLevel(n=0, a=1, a_tilde=1, r=params.r(0), s_map=None,
+                      ticks=np.zeros(size, dtype=_tick_lane(grid, 1, 1)), grid=grid,
                       s_quat=identity, s_quat_inv=identity.copy())]
     for n, alphabet in enumerate(alphabets, start=1):
         s_map = equidist.build_s_map(n, params.r(n), alphabet, params.eps(n), substream(seed, f"s-map-{n}"))
         idx = s_map.values
         lane = _tick_lane(grid, *seq[n])
         ticks = alphabet.shells.astype(lane) * grid + (alphabet.u * grid).astype(np.int64).astype(lane)
-        levels.append(CFLevel(n=n, a=seq[n][0], a_tilde=seq[n][1], r=params.r(n), s_map=s_map,
-                              s_shell=alphabet.shells[idx].astype(np.int64), s_u=alphabet.u[idx], ticks=ticks[idx],
+        levels.append(CFLevel(n=n, a=seq[n][0], a_tilde=seq[n][1], r=params.r(n), s_map=s_map, ticks=ticks[idx],
                               grid=grid, s_quat=alphabet.quats[idx].T.copy(),
                               s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy()))
     try:
@@ -449,38 +453,27 @@ def validate_cf(levels: CFLevels) -> dict[str, bool]:
     as verdicts by name in report order.
 
     Containment and disjointness of the translated base sets are exact
-    integer tests: the interval F_n c(h) = (lo, lo + 2 a_n] has
-    lo = lo_int + u with lo_int an integer and u = s_u in [0, 1), so its
-    ends compare with integers through lo_int alone (and u == 0), and with
-    each other as (integer part, u) pairs in lexicographic order.  A
-    correction fraction outside [0, 1) raises CorrectionFractionError.  The
-    base-interval tiling (2 r_n - 1 shells of half-width a~_n make the
-    level n+1 interval) is pure integer arithmetic.  The growth conditions
-    are exact in the exponent p of r_n = max(floor, n^p), p = power or 0 for
-    a constant schedule: (2n - 1)/(2 r_(n-1) - 1) ~ n^(1-p) -> 0 iff p >= 2,
+    integer tests in ticks of 1/D, D = levels.grid: the interval
+    F_n c(h) = (lo, hi] has lo = 2 h a~_n D + ticks(h) - a_n D and
+    hi = lo + 2 a_n D, and lies in (-a_(n+1) D, a_(n+1) D] iff
+    lo >= -a_(n+1) D and hi <= a_(n+1) D; sorted by lo, the intervals are
+    disjoint iff each lo is at least the hi before it.  The base-interval
+    tiling (2 r_n - 1 shells of half-width a~_n make the level n+1
+    interval) is pure integer arithmetic.  The growth conditions are exact
+    in the exponent p of r_n = max(floor, n^p), p = power or 0 for a
+    constant schedule: (2n - 1)/(2 r_(n-1) - 1) ~ n^(1-p) -> 0 iff p >= 2,
     n^4/r_n -> 0 iff p >= 5, and the ratios' product (eq. 9) is finite iff p >= 3.
     """
     containment_ok = True
     disjoint_ok = True
+    grid = levels.grid
     for lv in levels.levels:
-        if not np.all((lv.s_u >= 0.0) & (lv.s_u < 1.0)):
-            raise CorrectionFractionError(
-                f"level {lv.n} has a correction fraction outside [0, 1)"
-            )
-        a_next = levels.a(lv.n + 1)
-        width = 2 * lv.a
-        # (lo_int, u) of lo = t_c - a_n, with t_c = s_shell + u + 2 h a~_n
-        los = sorted(
-            (s + 2 * h * lv.a_tilde - lv.a, u)
-            for h, s, u in zip(lv.h_range(), lv.s_shell.tolist(), lv.s_u.tolist())
-        )
-        # (lo, hi] subset (-a_next, a_next] iff lo >= -a_next, hi <= a_next
-        containment_ok &= all(
-            lo_int >= -a_next
-            and (lo_int + width < a_next or (lo_int + width == a_next and u == 0.0))
-            for lo_int, u in los
-        )
-        disjoint_ok &= all(lo2 >= (lo_int + width, u) for (lo_int, u), lo2 in zip(los, los[1:]))
+        a_next = levels.a(lv.n + 1) * grid
+        width = 2 * lv.a * grid
+        los = sorted(2 * h * lv.a_tilde * grid + t - lv.a * grid for h, t in zip(lv.h_range(), lv.ticks.tolist()))
+        # every interval lies inside iff the lowest lo and the highest hi do
+        containment_ok &= los[0] >= -a_next and los[-1] + width <= a_next
+        disjoint_ok &= all(lo2 >= lo + width for lo, lo2 in zip(los, los[1:]))
     return {
         "w2-choice-sets": all(lv.card_c_next > 1 for lv in levels.levels),
         "w3-containment": containment_ok,

@@ -9,9 +9,10 @@ correction maps of the cutting construction draw their values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "van_der_corput",
     "halton",
     "star_discrepancy",
-    "star_discrepancy_exact_1d",
     "koksma_hlawka_bound",
     "haar_sample_su2",
     "chart_to_su2_array",
@@ -33,8 +33,7 @@ __all__ = [
     "build_s_map",
     "SMapResult",
     "DistributionTestError",
-    "window_pair_distance",
-    "window_triple_distance",
+    "window_distance",
     "slab_half_width",
 ]
 
@@ -78,32 +77,25 @@ def halton(n: int, dim: int) -> np.ndarray:
 # discrepancy
 # ---------------------------------------------------------------------------
 
-def star_discrepancy_exact_1d(points: Sequence) -> Fraction:
-    """Sorted-formula anchored discrepancy over exact rationals."""
-    n = len(points)
-    if n == 0:
-        raise ValueError("no points")
-    xs = sorted(Fraction(p) for p in points)
-    best = Fraction(0)
-    for i, x in enumerate(xs, start=1):
-        best = max(best, Fraction(i, n) - x, x - Fraction(i - 1, n))
-    return best
-
-
-def star_discrepancy(x) -> float:
+def star_discrepancy(p, den: int) -> Fraction:
     """Exact sup over anchored intervals [0, beta) of |empirical - length|
-    for a 1-d array of points in [0, 1], by the sorted closed form."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("star discrepancy takes a 1-d array of points")
-    n = len(x)
+    for the points p_i/den in [0, 1], given by a 1-d array of integer
+    numerators p: by the sorted closed form
+    max_i max(i den - p_(i) n, p_(i) n - (i - 1) den)/(n den), whose
+    products stay within n den and so are taken in int64."""
+    p, den = np.asarray(p), operator.index(den)
+    if p.ndim != 1 or p.dtype.kind not in "iu":
+        raise ValueError("star discrepancy takes a 1-d array of integer numerators")
+    n = len(p)
     if n == 0:
         raise ValueError("no points")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("points must lie in [0, 1]")
-    xs = np.sort(x)
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - xs, xs - (i - 1) / n)))
+    if not 0 < n * den < 2**63:
+        raise ValueError(f"{n} points over denominator {den}: n * den must lie in (0, 2^63) for int64 products")
+    if p.min() < 0 or p.max() > den:
+        raise ValueError(f"points must lie in [0, 1]: numerators in [0, {den}]")
+    ps = np.sort(p).astype(np.int64) * n
+    i_den = np.arange(1, n + 1, dtype=np.int64) * den
+    return Fraction(int(np.max(np.maximum(i_den - ps, ps - (i_den - den)))), n * den)
 
 
 def koksma_hlawka_bound(modulus: Callable[[float], float], d_star: float, s: int) -> float:
@@ -187,10 +179,6 @@ class FiniteSampleSet:
     @property
     def count(self) -> int:
         return len(self.u_time)
-
-    @property
-    def shells(self) -> range:
-        return range(-self.half_width, self.half_width)
 
     @property
     def size(self) -> int:
@@ -298,22 +286,17 @@ class SMapResult:
     attempts: int
 
 
-def window_pair_distance(values: np.ndarray, alphabet_size: int) -> float:
-    """L1 distance between the distribution of adjacent pairs and the
-    product of uniform laws on the alphabet."""
-    a, b = values[:-1], values[1:]
-    m = len(a)
-    counts = np.bincount(a * alphabet_size + b, minlength=alphabet_size**2)
-    return float(np.sum(np.abs(counts / m - 1.0 / alphabet_size**2)))
-
-
-def window_triple_distance(values: np.ndarray, alphabet_size: int) -> float:
-    a, b, c = values[:-2], values[1:-1], values[2:]
-    m = len(a)
-    counts = np.bincount(
-        (a * alphabet_size + b) * alphabet_size + c, minlength=alphabet_size**3
-    )
-    return float(np.sum(np.abs(counts / m - 1.0 / alphabet_size**3)))
+def window_distance(values: np.ndarray, alphabet_size: int, width: int) -> float:
+    """L1 distance between the distribution of the sliding windows of
+    `width` consecutive values and the product of uniform laws on the
+    alphabet; each window is coded as code * alphabet_size + v, value by
+    value, and the codes are counted by one bincount."""
+    m = len(values) - width + 1
+    codes = values[:m]
+    for k in range(1, width):
+        codes = codes * alphabet_size + values[k:k + m]
+    counts = np.bincount(codes, minlength=alphabet_size**width)
+    return float(np.sum(np.abs(counts / m - 1.0 / alphabet_size**width)))
 
 
 def build_s_map(
@@ -343,9 +326,9 @@ def build_s_map(
         values = rng.integers(0, m, size=size)
         values[0] = alphabet.identity_index
         values[-1] = alphabet.identity_index
-        pair = window_pair_distance(values, m) if size >= 2 else 0.0
+        pair = window_distance(values, m, 2) if size >= 2 else 0.0
         if not gate or pair < eps:
-            triple = window_triple_distance(values, m) if size >= 3 else 0.0
+            triple = window_distance(values, m, 3) if size >= 3 else 0.0
             return SMapResult(
                 n=n,
                 r=r,

@@ -102,11 +102,7 @@ def test_criterion_04_cf_validity(cfg):
 
 def test_criterion_05_discrepancy(cfg):
     t0 = time.perf_counter()
-    grids_exact = all(
-        equidist.star_discrepancy_exact_1d([Fraction(k, n) for k in range(n)])
-        == Fraction(1, n)
-        for n in (10, 100, 1000)
-    )
+    grids_exact = all(equidist.star_discrepancy(np.arange(n), n) == Fraction(1, n) for n in (10, 100, 1000))
     rep, t_eq = _run(cfg, "equidist")
     elapsed = time.perf_counter() - t0 + t_eq
     ok = grids_exact

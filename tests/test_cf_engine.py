@@ -147,27 +147,23 @@ class TestValidation:
         built = cf.build_levels(cf.CFParams(), seed=seed)
         assert _w3_w4(cf.validate_cf(built)) == _fraction_w3_w4(built) == (True, True)
 
-    @pytest.mark.parametrize("u, contained", [(0.0, True), (0.125, False)])
+    @pytest.mark.parametrize("u, contained", [(0.0, True), (0.125, False), (-0.125, True)])
     def test_containment_at_the_top_edge(self, u, contained):
         # the top interval (2 (r-1) a~ - a, 2 (r-1) a~ + a] shifted by
-        # a~ - a + u ends at a_(n+1) + u
+        # a~ - a + u ends at a_(n+1) + u; u = -1/8 is one tick inside, the
+        # shell one lower and the fraction 7/8
         built = _edited_build(-1, _AT2 - _A2, u)
         assert _fraction_w3_w4(built) == (contained, True)
         assert _w3_w4(cf.validate_cf(built)) == (contained, True)
 
-    @pytest.mark.parametrize("u, disjoint", [(0.0, True), (0.125, False)])
+    @pytest.mark.parametrize("u, disjoint", [(0.0, True), (0.125, False), (-0.125, True)])
     def test_overlap_of_an_eighth_flagged(self, u, disjoint):
         # the intervals at h = 0 and h = 1 are 2 (a~ - a) apart; shifting the
-        # first by that gap + u overlaps the second by u
+        # first by that gap + u overlaps the second by u, and leaves one tick
+        # between them at u = -1/8 (the shell one lower and the fraction 7/8)
         built = _edited_build(_R2 - 1, 2 * (_AT2 - _A2), u)
         assert _fraction_w3_w4(built) == (True, disjoint)
         assert _w3_w4(cf.validate_cf(built)) == (True, disjoint)
-
-    @pytest.mark.parametrize("u", [1.0, -0.125, float("nan")])
-    def test_fraction_outside_unit_interval_raises(self, u):
-        built = _edited_build(0, 0, u)
-        with pytest.raises(cf.CorrectionFractionError, match="level 2"):
-            cf.validate_cf(built)
 
     def test_tiling_is_exact_integers(self, levels):
         # the 2r-1 widened shells tile the next base interval exactly
@@ -225,15 +221,13 @@ _R2 = cf.CFParams().r(2)
 
 def _edited_build(j: int, shell: int, u: float):
     """A two-level build whose level-2 corrections c(h) are the central
-    translates (2 h a~_2, I), except at index j, whose time gains shell + u
-    (in ticks too where u is a fraction on the grid)."""
+    translates (2 h a~_2, I), except at index j, whose time gains shell + u,
+    u a multiple of 1/8: 8 shell + 8 u ticks."""
     built = cf.build_levels(cf.CFParams(max_level=2), seed=0)
     lv = built.levels[2]
-    s_shell, s_u, ticks = np.zeros_like(lv.s_shell), np.zeros_like(lv.s_u), np.zeros_like(lv.ticks)
-    s_shell[j], s_u[j] = shell, u
-    if 0.0 <= u < 1.0:
-        ticks[j] = shell * lv.grid + int(u * lv.grid)
-    built.levels[2] = dataclasses.replace(lv, s_shell=s_shell, s_u=s_u, ticks=ticks)
+    ticks = np.zeros_like(lv.ticks)
+    ticks[j] = shell * lv.grid + int(u * lv.grid)
+    built.levels[2] = dataclasses.replace(lv, ticks=ticks)
     return built
 
 
@@ -249,13 +243,19 @@ class TestTickGrid:
     @pytest.mark.parametrize("seed", [20260810, 20260811])
     def test_acceptance_build_ticks_stay_int64(self, seed):
         # level-6 ticks reach 2^60.1 at D = 8: the tick tables of levels 0-6,
-        # each the exact correction times, and the low digit of level-7
-        # times are int64; only the joined level-7 times are Python ints
+        # each the exact correction times drawn from the alphabet (0 at level
+        # 0), and the low digit of level-7 times are int64; only the joined
+        # level-7 times are Python ints
         built = cf.build_levels(cf.CFParams(), seed=seed)
+        assert not built.levels[0].ticks.any()
         for lv in built.levels:
             assert lv.ticks.dtype == np.int64 and lv.grid == built.grid == 8
+        for lv in built.levels[1:]:
+            alphabet, idx = lv.s_map.alphabet, lv.s_map.values
             assert [Fraction(t, 8) for t in lv.ticks.tolist()] == \
-                [s + Fraction(u) for s, u in zip(lv.s_shell.tolist(), lv.s_u.tolist())]
+                [s + Fraction(u) for s, u in zip(alphabet.shells[idx].tolist(), alphabet.u[idx].tolist())]
+            # the integer parts and fractions read off the ticks are the alphabet's, bit for bit
+            assert (lv.s_shell.tobytes(), lv.s_u.tobytes()) == (alphabet.shells[idx].tobytes(), alphabet.u[idx].tobytes())
         assert [cf._lane(built, k) for k in range(8)] == [np.int64] * 7 + [object]
         ti, tf, _, tails = cf.sample_point_batch(built, 50, 6, np.random.default_rng(1))
         assert cf.embed_batch(built, ti, tf, None, tails, 1, 7, radix=True)[0].lo.dtype == np.int64
@@ -570,7 +570,8 @@ class TestBatchRoundTrips:
         # translate, valid, ti and the shift indices are the oracle's, and tf
         # its fraction rounded once (1.0 for the borrow)
         lv = levels.level(1)
-        assert (lv.s_u[lv.r - 1], lv.s_u[lv.r - 97], lv.ticks[-1]) == (0.375, 0.5, 0)  # the last is the identity
+        assert (lv.correction_time_fraction(0) % 1, lv.correction_time_fraction(-96) % 1, lv.ticks[-1]) == \
+            (Fraction(3, 8), Fraction(1, 2), 0)  # the last is the identity
 
         def assert_oracle(got, t, hi, lo):
             ref = _ref_peel(levels, t, hi, lo)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,59 +18,72 @@ from cfjoin.equidist import (
     haar_sample_su2,
     koksma_hlawka_bound,
     star_discrepancy,
-    star_discrepancy_exact_1d,
     su2_to_chart_array,
     van_der_corput,
+    window_distance,
 )
 from cfjoin.groups import quat_mul, quat_normalize
 
 
-def brute_force_star(pts, trials=4000, rng=None):
-    """Randomized lower bound for the anchored discrepancy (independent oracle)."""
-    rng = rng or np.random.default_rng(0)
-    best = 0.0
-    corners = rng.uniform(0, 1, size=trials)
-    corners[: len(pts)] = np.clip(pts + 1e-12, 0, 1)  # probe just past each point
-    for beta in corners:
-        best = max(best, abs(int(np.sum(pts < beta)) / len(pts) - beta))
-    return best
+def brute_force_star(p, den) -> Fraction:
+    """The anchored discrepancy of the points p_i/den by brute force (an
+    independent oracle): between the grid points k/den the count is constant
+    and the length linear, so the sup of |count/n - beta| is met as beta
+    tends to a grid point from below (count of p < k) or from above (p <= k)."""
+    n = len(p)
+    return max(
+        abs(Fraction(count, n) - Fraction(k, den))
+        for k in range(den + 1)
+        for count in (sum(x < k for x in p), sum(x <= k for x in p))
+    )
+
+
+def vdc_numerators(count: int, bits: int) -> np.ndarray:
+    """Numerators over 2^bits of the base-2 van der Corput points 1 .. count,
+    by reversing the bits of each index."""
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(1, count + 1)])
 
 
 class TestStarDiscrepancy:
     def test_single_point_half(self):
         # sup over beta of |1_{0.5 < beta} - beta| equals 0.5
-        assert star_discrepancy(np.array([0.5])) == pytest.approx(0.5, abs=1e-15)
+        assert star_discrepancy(np.array([1]), 2) == Fraction(1, 2)
 
     def test_grid_exact(self):
         for n in (10, 100, 1000):
-            pts = [Fraction(k, n) for k in range(n)]
-            assert star_discrepancy_exact_1d(pts) == Fraction(1, n)
-            assert star_discrepancy(np.arange(n) / n) == pytest.approx(1 / n, abs=1e-15)
+            assert star_discrepancy(np.arange(n), n) == Fraction(1, n)
 
     def test_all_points_at_origin(self):
-        assert star_discrepancy(np.zeros(7)) == pytest.approx(1.0, abs=1e-15)
+        assert star_discrepancy(np.zeros(7, dtype=np.int64), 1) == 1
 
     def test_exact_dominates_brute_force_1d(self):
+        # the closed form meets the brute-force sup exactly
         rng = np.random.default_rng(1)
-        pts = rng.uniform(size=40)
-        exact = star_discrepancy(pts)
-        lower = brute_force_star(pts, rng=rng)
-        assert exact >= lower - 1e-12
-        assert exact <= lower + 0.08  # the sampled sup cannot be far below
+        for n, den in ((1, 1), (40, 64), (40, 1000), (17, 7)):
+            p = rng.integers(0, den + 1, size=n)
+            assert star_discrepancy(p, den) == brute_force_star(p.tolist(), den)
 
     def test_empty_cloud_errors(self):
         with pytest.raises(ValueError, match="no points"):
-            star_discrepancy(np.zeros(0))
+            star_discrepancy(np.zeros(0, dtype=np.int64), 1)
 
-    @pytest.mark.parametrize("pts", [[0.5, 1.5], [-0.25, 0.5]])
+    @pytest.mark.parametrize("pts", [[1, 3], [-1, 1]])
     def test_point_outside_unit_interval_errors(self, pts):
+        # numerators over 2: 1.5 and -0.5
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            star_discrepancy(np.array(pts))
+            star_discrepancy(np.array(pts), 2)
 
     def test_dimension_cap(self):
         # one dimension only: a column would sort each one-point row
         with pytest.raises(ValueError, match="1-d"):
-            star_discrepancy(np.zeros((2, 5)))
+            star_discrepancy(np.zeros((2, 5), dtype=np.int64), 1)
+
+    def test_products_past_int64_error(self):
+        # i den and p n reach n den: 2 (2^62 - 1) fits int64, 2 * 2^62 does not
+        top = 2**62 - 1
+        assert star_discrepancy(np.array([0, top]), top) == Fraction(1, 2)
+        with pytest.raises(ValueError, match="int64"):
+            star_discrepancy(np.array([0, 1]), 2**62)
 
 
 class TestKoksmaHlawka:
@@ -84,8 +99,9 @@ class TestKoksmaHlawka:
             koksma_hlawka_bound(lambda d: d, 0.0, 1)
 
     def test_bound_dominates_monte_carlo_integral(self):
-        pts = van_der_corput(512)
-        d_star = star_discrepancy(pts)
+        numerators = vdc_numerators(512, 10)
+        pts = numerators / 2**10
+        d_star = float(star_discrepancy(numerators, 2**10))
         rng = np.random.default_rng(4)
         for _ in range(20):
             a, b = rng.uniform(-1, 1, size=2)
@@ -121,14 +137,15 @@ class TestRadicalInverse:
         pts = halton(64, 4)
         assert pts.min() > 0.0
 
+    def test_points_are_bit_reversed_numerators(self):
+        # points 1 .. 2^10 times 2^11 are the numerators, exactly
+        assert np.array_equal(vdc_numerators(2**10, 11), van_der_corput(2**10) * 2**11)
+
     def test_star_discrepancy_checkpoints_decrease(self):
-        seq = van_der_corput(2**10)
-        prev = None
-        for k in range(6, 11):
-            d = star_discrepancy(seq[: 2**k])
-            if prev is not None:
-                assert d <= prev + 1e-15
-            prev = d
+        # the first 2^k points are the grid of step 2^-k, shifted
+        numerators = vdc_numerators(2**10, 11)
+        ds = [star_discrepancy(numerators[: 2**k], 2**11) for k in range(6, 11)]
+        assert ds == sorted(ds, reverse=True) == [Fraction(1, 2**k) for k in range(6, 11)]
 
 
 class TestHaarAndChart:
@@ -227,18 +244,20 @@ class TestEquidistributionUnderMaps:
 
     def test_measure_preserving_cube_maps(self):
         # rotations mod 1 and the reflection preserve Lebesgue measure and
-        # are equicontinuous; the sup of the mapped discrepancies decays
-        base = van_der_corput(2**12)
+        # are equicontinuous; the sup of the mapped discrepancies decays.
+        # On numerators over den they are integer maps mod den
+        den = 2**13
+        base = vdc_numerators(2**12, 13)
         maps = [
             lambda p: p,
-            lambda p: np.mod(p + 0.37, 1.0),
-            lambda p: np.mod(p + 0.81, 1.0),
-            lambda p: 1.0 - p,
+            lambda p: (p + 3031) % den,  # about 0.37
+            lambda p: (p + 6636) % den,  # about 0.81
+            lambda p: den - p,
         ]
         sups = []
         for k in (7, 9, 11):
             cloud = base[: 2**k]
-            sups.append(max(star_discrepancy(m(cloud)) for m in maps))
+            sups.append(max(star_discrepancy(m(cloud), den) for m in maps))
         assert sups[2] <= sups[0]
 
 
@@ -253,7 +272,7 @@ class TestSampleSets:
 
     def test_size_and_pattern(self):
         ss = build_sample_set(2, 200, count=4)
-        assert ss.size == 2 * 600 * 4 == len(ss.shells) * ss.count
+        assert ss.size == 2 * 600 * 4 == len(range(-ss.half_width, ss.half_width)) * ss.count
         assert ss.u_time.shape == (4,) and ss.quats.shape == (4, 4)
 
     def test_count_validation(self):
@@ -269,9 +288,20 @@ class TestSampleSets:
         q_mc = quat_normalize(rng.standard_normal((200_000, 4)))
         lo, hi = -0.6, 0.45
         mc = float(np.mean((t_mc > lo) & (t_mc <= hi)))
-        t = np.add.outer(np.array(ss.shells), ss.u_time)
+        t = np.add.outer(np.arange(-ss.half_width, ss.half_width), ss.u_time)
         hits = int(np.sum((lo < t) & (t <= hi)))
         assert abs(mc - hits / ss.size) < 0.02
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("size, length", [(2, 3), (5, 400), (8, 4001)])
+def test_window_distance_matches_counted_windows(size, length, width):
+    values = np.random.default_rng(length).integers(0, size, size=length)
+    m = length - width + 1
+    windows = Counter(zip(*(values[k:k + m].tolist() for k in range(width))))
+    exact = sum(abs(Fraction(windows[w], m) - Fraction(1, size**width))
+                for w in itertools.product(range(size), repeat=width))
+    assert window_distance(values, size, width) == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
 
 
 class TestSMap:
