@@ -36,21 +36,31 @@ identities use Fractions built from the ticks.
 
 Inside embed_batch and peel_batch a batch's fibers are component-major, a
 (4, ..., n) stack of contiguous rows, as are the level tables s_quat and
-s_quat_inv, (4, 2r - 1); each level twists and multiplies them with one
-kernel, groups.quat_mul_twisted_rows.  At the public boundary fibers stay
-(..., n, 4), returned as views of those rows.
+s_quat_inv, (4, 2r - 1).  Each level multiplies them by its correction
+twisted by the current time t = (T + rho)/D.  The twist is an automorphism
+and phi_(a+b) = phi_a phi_b, so with one rho for every level
+q prod phi_(t_k)(s_k) = phi_rho(phi_rho^-1(q) prod phi_(T_k/D)(s_k)),
+phi_rho the twist by rho/D: a call turns its fibers by rho once at entry
+and once at exit (_own_rows, _fibers_out), and each level twists its
+correction by T_k/D alone, with factors read from CFLevels.twist_table at
+T_k mod 2D (_fiber_step), so no level computes a cosine.  On the grid (rho = 0) the
+fibers are bit for bit the per-level quat_mul(q, quat_twist(ti, tf, s));
+off it they differ from that by rounding alone.  At the public boundary
+fibers stay (..., n, 4), returned as views of those rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import GElement, quat_inv, quat_mul, quat_mul_twisted_rows, quat_normalize, quat_twist
+from .groups import (GElement, quat_inv, quat_mul, quat_mul_rows, quat_normalize, quat_turn_rows, quat_twist,
+                     twist_factors)
 from . import equidist
 from .equidist import SMapResult, default_alphabet
 
@@ -383,6 +393,17 @@ class CFLevels:
     def level(self, n: int) -> CFLevel:
         return self.levels[self._built(n, self.max_level)]
 
+    @cached_property
+    def twist_table(self) -> np.ndarray:
+        """(2, 2D) read-only twist factors (cos, sin) of the times T/D,
+        T = 0 .. 2D - 1, one period of the twist: twist_factors at ti = T // D
+        and tf = (T mod D)/D, so each entry has the bits quat_twist_rows
+        computes at that time.  Made on first use."""
+        ticks = np.arange(2 * self.grid)
+        table = np.array(twist_factors(ticks >> (self.grid.bit_length() - 1), (ticks & (self.grid - 1)) / self.grid))
+        table.setflags(write=False)
+        return table
+
 
 def check_level_depth(params: CFParams) -> None:
     """LevelTooDeepError unless the correction shells of every level up to
@@ -581,20 +602,44 @@ def act(g: GElement, ti, tf, q):
 # vectorized batches
 # ---------------------------------------------------------------------------
 
-def _own_rows(q):
-    """(rows, spare): a (4, ..., n) copy of the (..., n, 4) fibers q as
-    contiguous component rows, which embed_batch and peel_batch step level
-    by level, and a buffer of its shape for the next level's rows; (None,
-    None) when q is None."""
+def _own_rows(q, rho, grid: int):
+    """(rows, spare, turn): the (..., n, 4) fibers q as a (4, ..., n) stack
+    of contiguous component rows turned by phi_rho^-1 (see the module
+    docstring), which embed_batch and peel_batch step level by level; a
+    buffer of its shape for the next level's rows; and the factors
+    (cos, sin) of phi_rho, which _fibers_out turns the rows back by.
+    (None, None, None) when q is None."""
     if q is None:
-        return None, None
-    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0).copy()
-    return rows, np.empty_like(rows)
+        return None, None, None
+    src = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    cos, sin = _residual_turn(rho, grid)
+    rows = np.empty(src.shape)
+    rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, cos, -sin)
+    return rows, np.empty_like(rows), (cos, sin)
 
 
-def _fiber_view(rows):
-    """The (..., n, 4) fibers of component rows (a view), or None."""
-    return None if rows is None else np.moveaxis(rows, 0, -1)
+def _residual_turn(rho, grid: int):
+    """The factors (cos, sin) of phi_rho, the twist by rho/D: w turned by
+    cos - i sin = e^{-i pi rho/D}."""
+    ang = math.pi * (rho / grid)
+    return np.cos(ang), np.sin(ang)
+
+
+def _fiber_step(q, T, s, table, out):
+    """q * phi_(T/D)(s) on component rows, written into `out`: one level's
+    fiber step, the twist factors of the ticks T read from the (2, 2D)
+    table at T mod 2D, s the (4, n) rows of the level's corrections."""
+    e = (T & (table.shape[1] - 1)).astype(np.int64, copy=False)
+    return quat_mul_rows(q, quat_turn_rows(s, table[0].take(e), table[1].take(e)), out)
+
+
+def _fibers_out(rows, turn):
+    """The (..., n, 4) fibers of component rows turned in place by the
+    factors `turn` (a view of them), or None."""
+    if rows is None:
+        return None
+    _, _, rows[2], rows[3] = quat_turn_rows(rows, *turn)
+    return np.moveaxis(rows, 0, -1)
 
 
 def row_blocks(n: int):
@@ -649,10 +694,13 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     joined and split into (ti, tf), ti Python ints (an object array) where
     the level's times pass 2^62; with radix they come back as RadixTimes
     and rho, which peel_batch takes as they are.  Each level multiplies the
-    fiber by the shift element twisted by the current time, in one
-    groups.quat_mul_twisted_rows step on the fibers held component-major, a
-    (4, ..., n) stack of contiguous rows, with the same bits as
-    quat_mul(q, quat_twist(ti, tf, s)).
+    fiber by the shift element twisted by the current time, on the fibers
+    held component-major, a (4, ..., n) stack of contiguous rows: the
+    fibers are turned by phi_rho^-1 at entry and by phi_rho at exit, and
+    each level twists by its ticks alone, from CFLevels.twist_table (see
+    the module docstring); on the grid (rho = 0) that is bit for bit
+    quat_mul(q, quat_twist(ti, tf, s)) per level, off it the same up to
+    rounding.
     Returns (ti, tf, q) at to_level, q a (..., n, 4) view of those rows.
     With q None the fiber is neither moved nor returned (None in its
     place); times are the same either way.  Times are moved in place, on
@@ -666,21 +714,21 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
             "no tail index available"
         )
     T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, spare = _own_rows(q)
+    q, spare, turn = _own_rows(q, rho, levels.grid)
     h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
         T = _join(levels, k, h, T)
         h = tails[:, col].astype(np.int64)
         j = h + (lv.r - 1)
-        # fiber twist by the current time, before the time moves
+        # fiber twist by the current ticks, before the time moves
         if q is not None:
-            q, spare = quat_mul_twisted_rows(q, *_from_ticks(levels, T, rho), lv.s_quat.take(j, axis=1),
-                                             out=spare), q
+            q, spare = _fiber_step(q, T, lv.s_quat.take(j, axis=1), levels.twist_table, out=spare), q
         T += lv.ticks[j]
+    q = _fibers_out(q, turn)
     if radix:
-        return RadixTimes(h, T), rho, _fiber_view(q)
-    return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), _fiber_view(q))
+        return RadixTimes(h, T), rho, q
+    return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), q)
 
 
 def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
@@ -698,9 +746,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     correction's ticks.  Python-int times return to int64 at the first
     level where they fit (_lane).  Each level multiplies the fiber by the
     inverse shift element twisted by the peeled time, as embed_batch does:
-    one groups.quat_mul_twisted_rows step on a (4, ..., n) stack of
-    contiguous rows, copied from q at entry, and q comes back as a
-    (..., n, 4) view of them.  With q None the fiber is
+    a table twist by the level's ticks on a (4, ..., n) stack of contiguous
+    rows, copied from q at entry and turned by the residual once at entry
+    and once at exit, and q comes back as a (..., n, 4) view of them.  With
+    q None the fiber is
     neither moved nor returned (None in its place); valid, times and hs are
     the same either way.  Times are peeled in place, on the tick array made
     at entry: the caller's arrays, or the read-only broadcast translate
@@ -712,7 +761,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     else:
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, spare = _own_rows(q)
+    q, spare, turn = _own_rows(q, rho, levels.grid)
     n = len(rho)
     on_grid = rho == 0.0
     valid = np.ones(n, dtype=bool)
@@ -740,11 +789,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
             T = np.where(valid & ok_h, T, 0).astype(np.int64)
         ok_t = _in_base(T, rho, lv.a * levels.grid)
         if q is not None:
-            q, spare = quat_mul_twisted_rows(q, *_from_ticks(levels, T, rho), lv.s_quat_inv.take(j, axis=1),
-                                             out=spare), q
+            q, spare = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, out=spare), q
         valid &= ok_h & ok_t
         hs[:, k - to_level] = h
-    return (valid, *_from_ticks(levels, T, rho), _fiber_view(q), hs)
+    return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs)
 
 
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):

@@ -98,19 +98,28 @@ def star_discrepancy(p, den: int) -> Fraction:
     return Fraction(int(np.max(np.maximum(i_den - ps, ps - (i_den - den)))), n * den)
 
 
-def koksma_hlawka_bound(modulus: Callable[[float], float], d_star: float, s: int) -> float:
+def koksma_hlawka_bound(modulus: Callable[[float], float], d_star, s: int) -> float:
     """Quantitative equidistribution bound for a continuous integrand.
 
     For a point set with anchored discrepancy d_star and an integrand with
     modulus of continuity M, the integration error is at most
-    (1 + 2^{2s-1}) * M(1 / floor(d_star^{-1/s})).
+    (1 + 2^{2s-1}) * M(1 / m), m = floor(d_star^{-1/s}).  d_star is taken
+    exactly, as the Fraction star_discrepancy returns (a float is read as
+    the rational it is), and m = max{m : m^s d_star <= 1} is found in
+    integers: a float root rounds below an exact m, as at d_star = 1/93.
     """
-    if d_star <= 0.0:
+    d_star = Fraction(d_star)
+    if d_star <= 0:
         raise ValueError("d_star must be positive")
-    if d_star > 1.0:
-        d_star = 1.0
-    mesh = 1.0 / math.floor(d_star ** (-1.0 / s))
-    return (1 + 2 ** (2 * s - 1)) * modulus(mesh)
+    num, den = min(d_star, Fraction(1)).as_integer_ratio()
+    # m^s num <= den iff m^s <= den // num; start from the float root, then step
+    bound = den // num
+    m = int(bound ** (1.0 / s))
+    while m**s > bound:
+        m -= 1
+    while (m + 1) ** s <= bound:
+        m += 1
+    return (1 + 2 ** (2 * s - 1)) * modulus(1.0 / m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
 general-time form and the oracle for it.  The product, the closed-form
 twist and the adjoint representation are written once, on component rows
 (quat_mul_rows, quat_twist_rows, adjoint_entry_rows); quat_mul, quat_twist and
-adjoint_matrix are their (..., 4) forms, with the same bits.
+adjoint_matrix are their (..., 4) forms, with the same bits.  The twist is
+two steps, its factor (cos, sin) = (-1)^ti (cos pi tf, sin pi tf)
+(twist_factors) and the turn of w by cos - i sin (quat_turn_rows), so that
+the point engine can read the factors from a table on its tick grid.
 
 The law of G is g_mul and g_inv on times and (..., 4) fibers, with conj_star
 the conjugation by the time-one translate; GElement and SU2Element are the
@@ -44,7 +47,8 @@ __all__ = [
     "quat_mul",
     "quat_mul_rows",
     "quat_twist_rows",
-    "quat_mul_twisted_rows",
+    "quat_turn_rows",
+    "twist_factors",
     "quat_inv",
     "quat_normalize",
     "quat_phi_int",
@@ -61,8 +65,9 @@ __all__ = [
 # adjoint entries are written once, on component rows: a quaternion array is
 # its four rows a, b, c, d, either a (4, ...) stack or the four columns of a
 # (..., 4) array.  quat_mul, quat_twist and adjoint_matrix are their
-# (..., 4) forms; the point engine keeps its fibers as a (4, ..., n) stack of
-# contiguous rows and steps them with quat_mul_twisted_rows.
+# (..., 4) forms.  The point engine keeps its fibers as a (4, ..., n) stack of
+# contiguous rows, turns them with quat_turn_rows by twist factors it reads
+# from a table, and multiplies them with quat_mul_rows.
 # ---------------------------------------------------------------------------
 
 def _rows(q: np.ndarray) -> np.ndarray:
@@ -88,24 +93,30 @@ def quat_mul_rows(p, q, out):
     return out
 
 
+def twist_factors(ti, tf):
+    """The factors (cos, sin) of the fiber twist by a split time ti + tf,
+    (-1)^ti (cos pi tf, sin pi tf), so that the twist turns w = c + di by
+    cos - i sin = e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
+    (dtype=object)."""
+    ang = math.pi * np.asarray(tf, dtype=float)
+    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
+    return sign * np.cos(ang), sign * np.sin(ang)
+
+
+def quat_turn_rows(q, cos, sin):
+    """The rows (a, b, c', d') of component rows q with w = c + di turned
+    by cos - i sin: c' = c cos + d sin, d' = d cos - c sin, each rounded as
+    written; a and b are q's own rows."""
+    a, b, c, d = q
+    return a, b, c * cos + d * sin, d * cos - c * sin
+
+
 def quat_twist_rows(ti, tf, q):
     """The rows (a, b, c', d') of the fiber twist by a split time ti + tf on
     component rows q: a and b are q's own rows, and w' = c' + d'i is
     (c + di) e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
     (dtype=object)."""
-    ang = math.pi * np.asarray(tf, dtype=float)
-    sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
-    cos = sign * np.cos(ang)
-    sin = sign * np.sin(ang)
-    a, b, c, d = q
-    return a, b, c * cos + d * sin, d * cos - c * sin
-
-
-def quat_mul_twisted_rows(q, ti, tf, s, out):
-    """q * quat_twist(ti, tf, s) on component rows, written into `out`: one
-    level's fiber step of the point engine, with q a (4, ..., n) stack of
-    fibers and s the (4, n) rows of the level's corrections."""
-    return quat_mul_rows(q, quat_twist_rows(ti, tf, s), out)
+    return quat_turn_rows(q, *twist_factors(ti, tf))
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

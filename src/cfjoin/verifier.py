@@ -407,7 +407,7 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     # quantitative bound dominates empirical integration error
     rng = substream(cfg.seed, "lipschitz")
     pts = seq[:1024]
-    d_star = float(equidist.star_discrepancy(numerators[:1024], den))
+    d_star = equidist.star_discrepancy(numerators[:1024], den)
     ok = True
     worst_ratio = 0.0
     for f, integral, lip in _lipschitz_family(rng, 20):

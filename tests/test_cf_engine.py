@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
 from cfjoin.groups import (
-    GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_mul, quat_normalize, quat_phi_int, quat_twist,
+    GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_mul, quat_normalize, quat_phi_int, quat_turn_rows,
+    quat_twist, quat_twist_rows,
 )
 
 
@@ -260,6 +261,53 @@ class TestTickGrid:
         ti, tf, _, tails = cf.sample_point_batch(built, 50, 6, np.random.default_rng(1))
         assert cf.embed_batch(built, ti, tf, None, tails, 1, 7, radix=True)[0].lo.dtype == np.int64
         assert cf.embed_batch(built, ti, tf, None, tails, 1, 7)[0].dtype == object
+
+
+def _table_twist(levels, T, s):
+    """Component rows s twisted by the ticks T/D, as the engine's level step
+    twists its corrections: the step from identity fibers, whose product
+    changes no value."""
+    identity = np.zeros_like(s)
+    identity[0] = 1.0
+    return cf._fiber_step(identity, T, s, levels.twist_table, out=np.empty_like(s))
+
+
+class TestTwistTable:
+    @pytest.mark.parametrize("size", [1, 2, 8, 16])
+    def test_entries_are_quat_twist_rows_on_the_grid(self, size):
+        # every entry twists as quat_twist_rows does at the split time of
+        # its ticks, bit for bit, on grids D = 1 .. 16
+        built = cf.build_levels(cf.CFParams(max_level=1, alphabet_size=size), seed=0)
+        grid = built.grid
+        table = built.twist_table
+        assert table.shape == (2, 2 * grid) and not table.flags.writeable
+        assert built.twist_table is table
+        T = np.arange(2 * grid)
+        q = np.random.default_rng(size).standard_normal((4, 2 * grid))
+        want = quat_twist_rows(T // grid, (T % grid) / grid, q)
+        assert np.array(quat_turn_rows(q, *table)).tobytes() == np.array(want).tobytes()
+        # a tick count past one period reads the entry of its residue mod 2D
+        big = np.array([2**62 + 3, -(2**62) - 5, 2**80 + 1, -(2**70)], dtype=object)
+        q = q[:, np.arange(4) % (2 * grid)]
+        want = quat_twist_rows(big // grid, (big % grid).astype(float) / grid, q)
+        assert np.array_equal(_table_twist(built, big, q), np.array(want))
+
+    @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_residual_turn_after_the_table_is_the_twist(self, levels, data, n, seed):
+        # phi_(rho/D) phi_(T/D) = phi_((T + rho)/D): the residual turned after
+        # the table twist agrees with quat_twist at the split time within ulps
+        big = data.draw(st.booleans())
+        bound = 2**80 if big else 2**62
+        T = np.array(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)),
+                     dtype=object if big else np.int64)
+        rho = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+        q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
+        turned = cf._fibers_out(_table_twist(levels, T, q.T.copy()), cf._residual_turn(rho, levels.grid))
+        want = quat_twist(*cf._from_ticks(levels, T, rho), q)
+        assert np.max(np.abs(turned - want)) <= 4 * np.finfo(float).eps
+        # and the entry turn by phi_rho^-1 undoes it within ulps
+        back = cf._own_rows(turned, rho, levels.grid)[0]
+        assert np.max(np.abs(back - _table_twist(levels, T, q.T.copy()))) <= 4 * np.finfo(float).eps
 
 
 class TestCylinders:
@@ -883,12 +931,41 @@ def _aos_translate_fiber(levels, ti, tf, q, tails, g, lo, top):
     return _aos_peel_fiber(levels, moved, np.broadcast_to(rho, lanes), qn, top, lo)
 
 
+# Off the tick grid the engine twists by T/D per level and by the residual
+# rho/D once at each end of a call, where the per-level oracle twists by the
+# rounded t = (T + rho)/D: the two differ by rounding alone, an ulp or two of
+# each factor per level.  Round trips through 12 levels stay within this
+# absolute bound, about 9 ulps of 1; the largest difference seen over 9000
+# lanes (embed 1 -> 6 and 1 -> 7, peel 6 -> 1) was 7.8e-16.
+OFF_GRID_FIBER_BOUND = 2e-15
+
+
+def _point_batch(levels, n, seed, on_grid, h_minus=False):
+    """sample_point_batch at level 1 with tails to level 6, its fractions
+    floored to the tick grid (rho = 0) when on_grid."""
+    ti, tf, q, tails = cf.sample_point_batch(levels, n, 6, np.random.default_rng(seed), h_minus)
+    if on_grid:
+        tf = np.floor(tf * levels.grid) / levels.grid
+    return ti, tf, q, tails
+
+
+def _assert_oracle_fibers(got, want, on_grid):
+    """On the grid the engine's fibers are the oracle's bit for bit; off
+    it they are within OFF_GRID_FIBER_BOUND of them."""
+    if on_grid:
+        assert np.array_equal(got, want)
+    else:
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= OFF_GRID_FIBER_BOUND
+
+
 class TestComponentMajorFiber:
     """embed_batch, peel_batch and translate step their fibers as a
-    (4, ..., n) stack of contiguous rows (groups.quat_mul_twisted_rows).
-    Against the per-level (..., n, 4) composition quat_mul(q,
-    quat_twist(t, s[j])) they agree bit for bit on every lane, valid or
-    not, and return (..., n, 4) fibers whose columns are contiguous."""
+    (4, ..., n) stack of contiguous rows, twisting each level's correction
+    by a table read and the residual once per call.  Against the per-level
+    (..., n, 4) composition quat_mul(q, quat_twist(t, s[j])) they agree on
+    every lane, valid or not, bit for bit on draws floored to the tick grid
+    and within OFF_GRID_FIBER_BOUND on draws off it, and return (..., n, 4)
+    fibers whose columns are contiguous."""
 
     @staticmethod
     def _moves(rng, two, n):
@@ -897,58 +974,62 @@ class TestComponentMajorFiber:
         return rng.integers(-3 * two, 3 * two, n)
 
     def test_int64_times(self, levels):
-        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(51))
-        ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
-        assert ti6.dtype == np.int64 and q6[:, 0].flags.c_contiguous
-        assert np.array_equal(q6, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 6))
-        moved = ti6 + self._moves(np.random.default_rng(52), 2 * levels.a_tilde(5), 300)
-        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf6, q6, 6, 1)
-        assert 0 < valid.sum() < 300
-        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf6, q6, 6, 1))
+        for on_grid in (True, False):
+            ti, tf, q, tails = _point_batch(levels, 300, 51, on_grid)
+            ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
+            assert ti6.dtype == np.int64 and q6[:, 0].flags.c_contiguous
+            _assert_oracle_fibers(q6, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 6), on_grid)
+            moved = ti6 + self._moves(np.random.default_rng(52), 2 * levels.a_tilde(5), 300)
+            valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf6, q6, 6, 1)
+            assert 0 < valid.sum() < 300
+            _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf6, q6, 6, 1), on_grid)
 
     def test_python_int_times(self, levels):
         # a level-7 top: the joined times are Python ints, and the peel
         # turns invalid lanes' times to 0 where they return to int64
-        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(53))
-        ti7, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
-        assert ti7.dtype == object
-        assert np.array_equal(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7))
-        moved = ti7 + self._moves(np.random.default_rng(54), 2 * levels.a_tilde(6), 300).astype(object)
-        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
-        assert 0 < valid.sum() < 300
-        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1))
+        for on_grid in (True, False):
+            ti, tf, q, tails = _point_batch(levels, 300, 53, on_grid)
+            ti7, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
+            assert ti7.dtype == object
+            _assert_oracle_fibers(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7), on_grid)
+            moved = ti7 + self._moves(np.random.default_rng(54), 2 * levels.a_tilde(6), 300).astype(object)
+            valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
+            assert 0 < valid.sum() < 300
+            _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1), on_grid)
 
     def test_radix_times(self, levels):
-        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(55))
-        pair, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
-        assert np.array_equal(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7))
-        rng = np.random.default_rng(56)
-        two = 2 * levels.a_tilde(6)
-        moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300),
-                              pair.lo + rng.integers(-two, two, 300) * levels.grid)
-        valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
-        assert 0 < valid.sum() < 300
-        assert np.array_equal(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1))
+        for on_grid in (True, False):
+            ti, tf, q, tails = _point_batch(levels, 300, 55, on_grid)
+            pair, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+            _assert_oracle_fibers(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7), on_grid)
+            rng = np.random.default_rng(56)
+            two = 2 * levels.a_tilde(6)
+            moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300),
+                                  pair.lo + rng.integers(-two, two, 300) * levels.grid)
+            valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
+            assert 0 < valid.sum() < 300
+            _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1), on_grid)
 
     @pytest.mark.parametrize("top", [6, 7])
     def test_translate_of_a_fiber_stack(self, levels, top):
         # a point and its fiber partner, one row to many g, as the joining
         # windows translate them; and a batch with one g per row
-        x = cf.sample_point_batch(levels, 1, 6, np.random.default_rng(57), h_minus=True)
-        q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
         two = 2 * levels.a_tilde(top - 1)
-        g = self._moves(np.random.default_rng(58), two, 2000)
-        ti, tf, q, tails = x
-        stacked = np.stack([q, q2])
-        valid, _, _, qg, _ = cf.translate(levels, ti, tf, stacked, tails, g, 1, top)
-        assert qg.shape == (2, 2000, 4) and qg[..., 0].flags.c_contiguous
-        assert 0 < valid.sum() < 2000
-        assert np.array_equal(qg, _aos_translate_fiber(levels, ti, tf, stacked, tails, g, 1, top))
-        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(59))
-        g = self._moves(np.random.default_rng(60), two, 300)
-        for gs in (g, int(g[0])):
-            qg = cf.translate(levels, ti, tf, q, tails, gs, 1, top)[3]
-            assert np.array_equal(qg, _aos_translate_fiber(levels, ti, tf, q, tails, gs, 1, top))
+        for on_grid in (True, False):
+            x = _point_batch(levels, 1, 57, on_grid, h_minus=True)
+            q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
+            g = self._moves(np.random.default_rng(58), two, 2000)
+            ti, tf, q, tails = x
+            stacked = np.stack([q, q2])
+            valid, _, _, qg, _ = cf.translate(levels, ti, tf, stacked, tails, g, 1, top)
+            assert qg.shape == (2, 2000, 4) and qg[..., 0].flags.c_contiguous
+            assert 0 < valid.sum() < 2000
+            _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, stacked, tails, g, 1, top), on_grid)
+            ti, tf, q, tails = _point_batch(levels, 300, 59, on_grid)
+            g = self._moves(np.random.default_rng(60), two, 300)
+            for gs in (g, int(g[0])):
+                qg = cf.translate(levels, ti, tf, q, tails, gs, 1, top)[3]
+                _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, q, tails, gs, 1, top), on_grid)
 
 
 # ---------------------------------------------------------------------------

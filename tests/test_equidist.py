@@ -91,8 +91,33 @@ class TestKoksmaHlawka:
         assert koksma_hlawka_bound(lambda d: 0.0, 0.3, 1) == 0.0
 
     def test_lipschitz_formula(self):
-        # s=1, Lipschitz-1, d* = 0.01: (1 + 2) * M(1/100) = 0.03
-        assert koksma_hlawka_bound(lambda d: d, 0.01, 1) == pytest.approx(0.03, abs=1e-15)
+        # s=1, Lipschitz-1, d* = 1/100: (1 + 2) * M(1/100) = 0.03
+        assert koksma_hlawka_bound(lambda d: d, Fraction(1, 100), 1) == pytest.approx(0.03, abs=1e-15)
+
+    def test_mesh_is_exact_at_one_over_93(self):
+        # the float (1/93)^-1 is 92.99999999999999, whose floor made the mesh 1/92
+        assert koksma_hlawka_bound(lambda d: d, Fraction(1, 93), 1) == 3 * (1.0 / 93)
+
+    def test_mesh_is_the_largest_m_with_m_to_the_s_times_dstar_at_most_one(self):
+        # d* = 1/n gives the mesh 1/n at s = 1, and 1/(n^2) at s = 2 the mesh
+        # 1/n; a d* just above those gives 1/(n - 1).  A float root missed
+        # the first at 5846 of the n below 10^5
+        for n in range(2, 10**5):
+            assert koksma_hlawka_bound(lambda d: d, Fraction(1, n), 1) == 3 * (1.0 / n)
+        for n in range(2, 2000):
+            for s, d_star in ((1, Fraction(1, n)), (2, Fraction(1, n * n))):
+                scale = 1 + 2 ** (2 * s - 1)
+                assert koksma_hlawka_bound(lambda d: d, d_star, s) == scale * (1.0 / n)
+                above = d_star * Fraction(n**s + 1, n**s)
+                assert koksma_hlawka_bound(lambda d: d, above, s) == scale * (1.0 / (n - 1))
+
+    def test_float_dstar_is_read_exactly(self):
+        # the float 0.01 lies above 1/100, so m = 99
+        assert Fraction(0.01) > Fraction(1, 100)
+        assert koksma_hlawka_bound(lambda d: d, 0.01, 1) == 3 * (1.0 / 99)
+
+    def test_dstar_above_one_gives_mesh_one(self):
+        assert koksma_hlawka_bound(lambda d: d, Fraction(3, 2), 2) == 9.0
 
     def test_invalid_dstar(self):
         with pytest.raises(ValueError):
@@ -101,7 +126,7 @@ class TestKoksmaHlawka:
     def test_bound_dominates_monte_carlo_integral(self):
         numerators = vdc_numerators(512, 10)
         pts = numerators / 2**10
-        d_star = float(star_discrepancy(numerators, 2**10))
+        d_star = star_discrepancy(numerators, 2**10)
         rng = np.random.default_rng(4)
         for _ in range(20):
             a, b = rng.uniform(-1, 1, size=2)

@@ -431,13 +431,14 @@ class TestWeakmixTimeOnly:
         # sigma, estimate)
         ref = _weakmix_deviation_with_fiber(levels, n, 4000, np.random.default_rng(n))
 
-        def forbidden(*args):
+        def forbidden(*args, **kwargs):
             raise AssertionError("weakmix computed a fiber")
 
         monkeypatch.setattr(cf_engine, "quat_normalize", forbidden)
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
-        monkeypatch.setattr(cf_engine, "quat_mul_twisted_rows", forbidden)
+        monkeypatch.setattr(cf_engine, "_fiber_step", forbidden)
+        monkeypatch.setattr(cf_engine, "_residual_turn", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
 
