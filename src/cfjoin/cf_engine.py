@@ -15,7 +15,11 @@ engine a time is t = (T + rho)/D: T an integer count of ticks of 1/D, and
 rho in [0, 1) a residual that no embed, peel or integer translate moves.
 Times then move only as integer ticks (CFLevel.ticks), and nothing
 rounds; the public fraction (T mod D + rho)/D is one rounding of the
-exact one.  The top level of an embedding is kept in mixed radix,
+exact one.  Base intervals and shells are half-open, (lo, hi] in ticks,
+and peel_batch tests them on the tick below the time,
+T' = ceil(T + rho) - 1 (T - 1 on the grid, rho = 0, and T off it): the
+time lies in (lo, hi] exactly when lo <= T' < hi, one integer test that
+reads no rho.  The top level of an embedding is kept in mixed radix,
 T = hi * 2 a~_k D + lo with hi the last shift index h_k (a RadixTimes
 pair).  Its low digit is a level-k time plus one correction, so it stays
 int64 at the first level whose times pass 2^62 (level 7 of the default
@@ -397,8 +401,8 @@ class CFLevels:
     def twist_table(self) -> np.ndarray:
         """(2, 2D) read-only twist factors (cos, sin) of the times T/D,
         T = 0 .. 2D - 1, one period of the twist: twist_factors at ti = T // D
-        and tf = (T mod D)/D, so each entry has the bits quat_twist_rows
-        computes at that time.  Made on first use."""
+        and tf = (T mod D)/D, so each entry has the bits quat_twist turns by
+        at that time.  Made on first use."""
         ticks = np.arange(2 * self.grid)
         table = np.array(twist_factors(ticks >> (self.grid.bit_length() - 1), (ticks & (self.grid - 1)) / self.grid))
         table.setflags(write=False)
@@ -558,11 +562,6 @@ def _from_ticks(levels: CFLevels, T, rho):
     return T >> (levels.grid.bit_length() - 1), tf
 
 
-def _in_base(T, rho, a: int):
-    """Mask of the times T + rho, rho in [0, 1), in the half-open (-a, a]."""
-    return ((T > -a) | ((T == -a) & (rho > 0.0))) & ((T < a) | ((T == a) & (rho == 0.0)))
-
-
 def split_translate(t: float) -> tuple[int, float]:
     """Split a float time translate into (floor, fraction in [0, 1)).
 
@@ -612,24 +611,22 @@ def _own_rows(q, rho, grid: int):
     if q is None:
         return None, None, None
     src = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    cos, sin = _residual_turn(rho, grid)
+    cos, sin = twist_factors(0, rho / grid)
     rows = np.empty(src.shape)
     rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, cos, -sin)
     return rows, np.empty_like(rows), (cos, sin)
 
 
-def _residual_turn(rho, grid: int):
-    """The factors (cos, sin) of phi_rho, the twist by rho/D: w turned by
-    cos - i sin = e^{-i pi rho/D}."""
-    ang = math.pi * (rho / grid)
-    return np.cos(ang), np.sin(ang)
-
-
-def _fiber_step(q, T, s, table, out):
+def _fiber_step(q, T, s, table, out, below=None):
     """q * phi_(T/D)(s) on component rows, written into `out`: one level's
     fiber step, the twist factors of the ticks T read from the (2, 2D)
-    table at T mod 2D, s the (4, n) rows of the level's corrections."""
-    e = (T & (table.shape[1] - 1)).astype(np.int64, copy=False)
+    table at T mod 2D (T + below, where peel_batch holds the tick below),
+    s the (4, n) rows of the level's corrections."""
+    mask = table.shape[1] - 1
+    e = (T & mask).astype(np.int64, copy=False)
+    if below is not None:
+        e += below
+        e &= mask
     return quat_mul_rows(q, quat_turn_rows(s, table[0].take(e), table[1].take(e)), out)
 
 
@@ -703,10 +700,13 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     rounding.
     Returns (ti, tf, q) at to_level, q a (..., n, 4) view of those rows.
     With q None the fiber is neither moved nor returned (None in its
-    place); times are the same either way.  Times are moved in place, on
-    the tick arrays made at entry, and the fibers are stepped on their own
-    copy, so the caller's arrays are never written.
+    place); times are the same either way.  to_level below from_level is a
+    ValueError.  Times are moved in place, on the tick arrays made at
+    entry, and the fibers are stepped on their own copy, so the caller's
+    arrays are never written.
     """
+    if to_level < from_level:
+        raise ValueError(f"embed_batch goes up, and to_level {to_level} is below from_level {from_level}")
     levels._built(to_level, levels.max_level + 1)
     if tails.shape[1] < to_level - from_level:
         raise OrbitLeftTruncationError(
@@ -740,21 +740,24 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     it finds.  Returns (valid, ti, tf, q, hs): lanes where the point has no
     representation at to_level are masked out of `valid` (their coordinate
     values are unspecified); hs[:, c] is the recovered shift index at level
-    to_level + c.  Level k finds d = (T + a~_k D) // 2 a~_k D in ticks T,
-    less one on a shell edge (remainder 0 and rho 0), so h = hi + d (h = d
-    without hi) and the level-k time is T - d * 2 a~_k D less the
-    correction's ticks.  Python-int times return to int64 at the first
-    level where they fit (_lane).  Each level multiplies the fiber by the
-    inverse shift element twisted by the peeled time, as embed_batch does:
-    a table twist by the level's ticks on a (4, ..., n) stack of contiguous
-    rows, copied from q at entry and turned by the residual once at entry
-    and once at exit, and q comes back as a (..., n, 4) view of them.  With
-    q None the fiber is
-    neither moved nor returned (None in its place); valid, times and hs are
-    the same either way.  Times are peeled in place, on the tick array made
-    at entry: the caller's arrays, or the read-only broadcast translate
-    passes, are never written.
+    to_level + c.  The levels peel T', the tick below the time (see the
+    module docstring), and add the on-grid mask rho == 0 back where the
+    floor is read: the fiber step's table, and the exit.  Level k finds the
+    shell d = (T' + a~_k D) // 2 a~_k D, so h = hi + d (h = d without hi),
+    and the level-k T' is T' - d * 2 a~_k D less the correction's ticks, in
+    the base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at
+    the first level where they fit (_lane).  Each level multiplies the
+    fiber by the inverse shift element twisted by the peeled time, as
+    embed_batch does, on its own (4, ..., n) rows turned by the residual at
+    entry and at exit; q comes back as a (..., n, 4) view of them.  With q
+    None the fiber is neither moved nor returned (None in its place);
+    valid, times and hs are the same either way.  to_level above
+    from_level is a ValueError.  Times are peeled in place, on the tick
+    array made at entry: the caller's arrays, or the read-only broadcast
+    translate passes, are never written.
     """
+    if to_level > from_level:
+        raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
     levels._built(from_level, levels.max_level + 1)
     if isinstance(ti, RadixTimes):
         hi, T, rho = ti.hi, np.array(ti.lo, copy=True), np.asarray(tf, dtype=float)
@@ -763,7 +766,9 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         T, rho = _to_ticks(levels, from_level, ti, tf)
     q, spare, turn = _own_rows(q, rho, levels.grid)
     n = len(rho)
-    on_grid = rho == 0.0
+    # T becomes the tick below the time, ceil(T + rho) - 1
+    below = rho == 0.0
+    T -= below
     valid = np.ones(n, dtype=bool)
     hs = np.zeros((n, from_level - to_level), dtype=np.int64)
     for k in range(from_level - 1, to_level - 1, -1):
@@ -773,10 +778,6 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         T += half
         d = T // (2 * half)
         T -= d * (2 * half)
-        # a shell edge (remainder 0 and rho 0) is the top of the shell below
-        on_edge = (T == 0) & on_grid
-        np.subtract(d, on_edge, out=d)
-        np.add(T, 2 * half, out=T, where=on_edge)
         h = d.astype(np.int64, copy=False)
         h = h if hi is None else hi + h
         hi = None
@@ -786,12 +787,14 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         T -= half
         T -= lv.ticks[j].astype(T.dtype, copy=False)
         if T.dtype == object and _lane(levels, k) is np.int64:
-            T = np.where(valid & ok_h, T, 0).astype(np.int64)
-        ok_t = _in_base(T, rho, lv.a * levels.grid)
+            # lost lanes, whose times may pass int64, move to the time 0
+            T = np.where(valid & ok_h, T, 0 - below).astype(np.int64)
+        a = lv.a * levels.grid
+        valid &= ok_h & (T >= -a) & (T < a)
         if q is not None:
-            q, spare = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, out=spare), q
-        valid &= ok_h & ok_t
+            q, spare = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, spare, below), q
         hs[:, k - to_level] = h
+    T += below
     return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs)
 
 

@@ -11,9 +11,9 @@ diag(e^{i pi t/2}, e^{-i pi t/2}); it has period 2 in t as an automorphism,
 which is why the center of G sits over the even integers.  It fixes z and
 turns w by e^{-i pi t}, so the point engine applies it in closed form to split
 times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
-general-time form and the oracle for it.  The product, the closed-form
+general-time form and the oracle for it.  The product, the turn of the
 twist and the adjoint representation are written once, on component rows
-(quat_mul_rows, quat_twist_rows, adjoint_entry_rows); quat_mul, quat_twist and
+(quat_mul_rows, quat_turn_rows, adjoint_entry_rows); quat_mul, quat_twist and
 adjoint_matrix are their (..., 4) forms, with the same bits.  The twist is
 two steps, its factor (cos, sin) = (-1)^ti (cos pi tf, sin pi tf)
 (twist_factors) and the turn of w by cos - i sin (quat_turn_rows), so that
@@ -46,7 +46,6 @@ __all__ = [
     "is_central",
     "quat_mul",
     "quat_mul_rows",
-    "quat_twist_rows",
     "quat_turn_rows",
     "twist_factors",
     "quat_inv",
@@ -61,7 +60,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion kernels.  The product, the closed-form twist and the
+# vectorized quaternion kernels.  The product, the turn of the twist and the
 # adjoint entries are written once, on component rows: a quaternion array is
 # its four rows a, b, c, d, either a (4, ...) stack or the four columns of a
 # (..., 4) array.  quat_mul, quat_twist and adjoint_matrix are their
@@ -109,14 +108,6 @@ def quat_turn_rows(q, cos, sin):
     written; a and b are q's own rows."""
     a, b, c, d = q
     return a, b, c * cos + d * sin, d * cos - c * sin
-
-
-def quat_twist_rows(ti, tf, q):
-    """The rows (a, b, c', d') of the fiber twist by a split time ti + tf on
-    component rows q: a and b are q's own rows, and w' = c' + d'i is
-    (c + di) e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
-    (dtype=object)."""
-    return quat_turn_rows(q, *twist_factors(ti, tf))
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,12 +159,12 @@ def quat_phi_real(t, q: np.ndarray) -> np.ndarray:
 def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
     """Fiber twist by a split time ti + tf in closed form, equal to
     quat_phi_real(tf, quat_phi_int(ti, q)): (a, b, c, d) -> (a, b, w') with
-    w' = (c + di) e^{-i pi tf} (-1)^ti (quat_twist_rows).  ti may be int64
-    or Python ints (dtype=object); for tf = 0 the result is
+    w' = (c + di) e^{-i pi tf} (-1)^ti, w turned by its twist_factors.  ti
+    may be int64 or Python ints (dtype=object); for tf = 0 the result is
     quat_phi_int(ti, q) exactly."""
     q = np.asarray(q, dtype=float)
     out = q.copy()
-    _, _, out[..., 2], out[..., 3] = quat_twist_rows(ti, tf, _rows(q))
+    _, _, out[..., 2], out[..., 3] = quat_turn_rows(_rows(q), *twist_factors(ti, tf))
     return out
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from cfjoin import cf_engine as cf
 from cfjoin.groups import (
     GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_mul, quat_normalize, quat_phi_int, quat_turn_rows,
-    quat_twist, quat_twist_rows,
+    quat_twist, twist_factors,
 )
 
 
@@ -275,8 +275,8 @@ def _table_twist(levels, T, s):
 class TestTwistTable:
     @pytest.mark.parametrize("size", [1, 2, 8, 16])
     def test_entries_are_quat_twist_rows_on_the_grid(self, size):
-        # every entry twists as quat_twist_rows does at the split time of
-        # its ticks, bit for bit, on grids D = 1 .. 16
+        # every entry turns as twist_factors do at the split time of its
+        # ticks, bit for bit, on grids D = 1 .. 16
         built = cf.build_levels(cf.CFParams(max_level=1, alphabet_size=size), seed=0)
         grid = built.grid
         table = built.twist_table
@@ -284,12 +284,12 @@ class TestTwistTable:
         assert built.twist_table is table
         T = np.arange(2 * grid)
         q = np.random.default_rng(size).standard_normal((4, 2 * grid))
-        want = quat_twist_rows(T // grid, (T % grid) / grid, q)
+        want = quat_turn_rows(q, *twist_factors(T // grid, (T % grid) / grid))
         assert np.array(quat_turn_rows(q, *table)).tobytes() == np.array(want).tobytes()
         # a tick count past one period reads the entry of its residue mod 2D
         big = np.array([2**62 + 3, -(2**62) - 5, 2**80 + 1, -(2**70)], dtype=object)
         q = q[:, np.arange(4) % (2 * grid)]
-        want = quat_twist_rows(big // grid, (big % grid).astype(float) / grid, q)
+        want = quat_turn_rows(q, *twist_factors(big // grid, (big % grid).astype(float) / grid))
         assert np.array_equal(_table_twist(built, big, q), np.array(want))
 
     @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
@@ -302,7 +302,7 @@ class TestTwistTable:
                      dtype=object if big else np.int64)
         rho = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
         q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
-        turned = cf._fibers_out(_table_twist(levels, T, q.T.copy()), cf._residual_turn(rho, levels.grid))
+        turned = cf._fibers_out(_table_twist(levels, T, q.T.copy()), twist_factors(0, rho / levels.grid))
         want = quat_twist(*cf._from_ticks(levels, T, rho), q)
         assert np.max(np.abs(turned - want)) <= 4 * np.finfo(float).eps
         # and the entry turn by phi_rho^-1 undoes it within ulps
@@ -353,6 +353,24 @@ class TestLevelRange:
         # a plain list would hand back the top level's value for -1
         with pytest.raises(ValueError, match=rf"level -1 .*max_level {levels.max_level}"):
             getattr(levels, read)(-1)
+
+    @pytest.mark.parametrize("call", ["embed_batch", "peel_batch", "translate"])
+    def test_a_range_the_wrong_way_raises(self, levels, call):
+        # an embed from 3 to 1 once returned the point unmoved, a peel from 1
+        # to 3 failed inside numpy, and a translate from 3 to 1 on a None
+        ti, tf, q, tails = cf.sample_point_batch(levels, 4, 3, np.random.default_rng(0))
+        run = {
+            "embed_batch": lambda lo, hi: cf.embed_batch(levels, ti, tf, q, tails, lo, hi),
+            "peel_batch": lambda lo, hi: cf.peel_batch(levels, ti, tf, q, hi, lo),
+            "translate": lambda lo, hi: cf.translate(levels, ti, tf, q, tails, 2, lo, hi),
+        }[call]
+        with pytest.raises(ValueError, match=r"to_level [13] is (below|above) from_level [13]"):
+            run(3, 1)
+        if call != "translate":
+            # equal levels stay a no-op, the fibers turned out and back by rho
+            valid, *moved = (True, *run(1, 1)) if call == "embed_batch" else run(1, 1)[:4]
+            assert np.all(valid) and np.array_equal(moved[0], ti) and np.array_equal(moved[1], tf)
+            assert np.max(np.abs(moved[2] - q)) <= 4 * np.finfo(float).eps
 
 
 def _act_and_peel(levels, gs, batch, top):
@@ -749,6 +767,41 @@ class TestRadixLane:
             assert bool(valid[i]) == (ref is not None)
             if ref is not None:
                 assert (int(ti1[i]), float(tf1[i]), tuple(hs[i].tolist())) == (*_ref_split(ref[0]), ref[1])
+
+
+@pytest.mark.parametrize("max_level", [6, 7])
+def test_peel_on_interval_edges_matches_the_oracle(max_level):
+    # level-k times of exactly -a_k and a_k, and level-(k+1) times on a shell
+    # edge 2 h a~_k +- a~_k, each at rho 0 and 1/2, embedded to the top and
+    # peeled as Python-int ticks and as the top's radix pair, whose low
+    # digit is int64 on the max_level 6 build and Python ints on 7
+    levels = _build(max_level)
+    top, grid = max_level + 1, levels.grid
+    rng = np.random.default_rng(max_level)
+    exact = []
+    for k in range(top):
+        tail = [int(rng.integers(1 - levels.level(m).r, levels.level(m).r)) for m in range(k, top)]
+        r, at = levels.level(k).r, levels.a_tilde(k)
+        h = int(rng.integers(2 - r, r - 1))
+        for rho in (Fraction(0), Fraction(1, 2 * grid)):
+            exact += [_ref_embed(levels, t + rho, tail, k, top) for t in (-levels.a(k), levels.a(k))]
+            exact += [_ref_embed(levels, 2 * h * at + side * at + rho, tail[1:], k + 1, top) for side in (-1, 1)]
+    ticks = [math.floor(t * grid) for t in exact]
+    rho = np.array([float(t * grid - T) for t, T in zip(exact, ticks)])
+    width = 2 * levels.a_tilde(top - 1) * grid
+    hi = [(T + width // 2) // width for T in ticks]
+    lane = cf._lane(levels, top - 1)
+    radix = cf.RadixTimes(np.array(hi, dtype=np.int64), np.array([T - h * width for T, h in zip(ticks, hi)], dtype=lane))
+    assert radix.lo.dtype == (np.int64 if max_level == 6 else object)
+    q = quat_normalize(rng.standard_normal((len(exact), 4)))
+    for got in (_peel_ticks(levels, ticks, rho, q, top, 0), cf.peel_batch(levels, radix, rho, None, top, 0)):
+        valid, ti, tf, _, hs = got
+        assert not valid.all() and valid.any()
+        for i, t in enumerate(exact):
+            ref = _ref_peel(levels, t, top, 0)
+            assert bool(valid[i]) == (ref is not None)
+            if ref is not None:
+                assert (int(ti[i]), float(tf[i]), tuple(hs[i].tolist())) == (*_ref_split(ref[0]), ref[1])
 
 
 def _window_arithmetic(levels, ti, tf, q, tails, g, lo, top):

@@ -38,17 +38,21 @@ def _names_read(paths) -> set[str]:
 
 
 def test_every_export_has_a_caller():
-    # a name whose only reader is its own test is dead weight in the program
-    sources = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
-    sources += [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    # a name whose only reader is its own test is dead weight in the program:
+    # every __all__ name, and every module-level function and class, private
+    # ones too, such as a helper whose last caller has gone
+    program = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
+    sources = program + [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
     read = _names_read(sources)
-    unread = [
-        f"{name}.{attr}"
-        for name in MODULES
-        for attr in getattr(importlib.import_module(f"cfjoin.{name}"), "__all__", ())
-        if attr not in read
-    ]
-    assert unread == []
+    defined = {
+        f"{path.stem}.{node.name}"
+        for path in program
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    defined |= {f"{name}.{attr}" for name in MODULES
+                for attr in getattr(importlib.import_module(f"cfjoin.{name}"), "__all__", ())}
+    assert sorted(name for name in defined if name.partition(".")[2] not in read) == []
 
 
 def _imported_names(tree) -> set[str]:

@@ -438,7 +438,7 @@ class TestWeakmixTimeOnly:
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
         monkeypatch.setattr(cf_engine, "_fiber_step", forbidden)
-        monkeypatch.setattr(cf_engine, "_residual_turn", forbidden)
+        monkeypatch.setattr(cf_engine, "twist_factors", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
 
