@@ -38,8 +38,8 @@ element to a batch at one level.  The stacking conditions compare the
 interval ends as integers in ticks, and the exact cylinder and shift
 identities use Fractions built from the ticks.
 
-Inside embed_batch and peel_batch a batch's fibers are component-major, a
-(4, ..., n) stack of contiguous rows, as are the level tables s_quat and
+Inside embed_batch and peel_batch a batch's fibers are component-major,
+(4, n) rows, each contiguous, as are the level tables s_quat and
 s_quat_inv, (4, 2r - 1).  Each level multiplies them by its correction
 twisted by the current time t = (T + rho)/D.  The twist is an automorphism
 and phi_(a+b) = phi_a phi_b, so with one rho for every level
@@ -50,7 +50,7 @@ correction by T_k/D alone, with factors read from CFLevels.twist_table at
 T_k mod 2D (_fiber_step), so no level computes a cosine.  On the grid (rho = 0) the
 fibers are bit for bit the per-level quat_mul(q, quat_twist(ti, tf, s));
 off it they differ from that by rounding alone.  At the public boundary
-fibers stay (..., n, 4), returned as views of those rows.
+fibers stay (n, 4), returned as views of those rows.
 """
 
 from __future__ import annotations
@@ -602,15 +602,15 @@ def act(g: GElement, ti, tf, q):
 # ---------------------------------------------------------------------------
 
 def _own_rows(q, rho, grid: int):
-    """(rows, spare, turn): the (..., n, 4) fibers q as a (4, ..., n) stack
-    of contiguous component rows turned by phi_rho^-1 (see the module
-    docstring), which embed_batch and peel_batch step level by level; a
-    buffer of its shape for the next level's rows; and the factors
-    (cos, sin) of phi_rho, which _fibers_out turns the rows back by.
-    (None, None, None) when q is None."""
+    """(rows, spare, turn): the (n, 4) fibers q as (4, n) contiguous
+    component rows turned by phi_rho^-1 (see the module docstring), which
+    embed_batch and peel_batch step level by level; a buffer of their shape
+    for the next level's rows; and the factors (cos, sin) of phi_rho, which
+    _fibers_out turns the rows back by.  (None, None, None) when q is
+    None."""
     if q is None:
         return None, None, None
-    src = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    src = np.asarray(q, dtype=float).T
     cos, sin = twist_factors(0, rho / grid)
     rows = np.empty(src.shape)
     rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, cos, -sin)
@@ -631,12 +631,12 @@ def _fiber_step(q, T, s, table, out, below=None):
 
 
 def _fibers_out(rows, turn):
-    """The (..., n, 4) fibers of component rows turned in place by the
+    """The (n, 4) fibers of component rows turned in place by the
     factors `turn` (a view of them), or None."""
     if rows is None:
         return None
     _, _, rows[2], rows[3] = quat_turn_rows(rows, *turn)
-    return np.moveaxis(rows, 0, -1)
+    return rows.T
 
 
 def row_blocks(n: int):
@@ -692,13 +692,13 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     the level's times pass 2^62; with radix they come back as RadixTimes
     and rho, which peel_batch takes as they are.  Each level multiplies the
     fiber by the shift element twisted by the current time, on the fibers
-    held component-major, a (4, ..., n) stack of contiguous rows: the
-    fibers are turned by phi_rho^-1 at entry and by phi_rho at exit, and
-    each level twists by its ticks alone, from CFLevels.twist_table (see
-    the module docstring); on the grid (rho = 0) that is bit for bit
+    held component-major, (4, n) contiguous rows: the fibers are turned by
+    phi_rho^-1 at entry and by phi_rho at exit, and each level twists by
+    its ticks alone, from CFLevels.twist_table (see the module docstring);
+    on the grid (rho = 0) that is bit for bit
     quat_mul(q, quat_twist(ti, tf, s)) per level, off it the same up to
     rounding.
-    Returns (ti, tf, q) at to_level, q a (..., n, 4) view of those rows.
+    Returns (ti, tf, q) at to_level, q an (n, 4) view of those rows.
     With q None the fiber is neither moved nor returned (None in its
     place); times are the same either way.  to_level below from_level is a
     ValueError.  Times are moved in place, on the tick arrays made at
@@ -748,18 +748,22 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     the base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at
     the first level where they fit (_lane).  Each level multiplies the
     fiber by the inverse shift element twisted by the peeled time, as
-    embed_batch does, on its own (4, ..., n) rows turned by the residual at
-    entry and at exit; q comes back as a (..., n, 4) view of them.  With q
+    embed_batch does, on its own (4, n) rows turned by the residual at
+    entry and at exit; q comes back as an (n, 4) view of them.  With q
     None the fiber is neither moved nor returned (None in its place);
     valid, times and hs are the same either way.  to_level above
-    from_level is a ValueError.  Times are peeled in place, on the tick
-    array made at entry: the caller's arrays, or the read-only broadcast
-    translate passes, are never written.
+    from_level is a ValueError, and so is a RadixTimes pair at to_level
+    equal to from_level, whose high digit no level would take in.  Times
+    are peeled in place, on the tick array made at entry: the caller's
+    arrays, or the read-only broadcast translate passes, are never written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
     levels._built(from_level, levels.max_level + 1)
     if isinstance(ti, RadixTimes):
+        if to_level == from_level:
+            raise ValueError(f"peel_batch of a RadixTimes pair peels at least one level, "
+                             f"and to_level {to_level} is from_level {from_level}")
         hi, T, rho = ti.hi, np.array(ti.lo, copy=True), np.asarray(tf, dtype=float)
     else:
         hi = None
@@ -802,25 +806,27 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     """peel_batch back to from_level of the batch embedded up to to_level
     with `tails` and moved there by the integer time translate (g, I), the
     fiber (if any) turned by phi_g, the parity twist quat_phi_int, as a
-    sign on the c and d rows of the fibers broadcast to the lanes.  g is a
+    sign on the c and d rows of the fiber broadcast to the lanes.  g is a
     Python int or an int64 array, one per lane, to which a one-row batch is
-    broadcast.  q may carry leading fiber axes, shape (..., n, 4): fibers
-    over the same times and tails share one time peel, and each comes back
-    as its own translate would return it.  The top times stay a RadixTimes
-    pair, and rho goes from the embed to the peel as it is, so no float
-    fraction is formed: g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1),
-    adds gh to the shift digit and gl D ticks to the low digit, so no time
-    past 2^62 is formed where the low digit fits int64."""
+    broadcast.  The top times stay a RadixTimes pair, and rho goes from the
+    embed to the peel as it is, so no float fraction is formed:
+    g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift
+    digit and gl D ticks to the low digit, so no time past 2^62 is formed
+    where the low digit fits int64.  to_level at or below from_level is a
+    ValueError: the translate moves the digits of at least one embedded
+    level."""
+    if to_level == from_level:
+        raise ValueError(f"translate embeds at least one level, and to_level {to_level} is from_level {from_level}")
     top, rho, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
     g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(rho.shape, g.shape)
     if q is not None:
-        rows = np.empty((4,) + q.shape[:-2] + lanes)
-        rows[...] = np.moveaxis(q, -1, 0)
+        rows = np.empty((4,) + lanes)
+        rows[...] = q.T
         rows[2:] *= np.where(g & 1, -1.0, 1.0)
-        q = np.moveaxis(rows, 0, -1)
+        q = rows.T
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
     return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
 

@@ -64,7 +64,7 @@ __all__ = [
 # adjoint entries are written once, on component rows: a quaternion array is
 # its four rows a, b, c, d, either a (4, ...) stack or the four columns of a
 # (..., 4) array.  quat_mul, quat_twist and adjoint_matrix are their
-# (..., 4) forms.  The point engine keeps its fibers as a (4, ..., n) stack of
+# (..., 4) forms.  The point engine keeps a batch's fibers as (4, n)
 # contiguous rows, turns them with quat_turn_rows by twist factors it reads
 # from a table, and multiplies them with quat_mul_rows.
 # ---------------------------------------------------------------------------

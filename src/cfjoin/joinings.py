@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import adjoint_entry_rows, adjoint_matrix, quat_mul
+from .groups import adjoint_entry_rows, adjoint_matrix, quat_mul, quat_phi_int
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
@@ -99,15 +99,10 @@ class CFDictionary:
             np.multiply(out[prev], first, out=out[row])
         for row in self._harm:
             out[row] *= self.scale
-        self._fiber_rows(valid, q, out)
-        return out
-
-    def _fiber_rows(self, valid, q, out) -> None:
-        """Write the fiber rows of q into `out`, whose time rows hold the
-        values at the same times, and zero the lanes off `valid`.  Each row
-        is sqrt 2 or sqrt 3 times a matrix coefficient, then scaled, written
-        as real and imaginary parts; the adjoint entries are those of
-        groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array."""
+        # each fiber row is sqrt 2 or sqrt 3 times a matrix coefficient of q,
+        # then scaled, written as real and imaginary parts; the adjoint
+        # entries are those of groups.adjoint_entry_rows, without
+        # adjoint_matrix's (n, 3, 3) array
         for row, (kind, arg) in self._fiber:
             if kind == "def":
                 lo = 0 if arg == "z" else 2
@@ -121,18 +116,7 @@ class CFDictionary:
                 np.multiply(value, root, out=part)
                 part *= self.scale
         out[:, ~valid] = 0.0
-
-    def evaluate_shared_times(self, batch, q2) -> tuple[np.ndarray, np.ndarray]:
-        """Values (fx, fy) of two points with the same times and fibers q
-        and q2, batch = (valid, ti, tf, q): fy copies the time rows of fx,
-        which the fiber does not enter, and computes only its fiber rows.
-        fy is fx when q2 is None."""
-        fx = self.evaluate(batch)
-        if q2 is None:
-            return fx, fx
-        fy = fx.copy()
-        self._fiber_rows(batch[0], q2, fy)
-        return fx, fy
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,31 +151,41 @@ def joining_metric_stderr(x: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * x.stderr**2)))
 
 
-def _correlation_table(blocks, scale: float = 1.0) -> EmpiricalJoining:
-    """Table of the means of scale * f_i(x_k) conj(f_j(y_k)) over the value
-    pairs of `blocks`, an iterable of (fx, fy) row blocks (both (K, n_b)),
-    with the stderr of each mean.
+def _sq_moduli(f: np.ndarray) -> np.ndarray:
+    """|f|^2, squared in place in the one real array it makes."""
+    sq = np.abs(f)
+    return np.square(sq, out=sq)
 
-    Since |f_i g_j|^2 = |f_i|^2 |g_j|^2, both moments are (K, n_b) x (n_b, K)
-    matrix products summed over the blocks, and no (K, K, N) array, nor any
-    (K, N) table of all N pairs, is formed.  When fy is fx, |fx|^2 is
-    computed once.
+
+class _TableSums:
+    """Running sums of one correlation table over row blocks: the means of
+    scale * f_i(x_k) conj(f_j(y_k)) over the pairs added, with the stderr
+    of each mean.
+
+    Each block gives two (K, n_b) x (n_b, K) matrix products: the cross
+    sum conj(f_x) f_y^T, whose conjugate is the table's f_x f_y^H, and,
+    since |f_i g_j|^2 = |f_i|^2 |g_j|^2, the second moment |f_x|^2
+    (|f_y|^2)^T.  No (K, K, N) array, nor any (K, N) table of all N pairs,
+    is formed.
     """
-    n = 0
-    cross = second = 0.0
-    for fx, fy in blocks:
-        n += fx.shape[1]
-        cross = cross + fx @ fy.conj().T
-        sq_x = np.abs(fx) ** 2
-        # a copy, not sq_x itself: numpy takes the product of an array with
-        # its own transpose through syrk, which rounds differently
-        sq_y = sq_x.copy() if fy is fx else np.abs(fy) ** 2
-        second = second + sq_x @ sq_y.T
-        # free this block's tables before the next block is computed
-        del fx, fy, sq_x, sq_y
-    corr = cross * (scale / n)
-    var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
-    return EmpiricalJoining(corr, np.sqrt(var / n))
+
+    def __init__(self):
+        self.n = 0
+        self.cross = self.second = 0.0
+
+    def add(self, conj_x, sq_x, fy) -> None:
+        """Add the pairs of one block: conj(f_x) and |f_x|^2, (K, n_b) rows
+        that every table of x's block shares, and f_y, (K, m) with m <= n_b,
+        paired with x's first m columns."""
+        m = fy.shape[1]
+        self.n += m
+        self.cross = self.cross + conj_x[:, :m] @ fy.T
+        self.second = self.second + sq_x[:, :m] @ _sq_moduli(fy).T
+
+    def table(self, scale: float) -> EmpiricalJoining:
+        corr = self.cross.conj() * (scale / self.n)
+        var = np.maximum(self.second * (scale**2 / self.n) - np.abs(corr) ** 2, 0.0)
+        return EmpiricalJoining(corr, np.sqrt(var / self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -285,50 +279,20 @@ def shulman_check(n: int, levels: CFLevels) -> tuple[int, int]:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _window_blocks(
-    x: tuple,
-    x2: tuple,
-    window: FolnerWindow,
-    dictionary: CFDictionary,
-    levels: CFLevels,
-    bs: np.ndarray,
-    ts: np.ndarray,
-):
-    """Row blocks (fx, fy) of the dictionary values at the translates of two
-    level-1 points, one-row batches (ti, tf, q, tails), by g = b + spacing t.
-
-    Points with the same times and tails, such as x and its fiber partner
-    act((0, m), x), share one translate of both fibers and the time rows of
-    their values; fy is fx when the fibers are the same too.
-    """
-    if window.max_abs() >= 2**63:
-        raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
-    top = min(window.n + 2, levels.max_level + 1)
-    shared = all(np.array_equal(x[i], x2[i]) for i in (0, 1, 3))
-    same = shared and np.array_equal(x[2], x2[2])
-    q = x[2] if same else np.stack([x[2], x2[2]])
-    for rows in row_blocks(len(bs)):
-        g = bs[rows] + window.spacing * ts[rows]
-        if shared:
-            valid, ti, tf, qg, _ = translate(levels, x[0], x[1], q, x[3], g, 1, top)
-            qx, qy = (qg, None) if same else qg
-            yield dictionary.evaluate_shared_times((valid, ti, tf, qx), qy)
-        else:
-            yield (dictionary.evaluate(translate(levels, *x, g, 1, top)[:4]),
-                   dictionary.evaluate(translate(levels, *x2, g, 1, top)[:4]))
-
-
 def empirical_joining(
     x: tuple,
-    x2: tuple,
+    y: tuple,
+    m: np.ndarray,
     window: FolnerWindow,
     dictionary: CFDictionary,
     levels: CFLevels,
     samples: int,
     rng: np.random.Generator,
-) -> EmpiricalJoining:
-    """Window-average correlation table of the orbit pair of (x, x2), two
-    level-1 points given as one-row batches (ti, tf, q, tails), read on the
+) -> tuple[EmpiricalJoining, EmpiricalJoining, EmpiricalJoining]:
+    """Window-average correlation tables (paired, independent, diagonal) of
+    the orbit pairs of x with its fiber partner (0, m) x, of x with y, and
+    of x with itself; x and y are level-1 points given as one-row batches
+    (ti, tf, q, tails), m a (4,) unit quaternion.  Each table is read on the
     window's own frame.
 
     The frame factor.  A translate g = b + 2 a~_n t with |b| <= a_n / n^2
@@ -342,22 +306,49 @@ def empirical_joining(
     table on the whole space, and the average is multiplied by mu(X_n);
     the stderr scales with it.
 
-    The average is estimated from `samples` uniform draws of (b, t), with
-    the reported stderr.  The draws are unbiased for the window average
+    The averages are estimated from `samples` uniform draws of (b, t), b
+    drawn before t, with the reported stderr; the diagonal reads the first
+    samples // 2 of them.  The draws are unbiased for the window average
     whatever its size, so a window that `samples` could enumerate (only an
     r_schedule far below the default makes one) is drawn too; the level-4
     window of the default build has about 6.3e10 elements.
+
+    One pass over ROW_BLOCK blocks of the draws translates x and y once
+    each.  The partner shares x's times and tails, and its fiber is
+    phi_g(m) q', q' x's translated fiber: (0, m) acts on the left, every
+    embed and peel step multiplies on the right, and phi_g is an
+    automorphism.  x's values are conjugated once, in place, for all three
+    tables, and one partner block is held at a time.
     """
-    bs = rng.integers(-window.i_max, window.i_max + 1, size=samples)
-    ts = rng.integers(-window.j_max, window.j_max + 1, size=samples)
-    blocks = _window_blocks(x, x2, window, dictionary, levels, bs, ts)
+    if window.max_abs() >= 2**63:
+        raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
+    top = min(window.n + 2, levels.max_level + 1)
+    # the translates g = b + 2 a~_n t, b drawn before t
+    g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
+         + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
+    paired, independent, diagonal = _TableSums(), _TableSums(), _TableSums()
     try:
-        return _correlation_table(blocks, levels.mu_xn(window.n))
+        for rows in row_blocks(samples):
+            valid, ti, tf, q = translate(levels, *x, g[rows], 1, top)[:4]
+            fx = dictionary.evaluate((valid, ti, tf, q))
+            # the diagonal's partner: x's own values, on its first draws
+            fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
+            sq_x = _sq_moduli(fx)
+            conj_x = np.conjugate(fx, out=fx)
+            diagonal.add(conj_x, sq_x, fd)
+            del fx, fd
+            q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
+            paired.add(conj_x, sq_x, dictionary.evaluate((valid, ti, tf, q)))
+            independent.add(conj_x, sq_x, dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4]))
+            # nothing of this block is left when the next one is made
+            del conj_x, sq_x
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "
             f"exceeded the point's truncation: {exc}"
         ) from exc
+    scale = levels.mu_xn(window.n)
+    return paired.table(scale), independent.table(scale), diagonal.table(scale)
 
 
 # the defining rows read sqrt 2 times these coefficients of q

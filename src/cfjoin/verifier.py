@@ -909,9 +909,9 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     window = joinings.folner_window(4, levels)  # translates reach level 6
     samples = max(cfg.mc_samples // 5, 50_000)
 
-    k = GElement(0.0, SU2_H0)
-    gk = joinings.graph_joining_target(k.m.array(), d)
-    gks = joinings.graph_joining_target(conj_star(k.t, k.m.array())[1], d)
+    h0 = SU2_H0.array()
+    gk = joinings.graph_joining_target(h0, d)
+    gks = joinings.graph_joining_target(conj_star(0.0, h0)[1], d)
     diag = joinings.graph_joining_target(SU2_I.array(), d)
     targets = {
         "product": joinings.product_joining_target(d),
@@ -925,18 +925,16 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     # frame; the independent partner has all tail indices distinct from x's
     rng_pts = substream(cfg.seed, "generic-points")
     x = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
-    x_paired = (*cf_engine.act(k, *x[:3]), x[3])
     y = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
     while np.any(x[3] == y[3]):
         y = cf_engine.sample_point_batch(levels, 1, levels.max_level, rng_pts, h_minus=True)
 
+    # x with its fiber partner (0, h0) x, with y, and with itself (the
+    # diagonal sanity check), from one pass over one set of window draws
+    emp_paired, emp_indep, emp_diag = joinings.empirical_joining(
+        x, y, h0, window, d, levels, samples, substream(cfg.seed, "win")
+    )
     rows = []
-    emp_paired = joinings.empirical_joining(
-        x, x_paired, window, d, levels, samples, substream(cfg.seed, "win-paired")
-    )
-    emp_indep = joinings.empirical_joining(
-        x, y, window, d, levels, samples, substream(cfg.seed, "win-indep")
-    )
     for case, emp, expect in (
         ("paired", emp_paired, "mixture"),
         ("independent", emp_indep, "product"),
@@ -956,9 +954,6 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
         rep.add(f"{case}-margins-4sigma", 1.0 if margins_ok else 0.0, passed=margins_ok)
 
     # diagonal sanity: x paired with itself matches the identity graph table
-    emp_diag = joinings.empirical_joining(
-        x, x, window, d, levels, samples // 2, substream(cfg.seed, "win-diag")
-    )
     d_diag = joinings.joining_metric(emp_diag.corr, diag)
     se_diag = joinings.joining_metric_stderr(emp_diag)
     rep.add("diagonal-distance", d_diag, tolerance=8 * se_diag + 0.02,

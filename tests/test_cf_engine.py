@@ -372,6 +372,20 @@ class TestLevelRange:
             assert np.all(valid) and np.array_equal(moved[0], ti) and np.array_equal(moved[1], tf)
             assert np.max(np.abs(moved[2] - q)) <= 4 * np.finfo(float).eps
 
+    def test_a_radix_pair_at_equal_levels_raises(self, levels):
+        # no level peels, so the high digit 2 was dropped and the low digit
+        # 5 came back as a valid level-2 time
+        pair = cf.RadixTimes(np.array([2]), np.array([5]))
+        with pytest.raises(ValueError, match="to_level 2 is from_level 2"):
+            cf.peel_batch(levels, pair, np.array([0.5]), None, 2, 2)
+
+    def test_translate_at_equal_levels_raises(self, levels):
+        # the embed returned no shift digit, and adding g's to it failed
+        # inside numpy on a None
+        ti, tf, q, tails = cf.sample_point_batch(levels, 4, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="to_level 1 is from_level 1"):
+            cf.translate(levels, ti, tf, q, tails, 2, 1, 1)
+
 
 def _act_and_peel(levels, gs, batch, top):
     """Embed a level-1 batch to `top`, act by each element of gs in turn,
@@ -873,28 +887,30 @@ class TestTranslate:
 
     @pytest.mark.parametrize("lanes", [0, 1, cf.ROW_BLOCK, cf.ROW_BLOCK + 1])
     def test_stacked_fibers_match_separate_translates(self, levels, lanes):
-        # a point and its fiber partner (0, h0) x share times and tails: one
-        # translate of the two stacked fibers returns, bit for bit, what the
-        # two translates of the points return
+        # a point and its fiber partner (0, h0) x share times and tails: the
+        # two translates return, bit for bit, the same validity, times and
+        # shift indices, and the partner's fiber is x's turned on the left by
+        # phi_g(h0), as the joining windows form it, on either side of a
+        # row block
         top = levels.max_level
         x = cf.sample_point_batch(levels, 1, top, np.random.default_rng(31), h_minus=True)
-        q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
+        partner = cf.act(GElement(0.0, SU2_H0), *x[:3])
         # translates within one top shell keep most lanes valid; the wide
         # ones leave it
         rng = np.random.default_rng(32)
         two = 2 * levels.a_tilde(top - 1)
         g = np.where(rng.random(lanes) < 0.5, rng.integers(-two, two, lanes),
                      rng.integers(-3 * two, 3 * two, lanes))
-        ti, tf, q, tails = x
-        stacked = cf.translate(levels, ti, tf, np.stack([q, q2]), tails, g, 1, top)
-        assert stacked[3].shape == (2, lanes, 4)
-        for fiber, q_fiber in ((0, q), (1, q2)):
-            one = cf.translate(levels, ti, tf, q_fiber, tails, g, 1, top)
-            for got, want in zip(stacked[:3] + (stacked[3][fiber],) + stacked[4:], one):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        one = cf.translate(levels, *x, g, 1, top)
+        other = cf.translate(levels, *partner, x[3], g, 1, top)
+        assert one[3].shape == other[3].shape == (lanes, 4)
+        for got, want in zip(one[:3] + one[4:], other[:3] + other[4:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        moved = quat_mul(quat_phi_int(g, np.broadcast_to(SU2_H0.array(), one[3].shape)), one[3])
+        assert np.max(np.abs(moved - other[3]), initial=0.0) <= OFF_GRID_FIBER_BOUND
         if lanes > 1:
-            assert 0 < stacked[0].sum() < lanes
+            assert 0 < one[0].sum() < lanes
 
 
 def _frozen(*arrays):
@@ -947,7 +963,7 @@ class TestInputsUnchanged:
 
 
 def _aos_embed_fiber(levels, ti, tf, q, tails, lo, hi):
-    """The fiber embed_batch returns, composed per level on (..., n, 4)
+    """The fiber embed_batch returns, composed per level on (n, 4)
     arrays: q times quat_twist(t_k, s(h_k)) at each level k, with t_k the
     level-k times of the time-only embed."""
     for col, k in enumerate(range(lo, hi)):
@@ -958,7 +974,7 @@ def _aos_embed_fiber(levels, ti, tf, q, tails, lo, hi):
 
 
 def _aos_peel_fiber(levels, ti, tf, q, hi, lo):
-    """The fiber peel_batch returns, composed per level on (..., n, 4)
+    """The fiber peel_batch returns, composed per level on (n, 4)
     arrays: q times quat_twist(t_k, s(h_k)^-1) at each level k from the top
     down, with t_k the peeled level-k times of the time-only peel and h_k
     its shift index, clipped into the table."""
@@ -971,7 +987,7 @@ def _aos_peel_fiber(levels, ti, tf, q, hi, lo):
 
 
 def _aos_translate_fiber(levels, ti, tf, q, tails, g, lo, top):
-    """The fiber translate returns, composed per level on (..., n, 4)
+    """The fiber translate returns, composed per level on (n, 4)
     arrays: the embedded fiber turned by quat_phi_int(g) on its broadcast to
     the lanes, then peeled from the top's radix digits moved by g."""
     pair, rho, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, top, radix=True)
@@ -980,7 +996,7 @@ def _aos_translate_fiber(levels, ti, tf, q, tails, g, lo, top):
     g = np.asarray(g).astype(pair.lo.dtype)
     moved = cf.RadixTimes(pair.hi + np.asarray(g // radix, dtype=np.int64), pair.lo + g % radix * levels.grid)
     lanes = np.broadcast_shapes(rho.shape, g.shape)
-    qn = quat_phi_int(g % 2, np.broadcast_to(qn, qn.shape[:-2] + lanes + (4,)))
+    qn = quat_phi_int(g % 2, np.broadcast_to(qn, lanes + (4,)))
     return _aos_peel_fiber(levels, moved, np.broadcast_to(rho, lanes), qn, top, lo)
 
 
@@ -994,9 +1010,9 @@ OFF_GRID_FIBER_BOUND = 2e-15
 
 
 def _point_batch(levels, n, seed, on_grid, h_minus=False):
-    """sample_point_batch at level 1 with tails to level 6, its fractions
-    floored to the tick grid (rho = 0) when on_grid."""
-    ti, tf, q, tails = cf.sample_point_batch(levels, n, 6, np.random.default_rng(seed), h_minus)
+    """sample_point_batch at level 1 with tails to the build's max_level,
+    its fractions floored to the tick grid (rho = 0) when on_grid."""
+    ti, tf, q, tails = cf.sample_point_batch(levels, n, levels.max_level, np.random.default_rng(seed), h_minus)
     if on_grid:
         tf = np.floor(tf * levels.grid) / levels.grid
     return ti, tf, q, tails
@@ -1012,13 +1028,13 @@ def _assert_oracle_fibers(got, want, on_grid):
 
 
 class TestComponentMajorFiber:
-    """embed_batch, peel_batch and translate step their fibers as a
-    (4, ..., n) stack of contiguous rows, twisting each level's correction
-    by a table read and the residual once per call.  Against the per-level
-    (..., n, 4) composition quat_mul(q, quat_twist(t, s[j])) they agree on
-    every lane, valid or not, bit for bit on draws floored to the tick grid
-    and within OFF_GRID_FIBER_BOUND on draws off it, and return (..., n, 4)
-    fibers whose columns are contiguous."""
+    """embed_batch, peel_batch and translate step their fibers as (4, n)
+    contiguous rows, twisting each level's correction by a table read and
+    the residual once per call.  Against the per-level (n, 4) composition
+    quat_mul(q, quat_twist(t, s[j])) they agree on every lane, valid or
+    not, bit for bit on draws floored to the tick grid and within
+    OFF_GRID_FIBER_BOUND on draws off it, and return (n, 4) fibers whose
+    columns are contiguous."""
 
     @staticmethod
     def _moves(rng, two, n):
@@ -1064,25 +1080,45 @@ class TestComponentMajorFiber:
             _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1), on_grid)
 
     @pytest.mark.parametrize("top", [6, 7])
-    def test_translate_of_a_fiber_stack(self, levels, top):
-        # a point and its fiber partner, one row to many g, as the joining
-        # windows translate them; and a batch with one g per row
+    def test_translate_fibers(self, levels, top):
+        # one row to many g, as the joining windows translate a point; and
+        # a batch with one g per row, or one g for all
         two = 2 * levels.a_tilde(top - 1)
         for on_grid in (True, False):
-            x = _point_batch(levels, 1, 57, on_grid, h_minus=True)
-            q2 = cf.act(GElement(0.0, SU2_H0), *x[:3])[2]
+            ti, tf, q, tails = _point_batch(levels, 1, 57, on_grid, h_minus=True)
             g = self._moves(np.random.default_rng(58), two, 2000)
-            ti, tf, q, tails = x
-            stacked = np.stack([q, q2])
-            valid, _, _, qg, _ = cf.translate(levels, ti, tf, stacked, tails, g, 1, top)
-            assert qg.shape == (2, 2000, 4) and qg[..., 0].flags.c_contiguous
+            valid, _, _, qg, _ = cf.translate(levels, ti, tf, q, tails, g, 1, top)
+            assert qg.shape == (2000, 4) and qg[:, 0].flags.c_contiguous
             assert 0 < valid.sum() < 2000
-            _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, stacked, tails, g, 1, top), on_grid)
+            _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, q, tails, g, 1, top), on_grid)
             ti, tf, q, tails = _point_batch(levels, 300, 59, on_grid)
             g = self._moves(np.random.default_rng(60), two, 300)
             for gs in (g, int(g[0])):
                 qg = cf.translate(levels, ti, tf, q, tails, gs, 1, top)[3]
                 _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, q, tails, gs, 1, top), on_grid)
+
+    @pytest.mark.parametrize("max_level", [6, 7])
+    def test_partner_fiber_is_a_left_product(self, max_level):
+        # the fiber partner (0, h0) x has x's times and tails, and (0, h0)
+        # acts on the left, where every embed and peel step multiplies on
+        # the right and phi_g is an automorphism: the partner's translate
+        # is x's, its fiber phi_g(h0) q' for x's fiber q', up to rounding,
+        # as the joining windows form it.  The top's low digit is int64 at
+        # top 7 of the default build and Python ints at top 8 of the deeper
+        top = max_level + 1
+        levels = _build(max_level)
+        assert (cf._lane(levels, top - 1) is object) == (max_level == 7)
+        # within three shells of the top either way, or as far as int64 g reach
+        g = self._moves(np.random.default_rng(62), min(2 * levels.a_tilde(top - 1), 2**61), 2000)
+        h0 = SU2_H0.array()
+        for on_grid in (True, False):
+            x = _point_batch(levels, 1, 61, on_grid, h_minus=True)
+            valid, ti, tf, q, hs = cf.translate(levels, *x, g, 1, top)
+            partner = cf.translate(levels, *cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3], g, 1, top)
+            assert 0 < valid.sum() < 2000
+            _assert_same_arrays((valid, ti, tf, hs), partner[:3] + partner[4:])
+            moved = quat_mul(quat_phi_int(g, np.broadcast_to(h0, q.shape)), q)
+            assert np.max(np.abs(moved - partner[3])) <= OFF_GRID_FIBER_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ def test_all_names_resolve(name):
 ROOT = Path(__file__).resolve().parent.parent
 
 def _names_read(paths) -> set[str]:
-    """Names loaded (ast.Name) or taken as an attribute (ast.Attribute)."""
+    """Names loaded (ast.Name) or taken as an attribute (ast.Attribute),
+    and the attribute parts of the keys of a TRACED dict, such as the
+    benchmark's "cf_engine.act", which its tracer looks up with getattr."""
     read = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -34,6 +36,8 @@ def _names_read(paths) -> set[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+                read.update(part for key in node.value.keys for part in key.value.split(".")[1:])
     return read
 
 

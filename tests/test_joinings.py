@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def same_table(a, b) -> bool:
     return same_bits(a.corr, b.corr) and same_bits(a.stderr, b.stderr)
 
 
+def correlation_table(pairs, scale=1.0):
+    """The table of the (fx, fy) value blocks `pairs`, through the
+    estimator's accumulator."""
+    sums = jo._TableSums()
+    for fx, fy in pairs:
+        sums.add(fx.conj(), np.abs(fx) ** 2, fy)
+    return sums.table(scale)
+
+
 def random_table(rng, k=4):
     corr = rng.uniform(-1, 1, size=(k, k)) + 1j * rng.uniform(-1, 1, size=(k, k))
     return corr / np.max(np.abs(corr))
@@ -96,7 +106,7 @@ def circle_table(functions, xs, ys):
     """Correlation table of a pair cloud (x_k, y_k) of circle points."""
     fx = np.stack([f(xs) for f in functions]).astype(complex)
     fy = np.stack([f(ys) for f in functions]).astype(complex)
-    return jo._correlation_table([(fx, fy)]).corr
+    return correlation_table([(fx, fy)]).corr
 
 
 def invariance_gap(functions, xi_pairs, nu_pairs, move):
@@ -118,7 +128,7 @@ class TestCorrelationTable:
             elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
         )
         fx, fy = data.draw(values), data.draw(values)
-        table = jo._correlation_table([(fx, fy)], scale)
+        table = correlation_table([(fx, fy)], scale)
         prod = fx[:, None, :] * np.conj(fy[None, :, :]) * scale
         corr = prod.mean(axis=2)
         var = np.maximum((np.abs(prod) ** 2).mean(axis=2) - np.abs(corr) ** 2, 0.0)
@@ -135,21 +145,21 @@ class TestCorrelationTable:
         fx, fy = (rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n)) for _ in "xy")
         blocks = [(fx[:, rows], fy[:, rows]) for rows in cf.row_blocks(n)]
         assert [b[0].shape[1] for b in blocks] == [cf.ROW_BLOCK, 1]
-        table = jo._correlation_table(blocks, scale)
+        table = correlation_table(blocks, scale)
         corr = fx @ fy.conj().T * (scale / n)
         second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
         assert np.max(np.abs(table.corr - corr)) <= 1e-12
         assert np.max(np.abs(table.stderr**2 * n - (second - np.abs(corr) ** 2))) <= 1e-12
 
-    def test_fy_is_fx_matches_a_copy_bit_for_bit(self, rng):
-        # |fx|^2 is computed once when fy is fx, and must not reach numpy's
-        # syrk product of an array with its own transpose, which rounds
-        # differently from the product with an equal copy
-        blocks = [rng.standard_normal((16, n)) * rng.uniform(0, 5, (16, 1))
-                  + 1j * rng.standard_normal((16, n)) for n in (cf.ROW_BLOCK, 1000)]
-        once = jo._correlation_table([(fx, fx) for fx in blocks], 0.37)
-        copies = jo._correlation_table([(fx, fx.copy()) for fx in blocks], 0.37)
-        assert same_table(once, copies)
+    def test_narrow_partner_pairs_the_first_columns(self, rng):
+        # the diagonal's partner block covers only x's first draws: a
+        # partner of m columns pairs with x's first m, the rest of x's
+        # block unread
+        fx, fy = (rng.standard_normal((16, 1000)) + 1j * rng.standard_normal((16, 1000)) for _ in "xy")
+        sums = jo._TableSums()
+        sums.add(fx.conj(), np.abs(fx) ** 2, fy[:, :300].copy())
+        assert sums.n == 300
+        assert same_table(sums.table(0.37), correlation_table([(fx[:, :300].copy(), fy[:, :300].copy())], 0.37))
 
 
 class TestInvarianceCheck:
@@ -258,17 +268,6 @@ class TestDictionary:
         batch = (valid, ti, tf, q)
         assert same_bits(dictionary.evaluate(batch), reference_evaluate(dictionary, batch))
 
-    def test_shared_times_match_two_evaluates(self, levels, dictionary):
-        rng = np.random.default_rng(25)
-        ti, tf, q, _ = cf.sample_point_batch(levels, 1000, 0, rng)
-        valid = rng.random(1000) < 0.8
-        moved = quat_mul(SU2_H0.array(), q)
-        fx, fy = dictionary.evaluate_shared_times((valid, ti, tf, q), moved)
-        assert same_bits(fx, reference_evaluate(dictionary, (valid, ti, tf, q)))
-        assert same_bits(fy, reference_evaluate(dictionary, (valid, ti, tf, moved)))
-        fx, fy = dictionary.evaluate_shared_times((valid, ti, tf, q), None)
-        assert fy is fx
-
     def test_weights_are_dyadic(self, dictionary):
         w = jo._weights(dictionary.size)
         assert w[0, 0] == 0.25
@@ -315,8 +314,9 @@ class TestTargets:
         # target of the joinings experiment
         gk, gks = (jo.graph_joining_target(m, dictionary) for m in (H0, H0_STAR))
         batch = cubature_batch(dictionary)
-        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m, batch[3])) for m in (H0, H0_STAR)]
-        cubature = jo._correlation_table(blocks, levels.mu_xn(1))
+        blocks = [(dictionary.evaluate(batch), dictionary.evaluate((*batch[:3], quat_mul(m, batch[3]))))
+                  for m in (H0, H0_STAR)]
+        cubature = correlation_table(blocks, levels.mu_xn(1))
         assert np.max(np.abs(0.5 * (gk + gks) - cubature.corr)) <= 2e-15
 
     def test_product_target_is_exact(self, levels, dictionary):
@@ -338,8 +338,8 @@ class TestTargets:
         m = GRAPH_ELEMENTS[name]
         table = jo.graph_joining_target(m, dictionary)
         batch = cubature_batch(dictionary)
-        blocks = [dictionary.evaluate_shared_times(batch, quat_mul(m, batch[3]))]
-        cubature = jo._correlation_table(blocks, levels.mu_xn(1))
+        blocks = [(dictionary.evaluate(batch), dictionary.evaluate((*batch[:3], quat_mul(m, batch[3]))))]
+        cubature = correlation_table(blocks, levels.mu_xn(1))
         assert np.max(np.abs(table - cubature.corr)) <= 2e-15
 
     def test_fiber_blocks_are_representations(self, dictionary):
@@ -368,21 +368,69 @@ class TestTargets:
         assert gk[0, 0] == 1.0
 
 
+def window_points(levels, *seeds):
+    """One-row level-1 batches with tails through the build's top level."""
+    return [cf.sample_point_batch(levels, 1, 12, np.random.default_rng(seed)) for seed in seeds]
+
+
+def reference_table(fx, fy, n, scale):
+    """(corr, stderr) of the first n value pairs of (K, N) values fx and
+    fy: the means of scale f_i(x) conj(f_j(y)) and their stderrs, from the
+    moments summed over ROW_BLOCK blocks in the estimator's order."""
+    cross = second = 0.0
+    for rows in cf.row_blocks(n):
+        cross = cross + fx[:, rows] @ fy[:, rows].conj().T
+        second = second + (np.abs(fx[:, rows]) ** 2) @ (np.abs(fy[:, rows]) ** 2).T
+    corr = cross * (scale / n)
+    var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
+    return jo.EmpiricalJoining(corr, np.sqrt(var / n))
+
+
+def assert_same_values(table, reference):
+    """The stderrs bit for bit and the means equal entry for entry: the
+    estimator takes the means as the conjugate of conj(f_x) f_y^T, and
+    where an imaginary part sums to +0 its conjugate is -0."""
+    assert same_bits(table.stderr, reference.stderr)
+    assert table.corr.shape == reference.corr.shape and np.array_equal(table.corr, reference.corr)
+
+
+@pytest.fixture(scope="module")
+def one_pass(levels, dictionary):
+    """The window pass's tables (paired, independent, diagonal) and their
+    whole-array reference on the same draws.  The reference translates x,
+    act((0, h0), x) and y over every draw at once and evaluates them with
+    reference_evaluate.  3 ROW_BLOCK + 123 draws put the diagonal's
+    samples // 2 cut inside the second block."""
+    w = jo.folner_window(4, levels)
+    x, y = window_points(levels, 18, 19)
+    samples = 3 * cf.ROW_BLOCK + 123
+    tables = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(20))
+    rng = np.random.default_rng(20)
+    bs = rng.integers(-w.i_max, w.i_max + 1, size=samples)
+    ts = rng.integers(-w.j_max, w.j_max + 1, size=samples)
+    top = min(w.n + 2, levels.max_level + 1)
+    partner = (*cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3])
+    fx, fp, fy = (reference_evaluate(dictionary, cf.translate(levels, *p, bs + w.spacing * ts, 1, top)[:4])
+                  for p in (x, partner, y))
+    assert 0 < (fx[0] != 0).sum() < samples  # some lanes off level 1
+    scale = levels.mu_xn(w.n)
+    reference = [reference_table(fx, f, n, scale) for f, n in ((fp, samples), (fy, samples), (fx, samples // 2))]
+    return tables, reference
+
+
 class TestEmpiricalJoining:
     def test_diagonal_case(self, levels, dictionary):
         w = jo.folner_window(3, levels)
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(8))
-        emp = jo.empirical_joining(x, x, w, dictionary, levels, 40_000, np.random.default_rng(9))
+        x, y = window_points(levels, 8, 10)
+        emp = jo.empirical_joining(x, y, H0, w, dictionary, levels, 80_000, np.random.default_rng(9))[2]
         diag = jo.graph_joining_target(SU2_I.array(), dictionary)
         d = jo.joining_metric(emp.corr, diag)
         assert d <= 8 * jo.joining_metric_stderr(emp) + 0.03
 
     def test_paired_case_close_to_graph_structure(self, levels, dictionary):
         w = jo.folner_window(4, levels)
-        k = GElement(0.0, SU2_H0)
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(11))
-        x2 = (*cf.act(k, *x[:3]), x[3])
-        emp = jo.empirical_joining(x, x2, w, dictionary, levels, 40_000, np.random.default_rng(12))
+        x, y = window_points(levels, 11, 10)
+        emp = jo.empirical_joining(x, y, H0, w, dictionary, levels, 40_000, np.random.default_rng(12))[0]
         # time coordinates agree along the whole window, so the phases of the
         # first harmonic cancel exactly; the magnitude is the window's
         # level-1 visit frequency over mu(X_1), read on the window's frame
@@ -396,11 +444,12 @@ class TestEmpiricalJoining:
         # diagonal, the estimate before the frame factor, is the window's
         # X_1 visit frequency over mu(X_1): 1/mu(X_3) for the level-3 window,
         # which sees X_3, and not the 1/mu(X_2) or 1/mu(X_4) of the
-        # neighbouring frames
+        # neighbouring frames.  The paired table reads it over every draw:
+        # the fiber partner's harmonic rows are x's own
         n = 3
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(27))
-        emp = jo.empirical_joining(x, x, jo.folner_window(n, levels), dictionary, levels,
-                                   10**6, np.random.default_rng(28))
+        x, y = window_points(levels, 27, 29)
+        emp = jo.empirical_joining(x, y, H0, jo.folner_window(n, levels), dictionary, levels,
+                                   10**6, np.random.default_rng(28))[0]
         rows = [dictionary.labels.index(f"harm-{m}") for m in range(1, 9)]
         raw = emp.corr[rows, rows].real / levels.mu_xn(n)
         sigma = emp.stderr[rows, rows] / levels.mu_xn(n)
@@ -408,56 +457,55 @@ class TestEmpiricalJoining:
         for other in (n - 1, n + 1):
             assert np.all(np.abs(raw - 1 / levels.mu_xn(other)) > 10 * sigma)
 
-    def test_diagonal_reuses_values_bit_for_bit(self, levels, dictionary):
-        # x paired with itself translates and evaluates each block once
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(16))
-        self._assert_matches_two_translates(levels, dictionary, x, x, 17)
+    def test_diagonal_reuses_values_bit_for_bit(self, one_pass):
+        # x with itself reads x's own values on the first samples // 2 draws
+        tables, reference = one_pass
+        assert_same_values(tables[2], reference[2])
 
     @pytest.mark.parametrize("partner", ["paired", "independent"])
-    def test_partner_matches_two_translates(self, levels, dictionary, partner):
-        # the fiber partner (0, h0) x shares one translate and the time rows;
-        # an independent point takes two translates
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(18))
-        if partner == "paired":
-            x2 = (*cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3])
+    def test_partner_matches_two_translates(self, one_pass, partner):
+        # an independent point takes its own translate, and its table is the
+        # reference's entry for entry; the fiber partner's fiber is
+        # phi_g(h0) q' on x's translate, its own translate up to rounding
+        tables, reference = one_pass
+        i = ["paired", "independent"].index(partner)
+        if partner == "independent":
+            assert_same_values(tables[i], reference[i])
         else:
-            x2 = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(19))
-        self._assert_matches_two_translates(levels, dictionary, x, x2, 20)
+            assert np.max(np.abs(tables[i].corr - reference[i].corr)) <= 1e-15
+            assert np.max(np.abs(tables[i].stderr - reference[i].stderr)) <= 1e-15
 
-    @staticmethod
-    def _assert_matches_two_translates(levels, dictionary, x, x2, seed):
-        """empirical_joining equals, bit for bit, the table of two translates
-        and two evaluates per block, as it was computed before points with
-        shared times shared them."""
+    def test_peak_memory_below_three_value_blocks(self, levels, dictionary):
+        # a (16, ROW_BLOCK) complex value block is 4 MiB.  Live at once are
+        # x's block, conjugated in place (1 block), its squared moduli (1/2),
+        # one partner block (1) and its squared moduli (1/2): 3 blocks, and
+        # the draws and one block's translate arrays stay under half a block
+        # more.  The first block's diagonal partner is x's whole block, the
+        # second's is empty.  Conjugating a copy of x's block and a copy of
+        # each partner block would hold 2 blocks more
         w = jo.folner_window(4, levels)
-        samples = cf.ROW_BLOCK + 1
-        table = jo.empirical_joining(x, x2, w, dictionary, levels, samples, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        bs = rng.integers(-w.i_max, w.i_max + 1, size=samples)
-        ts = rng.integers(-w.j_max, w.j_max + 1, size=samples)
-        top = min(w.n + 2, levels.max_level + 1)
-        blocks = []
-        for rows in cf.row_blocks(samples):
-            g = bs[rows] + w.spacing * ts[rows]
-            blocks.append(tuple(reference_evaluate(dictionary, cf.translate(levels, *p, g, 1, top)[:4])
-                                for p in (x, x2)))
-        assert 0 < (blocks[0][0][0] != 0).sum() < cf.ROW_BLOCK  # some lanes off level 1
-        assert same_table(table, jo._correlation_table(blocks, levels.mu_xn(w.n)))
+        x, y = window_points(levels, 63, 64)
+        tracemalloc.start()
+        try:
+            jo.empirical_joining(x, y, H0, w, dictionary, levels, 2 * cf.ROW_BLOCK, np.random.default_rng(65))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * dictionary.size * cf.ROW_BLOCK * np.dtype(complex).itemsize
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)
         # one tail index: the level-6 frame of window 4 needs five
         x = (np.array([0]), np.array([0.5]), np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0]]))
         with pytest.raises(cf.OrbitLeftTruncationError, match="translate"):
-            jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(13))
-
+            jo.empirical_joining(x, x, H0, w, dictionary, levels, 100, np.random.default_rng(13))
 
     def test_window_past_int64_raises(self, levels, dictionary):
         # window 6 reaches |g| ~ 2.3e19, where int64 window translates would wrap
         w = jo.folner_window(6, levels)
-        x = cf.sample_point_batch(levels, 1, 12, np.random.default_rng(14))
+        x, y = window_points(levels, 14, 16)
         with pytest.raises(cf.LevelTooDeepError, match="window-6 .* past int64"):
-            jo.empirical_joining(x, x, w, dictionary, levels, 100, np.random.default_rng(15))
+            jo.empirical_joining(x, y, H0, w, dictionary, levels, 100, np.random.default_rng(15))
 
 
 class TestClassify:
@@ -470,8 +518,8 @@ class TestClassify:
         estimate = jo.empirical_joining
 
         def recording(*args):
-            estimates.append(estimate(*args))
-            return estimates[-1]
+            estimates.extend(estimate(*args))
+            return estimates
 
         monkeypatch.setattr(jo, "empirical_joining", recording)
         cfg = verifier.ExperimentConfig(seed=5, mc_samples=20_000, output_dir=str(tmp_path))
@@ -479,6 +527,7 @@ class TestClassify:
         d = jo.CFDictionary(verifier._build_levels(cfg.seed, cfg.construction))
         gk, gks = (jo.graph_joining_target(m, d) for m in (H0, H0_STAR))
         targets = {"product": np.zeros_like(gk), "graph_k": gk, "graph_kstar": gks, "mixture": 0.5 * (gk + gks)}
+        assert len(estimates) == 3
         for case, emp in zip(("paired", "independent"), estimates):
             dist = {name: jo.joining_metric(emp.corr, table) for name, table in targets.items()}
             nearest = min(dist, key=dist.get)
