@@ -44,13 +44,15 @@ s_quat_inv, (4, 2r - 1).  Each level multiplies them by its correction
 twisted by the current time t = (T + rho)/D.  The twist is an automorphism
 and phi_(a+b) = phi_a phi_b, so with one rho for every level
 q prod phi_(t_k)(s_k) = phi_rho(phi_rho^-1(q) prod phi_(T_k/D)(s_k)),
-phi_rho the twist by rho/D: a call turns its fibers by rho once at entry
-and once at exit (_own_rows, _fibers_out), and each level twists its
-correction by T_k/D alone, with factors read from CFLevels.twist_table at
-T_k mod 2D (_fiber_step), so no level computes a cosine.  On the grid (rho = 0) the
-fibers are bit for bit the per-level quat_mul(q, quat_twist(ti, tf, s));
-off it they differ from that by rounding alone.  At the public boundary
-fibers stay (n, 4), returned as views of those rows.
+phi_rho the twist by rho/D: the rows are stepped in the residual's frame,
+turned in by phi_rho^-1 (_own_rows) and out by phi_rho (_fibers_out), and
+each level twists its correction by T_k/D alone, with factors read from
+CFLevels.twist_table at T_k mod 2D (_fiber_step), so no level computes a
+cosine.  On the grid (rho = 0) the fibers are bit for bit the per-level
+quat_mul(q, quat_twist(ti, tf, s)); off it they differ by rounding alone.
+The joined forms take and return (n, 4) fibers, views of the rows, and
+turn them in and out at each call; the radix form carries the rows in the
+frame, so only translate turns its fibers once in and once out.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ __all__ = [
     "mu_total_normalizer",
     "cylinder_measure",
     "act",
-    "split_translate",
     "RadixTimes",
     "sample_point_batch",
     "sample_tails",
@@ -562,33 +563,24 @@ def _from_ticks(levels: CFLevels, T, rho):
     return T >> (levels.grid.bit_length() - 1), tf
 
 
-def split_translate(t: float) -> tuple[int, float]:
-    """Split a float time translate into (floor, fraction in [0, 1)).
-
-    Raises InexactTranslateError from 2^53 on, where a float no longer
-    carries every integer translate exactly.
-    """
-    if abs(t) >= _FLOAT_EXACT:
-        raise InexactTranslateError(
-            f"time {t!r} is at or above 2^53, where a float no longer carries "
-            "an exact integer translate; add an integer translate to the "
-            "batch's integer times ti instead"
-        )
-    gi = math.floor(t)
-    return gi, t - gi
-
-
 def act(g: GElement, ti, tf, q):
     """Left action of g = (t, m) on a batch of points at one level.
 
-    The split translate (gi, gf) of t is added to the times, the fraction's
-    carry going into ti, and each fiber becomes m * phi_t(q), one quat_mul
-    and the closed-form quat_twist.  The level does not change: embed the
-    batch high enough first, since a lane moved out of the level's base
-    comes back invalid from peel_batch.  ti may be int64 or Python ints
-    (dtype=object).  Returns (ti, tf, q).
+    The floor gi of t and its fraction gf in [0, 1) are added to the times,
+    the fraction's carry going into ti, and each fiber becomes
+    m * phi_t(q), one quat_mul and the closed-form quat_twist.  The level
+    does not change: embed the batch high enough first, since a lane moved
+    out of the level's base comes back invalid from peel_batch.  ti may be
+    int64 or Python ints (dtype=object).  Raises InexactTranslateError for
+    |t| from 2^53 on, where a float no longer carries every integer
+    translate exactly.  Returns (ti, tf, q).
     """
-    gi, gf = split_translate(g.t)
+    if abs(g.t) >= _FLOAT_EXACT:
+        raise InexactTranslateError(
+            f"time {g.t!r} is at or above 2^53, where a float no longer carries an exact integer translate; "
+            "add an integer translate to the batch's integer times ti instead")
+    gi = math.floor(g.t)
+    gf = g.t - gi
     ti = ti + gi
     tf = tf + gf
     carry = tf >= 1.0
@@ -601,20 +593,23 @@ def act(g: GElement, ti, tf, q):
 # vectorized batches
 # ---------------------------------------------------------------------------
 
-def _own_rows(q, rho, grid: int):
-    """(rows, spare, turn): the (n, 4) fibers q as (4, n) contiguous
-    component rows turned by phi_rho^-1 (see the module docstring), which
-    embed_batch and peel_batch step level by level; a buffer of their shape
-    for the next level's rows; and the factors (cos, sin) of phi_rho, which
-    _fibers_out turns the rows back by.  (None, None, None) when q is
-    None."""
+def _own_rows(q, rho, grid: int, framed: bool = False):
+    """(rows, bufs, turn): the fibers q as (4, n) contiguous component rows
+    in the residual's frame, turned by phi_rho^-1 (see the module
+    docstring); the two (4, n) buffers that embed_batch and peel_batch step
+    them through, level i writing bufs[i & 1]; and the factors (cos, sin)
+    of phi_rho, which _fibers_out turns the rows back by.  q is (n, 4) and
+    turned into a copy held in bufs[1], or, framed, such rows already, taken
+    as they are and never written.  (None, None, None) when q is None."""
     if q is None:
         return None, None, None
+    turn = twist_factors(0, rho / grid)
+    if framed:
+        return q, (np.empty(q.shape), np.empty(q.shape)), turn
     src = np.asarray(q, dtype=float).T
-    cos, sin = twist_factors(0, rho / grid)
     rows = np.empty(src.shape)
-    rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, cos, -sin)
-    return rows, np.empty_like(rows), (cos, sin)
+    rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, turn[0], -turn[1])
+    return rows, (np.empty_like(rows), rows), turn
 
 
 def _fiber_step(q, T, s, table, out, below=None):
@@ -687,23 +682,20 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     ticks to the time, in the lane _lane picks for the level, and keeps the
     shift index h_k as the high digit of the level-(k+1) time, joined in at
     the next level (see RadixTimes).  So the to_level times are the pair
-    (h, lo), lo int64 wherever the level below is.  By default they are
-    joined and split into (ti, tf), ti Python ints (an object array) where
-    the level's times pass 2^62; with radix they come back as RadixTimes
-    and rho, which peel_batch takes as they are.  Each level multiplies the
-    fiber by the shift element twisted by the current time, on the fibers
-    held component-major, (4, n) contiguous rows: the fibers are turned by
-    phi_rho^-1 at entry and by phi_rho at exit, and each level twists by
-    its ticks alone, from CFLevels.twist_table (see the module docstring);
-    on the grid (rho = 0) that is bit for bit
+    (h, lo), lo int64 wherever the level below is.  Each level multiplies
+    the fiber by the shift element twisted by the current time, on (4, n)
+    contiguous rows in the residual's frame, twisting by its ticks alone
+    (see the module docstring).  By default the times are joined and split
+    into (ti, tf), ti Python ints (an object array) where the level's times
+    pass 2^62, and the rows turned out: on the grid (rho = 0) bit for bit
     quat_mul(q, quat_twist(ti, tf, s)) per level, off it the same up to
-    rounding.
-    Returns (ti, tf, q) at to_level, q an (n, 4) view of those rows.
-    With q None the fiber is neither moved nor returned (None in its
-    place); times are the same either way.  to_level below from_level is a
-    ValueError.  Times are moved in place, on the tick arrays made at
-    entry, and the fibers are stepped on their own copy, so the caller's
-    arrays are never written.
+    rounding.  Returns (ti, tf, q) at to_level, q an (n, 4) view of the
+    rows; with radix (RadixTimes, rho, rows), the rows still in the frame,
+    which peel_batch takes as they are.  With q None the fiber is neither
+    moved nor returned (None in its place); times are the same either way.
+    to_level below from_level is a ValueError.  Times are moved in place,
+    on the tick arrays made at entry, and the fibers are stepped on their
+    own copy, so the caller's arrays are never written.
     """
     if to_level < from_level:
         raise ValueError(f"embed_batch goes up, and to_level {to_level} is below from_level {from_level}")
@@ -714,7 +706,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
             "no tail index available"
         )
     T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, spare, turn = _own_rows(q, rho, levels.grid)
+    q, bufs, turn = _own_rows(q, rho, levels.grid)
     h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
@@ -723,20 +715,20 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         j = h + (lv.r - 1)
         # fiber twist by the current ticks, before the time moves
         if q is not None:
-            q, spare = _fiber_step(q, T, lv.s_quat.take(j, axis=1), levels.twist_table, out=spare), q
+            q = _fiber_step(q, T, lv.s_quat.take(j, axis=1), levels.twist_table, bufs[col & 1])
         T += lv.ticks[j]
-    q = _fibers_out(q, turn)
     if radix:
         return RadixTimes(h, T), rho, q
-    return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), q)
+    return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), _fibers_out(q, turn))
 
 
 def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     """Vectorized peeling of a batch down to to_level.
 
-    ti is one array of integer times, int64 or Python ints, or a RadixTimes
-    pair (hi, lo) with tf the residual rho, as embed_batch(radix=True)
-    returns them; the first level peels lo and adds hi to the shift index
+    ti is one array of integer times, int64 or Python ints, with (n, 4)
+    fibers q; or a RadixTimes pair (hi, lo) with tf the residual rho and q
+    the (4, n) rows in the residual's frame, as embed_batch(radix=True)
+    returns them, whose first level peels lo and adds hi to the shift index
     it finds.  Returns (valid, ti, tf, q, hs): lanes where the point has no
     representation at to_level are masked out of `valid` (their coordinate
     values are unspecified); hs[:, c] is the recovered shift index at level
@@ -748,14 +740,14 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     the base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at
     the first level where they fit (_lane).  Each level multiplies the
     fiber by the inverse shift element twisted by the peeled time, as
-    embed_batch does, on its own (4, n) rows turned by the residual at
-    entry and at exit; q comes back as an (n, 4) view of them.  With q
-    None the fiber is neither moved nor returned (None in its place);
-    valid, times and hs are the same either way.  to_level above
-    from_level is a ValueError, and so is a RadixTimes pair at to_level
-    equal to from_level, whose high digit no level would take in.  Times
-    are peeled in place, on the tick array made at entry: the caller's
-    arrays, or the read-only broadcast translate passes, are never written.
+    embed_batch does, on rows in the residual's frame ((n, 4) fibers turned
+    in at entry) on buffers of their own; q comes back turned out, an
+    (n, 4) view of them.  With q None the fiber is neither moved nor
+    returned (None in its place); valid, times and hs are the same either
+    way.  to_level above from_level is a ValueError, and so is a RadixTimes
+    pair at to_level equal to from_level, whose high digit no level would
+    take in.  Times are peeled in place, on the tick array made at entry:
+    no array given, nor the read-only broadcasts translate passes, is written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
@@ -768,14 +760,14 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     else:
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, spare, turn = _own_rows(q, rho, levels.grid)
+    q, bufs, turn = _own_rows(q, rho, levels.grid, framed=isinstance(ti, RadixTimes))
     n = len(rho)
     # T becomes the tick below the time, ceil(T + rho) - 1
     below = rho == 0.0
     T -= below
     valid = np.ones(n, dtype=bool)
     hs = np.zeros((n, from_level - to_level), dtype=np.int64)
-    for k in range(from_level - 1, to_level - 1, -1):
+    for col, k in enumerate(range(from_level - 1, to_level - 1, -1)):
         lv = levels.level(k)
         half = lv.a_tilde * levels.grid
         # T becomes the remainder T + a~_k D - d * 2 a~_k D, in [0, 2 a~_k D)
@@ -796,7 +788,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         a = lv.a * levels.grid
         valid &= ok_h & (T >= -a) & (T < a)
         if q is not None:
-            q, spare = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, spare, below), q
+            q = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, bufs[col & 1], below)
         hs[:, k - to_level] = h
     T += below
     return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs)
@@ -805,28 +797,31 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
     """peel_batch back to from_level of the batch embedded up to to_level
     with `tails` and moved there by the integer time translate (g, I), the
-    fiber (if any) turned by phi_g, the parity twist quat_phi_int, as a
-    sign on the c and d rows of the fiber broadcast to the lanes.  g is a
-    Python int or an int64 array, one per lane, to which a one-row batch is
-    broadcast.  The top times stay a RadixTimes pair, and rho goes from the
-    embed to the peel as it is, so no float fraction is formed:
-    g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift
-    digit and gl D ticks to the low digit, so no time past 2^62 is formed
-    where the low digit fits int64.  to_level at or below from_level is a
-    ValueError: the translate moves the digits of at least one embedded
-    level."""
+    fiber (if any) turned by phi_g, the parity twist quat_phi_int.  g is a
+    Python int or an integer array, one per lane, to which a one-row batch
+    is broadcast; any other dtype is an InexactTranslateError, not a
+    truncation.  The top times stay a RadixTimes pair, and rho and the
+    fiber rows go from the embed to the peel in the residual's frame, so no
+    float fraction is formed and each fiber is turned once in and once out:
+    phi_g, a sign on the c and d rows that commutes with phi_rho, is taken
+    in their one copy, the broadcast to the lanes.  g = gh * 2 a~_(to-1) +
+    gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl D ticks to
+    the low digit, so no time past 2^62 is formed where the low digit fits
+    int64.  to_level at or below from_level is a ValueError: the translate
+    moves the digits of at least one embedded level."""
     if to_level == from_level:
         raise ValueError(f"translate embeds at least one level, and to_level {to_level} is from_level {from_level}")
-    top, rho, q = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
+    g = np.asarray(g)
+    if g.dtype.kind not in "iu" and not (g.dtype == object and all(isinstance(x, int) for x in g.flat)):
+        raise InexactTranslateError(f"translate g must be an integer or integer array, not {g.dtype}: g = {g!r}")
+    top, rho, rows = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
-    g = np.asarray(g).astype(_lane(levels, to_level - 1), copy=False)
+    g = g.astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(rho.shape, g.shape)
-    if q is not None:
-        rows = np.empty((4,) + lanes)
-        rows[...] = q.T
-        rows[2:] *= np.where(g & 1, -1.0, 1.0)
-        q = rows.T
+    if rows is not None:
+        q = np.broadcast_to(rows, (4,) + lanes).copy()
+        q[2:] *= np.where(g & 1, -1.0, 1.0)
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
     return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
 

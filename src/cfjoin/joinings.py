@@ -173,14 +173,14 @@ class _TableSums:
         self.n = 0
         self.cross = self.second = 0.0
 
-    def add(self, conj_x, sq_x, fy) -> None:
+    def add(self, conj_x, sq_x, fy, sq_y) -> None:
         """Add the pairs of one block: conj(f_x) and |f_x|^2, (K, n_b) rows
-        that every table of x's block shares, and f_y, (K, m) with m <= n_b,
-        paired with x's first m columns."""
+        that every table of x's block shares, and f_y and |f_y|^2, (K, m)
+        with m <= n_b, paired with x's first m columns."""
         m = fy.shape[1]
         self.n += m
         self.cross = self.cross + conj_x[:, :m] @ fy.T
-        self.second = self.second + sq_x[:, :m] @ _sq_moduli(fy).T
+        self.second = self.second + sq_x[:, :m] @ sq_y.T
 
     def table(self, scale: float) -> EmpiricalJoining:
         corr = self.cross.conj() * (scale / self.n)
@@ -335,13 +335,17 @@ def empirical_joining(
             fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
             sq_x = _sq_moduli(fx)
             conj_x = np.conjugate(fx, out=fx)
-            diagonal.add(conj_x, sq_x, fd)
+            # its squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk, which rounds otherwise
+            diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
             del fx, fd
             q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
-            paired.add(conj_x, sq_x, dictionary.evaluate((valid, ti, tf, q)))
-            independent.add(conj_x, sq_x, dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4]))
+            fy = dictionary.evaluate((valid, ti, tf, q))
+            paired.add(conj_x, sq_x, fy, _sq_moduli(fy))
+            del fy
+            fy = dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4])
+            independent.add(conj_x, sq_x, fy, _sq_moduli(fy))
             # nothing of this block is left when the next one is made
-            del conj_x, sq_x
+            del conj_x, sq_x, fy
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "

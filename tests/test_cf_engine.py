@@ -708,7 +708,8 @@ def _same_valid_lanes(got, want):
 
 def _peel_ticks(levels, ticks, rho, q, hi, lo):
     """peel_batch of times given as one array of Python-int ticks (an
-    object array, with a high digit of 0) and their residuals rho."""
+    object array, with a high digit of 0) and their residuals rho, q the
+    (4, n) fiber rows in the residual's frame, or None."""
     ticks = np.asarray(ticks, dtype=object)
     return cf.peel_batch(levels, cf.RadixTimes(np.zeros(ticks.shape, dtype=np.int64), ticks), rho, q, hi, lo)
 
@@ -735,7 +736,8 @@ class TestRadixLane:
         ticks = [int(h) * two * grid + int(t) for h, t in zip(pair.hi, pair.lo)]
         assert [t // grid for t in ticks] == joined.tolist()
         assert tfj.tolist() == [(t % grid + p) / grid for t, p in zip(ticks, rho.tolist())]
-        assert np.array_equal(qn, qj)
+        # the radix rows are in the residual's frame: turned out, the joined fibers
+        assert qn.shape == (4, len(tf)) and np.array_equal(_turned_out(levels, qn, rho), qj)
         for i, (t0, f0) in enumerate(starts):
             ref = _ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top)
             assert ticks[i] + Fraction(float(rho[i])) == ref * grid
@@ -762,7 +764,7 @@ class TestRadixLane:
         his.append(data.draw(st.integers(-(r - 2), r - 2)))
         los.append(data.draw(st.sampled_from([-at, at])) * grid)
         rhos.append(0.0)
-        qs = np.vstack([qn, quat_normalize(np.ones((len(rhos) - len(qn), 4)))])
+        qs = np.hstack([qn, quat_normalize(np.ones((len(rhos) - qn.shape[1], 4))).T])
         rhos = np.array(rhos)
         radix = cf.RadixTimes(np.array(his, dtype=np.int64), np.array(los, dtype=pair.lo.dtype))
         big = [hk * two * grid + t for hk, t in zip(his, los)]
@@ -808,7 +810,7 @@ def test_peel_on_interval_edges_matches_the_oracle(max_level):
     radix = cf.RadixTimes(np.array(hi, dtype=np.int64), np.array([T - h * width for T, h in zip(ticks, hi)], dtype=lane))
     assert radix.lo.dtype == (np.int64 if max_level == 6 else object)
     q = quat_normalize(rng.standard_normal((len(exact), 4)))
-    for got in (_peel_ticks(levels, ticks, rho, q, top, 0), cf.peel_batch(levels, radix, rho, None, top, 0)):
+    for got in (_peel_ticks(levels, ticks, rho, q.T, top, 0), cf.peel_batch(levels, radix, rho, None, top, 0)):
         valid, ti, tf, _, hs = got
         assert not valid.all() and valid.any()
         for i, t in enumerate(exact):
@@ -821,12 +823,13 @@ def test_peel_on_interval_edges_matches_the_oracle(max_level):
 def _window_arithmetic(levels, ti, tf, q, tails, g, lo, top):
     """The joining windows' own translate, the oracle for translate: the
     embedded times as one array of Python-int ticks plus g D, the fiber
-    turned by the parity of g, then peel_batch."""
+    rows turned by the parity of g in the residual's frame, then
+    peel_batch."""
     (hi, low), rho, qn = cf.embed_batch(levels, ti, tf, q, tails, lo, top, radix=True)
     ticks = (hi.astype(object) * (2 * levels.a_tilde(top - 1)) + np.asarray(g).astype(object)) * levels.grid
     ticks = ticks + low.astype(object)
     if q is not None:
-        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn, ticks.shape + (4,)))
+        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn.T, ticks.shape + (4,))).T
     return _peel_ticks(levels, ticks, np.broadcast_to(rho, ticks.shape), qn, top, lo)
 
 
@@ -885,6 +888,14 @@ class TestTranslate:
             if ref is not None:
                 assert (int(ti1[i]), float(tf1[i]), tuple(hs[i].tolist())) == (*_ref_split(ref[0]), ref[1])
 
+    @pytest.mark.parametrize("g", [3.5, np.array([2.9, -0.7]), np.array([1.0, 2.0]), np.array([True, False])])
+    def test_a_non_integer_translate_raises(self, levels, g):
+        # g was cast to the lane's integers: 3.5 moved the points by 3 and
+        # [2.9, -0.7] by [2, 0], bit for bit, with no error
+        x = cf.sample_point_batch(levels, 2, 6, np.random.default_rng(33))
+        with pytest.raises(cf.InexactTranslateError, match=r"translate g must be an integer .*: g = array\("):
+            cf.translate(levels, *x, g, 1, 6)
+
     @pytest.mark.parametrize("lanes", [0, 1, cf.ROW_BLOCK, cf.ROW_BLOCK + 1])
     def test_stacked_fibers_match_separate_translates(self, levels, lanes):
         # a point and its fiber partner (0, h0) x share times and tails: the
@@ -911,6 +922,12 @@ class TestTranslate:
         assert np.max(np.abs(moved - other[3]), initial=0.0) <= OFF_GRID_FIBER_BOUND
         if lanes > 1:
             assert 0 < one[0].sum() < lanes
+
+
+def _turned_out(levels, rows, rho):
+    """The (n, 4) fibers of (4, n) rows in the residual's frame, turned
+    out by phi_rho as the joined forms turn them, on a copy."""
+    return cf._fibers_out(rows.copy(), twist_factors(0, rho / levels.grid))
 
 
 def _frozen(*arrays):
@@ -944,12 +961,14 @@ class TestInputsUnchanged:
         assert all(x is y for x, y in zip(ti7, objects))
 
     def test_radix_times(self, levels):
-        ti, tf, _, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(43))
-        pair, tf7, _ = cf.embed_batch(levels, ti, tf, None, tails, 1, 7, radix=True)
-        embedded = _frozen(pair.hi, pair.lo, tf7)
-        valid, ti1, _, _, _ = cf.peel_batch(levels, pair, tf7, None, 7, 1)
-        assert valid.all() and np.array_equal(ti1, ti)
-        assert _frozen(pair.hi, pair.lo, tf7) == embedded
+        # the fiber rows too, which the peel steps on buffers of its own
+        ti, tf, q, tails = cf.sample_point_batch(levels, 300, 6, np.random.default_rng(43))
+        pair, tf7, rows = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+        embedded = _frozen(pair.hi, pair.lo, tf7, rows)
+        for fiber in (rows, None):
+            valid, ti1, _, _, _ = cf.peel_batch(levels, pair, tf7, fiber, 7, 1)
+            assert valid.all() and np.array_equal(ti1, ti)
+            assert _frozen(pair.hi, pair.lo, tf7, rows) == embedded
 
     def test_translate_of_one_row_to_many_g(self, levels):
         ti, tf, q, tails = cf.sample_point_batch(levels, 4, 6, np.random.default_rng(44))
@@ -960,6 +979,26 @@ class TestInputsUnchanged:
         valid, _, _, q1, _ = cf.translate(levels, ti[:1], tf[:1], q[:1], tails[:1], g, 1, 7)
         assert q1.shape == (500, 4) and 0 < valid.sum() < 500
         assert _frozen(ti, tf, q, tails) == before and _frozen(g) == frozen_g
+
+    def test_read_only_inputs(self, levels):
+        # nothing the engine is given is written: read-only times, fibers,
+        # tails and g go through embed_batch in both forms, peel_batch of
+        # joined times and of the radix pair with its rows, and translate
+        ti, tf, q, tails = cf.sample_point_batch(levels, 200, 6, np.random.default_rng(46))
+        two = 2 * levels.a_tilde(6)
+        g = np.random.default_rng(47).integers(-3 * two, 3 * two, 200)
+        pair, rho, rows = cf.embed_batch(levels, *_read_only(ti, tf, q, tails), 1, 7, radix=True)
+        joined = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
+        assert cf.peel_batch(levels, cf.RadixTimes(*_read_only(*pair)), *_read_only(rho, rows), 7, 1)[0].all()
+        assert cf.peel_batch(levels, *_read_only(*joined), 7, 1)[0].all()
+        assert 0 < cf.translate(levels, ti, tf, q, tails, _read_only(g)[0], 1, 7)[0].sum() < 200
+
+
+def _read_only(*arrays):
+    """The arrays, each made read-only in place."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 def _aos_embed_fiber(levels, ti, tf, q, tails, lo, hi):
@@ -1067,17 +1106,37 @@ class TestComponentMajorFiber:
             _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1), on_grid)
 
     def test_radix_times(self, levels):
+        # the radix rows are in the residual's frame, and turned out they
+        # are the fibers the oracle composes and peels
         for on_grid in (True, False):
             ti, tf, q, tails = _point_batch(levels, 300, 55, on_grid)
-            pair, tf7, q7 = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+            pair, tf7, rows = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+            q7 = _turned_out(levels, rows, tf7)
             _assert_oracle_fibers(q7, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 7), on_grid)
             rng = np.random.default_rng(56)
             two = 2 * levels.a_tilde(6)
             moved = cf.RadixTimes(pair.hi + rng.integers(-1, 2, 300),
                                   pair.lo + rng.integers(-two, two, 300) * levels.grid)
-            valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, q7, 7, 1)
+            valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf7, rows, 7, 1)
             assert 0 < valid.sum() < 300
             _assert_oracle_fibers(q1, _aos_peel_fiber(levels, moved, tf7, q7, 7, 1), on_grid)
+
+    @pytest.mark.parametrize("top", [6, 7])
+    def test_radix_rows_are_the_joined_fibers_in_the_frame(self, levels, top):
+        # embed_batch(radix=True) hands its rows over in the residual's
+        # frame: turned out they are the joined form's fibers bit for bit,
+        # and peel_batch takes them as they are, where the joined peel
+        # turns its (n, 4) fibers in at entry
+        for on_grid in (True, False):
+            ti, tf, q, tails = _point_batch(levels, 300, 63, on_grid)
+            pair, rho, rows = cf.embed_batch(levels, ti, tf, q, tails, 1, top, radix=True)
+            tin, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, 1, top)
+            assert rows.shape == (4, 300) and np.array_equal(_turned_out(levels, rows, rho), qn)
+            radix = cf.peel_batch(levels, pair, rho, rows, top, 1)
+            joined = cf.peel_batch(levels, tin, tfn, qn, top, 1)
+            assert radix[0].all() and joined[0].all()
+            _assert_same_arrays((radix[1], radix[4]), (joined[1], joined[4]))
+            _assert_oracle_fibers(radix[3], joined[3], on_grid)
 
     @pytest.mark.parametrize("top", [6, 7])
     def test_translate_fibers(self, levels, top):

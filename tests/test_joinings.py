@@ -66,7 +66,7 @@ def correlation_table(pairs, scale=1.0):
     estimator's accumulator."""
     sums = jo._TableSums()
     for fx, fy in pairs:
-        sums.add(fx.conj(), np.abs(fx) ** 2, fy)
+        sums.add(fx.conj(), np.abs(fx) ** 2, fy, np.abs(fy) ** 2)
     return sums.table(scale)
 
 
@@ -157,7 +157,7 @@ class TestCorrelationTable:
         # block unread
         fx, fy = (rng.standard_normal((16, 1000)) + 1j * rng.standard_normal((16, 1000)) for _ in "xy")
         sums = jo._TableSums()
-        sums.add(fx.conj(), np.abs(fx) ** 2, fy[:, :300].copy())
+        sums.add(fx.conj(), np.abs(fx) ** 2, fy[:, :300].copy(), np.abs(fy[:, :300]) ** 2)
         assert sums.n == 300
         assert same_table(sums.table(0.37), correlation_table([(fx[:, :300].copy(), fy[:, :300].copy())], 0.37))
 
