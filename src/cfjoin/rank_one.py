@@ -75,8 +75,11 @@ def tower_apply(scheme: TowerScheme, pos, k=1) -> np.ndarray:
 
 def stage_level(scheme: TowerScheme, pos, stage: int) -> np.ndarray:
     """Level in the stage tower of the points at positions pos, or -1 on a
-    spacer added after that stage."""
+    spacer added after that stage.  Each stage of height h drops, on a copy
+    of pos, h and then h + 1 from every level >= h: column 1 goes to [0, h),
+    the spacer 2h to h then -1, column 2 to [h + 1, 2h + 1) then [0, h)."""
     level = np.array(pos, dtype=np.int64)
     for h in reversed(scheme.heights[stage:-1]):
-        level = np.where(level == 2 * h, -1, level - h * (level >= h) - (h + 1) * (level > 2 * h))
+        level -= h * (level >= h)
+        level -= (h + 1) * (level >= h)
     return level

@@ -394,14 +394,10 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     den = 2**15
     seq = equidist.van_der_corput(2**14)
     numerators = (seq * den).astype(np.int64)
-    prev = None
-    mono = True
-    for k in range(8, 15):
-        d = equidist.star_discrepancy(numerators[: 2**k], den)
-        if prev is not None and d > prev:
-            mono = False
+    ds = [equidist.star_discrepancy(numerators[: 2**k], den) for k in range(8, 15)]
+    for k, d in zip(range(8, 15), ds):
         rep.add(f"vdc-dstar-2^{k}", float(d))
-        prev = d
+    mono = all(later <= earlier for earlier, later in zip(ds, ds[1:]))
     rep.add("vdc-monotone-checkpoints", 1.0 if mono else 0.0, passed=mono)
 
     # quantitative bound dominates empirical integration error
@@ -424,13 +420,9 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     worst_sigma = 0.0
     for _ in range(50):
         lo = rng.uniform(0.0, 0.6, size=3)
-        hi = lo + rng.uniform(0.1, 0.4, size=3)
-        hi = np.minimum(hi, 1.0)
+        hi = np.minimum(lo + rng.uniform(0.1, 0.4, size=3), 1.0)
         vol = float(np.prod(hi - lo))
-        inside = (us[:, 0] >= lo[0]) & (us[:, 0] < hi[0])
-        for dim in (1, 2):
-            inside &= (us[:, dim] >= lo[dim]) & (us[:, dim] < hi[dim])
-        p = float(inside.mean())
+        p = float(np.all((us >= lo) & (us < hi), axis=1).mean())
         sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
         worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
     rep.add("chart-cube-worst-sigma", worst_sigma, tolerance=3.9, passed=worst_sigma <= 3.9)
@@ -466,10 +458,8 @@ def _fiber_in_cube(ta, quats, m, cube):
     ti = np.floor(ta)
     fib = quat_mul(m.array(), quat_twist(ti.astype(np.int64), ta - ti, quat_inv(quats)))
     u = equidist.su2_to_chart_array(fib)
-    inside = np.ones(len(ta), dtype=bool)
-    for dim, (lo_b, hi_b) in enumerate(cube):
-        inside &= (u[:, dim] >= lo_b) & (u[:, dim] < hi_b)
-    return inside
+    lo, hi = np.array(cube).T
+    return np.all((u >= lo) & (u < hi), axis=1)
 
 
 def _last_shell_above(a_t: float, u: np.ndarray, x: float) -> np.ndarray:
@@ -519,17 +509,25 @@ def _common_length(*intervals):
 
 
 def _simpson(f, lo, hi, breaks):
-    """Simpson's rule for f on (lo, hi) between the breaks: exact where f is a cubic between them."""
+    """6 times Simpson's rule for f on (lo, hi) between the breaks, on ints:
+    exact where f is a cubic between them and each piece's a + b is even."""
     x = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     fx = [f(b) for b in x]
-    return sum((b - a) / 6 * (fa + 4 * f((a + b) / 2) + fb) for a, b, fa, fb in zip(x, x[1:], fx, fx[1:]))
+    return sum((b - a) * (fa + 4 * f((a + b) // 2) + fb) for a, b, fa, fb in zip(x, x[1:], fx, fx[1:]))
 
 
 def _translate_integral(I, J, F, V, W) -> Fraction:
     """The integral over x in V, y in W of |(I + x) n (J + y) n F| for intervals
-    (lo, hi] of Fractions, exactly.  In y the integrand is linear between the
-    breaks where an end of J + y meets one of I + x or F; in x the inner integral
-    is quadratic between the points where two breaks cross or one meets W's end."""
+    (lo, hi], exactly.  In y the integrand is linear between the breaks where
+    an end of J + y meets one of I + x or F; in x the inner integral is
+    quadratic between the points where two breaks cross or one meets W's end.
+    Its ends, read through Fraction, scale by S = 4 lcm(denominators) into 4Z,
+    as do the outer breaks d - c: outer midpoints x and inner breaks x + c lie
+    in 2Z, inner midpoints in Z.  On these ints the inner `_simpson` is 6 S^2
+    times the inner integral (y and lengths scale by S), the outer 36 S^3."""
+    intervals = [tuple(map(Fraction, iv)) for iv in (I, J, F, V, W)]
+    scale = 4 * math.lcm(*(end.denominator for iv in intervals for end in iv))
+    I, J, F, V, W = ([end.numerator * (scale // end.denominator) for end in iv] for iv in intervals)
     moving = [i - j for i in I for j in J]  # the breaks y = x + c
     fixed = [f - j for f in F for j in J]  # the breaks y = c
 
@@ -537,7 +535,7 @@ def _translate_integral(I, J, F, V, W) -> Fraction:
         return _simpson(lambda y: _common_length((I[0] + x, I[1] + x), (J[0] + y, J[1] + y), F),
                         *W, [x + c for c in moving] + fixed)
 
-    return _simpson(inner, *V, [d - c for c in moving for d in fixed + list(W)])
+    return Fraction(_simpson(inner, *V, [d - c for c in moving for d in fixed + W]), 36 * scale**3)
 
 
 def _rectangle_measure(half: int, rects) -> float:

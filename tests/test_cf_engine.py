@@ -923,6 +923,27 @@ class TestTranslate:
         if lanes > 1:
             assert 0 < one[0].sum() < lanes
 
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_one_row_broadcasts_as_its_repeated_rows(self, levels, on_grid):
+        # the one-row batch's rho reaches the peel unbroadcast: every lane
+        # comes back bit for bit as from the row repeated once per lane
+        top = levels.max_level
+        x = cf.sample_point_batch(levels, 1, top, np.random.default_rng(34), h_minus=True)
+        if on_grid:
+            x = (x[0], np.floor(x[1] * levels.grid) / levels.grid, *x[2:])
+        rng = np.random.default_rng(35)
+        two = 2 * levels.a_tilde(top - 1)
+        g = rng.integers(-3 * two, 3 * two, cf.ROW_BLOCK + 1)
+        for fiber in (x[2], None):
+            one = cf.translate(levels, x[0], x[1], fiber, x[3], g, 1, top)
+            rows = [np.repeat(a, len(g), axis=0) if a is not None else None for a in (x[0], x[1], fiber, x[3])]
+            repeated = cf.translate(levels, *rows, g, 1, top)
+            assert 0 < one[0].sum() < len(g) and (one[3] is None) == (repeated[3] is None) == (fiber is None)
+            for got, want in zip(one, repeated):
+                if got is not None:
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
 
 def _turned_out(levels, rows, rho):
     """The (n, 4) fibers of (4, n) rows in the residual's frame, turned

@@ -61,6 +61,26 @@ class TestStageLevel:
         assert rk.stage_level(scheme, 2 * scheme.height(16), 16) == -1
         assert rk.stage_level(scheme, 2 * scheme.height(16) + 1, 16) == 0
 
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_int64_input_is_not_written(self, stage):
+        # the levels are undone in place on a copy, never on the caller's array
+        scheme = rk.chacon_scheme(6)
+        pos = np.arange(scheme.heights[-1], dtype=np.int64)
+        levels = rk.stage_level(scheme, pos, stage)
+        assert np.array_equal(pos, np.arange(scheme.heights[-1]))
+        assert not np.shares_memory(levels, pos)
+
+    def test_list_and_0d_inputs_match_the_array(self):
+        scheme = rk.chacon_scheme(6)
+        pos = np.arange(scheme.heights[-1], dtype=np.int64)
+        for stage in (0, 2, 4):
+            levels = rk.stage_level(scheme, pos, stage)
+            assert rk.stage_level(scheme, pos.tolist(), stage).tolist() == levels.tolist()
+            for p, lv in zip(pos.tolist(), levels.tolist()):
+                for point in (p, np.int64(p), np.array(p)):
+                    level = rk.stage_level(scheme, point, stage)
+                    assert level.shape == () and level == lv
+
 
 class TestApply:
     def test_below_top_increments(self, scheme):

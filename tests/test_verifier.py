@@ -283,10 +283,33 @@ def test_report_does_not_read_mc_samples(name, tmp_path):
     assert reports[0].metrics == reports[1].metrics
 
 
-# interval ends on a grid of halves meet, nest and coincide often; the
-# float ends carry long binary fractions
-_ENDS = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-10.0, 10.0))
-_INTERVALS = st.tuples(_ENDS, _ENDS).map(lambda ends: tuple(Fraction(end) for end in sorted(ends)))
+# interval ends on a grid of halves meet, nest and coincide often; thirds
+# and fifths are not dyadic, and the float ends carry long binary fractions
+_ENDS = st.one_of(st.integers(-8, 8).map(lambda k: Fraction(k, 2)),
+                  st.integers(-30, 30).map(lambda k: Fraction(k, 3)),
+                  st.integers(-50, 50).map(lambda k: Fraction(k, 5)),
+                  st.floats(-10.0, 10.0))
+_INTERVALS = st.tuples(_ENDS, _ENDS).map(lambda ends: tuple(sorted(ends)))
+
+
+def _fraction_simpson(f, lo, hi, breaks):
+    """Simpson's rule for f on (lo, hi) between the breaks, in Fractions:
+    the oracle of the integer rule `_simpson`."""
+    x = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    fx = [f(b) for b in x]
+    return sum((b - a) / 6 * (fa + 4 * f((a + b) / 2) + fb) for a, b, fa, fb in zip(x, x[1:], fx, fx[1:]))
+
+
+def _fraction_translate_integral(I, J, F, V, W):
+    """`_translate_integral` as nested Fraction Simpson rules, unscaled: its oracle."""
+    moving = [i - j for i in I for j in J]
+    fixed = [f - j for f in F for j in J]
+
+    def inner(x):
+        return _fraction_simpson(lambda y: _common_length((I[0] + x, I[1] + x), (J[0] + y, J[1] + y), F),
+                                 *W, [x + c for c in moving] + fixed)
+
+    return _fraction_simpson(inner, *V, [d - c for c in moving for d in fixed + list(W)])
 
 
 def _convolution_integral(S, A, B, F):
@@ -296,21 +319,24 @@ def _convolution_integral(S, A, B, F):
     def conv(z, X):
         return _common_length(X, (z - S[1], z - S[0]))
 
-    return _simpson(lambda z: conv(z, A) * conv(z, B), *F, [s + x for s in S for x in A + B])
+    return _fraction_simpson(lambda z: conv(z, A) * conv(z, B), *F, [s + x for s in S for x in A + B])
 
 
 def test_simpson_evaluates_each_point_once():
-    # each interior break is the end of one piece and the start of the next
+    # each interior break is the end of one piece and the start of the next;
+    # 6 times the integral of y^2 over (0, 12) is 3456
     points = []
-    x = [Fraction(k, 3) for k in range(7)]
-    assert _simpson(lambda y: points.append(y) or y * y, x[0], x[-1], x[1:-1]) == Fraction(8, 3)
+    x = list(range(0, 13, 2))
+    assert _simpson(lambda y: points.append(y) or y * y, x[0], x[-1], x[1:-1]) == 3456
     assert sorted(points) == sorted(set(points)) and len(points) == 2 * len(x) - 1
 
 
 def test_simpson_is_exact_on_cubics():
-    # the integral of x^3 - 2x over (-1, 3) is 12, with or without breaks
-    for breaks in ([], [Fraction(1, 3), Fraction(-5), Fraction(3), Fraction(2)]):
-        assert _simpson(lambda x: x**3 - 2 * x, Fraction(-1), Fraction(3), breaks) == 12
+    # 6 times the integral of x^3 - 2x over (-2, 6) is 6 * 288, with or
+    # without breaks, on integers
+    for breaks in ([], [4, -10, 6, 2]):
+        total = _simpson(lambda x: x**3 - 2 * x, -2, 6, breaks)
+        assert type(total) is int and total == 6 * 288
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,6 +351,22 @@ def test_translate_integral_matches_the_convolution(A, B, S, F):
     lhs = _translate_integral(A, B, F, S, S)
     rhs = _translate_integral(S, S, F, A, B)
     assert lhs == rhs == _convolution_integral(S, A, B, F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(I=_INTERVALS, J=_INTERVALS, F=_INTERVALS, V=_INTERVALS, W=_INTERVALS)
+@example(I=(0, 1), J=(5, 6), F=(-10, 10), V=(0, 1), W=(0, 1))  # disjoint
+@example(I=(0, 1), J=(1, 2), F=(2, 3), V=(0, 1), W=(0, 1))  # touching at one end
+@example(I=(0, 4), J=(1, 2), F=(0, 2), V=(-1, 1), W=(-1, 1))  # nested
+@example(I=(1, 1), J=(0, 3), F=(0, 5), V=(0, 2), W=(0, 2))  # zero-width I
+@example(I=(0, 3), J=(0, 3), F=(0, 5), V=(2, 2), W=(0, 2))  # zero-width V
+@example(I=(Fraction(1, 3), Fraction(7, 5)), J=(0.1, 2.75), F=(Fraction(-2, 3), 3.3),
+         V=(Fraction(-1, 5), Fraction(2, 3)), W=(-0.7, Fraction(4, 3)))  # thirds, fifths and floats
+def test_translate_integral_matches_the_fraction_oracle(I, J, F, V, W):
+    # ends as given, floats included: the integer sums read them exactly
+    value = _translate_integral(I, J, F, V, W)
+    assert type(value) is Fraction
+    assert value == _fraction_translate_integral(*(tuple(map(Fraction, iv)) for iv in (I, J, F, V, W)))
 
 
 def _monte_carlo_side(I, J, F, V, W, draws, rng):
