@@ -747,8 +747,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     way.  to_level above from_level is a ValueError, and so is a RadixTimes
     pair at to_level equal to from_level, whose high digit no level would
     take in.  Times are peeled in place, on the tick array made at entry:
-    no array given is written.  A RadixTimes pair's rho may be one row for
-    every lane, as translate passes it: one cosine and one sine at exit.
+    no array given, nor the read-only broadcasts translate passes, is written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
@@ -762,11 +761,12 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
     q, bufs, turn = _own_rows(q, rho, levels.grid, framed=isinstance(ti, RadixTimes))
+    n = len(rho)
     # T becomes the tick below the time, ceil(T + rho) - 1
     below = rho == 0.0
     T -= below
-    valid = np.ones(len(T), dtype=bool)
-    hs = np.zeros((len(T), from_level - to_level), dtype=np.int64)
+    valid = np.ones(n, dtype=bool)
+    hs = np.zeros((n, from_level - to_level), dtype=np.int64)
     for col, k in enumerate(range(from_level - 1, to_level - 1, -1)):
         lv = levels.level(k)
         half = lv.a_tilde * levels.grid
@@ -818,11 +818,12 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
     g = g.astype(_lane(levels, to_level - 1), copy=False)
+    lanes = np.broadcast_shapes(rho.shape, g.shape)
     if rows is not None:
-        q = np.broadcast_to(rows, (4,) + np.broadcast_shapes(rho.shape, g.shape)).copy()
+        q = np.broadcast_to(rows, (4,) + lanes).copy()
         q[2:] *= np.where(g & 1, -1.0, 1.0)
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
-    return peel_batch(levels, top, rho, q, to_level, from_level)
+    return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
 
 
 # ---------------------------------------------------------------------------

@@ -394,10 +394,14 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     den = 2**15
     seq = equidist.van_der_corput(2**14)
     numerators = (seq * den).astype(np.int64)
-    ds = [equidist.star_discrepancy(numerators[: 2**k], den) for k in range(8, 15)]
-    for k, d in zip(range(8, 15), ds):
+    prev = None
+    mono = True
+    for k in range(8, 15):
+        d = equidist.star_discrepancy(numerators[: 2**k], den)
+        if prev is not None and d > prev:
+            mono = False
         rep.add(f"vdc-dstar-2^{k}", float(d))
-    mono = all(later <= earlier for earlier, later in zip(ds, ds[1:]))
+        prev = d
     rep.add("vdc-monotone-checkpoints", 1.0 if mono else 0.0, passed=mono)
 
     # quantitative bound dominates empirical integration error
@@ -420,9 +424,13 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     worst_sigma = 0.0
     for _ in range(50):
         lo = rng.uniform(0.0, 0.6, size=3)
-        hi = np.minimum(lo + rng.uniform(0.1, 0.4, size=3), 1.0)
+        hi = lo + rng.uniform(0.1, 0.4, size=3)
+        hi = np.minimum(hi, 1.0)
         vol = float(np.prod(hi - lo))
-        p = float(np.all((us >= lo) & (us < hi), axis=1).mean())
+        inside = (us[:, 0] >= lo[0]) & (us[:, 0] < hi[0])
+        for dim in (1, 2):
+            inside &= (us[:, dim] >= lo[dim]) & (us[:, dim] < hi[dim])
+        p = float(inside.mean())
         sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
         worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
     rep.add("chart-cube-worst-sigma", worst_sigma, tolerance=3.9, passed=worst_sigma <= 3.9)
@@ -458,8 +466,10 @@ def _fiber_in_cube(ta, quats, m, cube):
     ti = np.floor(ta)
     fib = quat_mul(m.array(), quat_twist(ti.astype(np.int64), ta - ti, quat_inv(quats)))
     u = equidist.su2_to_chart_array(fib)
-    lo, hi = np.array(cube).T
-    return np.all((u >= lo) & (u < hi), axis=1)
+    inside = np.ones(len(ta), dtype=bool)
+    for dim, (lo_b, hi_b) in enumerate(cube):
+        inside &= (u[:, dim] >= lo_b) & (u[:, dim] < hi_b)
+    return inside
 
 
 def _last_shell_above(a_t: float, u: np.ndarray, x: float) -> np.ndarray:

@@ -925,8 +925,8 @@ class TestTranslate:
 
     @pytest.mark.parametrize("on_grid", [True, False])
     def test_one_row_broadcasts_as_its_repeated_rows(self, levels, on_grid):
-        # the one-row batch's rho reaches the peel unbroadcast: every lane
-        # comes back bit for bit as from the row repeated once per lane
+        # a one-row batch translated to many lanes comes back, lane by lane,
+        # bit for bit as the row repeated once per lane
         top = levels.max_level
         x = cf.sample_point_batch(levels, 1, top, np.random.default_rng(34), h_minus=True)
         if on_grid:
