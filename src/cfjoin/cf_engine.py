@@ -149,12 +149,12 @@ class CFParams:
     """Schedules driving the construction, and every rule a construction
     obeys, whether built in code or read from a config.
 
-    r_n = max(floor, n^p) with the exponent p = power, or 0 for r_kind
-    "constant".  The growth conditions depend on p alone (the floor only
-    delays them): (2n - 1)/(2 r_(n-1) - 1) -> 0 iff p >= 2, n^4/r_n -> 0
-    iff p >= 5, and the level ratios have a finite product (eq. 9) iff
-    p >= 3.  The default max(100, n^5) meets all three and keeps level
-    data tractable through level ~8.  Each integer field goes through
+    r_n = max(floor, n^p) with the one exponent p = power; power 0 is the
+    constant schedule r_n = floor.  The growth conditions depend on p alone
+    (the floor only delays them): (2n - 1)/(2 r_(n-1) - 1) -> 0 iff p >= 2,
+    n^4/r_n -> 0 iff p >= 5, and the level ratios have a finite product
+    (eq. 9) iff p >= 3.  The default max(100, n^5) meets all three and
+    keeps level data tractable through level ~8.  Each integer field goes through
     config_int.
     alphabet_size and r_floor are at least 1, the smallest values that
     build: alphabet size 0 has no correction to draw, and floor 0 makes
@@ -166,7 +166,10 @@ class CFParams:
     least 0 and no deeper than check_level_depth allows.
     """
 
-    r_kind: str = "max_power"
+    # not a field, so no config sets it: bench/checks.recursion reads it, and
+    # ROADMAP item 1 deletes it along with that read
+    r_kind = "max_power"
+
     r_floor: int = 100
     r_power: int = 5
     max_level: int = 6
@@ -179,33 +182,23 @@ class CFParams:
             if value < least:
                 raise ValueError(f"construction.{key} must be at least {least}, not {value}")
             object.__setattr__(self, name, value)
-        if self.r_kind not in ("max_power", "constant"):
-            kinds = "construction.r_schedule.kind is max_power or constant"
-            raise ValueError(f"unknown r_kind {self.r_kind!r}: {kinds}")
         check_level_depth(self)
 
-    @property
-    def exponent(self) -> int:
-        return 0 if self.r_kind == "constant" else self.r_power
-
     def r(self, n: int) -> int:
-        return max(self.r_floor, n**self.exponent)
+        return max(self.r_floor, n**self.r_power)
 
     def eps(self, n: int) -> float:
         return 1.0 / (n + 1)  # the harmonic tolerance schedule
 
     def to_json(self) -> dict:
-        """The config; a constant schedule reads no power, so it states none."""
-        schedule = {"kind": self.r_kind, "floor": self.r_floor}
-        if self.r_kind != "constant":
-            schedule["power"] = self.r_power
+        schedule = {"floor": self.r_floor, "power": self.r_power}
         return {"r_schedule": schedule, "max_level": self.max_level, "alphabet_size": self.alphabet_size}
 
     @staticmethod
     def from_json(data: dict) -> "CFParams":
         check_config_keys(data, ("r_schedule", "max_level", "alphabet_size"), "construction")
         rs = data.get("r_schedule", {})
-        check_config_keys(rs, ("kind", "floor", "power"), "construction.r_schedule")
+        check_config_keys(rs, ("floor", "power"), "construction.r_schedule")
         renamed = {f"r_{key}": value for key, value in rs.items()}
         return CFParams(**{key: value for key, value in data.items() if key != "r_schedule"}, **renamed)
 
@@ -261,10 +254,11 @@ def mu_total_normalizer(params: CFParams) -> tuple[float, float]:
     """Mass of the level-0 base set when the total measure is normalized to 1.
 
     The level ratios are 1 + e_n, e_n = (2n - 1)/(2 r_(n-1) - 1), and with
-    r_n = max(floor, n^p) (p = power, or 0 for a constant schedule) e_n ~
-    n^(1-p): e_n -> 0 iff p >= 2, and the product (eq. 9) is finite iff
-    p >= 3, else DivergentScheduleError (n^4/r_n -> 0, the third growth
-    condition, iff p >= 5).
+    r_n = max(floor, n^p), p = power, e_n ~ n^(1-p): e_n -> 0 iff p >= 2,
+    and the product (eq. 9) is finite iff p >= 3, else
+    DivergentScheduleError naming the floor and the power: every reader of
+    the measure meets it here (n^4/r_n -> 0, the third growth condition,
+    iff p >= 5).
 
     Returns (mu_X0, tail_bound): mu_X0 = 1 / prod_{n <= D} (1 + e_n), D =
     _NORMALIZER_DEPTH, and tail_bound = mu_X0 (sum_{D < n <= H} e_n + R),
@@ -275,11 +269,11 @@ def mu_total_normalizer(params: CFParams) -> tuple[float, float]:
     (2 m^3 - 1) and (2m + 1) m (m - 1) = 2 m^3 - m^2 - m; the sum over
     m >= H telescopes to H^(3-p)/(H - 1) <= R = 2 H^(4-p)/(H - 1)^2.
     """
-    p = params.exponent
+    p = params.r_power
     if p < 3:
         raise DivergentScheduleError(
-            f"divergent product: the r_schedule kind {params.r_kind} with floor {params.r_floor} "
-            f"has exponent {p}, below 3, so its ratio excess "
+            f"divergent product: the r_schedule with floor {params.r_floor} "
+            f"has power {p}, below 3, so its ratio excess "
             f"(2n - 1)/(2 r_(n-1) - 1) ~ n^{1 - p} has no finite sum and it carries no finite measure"
         )
     # ratio_n = a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1) for n >= 1, ratio_0 = 1
@@ -356,7 +350,6 @@ class CFLevels:
     seed: int
     levels: list[CFLevel]
     seq: list[tuple[int, int]]  # (a_n, a~_n) for n = 0..max_level+1
-    mu_x0: Optional[float]  # None when the schedule diverges
 
     @property
     def max_level(self) -> int:
@@ -385,11 +378,13 @@ class CFLevels:
     def a_tilde(self, n: int) -> int:
         return self.seq[self._built(n, self.max_level + 1)][1]
 
+    @cached_property
+    def mu_x0(self) -> float:
+        """The level-0 base mass, mu_total_normalizer's: a divergent schedule
+        raises DivergentScheduleError on every read, as nothing is cached."""
+        return mu_total_normalizer(self.params)[0]
+
     def mu_xn(self, n: int) -> float:
-        if self.mu_x0 is None:
-            raise DivergentScheduleError(
-                f"no measure for level {n}: the schedule's level ratios diverge"
-            )
         prod = Fraction(1)
         for k in range(n):
             prod *= level_ratio(self.seq, k)
@@ -435,8 +430,8 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
     dyadic, so it is a power of two and every correction time is a whole
     number of ticks of 1/D.  Each level's maps and tables are made in turn,
     D being known from the alphabets first.  A divergent schedule still
-    yields level data, with mu_x0 None: validate_cf reports the finiteness
-    failure and mu_xn raises DivergentScheduleError.
+    yields level data: validate_cf reports the finiteness failure, and its
+    measures (mu_x0, mu_xn) raise DivergentScheduleError.
     """
     seq = derive_sequences(params, params.max_level + 1)
     alphabets = [default_alphabet(n, equidist.slab_half_width(n, seq[n - 1][1]), params.alphabet_size)
@@ -456,11 +451,7 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
         levels.append(CFLevel(n=n, a=seq[n][0], a_tilde=seq[n][1], r=params.r(n), s_map=s_map, ticks=ticks[idx],
                               grid=grid, s_quat=alphabet.quats[idx].T.copy(),
                               s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy()))
-    try:
-        mu0, _ = mu_total_normalizer(params)
-    except DivergentScheduleError:
-        mu0 = None
-    return CFLevels(params=params, seed=seed, levels=levels, seq=seq, mu_x0=mu0)
+    return CFLevels(params=params, seed=seed, levels=levels, seq=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +459,9 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
 # ---------------------------------------------------------------------------
 
 def growth_conditions(params: CFParams) -> dict[str, bool]:
-    """The growth verdicts of validate_cf, which read the schedule's exponent
+    """The growth verdicts of validate_cf, which read the schedule's power
     p alone; finiteness is p >= 3, where mu_total_normalizer does not raise."""
-    p = params.exponent
+    p = params.r_power
     return {"w-fo-folner-ratios": p >= 2, "growth-n4-over-r": p >= 5, "finiteness-eq-9": p >= 3}
 
 
@@ -486,9 +477,9 @@ def validate_cf(levels: CFLevels) -> dict[str, bool]:
     disjoint iff each lo is at least the hi before it.  The base-interval
     tiling (2 r_n - 1 shells of half-width a~_n make the level n+1
     interval) is pure integer arithmetic.  The growth conditions are exact
-    in the exponent p of r_n = max(floor, n^p), p = power or 0 for a
-    constant schedule: (2n - 1)/(2 r_(n-1) - 1) ~ n^(1-p) -> 0 iff p >= 2,
-    n^4/r_n -> 0 iff p >= 5, and the ratios' product (eq. 9) is finite iff p >= 3.
+    in the power p of r_n = max(floor, n^p), 0 for a constant schedule:
+    (2n - 1)/(2 r_(n-1) - 1) ~ n^(1-p) -> 0 iff p >= 2, n^4/r_n -> 0 iff
+    p >= 5, and the ratios' product (eq. 9) is finite iff p >= 3.
     """
     containment_ok = True
     disjoint_ok = True

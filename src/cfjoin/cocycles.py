@@ -109,18 +109,17 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
     e, a, b, d = (D6_LABELS.index(label) for label in "eabd")
     cocycle = np.array([e, d])
 
-    def t_phi(x, h):
-        return tower_apply(scheme, x), D6_MUL[cocycle[chacon_z2_phi(scheme, x)], h]
-
     x = sample_tower_point(scheme, rng, samples)
     fiber = rng.integers(0, 6, samples)
-    # (T_phi o sigma_a)^2
-    y1, g1 = t_phi(x, D6_MUL[fiber, a])
-    y1, g1 = t_phi(y1, D6_MUL[g1, a])
-    # (T_phi)^2
-    y2, g2 = t_phi(x, fiber)
-    y2, g2 = t_phi(y2, g2)
-    ok = bool(np.array_equal(y1, y2) and np.array_equal(g1, g2))
+    tx = tower_apply(scheme, x)
+    # T^2 x, the base point of both squares; an orbit that leaves the tower
+    # here raises TailExhaustedError
+    tower_apply(scheme, tx)
+    # both squares multiply the fiber by c(phi(Tx)) c(phi(x)) on the left;
+    # (T_phi o sigma_a)^2 also by a a on the right
+    g2 = D6_MUL[D6_MUL[cocycle[chacon_z2_phi(scheme, tx)], cocycle[chacon_z2_phi(scheme, x)]], fiber]
+    g1 = D6_MUL[D6_MUL[g2, a], a]
+    ok = bool(np.array_equal(g1, g2))
 
     witness = None
     for h in range(6):

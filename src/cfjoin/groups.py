@@ -53,7 +53,6 @@ __all__ = [
     "quat_phi_int",
     "quat_phi_real",
     "quat_twist",
-    "quat_to_matrix",
     "adjoint_entry_rows",
     "adjoint_matrix",
 ]
@@ -168,19 +167,6 @@ def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """2x2 complex matrix [[z, -conj(w)], [w, conj(z)]] of a quaternion."""
-    q = np.asarray(q, dtype=float)
-    z = q[..., 0] + 1j * q[..., 1]
-    w = q[..., 2] + 1j * q[..., 3]
-    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = z
-    m[..., 0, 1] = -np.conj(w)
-    m[..., 1, 0] = w
-    m[..., 1, 1] = np.conj(z)
-    return m
-
-
 def adjoint_entry_rows(q, i, j):
     """Entry (i, j) of the adjoint matrix (adjoint_matrix) on component rows
     q = (a, v0, v1, v2).  The product convention here is opposite to
@@ -236,9 +222,6 @@ class SU2Element:
 
     def array(self) -> np.ndarray:
         return np.array(self.q, dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.array())
 
 
 SU2_I = SU2Element((1.0, 0.0, 0.0, 0.0))

@@ -168,8 +168,8 @@ def _build_levels(seed: int, params: CFParams) -> CFLevels:
         return cf_engine.build_levels(params, seed=seed)
     except equidist.DistributionTestError as exc:
         raise ValueError(
-            f"the construction with r_schedule floor {params.r_floor}, exponent "
-            f"{params.exponent} and alphabet size {params.alphabet_size} does "
+            f"the construction with r_schedule floor {params.r_floor}, power "
+            f"{params.r_power} and alphabet size {params.alphabet_size} does "
             f"not build at seed {seed}: {exc}"
         ) from exc
 
@@ -211,7 +211,7 @@ def check_builds(cfg: ExperimentConfig, names: Sequence[str]) -> None:
     max_level reaches min_max_level of each, it carries a finite measure if
     one of them reads the measure (DivergentScheduleError from
     mu_total_normalizer), and its construction builds at every seed they
-    read.  Finiteness is decided first, from the exponent alone: a
+    read.  Finiteness is decided first, from the power alone: a
     divergent schedule builds at the config seed only, so that one that
     also does not build is one ValueError naming both faults, and the
     alternate seeds are never built for it.  The builds fill the runners'

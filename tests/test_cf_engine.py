@@ -58,8 +58,8 @@ class TestNormalizer:
         assert tail < 1e-6
 
     def test_divergent_schedule_rejected(self):
-        with pytest.raises(ValueError, match="divergent product"):
-            cf.mu_total_normalizer(cf.CFParams(r_kind="constant", r_floor=2))
+        with pytest.raises(ValueError, match="divergent product: the r_schedule with floor 2 has power 0, below 3"):
+            cf.mu_total_normalizer(cf.CFParams(r_power=0, r_floor=2))
 
     @pytest.mark.parametrize("floor", [10**8, 10**9])
     def test_cubic_power_past_a_high_floor(self, floor):
@@ -118,8 +118,10 @@ class TestValidation:
     @pytest.mark.parametrize("kind", ["max_power", "constant"])
     @pytest.mark.parametrize("floor", [1, 100, 1000, 10**4, 10**6])
     def test_growth_verdicts_match_the_oracle(self, kind, floor):
-        for power in range(7):
-            params = cf.CFParams(r_kind=kind, r_floor=floor, r_power=power, max_level=0)
+        # power 0 is the constant schedule: its column reads the verdicts of
+        # power 0 against the oracle of r_n = floor
+        for power in range(7) if kind == "max_power" else [0]:
+            params = cf.CFParams(r_floor=floor, r_power=power, max_level=0)
             got = cf.growth_conditions(params)
             assert got == _growth_oracle(kind, floor, power), (kind, floor, power)
             try:
@@ -129,19 +131,37 @@ class TestValidation:
                 finite = False
             assert finite == got["finiteness-eq-9"]
 
+    @pytest.mark.parametrize("floor", [1, 2, 100, 10**9])
+    def test_power_0_is_the_constant_schedule(self, floor):
+        params = cf.CFParams(r_power=0, r_floor=floor, max_level=0)
+        assert [params.r(n) for n in range(11)] == [floor] * 11
+
     def test_constant_schedule_fails_finiteness(self):
-        params = cf.CFParams(r_kind="constant", r_floor=2, max_level=2)
+        params = cf.CFParams(r_power=0, r_floor=2, max_level=2)
         report = cf.validate_cf(cf.build_levels(params, seed=0))
         assert not report["finiteness-eq-9"]
 
     def test_constant_schedule_has_no_measure(self):
-        params = cf.CFParams(r_kind="constant", r_floor=2, max_level=2)
+        params = cf.CFParams(r_power=0, r_floor=2, max_level=2)
         lv = cf.build_levels(params, seed=0)
-        assert lv.mu_x0 is None
-        with pytest.raises(cf.DivergentScheduleError, match="level 1"):
+        with pytest.raises(cf.DivergentScheduleError, match="floor 2 has power 0, below 3"):
             lv.mu_xn(1)
         with pytest.raises(cf.DivergentScheduleError):
             cf.cylinder_measure(lv, 1, 0, 1)
+
+    def test_divergent_measure_raises_on_every_read(self):
+        # power 2 meets the Folner ratios but not eq. 9: the build and its
+        # verdicts stand, and every read of the mass raises, none cached
+        lv = cf.build_levels(cf.CFParams(r_power=2, max_level=2), seed=0)
+        report = cf.validate_cf(lv)
+        assert (report["w-fo-folner-ratios"], report["growth-n4-over-r"], report["finiteness-eq-9"]) == (
+            True, False, False)
+        for _ in range(2):
+            with pytest.raises(cf.DivergentScheduleError, match="floor 100 has power 2, below 3"):
+                lv.mu_x0
+            with pytest.raises(cf.DivergentScheduleError, match="power 2"):
+                lv.mu_xn(1)
+        assert "mu_x0" not in vars(lv)
 
     @pytest.mark.parametrize("seed", [42, 20260810, 20260811])
     def test_integer_pairs_match_fraction_reference(self, seed):

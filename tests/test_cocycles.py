@@ -151,6 +151,15 @@ class TestD6Root:
         assert rep.commutation_witness == ("e", "f", "d")
         assert rep.abelian_commutes
 
+    def test_root_identity_fails_where_a_is_not_an_involution(self, scheme, rng, monkeypatch):
+        # the check multiplies by a twice and compares: in a table where
+        # a a != e the two squares part on every fiber that reaches e
+        a = D6_LABELS.index("a")
+        table = D6_MUL.copy()
+        table[a, a] = D6_LABELS.index("b")
+        monkeypatch.setattr(co, "D6_MUL", table)
+        assert not co.d6_root_check(scheme, 2000, rng).root_identity_holds
+
 
 class TestFlowCommutation:
     def test_special_times(self):

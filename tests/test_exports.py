@@ -25,38 +25,53 @@ def test_all_names_resolve(name):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-def _names_read(paths) -> set[str]:
-    """Names loaded (ast.Name) or taken as an attribute (ast.Attribute),
-    and the attribute parts of the keys of a TRACED dict, such as the
-    benchmark's "cf_engine.act", which its tracer looks up with getattr."""
-    read = set()
+def _names_read(paths) -> tuple[set[str], set[str]]:
+    """The names loaded (ast.Name), and the names taken as an attribute
+    (ast.Attribute) together with the attribute parts of the keys of a
+    TRACED dict, such as the benchmark's "cf_engine.act", which its tracer
+    looks up with getattr."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
-                read.update(part for key in node.value.keys for part in key.value.split(".")[1:])
-    return read
+                attributes.update(part for key in node.value.keys for part in key.value.split(".")[1:])
+    return names, attributes
 
 
 def test_every_export_has_a_caller():
     # a name whose only reader is its own test is dead weight in the program:
     # every __all__ name, and every module-level function and class, private
-    # ones too, such as a helper whose last caller has gone
+    # ones too, such as a helper whose last caller has gone; and every method
+    # and property of those classes, which only an attribute read can reach
+    # (dunder methods are read by the language itself)
     program = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
     sources = program + [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
-    read = _names_read(sources)
+    names, attributes = _names_read(sources)
+    trees = {path.stem: ast.parse(path.read_text()) for path in program}
     defined = {
-        f"{path.stem}.{node.name}"
-        for path in program
-        for node in ast.parse(path.read_text()).body
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     defined |= {f"{name}.{attr}" for name in MODULES
                 for attr in getattr(importlib.import_module(f"cfjoin.{name}"), "__all__", ())}
-    assert sorted(name for name in defined if name.partition(".")[2] not in read) == []
+    members = {
+        f"{stem}.{cls.name}.{node.name}"
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    }
+    read = names | attributes
+    unread = [name for name in defined if name.partition(".")[2] not in read]
+    unread += [name for name in members if name.rpartition(".")[2] not in attributes]
+    assert sorted(unread) == []
 
 
 def _imported_names(tree) -> set[str]:

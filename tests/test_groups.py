@@ -22,13 +22,21 @@ from cfjoin.groups import (
     quat_normalize,
     quat_phi_int,
     quat_phi_real,
-    quat_to_matrix,
     quat_twist,
 )
 
 I = SU2_I.array()
 MINUS_I = -I
 H0 = SU2_H0.array()
+
+
+def quat_to_matrix(q):
+    """The oracle of the product convention: the 2x2 complex matrix
+    [[z, -conj(w)], [w, conj(z)]] of a quaternion, z = a + bi, w = c + di."""
+    q = np.asarray(q, dtype=float)
+    z = q[..., 0] + 1j * q[..., 1]
+    w = q[..., 2] + 1j * q[..., 3]
+    return np.stack([np.stack([z, -np.conj(w)], -1), np.stack([w, np.conj(z)], -1)], -2)
 
 
 def rand_su2(rng, n=None):
@@ -53,7 +61,7 @@ class TestSU2:
 
     def test_h0_squared_is_minus_identity(self):
         # oracle: direct 2x2 complex matrix product
-        m = SU2_H0.matrix() @ SU2_H0.matrix()
+        m = quat_to_matrix(H0) @ quat_to_matrix(H0)
         assert np.max(np.abs(m - quat_to_matrix(MINUS_I))) < 1e-15
         assert np.max(np.abs(quat_mul(H0, H0) - MINUS_I)) < 1e-15
 
@@ -122,7 +130,7 @@ class TestTwist:
 
     def test_phi_one_h0(self):
         u = np.diag([1j, -1j])
-        oracle = u @ SU2_H0.matrix() @ np.conj(u.T)
+        oracle = u @ quat_to_matrix(H0) @ np.conj(u.T)
         for got in (quat_phi_int(1, H0), quat_phi_real(1.0, H0)):
             assert np.max(np.abs(quat_to_matrix(got) - oracle)) < 1e-12
             assert np.max(np.abs(got - quat_mul(MINUS_I, H0))) < 1e-12  # -h0

@@ -39,7 +39,11 @@ from cfjoin.verifier import (
 BAD_VALUES = [
     ({"seed": "seven"}, ValueError, "invalid literal for int()"),
     ({"seed": None}, TypeError, "not 'NoneType'"),
-    ({"construction": {"r_schedule": {"kind": "bogus"}}}, ValueError, "unknown r_kind 'bogus'"),
+    # the schedule's kind is retired: power 0 is the constant schedule
+    ({"construction": {"r_schedule": {"kind": "max_power"}}}, cf_engine.UnknownConfigKeyError,
+     "unknown construction.r_schedule config keys ['kind']"),
+    ({"construction": {"r_schedule": {"kind": "constant", "floor": 1000}}}, cf_engine.UnknownConfigKeyError,
+     "unknown construction.r_schedule config keys ['kind']"),
     # these ended in a ZeroDivisionError, a numpy shape error and a
     # TypeError; --out replaces output_dir, so the file's value is checked
     # where the file is read
@@ -90,10 +94,10 @@ BAD_VALUES = [
     ([], TypeError, "experiment config must be a JSON object, not []"),
     # schedules whose level ratios have an infinite product: they built,
     # and the measure's readers ended in DivergentScheduleError tracebacks
-    ({"construction": {"r_schedule": {"kind": "constant", "floor": 1000}}}, cf_engine.DivergentScheduleError,
-     "the r_schedule kind constant with floor 1000 has exponent 0, below 3"),
+    ({"construction": {"r_schedule": {"floor": 1000, "power": 0}}}, cf_engine.DivergentScheduleError,
+     "the r_schedule with floor 1000 has power 0, below 3"),
     ({"construction": {"r_schedule": {"floor": 1000, "power": 2}}}, cf_engine.DivergentScheduleError,
-     "the r_schedule kind max_power with floor 1000 has exponent 2, below 3"),
+     "the r_schedule with floor 1000 has power 2, below 3"),
 ]
 
 
@@ -124,18 +128,17 @@ class TestConfig:
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
 
-    def test_constant_schedule_states_no_power(self):
-        # a constant schedule reads no power: its config and its
-        # divergent-schedule error used to say "power 5", a value with no effect
-        data = {"r_schedule": {"kind": "constant", "floor": 1000}}
+    def test_constant_schedule_is_power_0(self):
+        # the constant schedule is power 0, stated as such in its config and
+        # in its divergent-schedule error
+        data = {"r_schedule": {"floor": 1000, "power": 0}}
         params = cf_engine.CFParams.from_json(data)
         assert params.to_json()["r_schedule"] == data["r_schedule"]
         assert cf_engine.CFParams.from_json(params.to_json()) == params
-        with pytest.raises(cf_engine.DivergentScheduleError) as exc:
+        with pytest.raises(cf_engine.DivergentScheduleError, match="floor 1000 has power 0, below 3"):
             cf_engine.mu_total_normalizer(params)
-        assert "exponent 0" in str(exc.value) and "power" not in str(exc.value)
         assert cf_engine.CFParams().to_json() == {
-            "r_schedule": {"kind": "max_power", "floor": 100, "power": 5}, "max_level": 6, "alphabet_size": 8,
+            "r_schedule": {"floor": 100, "power": 5}, "max_level": 6, "alphabet_size": 8,
         }
 
     def test_from_partial_json(self):
@@ -154,7 +157,7 @@ class TestConfig:
     @pytest.mark.parametrize("data, key", [
         ({"seed": 3, "window_level": 4}, "'window_level'"),
         ({"construction": {"max_level": 5, "sample_count": 64}}, "'sample_count'"),
-        ({"construction": {"r_schedule": {"kind": "max_power", "flor": 90}}}, "'flor'"),
+        ({"construction": {"r_schedule": {"power": 5, "flor": 90}}}, "'flor'"),
         # the subcommand is the one selector of experiments
         ({"experiments": ["sequences"]}, "'experiments'"),
         # the explicit r schedule is gone with its list of values
@@ -170,9 +173,10 @@ class TestConfig:
         # the constructors hold every check of a value, and check_builds
         # those of a schedule, so a config built in code meets the error
         # that the same values read from JSON meet; the shape of a section
-        # is read by from_json alone
+        # and its unknown keys, which no constructor takes, are read by
+        # from_json alone
         builds = [_construct, ExperimentConfig.from_json]
-        if "must be a JSON object" in message:
+        if error is cf_engine.UnknownConfigKeyError or "must be a JSON object" in message:
             builds.remove(_construct)
         raised = set()
         for build in builds:
@@ -642,7 +646,7 @@ def test_schedule_that_does_not_build_is_named_in_code(tmp_path):
     # a config built in code met a bare DistributionTestError inside the
     # first runner that read the levels
     cfg = ExperimentConfig(seed=0, construction=cf_engine.CFParams(r_floor=10), output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="floor 10, exponent 5 and alphabet size 8 does not build at seed 0: "
+    with pytest.raises(ValueError, match="floor 10, power 5 and alphabet size 8 does not build at seed 0: "
                        "distribution test failed at level 2"):
         run_sequences(cfg)
 
@@ -734,17 +738,17 @@ class TestCLI:
         params = {"floor": 100, "power": 5} | schedule
         err = capsys.readouterr().err
         assert (
-            f"r_schedule floor {params['floor']}, exponent {params['power']} and alphabet "
+            f"r_schedule floor {params['floor']}, power {params['power']} and alphabet "
             f"size 8 does not build at seed {seed}: distribution test failed at level {level}"
         ) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("schedule, faults", [
         # builds at the config seed: the divergence alone is refused
-        ({"kind": "constant", "floor": 1000}, ["kind constant with floor 1000 has exponent 0, below 3"]),
+        ({"floor": 1000, "power": 0}, ["the r_schedule with floor 1000 has power 0, below 3"]),
         # does not build either: one error names both faults
-        ({"power": 1}, ["kind max_power with floor 100 has exponent 1, below 3",
-                        "exponent 1 and alphabet size 8 does not build at seed 0: "
+        ({"power": 1}, ["the r_schedule with floor 100 has power 1, below 3",
+                        "power 1 and alphabet size 8 does not build at seed 0: "
                         "distribution test failed at level 3"]),
     ])
     def test_divergent_schedule_builds_the_config_seed_at_most(
@@ -777,7 +781,7 @@ class TestCLI:
         # to fail, as the floor held n^4/r_n rising over the probed terms
         ({"floor": 1000}, 0, []),
         # the measure's readers refuse this schedule; validate-cf reports it
-        ({"kind": "constant", "floor": 1000}, 1, ["w-fo-folner-ratios", "growth-n4-over-r", "finiteness-eq-9"]),
+        ({"floor": 1000, "power": 0}, 1, ["w-fo-folner-ratios", "growth-n4-over-r", "finiteness-eq-9"]),
     ])
     def test_validate_cf_reads_the_exponent(self, schedule, code, failed, tmp_path):
         cfg_path = tmp_path / "cfg.json"
