@@ -322,8 +322,12 @@ class CFLevel:
     def card_c_next(self) -> int:
         return 2 * self.r - 1
 
-    def h_range(self) -> range:
-        return range(-(self.r - 1), self.r)
+    def correction_ticks(self) -> np.ndarray:
+        """(2r-1,) exact times 2 h a~ D + ticks(h) of the corrections c(h) in ticks of 1/D:
+        int64 while they stay below 2^62, with room for one more a D, and Python ints from there."""
+        step = 2 * self.a_tilde * self.grid
+        lane = np.int64 if self.r * step + int(np.abs(self.ticks).max()) < _INT64_SAFE else object
+        return np.arange(-(self.r - 1), self.r).astype(lane) * step + self.ticks.astype(lane)
 
     @property
     def s_shell(self) -> np.ndarray:
@@ -487,10 +491,10 @@ def validate_cf(levels: CFLevels) -> dict[str, bool]:
     for lv in levels.levels:
         a_next = levels.a(lv.n + 1) * grid
         width = 2 * lv.a * grid
-        los = sorted(2 * h * lv.a_tilde * grid + t - lv.a * grid for h, t in zip(lv.h_range(), lv.ticks.tolist()))
+        los = np.sort(lv.correction_ticks() - lv.a * grid)
         # every interval lies inside iff the lowest lo and the highest hi do
-        containment_ok &= los[0] >= -a_next and los[-1] + width <= a_next
-        disjoint_ok &= all(lo2 >= lo + width for lo, lo2 in zip(los, los[1:]))
+        containment_ok &= int(los[0]) >= -a_next and int(los[-1]) + width <= a_next
+        disjoint_ok &= bool(np.all(np.diff(los) >= width))
     return {
         "w2-choice-sets": all(lv.card_c_next > 1 for lv in levels.levels),
         "w3-containment": containment_ok,

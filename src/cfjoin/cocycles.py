@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -121,13 +121,11 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
     g1 = D6_MUL[D6_MUL[g2, a], a]
     ok = bool(np.array_equal(g1, g2))
 
-    witness = None
-    for h in range(6):
-        ab = D6_MUL[D6_MUL[h, b], a]  # sigma_a(sigma_b(.,h)) fiber
-        ba = D6_MUL[D6_MUL[h, a], b]
-        if ab != ba:
-            witness = (D6_LABELS[h], D6_LABELS[ab], D6_LABELS[ba])
-            break
+    # the fibers sigma_a(sigma_b(., h)) and sigma_b(sigma_a(., h)) of every h
+    hs = np.arange(6)
+    ab, ba = D6_MUL[D6_MUL[hs, b], a], D6_MUL[D6_MUL[hs, a], b]
+    differ = np.flatnonzero(ab != ba)
+    witness = tuple(D6_LABELS[v[differ[0]]] for v in (hs, ab, ba)) if len(differ) else None
 
     abelian = all(D6_MUL[D6_MUL[h, a], e] == D6_MUL[D6_MUL[h, e], a] for h in (e, a))
     return D6RootReport(ok, witness, abelian)
@@ -137,42 +135,37 @@ def d6_root_check(scheme: TowerScheme, samples: int, rng: np.random.Generator) -
 # SU(2) flow non-commutation
 # ---------------------------------------------------------------------------
 
-def su2_flow_commutation(t: float) -> bool:
+def su2_flow_commutation(t):
     """Whether the fixed fiber rotation commutes with the diagonal flow at
-    time t (true exactly when 2t is an integer)."""
-    g_t = np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.0, 0.0])
+    time t (true exactly when 2t is an integer), elementwise over an array
+    of times: a bool array of t's shape, a numpy bool for a scalar t."""
+    angle = 2 * math.pi * np.asarray(t, dtype=float)
+    g_t = np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle), np.zeros_like(angle)], axis=-1)
     h0 = SU2_H0.array()
-    return float(np.max(np.abs(quat_mul(h0, g_t) - quat_mul(g_t, h0)))) <= 1e-10
+    return np.max(np.abs(quat_mul(h0, g_t) - quat_mul(g_t, h0)), axis=-1) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
 # spectral probe
 # ---------------------------------------------------------------------------
 
-def eigenvalue_probe(values, frequencies: Sequence[float]) -> tuple[list[float], float]:
-    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n theta} f(T^n x)|, one per
-    theta of `frequencies`, from the observable values f(T^n x), n < N, and
-    the threshold, the reference line 5 N^{-1/2} log N.
+def eigenvalue_probe(values, period: int) -> tuple[list[float], float]:
+    """Twisted Birkhoff sums |1/N sum e^{-2 pi i n k / period} f(T^n x)|, one
+    per k < period, from the observable values f(T^n x), n < N, and the
+    threshold, the reference line 5 N^{-1/2} log N.
 
-    Values near 1 flag point spectrum at theta; values of order N^{-1/2} are
-    consistent with its absence.
+    Values near 1 flag point spectrum at theta = k / period; values of order
+    N^{-1/2} are consistent with its absence.
 
-    All frequencies share one blocked sum: with n = m a + b, m = isqrt(N),
-    the values zero-padded to V[a, b] give sum_a e^{-2 pi i theta m a}
-    sum_b e^{-2 pi i theta b} V[a, b], so 2 sqrt(N) exponentials per theta
-    and one matrix product replace N exponentials per theta.
+    The phase depends on n only through n mod period, so the zero-padded
+    values fold into period residue bins (exact integers for +-1 values) and
+    one FFT of the bins gives every sum, with no matrix product.
     """
     values = np.asarray(values)
     orbit_len = len(values)
     if orbit_len < 10_000:
         raise ValueError("orbit_len must be at least 1e4 for a meaningful probe")
     threshold = 5.0 * math.log(orbit_len) / math.sqrt(orbit_len)
-    m = math.isqrt(orbit_len)
-    rows = -(-orbit_len // m)
-    padded = np.zeros(rows * m, dtype=np.result_type(values, 1.0))
-    padded[:orbit_len] = values
-    theta = np.asarray(frequencies, dtype=float)[:, None]
-    outer = np.exp(-2j * math.pi * theta * (m * np.arange(rows)))
-    inner = np.exp(-2j * math.pi * theta * np.arange(m))
-    sums = ((outer @ padded.reshape(rows, m)) * inner).sum(axis=1) / orbit_len
+    bins = np.pad(values, (0, -orbit_len % period)).reshape(-1, period).sum(axis=0)
+    sums = np.fft.fft(bins) / orbit_len
     return [float(abs(z)) for z in sums], threshold

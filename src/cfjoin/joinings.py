@@ -86,19 +86,24 @@ class CFDictionary:
     def size(self) -> int:
         return len(self.labels)
 
-    def evaluate(self, batch) -> np.ndarray:
-        """batch = (valid, ti, tf, q) level-1 coordinates from peel_batch."""
+    def evaluate(self, batch, conj_times=None) -> np.ndarray:
+        """batch = (valid, ti, tf, q) level-1 coordinates from peel_batch.  Given the conjugated
+        values conj_times of a batch on the same valid, ti and tf, the harmonic rows are
+        theirs conjugated back (a sign flip, exact), and only the fiber rows read q."""
         valid, ti, tf, q = batch
-        t = np.asarray(ti, dtype=float) + tf
-        out = np.empty((self.size, len(t)), dtype=complex)
-        # harmonic m is harmonic m - 1 times harmonic 1, multiplied in place,
-        # so one exponential serves all of them
-        first = out[self._harm[0]]
-        np.exp(2j * math.pi * t / self.a1, out=first)
-        for prev, row in zip(self._harm, self._harm[1:]):
-            np.multiply(out[prev], first, out=out[row])
-        for row in self._harm:
-            out[row] *= self.scale
+        out = np.empty((self.size, len(q)), dtype=complex)
+        if conj_times is not None:
+            for row in self._harm:
+                np.conjugate(conj_times[row], out=out[row])
+        else:
+            # harmonic m is harmonic m - 1 times harmonic 1, multiplied in
+            # place, so one exponential serves all of them
+            first = out[self._harm[0]]
+            np.exp(2j * math.pi * (np.asarray(ti, dtype=float) + tf) / self.a1, out=first)
+            for prev, row in zip(self._harm, self._harm[1:]):
+                np.multiply(out[prev], first, out=out[row])
+            for row in self._harm:
+                out[row] *= self.scale
         # each fiber row is sqrt 2 or sqrt 3 times a matrix coefficient of q,
         # then scaled, written as real and imaginary parts; the adjoint
         # entries are those of groups.adjoint_entry_rows, without
@@ -151,9 +156,9 @@ def joining_metric_stderr(x: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * x.stderr**2)))
 
 
-def _sq_moduli(f: np.ndarray) -> np.ndarray:
-    """|f|^2, squared in place in the one real array it makes."""
-    sq = np.abs(f)
+def _sq_moduli(f: np.ndarray, out=None) -> np.ndarray:
+    """|f|^2, squared in place in the one real array it makes or in out."""
+    sq = np.abs(f, out=out)
     return np.square(sq, out=sq)
 
 
@@ -338,10 +343,14 @@ def empirical_joining(
             # its squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk, which rounds otherwise
             diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
             del fx, fd
+            # the paired partner's harmonic rows and their squared moduli are x's
             q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
-            fy = dictionary.evaluate((valid, ti, tf, q))
-            paired.add(conj_x, sq_x, fy, _sq_moduli(fy))
-            del fy
+            fy = dictionary.evaluate((valid, ti, tf, q), conj_x)
+            sq_y = sq_x.copy()
+            for row, _ in dictionary._fiber:
+                _sq_moduli(fy[row], out=sq_y[row])
+            paired.add(conj_x, sq_x, fy, sq_y)
+            del fy, sq_y
             fy = dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4])
             independent.add(conj_x, sq_x, fy, _sq_moduli(fy))
             # nothing of this block is left when the next one is made

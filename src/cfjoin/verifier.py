@@ -271,9 +271,7 @@ def run_groups(cfg: ExperimentConfig) -> CheckReport:
     worst_phi2 = float(np.max(np.abs(quat_phi_real(np.full(n, 2.0), m1) - m1)))
     # check x x^{-1} lands at the identity
     te, me = g_mul(t1, m1, *g_inv(t1, m1))
-    ident = np.zeros((n, 4))
-    ident[:, 0] = 1.0
-    worst_inv = float(max(np.max(np.abs(te)), np.max(np.abs(me - ident))))
+    worst_inv = float(max(np.max(np.abs(te)), np.max(np.abs(me - np.array([1.0, 0.0, 0.0, 0.0])))))
     ts, ms = conj_star(*conj_star(t1, m1))
     worst_star = float(max(np.max(np.abs(ts - t1)), np.max(np.abs(ms - m1))))
     tol = 1e-12
@@ -430,7 +428,7 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
         inside = (us[:, 0] >= lo[0]) & (us[:, 0] < hi[0])
         for dim in (1, 2):
             inside &= (us[:, dim] >= lo[dim]) & (us[:, dim] < hi[dim])
-        p = float(inside.mean())
+        p = np.count_nonzero(inside) / len(qs)
         sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
         worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
     rep.add("chart-cube-worst-sigma", worst_sigma, tolerance=3.9, passed=worst_sigma <= 3.9)
@@ -780,11 +778,9 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
 
 def _correction_times(lv: cf_engine.CFLevel) -> np.ndarray:
     """Times of the corrections c(h), h in H_n, each float(correction_time_fraction(h))
-    bit for bit: the Python-int quotient (2 h a~_n D + ticks) / D, which is
-    correctly rounded at any size (level 6 passes 2^63)."""
-    return np.array([
-        (2 * h * lv.a_tilde * lv.grid + ticks) / lv.grid for h, ticks in zip(lv.h_range(), lv.ticks.tolist())
-    ])
+    bit for bit: the exact ticks over the power of two D, rounded once, whether an
+    int64 tick converts to float or a Python-int one divides (level 6 passes 2^63)."""
+    return np.asarray(lv.correction_ticks() / lv.grid, dtype=float)
 
 
 def _overlap_deviation(levels: CFLevels, n: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -798,13 +794,14 @@ def _overlap_deviation(levels: CFLevels, n: int, rng: np.random.Generator) -> tu
     width = float(rng.uniform(0.4, 1.2)) * a_prev
     lo_a = float(rng.uniform(-a_prev, a_prev - width))
     target = width / (2 * a_prev)
-    offs = _correction_times(lv_prev)
+    lo_f = _correction_times(lv_prev) + lo_a
+    hi_f = lo_f + width
     devs = []
     for _ in range(60):
         t_f = float(rng.uniform(-(a_n - k_slab), a_n - k_slab))
         lo_s, hi_s = t_f - k_slab, t_f + k_slab
-        lo_i = np.maximum(offs + lo_a, lo_s)
-        hi_i = np.minimum(offs + lo_a + width, hi_s)
+        lo_i = np.maximum(lo_f, lo_s)
+        hi_i = np.minimum(hi_f, hi_s)
         overlap = float(np.sum(np.maximum(hi_i - lo_i, 0.0)))
         devs.append(abs(overlap / (2 * k_slab) - target))
     return float(np.mean(devs)), float(np.std(devs) / math.sqrt(len(devs)))
@@ -1006,13 +1003,12 @@ def run_counterexample_51(cfg: ExperimentConfig) -> CheckReport:
     rep.add("constant-1-obstruction", 1.0 if ok_w else 0.0, passed=ok_w)
 
     _, s, r = cocycles.double_extension_orbit(scheme, rng, 100_000)
-    thetas = [kk / 64 for kk in range(64)]
-    moduli, threshold = cocycles.eigenvalue_probe((-1.0) ** (s + r), thetas)
+    moduli, threshold = cocycles.eigenvalue_probe((-1.0) ** (s + r), 64)
     rep.add("spectral-probe-max", max(moduli), tolerance=threshold,
             passed=all(m <= threshold for m in moduli))
     rep.csv_tables["spectral.csv"] = (
         ["theta", "modulus", "threshold"],
-        [[repr(t), repr(m), repr(threshold)] for t, m in zip(thetas, moduli)],
+        [[repr(k / 64), repr(m), repr(threshold)] for k, m in enumerate(moduli)],
     )
     return rep
 
@@ -1028,10 +1024,8 @@ def run_nonuniqueness_42(cfg: ExperimentConfig) -> CheckReport:
     rep.add("abelian-subgroup-commutes", 1.0 if root.abelian_commutes else 0.0,
             passed=root.abelian_commutes)
 
-    grid_ok = all(
-        cocycles.su2_flow_commutation(kk / 64) == (abs(2 * (kk / 64) - round(2 * (kk / 64))) < 1e-12)
-        for kk in range(-128, 129)
-    )
+    t = np.arange(-128, 129) / 64
+    grid_ok = bool(np.array_equal(cocycles.su2_flow_commutation(t), np.abs(2 * t - np.round(2 * t)) < 1e-12))
     rep.add("commutation-grid-1-over-64", 1.0 if grid_ok else 0.0, passed=grid_ok)
     return rep
 

@@ -168,6 +168,17 @@ class TestValidation:
         built = cf.build_levels(cf.CFParams(), seed=seed)
         assert _w3_w4(cf.validate_cf(built)) == _fraction_w3_w4(built) == (True, True)
 
+    def test_correction_ticks_are_exact_past_int64(self):
+        # the exact correction times in ticks, int64 through level 5 and
+        # Python ints at levels 6 and 7, where they pass 2^62; the integer
+        # tests read them and match the Fraction reference there too
+        built = cf.build_levels(cf.CFParams(max_level=7), seed=20260810)
+        for lv in built.levels:
+            ticks = lv.correction_ticks()
+            assert ticks.dtype == (np.int64 if lv.n <= 5 else object)
+            assert ticks.tolist() == [lv.correction_time_fraction(h) * lv.grid for h in range(-(lv.r - 1), lv.r)]
+        assert _w3_w4(cf.validate_cf(built)) == _fraction_w3_w4(built) == (True, True)
+
     @pytest.mark.parametrize("u, contained", [(0.0, True), (0.125, False), (-0.125, True)])
     def test_containment_at_the_top_edge(self, u, contained):
         # the top interval (2 (r-1) a~ - a, 2 (r-1) a~ + a] shifted by
@@ -229,7 +240,7 @@ def _fraction_w3_w4(levels) -> tuple[bool, bool]:
     for lv in levels.levels:
         a_next = levels.a(lv.n + 1)
         ivs = sorted(
-            (t_c - lv.a, t_c + lv.a) for t_c in map(lv.correction_time_fraction, lv.h_range())
+            (t_c - lv.a, t_c + lv.a) for t_c in map(lv.correction_time_fraction, range(-(lv.r - 1), lv.r))
         )
         contained &= all(lo >= -a_next and hi <= a_next for lo, hi in ivs)
         disjoint &= all(lo2 >= hi1 for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]))
@@ -354,7 +365,7 @@ class TestCylinders:
         # (its translates by the corrections c(h)) whose measures sum exactly
         v = cf.cylinder_measure(levels, 1, -60, 35)
         lv = levels.level(1)
-        shifts = [lv.correction_time_fraction(h) for h in lv.h_range()]
+        shifts = [lv.correction_time_fraction(h) for h in range(-(lv.r - 1), lv.r)]
         total = sum(cf.cylinder_measure(levels, 2, -60 + t_c, 35 + t_c) for t_c in shifts)
         assert abs(total - v) < 1e-9
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cfjoin import cocycles as co
 from cfjoin import rank_one as rk
-from cfjoin.groups import D6_LABELS, D6_MUL
+from cfjoin.groups import D6_LABELS, D6_MUL, SU2_H0, quat_mul
 
 
 @pytest.fixture(scope="module")
@@ -172,44 +172,67 @@ class TestFlowCommutation:
             t = k / 64
             assert co.su2_flow_commutation(t) == (abs(2 * t - round(2 * t)) < 1e-12)
 
+    def test_array_form_matches_scalar_loop(self):
+        # one call on the 257-point grid of nonuniqueness-42 gives the
+        # verdicts of one scalar call per time, of the array form and of the
+        # scalar form it replaces, and a 0-d input gives a 0-d verdict
+        t = np.arange(-128, 129) / 64
+        verdicts = co.su2_flow_commutation(t)
+        assert verdicts.shape == t.shape and verdicts.dtype == bool
+        assert verdicts.tolist() == [bool(co.su2_flow_commutation(x)) for x in t.tolist()]
+        assert verdicts.tolist() == [_scalar_commutation(x) for x in t.tolist()]
+        assert verdicts.sum() == 9  # t = -2, -1.5, ..., 2
+        assert np.ndim(co.su2_flow_commutation(np.float64(0.5))) == 0
+        assert not co.su2_flow_commutation(np.array(0.25))
+
+
+def _scalar_commutation(t: float) -> bool:
+    """su2_flow_commutation as it was for one Python float t: math.cos and
+    math.sin, one (4,) quaternion per side."""
+    g_t = np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.0, 0.0])
+    h0 = SU2_H0.array()
+    return float(np.max(np.abs(quat_mul(h0, g_t) - quat_mul(g_t, h0)))) <= 1e-10
+
 
 class TestSpectralProbe:
     def test_constant_observable_at_zero(self):
-        moduli, _ = co.eigenvalue_probe(np.ones(10_000), [0.0])
+        moduli, _ = co.eigenvalue_probe(np.ones(10_000), 64)
         assert moduli[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_weyl_oracle(self):
         # closed form: the twisted sum telescopes to a geometric series, so
-        # the modulus is 1 at the rotation number and o(1) off it
-        alpha = (math.sqrt(5) - 1) / 2
-        orbit = (0.1 + alpha * np.arange(20_000)) % 1.0
-        moduli, _ = co.eigenvalue_probe(np.exp(2j * math.pi * orbit), [alpha, 0.25])
-        assert moduli[0] == pytest.approx(1.0, abs=1e-10)
-        assert moduli[1] < 0.01
+        # over whole periods of the rotation by j/P the modulus is 1 at
+        # theta = j/P and 0 at every other k/P
+        j, period = 13, 50
+        orbit = (0.1 + (j * np.arange(20_000) % period) / period) % 1.0
+        moduli, _ = co.eigenvalue_probe(np.exp(2j * math.pi * orbit), period)
+        assert moduli[j] == pytest.approx(1.0, abs=1e-10)
+        assert max(moduli[:j] + moduli[j + 1:]) < 0.01
 
     def test_threshold_reference_line(self, scheme, rng):
         n = 20_000
         _, _, r = co.double_extension_orbit(scheme, rng, n)
-        _, threshold = co.eigenvalue_probe((-1.0) ** r, [0.37])
+        _, threshold = co.eigenvalue_probe((-1.0) ** r, 64)
         assert threshold == pytest.approx(5 * math.log(n) / math.sqrt(n))
 
     def test_orbit_length_validation(self):
         with pytest.raises(ValueError):
-            co.eigenvalue_probe(np.ones(100), [0.0])
+            co.eigenvalue_probe(np.ones(100), 64)
+
+    def test_signs_match_per_k_sum(self):
+        # +-1 values fold into exact integer bins, so the probe is the DFT
+        # of the bins to the FFT's rounding
+        values = (-1.0) ** np.random.default_rng(51).integers(0, 2, 100_000)
+        moduli, _ = co.eigenvalue_probe(values, 64)
+        assert np.max(np.abs(np.array(moduli) - _probe_loop(values, 64))) <= 1e-12
 
     @given(
         orbit_len=st.integers(10_000, 30_000),
         kind=st.sampled_from(["sign", "real", "complex"]),
         seed=st.integers(0, 2**32 - 1),
-        frequencies=st.lists(
-            st.one_of(
-                st.integers(-64, 64).map(lambda k: k / 64),
-                st.floats(-2.0, 2.0, allow_nan=False),
-            ),
-            max_size=8,
-        ),
+        period=st.integers(1, 128),
     )
-    def test_blocked_sum_matches_per_theta_loop(self, orbit_len, kind, seed, frequencies):
+    def test_blocked_sum_matches_per_theta_loop(self, orbit_len, kind, seed, period):
         rng = np.random.default_rng(seed)
         if kind == "sign":
             values = (-1.0) ** rng.integers(0, 2, orbit_len)
@@ -217,15 +240,17 @@ class TestSpectralProbe:
             values = rng.standard_normal(orbit_len)
         else:
             values = np.exp(2j * math.pi * rng.uniform(size=orbit_len))
-        moduli, _ = co.eigenvalue_probe(values, frequencies)
+        moduli, _ = co.eigenvalue_probe(values, period)
         # Python floats, which spectral.csv writes by repr
-        assert [type(m) for m in moduli] == [float] * len(frequencies)
-        for got, modulus in zip(moduli, _probe_loop(values, frequencies)):
+        assert [type(m) for m in moduli] == [float] * period
+        for got, modulus in zip(moduli, _probe_loop(values, period)):
             assert abs(got - modulus) <= 1e-9
 
 
-def _probe_loop(values, frequencies):
-    """|1/N sum_n e^{-2 pi i n theta} values[n]|, one full-length phase
-    vector per theta."""
+def _probe_loop(values, period):
+    """|1/N sum_n e^{-2 pi i n k / period} values[n]| for k < period, one
+    full-length phase vector per k, its argument n k reduced mod period in
+    integers."""
     ks = np.arange(len(values))
-    return [abs(np.mean(np.exp(-2j * math.pi * theta * ks) * values)) for theta in frequencies]
+    return np.array([abs(np.mean(np.exp(-2j * math.pi * (ks * k % period) / period) * values))
+                     for k in range(period)])

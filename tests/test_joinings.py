@@ -10,7 +10,9 @@ from hypothesis.extra import numpy as hnp
 from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
 from cfjoin import verifier
-from cfjoin.groups import GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul, quat_normalize
+from cfjoin.groups import (
+    GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul, quat_normalize, quat_phi_int,
+)
 
 H0 = SU2_H0.array()
 H0_STAR = conj_star(0.0, H0)[1]
@@ -394,6 +396,29 @@ def assert_same_values(table, reference):
     assert table.corr.shape == reference.corr.shape and np.array_equal(table.corr, reference.corr)
 
 
+def _full_evaluate_pass(x, y, m, window, dictionary, levels, samples, rng):
+    """empirical_joining's window pass as it was when the paired partner had
+    a full evaluate and its own squared moduli of all K rows."""
+    top = min(window.n + 2, levels.max_level + 1)
+    g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
+         + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
+    paired, independent, diagonal = jo._TableSums(), jo._TableSums(), jo._TableSums()
+    for rows in cf.row_blocks(samples):
+        valid, ti, tf, q = cf.translate(levels, *x, g[rows], 1, top)[:4]
+        fx = dictionary.evaluate((valid, ti, tf, q))
+        fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
+        sq_x = jo._sq_moduli(fx)
+        conj_x = np.conjugate(fx, out=fx)
+        diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
+        q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
+        fy = dictionary.evaluate((valid, ti, tf, q))
+        paired.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
+        fy = dictionary.evaluate(cf.translate(levels, *y, g[rows], 1, top)[:4])
+        independent.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
+    scale = levels.mu_xn(window.n)
+    return paired.table(scale), independent.table(scale), diagonal.table(scale)
+
+
 @pytest.fixture(scope="module")
 def one_pass(levels, dictionary):
     """The window pass's tables (paired, independent, diagonal) and their
@@ -474,6 +499,17 @@ class TestEmpiricalJoining:
         else:
             assert np.max(np.abs(tables[i].corr - reference[i].corr)) <= 1e-15
             assert np.max(np.abs(tables[i].stderr - reference[i].stderr)) <= 1e-15
+
+    def test_paired_partner_reuses_harmonic_rows_bit_for_bit(self, levels, dictionary):
+        # the paired partner takes x's harmonic rows and their squared
+        # moduli; every table is the full-evaluate pass's, bit for bit
+        w = jo.folner_window(4, levels)
+        x, y = window_points(levels, 18, 19)
+        samples = 2 * cf.ROW_BLOCK + 123
+        got = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(21))
+        want = _full_evaluate_pass(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(21))
+        for table, reference in zip(got, want):
+            assert same_bits(table.corr, reference.corr) and same_bits(table.stderr, reference.stderr)
 
     def test_peak_memory_below_three_value_blocks(self, levels, dictionary):
         # a (16, ROW_BLOCK) complex value block is 4 MiB.  Live at once are

@@ -416,9 +416,9 @@ def test_correction_times_are_rounded_fractions(seed):
     # every level of the default build; level 6 times pass 2^63
     built = cf_engine.build_levels(cf_engine.CFParams(), seed=seed)
     top = built.levels[6]
-    assert max(abs(top.correction_time_fraction(h)) for h in top.h_range()) > 2**63
+    assert max(abs(top.correction_time_fraction(h)) for h in range(-(top.r - 1), top.r)) > 2**63
     for lv in built.levels:
-        ref = np.array([float(lv.correction_time_fraction(h)) for h in lv.h_range()])
+        ref = np.array([float(lv.correction_time_fraction(h)) for h in range(-(lv.r - 1), lv.r)])
         assert _correction_times(lv).tobytes() == ref.tobytes()
 
 
