@@ -1,9 +1,9 @@
 """Batch experiment runners wiring all modules, with machine-readable reports.
 
-Every runner returns a CheckReport whose numeric claims carry their
-tolerances, plus optional CSV tables.  Anchors are the short labels of the
-identities and estimates being checked, so reports can be grepped against
-the design notes.  All randomness flows through named substreams of the
+Every runner returns a CheckReport of gates (a value against its bound),
+checks (a verdict decided by a boolean) and figures, plus optional CSV
+tables.  Anchors are the short labels of the identities and estimates being
+checked, so reports can be grepped against the design notes.  All randomness flows through named substreams of the
 config seed; rerunning a config byte-reproduces every artifact.
 """
 
@@ -143,8 +143,22 @@ class CheckReport:
     def status(self) -> str:
         return "pass" if all(m.passed is not False for m in self.metrics) else "fail"
 
-    def add(self, name, value, tolerance=None, stderr=None, passed=None) -> None:
-        self.metrics.append(Metric(name, float(value), tolerance, stderr, passed))
+    def add(self, name, value, stderr=None) -> None:
+        """A figure that no verdict reads."""
+        self.metrics.append(Metric(name, float(value), stderr=stderr))
+
+    def gate(self, name, value, bound, *, stderr=None, strict=False) -> None:
+        """A verdict that passes iff value <= bound, or value < bound if
+        strict, compared as given (ints and Fractions exactly); the recorded
+        value and tolerance are their floats."""
+        passed = value < bound if strict else value <= bound
+        self.metrics.append(Metric(name, float(value), float(bound), stderr, bool(passed)))
+
+    def check(self, name, holds, value=None) -> None:
+        """A verdict decided by a boolean, recording 1.0 or 0.0, or the
+        figure `value` if one is given."""
+        holds = bool(holds)
+        self.metrics.append(Metric(name, float(holds if value is None else value), passed=holds))
 
     def as_dict(self) -> dict:
         return {
@@ -247,11 +261,11 @@ def run_groups(cfg: ExperimentConfig) -> CheckReport:
     # exhaustive D6 associativity over all 216 triples and the two table reads
     x, y, z = np.indices((6, 6, 6))
     assoc = bool(np.array_equal(D6_MUL[D6_MUL[x, y], z], D6_MUL[x, D6_MUL[y, z]]))
-    rep.add("d6-associativity-216", 1.0 if assoc else 0.0, passed=assoc)
+    rep.check("d6-associativity-216", assoc)
     a, b = D6_LABELS.index("a"), D6_LABELS.index("b")
     ab, ba = D6_LABELS[D6_MUL[a, b]], D6_LABELS[D6_MUL[b, a]]
-    rep.add("d6-ab-is-d", 1.0 if ab == "d" else 0.0, passed=ab == "d")
-    rep.add("d6-ba-is-f", 1.0 if ba == "f" else 0.0, passed=ba == "f")
+    rep.check("d6-ab-is-d", ab == "d")
+    rep.check("d6-ba-is-f", ba == "f")
 
     rng = substream(cfg.seed, "groups")
     n = 10_000
@@ -275,18 +289,18 @@ def run_groups(cfg: ExperimentConfig) -> CheckReport:
     ts, ms = conj_star(*conj_star(t1, m1))
     worst_star = float(max(np.max(np.abs(ts - t1)), np.max(np.abs(ms - m1))))
     tol = 1e-12
-    rep.add("g-associativity-max", worst_assoc, tolerance=tol, passed=worst_assoc <= tol)
-    rep.add("phi-additivity-max", worst_phi_add, tolerance=tol, passed=worst_phi_add <= tol)
-    rep.add("phi-period-2-max", worst_phi2, tolerance=tol, passed=worst_phi2 <= tol)
-    rep.add("g-inverse-max", worst_inv, tolerance=tol, passed=worst_inv <= tol)
-    rep.add("star-involution-max", worst_star, tolerance=tol, passed=worst_star <= tol)
+    rep.gate("g-associativity-max", worst_assoc, tol)
+    rep.gate("phi-additivity-max", worst_phi_add, tol)
+    rep.gate("phi-period-2-max", worst_phi2, tol)
+    rep.gate("g-inverse-max", worst_inv, tol)
+    rep.gate("star-involution-max", worst_star, tol)
 
     central = is_central(GElement(2.0, SU2_I), 10_000, substream(cfg.seed, "central-2I"))
-    rep.add("central-2I", 1.0 if central else 0.0, passed=central)
+    rep.check("central-2I", central)
     nc1 = is_central(GElement(1.0, SU2_I), 200, substream(cfg.seed, "central-1I"))
-    rep.add("noncentral-1I-witnessed", 0.0 if nc1 else 1.0, passed=not nc1)
+    rep.check("noncentral-1I-witnessed", not nc1)
     nc2 = is_central(GElement(0.0, SU2_H0), 200, substream(cfg.seed, "central-h0"))
-    rep.add("noncentral-h0-witnessed", 0.0 if nc2 else 1.0, passed=not nc2)
+    rep.check("noncentral-h0-witnessed", not nc2)
     return rep
 
 
@@ -298,13 +312,13 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("sequences", "jk1;eq:inpart;eq:9;y4")
     params = cfg.construction
     seq = cf_engine.derive_sequences(params, 8)
-    rep.add("a0", seq[0][0], passed=seq[0] == (1, 1))
+    rep.check("a0", seq[0] == (1, 1), seq[0][0])
     ok_rec = True
     for n in range(8):
         a_next = seq[n][1] * (2 * params.r(n) - 1)
         at_next = a_next + (2 * n + 1) * seq[n][1]
         ok_rec &= seq[n + 1] == (a_next, at_next)
-    rep.add("recursion-exact-to-8", 1.0 if ok_rec else 0.0, passed=ok_rec)
+    rep.check("recursion-exact-to-8", ok_rec)
 
     # ratio identity: a~_n / a_n = 1 + (2n-1)/(2 r_{n-1} - 1), exact rationals
     worst = 0.0
@@ -314,11 +328,11 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
         rhs = 1 + Fraction(2 * n - 1, 2 * params.r(n - 1) - 1)
         exact &= lhs == rhs
         worst = max(worst, abs(float(lhs) - float(rhs)))
-    rep.add("ratio-identity-max-err", worst, tolerance=1e-12, passed=exact)
+    rep.check("ratio-identity-max-err", exact, worst)
 
     mu0, tail = cf_engine.mu_total_normalizer(params)
     rep.add("mu-x0", mu0)
-    rep.add("mu-tail-bound", tail, tolerance=1e-6, passed=tail < 1e-6)
+    rep.gate("mu-tail-bound", tail, 1e-6, strict=True)
 
     # consistency mu(X_{n+1}) = ratio_n mu(X_n)
     levels = _levels_cache(cfg)
@@ -326,7 +340,7 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
         abs(levels.mu_xn(n + 1) - float(cf_engine.level_ratio(seq, n)) * levels.mu_xn(n))
         for n in range(6)
     )
-    rep.add("mu-consistency-max", worst, tolerance=1e-12, passed=worst <= 1e-12)
+    rep.gate("mu-consistency-max", worst, 1e-12)
 
     # cylinder consistency: mu([A]_n) = #C_{n+1} mu([A c]_{n+1}) for full fibers
     lv = levels.level(1)
@@ -335,7 +349,7 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
     t_c = lv.correction_time_fraction(3)
     v2 = cf_engine.cylinder_measure(levels, 2, lo + t_c, hi + t_c)
     err = abs(v1 - lv.card_c_next * v2)
-    rep.add("cylinder-y4-consistency", err, tolerance=1e-12, passed=err <= 1e-12)
+    rep.gate("cylinder-y4-consistency", err, 1e-12)
 
     rows = cf_engine.level_dump_rows(levels)
     rep.csv_tables["sequences.csv"] = (
@@ -348,8 +362,8 @@ def run_sequences(cfg: ExperimentConfig) -> CheckReport:
 def run_validate_cf(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("validate-cf", "w:fo;w:2;w:3;w:4;6-9;eq:9")
     levels = _levels_cache(cfg)
-    for name, passed in cf_engine.validate_cf(levels).items():
-        rep.add(name, 1.0 if passed else 0.0, passed=passed)
+    for name, holds in cf_engine.validate_cf(levels).items():
+        rep.check(name, holds)
     return rep
 
 
@@ -384,7 +398,7 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     # exact grid discrepancies
     for n in (10, 100, 1000):
         d = equidist.star_discrepancy(np.arange(n), n)
-        rep.add(f"grid-dstar-{n}", float(d), tolerance=0.0, passed=d == Fraction(1, n))
+        rep.check(f"grid-dstar-{n}", d == Fraction(1, n), d)
 
     # radical-inverse checkpoints: points 1 .. 2^14 of the base-2 sequence
     # are multiples of 2^-15 (index 2^14 is 2^-15), so their numerators over
@@ -400,20 +414,18 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
             mono = False
         rep.add(f"vdc-dstar-2^{k}", float(d))
         prev = d
-    rep.add("vdc-monotone-checkpoints", 1.0 if mono else 0.0, passed=mono)
+    rep.check("vdc-monotone-checkpoints", mono)
 
     # quantitative bound dominates empirical integration error
     rng = substream(cfg.seed, "lipschitz")
     pts = seq[:1024]
     d_star = equidist.star_discrepancy(numerators[:1024], den)
-    ok = True
     worst_ratio = 0.0
     for f, integral, lip in _lipschitz_family(rng, 20):
         err = abs(float(np.mean(f(pts))) - integral)
         bound = equidist.koksma_hlawka_bound(lambda d, lip=lip: lip * d, d_star, 1)
-        ok &= err <= bound
         worst_ratio = max(worst_ratio, err / bound)
-    rep.add("kh-bound-dominates", worst_ratio, tolerance=1.0, passed=ok)
+    rep.gate("kh-bound-dominates", worst_ratio, 1.0)
 
     # chart transport: Haar mass of chart-cube images matches cube volume
     rng = substream(cfg.seed, "chart-cubes")
@@ -431,22 +443,20 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
         p = np.count_nonzero(inside) / len(qs)
         sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
         worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
-    rep.add("chart-cube-worst-sigma", worst_sigma, tolerance=3.9, passed=worst_sigma <= 3.9)
+    rep.gate("chart-cube-worst-sigma", worst_sigma, 3.9)
 
     # Haar moments
     mean_coord = float(np.max(np.abs(qs.mean(axis=0))))
-    rep.add("haar-mean-coord", mean_coord, tolerance=4 / math.sqrt(len(qs)),
-            passed=mean_coord <= 4 / math.sqrt(len(qs)))
+    rep.gate("haar-mean-coord", mean_coord, 4 / math.sqrt(len(qs)))
     z2 = float(np.mean(qs[:, 0] ** 2 + qs[:, 1] ** 2))
-    rep.add("haar-z2-deviation", abs(z2 - 0.5), tolerance=4 / math.sqrt(len(qs)),
-            passed=abs(z2 - 0.5) <= 4 / math.sqrt(len(qs)))
+    rep.gate("haar-z2-deviation", abs(z2 - 0.5), 4 / math.sqrt(len(qs)))
 
     # round trip of the chart
     u = substream(cfg.seed, "roundtrip").uniform(0.05, 0.95, size=(200, 3))
     m = equidist.chart_to_su2_array(u)
     back = equidist.su2_to_chart_array(m)
     rt = float(np.max(np.abs(back - u)))
-    rep.add("chart-roundtrip-max", rt, tolerance=1e-10, passed=rt <= 1e-10)
+    rep.gate("chart-roundtrip-max", rt, 1e-10)
     return rep
 
 
@@ -610,7 +620,7 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
         # containment of every element l + u, -K <= l < K, in the slab
         # (-K, K] (construction constraint): every offset u lies in (0, 1)
         in_slab = bool(np.all((ss.u_time > 0.0) & (ss.u_time < 1.0)))
-        rep.add(f"shat-in-slab-n{n}", float(in_slab), passed=in_slab)
+        rep.check(f"shat-in-slab-n{n}", in_slab)
 
         # (i): conditional measures of two-sided translate intersections;
         # rectangles at slab scale so the fractions compared are order 0.1-0.5
@@ -633,7 +643,7 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             rects = ((a_el, (lo_a, lo_a + wa), cube_a), (b_el, (lo_b, lo_b + wb), None))
             exact = _rectangle_measure(half, rects)
             worst = max(worst, abs(exact - _sample_set_fraction(ss, rects)))
-        rep.add(f"techniczny-i-n{n}", worst, tolerance=eps, passed=worst < eps)
+        rep.gate(f"techniczny-i-n{n}", worst, eps, strict=True)
 
         # (ii): double averages of the base-overlap kernel.  The kernel is of
         # order K/a_n, so the absolute gate is easy; the relative agreement
@@ -653,7 +663,7 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
             ss_val = total / (2.0 * a_n) / (ss.size**2)
             worst2 = max(worst2, abs(exact - ss_val))
             worst2_rel = max(worst2_rel, abs(exact - ss_val) / max(exact, 1e-12))
-        rep.add(f"techniczny-ii-n{n}", worst2, tolerance=eps, passed=worst2 < eps)
+        rep.gate(f"techniczny-ii-n{n}", worst2, eps, strict=True)
         rep.add(f"techniczny-ii-rel-n{n}", worst2_rel)
 
     # correction maps: boundary pinning exact, pair distance below tolerance
@@ -661,14 +671,9 @@ def run_sample_sets(cfg: ExperimentConfig) -> CheckReport:
         sm = levels.level(n).s_map
         idx = sm.alphabet.identity_index
         boundary = sm.values[0] == idx and sm.values[-1] == idx
-        rep.add(f"smap-boundary-n{n}", 1.0 if boundary else 0.0, passed=bool(boundary))
+        rep.check(f"smap-boundary-n{n}", boundary)
         if n >= 2:
-            rep.add(
-                f"smap-pair-l1-n{n}",
-                sm.pair_distance,
-                tolerance=sm.tolerance,
-                passed=sm.pair_distance < sm.tolerance,
-            )
+            rep.gate(f"smap-pair-l1-n{n}", sm.pair_distance, sm.tolerance, strict=True)
             rep.add(f"smap-triple-l1-n{n}", sm.triple_distance)
     return rep
 
@@ -753,18 +758,15 @@ def run_weak_mixing(cfg: ExperimentConfig) -> CheckReport:
         budget = 16.0 * (4 * n + 1) / (2 * n - 1) ** 2 * (
             levels.a(n - 1) / levels.a_tilde(n - 1)
         ) ** 2 + params.eps(n)
-        ok = dev <= budget + 4 * sigma
-        rep.add(f"deviation-n{n}", dev, tolerance=budget + 4 * sigma, stderr=sigma, passed=ok)
+        rep.gate(f"deviation-n{n}", dev, budget + 4 * sigma, stderr=sigma)
         devs[n] = dev
         sig_tot[n] = math.sqrt(sigma**2 + quenched**2)
         rows.append([n, repr(est), repr(mu_a * mu_b), repr(dev),
                      repr(budget), repr(sigma), repr(quenched)])
-    trend_ok = True
-    ns = list(cfg.weakmix_levels)
-    for m, n in zip(ns, ns[1:]):
-        if devs[n] > devs[m] + 4 * math.sqrt(sig_tot[m] ** 2 + sig_tot[n] ** 2):
-            trend_ok = False
-    rep.add("trend-non-increasing", 1.0 if trend_ok else 0.0, passed=trend_ok)
+    ns = cfg.weakmix_levels
+    rep.check("trend-non-increasing", all(
+        devs[n] <= devs[m] + 4 * math.sqrt(sig_tot[m] ** 2 + sig_tot[n] ** 2) for m, n in zip(ns, ns[1:])
+    ))
     rep.csv_tables["weakmix.csv"] = (
         ["n", "correlation", "product", "deviation", "budget", "stderr", "quenched"],
         rows,
@@ -863,7 +865,7 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
             and (2 * n - 3) * at_prev <= t + k_slab <= (2 * n + 1) * at_prev
             for t in ends
         )
-        rep.add(f"symdiff-bound-n{n}", sym / bound, tolerance=1.0, passed=ok_i)
+        rep.check(f"symdiff-bound-n{n}", ok_i, sym / bound)
 
         # (ii): lambda(A C_n n f S_n)/lambda(S_n) vs lambda_{F_{n-1}}(A);
         # float interval arithmetic (1e-6 absolute is plenty against
@@ -877,7 +879,7 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
     for n in (3, 4):
         later, earlier = means[n + 2], means[n]
         ok = later[0] <= earlier[0] + 4 * math.sqrt(later[1] ** 2 + earlier[1] ** 2)
-        rep.add(f"overlap-trend-{n}-to-{n+2}", later[0] - earlier[0], passed=ok)
+        rep.check(f"overlap-trend-{n}-to-{n+2}", ok, later[0] - earlier[0])
     return rep
 
 
@@ -898,8 +900,8 @@ def run_fubini(cfg: ExperimentConfig) -> CheckReport:
         A, B, S, F = ((Fraction(lo), Fraction(lo) + Fraction(w)) for lo, w in ((la, wa), (lb, wb), (ls, ws), (lf, wf)))
         lhs, rhs = _translate_integral(A, B, F, S, S), _translate_integral(S, S, F, A, B)
         worst, positive = max(worst, abs(lhs - rhs)), positive + (lhs > 0)
-    rep.add("fubini-max-abs-difference", worst, tolerance=0.0, passed=worst == 0)
-    rep.add("fubini-positive-trials", positive, passed=positive == 9)
+    rep.gate("fubini-max-abs-difference", worst, 0)
+    rep.check("fubini-positive-trials", positive == 9, positive)
     return rep
 
 
@@ -954,15 +956,13 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
             rows.append([case, name, repr(dist[name]), repr(se), "nearest" if name == verdict else ""])
             if name != expect:
                 margins_ok &= dist[name] - dist[expect] > 4 * math.sqrt(2 * se**2)
-        rep.add(f"{case}-verdict-{expect}", 1.0 if verdict == expect else 0.0,
-                passed=verdict == expect)
-        rep.add(f"{case}-margins-4sigma", 1.0 if margins_ok else 0.0, passed=margins_ok)
+        rep.check(f"{case}-verdict-{expect}", verdict == expect)
+        rep.check(f"{case}-margins-4sigma", margins_ok)
 
     # diagonal sanity: x paired with itself matches the identity graph table
     d_diag = joinings.joining_metric(emp_diag.corr, diag)
     se_diag = joinings.joining_metric_stderr(emp_diag)
-    rep.add("diagonal-distance", d_diag, tolerance=8 * se_diag + 0.02,
-            passed=d_diag <= 8 * se_diag + 0.02)
+    rep.gate("diagonal-distance", d_diag, 8 * se_diag + 0.02)
 
     rep.csv_tables["joinings.csv"] = (
         ["case", "target", "distance", "stderr", "verdict"],
@@ -970,7 +970,7 @@ def run_joining_classification(cfg: ExperimentConfig) -> CheckReport:
     )
     for m in range(2, min(7, levels.max_level + 1)):
         uncovered, size = joinings.shulman_check(m, levels)
-        rep.add(f"shulman-n{m}", uncovered / max(size, 1), tolerance=3.0, passed=uncovered <= 3 * size)
+        rep.gate(f"shulman-n{m}", Fraction(uncovered, size), 3)
     return rep
 
 
@@ -997,15 +997,12 @@ def run_counterexample_51(cfg: ExperimentConfig) -> CheckReport:
     r = rng.integers(0, 2, len(x))
     _, s2, r2 = cocycles.double_ext_apply(scheme, phi, x, s, r)
     ok &= np.array_equal(s2, (phi + s) % 2) and np.array_equal(r2, (s + r) % 2)
-    rep.add("f1-zero-transfer-1e5", 1.0 if ok else 0.0, passed=ok)
-
-    ok_w = cocycles.constant_one_obstruction(scheme)
-    rep.add("constant-1-obstruction", 1.0 if ok_w else 0.0, passed=ok_w)
+    rep.check("f1-zero-transfer-1e5", ok)
+    rep.check("constant-1-obstruction", cocycles.constant_one_obstruction(scheme))
 
     _, s, r = cocycles.double_extension_orbit(scheme, rng, 100_000)
     moduli, threshold = cocycles.eigenvalue_probe((-1.0) ** (s + r), 64)
-    rep.add("spectral-probe-max", max(moduli), tolerance=threshold,
-            passed=all(m <= threshold for m in moduli))
+    rep.gate("spectral-probe-max", max(moduli), threshold)
     rep.csv_tables["spectral.csv"] = (
         ["theta", "modulus", "threshold"],
         [[repr(k / 64), repr(m), repr(threshold)] for k, m in enumerate(moduli)],
@@ -1017,16 +1014,13 @@ def run_nonuniqueness_42(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("nonuniqueness-42", "1.02b;rrr;tabelka")
     scheme = rank_one.chacon_scheme(18)
     root = cocycles.d6_root_check(scheme, 100_000, substream(cfg.seed, "d6root"))
-    rep.add("root-identity-100k", 1.0 if root.root_identity_holds else 0.0,
-            passed=root.root_identity_holds)
-    rep.add("commutation-witness-found", 1.0 if root.commutation_witness else 0.0,
-            passed=root.commutation_witness is not None)
-    rep.add("abelian-subgroup-commutes", 1.0 if root.abelian_commutes else 0.0,
-            passed=root.abelian_commutes)
+    rep.check("root-identity-100k", root.root_identity_holds)
+    rep.check("commutation-witness-found", root.commutation_witness is not None)
+    rep.check("abelian-subgroup-commutes", root.abelian_commutes)
 
     t = np.arange(-128, 129) / 64
     grid_ok = bool(np.array_equal(cocycles.su2_flow_commutation(t), np.abs(2 * t - np.round(2 * t)) < 1e-12))
-    rep.add("commutation-grid-1-over-64", 1.0 if grid_ok else 0.0, passed=grid_ok)
+    rep.check("commutation-grid-1-over-64", grid_ok)
     return rep
 
 

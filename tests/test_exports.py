@@ -164,6 +164,19 @@ def _definitions(tree):
             yield (node.name if isinstance(node, ast.FunctionDef) else "<module>"), node
 
 
+def _callers(function, sources) -> set[str]:
+    """module.definition of each function, method or module statement of the
+    sources that calls `function`, by name or as an attribute."""
+    return {
+        f"{path.stem}.{name}"
+        for path in sources
+        for name, definition in _definitions(ast.parse(path.read_text()))
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Call)
+        and function in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
 @pytest.mark.parametrize("checker, owners", [
     ("config_int", {"cf_engine.CFParams.__post_init__", "verifier.ExperimentConfig.__post_init__"}),
     ("check_level_depth", {"cf_engine.CFParams.__post_init__"}),
@@ -173,12 +186,11 @@ def test_config_checks_stay_in_the_constructors(checker, owners):
     # value is a rule that a config built another way skips
     sources = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
     sources += [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
-    callers = {
-        f"{path.stem}.{name}"
-        for path in sources
-        for name, definition in _definitions(ast.parse(path.read_text()))
-        for node in ast.walk(definition)
-        if isinstance(node, ast.Call)
-        and checker in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    }
-    assert callers == owners
+    assert _callers(checker, sources) == owners
+
+
+def test_metrics_are_built_by_the_report_alone():
+    # a runner that builds its own Metric decides its verdict by a
+    # comparison of its own, beside the one in CheckReport.gate and check
+    owners = {f"verifier.CheckReport.{method}" for method in ("add", "gate", "check")}
+    assert _callers("Metric", sorted((ROOT / "src" / "cfjoin").glob("*.py"))) == owners

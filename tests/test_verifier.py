@@ -17,7 +17,6 @@ from cfjoin.verifier import (
     EXPERIMENTS,
     CheckReport,
     ExperimentConfig,
-    Metric,
     _build_seeds,
     _common_length,
     _correction_times,
@@ -197,17 +196,57 @@ class TestConfig:
 class TestReports:
     def test_status_aggregation(self):
         rep = CheckReport("x", "anchor")
-        rep.add("m1", 1.0, passed=True)
+        rep.check("m1", True)
         rep.add("m2", 0.5)
         assert rep.status == "pass"
-        rep.add("m3", 2.0, tolerance=1.0, passed=False)
+        rep.gate("m3", 2.0, 1.0)
         assert rep.status == "fail"
 
     def test_metric_dict_is_json_safe(self):
-        import numpy as np
+        rep = CheckReport("x", "anchor")
+        rep.gate("g", np.float64(1.0), np.float64(2.0), stderr=np.float64(0.5))
+        rep.check("c", np.bool_(True), np.int64(9))
+        rep.add("f", Fraction(1, 3))
+        json.dumps(rep.as_dict())
 
-        m = Metric("m", np.float64(1.0), tolerance=np.float64(2.0), passed=np.bool_(True))
-        json.dumps(m.as_dict())
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_gate_one_ulp_either_side_of_the_bound(self, strict):
+        bound = 0.3
+        rep = CheckReport("x", "anchor")
+        for value in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)):
+            rep.gate("g", value, bound, strict=strict)
+        assert [m.passed for m in rep.metrics] == [True, not strict, False]
+        assert all(type(m.passed) is bool and m.tolerance == bound for m in rep.metrics)
+
+    def test_gate_compares_the_value_as_given(self):
+        # the float of this Fraction is 3.0, which a float comparison passes
+        rep = CheckReport("x", "anchor")
+        rep.gate("x", Fraction(3 * 2**60 + 1, 2**60), 3)
+        assert rep.metrics[0].as_dict() == {"name": "x", "value": 3.0, "tolerance": 3.0, "passed": False}
+
+    def test_check_records_its_verdict_or_a_figure(self):
+        rep = CheckReport("x", "anchor")
+        rep.check("holds", np.bool_(True))
+        rep.check("fails", False)
+        rep.check("figure", True, Fraction(1, 10))
+        rep.add("plain", 2, stderr=0.5)
+        assert [m.as_dict() for m in rep.metrics] == [
+            {"name": "holds", "value": 1.0, "passed": True},
+            {"name": "fails", "value": 0.0, "passed": False},
+            {"name": "figure", "value": 0.1, "passed": True},
+            {"name": "plain", "value": 2.0, "stderr": 0.5},
+        ]
+
+    def test_every_recorded_tolerance_decides_its_verdict(self, small_cfg):
+        # a metric that records a tolerance is a gate on it: grid-dstar-10
+        # recorded 0.1 against a tolerance of 0.0 and passed
+        incoherent = [
+            (rep.name, m.name, m.value, m.tolerance, m.passed)
+            for rep in (run(small_cfg) for run in EXPERIMENTS.values())
+            for m in rep.metrics
+            if m.tolerance is not None and not (m.value <= m.tolerance if m.passed else m.value >= m.tolerance)
+        ]
+        assert incoherent == []
 
     def test_emit_report_files_and_exit_code(self, small_cfg, tmp_path):
         rep = run_sequences(small_cfg)
@@ -221,7 +260,7 @@ class TestReports:
 
     def test_failing_report_exit_code(self, small_cfg, tmp_path):
         rep = CheckReport("x", "anchor")
-        rep.add("bad", 0.0, passed=False)
+        rep.check("bad", False)
         assert emit_report([rep], str(tmp_path / "out2"), small_cfg) == 1
 
 
