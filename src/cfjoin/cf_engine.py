@@ -38,21 +38,22 @@ element to a batch at one level.  The stacking conditions compare the
 interval ends as integers in ticks, and the exact cylinder and shift
 identities use Fractions built from the ticks.
 
-Inside embed_batch and peel_batch a batch's fibers are component-major,
-(4, n) rows, each contiguous, as are the level tables s_quat and
-s_quat_inv, (4, 2r - 1).  Each level multiplies them by its correction
-twisted by the current time t = (T + rho)/D.  The twist is an automorphism
-and phi_(a+b) = phi_a phi_b, so with one rho for every level
+Inside embed_batch and peel_batch a batch's fibers are (2, n) complex
+rows, the pairs (z, w) of groups.quat_pair.  Each level multiplies them by
+its correction twisted by the current time t = (T + rho)/D.  The twist is
+an automorphism and phi_(a+b) = phi_a phi_b, so with one rho for every level
 q prod phi_(t_k)(s_k) = phi_rho(phi_rho^-1(q) prod phi_(T_k/D)(s_k)),
 phi_rho the twist by rho/D: the rows are stepped in the residual's frame,
 turned in by phi_rho^-1 (_own_rows) and out by phi_rho (_fibers_out), and
-each level twists its correction by T_k/D alone, with factors read from
-CFLevels.twist_table at T_k mod 2D (_fiber_step), so no level computes a
-cosine.  On the grid (rho = 0) the fibers are bit for bit the per-level
-quat_mul(q, quat_twist(ti, tf, s)); off it they differ by rounding alone.
-The joined forms take and return (n, 4) fibers, views of the rows, and
-turn them in and out at each call; the radix form carries the rows in the
-frame, so only translate turns its fibers once in and once out.
+each level twists its correction by T_k/D alone.  The twist has period 2D
+in ticks, so a level holds its alphabet's corrections and their inverses
+pre-twisted at every residue mod 2D (CFLevel.s_fibers), and its fiber step
+is one 2-row gather and one groups.pair_mul (_fiber_step), with no cosine
+and no turn per lane.  On the grid (rho = 0) the fibers are bit for bit the
+per-level quat_mul(q, quat_twist(ti, tf, s)); off it they differ by
+rounding alone.  The joined forms take and return (n, 4) fibers, turned in
+and out at each call; the radix form carries the rows in the frame, so
+only translate turns its fibers once in and once out.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import (GElement, quat_inv, quat_mul, quat_mul_rows, quat_normalize, quat_turn_rows, quat_twist,
-                     twist_factors)
+from .groups import GElement, pair_mul, quat_inv, quat_mul, quat_normalize, quat_pair, quat_twist, twist_unit
 from . import equidist
 from .equidist import SMapResult, default_alphabet
 
@@ -299,9 +299,9 @@ class CFLevel:
     """Data of one level, including the transition into the next level.
 
     c(h) = s(h) * (2 h a~_n, I) for h in H_n = {|h| < r_n}; the arrays below
-    are indexed by j = h + (r_n - 1) and spell out the correction s(h): its
-    time as a whole number of ticks of 1/grid, the one table of it, and its
-    fiber.
+    indexed by j = h + (r_n - 1) spell out the correction s(h): its time as
+    a whole number of ticks of 1/grid, the one table of it, and where its
+    fiber is in the level's fiber tables.
     """
 
     n: int
@@ -313,10 +313,11 @@ class CFLevel:
     # level's lane (_lane)
     ticks: np.ndarray
     grid: int  # D, ticks per unit of time: the build's CFLevels.grid
-    # the correction fibers component-major, (4, 2r-1), so that a level
-    # gathers its lanes' corrections as four contiguous rows
-    s_quat: np.ndarray
-    s_quat_inv: np.ndarray
+    # (2, A 2D) complex pairs of the A alphabet fibers and of their inverses:
+    # column 2D alpha + e holds entry alpha twisted by phi_(e/D), e < 2D
+    s_fibers: np.ndarray
+    s_fibers_inv: np.ndarray
+    s_cols: np.ndarray  # (2r-1,) int64 2D alpha(j), where correction j's columns start
 
     @property
     def card_c_next(self) -> int:
@@ -397,17 +398,6 @@ class CFLevels:
     def level(self, n: int) -> CFLevel:
         return self.levels[self._built(n, self.max_level)]
 
-    @cached_property
-    def twist_table(self) -> np.ndarray:
-        """(2, 2D) read-only twist factors (cos, sin) of the times T/D,
-        T = 0 .. 2D - 1, one period of the twist: twist_factors at ti = T // D
-        and tf = (T mod D)/D, so each entry has the bits quat_twist turns by
-        at that time.  Made on first use."""
-        ticks = np.arange(2 * self.grid)
-        table = np.array(twist_factors(ticks >> (self.grid.bit_length() - 1), (ticks & (self.grid - 1)) / self.grid))
-        table.setflags(write=False)
-        return table
-
 
 def check_level_depth(params: CFParams) -> None:
     """LevelTooDeepError unless the correction shells of every level up to
@@ -433,28 +423,39 @@ def build_levels(params: CFParams, seed: int = 0) -> CFLevels:
     is the largest denominator of the alphabets' fractions; floats are
     dyadic, so it is a power of two and every correction time is a whole
     number of ticks of 1/D.  Each level's maps and tables are made in turn,
-    D being known from the alphabets first.  A divergent schedule still
-    yields level data: validate_cf reports the finiteness failure, and its
-    measures (mu_x0, mu_xn) raise DivergentScheduleError.
+    D being known from the alphabets first; its fiber tables are its
+    alphabet's quaternions and their inverses twisted by twist_unit at the
+    times e/D, e = 0 .. 2D - 1, the bits quat_twist gives at those times.
+    A divergent schedule still yields level data: validate_cf reports the
+    finiteness failure, and its measures (mu_x0, mu_xn) raise
+    DivergentScheduleError.
     """
     seq = derive_sequences(params, params.max_level + 1)
     alphabets = [default_alphabet(n, equidist.slab_half_width(n, seq[n - 1][1]), params.alphabet_size)
                  for n in range(1, params.max_level + 1)]
     grid = max((u.as_integer_ratio()[1] for alphabet in alphabets for u in alphabet.u.tolist()), default=1)
-    size = 2 * params.r(0) - 1
-    identity = np.zeros((4, size))
-    identity[0] = 1.0
+    residues = np.arange(2 * grid)
+    unit = twist_unit(residues >> (grid.bit_length() - 1), (residues & (grid - 1)) / grid)
+
+    def twisted(quats):
+        pair = quat_pair(quats)[:, :, None]
+        table = np.empty((2, len(quats), 2 * grid), dtype=complex)
+        table[0] = pair[:, 0]
+        np.multiply(pair[:, 1], unit[None], out=table[1])
+        return table.reshape(2, -1)
+
+    size, identity = 2 * params.r(0) - 1, np.array([[1.0, 0.0, 0.0, 0.0]])
     levels = [CFLevel(n=0, a=1, a_tilde=1, r=params.r(0), s_map=None,
-                      ticks=np.zeros(size, dtype=_tick_lane(grid, 1, 1)), grid=grid,
-                      s_quat=identity, s_quat_inv=identity.copy())]
+                      ticks=np.zeros(size, dtype=_tick_lane(grid, 1, 1)), grid=grid, s_fibers=twisted(identity),
+                      s_fibers_inv=twisted(identity), s_cols=np.zeros(size, dtype=np.int64))]
     for n, alphabet in enumerate(alphabets, start=1):
         s_map = equidist.build_s_map(n, params.r(n), alphabet, params.eps(n), substream(seed, f"s-map-{n}"))
         idx = s_map.values
         lane = _tick_lane(grid, *seq[n])
         ticks = alphabet.shells.astype(lane) * grid + (alphabet.u * grid).astype(np.int64).astype(lane)
         levels.append(CFLevel(n=n, a=seq[n][0], a_tilde=seq[n][1], r=params.r(n), s_map=s_map, ticks=ticks[idx],
-                              grid=grid, s_quat=alphabet.quats[idx].T.copy(),
-                              s_quat_inv=quat_inv(alphabet.quats[idx]).T.copy()))
+                              grid=grid, s_fibers=twisted(alphabet.quats),
+                              s_fibers_inv=twisted(quat_inv(alphabet.quats)), s_cols=idx * (2 * grid)))
     return CFLevels(params=params, seed=seed, levels=levels, seq=seq)
 
 
@@ -589,44 +590,50 @@ def act(g: GElement, ti, tf, q):
 # ---------------------------------------------------------------------------
 
 def _own_rows(q, rho, grid: int, framed: bool = False):
-    """(rows, bufs, turn): the fibers q as (4, n) contiguous component rows
-    in the residual's frame, turned by phi_rho^-1 (see the module
-    docstring); the two (4, n) buffers that embed_batch and peel_batch step
-    them through, level i writing bufs[i & 1]; and the factors (cos, sin)
-    of phi_rho, which _fibers_out turns the rows back by.  q is (n, 4) and
-    turned into a copy held in bufs[1], or, framed, such rows already, taken
-    as they are and never written.  (None, None, None) when q is None."""
+    """(rows, work, turn): the fibers q as (2, n) complex rows (z, w) in the
+    residual's frame, turned by phi_rho^-1 (see the module docstring); the
+    buffers that embed_batch and peel_batch step them through, two (2, n)
+    ones that level i writes in turn (i & 1), a (2, n) one for the gathered
+    corrections and an (n,) one for pair_mul; and the unit of phi_rho, which
+    _fibers_out turns the rows back by.  q is (n, 4) and turned into a copy
+    held in the second buffer, or, framed, such rows already, taken as they
+    are and never written.  (None, None, None) when q is None."""
     if q is None:
         return None, None, None
-    turn = twist_factors(0, rho / grid)
+    turn = twist_unit(0, rho / grid)
+    work = [np.empty((2, len(rho)), dtype=complex) for _ in range(3)] + [np.empty(len(rho), dtype=complex)]
     if framed:
-        return q, (np.empty(q.shape), np.empty(q.shape)), turn
-    src = np.asarray(q, dtype=float).T
-    rows = np.empty(src.shape)
-    rows[0], rows[1], rows[2], rows[3] = quat_turn_rows(src, turn[0], -turn[1])
-    return rows, (np.empty_like(rows), rows), turn
+        return q, work, turn
+    src, rows = quat_pair(q), work[1]
+    rows[0] = src[:, 0]
+    np.multiply(src[:, 1], np.conjugate(turn), out=rows[1])
+    return rows, work, turn
 
 
-def _fiber_step(q, T, s, table, out, below=None):
-    """q * phi_(T/D)(s) on component rows, written into `out`: one level's
-    fiber step, the twist factors of the ticks T read from the (2, 2D)
-    table at T mod 2D (T + below, where peel_batch holds the tick below),
-    s the (4, n) rows of the level's corrections."""
-    mask = table.shape[1] - 1
+def _fiber_step(q, T, table, cols, grid: int, out, work, below=None):
+    """q * phi_(T/D)(s) on complex rows, written into `out`: one level's
+    fiber step, s the corrections whose residues start at the columns
+    `cols` of the level's pre-twisted (2, A 2D) table, read at the residue
+    T mod 2D (T + below, where peel_batch holds the tick below); work holds
+    the (2, n) gather and pair_mul's (n,) row."""
+    mask = 2 * grid - 1
     e = (T & mask).astype(np.int64, copy=False)
     if below is not None:
         e += below
         e &= mask
-    return quat_mul_rows(q, quat_turn_rows(s, table[0].take(e), table[1].take(e)), out)
+    e += cols
+    return pair_mul(q, table.take(e, axis=1, out=work[2], mode="clip"), out, work[3])
 
 
 def _fibers_out(rows, turn):
-    """The (n, 4) fibers of component rows turned in place by the
-    factors `turn` (a view of them), or None."""
+    """The (n, 4) fibers of complex rows turned out by the unit `turn`, in
+    a C-contiguous array of their own, or None."""
     if rows is None:
         return None
-    _, _, rows[2], rows[3] = quat_turn_rows(rows, *turn)
-    return rows.T
+    out = np.empty((rows.shape[1], 2), dtype=complex)
+    out[:, 0] = rows[0]
+    np.multiply(rows[1], turn, out=out[:, 1])
+    return out.view(float)
 
 
 def row_blocks(n: int):
@@ -678,14 +685,14 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     shift index h_k as the high digit of the level-(k+1) time, joined in at
     the next level (see RadixTimes).  So the to_level times are the pair
     (h, lo), lo int64 wherever the level below is.  Each level multiplies
-    the fiber by the shift element twisted by the current time, on (4, n)
-    contiguous rows in the residual's frame, twisting by its ticks alone
+    the fiber by the shift element twisted by the current time, on (2, n)
+    complex rows in the residual's frame, twisting by its ticks alone
     (see the module docstring).  By default the times are joined and split
     into (ti, tf), ti Python ints (an object array) where the level's times
     pass 2^62, and the rows turned out: on the grid (rho = 0) bit for bit
     quat_mul(q, quat_twist(ti, tf, s)) per level, off it the same up to
-    rounding.  Returns (ti, tf, q) at to_level, q an (n, 4) view of the
-    rows; with radix (RadixTimes, rho, rows), the rows still in the frame,
+    rounding.  Returns (ti, tf, q) at to_level, q (n, 4) C-contiguous;
+    with radix (RadixTimes, rho, rows), the rows still in the frame,
     which peel_batch takes as they are.  With q None the fiber is neither
     moved nor returned (None in its place); times are the same either way.
     to_level below from_level is a ValueError.  Times are moved in place,
@@ -701,7 +708,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
             "no tail index available"
         )
     T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, bufs, turn = _own_rows(q, rho, levels.grid)
+    q, work, turn = _own_rows(q, rho, levels.grid)
     h = None
     for col, k in enumerate(range(from_level, to_level)):
         lv = levels.level(k)
@@ -710,7 +717,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
         j = h + (lv.r - 1)
         # fiber twist by the current ticks, before the time moves
         if q is not None:
-            q = _fiber_step(q, T, lv.s_quat.take(j, axis=1), levels.twist_table, bufs[col & 1])
+            q = _fiber_step(q, T, lv.s_fibers, lv.s_cols[j], lv.grid, work[col & 1], work)
         T += lv.ticks[j]
     if radix:
         return RadixTimes(h, T), rho, q
@@ -722,27 +729,28 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
 
     ti is one array of integer times, int64 or Python ints, with (n, 4)
     fibers q; or a RadixTimes pair (hi, lo) with tf the residual rho and q
-    the (4, n) rows in the residual's frame, as embed_batch(radix=True)
-    returns them, whose first level peels lo and adds hi to the shift index
-    it finds.  Returns (valid, ti, tf, q, hs): lanes where the point has no
-    representation at to_level are masked out of `valid` (their coordinate
-    values are unspecified); hs[:, c] is the recovered shift index at level
-    to_level + c.  The levels peel T', the tick below the time (see the
-    module docstring), and add the on-grid mask rho == 0 back where the
+    the (2, n) complex rows in the residual's frame, as
+    embed_batch(radix=True) returns them, whose first level peels lo and
+    adds hi to the shift index it finds.  Returns (valid, ti, tf, q, hs):
+    lanes where the point has no representation at to_level are masked out
+    of `valid` (their coordinate values are unspecified); hs[:, c] is the
+    recovered shift index at level to_level + c, each level writing one
+    contiguous row of hs.T.  The levels peel T', the tick below the time (see
+    the module docstring), and add the on-grid mask rho == 0 back where the
     floor is read: the fiber step's table, and the exit.  Level k finds the
     shell d = (T' + a~_k D) // 2 a~_k D, so h = hi + d (h = d without hi),
     and the level-k T' is T' - d * 2 a~_k D less the correction's ticks, in
     the base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at
-    the first level where they fit (_lane).  Each level multiplies the
-    fiber by the inverse shift element twisted by the peeled time, as
-    embed_batch does, on rows in the residual's frame ((n, 4) fibers turned
-    in at entry) on buffers of their own; q comes back turned out, an
-    (n, 4) view of them.  With q None the fiber is neither moved nor
-    returned (None in its place); valid, times and hs are the same either
-    way.  to_level above from_level is a ValueError, and so is a RadixTimes
-    pair at to_level equal to from_level, whose high digit no level would
-    take in.  Times are peeled in place, on the tick array made at entry:
-    no array given, nor the read-only broadcasts translate passes, is written.
+    the first level where they fit (_lane).  Each level multiplies the fiber
+    by the inverse shift element twisted by the peeled time, as embed_batch
+    does, on rows in the residual's frame ((n, 4) fibers turned in at entry)
+    on buffers of their own; q comes back turned out, (n, 4) C-contiguous.
+    With q None the fiber is neither moved nor returned (None in its place);
+    valid, times and hs are the same either way.  to_level above from_level
+    is a ValueError, and so is a RadixTimes pair at to_level equal to
+    from_level, whose high digit no level would take in.  Times are peeled
+    in place, on the tick array made at entry: no array given, nor the
+    read-only broadcasts translate passes, is written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
@@ -755,13 +763,13 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     else:
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, bufs, turn = _own_rows(q, rho, levels.grid, framed=isinstance(ti, RadixTimes))
+    q, work, turn = _own_rows(q, rho, levels.grid, framed=isinstance(ti, RadixTimes))
     n = len(rho)
     # T becomes the tick below the time, ceil(T + rho) - 1
     below = rho == 0.0
     T -= below
     valid = np.ones(n, dtype=bool)
-    hs = np.zeros((n, from_level - to_level), dtype=np.int64)
+    hs = np.empty((from_level - to_level, n), dtype=np.int64)
     for col, k in enumerate(range(from_level - 1, to_level - 1, -1)):
         lv = levels.level(k)
         half = lv.a_tilde * levels.grid
@@ -783,10 +791,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         a = lv.a * levels.grid
         valid &= ok_h & (T >= -a) & (T < a)
         if q is not None:
-            q = _fiber_step(q, T, lv.s_quat_inv.take(j, axis=1), levels.twist_table, bufs[col & 1], below)
-        hs[:, k - to_level] = h
+            q = _fiber_step(q, T, lv.s_fibers_inv, lv.s_cols[j], lv.grid, work[col & 1], work, below)
+        hs[k - to_level] = h
     T += below
-    return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs)
+    return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs.T)
 
 
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
@@ -798,8 +806,8 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     truncation.  The top times stay a RadixTimes pair, and rho and the
     fiber rows go from the embed to the peel in the residual's frame, so no
     float fraction is formed and each fiber is turned once in and once out:
-    phi_g, a sign on the c and d rows that commutes with phi_rho, is taken
-    in their one copy, the broadcast to the lanes.  g = gh * 2 a~_(to-1) +
+    phi_g, a sign on the w row that commutes with phi_rho, is taken in
+    their one copy, the broadcast to the lanes.  g = gh * 2 a~_(to-1) +
     gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl D ticks to
     the low digit, so no time past 2^62 is formed where the low digit fits
     int64.  to_level at or below from_level is a ValueError: the translate
@@ -815,8 +823,8 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     g = g.astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(rho.shape, g.shape)
     if rows is not None:
-        q = np.broadcast_to(rows, (4,) + lanes).copy()
-        q[2:] *= np.where(g & 1, -1.0, 1.0)
+        q = np.broadcast_to(rows, (2,) + lanes).copy()
+        np.negative(q[1], out=q[1], where=np.asarray(g & 1, dtype=bool))
     top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
     return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
 

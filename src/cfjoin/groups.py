@@ -11,13 +11,13 @@ diag(e^{i pi t/2}, e^{-i pi t/2}); it has period 2 in t as an automorphism,
 which is why the center of G sits over the even integers.  It fixes z and
 turns w by e^{-i pi t}, so the point engine applies it in closed form to split
 times ti + tf (quat_twist); quat_phi_real, two quaternion products, stays the
-general-time form and the oracle for it.  The product, the turn of the
-twist and the adjoint representation are written once, on component rows
-(quat_mul_rows, quat_turn_rows, adjoint_entry_rows); quat_mul, quat_twist and
-adjoint_matrix are their (..., 4) forms, with the same bits.  The twist is
-two steps, its factor (cos, sin) = (-1)^ti (cos pi tf, sin pi tf)
-(twist_factors) and the turn of w by cos - i sin (quat_turn_rows), so that
-the point engine can read the factors from a table on its tick grid.
+general-time form and the oracle for it.  The product and the twist are
+written once, on the complex pair (z, w) of a quaternion (quat_pair): the
+product is pair_mul, and the twist turns w by one complex multiply with its
+twist_unit (-1)^ti e^{-i pi tf}, which the point engine reads pre-multiplied
+from tables on its tick grid.  quat_mul and quat_twist are their (..., 4)
+forms, with the same bits.  The adjoint representation is written once on
+component rows (adjoint_entry_rows), and adjoint_matrix is its (..., 4) form.
 
 The law of G is g_mul and g_inv on times and (..., 4) fibers, with conj_star
 the conjugation by the time-one translate; GElement and SU2Element are the
@@ -45,9 +45,9 @@ __all__ = [
     "D6_MUL",
     "is_central",
     "quat_mul",
-    "quat_mul_rows",
-    "quat_turn_rows",
-    "twist_factors",
+    "quat_pair",
+    "pair_mul",
+    "twist_unit",
     "quat_inv",
     "quat_normalize",
     "quat_phi_int",
@@ -59,69 +59,64 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion kernels.  The product, the turn of the twist and the
-# adjoint entries are written once, on component rows: a quaternion array is
-# its four rows a, b, c, d, either a (4, ...) stack or the four columns of a
-# (..., 4) array.  quat_mul, quat_twist and adjoint_matrix are their
-# (..., 4) forms.  The point engine keeps a batch's fibers as (4, n)
-# contiguous rows, turns them with quat_turn_rows by twist factors it reads
-# from a table, and multiplies them with quat_mul_rows.
+# vectorized quaternion kernels, on complex pairs.  numpy's complex multiply
+# may fuse a multiply and an add in its SIMD loops (on AVX-512 it does,
+# re = fma(x.re, y.re, -x.im y.im), im = fma(x.re, y.im, x.im y.re)), with
+# the same bits for every array length, stride and broadcast; complex
+# scalars multiply without it, and so does a one-element product written
+# over an operand or broadcast from fewer dimensions.  So every product here
+# is an array operation written with out= into an array that is neither
+# operand, on operands broadcast to one shape, in the order written.
 # ---------------------------------------------------------------------------
 
-def _rows(q: np.ndarray) -> np.ndarray:
-    """The component rows of a (..., 4) array, as a (4, ...) view."""
-    return q.transpose((q.ndim - 1,) + tuple(range(q.ndim - 1)))
+def quat_pair(q) -> np.ndarray:
+    """The complex pairs (z, w) of (..., 4) quaternions as a (..., 2)
+    complex array: a view of q when it is C-contiguous float64, else of a
+    copy."""
+    return np.ascontiguousarray(q, dtype=float).view(complex)
 
 
-def quat_mul_rows(p, q, out):
-    """The quaternion product p q on component rows, written with out= into
-    the four preallocated rows of the (4, ...) array `out` (which must not
-    overlap p or q) and returned.  Each row is the expression of the matrix
-    convention evaluated left to right, every product and sum rounded once,
-    its last term taken in the out= call, so each form of the product gives
-    the same bits:
-        a1 a2 - b1 b2 - c1 c2 - d1 d2,   a1 b2 + b1 a2 - c1 d2 + d1 c2,
-        a1 c2 + b1 d2 + c1 a2 - d1 b2,   a1 d2 - b1 c2 + c1 b2 + d1 a2."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    np.subtract(a1 * a2 - b1 * b2 - c1 * c2, d1 * d2, out=out[0, ...])
-    np.add(a1 * b2 + b1 * a2 - c1 * d2, d1 * c2, out=out[1, ...])
-    np.subtract(a1 * c2 + b1 * d2 + c1 * a2, d1 * b2, out=out[2, ...])
-    np.add(a1 * d2 - b1 * c2 + c1 * b2, d1 * a2, out=out[3, ...])
+def pair_mul(p, q, out, tmp):
+    """The quaternion product p q on complex pairs p = (z1, w1) and
+    q = (z2, w2), the product of the matrices [[z, -conj(w)], [w, conj(z)]]:
+        (z1 z2 - conj(w1) w2,  conj(z1) w2 + w1 z2),
+    four complex multiplies, written with out= into the pair `out` (which
+    must not overlap p or q) and returned; `tmp`, an array of the shape of
+    out's rows, holds the conjugates and the last product."""
+    z1, w1 = p
+    z2, w2 = q
+    np.multiply(np.conjugate(w1, out=tmp), w2, out=out[1])
+    np.subtract(np.multiply(z1, z2, out=out[0]), out[1], out=out[0])
+    np.multiply(np.conjugate(z1, out=tmp), w2, out=out[1])
+    np.add(out[1], np.multiply(w1, z2, out=tmp), out=out[1])
     return out
 
 
-def twist_factors(ti, tf):
-    """The factors (cos, sin) of the fiber twist by a split time ti + tf,
-    (-1)^ti (cos pi tf, sin pi tf), so that the twist turns w = c + di by
-    cos - i sin = e^{-i pi tf} (-1)^ti.  ti may be int64 or Python ints
-    (dtype=object)."""
+def twist_unit(ti, tf) -> np.ndarray:
+    """The unit (-1)^ti e^{-i pi tf} that the fiber twist by a split time
+    ti + tf turns w = c + di by, as a complex array: (-1)^ti cos(pi tf)
+    - i (-1)^ti sin(pi tf).  ti may be int64 or Python ints (dtype=object)."""
     ang = math.pi * np.asarray(tf, dtype=float)
     sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
-    return sign * np.cos(ang), sign * np.sin(ang)
-
-
-def quat_turn_rows(q, cos, sin):
-    """The rows (a, b, c', d') of component rows q with w = c + di turned
-    by cos - i sin: c' = c cos + d sin, d' = d cos - c sin, each rounded as
-    written; a and b are q's own rows."""
-    a, b, c, d = q
-    return a, b, c * cos + d * sin, d * cos - c * sin
+    unit = np.empty(np.broadcast_shapes(ang.shape, sign.shape), dtype=complex)
+    unit.real = sign * np.cos(ang)
+    unit.imag = sign * -np.sin(ang)
+    return unit
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quaternion product matching the SU(2) matrix product convention above."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=float)
-    quat_mul_rows(_rows(p), _rows(q), _rows(out))
-    return out
+    """Quaternion product matching the SU(2) matrix product convention
+    above: pair_mul on the pairs of p and q, broadcast against each other,
+    as a C-contiguous (..., 4) float array."""
+    p, q = np.broadcast_arrays(quat_pair(p), quat_pair(q))
+    out = np.empty(p.shape, dtype=complex)
+    pair_mul(*((x[..., 0], x[..., 1]) for x in (p, q, out)), np.empty(out.shape[:-1], dtype=complex))
+    return out.view(float)
 
 
 def quat_inv(q: np.ndarray) -> np.ndarray:
     """Inverse of a unit quaternion (its conjugate)."""
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
+    out = np.array(q, dtype=float)
     out[..., 1:] *= -1.0
     return out
 
@@ -135,12 +130,8 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 def quat_phi_int(k, q: np.ndarray) -> np.ndarray:
     """Fiber twist by an integer time: identity for even k, (a,b,c,d) ->
     (a,b,-c,-d) for odd k.  Exact, no trigonometry."""
-    q = np.asarray(q, dtype=float)
-    odd = np.asarray(k) % 2
-    sign = np.where(odd == 0, 1.0, -1.0)
-    out = q.copy()
-    out[..., 2] = q[..., 2] * sign
-    out[..., 3] = q[..., 3] * sign
+    out = np.array(q, dtype=float)
+    out[..., 2:] *= np.where(np.asarray(k) % 2 == 0, 1.0, -1.0)[..., None]
     return out
 
 
@@ -157,14 +148,14 @@ def quat_phi_real(t, q: np.ndarray) -> np.ndarray:
 
 def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
     """Fiber twist by a split time ti + tf in closed form, equal to
-    quat_phi_real(tf, quat_phi_int(ti, q)): (a, b, c, d) -> (a, b, w') with
-    w' = (c + di) e^{-i pi tf} (-1)^ti, w turned by its twist_factors.  ti
-    may be int64 or Python ints (dtype=object); for tf = 0 the result is
+    quat_phi_real(tf, quat_phi_int(ti, q)): (z, w) -> (z, w u), u the
+    twist_unit (-1)^ti e^{-i pi tf}, in a C-contiguous copy of q.  ti may
+    be int64 or Python ints (dtype=object); for tf = 0 the result is
     quat_phi_int(ti, q) exactly."""
-    q = np.asarray(q, dtype=float)
+    q = quat_pair(q)
     out = q.copy()
-    _, _, out[..., 2], out[..., 3] = quat_turn_rows(_rows(q), *twist_factors(ti, tf))
-    return out
+    np.multiply(q[..., 1], np.broadcast_to(twist_unit(ti, tf), q.shape[:-1]), out=out[..., 1])
+    return out.view(float)
 
 
 def adjoint_entry_rows(q, i, j):
@@ -193,7 +184,7 @@ def adjoint_entry_rows(q, i, j):
 def adjoint_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of the conjugation action m -> q m q^{-1} on the
     imaginary part (b, c, d).  Columns are the images of i, j, k."""
-    rows = _rows(np.asarray(q, dtype=float))
+    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     m = [[adjoint_entry_rows(rows, i, j) for j in range(3)] for i in range(3)]
     return np.moveaxis(np.array(m), (0, 1), (-2, -1))
 

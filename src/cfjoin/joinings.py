@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import adjoint_entry_rows, adjoint_matrix, quat_mul, quat_phi_int
+from .groups import adjoint_entry_rows, adjoint_matrix, pair_mul, quat_mul, quat_pair
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
@@ -105,21 +105,16 @@ class CFDictionary:
             for row in self._harm:
                 out[row] *= self.scale
         # each fiber row is sqrt 2 or sqrt 3 times a matrix coefficient of q,
-        # then scaled, written as real and imaginary parts; the adjoint
-        # entries are those of groups.adjoint_entry_rows, without
-        # adjoint_matrix's (n, 3, 3) array
+        # then scaled: z and w of q's complex pair, and the adjoint entries of
+        # groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array
+        pair = quat_pair(q)
         for row, (kind, arg) in self._fiber:
             if kind == "def":
-                lo = 0 if arg == "z" else 2
-                parts = [(out[row].real, q[:, lo]), (out[row].imag, q[:, lo + 1])]
-                root = math.sqrt(2.0)
+                value, root = pair[:, "zw".index(arg)], math.sqrt(2.0)
             else:
-                parts = [(out[row].real, adjoint_entry_rows(q.T, *arg))]
-                out[row].imag = 0.0
-                root = math.sqrt(3.0)
-            for part, value in parts:
-                np.multiply(value, root, out=part)
-                part *= self.scale
+                value, root = adjoint_entry_rows(q.T, *arg), math.sqrt(3.0)
+            np.multiply(value, root, out=out[row])
+            out[row] *= self.scale
         out[:, ~valid] = 0.0
         return out
 
@@ -323,7 +318,9 @@ def empirical_joining(
     phi_g(m) q', q' x's translated fiber: (0, m) acts on the left, every
     embed and peel step multiplies on the right, and phi_g is an
     automorphism.  x's values are conjugated once, in place, for all three
-    tables, and one partner block is held at a time.
+    tables, and one partner block is held at a time, its fiber written by
+    groups.pair_mul into a buffer of the block's own, after x's fiber is
+    last read.
     """
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
@@ -332,6 +329,7 @@ def empirical_joining(
     g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
     paired, independent, diagonal = _TableSums(), _TableSums(), _TableSums()
+    mz, mw = (quat_pair(m)[..., c] for c in (0, 1))  # phi_g(m) = (mz, +-mw)
     try:
         for rows in row_blocks(samples):
             valid, ti, tf, q = translate(levels, *x, g[rows], 1, top)[:4]
@@ -343,14 +341,17 @@ def empirical_joining(
             # its squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk, which rounds otherwise
             diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
             del fx, fd
-            # the paired partner's harmonic rows and their squared moduli are x's
-            q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
-            fy = dictionary.evaluate((valid, ti, tf, q), conj_x)
+            # the paired partner's fiber phi_g(m) q', the last read of x's fiber
+            qy = np.empty((len(q), 2), dtype=complex)
+            pair_mul((mz, np.where(g[rows] & 1, -mw, mw)), quat_pair(q).T, qy.T, np.empty(len(q), dtype=complex))
+            del q
+            # its harmonic rows and their squared moduli are x's
+            fy = dictionary.evaluate((valid, ti, tf, qy.view(float)), conj_x)
             sq_y = sq_x.copy()
             for row, _ in dictionary._fiber:
                 _sq_moduli(fy[row], out=sq_y[row])
             paired.add(conj_x, sq_x, fy, sq_y)
-            del fy, sq_y
+            del qy, fy, sq_y
             fy = dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4])
             independent.add(conj_x, sq_x, fy, _sq_moduli(fy))
             # nothing of this block is left when the next one is made

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from cfjoin import cf_engine as cf
 from cfjoin.groups import (
-    GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_mul, quat_normalize, quat_phi_int, quat_turn_rows,
-    quat_twist, twist_factors,
+    GElement, SU2_H0, SU2_I, SU2Element, g_inv, g_mul, quat_inv, quat_mul, quat_normalize, quat_pair, quat_phi_int,
+    quat_twist, twist_unit,
 )
 
 
@@ -294,37 +294,66 @@ class TestTickGrid:
         assert cf.embed_batch(built, ti, tf, None, tails, 1, 7)[0].dtype == object
 
 
-def _table_twist(levels, T, s):
-    """Component rows s twisted by the ticks T/D, as the engine's level step
-    twists its corrections: the step from identity fibers, whose product
-    changes no value."""
-    identity = np.zeros_like(s)
+def _corrections(lv):
+    """(2r-1, 4) fibers of the level's corrections s(h), h = -(r-1) .. r-1:
+    its alphabet's quaternions, the identity at level 0."""
+    if lv.s_map is None:
+        return np.tile([1.0, 0.0, 0.0, 0.0], (2 * lv.r - 1, 1))
+    return lv.s_map.alphabet.quats[lv.s_map.values]
+
+
+def _table_twist(levels, k, T, j):
+    """Level k's corrections j twisted by the ticks T/D as (2, n) complex
+    rows, as the engine's level step twists them: the step from identity
+    rows (1, 0), whose product changes no value."""
+    lv, n = levels.level(k), len(j)
+    identity = np.zeros((2, n), dtype=complex)
     identity[0] = 1.0
-    return cf._fiber_step(identity, T, s, levels.twist_table, out=np.empty_like(s))
+    work = [None, None, np.empty((2, n), dtype=complex), np.empty(n, dtype=complex)]
+    return cf._fiber_step(identity, T, lv.s_fibers, lv.s_cols[j], lv.grid, np.empty((2, n), dtype=complex), work)
+
+
+def _rows(q):
+    """(2, n) complex rows of (n, 4) fibers, a view."""
+    return quat_pair(q).T
 
 
 class TestTwistTable:
+    """The levels' fiber tables, their corrections pre-twisted at every
+    tick residue."""
+
     @pytest.mark.parametrize("size", [1, 2, 8, 16])
     def test_entries_are_quat_twist_rows_on_the_grid(self, size):
-        # every entry turns as twist_factors do at the split time of its
-        # ticks, bit for bit, on grids D = 1 .. 16
+        # column 2D alpha + e of a level's tables is alphabet entry alpha,
+        # and its inverse, as quat_twist turns it at the split time of e
+        # ticks, bit for bit, on grids D = 1 .. 16; correction j's columns
+        # start at 2D alpha(j)
         built = cf.build_levels(cf.CFParams(max_level=1, alphabet_size=size), seed=0)
         grid = built.grid
-        table = built.twist_table
-        assert table.shape == (2, 2 * grid) and not table.flags.writeable
-        assert built.twist_table is table
-        T = np.arange(2 * grid)
-        q = np.random.default_rng(size).standard_normal((4, 2 * grid))
-        want = quat_turn_rows(q, *twist_factors(T // grid, (T % grid) / grid))
-        assert np.array(quat_turn_rows(q, *table)).tobytes() == np.array(want).tobytes()
-        # a tick count past one period reads the entry of its residue mod 2D
-        big = np.array([2**62 + 3, -(2**62) - 5, 2**80 + 1, -(2**70)], dtype=object)
-        q = q[:, np.arange(4) % (2 * grid)]
-        want = quat_turn_rows(q, *twist_factors(big // grid, (big % grid).astype(float) / grid))
-        assert np.array_equal(_table_twist(built, big, q), np.array(want))
+        e = np.arange(2 * grid)
+        for lv in built.levels:
+            # level 0's one correction is the identity, its own inverse
+            quats = lv.s_map.alphabet.quats if lv.s_map is not None else np.array([[1.0, 0.0, 0.0, 0.0]])
+            inverses = quat_inv(quats) if lv.s_map is not None else quats
+            assert lv.s_fibers.shape == lv.s_fibers_inv.shape == (2, len(quats) * 2 * grid)
+            for table, fibers in ((lv.s_fibers, quats), (lv.s_fibers_inv, inverses)):
+                fibers = np.broadcast_to(fibers[:, None], (len(quats), 2 * grid, 4))
+                want = quat_pair(quat_twist(e // grid, (e % grid) / grid, fibers)).transpose(2, 0, 1)
+                assert table.tobytes() == want.reshape(2, -1).tobytes()
+            values = lv.s_map.values if lv.s_map is not None else np.zeros(2 * lv.r - 1, dtype=np.int64)
+            assert lv.s_cols.dtype == np.int64 and np.array_equal(lv.s_cols, values * 2 * grid)
 
-    @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
-    def test_residual_turn_after_the_table_is_the_twist(self, levels, data, n, seed):
+    def test_ticks_past_one_period_read_their_residue(self, levels):
+        # a tick count past one period, past int64 too, reads the entry of
+        # its residue mod 2D
+        big = np.array([2**62 + 3, -(2**62) - 5, 2**80 + 1, -(2**70)], dtype=object)
+        j = np.array([0, 7, 40, 198])
+        grid = levels.grid
+        want = quat_twist(big // grid, (big % grid).astype(float) / grid, _corrections(levels.level(1))[j])
+        assert _table_twist(levels, 1, big, j).tobytes() == _rows(want).tobytes()
+
+    @given(data=st.data(), n=st.integers(1, 20))
+    def test_residual_turn_after_the_table_is_the_twist(self, levels, data, n):
         # phi_(rho/D) phi_(T/D) = phi_((T + rho)/D): the residual turned after
         # the table twist agrees with quat_twist at the split time within ulps
         big = data.draw(st.booleans())
@@ -332,13 +361,15 @@ class TestTwistTable:
         T = np.array(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)),
                      dtype=object if big else np.int64)
         rho = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
-        q = quat_normalize(np.random.default_rng(seed).standard_normal((n, 4)))
-        turned = cf._fibers_out(_table_twist(levels, T, q.T.copy()), twist_factors(0, rho / levels.grid))
-        want = quat_twist(*cf._from_ticks(levels, T, rho), q)
+        k = data.draw(st.integers(0, levels.max_level), label="level")
+        j = np.array(data.draw(st.lists(st.integers(0, 2 * levels.level(k).r - 2), min_size=n, max_size=n)))
+        rows = _table_twist(levels, k, T, j)
+        turned = cf._fibers_out(rows, twist_unit(0, rho / levels.grid))
+        want = quat_twist(*cf._from_ticks(levels, T, rho), _corrections(levels.level(k))[j])
         assert np.max(np.abs(turned - want)) <= 4 * np.finfo(float).eps
         # and the entry turn by phi_rho^-1 undoes it within ulps
         back = cf._own_rows(turned, rho, levels.grid)[0]
-        assert np.max(np.abs(back - _table_twist(levels, T, q.T.copy()))) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(back - rows)) <= 4 * np.finfo(float).eps
 
 
 class TestCylinders:
@@ -740,7 +771,7 @@ def _same_valid_lanes(got, want):
 def _peel_ticks(levels, ticks, rho, q, hi, lo):
     """peel_batch of times given as one array of Python-int ticks (an
     object array, with a high digit of 0) and their residuals rho, q the
-    (4, n) fiber rows in the residual's frame, or None."""
+    (2, n) complex fiber rows in the residual's frame, or None."""
     ticks = np.asarray(ticks, dtype=object)
     return cf.peel_batch(levels, cf.RadixTimes(np.zeros(ticks.shape, dtype=np.int64), ticks), rho, q, hi, lo)
 
@@ -768,7 +799,7 @@ class TestRadixLane:
         assert [t // grid for t in ticks] == joined.tolist()
         assert tfj.tolist() == [(t % grid + p) / grid for t, p in zip(ticks, rho.tolist())]
         # the radix rows are in the residual's frame: turned out, the joined fibers
-        assert qn.shape == (4, len(tf)) and np.array_equal(_turned_out(levels, qn, rho), qj)
+        assert qn.shape == (2, len(tf)) and np.array_equal(_turned_out(levels, qn, rho), qj)
         for i, (t0, f0) in enumerate(starts):
             ref = _ref_embed(levels, t0 + Fraction(f0), tails[i].tolist(), lo, top)
             assert ticks[i] + Fraction(float(rho[i])) == ref * grid
@@ -795,7 +826,7 @@ class TestRadixLane:
         his.append(data.draw(st.integers(-(r - 2), r - 2)))
         los.append(data.draw(st.sampled_from([-at, at])) * grid)
         rhos.append(0.0)
-        qs = np.hstack([qn, quat_normalize(np.ones((len(rhos) - qn.shape[1], 4))).T])
+        qs = np.hstack([qn, _rows(quat_normalize(np.ones((len(rhos) - qn.shape[1], 4))))])
         rhos = np.array(rhos)
         radix = cf.RadixTimes(np.array(his, dtype=np.int64), np.array(los, dtype=pair.lo.dtype))
         big = [hk * two * grid + t for hk, t in zip(his, los)]
@@ -841,7 +872,7 @@ def test_peel_on_interval_edges_matches_the_oracle(max_level):
     radix = cf.RadixTimes(np.array(hi, dtype=np.int64), np.array([T - h * width for T, h in zip(ticks, hi)], dtype=lane))
     assert radix.lo.dtype == (np.int64 if max_level == 6 else object)
     q = quat_normalize(rng.standard_normal((len(exact), 4)))
-    for got in (_peel_ticks(levels, ticks, rho, q.T, top, 0), cf.peel_batch(levels, radix, rho, None, top, 0)):
+    for got in (_peel_ticks(levels, ticks, rho, _rows(q), top, 0), cf.peel_batch(levels, radix, rho, None, top, 0)):
         valid, ti, tf, _, hs = got
         assert not valid.all() and valid.any()
         for i, t in enumerate(exact):
@@ -860,7 +891,7 @@ def _window_arithmetic(levels, ti, tf, q, tails, g, lo, top):
     ticks = (hi.astype(object) * (2 * levels.a_tilde(top - 1)) + np.asarray(g).astype(object)) * levels.grid
     ticks = ticks + low.astype(object)
     if q is not None:
-        qn = quat_phi_int(np.asarray(g) % 2, np.broadcast_to(qn.T, ticks.shape + (4,))).T
+        qn = _rows(quat_phi_int(np.asarray(g) % 2, np.broadcast_to(_fibers(qn), ticks.shape + (4,))))
     return _peel_ticks(levels, ticks, np.broadcast_to(rho, ticks.shape), qn, top, lo)
 
 
@@ -977,9 +1008,14 @@ class TestTranslate:
 
 
 def _turned_out(levels, rows, rho):
-    """The (n, 4) fibers of (4, n) rows in the residual's frame, turned
-    out by phi_rho as the joined forms turn them, on a copy."""
-    return cf._fibers_out(rows.copy(), twist_factors(0, rho / levels.grid))
+    """The (n, 4) fibers of (2, n) complex rows in the residual's frame,
+    turned out by phi_rho as the joined forms turn them."""
+    return cf._fibers_out(rows, twist_unit(0, rho / levels.grid))
+
+
+def _fibers(rows):
+    """(n, 4) fibers of (2, n) complex rows, a copy."""
+    return np.ascontiguousarray(rows.T).view(float)
 
 
 def _frozen(*arrays):
@@ -1060,7 +1096,7 @@ def _aos_embed_fiber(levels, ti, tf, q, tails, lo, hi):
     for col, k in enumerate(range(lo, hi)):
         lv = levels.level(k)
         tk, fk, _ = cf.embed_batch(levels, ti, tf, None, tails, lo, k)
-        q = quat_mul(q, quat_twist(tk, fk, lv.s_quat.T[tails[:, col] + (lv.r - 1)]))
+        q = quat_mul(q, quat_twist(tk, fk, _corrections(lv)[tails[:, col] + (lv.r - 1)]))
     return q
 
 
@@ -1073,7 +1109,7 @@ def _aos_peel_fiber(levels, ti, tf, q, hi, lo):
         lv = levels.level(k)
         _, tk, fk, _, hs = cf.peel_batch(levels, ti, tf, None, hi, k)
         j = np.clip(hs[:, 0] + (lv.r - 1), 0, 2 * lv.r - 2)
-        q = quat_mul(q, quat_twist(tk, fk, lv.s_quat_inv.T[j]))
+        q = quat_mul(q, quat_twist(tk, fk, quat_inv(_corrections(lv)[j])))
     return q
 
 
@@ -1119,13 +1155,13 @@ def _assert_oracle_fibers(got, want, on_grid):
 
 
 class TestComponentMajorFiber:
-    """embed_batch, peel_batch and translate step their fibers as (4, n)
-    contiguous rows, twisting each level's correction by a table read and
-    the residual once per call.  Against the per-level (n, 4) composition
-    quat_mul(q, quat_twist(t, s[j])) they agree on every lane, valid or
-    not, bit for bit on draws floored to the tick grid and within
-    OFF_GRID_FIBER_BOUND on draws off it, and return (n, 4) fibers whose
-    columns are contiguous."""
+    """embed_batch, peel_batch and translate step their fibers as (2, n)
+    complex rows, reading each level's twisted correction from its table
+    and turning by the residual once per call.  Against the per-level
+    (n, 4) composition quat_mul(q, quat_twist(t, s[j])) they agree on every
+    lane, valid or not, bit for bit on draws floored to the tick grid and
+    within OFF_GRID_FIBER_BOUND on draws off it, and return C-contiguous
+    (n, 4) fibers."""
 
     @staticmethod
     def _moves(rng, two, n):
@@ -1137,7 +1173,7 @@ class TestComponentMajorFiber:
         for on_grid in (True, False):
             ti, tf, q, tails = _point_batch(levels, 300, 51, on_grid)
             ti6, tf6, q6 = cf.embed_batch(levels, ti, tf, q, tails, 1, 6)
-            assert ti6.dtype == np.int64 and q6[:, 0].flags.c_contiguous
+            assert ti6.dtype == np.int64 and q6.flags.c_contiguous
             _assert_oracle_fibers(q6, _aos_embed_fiber(levels, ti, tf, q, tails, 1, 6), on_grid)
             moved = ti6 + self._moves(np.random.default_rng(52), 2 * levels.a_tilde(5), 300)
             valid, _, _, q1, _ = cf.peel_batch(levels, moved, tf6, q6, 6, 1)
@@ -1183,7 +1219,7 @@ class TestComponentMajorFiber:
             ti, tf, q, tails = _point_batch(levels, 300, 63, on_grid)
             pair, rho, rows = cf.embed_batch(levels, ti, tf, q, tails, 1, top, radix=True)
             tin, tfn, qn = cf.embed_batch(levels, ti, tf, q, tails, 1, top)
-            assert rows.shape == (4, 300) and np.array_equal(_turned_out(levels, rows, rho), qn)
+            assert rows.shape == (2, 300) and np.array_equal(_turned_out(levels, rows, rho), qn)
             radix = cf.peel_batch(levels, pair, rho, rows, top, 1)
             joined = cf.peel_batch(levels, tin, tfn, qn, top, 1)
             assert radix[0].all() and joined[0].all()
@@ -1199,7 +1235,7 @@ class TestComponentMajorFiber:
             ti, tf, q, tails = _point_batch(levels, 1, 57, on_grid, h_minus=True)
             g = self._moves(np.random.default_rng(58), two, 2000)
             valid, _, _, qg, _ = cf.translate(levels, ti, tf, q, tails, g, 1, top)
-            assert qg.shape == (2000, 4) and qg[:, 0].flags.c_contiguous
+            assert qg.shape == (2000, 4) and qg.flags.c_contiguous
             assert 0 < valid.sum() < 2000
             _assert_oracle_fibers(qg, _aos_translate_fiber(levels, ti, tf, q, tails, g, 1, top), on_grid)
             ti, tf, q, tails = _point_batch(levels, 300, 59, on_grid)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cfjoin.groups import (
     quat_phi_int,
     quat_phi_real,
     quat_twist,
+    twist_unit,
 )
 
 I = SU2_I.array()
@@ -176,36 +178,53 @@ class TestClosedFormTwist:
 
 
 def _literal_mul(p, q):
-    """quat_mul as the (..., 4) expression it was written as before the
-    component-rows kernel."""
-    a1, b1, c1, d1 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    a2, b2, c2, d2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
-    out[..., 1] = a1 * b2 + b1 * a2 - c1 * d2 + d1 * c2
-    out[..., 2] = a1 * c2 + b1 * d2 + c1 * a2 - d1 * b2
-    out[..., 3] = a1 * d2 - b1 * c2 + c1 * b2 + d1 * a2
-    return out
+    """quat_mul as the complex-pair expression (z1 z2 - conj(w1) w2,
+    conj(z1) w2 + w1 z2) on at least one-row copies of p and q broadcast
+    against each other, one numpy operation at a time."""
+    shape = np.broadcast_shapes(p.shape, q.shape)
+    p, q = (np.broadcast_to(x, (1,) + shape).copy().view(complex) for x in (p, q))
+    z1, w1, z2, w2 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    out = np.stack([z1 * z2 - np.conjugate(w1) * w2, np.conjugate(z1) * w2 + w1 * z2], -1)
+    return out.view(float).reshape(shape)
 
 
 def _literal_twist(ti, tf, q):
-    """quat_twist as the (..., 4) expression it was written as before the
-    component-rows kernel."""
+    """quat_twist as w turned by one complex multiply with its unit
+    (-1)^ti (cos pi tf - i sin pi tf), on at least one-row copies of q and
+    of the unit broadcast to q's rows."""
     ang = math.pi * np.asarray(tf, dtype=float)
     sign = np.where(np.asarray(ti) & 1, -1.0, 1.0)
-    cos = sign * np.cos(ang)
-    sin = sign * np.sin(ang)
-    c, d = q[..., 2], q[..., 3]
-    out = q.copy()
-    out[..., 2] = c * cos + d * sin
-    out[..., 3] = d * cos - c * sin
-    return out
+    out = np.broadcast_to(q, (1,) + q.shape).copy().view(complex)
+    unit = np.broadcast_to(sign * np.cos(ang) - 1j * (sign * np.sin(ang)), out.shape[:-1]).copy()
+    out[..., 1] = out[..., 1] * unit
+    return out.view(float).reshape(q.shape)
+
+
+# floats whose products neither overflow nor pass below the normal range,
+# where a relative bound on rounding would not hold
+_COMPONENT = st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 1e-30))
+_FRACTION = st.one_of(st.just(0.0), st.floats(1e-30, 1.0, exclude_max=True))
+_ROW = st.lists(_COMPONENT, min_size=4, max_size=4).map(np.array)
+
+
+def _within_ulps(got, terms, ulps):
+    """Each component of got within `ulps` ulps of 1 (2^-52), relative to
+    its terms' absolute sum, of the exact sum of its terms, each term the
+    exact Fraction product of two floats and a sign.  A complex product
+    rounds each part at most twice (a fused or a plain product, then the
+    sum) and pair_mul's sums once more, 3 half-ulps of the terms' sum at
+    most; the twist's one complex multiply 2 half-ulps, plus a term of the
+    order of the square of a half-ulp."""
+    for value, row in zip(got.tolist(), terms):
+        exact = sum(sign * Fraction(x) * Fraction(y) for sign, x, y in row)
+        scale = sum(abs(Fraction(x) * Fraction(y)) for _, x, y in row)
+        assert abs(Fraction(value) - exact) <= ulps * Fraction(2.0**-52) * scale
 
 
 class TestRowsWrappers:
-    """quat_mul and quat_twist are (..., 4) forms of the component-rows
-    kernels: the same bits as their former expressions, broadcast shapes
-    included, in a C-contiguous (..., 4) result."""
+    """quat_mul and quat_twist are (..., 4) forms of the complex-pair
+    kernels: the bits of the pair expressions, broadcast shapes included,
+    in a C-contiguous (..., 4) result."""
 
     @pytest.mark.parametrize("p_shape, q_shape", [
         ((4,), (4,)), ((4,), (50, 4)), ((4,), (4, 4)), ((50, 4), (4,)),
@@ -215,8 +234,8 @@ class TestRowsWrappers:
         rng = np.random.default_rng(61)
         p, q = rng.standard_normal(p_shape), rng.standard_normal(q_shape)
         got = quat_mul(p, q)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, _literal_mul(p, q))
+        assert got.flags.c_contiguous and got.dtype == float
+        assert got.tobytes() == _literal_mul(p, q).tobytes()
 
     @given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
     def test_quat_twist_is_the_literal_twist(self, data, n, seed):
@@ -225,7 +244,60 @@ class TestRowsWrappers:
         for args in ((ti, tf, q), (ti[0], tf[0], q), (ti[0], tf[0], q[0])):
             got = quat_twist(*args)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, _literal_twist(*args))
+            assert got.tobytes() == _literal_twist(*args).tobytes()
+
+
+class TestPairKernels:
+    """numpy's complex multiply may fuse a multiply and an add (it does on
+    AVX-512), so the product and the twist are held to the real formula
+    within a rounding bound, and to their own bits wherever a row sits:
+    alone, broadcast, strided or in a long batch."""
+
+    @given(p=_ROW, q=_ROW)
+    def test_product_is_the_real_formula_within_two_ulps(self, p, q):
+        # the real formula of the matrix convention, as signed products
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = p.tolist(), q.tolist()
+        terms = [
+            [(1, a1, a2), (-1, b1, b2), (-1, c1, c2), (-1, d1, d2)],
+            [(1, a1, b2), (1, b1, a2), (-1, c1, d2), (1, d1, c2)],
+            [(1, a1, c2), (1, b1, d2), (1, c1, a2), (-1, d1, b2)],
+            [(1, a1, d2), (-1, b1, c2), (1, c1, b2), (1, d1, a2)],
+        ]
+        _within_ulps(quat_mul(p, q), terms, 2)
+
+    @given(q=_ROW, ti=st.integers(-(2**70), 2**70), tf=_FRACTION)
+    def test_twist_is_the_real_formula_within_two_ulps(self, q, ti, tf):
+        # (c, d) -> (c cos + d sin, d cos - c sin) with (cos, sin) the
+        # unit's parts, (-1)^ti (cos pi tf, sin pi tf)
+        unit = twist_unit(np.array([ti], dtype=object), tf)[0]
+        cos, sin = float(unit.real), -float(unit.imag)
+        a, b, c, d = q.tolist()
+        terms = [[(1, a, 1.0)], [(1, b, 1.0)], [(1, c, cos), (1, d, sin)], [(1, d, cos), (-1, c, sin)]]
+        _within_ulps(quat_twist(ti, tf, q), terms, 2)
+
+    @given(p=_ROW, q=_ROW, n=st.integers(1, 40), at=st.integers(0, 2**14 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_a_row_has_the_same_bits_wherever_it_is(self, p, q, n, at, seed):
+        # alone, broadcast (4,) x (n, 4) and (n, 4) x (4,), strided, and
+        # inside a 2^14 batch, the row's product and twist are bit for bit
+        # the same
+        rng = np.random.default_rng(seed)
+        want = quat_mul(p, q).tobytes()
+        batch_p, batch_q = rng.standard_normal((2, 2**14, 4))
+        batch_p[at], batch_q[at] = p, q
+        i = at % n
+        strided = rng.standard_normal((2 * n, 4))
+        strided[2 * i] = q
+        assert quat_mul(batch_p, batch_q)[at].tobytes() == want
+        assert quat_mul(p, batch_q[at - i: at - i + n])[i].tobytes() == want
+        assert quat_mul(batch_p[at - i: at - i + n], q)[i].tobytes() == want
+        assert quat_mul(p, strided[::2])[i].tobytes() == want
+        assert quat_mul(p[None], q[None])[0].tobytes() == want
+        tf = rng.random(2**14)
+        ti = rng.integers(-5, 5, 2**14)
+        want = quat_twist(ti[at], tf[at], q).tobytes()
+        assert quat_twist(ti, tf, batch_q)[at].tobytes() == want
+        assert quat_twist(ti[at], tf[at], strided[::2])[i].tobytes() == want
+        assert quat_twist(ti[at:at + 1], tf[at:at + 1], q[None])[0].tobytes() == want
 
 
 class TestG:

@@ -523,7 +523,7 @@ class TestWeakmixTimeOnly:
         monkeypatch.setattr(cf_engine, "quat_mul", forbidden)
         monkeypatch.setattr(cf_engine, "quat_twist", forbidden)
         monkeypatch.setattr(cf_engine, "_fiber_step", forbidden)
-        monkeypatch.setattr(cf_engine, "twist_factors", forbidden)
+        monkeypatch.setattr(cf_engine, "twist_unit", forbidden)
         got = _weakmix_deviation(levels, n, 4000, np.random.default_rng(n))
         assert got == ref
 
