@@ -30,10 +30,12 @@ the low digit of a top above them, fall back to Python-int object arrays
 (one radix digit, not one per overflowing level); _tick_lane is the one
 place that picks int64 or object.
 At the public boundary times are one array: embed_batch joins the pair
-unless asked for it, and peel_batch takes either form.  Both take q=None for
-time-only work (a central time translate against full-fiber sets): the
-SU(2) fiber is then neither moved nor returned, and times, validity and
-shift indices are exactly those of the fiber path.  act applies a group
+unless asked for it, and peel_batch takes either form; it returns a radix
+pair's times as ticks (T, rho), and translate returns them so too, which
+weakmix and the joining dictionary read as they are.  Both take q=None
+for time-only work (a central time translate against full-fiber sets):
+the SU(2) fiber is then neither moved nor returned, and times, validity
+and shift indices are exactly those of the fiber path.  act applies a group
 element to a batch at one level.  The stacking conditions compare the
 interval ends as integers in ticks, and the exact cylinder and shift
 identities use Fractions built from the ticks.
@@ -52,8 +54,10 @@ is one 2-row gather and one groups.pair_mul (_fiber_step), with no cosine
 and no turn per lane.  On the grid (rho = 0) the fibers are bit for bit the
 per-level quat_mul(q, quat_twist(ti, tf, s)); off it they differ by
 rounding alone.  The joined forms take and return (n, 4) fibers, turned in
-and out at each call; the radix form carries the rows in the frame, so
-only translate turns its fibers once in and once out.
+and out at each call; the radix form carries the rows in the frame, in and
+out of peel_batch, so only translate turns its fibers once in and once
+out, by the unit of its embed's rho: one cosine and one sine for the
+one-row batch of a joining window, broadcast over its lanes.
 """
 
 from __future__ import annotations
@@ -597,13 +601,14 @@ def _own_rows(q, rho, grid: int, framed: bool = False):
     corrections and an (n,) one for pair_mul; and the unit of phi_rho, which
     _fibers_out turns the rows back by.  q is (n, 4) and turned into a copy
     held in the second buffer, or, framed, such rows already, taken as they
-    are and never written.  (None, None, None) when q is None."""
+    are and never written, with no turn (None): they leave in the frame.
+    (None, None, None) when q is None."""
     if q is None:
         return None, None, None
-    turn = twist_unit(0, rho / grid)
     work = [np.empty((2, len(rho)), dtype=complex) for _ in range(3)] + [np.empty(len(rho), dtype=complex)]
     if framed:
-        return q, work, turn
+        return q, work, None
+    turn = twist_unit(0, rho / grid)
     src, rows = quat_pair(q), work[1]
     rows[0] = src[:, 0]
     np.multiply(src[:, 1], np.conjugate(turn), out=rows[1])
@@ -735,27 +740,33 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     lanes where the point has no representation at to_level are masked out
     of `valid` (their coordinate values are unspecified); hs[:, c] is the
     recovered shift index at level to_level + c, each level writing one
-    contiguous row of hs.T.  The levels peel T', the tick below the time (see
-    the module docstring), and add the on-grid mask rho == 0 back where the
-    floor is read: the fiber step's table, and the exit.  Level k finds the
-    shell d = (T' + a~_k D) // 2 a~_k D, so h = hi + d (h = d without hi),
-    and the level-k T' is T' - d * 2 a~_k D less the correction's ticks, in
-    the base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at
-    the first level where they fit (_lane).  Each level multiplies the fiber
-    by the inverse shift element twisted by the peeled time, as embed_batch
-    does, on rows in the residual's frame ((n, 4) fibers turned in at entry)
-    on buffers of their own; q comes back turned out, (n, 4) C-contiguous.
-    With q None the fiber is neither moved nor returned (None in its place);
-    valid, times and hs are the same either way.  to_level above from_level
-    is a ValueError, and so is a RadixTimes pair at to_level equal to
-    from_level, whose high digit no level would take in.  Times are peeled
-    in place, on the tick array made at entry: no array given, nor the
-    read-only broadcasts translate passes, is written.
+    contiguous row of hs.T.  A RadixTimes pair returns its times as ticks
+    and its fibers in the frame, (valid, T, rho, rows, hs): the time is
+    (T + rho)/D, T in the lane of to_level and rho the one given, and the
+    rows (2, n) on a buffer of their own, to be turned out by phi_rho; the
+    joined form returns ti, tf and q turned out, (n, 4) C-contiguous.  The
+    levels peel T', the tick below the time (see the module docstring),
+    and add the on-grid mask rho == 0 back where the floor is read: the
+    fiber step's table, and the exit.  Level k finds the shell
+    d = (T' + a~_k D) // 2 a~_k D, so h = hi + d (h = d without hi), and
+    the level-k T' is T' - d * 2 a~_k D less the correction's ticks, in the
+    base iff -a_k D <= T' < a_k D.  Python-int times return to int64 at the
+    first level where they fit (_lane).  Each level multiplies the fiber by
+    the inverse shift element twisted by the peeled time, as embed_batch
+    does, on rows in the residual's frame ((n, 4) fibers turned in at
+    entry) on buffers of their own.  With q None the fiber is neither moved
+    nor returned (None in its place); valid, times and hs are the same
+    either way.  to_level above from_level is a ValueError, and so is a
+    RadixTimes pair at to_level equal to from_level, whose high digit no
+    level would take in.  Times are peeled in place, on the tick array made
+    at entry: no array given, nor the read-only broadcasts translate
+    passes, is written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
     levels._built(from_level, levels.max_level + 1)
-    if isinstance(ti, RadixTimes):
+    framed = isinstance(ti, RadixTimes)
+    if framed:
         if to_level == from_level:
             raise ValueError(f"peel_batch of a RadixTimes pair peels at least one level, "
                              f"and to_level {to_level} is from_level {from_level}")
@@ -763,7 +774,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     else:
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
-    q, work, turn = _own_rows(q, rho, levels.grid, framed=isinstance(ti, RadixTimes))
+    q, work, turn = _own_rows(q, rho, levels.grid, framed)
     n = len(rho)
     # T becomes the tick below the time, ceil(T + rho) - 1
     below = rho == 0.0
@@ -781,19 +792,22 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         h = h if hi is None else hi + h
         hi = None
         ok_h = np.abs(h) <= lv.r - 1
-        j = np.clip(h + (lv.r - 1), 0, 2 * lv.r - 2)
+        # the correction's index, read clipped into the tables where h is out of H
+        j = h + (lv.r - 1)
         # the level-k time: the remainder less a~_k D and the correction's ticks
         T -= half
-        T -= lv.ticks[j].astype(T.dtype, copy=False)
+        T -= lv.ticks.take(j, mode="clip").astype(T.dtype, copy=False)
         if T.dtype == object and _lane(levels, k) is np.int64:
             # lost lanes, whose times may pass int64, move to the time 0
             T = np.where(valid & ok_h, T, 0 - below).astype(np.int64)
         a = lv.a * levels.grid
         valid &= ok_h & (T >= -a) & (T < a)
         if q is not None:
-            q = _fiber_step(q, T, lv.s_fibers_inv, lv.s_cols[j], lv.grid, work[col & 1], work, below)
+            q = _fiber_step(q, T, lv.s_fibers_inv, lv.s_cols.take(j, mode="clip"), lv.grid, work[col & 1], work, below)
         hs[k - to_level] = h
     T += below
+    if framed:
+        return valid, T, rho, q, hs.T
     return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs.T)
 
 
@@ -807,10 +821,15 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     fiber rows go from the embed to the peel in the residual's frame, so no
     float fraction is formed and each fiber is turned once in and once out:
     phi_g, a sign on the w row that commutes with phi_rho, is taken in
-    their one copy, the broadcast to the lanes.  g = gh * 2 a~_(to-1) +
-    gl, 0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl D ticks to
-    the low digit, so no time past 2^62 is formed where the low digit fits
-    int64.  to_level at or below from_level is a ValueError: the translate
+    their one copy, the broadcast to the lanes, and phi_rho turns them out
+    by the unit of the embed's own rho, one cosine and one sine for a
+    one-row batch.  g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds
+    gh to the shift digit and gl D ticks to the low digit, so no time past
+    2^62 is formed where the low digit fits int64.  Returns
+    (valid, T, rho, q): the from_level times (T + rho)/D in ticks, T in
+    the lane of from_level and rho the embed's broadcast to the lanes (a
+    read-only view), and q the (n, 4) fibers turned out, C-contiguous, or
+    None.  to_level at or below from_level is a ValueError: the translate
     moves the digits of at least one embedded level."""
     if to_level == from_level:
         raise ValueError(f"translate embeds at least one level, and to_level {to_level} is from_level {from_level}")
@@ -825,8 +844,12 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     if rows is not None:
         q = np.broadcast_to(rows, (2,) + lanes).copy()
         np.negative(q[1], out=q[1], where=np.asarray(g & 1, dtype=bool))
-    top = RadixTimes(top.hi + np.asarray(g // radix, dtype=np.int64), top.lo + g % radix * levels.grid)
-    return peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
+    # g mod radix as g less its floor quotient's multiple, which numpy
+    # computes several times faster than the remainder
+    gh = g // radix
+    top = RadixTimes(top.hi + np.asarray(gh, dtype=np.int64), top.lo + (g - gh * radix) * levels.grid)
+    valid, T, lane_rho, q, _ = peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
+    return valid, T, lane_rho, None if q is None else _fibers_out(q, twist_unit(0, rho / levels.grid))
 
 
 # ---------------------------------------------------------------------------

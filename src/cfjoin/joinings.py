@@ -24,6 +24,7 @@ from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
     OrbitLeftTruncationError,
+    _to_ticks,
     row_blocks,
     translate,
 )
@@ -53,11 +54,15 @@ class CFDictionary:
     otherwise; all are scaled by mu(X_1)^{-1/2} so they have unit norm.  Eight
     time harmonics exp(2 pi i m t / a_1) and eight fiber matrix coefficients
     (two defining-representation entries, six adjoint entries), interleaved so
-    each classification target pair separates at low metric weight.
+    each classification target pair separates at low metric weight.  The
+    harmonics of a level-1 time t = (T + rho)/D have period N = a_1 D in the
+    ticks T, so for one residual rho they are the columns T mod N of a
+    tick_table.
     """
 
     def __init__(self, levels: CFLevels):
         self.a1 = levels.a(1)
+        self.period = self.a1 * levels.grid
         self.scale = 1.0 / math.sqrt(levels.mu_xn(1))
         spec = [
             ("harm-1", ("harm", 1)),
@@ -86,35 +91,53 @@ class CFDictionary:
     def size(self) -> int:
         return len(self.labels)
 
-    def evaluate(self, batch, conj_times=None) -> np.ndarray:
-        """batch = (valid, ti, tf, q) level-1 coordinates from peel_batch.  Given the conjugated
-        values conj_times of a batch on the same valid, ti and tf, the harmonic rows are
-        theirs conjugated back (a sign flip, exact), and only the fiber rows read q."""
-        valid, ti, tf, q = batch
+    def tick_table(self, rho: float) -> np.ndarray:
+        """(8, N) complex table of the harmonics at the residual rho in
+        [0, 1): row m - 1, column k holds scale e^(2 pi i m (k + rho) / N),
+        harmonic m at every level-1 time (T + rho)/D with T = k mod N.  The
+        phase is taken in quarter turns, 4 ((m k) mod N + m rho) / N: the
+        nearest whole quarter turn of 4 ((m k) mod N) / N is split off in
+        integers, and turns the unit exactly (a swap and signs), so the one
+        float angle left is at most about an eighth of a turn."""
+        n = self.period
+        m = np.arange(1, len(self._harm) + 1)[:, None]
+        k4 = 4 * (m * np.arange(n) % n)
+        quarter = (k4 + n // 2) // n
+        angle = (k4 - quarter * n + 4 * m * rho) * (math.pi / (2 * n))
+        cos, sin = np.cos(angle), np.sin(angle)
+        odd, quarter = quarter & 1, quarter & 3
+        # i^quarter (cos + i sin), scaled: the signs and the swap are exact
+        table = np.empty(angle.shape, dtype=complex)
+        table.real = np.where(odd, sin, cos) * np.where((quarter == 1) | (quarter == 2), -self.scale, self.scale)
+        table.imag = np.where(odd, cos, sin) * np.where(quarter >= 2, -self.scale, self.scale)
+        return table
+
+    def evaluate(self, batch, table) -> np.ndarray:
+        """batch = (valid, T, q) level-1 coordinates as translate returns
+        them: the times in ticks, whose residual rho `table`, the
+        tick_table of rho, holds, and (n, 4) fibers.  Each harmonic row is
+        one take of its table row at T mod N; each fiber row is sqrt 2 or
+        sqrt 3 times a matrix coefficient of q, then scaled: z and w of q's
+        complex pair, and the adjoint entries of
+        groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array,
+        scaled on the row's real view, its imaginary part zero."""
+        valid, T, q = batch
         out = np.empty((self.size, len(q)), dtype=complex)
-        if conj_times is not None:
-            for row in self._harm:
-                np.conjugate(conj_times[row], out=out[row])
-        else:
-            # harmonic m is harmonic m - 1 times harmonic 1, multiplied in
-            # place, so one exponential serves all of them
-            first = out[self._harm[0]]
-            np.exp(2j * math.pi * (np.asarray(ti, dtype=float) + tf) / self.a1, out=first)
-            for prev, row in zip(self._harm, self._harm[1:]):
-                np.multiply(out[prev], first, out=out[row])
-            for row in self._harm:
-                out[row] *= self.scale
-        # each fiber row is sqrt 2 or sqrt 3 times a matrix coefficient of q,
-        # then scaled: z and w of q's complex pair, and the adjoint entries of
-        # groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array
+        # T mod N, as T less its floor quotient's multiple: numpy divides by
+        # an integer scalar several times faster than np.remainder does
+        cols = T - T // self.period * self.period
+        for harmonic, row in zip(table, self._harm):
+            harmonic.take(cols, out=out[row], mode="clip")
         pair = quat_pair(q)
         for row, (kind, arg) in self._fiber:
             if kind == "def":
-                value, root = pair[:, "zw".index(arg)], math.sqrt(2.0)
+                np.multiply(pair[:, "zw".index(arg)], math.sqrt(2.0), out=out[row])
+                out[row] *= self.scale
             else:
-                value, root = adjoint_entry_rows(q.T, *arg), math.sqrt(3.0)
-            np.multiply(value, root, out=out[row])
-            out[row] *= self.scale
+                real = out[row].real
+                np.multiply(adjoint_entry_rows(q.T, *arg), math.sqrt(3.0), out=real)
+                real *= self.scale
+                out[row].imag = 0.0
         out[:, ~valid] = 0.0
         return out
 
@@ -314,13 +337,15 @@ def empirical_joining(
     window of the default build has about 6.3e10 elements.
 
     One pass over ROW_BLOCK blocks of the draws translates x and y once
-    each.  The partner shares x's times and tails, and its fiber is
-    phi_g(m) q', q' x's translated fiber: (0, m) acts on the left, every
-    embed and peel step multiplies on the right, and phi_g is an
-    automorphism.  x's values are conjugated once, in place, for all three
-    tables, and one partner block is held at a time, its fiber written by
-    groups.pair_mul into a buffer of the block's own, after x's fiber is
-    last read.
+    each, and reads their harmonic rows from a tick_table of each point's
+    residual, made once.  The partner shares x's times and tails, so it
+    reads x's table at x's ticks, and its fiber is phi_g(m) q', q' x's
+    translated fiber: (0, m) acts on the left, every embed and peel step
+    multiplies on the right, and phi_g is an automorphism.  x's values are
+    conjugated once, in place, for all three tables, and one partner block
+    is held at a time, its fiber written by groups.pair_mul into a buffer of
+    the block's own, after x's fiber is last read; the diagonal's block,
+    x's values conjugated back, comes last, when no other partner is held.
     """
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
@@ -330,32 +355,38 @@ def empirical_joining(
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
     paired, independent, diagonal = _TableSums(), _TableSums(), _TableSums()
     mz, mw = (quat_pair(m)[..., c] for c in (0, 1))  # phi_g(m) = (mz, +-mw)
+    # each point's residual rho, which no translate moves, and its harmonic table
+    table_x, table_y = (dictionary.tick_table(float(_to_ticks(levels, 1, ti, tf)[1][0])) for ti, tf, *_ in (x, y))
     try:
         for rows in row_blocks(samples):
-            valid, ti, tf, q = translate(levels, *x, g[rows], 1, top)[:4]
-            fx = dictionary.evaluate((valid, ti, tf, q))
-            # the diagonal's partner: x's own values, on its first draws
-            fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
+            valid, T, _, q = translate(levels, *x, g[rows], 1, top)
+            fx = dictionary.evaluate((valid, T, q), table_x)
             sq_x = _sq_moduli(fx)
             conj_x = np.conjugate(fx, out=fx)
-            # its squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk, which rounds otherwise
-            diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
-            del fx, fd
             # the paired partner's fiber phi_g(m) q', the last read of x's fiber
             qy = np.empty((len(q), 2), dtype=complex)
             pair_mul((mz, np.where(g[rows] & 1, -mw, mw)), quat_pair(q).T, qy.T, np.empty(len(q), dtype=complex))
             del q
             # its harmonic rows and their squared moduli are x's
-            fy = dictionary.evaluate((valid, ti, tf, qy.view(float)), conj_x)
+            fy = dictionary.evaluate((valid, T, qy.view(float)), table_x)
+            del qy
             sq_y = sq_x.copy()
             for row, _ in dictionary._fiber:
                 _sq_moduli(fy[row], out=sq_y[row])
             paired.add(conj_x, sq_x, fy, sq_y)
-            del qy, fy, sq_y
-            fy = dictionary.evaluate(translate(levels, *y, g[rows], 1, top)[:4])
+            del fy, sq_y
+            valid_y, T_y, _, q_y = translate(levels, *y, g[rows], 1, top)
+            fy = dictionary.evaluate((valid_y, T_y, q_y), table_y)
+            del valid_y, T_y, q_y
             independent.add(conj_x, sq_x, fy, _sq_moduli(fy))
+            del fy
+            # the diagonal's partner: x's own values, on its first draws; its
+            # squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk,
+            # which rounds otherwise
+            fd = np.conjugate(conj_x[:, : max(samples // 2 - rows.start, 0)])
+            diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
             # nothing of this block is left when the next one is made
-            del conj_x, sq_x, fy
+            del conj_x, sq_x, fd
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "

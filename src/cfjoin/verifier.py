@@ -689,6 +689,20 @@ def _level1_full_rectangles(levels: CFLevels):
     return A, B
 
 
+def _past(below, rho, end: Fraction):
+    """Lanes whose time s = T + rho in ticks lies past `end`, s > end, read
+    off T', the tick below the time (T - 1 where rho is 0, else T), and
+    rho: s = T' + sigma with sigma in (0, 1], 1 where rho is 0 and rho
+    elsewhere.  On a whole end that is T' >= end; where the end is not a
+    whole tick, T' past its floor is past it, and on the floor itself
+    sigma decides, against the end's fraction, a float exactly where its
+    denominator is a power of two (A's ends are a_1 D / 2 and a_1 D / 4)."""
+    whole, part = divmod(end, 1)
+    if not part:
+        return below >= whole
+    return (below > whole) | ((below == whole) & ((rho > float(part)) | (rho == 0.0)))
+
+
 def _weakmix_deviation(
     levels: CFLevels, n: int, samples: int, rng: np.random.Generator
 ) -> tuple[float, float, float]:
@@ -705,7 +719,8 @@ def _weakmix_deviation(
     times are drawn for every sample and tested against B, and only the kept
     rows get shift indices (sample_tails) and a translate, in ROW_BLOCK
     blocks; p_hat = hits / samples.  translate moves every lane's time as
-    integer ticks of 1/D, so no translated time is rounded."""
+    integer ticks of 1/D and returns it so, and the hits are counted on the
+    ticks (_past), so no translated time is rounded."""
     g = 2 * levels.level(n).a_tilde
     A, B = _level1_full_rectangles(levels)
     mu_a = cf_engine.cylinder_measure(levels, 1, *A)
@@ -719,11 +734,13 @@ def _weakmix_deviation(
     tf = np.subtract(t, ti, out=t)
     ti = ti.astype(np.int64)
     tails = cf_engine.sample_tails(levels, len(tf), top - 1, rng)
+    # A's ends in ticks of 1/D
+    ends = [end * levels.grid for end in A]
     hits = 0
     for rows in cf_engine.row_blocks(len(tf)):
-        valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti[rows], tf[rows], None, tails[rows], g, 1, top)
-        t1_shift = ti1.astype(float) + tf1
-        hits += int(np.count_nonzero(valid & (t1_shift > float(A[0])) & (t1_shift <= float(A[1]))))
+        valid, T, rho, _ = cf_engine.translate(levels, ti[rows], tf[rows], None, tails[rows], g, 1, top)
+        below = T - (rho == 0.0)
+        hits += int(np.count_nonzero(valid & _past(below, rho, ends[0]) & ~_past(below, rho, ends[1])))
     p_hat = hits / samples
     sigma = mu1 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
     return abs(mu1 * p_hat - mu_a * mu_b), sigma, mu1 * p_hat

@@ -107,6 +107,23 @@ class TestSU2:
         for i, j in np.ndindex(3, 3):
             assert adjoint_entry_rows(q.T, i, j).tobytes() == m[:, i, j].tobytes()
 
+    def test_normalize_matches_the_reduction_bit_for_bit(self):
+        # the left-to-right column sum against the old np.sum(q * q,
+        # axis=-1) on (4,) rows, (n, 4) rows, strided and transposed ones,
+        # at magnitudes from 1e-30 to 1e30
+        def old(q):
+            q = np.asarray(q, dtype=float)
+            return q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+
+        rng = np.random.default_rng(22)
+        q = rng.standard_normal((20000, 4)) * 10.0 ** rng.integers(-30, 31, (20000, 1))
+        cases = [q, q[::3], np.asfortranarray(q), rng.standard_normal((4, 3000)).T,
+                 rng.standard_normal((50, 3, 8))[..., ::2], np.eye(4), -np.eye(4)]
+        for x in cases:
+            assert quat_normalize(x).tobytes() == old(x).tobytes()
+        for row in q[:2000]:
+            assert quat_normalize(row).shape == (4,) and quat_normalize(row).tobytes() == old(row).tobytes()
+
     def test_adjoint_orthogonality_moment(self):
         # Schur: the mean square of any adjoint entry over Haar is 1/3
         rng = np.random.default_rng(3)

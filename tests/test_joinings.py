@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from cfjoin import cf_engine as cf
 from cfjoin import joinings as jo
 from cfjoin import verifier
 from cfjoin.groups import (
-    GElement, SU2_H0, SU2_I, adjoint_matrix, conj_star, quat_mul, quat_normalize, quat_phi_int,
+    GElement, SU2_H0, SU2_I, SU2Element, adjoint_matrix, conj_star, quat_mul, quat_normalize, quat_phi_int,
 )
 
 H0 = SU2_H0.array()
@@ -23,24 +25,19 @@ def dictionary(levels):
     return jo.CFDictionary(levels)
 
 
-def reference_evaluate(dictionary, batch):
+def reference_evaluate(dictionary, batch, table):
     """CFDictionary.evaluate as it was before it wrote the fiber rows from q
     directly: zeroed complex rows, complex temporaries, the (n, 3, 3)
-    adjoint_matrix, then one scale pass.  The oracle for evaluate."""
-    valid, ti, tf, q = batch
-    t = np.asarray(ti, dtype=float) + tf
-    out = np.zeros((dictionary.size, len(t)), dtype=complex)
+    adjoint_matrix, then one complex scale pass over the fiber rows; the
+    harmonic rows indexed out of the tick table at T mod N.  The oracle for
+    evaluate."""
+    valid, T, q = batch
+    out = np.zeros((dictionary.size, len(T)), dtype=complex)
     adj = None
-    harm_rows = {}
     for row, label in enumerate(dictionary.labels):
         kind, arg = label.split("-")
         if kind == "harm":
-            m = int(arg)
-            if m == 1:
-                np.exp(2j * math.pi * t / dictionary.a1, out=out[row])
-            else:
-                np.multiply(out[harm_rows[m - 1]], out[harm_rows[1]], out=out[row])
-            harm_rows[m] = row
+            out[row] = table[int(arg) - 1][np.asarray(T) % dictionary.period]
         elif kind == "def":
             if arg == "z":
                 out[row] = math.sqrt(2.0) * (q[:, 0] + 1j * q[:, 1])
@@ -50,9 +47,16 @@ def reference_evaluate(dictionary, batch):
             if adj is None:
                 adj = adjoint_matrix(q)
             out[row] = math.sqrt(3.0) * adj[:, int(arg[0]) - 1, int(arg[1]) - 1]
-    out *= dictionary.scale
+    for row, _ in dictionary._fiber:
+        out[row] *= dictionary.scale
     out[:, ~valid] = 0.0
     return out
+
+
+def point_table(dictionary, levels, point):
+    """The tick table of a one-row level-1 batch (ti, tf, ...): of its
+    residual rho, the fraction of tf D."""
+    return dictionary.tick_table(float(cf._to_ticks(levels, 1, point[0], point[1])[1][0]))
 
 
 def same_bits(a, b) -> bool:
@@ -220,11 +224,43 @@ class TestWindows:
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
+def level1_ticks(levels, rng, n):
+    """n level-1 times in ticks, uniform over the base (-a_1, a_1]: T' in
+    [-a_1 D, a_1 D) for a residual rho > 0."""
+    reach = levels.a(1) * levels.grid
+    return rng.integers(-reach, reach, size=n)
+
+
+# pi to 50 places, for the exponentials of exact phases
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def exact_unit(turns: Fraction) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(cos, sin) of 2 pi turns to 40 digits: the turns reduced exactly to
+    the nearest quarter turn and a rest of at most an eighth, whose Taylor
+    series is summed in Decimal, then turned by the quarter turns."""
+    with decimal.localcontext(prec=40):
+        quarter = round(4 * turns)
+        rest = 4 * turns - quarter
+        x = _PI / 2 * decimal.Decimal(rest.numerator) / decimal.Decimal(rest.denominator)
+        # the terms x^k / k! signed (-1)^(k // 2): cos takes the even k, sin the odd
+        cos, sin, term = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
+        for k in range(40):
+            if k % 2:
+                sin += term
+            else:
+                cos += term
+            term = term * x / (k + 1) * (-1 if k % 2 else 1)
+        return [(cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos)][quarter % 4]
+
+
 class TestDictionary:
     def test_norms_unit_within_mc_error(self, levels, dictionary):
         samples = 100_000
-        ti, tf, q, _ = cf.sample_point_batch(levels, samples, 0, np.random.default_rng(0))
-        vals = dictionary.evaluate((np.ones(samples, dtype=bool), ti, tf, q))
+        rng = np.random.default_rng(0)
+        _, _, q, _ = cf.sample_point_batch(levels, samples, 0, rng)
+        table = dictionary.tick_table(float(rng.random()))
+        vals = dictionary.evaluate((np.ones(samples, dtype=bool), level1_ticks(levels, rng, samples), q), table)
         mu1 = levels.mu_xn(1)
         for label, row in zip(dictionary.labels, vals):
             sq = np.abs(row) ** 2 * mu1  # mu-integral via X_1 conditioning
@@ -234,26 +270,47 @@ class TestDictionary:
 
     def test_vanishes_off_level1(self, levels, dictionary):
         valid = np.array([True, False])
-        ti = np.array([3, 5], dtype=np.int64)
-        tf = np.array([0.2, 0.7])
+        T = np.array([3 * levels.grid + 1, 5 * levels.grid + 5], dtype=np.int64)
         q = np.tile(np.array([1.0, 0, 0, 0]), (2, 1))
-        vals = dictionary.evaluate((valid, ti, tf, q))
+        vals = dictionary.evaluate((valid, T, q), dictionary.tick_table(0.6))
         assert np.all(vals[:, 1] == 0.0)
         # the harmonic entries are nonvanishing at any valid point
         assert abs(vals[0, 0]) > 0.9
 
     def test_harmonic_powers_match_direct_exponentials(self, levels, dictionary):
+        # harmonic m of the time (T + rho)/D read off the tick table at
+        # T mod N, also for T past one period either way, against the
+        # exponential of the float time
         rng = np.random.default_rng(8)
-        a1 = levels.a(1)
-        ti = rng.integers(-a1, a1, size=5000)
-        tf = rng.uniform(0.0, 1.0, size=5000)
-        q = np.tile(np.array([1.0, 0, 0, 0]), (5000, 1))
-        vals = dictionary.evaluate((np.ones(5000, dtype=bool), ti, tf, q))
-        t = ti + tf
+        T = np.concatenate([level1_ticks(levels, rng, 5000), rng.integers(-2**40, 2**40, size=100)])
+        q = np.tile(np.array([1.0, 0, 0, 0]), (len(T), 1))
+        for rho in (0.0, float(rng.random()), 1.0 - 2.0**-53):
+            vals = dictionary.evaluate((np.ones(len(T), dtype=bool), T, q), dictionary.tick_table(rho))
+            for m in range(1, 9):
+                row = dictionary.labels.index(f"harm-{m}")
+                phase = (m * T % dictionary.period + m * rho) / dictionary.period
+                direct = dictionary.scale * np.exp(2j * math.pi * phase)
+                assert np.max(np.abs(vals[row] - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 2.0**-40, 0.7071067811865476, 1.0 - 2.0**-53])
+    def test_tick_table_within_two_ulps_of_the_exact_phase(self, dictionary, rho):
+        # every entry, and on every second rho every fifth column, against
+        # scale e^(2 pi i phase) of the exact Fraction phase
+        # ((m k) mod N + m rho) / N, in units of the spacing of floats at
+        # the entries' modulus, the scale
+        table = dictionary.tick_table(rho)
+        n = dictionary.period
+        assert table.shape == (8, n)
+        step = 1 if rho in (0.0, 0.7071067811865476) else 5
+        scale, ulp = decimal.Decimal(dictionary.scale), np.spacing(dictionary.scale)
+        worst = 0.0
         for m in range(1, 9):
-            row = dictionary.labels.index(f"harm-{m}")
-            direct = dictionary.scale * np.exp(2j * math.pi * m * t / a1)
-            assert np.max(np.abs(vals[row] - direct)) <= 1e-12
+            for k in range(0, n, step):
+                cos, sin = exact_unit((Fraction(m * k % n) + m * Fraction(rho)) / n)
+                entry = table[m - 1, k]
+                worst = max(worst, abs(float(decimal.Decimal(entry.real) - scale * cos)),
+                            abs(float(decimal.Decimal(entry.imag) - scale * sin)))
+        assert worst <= 2 * ulp
 
     @pytest.mark.parametrize("lanes", [0, 1, 1000])
     def test_matches_reference_evaluate(self, levels, dictionary, lanes):
@@ -262,13 +319,14 @@ class TestDictionary:
         # the fiber element h0 itself, whose quaternion has exact zeros
         rng = np.random.default_rng(24)
         ti, tf, q, _ = cf.sample_point_batch(levels, lanes, 0, rng)
+        T, _ = cf._to_ticks(levels, 1, ti, tf)
         valid = rng.random(lanes) < 0.8
-        ti = np.where(valid, ti, 2**40)
+        T = np.where(valid, T, 2**40)
         q[~valid] = np.nan
         if lanes:
             valid[0], q[0] = True, SU2_H0.array()
-        batch = (valid, ti, tf, q)
-        assert same_bits(dictionary.evaluate(batch), reference_evaluate(dictionary, batch))
+        batch, table = (valid, T, q), dictionary.tick_table(0.3)
+        assert same_bits(dictionary.evaluate(batch, table), reference_evaluate(dictionary, batch, table))
 
     def test_weights_are_dyadic(self, dictionary):
         w = jo._weights(dictionary.size)
@@ -276,20 +334,29 @@ class TestDictionary:
         assert w[1, 0] == w[0, 1] == 0.125
 
 
-def cubature_batch(dictionary):
-    """A product cubature on the level-1 part: 32 equally spaced level-1
+def cubature_values(dictionary, m=None):
+    """The dictionary's values on a product cubature of the level-1 part,
+    the fibers moved to m q when m is given: 32 equally spaced level-1
     times, over which exp(2 pi i m t / a_1) runs whole periods for m < 32,
     times the 24 binary-tetrahedral units, a spherical 5-design.  It
     averages every product of two rows, and of a row and a moved row, exactly:
-    harmonic differences below 32, and polynomials of degree at most 4 in q."""
-    a1 = dictionary.a1
-    t = -a1 + 2 * a1 * np.arange(1, 33) / 32
+    harmonic differences below 32, and polynomials of degree at most 4 in q.
+    The times -a_1 + 2 a_1 j / 32 are N (j - 16) / 16 ticks, N = a_1 D: the
+    lanes of each residual rho are evaluated with its tick table."""
+    n = dictionary.period
+    T, rest = np.divmod(n * (np.arange(1, 33) - 16), 16)
     units = [np.roll([sign, 0.0, 0.0, 0.0], axis) for axis in range(4) for sign in (1.0, -1.0)]
     units += [np.array(signs) / 2 for signs in itertools.product((1.0, -1.0), repeat=4)]
-    q = np.tile(np.array(units), (len(t), 1))
-    t = np.repeat(t, len(units))
-    ti = np.floor(t).astype(np.int64)
-    return np.ones(len(t), dtype=bool), ti, t - ti, q
+    q = np.tile(np.array(units), (len(T), 1))
+    if m is not None:
+        q = quat_mul(m, q)
+    T, rho = np.repeat(T, len(units)), np.repeat(rest / 16, len(units))
+    out = np.empty((dictionary.size, len(T)), dtype=complex)
+    for r in np.unique(rho):
+        lanes = rho == r
+        batch = (np.ones(lanes.sum(), dtype=bool), T[lanes], q[lanes])
+        out[:, lanes] = dictionary.evaluate(batch, dictionary.tick_table(float(r)))
+    return out
 
 
 def random_su2(seed):
@@ -315,9 +382,7 @@ class TestTargets:
         # one estimate, is the average of the two graph tables, the mixture
         # target of the joinings experiment
         gk, gks = (jo.graph_joining_target(m, dictionary) for m in (H0, H0_STAR))
-        batch = cubature_batch(dictionary)
-        blocks = [(dictionary.evaluate(batch), dictionary.evaluate((*batch[:3], quat_mul(m, batch[3]))))
-                  for m in (H0, H0_STAR)]
+        blocks = [(cubature_values(dictionary), cubature_values(dictionary, m)) for m in (H0, H0_STAR)]
         cubature = correlation_table(blocks, levels.mu_xn(1))
         assert np.max(np.abs(0.5 * (gk + gks) - cubature.corr)) <= 2e-15
 
@@ -327,7 +392,7 @@ class TestTargets:
         prod = jo.product_joining_target(dictionary)
         k = dictionary.size
         assert same_bits(prod, np.zeros((k, k), dtype=complex))
-        vals = dictionary.evaluate(cubature_batch(dictionary))
+        vals = cubature_values(dictionary)
         assert np.max(np.abs(vals.mean(axis=1))) <= 1e-14
         assert np.max(np.abs((np.abs(vals) ** 2).mean(axis=1) * levels.mu_xn(1) - 1.0)) <= 1e-14
 
@@ -339,8 +404,7 @@ class TestTargets:
         # adjoint diagonal
         m = GRAPH_ELEMENTS[name]
         table = jo.graph_joining_target(m, dictionary)
-        batch = cubature_batch(dictionary)
-        blocks = [(dictionary.evaluate(batch), dictionary.evaluate((*batch[:3], quat_mul(m, batch[3]))))]
+        blocks = [(cubature_values(dictionary), cubature_values(dictionary, m))]
         cubature = correlation_table(blocks, levels.mu_xn(1))
         assert np.max(np.abs(table - cubature.corr)) <= 2e-15
 
@@ -398,22 +462,26 @@ def assert_same_values(table, reference):
 
 def _full_evaluate_pass(x, y, m, window, dictionary, levels, samples, rng):
     """empirical_joining's window pass as it was when the paired partner had
-    a full evaluate and its own squared moduli of all K rows."""
+    a full evaluate and its own squared moduli of all K rows, here with the
+    tick table of the partner point (0, m) x itself."""
     top = min(window.n + 2, levels.max_level + 1)
     g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
     paired, independent, diagonal = jo._TableSums(), jo._TableSums(), jo._TableSums()
+    table_x, table_y = (point_table(dictionary, levels, p) for p in (x, y))
+    table_p = point_table(dictionary, levels, cf.act(GElement(0.0, SU2Element.from_array(m)), *x[:3]))
     for rows in cf.row_blocks(samples):
-        valid, ti, tf, q = cf.translate(levels, *x, g[rows], 1, top)[:4]
-        fx = dictionary.evaluate((valid, ti, tf, q))
+        valid, T, _, q = cf.translate(levels, *x, g[rows], 1, top)
+        fx = dictionary.evaluate((valid, T, q), table_x)
         fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
         sq_x = jo._sq_moduli(fx)
         conj_x = np.conjugate(fx, out=fx)
         diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
         q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
-        fy = dictionary.evaluate((valid, ti, tf, q))
+        fy = dictionary.evaluate((valid, T, q), table_p)
         paired.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
-        fy = dictionary.evaluate(cf.translate(levels, *y, g[rows], 1, top)[:4])
+        valid, T, _, q = cf.translate(levels, *y, g[rows], 1, top)
+        fy = dictionary.evaluate((valid, T, q), table_y)
         independent.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
     scale = levels.mu_xn(window.n)
     return paired.table(scale), independent.table(scale), diagonal.table(scale)
@@ -435,8 +503,9 @@ def one_pass(levels, dictionary):
     ts = rng.integers(-w.j_max, w.j_max + 1, size=samples)
     top = min(w.n + 2, levels.max_level + 1)
     partner = (*cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3])
-    fx, fp, fy = (reference_evaluate(dictionary, cf.translate(levels, *p, bs + w.spacing * ts, 1, top)[:4])
-                  for p in (x, partner, y))
+    fx, fp, fy = (reference_evaluate(dictionary, (valid, T, q), dictionary.tick_table(float(rho[0])))
+                  for valid, T, rho, q in (cf.translate(levels, *p, bs + w.spacing * ts, 1, top)
+                                           for p in (x, partner, y)))
     assert 0 < (fx[0] != 0).sum() < samples  # some lanes off level 1
     scale = levels.mu_xn(w.n)
     reference = [reference_table(fx, f, n, scale) for f, n in ((fp, samples), (fy, samples), (fx, samples // 2))]
@@ -501,8 +570,10 @@ class TestEmpiricalJoining:
             assert np.max(np.abs(tables[i].stderr - reference[i].stderr)) <= 1e-15
 
     def test_paired_partner_reuses_harmonic_rows_bit_for_bit(self, levels, dictionary):
-        # the paired partner takes x's harmonic rows and their squared
-        # moduli; every table is the full-evaluate pass's, bit for bit
+        # the paired partner reads x's tick table at x's ticks, and takes
+        # the squared moduli of x's harmonic rows; every table is the
+        # full-evaluate pass's, whose partner reads the table of its own
+        # point, bit for bit
         w = jo.folner_window(4, levels)
         x, y = window_points(levels, 18, 19)
         samples = 2 * cf.ROW_BLOCK + 123

@@ -530,11 +530,40 @@ class TestWeakmixTimeOnly:
 
 def _weakmix_deviation_whole(levels, n, samples, rng):
     """The weakmix deviation with all the B rows translated at once and the
-    rectangle tests run on the whole batch's masks, as without row blocks."""
+    rectangle tests run on the whole batch's masks, as without row blocks,
+    and on the split times as floats, as before the ticks."""
     in_b, ti, tf, tails, top = _weakmix_draw(levels, n, samples, rng)
     g = 2 * levels.a_tilde(n)
-    valid, ti1, tf1, _, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
-    return _weakmix_result(levels, samples, in_b, valid, ti1, tf1)
+    valid, T, rho, _ = cf_engine.translate(levels, ti, tf, None, tails, g, 1, top)
+    return _weakmix_result(levels, samples, in_b, valid, *cf_engine._from_ticks(levels, T, rho))
+
+
+@pytest.mark.parametrize("params", [
+    cf_engine.CFParams(max_level=2),
+    # the benchmark's smoke construction: a_1 D = 59 * 2, so A's right end
+    # a_1 D / 4 = 29.5 ticks is not a whole tick
+    cf_engine.CFParams(r_floor=30, alphabet_size=2, max_level=2),
+])
+def test_tick_hits_match_the_float_test(params):
+    # A = (-a_1 / 2, a_1 / 4] tested on the ticks (T, rho) as weakmix tests
+    # it, lane for lane against the float test on the split time ti + tf:
+    # every tick from two below each end of A to two above it, at residuals
+    # 0, 1/4, 1/2, 3/4, 1 - 2^-32 and random ones on the 2^-32 grid, which
+    # the float sum carries exactly, as it does the program's uniform draws
+    levels = cf_engine.build_levels(params, seed=0)
+    A, _ = _level1_full_rectangles(levels)
+    ends = [end * levels.grid for end in A]
+    rng = np.random.default_rng(9)
+    rhos = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-32] + list(rng.integers(1, 2**32, 20) / 2**32)
+    T = np.array([math.floor(end) + d for end in ends for d in range(-2, 3)], dtype=np.int64)
+    T, rho = (np.repeat(T, len(rhos)), np.tile(rhos, len(T)))
+    below = T - (rho == 0.0)
+    ticks = verifier._past(below, rho, ends[0]) & ~verifier._past(below, rho, ends[1])
+    ti, tf = cf_engine._from_ticks(levels, T, rho)
+    t = ti.astype(float) + tf
+    assert np.array_equal(ticks, (t > float(A[0])) & (t <= float(A[1])))
+    assert 0 < ticks.sum() < len(T)
+    assert [end.denominator for end in ends] == ([1, 1] if levels.grid == 8 else [1, 2])
 
 
 class TestWeakmixInRowBlocks:
