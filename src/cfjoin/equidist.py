@@ -128,8 +128,10 @@ def koksma_hlawka_bound(modulus: Callable[[float], float], d_star, s: int) -> fl
 
 def haar_sample_su2(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-uniform SU(2) elements (normalized 4-d Gaussians) as an (n, 4)
-    quaternion array."""
-    return quat_normalize(rng.standard_normal((n, 4)))
+    quaternion array, the draw divided by its norms in place: the bits of
+    quat_normalize, with no second (n, 4) array."""
+    q = rng.standard_normal((n, 4))
+    return quat_normalize(q, out=q)
 
 
 def chart_to_su2_array(u: np.ndarray) -> np.ndarray:
@@ -154,13 +156,19 @@ def chart_to_su2_array(u: np.ndarray) -> np.ndarray:
 def su2_to_chart_array(q: np.ndarray) -> np.ndarray:
     """Vectorized chart inverse (defined off the two null circles).  The
     (..., 3) result is a view of three contiguous coordinate rows, so each
-    coordinate u[..., i] reads contiguously and no stacked copy is made."""
+    coordinate u[..., i] reads contiguously and no stacked copy is made.
+
+    An angle x = arctan2(.)/(2 pi) in [-1/2, 1/2] is reduced as x - floor(x),
+    the bits of np.mod(x, 1.0) (x for x >= 0, the one rounding of x + 1 for
+    x < 0, and +0.0 at -0.0) without its fmod and sign fix-ups."""
     q = np.asarray(q, dtype=float)
     a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     u = np.empty((3,) + q.shape[:-1])
     np.add(c * c, d * d, out=u[0, ...])
-    np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0, out=u[1, ...])
-    np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0, out=u[2, ...])
+    for row, (y, x) in ((u[1, ...], (a, b)), (u[2, ...], (c, d))):
+        np.arctan2(y, x, out=row)
+        row /= 2 * math.pi
+        row -= np.floor(row)
     return np.moveaxis(u, 0, -1)
 
 

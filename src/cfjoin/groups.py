@@ -121,15 +121,16 @@ def quat_inv(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
+def quat_normalize(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(..., 4) quaternions over their norms, the square root of
     ((q0^2 + q1^2) + q2^2) + q3^2 summed left to right over the columns,
-    the bits np.sum(q * q, axis=-1) gives, with no (..., 4) product."""
+    the bits np.sum(q * q, axis=-1) gives, with no (..., 4) product.
+    out=q divides q in place."""
     q = np.asarray(q, dtype=float)
     sq = q[..., 0] * q[..., 0]
     for c in range(1, 4):
         sq += q[..., c] * q[..., c]
-    return q / np.sqrt(sq)[..., None]
+    return np.divide(q, np.sqrt(sq)[..., None], out=out)
 
 
 def quat_phi_int(k, q: np.ndarray) -> np.ndarray:

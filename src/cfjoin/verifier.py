@@ -393,6 +393,26 @@ def _lipschitz_family(rng: np.random.Generator, count: int):
     return out
 
 
+def _chart_cube_counts(rows: np.ndarray, cubes) -> list[int]:
+    """The number of chart points in each half-open cube [lo, hi) of `cubes`,
+    a list of (lo, hi) coordinate triples, for points given as the columns of
+    the (3, n) array `rows`, which is sorted by its first row in place.
+
+    Each cube's first-coordinate range lo <= u_0 < hi is the index range
+    searchsorted gives for its two ends (side left), and only that slice is
+    compared on the other two coordinates; the counts are exact."""
+    order = np.argsort(rows[0])
+    for row in rows:
+        row[:] = row[order]
+    del order
+    counts = []
+    for lo, hi in cubes:
+        start, stop = np.searchsorted(rows[0], (lo[0], hi[0]), side="left")
+        u1, u2 = rows[1, start:stop], rows[2, start:stop]
+        counts.append(int(np.count_nonzero((u1 >= lo[1]) & (u1 < hi[1]) & (u2 >= lo[2]) & (u2 < hi[2]))))
+    return counts
+
+
 def run_equidist(cfg: ExperimentConfig) -> CheckReport:
     rep = CheckReport("equidist", "dyskrepancja;hlawka;oxtoby")
     # exact grid discrepancies
@@ -427,29 +447,31 @@ def run_equidist(cfg: ExperimentConfig) -> CheckReport:
         worst_ratio = max(worst_ratio, err / bound)
     rep.gate("kh-bound-dominates", worst_ratio, 1.0)
 
-    # chart transport: Haar mass of chart-cube images matches cube volume
+    # chart transport: Haar mass of chart-cube images matches cube volume.
+    # The Haar moments are read first, so the draw is freed before the
+    # cubes are counted on the chart's (3, n) rows
+    n = 200_000
+    qs = equidist.haar_sample_su2(substream(cfg.seed, "haar"), n)
+    mean_coord = float(np.max(np.abs(qs.mean(axis=0))))
+    z2 = float(np.mean(qs[:, 0] ** 2 + qs[:, 1] ** 2))
+    rows = np.moveaxis(equidist.su2_to_chart_array(qs), -1, 0)
+    del qs
     rng = substream(cfg.seed, "chart-cubes")
-    qs = equidist.haar_sample_su2(substream(cfg.seed, "haar"), 200_000)
-    us = equidist.su2_to_chart_array(qs)
-    worst_sigma = 0.0
+    cubes = []
     for _ in range(50):
         lo = rng.uniform(0.0, 0.6, size=3)
-        hi = lo + rng.uniform(0.1, 0.4, size=3)
-        hi = np.minimum(hi, 1.0)
+        hi = np.minimum(lo + rng.uniform(0.1, 0.4, size=3), 1.0)
+        cubes.append((lo, hi))
+    worst_sigma = 0.0
+    for (lo, hi), count in zip(cubes, _chart_cube_counts(rows, cubes)):
         vol = float(np.prod(hi - lo))
-        inside = (us[:, 0] >= lo[0]) & (us[:, 0] < hi[0])
-        for dim in (1, 2):
-            inside &= (us[:, dim] >= lo[dim]) & (us[:, dim] < hi[dim])
-        p = np.count_nonzero(inside) / len(qs)
-        sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / len(qs))
-        worst_sigma = max(worst_sigma, abs(p - vol) / sigma)
+        sigma = math.sqrt(max(vol * (1 - vol), 1e-12) / n)
+        worst_sigma = max(worst_sigma, abs(count / n - vol) / sigma)
     rep.gate("chart-cube-worst-sigma", worst_sigma, 3.9)
 
     # Haar moments
-    mean_coord = float(np.max(np.abs(qs.mean(axis=0))))
-    rep.gate("haar-mean-coord", mean_coord, 4 / math.sqrt(len(qs)))
-    z2 = float(np.mean(qs[:, 0] ** 2 + qs[:, 1] ** 2))
-    rep.gate("haar-z2-deviation", abs(z2 - 0.5), 4 / math.sqrt(len(qs)))
+    rep.gate("haar-mean-coord", mean_coord, 4 / math.sqrt(n))
+    rep.gate("haar-z2-deviation", abs(z2 - 0.5), 4 / math.sqrt(n))
 
     # round trip of the chart
     u = substream(cfg.seed, "roundtrip").uniform(0.05, 0.95, size=(200, 3))
@@ -802,9 +824,38 @@ def _correction_times(lv: cf_engine.CFLevel) -> np.ndarray:
     return np.asarray(lv.correction_ticks() / lv.grid, dtype=float)
 
 
+class IntervalOrderError(ValueError):
+    """Raised when the intervals of a union are not sorted and disjoint, so
+    its length below a point has no closed form as one interval count."""
+
+
+def _union_overlaps(lo_f: np.ndarray, width: float, lo_s: np.ndarray, hi_s: np.ndarray) -> np.ndarray:
+    """The length of [lo_s, hi_s] in the union of the intervals
+    [lo_f[k], lo_f[k] + width), for each window, in closed form.
+
+    The intervals must be sorted and disjoint.  The union's length below x is
+    L(x) = width * #{hi_k <= x} + (x - lo_k) for the one interval k that x
+    cuts (lo_k < x < hi_k), and each overlap is L(hi_s) - L(lo_s), both
+    found by searchsorted on the interval ends."""
+    hi_f = lo_f + width
+    if not np.all(hi_f[:-1] <= lo_f[1:]):
+        raise IntervalOrderError("the intervals must be sorted and disjoint")
+
+    def below(x):
+        done = np.searchsorted(hi_f, x, side="right")
+        cut = np.minimum(done, len(lo_f) - 1)
+        inside = (done < len(lo_f)) & (x > lo_f[cut])
+        return width * done + np.where(inside, x - lo_f[cut], 0.0)
+
+    return below(hi_s) - below(lo_s)
+
+
 def _overlap_deviation(levels: CFLevels, n: int, rng: np.random.Generator) -> tuple[float, float]:
     """Mean |lambda(A C_n n f S_n)/lambda(S_n) - lambda_F(A)| over 60 sampled
-    f, with the f-sampling standard error."""
+    f, with the f-sampling standard error.  A C_n is the union of the
+    translates of A = [lo_a, lo_a + width) by the correction times c(h),
+    sorted and disjoint, and each f S_n = [t_f - K, t_f + K]; the 60 overlaps
+    are read off the union's length below each slab end (_union_overlaps)."""
     at_prev = levels.a_tilde(n - 1)
     k_slab = (2 * n - 1) * at_prev
     lv_prev = levels.level(n - 1)
@@ -813,16 +864,9 @@ def _overlap_deviation(levels: CFLevels, n: int, rng: np.random.Generator) -> tu
     width = float(rng.uniform(0.4, 1.2)) * a_prev
     lo_a = float(rng.uniform(-a_prev, a_prev - width))
     target = width / (2 * a_prev)
-    lo_f = _correction_times(lv_prev) + lo_a
-    hi_f = lo_f + width
-    devs = []
-    for _ in range(60):
-        t_f = float(rng.uniform(-(a_n - k_slab), a_n - k_slab))
-        lo_s, hi_s = t_f - k_slab, t_f + k_slab
-        lo_i = np.maximum(lo_f, lo_s)
-        hi_i = np.minimum(hi_f, hi_s)
-        overlap = float(np.sum(np.maximum(hi_i - lo_i, 0.0)))
-        devs.append(abs(overlap / (2 * k_slab) - target))
+    t_f = rng.uniform(-(a_n - k_slab), a_n - k_slab, size=60)
+    overlaps = _union_overlaps(_correction_times(lv_prev) + lo_a, width, t_f - k_slab, t_f + k_slab)
+    devs = np.abs(overlaps / (2 * k_slab) - target)
     return float(np.mean(devs)), float(np.std(devs) / math.sqrt(len(devs)))
 
 
@@ -884,9 +928,10 @@ def run_lemma62(cfg: ExperimentConfig) -> CheckReport:
         )
         rep.check(f"symdiff-bound-n{n}", ok_i, sym / bound)
 
-        # (ii): lambda(A C_n n f S_n)/lambda(S_n) vs lambda_{F_{n-1}}(A);
-        # float interval arithmetic (1e-6 absolute is plenty against
-        # deviations of order 1/n)
+        # (ii): lambda(A C_n n f S_n)/lambda(S_n) vs lambda_{F_{n-1}}(A),
+        # each overlap the closed-form difference of the union's length
+        # below the slab's two ends, in floats (1e-6 absolute is plenty
+        # against deviations of order 1/n)
         mean_dev, sem = _overlap_deviation(levels, n, substream(cfg.seed, f"l62-{n}"))
         quenched = _quenched_sigma(cfg, mean_dev, lambda lv, i: _overlap_deviation(
             lv, n, substream(cfg.seed, f"l62-alt{i}-{n}")
@@ -1018,7 +1063,7 @@ def run_counterexample_51(cfg: ExperimentConfig) -> CheckReport:
     rep.check("constant-1-obstruction", cocycles.constant_one_obstruction(scheme))
 
     _, s, r = cocycles.double_extension_orbit(scheme, rng, 100_000)
-    moduli, threshold = cocycles.eigenvalue_probe((-1.0) ** (s + r), 64)
+    moduli, threshold = cocycles.eigenvalue_probe(np.where((s + r) & 1, -1.0, 1.0), 64)
     rep.gate("spectral-probe-max", max(moduli), threshold)
     rep.csv_tables["spectral.csv"] = (
         ["theta", "modulus", "threshold"],

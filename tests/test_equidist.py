@@ -173,6 +173,13 @@ class TestRadicalInverse:
         assert ds == sorted(ds, reverse=True) == [Fraction(1, 2**k) for k in range(6, 11)]
 
 
+# (y, x) pairs whose chart angle arctan2(y, x)/(2 pi) is +0.0, -0.0, -5e-324,
+# +0.5, -0.5 and -1e-300 to within an ulp (the division by 2 pi skips the
+# float -1e-300 itself); each row pairs two of them as its (a, b) and (c, d)
+_EDGE_PAIRS = [(0.0, 1.0), (-0.0, 1.0), (-1e-300 * 2 * math.pi, 1.0), (-3e-323, 1.0), (0.0, -1.0), (-0.0, -1.0)]
+EDGE_QUATS = np.array([p + q for p in _EDGE_PAIRS for q in _EDGE_PAIRS])
+
+
 class TestHaarAndChart:
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
@@ -199,17 +206,34 @@ class TestHaarAndChart:
         u = np.random.default_rng(9).uniform(0.01, 0.99, size=(100, 3))
         assert np.max(np.abs(su2_to_chart_array(chart_to_su2_array(u)) - u)) < 1e-10
 
-    @pytest.mark.parametrize("shape", [(4,), (100, 4), (3, 5, 4)])
+    @pytest.mark.parametrize("shape", [(4,), (100, 4), (3, 5, 4), "edge-angles"])
     def test_chart_columns_are_contiguous_and_unchanged(self, shape):
         # the coordinates are written into three contiguous rows: the same
-        # bits as the stacked (..., 3) copy they replace
-        q = quat_normalize(np.random.default_rng(14).standard_normal(shape))
+        # bits as the stacked (..., 3) copy they replace, whose angles are
+        # reduced by np.mod; int64 views tell the signed zeros apart
+        if shape == "edge-angles":
+            q = EDGE_QUATS
+        else:
+            q = quat_normalize(np.random.default_rng(14).standard_normal(shape))
         a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
         stacked = np.stack([c * c + d * d, np.mod(np.arctan2(a, b) / (2 * math.pi), 1.0),
                             np.mod(np.arctan2(c, d) / (2 * math.pi), 1.0)], axis=-1)
         u = su2_to_chart_array(q)
-        assert np.array_equal(u, stacked)
+        assert np.array_equal(u.view(np.int64), stacked.view(np.int64))
         assert all(u[..., i].flags.c_contiguous for i in range(3))
+
+    def test_edge_quats_reach_the_edge_angles(self):
+        angles = np.arctan2(EDGE_QUATS[:, [0, 2]], EDGE_QUATS[:, [1, 3]]) / (2 * math.pi)
+        bits = {a.tobytes() for a in angles.ravel()}
+        assert {np.float64(x).tobytes() for x in (0.0, -0.0, -5e-324, 0.5, -0.5)} <= bits
+        assert np.any(np.isclose(angles, -1e-300, rtol=1e-15, atol=0.0))
+
+    @pytest.mark.parametrize("n", [1, 7, 200_000])
+    def test_haar_draw_is_the_normalized_gaussian(self, n):
+        # normalized in place: the bits of quat_normalize on the same draw
+        q = haar_sample_su2(np.random.default_rng(15), n)
+        ref = quat_normalize(np.random.default_rng(15).standard_normal((n, 4)))
+        assert np.array_equal(q.view(np.int64), ref.view(np.int64))
 
     def test_pushforward_is_haar(self):
         # low-discrepancy cube points map to a cloud passing Haar moment tests

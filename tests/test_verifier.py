@@ -17,9 +17,14 @@ from cfjoin.verifier import (
     EXPERIMENTS,
     CheckReport,
     ExperimentConfig,
+    IntervalOrderError,
     _build_seeds,
+    _chart_cube_counts,
     _common_length,
     _correction_times,
+    _levels_cache,
+    _overlap_deviation,
+    _union_overlaps,
     _level1_full_rectangles,
     _simpson,
     _translate_integral,
@@ -459,6 +464,89 @@ def test_correction_times_are_rounded_fractions(seed):
     for lv in built.levels:
         ref = np.array([float(lv.correction_time_fraction(h)) for h in range(-(lv.r - 1), lv.r)])
         assert _correction_times(lv).tobytes() == ref.tobytes()
+
+
+def _six_comparison_counts(us, cubes):
+    """The oracle: each cube's count from six comparisons over every point."""
+    return [
+        int(np.count_nonzero(np.logical_and.reduce([(us[:, i] >= lo[i]) & (us[:, i] < hi[i]) for i in range(3)])))
+        for lo, hi in cubes
+    ]
+
+
+def test_chart_cube_counts_match_six_comparisons():
+    # points on a grid of step 1/32, so coordinates repeat and cube ends
+    # can fall on them exactly
+    rng = np.random.default_rng(31)
+    us = np.floor(rng.uniform(size=(20_000, 3)) * 32) / 32
+    cubes = []
+    for _ in range(30):
+        lo = rng.uniform(0.0, 0.6, size=3)
+        cubes.append((lo, np.minimum(lo + rng.uniform(0.1, 0.4, size=3), 1.0)))
+    for _ in range(30):  # ends equal to sample coordinates
+        a, b = us[rng.integers(0, len(us), 2)]
+        cubes.append((np.minimum(a, b), np.maximum(a, b)))
+    cubes += [
+        (np.full(3, 0.25), np.full(3, 0.25)),  # empty slice at a sample coordinate
+        (np.full(3, 0.99), np.ones(3)),  # empty slice above every u_0
+        (np.zeros(3), np.ones(3)),  # every point
+    ]
+    rows = np.array(us.T)
+    counts = _chart_cube_counts(rows, cubes)
+    assert counts == _six_comparison_counts(us, cubes)
+    assert counts[-3:] == [0, 0, len(us)]
+    # the rows hold the same points, sorted by u_0
+    assert np.all(np.diff(rows[0]) >= 0)
+    assert np.array_equal(np.unique(rows.T, axis=0), np.unique(us, axis=0))
+
+
+def _overlap_deviation_loop(levels, n, rng):
+    """The oracle: the sum over every interval of its overlap with each of
+    the 60 slabs, one scalar draw and one pass over the intervals per slab."""
+    at_prev = levels.a_tilde(n - 1)
+    k_slab = (2 * n - 1) * at_prev
+    a_prev, a_n = levels.a(n - 1), levels.a(n)
+    width = float(rng.uniform(0.4, 1.2)) * a_prev
+    lo_a = float(rng.uniform(-a_prev, a_prev - width))
+    target = width / (2 * a_prev)
+    lo_f = _correction_times(levels.level(n - 1)) + lo_a
+    hi_f = lo_f + width
+    devs = []
+    for _ in range(60):
+        t_f = float(rng.uniform(-(a_n - k_slab), a_n - k_slab))
+        lo_s, hi_s = t_f - k_slab, t_f + k_slab
+        overlap = float(np.sum(np.maximum(np.minimum(hi_f, hi_s) - np.maximum(lo_f, lo_s), 0.0)))
+        devs.append(abs(overlap / (2 * k_slab) - target))
+    return float(np.mean(devs)), float(np.std(devs) / math.sqrt(len(devs)))
+
+
+@pytest.mark.parametrize("seed", [20260810, 20260811])
+def test_overlap_deviation_matches_the_loop(seed):
+    levels = _levels_cache(ExperimentConfig(seed=seed))
+    for n in (3, 4, 5, 6):
+        closed = _overlap_deviation(levels, n, verifier.substream(seed, f"l62-{n}"))
+        loop = _overlap_deviation_loop(levels, n, verifier.substream(seed, f"l62-{n}"))
+        assert closed[0] > 0 and np.allclose(closed, loop, rtol=0.0, atol=1e-12)
+
+
+def test_union_overlaps_on_interval_ends():
+    # intervals [0, 2), [3, 5), [5, 7), [10, 12), the middle two touching;
+    # every window has its ends on interval ends or between them, and the
+    # sums are exact in floats
+    lo_f = np.array([0.0, 3.0, 5.0, 10.0])
+    ends = np.array([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 8.0, 10.0, 12.0, 13.0])
+    lo_s, hi_s = (a.ravel() for a in np.meshgrid(ends, ends))
+    keep = lo_s <= hi_s
+    lo_s, hi_s = lo_s[keep], hi_s[keep]
+    loop = [float(np.sum(np.maximum(np.minimum(lo_f + 2.0, h) - np.maximum(lo_f, l), 0.0))) for l, h in zip(lo_s, hi_s)]
+    assert _union_overlaps(lo_f, 2.0, lo_s, hi_s).tolist() == loop
+
+
+@pytest.mark.parametrize("lo_f", [[0.0, 1.5, 4.0], [0.0, 4.0, 3.0], [0.0, np.nan]])
+def test_union_overlaps_rejects_intervals_not_sorted_and_disjoint(lo_f):
+    # width 2: [0, 2) and [1.5, 3.5) overlap, 4 then 3 is out of order
+    with pytest.raises(IntervalOrderError, match="sorted and disjoint"):
+        _union_overlaps(np.array(lo_f), 2.0, np.zeros(1), np.ones(1))
 
 
 def _weakmix_draw(levels, n, samples, rng):
