@@ -25,10 +25,12 @@ pair).  Its low digit is a level-k time plus one correction, so it stays
 int64 at the first level whose times pass 2^62 (level 7 of the default
 build), and translate, which moves the points of weakmix and of the
 joining windows, adds an integer time translate to the digits without
-forming the big time.  On deeper builds the times past that level, and
-the low digit of a top above them, fall back to Python-int object arrays
-(one radix digit, not one per overflowing level); _tick_lane is the one
-place that picks int64 or object.
+forming the big time: it is embed_batch(radix=True) and then shift_peel,
+which adds the translate and peels, so a caller that moves one embedding
+by many translates embeds it once.  On deeper builds the times past that
+level, and the low digit of a top above them, fall back to Python-int
+object arrays (one radix digit, not one per overflowing level);
+_tick_lane is the one place that picks int64 or object.
 At the public boundary times are one array: embed_batch joins the pair
 unless asked for it, and peel_batch takes either form; it returns a radix
 pair's times as ticks (T, rho), and translate returns them so too, which
@@ -100,6 +102,7 @@ __all__ = [
     "embed_batch",
     "peel_batch",
     "translate",
+    "shift_peel",
     "level_dump_rows",
     "substream",
     "ROW_BLOCK",
@@ -111,8 +114,9 @@ _FLOAT_EXACT = 2**53
 # product terms of the measure normalizer taken exactly; the rest is bounded
 _NORMALIZER_DEPTH = 120
 # rows per block of the batch passes whose rows are reduced as they go (the
-# joining tables, the sample-sets fiber test), so that a pass holds a few MB
-# of temporaries whatever its length
+# weakmix hit counts), so that a pass holds a few MB of temporaries whatever
+# its length; the joining tables take a block of their own
+# (joinings.JOINING_BLOCK)
 ROW_BLOCK = 2**14
 
 
@@ -641,10 +645,10 @@ def _fibers_out(rows, turn):
     return out.view(float)
 
 
-def row_blocks(n: int):
-    """Slices of ROW_BLOCK consecutive rows (the last one shorter) covering
+def row_blocks(n: int, size: int = ROW_BLOCK):
+    """Slices of `size` consecutive rows (the last one shorter) covering
     rows 0 .. n - 1; none when n is 0."""
-    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
 
 
 def sample_point_batch(levels: CFLevels, n: int, truncation: int, rng: np.random.Generator,
@@ -729,7 +733,7 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), _fibers_out(q, turn))
 
 
-def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
+def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int, *, shifts: bool = True):
     """Vectorized peeling of a batch down to to_level.
 
     ti is one array of integer times, int64 or Python ints, with (n, 4)
@@ -756,11 +760,12 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     does, on rows in the residual's frame ((n, 4) fibers turned in at
     entry) on buffers of their own.  With q None the fiber is neither moved
     nor returned (None in its place); valid, times and hs are the same
-    either way.  to_level above from_level is a ValueError, and so is a
-    RadixTimes pair at to_level equal to from_level, whose high digit no
-    level would take in.  Times are peeled in place, on the tick array made
-    at entry: no array given, nor the read-only broadcasts translate
-    passes, is written.
+    either way.  With shifts False no shift index is kept, and hs is None:
+    shift_peel's peel, whose callers read none.  to_level above from_level
+    is a ValueError, and so is a RadixTimes pair at to_level equal to
+    from_level, whose high digit no level would take in.  Times are peeled
+    in place, on the tick array made at entry: no array given, nor the
+    read-only broadcasts shift_peel passes, is written.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
@@ -780,7 +785,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
     below = rho == 0.0
     T -= below
     valid = np.ones(n, dtype=bool)
-    hs = np.empty((from_level - to_level, n), dtype=np.int64)
+    hs = np.empty((from_level - to_level, n), dtype=np.int64) if shifts else None
     for col, k in enumerate(range(from_level - 1, to_level - 1, -1)):
         lv = levels.level(k)
         half = lv.a_tilde * levels.grid
@@ -804,43 +809,59 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int):
         valid &= ok_h & (T >= -a) & (T < a)
         if q is not None:
             q = _fiber_step(q, T, lv.s_fibers_inv, lv.s_cols.take(j, mode="clip"), lv.grid, work[col & 1], work, below)
-        hs[k - to_level] = h
+        if shifts:
+            hs[k - to_level] = h
     T += below
+    hs = None if hs is None else hs.T
     if framed:
-        return valid, T, rho, q, hs.T
-    return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs.T)
+        return valid, T, rho, q, hs
+    return (valid, *_from_ticks(levels, T, rho), _fibers_out(q, turn), hs)
 
 
 def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: int):
     """peel_batch back to from_level of the batch embedded up to to_level
     with `tails` and moved there by the integer time translate (g, I), the
-    fiber (if any) turned by phi_g, the parity twist quat_phi_int.  g is a
-    Python int or an integer array, one per lane, to which a one-row batch
-    is broadcast; any other dtype is an InexactTranslateError, not a
-    truncation.  The top times stay a RadixTimes pair, and rho and the
-    fiber rows go from the embed to the peel in the residual's frame, so no
-    float fraction is formed and each fiber is turned once in and once out:
-    phi_g, a sign on the w row that commutes with phi_rho, is taken in
-    their one copy, the broadcast to the lanes, and phi_rho turns them out
-    by the unit of the embed's own rho, one cosine and one sine for a
-    one-row batch.  g = gh * 2 a~_(to-1) + gl, 0 <= gl < 2 a~_(to-1), adds
-    gh to the shift digit and gl D ticks to the low digit, so no time past
-    2^62 is formed where the low digit fits int64.  Returns
-    (valid, T, rho, q): the from_level times (T + rho)/D in ticks, T in
-    the lane of from_level and rho the embed's broadcast to the lanes (a
-    read-only view), and q the (n, 4) fibers turned out, C-contiguous, or
-    None.  to_level at or below from_level is a ValueError: the translate
-    moves the digits of at least one embedded level."""
+    fiber (if any) turned by phi_g, the parity twist quat_phi_int: the
+    embed_batch(radix=True) of the batch, then shift_peel by g, which see.
+    g is a Python int or an integer array, one per lane, to which a one-row
+    batch is broadcast.  A caller that moves one batch by many translates
+    (the joining windows, one block of draws at a time) embeds it once and
+    calls shift_peel per translate: the embed does not read g."""
+    top, rho, rows = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
+    return shift_peel(levels, top, rho, rows, g, from_level, to_level)
+
+
+def shift_peel(levels: CFLevels, top: RadixTimes, rho, rows, g, from_level: int, to_level: int):
+    """The level-to_level embedding (top, rho, rows) that
+    embed_batch(radix=True) returns, moved by the integer time translate
+    (g, I) and peeled back to from_level; its arrays are read, never
+    written.  g is a Python int or an integer array, one per lane, to which
+    a one-row embedding is broadcast; any other dtype is an
+    InexactTranslateError, not a truncation.  The top times stay a
+    RadixTimes pair, and rho and the fiber rows go to the peel in the
+    residual's frame, so no float fraction is formed and each fiber is
+    turned once out: phi_g, a sign on the w row that commutes with phi_rho,
+    is taken in the rows' one copy, the broadcast to the lanes, and phi_rho
+    turns them out by the unit of the embed's own rho, one cosine and one
+    sine for a one-row batch.  g = gh * 2 a~_(to-1) + gl,
+    0 <= gl < 2 a~_(to-1), adds gh to the shift digit and gl D ticks to
+    the low digit, so no time past 2^62 is formed where the low digit fits
+    int64.  Returns (valid, T, rho, q): the from_level times (T + rho)/D in
+    ticks, T in the lane of from_level and rho the embed's broadcast to the
+    lanes (a read-only view), and q the (n, 4) fibers turned out,
+    C-contiguous, or None.  to_level at or below from_level is a
+    ValueError: the translate moves the digits of at least one embedded
+    level."""
     if to_level == from_level:
         raise ValueError(f"translate embeds at least one level, and to_level {to_level} is from_level {from_level}")
     g = np.asarray(g)
     if g.dtype.kind not in "iu" and not (g.dtype == object and all(isinstance(x, int) for x in g.flat)):
         raise InexactTranslateError(f"translate g must be an integer or integer array, not {g.dtype}: g = {g!r}")
-    top, rho, rows = embed_batch(levels, ti, tf, q, tails, from_level, to_level, radix=True)
     radix = 2 * levels.a_tilde(to_level - 1)
     # the digits of g in the low digit's lane, which holds the radix too
     g = g.astype(_lane(levels, to_level - 1), copy=False)
     lanes = np.broadcast_shapes(rho.shape, g.shape)
+    q = None
     if rows is not None:
         q = np.broadcast_to(rows, (2,) + lanes).copy()
         np.negative(q[1], out=q[1], where=np.asarray(g & 1, dtype=bool))
@@ -848,7 +869,8 @@ def translate(levels: CFLevels, ti, tf, q, tails, g, from_level: int, to_level: 
     # computes several times faster than the remainder
     gh = g // radix
     top = RadixTimes(top.hi + np.asarray(gh, dtype=np.int64), top.lo + (g - gh * radix) * levels.grid)
-    valid, T, lane_rho, q, _ = peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level)
+    valid, T, lane_rho, q, _ = peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level,
+                                          shifts=False)
     return valid, T, lane_rho, None if q is None else _fibers_out(q, twist_unit(0, rho / levels.grid))
 
 

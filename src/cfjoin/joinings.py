@@ -25,11 +25,13 @@ from .cf_engine import (
     LevelTooDeepError,
     OrbitLeftTruncationError,
     _to_ticks,
+    embed_batch,
     row_blocks,
-    translate,
+    shift_peel,
 )
 
 __all__ = [
+    "JOINING_BLOCK",
     "CFDictionary",
     "EmpiricalJoining",
     "FolnerWindow",
@@ -41,6 +43,15 @@ __all__ = [
     "graph_joining_target",
     "product_joining_target",
 ]
+
+
+# draws per block of empirical_joining: one (16, 2^12) complex value block is
+# 1 MiB.  Blocks of 2^14 (cf_engine.ROW_BLOCK) free about 12 MiB at each
+# block's end, which the allocator hands back to the system and the next
+# block faults in again; at 2^12 the freed arrays are reused.  Minor faults
+# per joinings run at the acceptance config: 19.9k at 2^14, 28.9k at 2^13,
+# 1.4k at 2^12
+JOINING_BLOCK = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +269,22 @@ def _window_intervals(w: FolnerWindow) -> list[tuple[int, int]]:
 
 
 def _subtract_union(blocks: list[tuple[int, int]], union: list[tuple[int, int]]) -> int:
-    """Total count of integers in `blocks` not covered by `union` (both are
-    unions of inclusive integer intervals; union must be merged/sorted)."""
-    total = 0
-    for lo, hi in blocks:
-        covered = 0
-        for ulo, uhi in union:
-            if uhi < lo:
-                continue
-            if ulo > hi:
-                break
+    """Total count of integers in `blocks` not covered by `union`, summed
+    block by block (both are lists of inclusive integer intervals; union
+    must be merged/sorted).  One merge over the blocks sorted by their
+    lower ends and the union: the union's intervals that end below a block
+    end below every later block too, so each block's scan starts at the
+    first union interval that reaches it, never before the last block's,
+    and reads only the intervals that meet the block."""
+    total = start = 0
+    for lo, hi in sorted(blocks):
+        while start < len(union) and union[start][1] < lo:
+            start += 1
+        covered, k = 0, start
+        while k < len(union) and union[k][0] <= hi:
+            ulo, uhi = union[k]
             covered += min(hi, uhi) - max(lo, ulo) + 1
+            k += 1
         total += (hi - lo + 1) - covered
     return total
 
@@ -336,16 +352,19 @@ def empirical_joining(
     r_schedule far below the default makes one) is drawn too; the level-4
     window of the default build has about 6.3e10 elements.
 
-    One pass over ROW_BLOCK blocks of the draws translates x and y once
-    each, and reads their harmonic rows from a tick_table of each point's
-    residual, made once.  The partner shares x's times and tails, so it
-    reads x's table at x's ticks, and its fiber is phi_g(m) q', q' x's
-    translated fiber: (0, m) acts on the left, every embed and peel step
-    multiplies on the right, and phi_g is an automorphism.  x's values are
-    conjugated once, in place, for all three tables, and one partner block
-    is held at a time, its fiber written by groups.pair_mul into a buffer of
-    the block's own, after x's fiber is last read; the diagonal's block,
-    x's values conjugated back, comes last, when no other partner is held.
+    x and y are embedded once each (embed_batch(radix=True), which does
+    not read g), and one pass over JOINING_BLOCK blocks of the draws moves
+    and peels both embeddings by the block's translates (shift_peel): bit
+    for bit a translate of each per block.  Their harmonic rows are read
+    from a tick_table of each point's residual, made once.  The partner
+    shares x's times and tails, so it reads x's table at x's ticks, and its
+    fiber is phi_g(m) q', q' x's translated fiber: (0, m) acts on the left,
+    every embed and peel step multiplies on the right, and phi_g is an
+    automorphism.  x's values are conjugated once, in place, for all three
+    tables, and one partner block is held at a time, its fiber written by
+    groups.pair_mul into a buffer of the block's own, after x's fiber is
+    last read; the diagonal's block, x's values conjugated back, comes
+    last, when no other partner is held.
     """
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
@@ -358,8 +377,9 @@ def empirical_joining(
     # each point's residual rho, which no translate moves, and its harmonic table
     table_x, table_y = (dictionary.tick_table(float(_to_ticks(levels, 1, ti, tf)[1][0])) for ti, tf, *_ in (x, y))
     try:
-        for rows in row_blocks(samples):
-            valid, T, _, q = translate(levels, *x, g[rows], 1, top)
+        embedded_x, embedded_y = (embed_batch(levels, *p, 1, top, radix=True) for p in (x, y))
+        for rows in row_blocks(samples, JOINING_BLOCK):
+            valid, T, _, q = shift_peel(levels, *embedded_x, g[rows], 1, top)
             fx = dictionary.evaluate((valid, T, q), table_x)
             sq_x = _sq_moduli(fx)
             conj_x = np.conjugate(fx, out=fx)
@@ -375,7 +395,7 @@ def empirical_joining(
                 _sq_moduli(fy[row], out=sq_y[row])
             paired.add(conj_x, sq_x, fy, sq_y)
             del fy, sq_y
-            valid_y, T_y, _, q_y = translate(levels, *y, g[rows], 1, top)
+            valid_y, T_y, _, q_y = shift_peel(levels, *embedded_y, g[rows], 1, top)
             fy = dictionary.evaluate((valid_y, T_y, q_y), table_y)
             del valid_y, T_y, q_y
             independent.add(conj_x, sq_x, fy, _sq_moduli(fy))

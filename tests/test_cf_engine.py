@@ -1045,6 +1045,52 @@ class TestTranslate:
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("max_level", [6, 7])
+    @pytest.mark.parametrize("points", [1, 300])
+    def test_is_one_embed_then_shift_peel(self, max_level, points):
+        # translate is embed_batch(radix=True) and then shift_peel, bit for
+        # bit, for a one-row batch broadcast to 300 lanes and for one point
+        # per lane, with fibers and with q None.  One read-only embedding
+        # is moved by three translates in turn, as the joining windows move
+        # theirs once per block, and none of them writes it.  At max_level 7
+        # the radix 2 a~_7 passes int64, so g and the top's low digit take
+        # the Python-int lane
+        levels = _build(max_level)
+        top = max_level + 1
+        ti, tf, q, tails = cf.sample_point_batch(levels, points, top, np.random.default_rng(48), h_minus=True)
+        two = 2 * levels.a_tilde(top - 1)
+        rng = np.random.default_rng(49)
+        lane = object if 3 * two >= 2**63 else np.int64
+        for fiber in (q, None):
+            embedded = cf.embed_batch(levels, ti, tf, fiber, tails, 1, top, radix=True)
+            pair, rho, rows = embedded
+            arrays = _read_only(*pair, rho, *([] if rows is None else [rows]))
+            frozen = _frozen(*arrays)
+            for _ in range(3):
+                g = np.array([int(u * two) for u in rng.uniform(-3.0, 3.0, 300)], dtype=lane)
+                got = cf.shift_peel(levels, *embedded, g, 1, top)
+                want = cf.translate(levels, ti, tf, fiber, tails, g, 1, top)
+                assert (got[3] is None) == (want[3] is None) == (fiber is None)
+                assert _frozen(*(a for a in got if a is not None)) == _frozen(*(a for a in want if a is not None))
+                assert got[0].shape == (300,) and 0 < got[0].sum() < 300
+            assert _frozen(*arrays) == frozen
+
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_a_peel_without_shifts_is_the_same_peel(self, levels, framed):
+        # shift_peel's peel keeps no shift index: hs is None, and valid,
+        # times and fibers are bit for bit those of the peel that keeps them
+        ti, tf, q, tails = cf.sample_point_batch(levels, 500, 7, np.random.default_rng(50), h_minus=True)
+        if framed:
+            batch = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+        else:
+            batch = cf.embed_batch(levels, ti, tf, q, tails, 1, 7)
+            batch = (batch[0] + 3, *batch[1:])
+        for fiber in (batch[2], None):
+            kept = cf.peel_batch(levels, *batch[:2], fiber, 7, 1)
+            got = cf.peel_batch(levels, *batch[:2], fiber, 7, 1, shifts=False)
+            assert kept[4].shape == (500, 6) and got[4] is None
+            assert _frozen(*(a for a in got[:4] if a is not None)) == _frozen(*(a for a in kept[:4] if a is not None))
+
 
 def _turned_out(levels, rows, rho):
     """The (n, 4) fibers of (2, n) complex rows in the residual's frame,

@@ -145,12 +145,12 @@ class TestCorrelationTable:
 
 
     def test_row_blocks_match_one_shot_matmul(self, rng):
-        # one row past a block: the sums run over two blocks, the second of
-        # one row
-        n, scale = cf.ROW_BLOCK + 1, 0.37
+        # one row past the estimator's block: the sums run over two blocks,
+        # the second of one row
+        n, scale = jo.JOINING_BLOCK + 1, 0.37
         fx, fy = (rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n)) for _ in "xy")
-        blocks = [(fx[:, rows], fy[:, rows]) for rows in cf.row_blocks(n)]
-        assert [b[0].shape[1] for b in blocks] == [cf.ROW_BLOCK, 1]
+        blocks = [(fx[:, rows], fy[:, rows]) for rows in cf.row_blocks(n, jo.JOINING_BLOCK)]
+        assert [b[0].shape[1] for b in blocks] == [jo.JOINING_BLOCK, 1]
         table = correlation_table(blocks, scale)
         corr = fx @ fy.conj().T * (scale / n)
         second = (np.abs(fx) ** 2) @ (np.abs(fy) ** 2).T * (scale**2 / n)
@@ -222,6 +222,45 @@ class TestWindows:
     def test_windows_grow(self, levels):
         sizes = [jo.folner_window(n, levels).size for n in range(2, 7)]
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("case", ["random", "touching", "nested", "windows"])
+    def test_subtract_union_matches_the_double_loop(self, case, rng, levels):
+        # the merge against the scan of the whole union for every block,
+        # which it replaced: blocks and union intervals drawn at random,
+        # blocks that touch union intervals end to end and cover one
+        # exactly, blocks nested in one another and around union intervals,
+        # and the shulman windows themselves
+        if case == "random":
+            blocks = [tuple(sorted(rng.integers(-200, 200, 2).tolist())) for _ in range(60)]
+            union = jo._merged([tuple(sorted(rng.integers(-250, 250, 2).tolist())) for _ in range(40)])
+        elif case == "touching":
+            union = [(-10, -5), (0, 3), (7, 7), (20, 30)]
+            blocks = [(-14, -11), (-4, -1), (4, 6), (8, 19), (0, 3), (7, 7), (-11, -10), (3, 4), (30, 31), (31, 40)]
+        elif case == "nested":
+            union = [(-50, -40), (-30, -20), (0, 100), (150, 160)]
+            blocks = [(-60, 200), (-45, 170), (-35, -25), (10, 20), (12, 14), (-30, -20), (101, 149), (155, 155)]
+        else:
+            blocks = jo._window_intervals(jo.folner_window(5, levels))
+            union = jo._merged([i for m in (2, 3, 4) for i in jo._window_intervals(jo.folner_window(m, levels))])
+        for order in (sorted(blocks), blocks, blocks[::-1]):
+            assert jo._subtract_union(order, union) == _double_loop_subtract(order, union)
+        assert jo._subtract_union(blocks, []) == sum(hi - lo + 1 for lo, hi in blocks)
+
+
+def _double_loop_subtract(blocks, union):
+    """The count of integers in `blocks` not covered by `union`, the whole
+    merged union scanned for every block: the oracle for _subtract_union."""
+    total = 0
+    for lo, hi in blocks:
+        covered = 0
+        for ulo, uhi in union:
+            if uhi < lo:
+                continue
+            if ulo > hi:
+                break
+            covered += min(hi, uhi) - max(lo, ulo) + 1
+        total += (hi - lo + 1) - covered
+    return total
 
 
 def level1_ticks(levels, rng, n):
@@ -442,9 +481,9 @@ def window_points(levels, *seeds):
 def reference_table(fx, fy, n, scale):
     """(corr, stderr) of the first n value pairs of (K, N) values fx and
     fy: the means of scale f_i(x) conj(f_j(y)) and their stderrs, from the
-    moments summed over ROW_BLOCK blocks in the estimator's order."""
+    moments summed over JOINING_BLOCK blocks in the estimator's order."""
     cross = second = 0.0
-    for rows in cf.row_blocks(n):
+    for rows in cf.row_blocks(n, jo.JOINING_BLOCK):
         cross = cross + fx[:, rows] @ fy[:, rows].conj().T
         second = second + (np.abs(fx[:, rows]) ** 2) @ (np.abs(fy[:, rows]) ** 2).T
     corr = cross * (scale / n)
@@ -470,7 +509,7 @@ def _full_evaluate_pass(x, y, m, window, dictionary, levels, samples, rng):
     paired, independent, diagonal = jo._TableSums(), jo._TableSums(), jo._TableSums()
     table_x, table_y = (point_table(dictionary, levels, p) for p in (x, y))
     table_p = point_table(dictionary, levels, cf.act(GElement(0.0, SU2Element.from_array(m)), *x[:3]))
-    for rows in cf.row_blocks(samples):
+    for rows in cf.row_blocks(samples, jo.JOINING_BLOCK):
         valid, T, _, q = cf.translate(levels, *x, g[rows], 1, top)
         fx = dictionary.evaluate((valid, T, q), table_x)
         fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
@@ -492,11 +531,11 @@ def one_pass(levels, dictionary):
     """The window pass's tables (paired, independent, diagonal) and their
     whole-array reference on the same draws.  The reference translates x,
     act((0, h0), x) and y over every draw at once and evaluates them with
-    reference_evaluate.  3 ROW_BLOCK + 123 draws put the diagonal's
+    reference_evaluate.  3 JOINING_BLOCK + 123 draws put the diagonal's
     samples // 2 cut inside the second block."""
     w = jo.folner_window(4, levels)
     x, y = window_points(levels, 18, 19)
-    samples = 3 * cf.ROW_BLOCK + 123
+    samples = 3 * jo.JOINING_BLOCK + 123
     tables = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(20))
     rng = np.random.default_rng(20)
     bs = rng.integers(-w.i_max, w.i_max + 1, size=samples)
@@ -576,7 +615,7 @@ class TestEmpiricalJoining:
         # point, bit for bit
         w = jo.folner_window(4, levels)
         x, y = window_points(levels, 18, 19)
-        samples = 2 * cf.ROW_BLOCK + 123
+        samples = 2 * jo.JOINING_BLOCK + 123
         got = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(21))
         want = _full_evaluate_pass(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(21))
         for table, reference in zip(got, want):
@@ -599,6 +638,49 @@ class TestEmpiricalJoining:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * dictionary.size * cf.ROW_BLOCK * np.dtype(complex).itemsize
+
+    def test_peak_memory_below_four_of_its_value_blocks(self, levels, dictionary):
+        # over 8 of the estimator's blocks the traced peak stays under 4 of
+        # its (16, JOINING_BLOCK) complex value blocks, 4 MiB: the 3 blocks
+        # of the test above, and the draws and one block's translate arrays.
+        # Blocks of 2^14 held about 12.8 MiB at this sample size
+        block = dictionary.size * jo.JOINING_BLOCK * np.dtype(complex).itemsize
+        assert block == 2**20
+        w = jo.folner_window(4, levels)
+        x, y = window_points(levels, 63, 64)
+        tracemalloc.start()
+        try:
+            jo.empirical_joining(x, y, H0, w, dictionary, levels, 8 * jo.JOINING_BLOCK, np.random.default_rng(65))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block
+
+    def test_one_embed_per_point_matches_a_translate_per_block(self, levels, dictionary, monkeypatch):
+        # x and y are embedded once per call, and every block moves and
+        # peels those embeddings; the tables are, bit for bit, those of a
+        # pass that translates both points afresh in every block
+        w = jo.folner_window(4, levels)
+        x, y = window_points(levels, 18, 19)
+        samples = 2 * jo.JOINING_BLOCK + 123
+        embeds = []
+        embed = jo.embed_batch
+
+        def counting(*args, **kwargs):
+            embeds.append(len(args[1]))
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(jo, "embed_batch", counting)
+        got = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(22))
+        assert embeds == [1, 1]
+        # the oracle: the "embedding" is the point itself, which each block
+        # translates
+        monkeypatch.setattr(jo, "embed_batch", lambda levels, *point, radix: point[:4])
+        monkeypatch.setattr(jo, "shift_peel", lambda levels, ti, tf, q, tails, g, lo, top:
+                            cf.translate(levels, ti, tf, q, tails, g, lo, top))
+        want = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(22))
+        for table, reference in zip(got, want, strict=True):
+            assert same_table(table, reference)
 
     def test_truncation_error_lists_translate(self, levels, dictionary):
         w = jo.folner_window(4, levels)
