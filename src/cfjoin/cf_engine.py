@@ -733,7 +733,8 @@ def embed_batch(levels: CFLevels, ti, tf, q, tails, from_level: int, to_level: i
     return (*_from_ticks(levels, _join(levels, to_level, h, T), rho), _fibers_out(q, turn))
 
 
-def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int, *, shifts: bool = True):
+def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int, *, shifts: bool = True,
+               _owned: bool = False):
     """Vectorized peeling of a batch down to to_level.
 
     ti is one array of integer times, int64 or Python ints, with (n, 4)
@@ -765,7 +766,10 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int, *, s
     is a ValueError, and so is a RadixTimes pair at to_level equal to
     from_level, whose high digit no level would take in.  Times are peeled
     in place, on the tick array made at entry: no array given, nor the
-    read-only broadcasts shift_peel passes, is written.
+    read-only broadcasts shift_peel passes, is written.  The one exception
+    is private to shift_peel: with _owned, a RadixTimes low digit is the
+    caller's own, made for this peel and not read again, and is peeled in
+    place instead of a copy.
     """
     if to_level > from_level:
         raise ValueError(f"peel_batch goes down, and to_level {to_level} is above from_level {from_level}")
@@ -775,7 +779,7 @@ def peel_batch(levels: CFLevels, ti, tf, q, from_level: int, to_level: int, *, s
         if to_level == from_level:
             raise ValueError(f"peel_batch of a RadixTimes pair peels at least one level, "
                              f"and to_level {to_level} is from_level {from_level}")
-        hi, T, rho = ti.hi, np.array(ti.lo, copy=True), np.asarray(tf, dtype=float)
+        hi, T, rho = ti.hi, ti.lo if _owned else np.array(ti.lo, copy=True), np.asarray(tf, dtype=float)
     else:
         hi = None
         T, rho = _to_ticks(levels, from_level, ti, tf)
@@ -869,8 +873,9 @@ def shift_peel(levels: CFLevels, top: RadixTimes, rho, rows, g, from_level: int,
     # computes several times faster than the remainder
     gh = g // radix
     top = RadixTimes(top.hi + np.asarray(gh, dtype=np.int64), top.lo + (g - gh * radix) * levels.grid)
+    # the low digit, made here, is the peel's own
     valid, T, lane_rho, q, _ = peel_batch(levels, top, np.broadcast_to(rho, lanes), q, to_level, from_level,
-                                          shifts=False)
+                                          shifts=False, _owned=True)
     return valid, T, lane_rho, None if q is None else _fibers_out(q, twist_unit(0, rho / levels.grid))
 
 

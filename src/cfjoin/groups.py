@@ -17,7 +17,8 @@ product is pair_mul, and the twist turns w by one complex multiply with its
 twist_unit (-1)^ti e^{-i pi tf}, which the point engine reads pre-multiplied
 from tables on its tick grid.  quat_mul and quat_twist are their (..., 4)
 forms, with the same bits.  The adjoint representation is written once on
-component rows (adjoint_entry_rows), and adjoint_matrix is its (..., 4) form.
+the pair too, its entries parts of pair products such as z^2, w^2 and
+z w (adjoint_rows), and adjoint_matrix is its (..., 3, 3) form.
 
 The law of G is g_mul and g_inv on times and (..., 4) fibers, with conj_star
 the conjugation by the time-one translate; GElement and SU2Element are the
@@ -53,7 +54,7 @@ __all__ = [
     "quat_phi_int",
     "quat_phi_real",
     "quat_twist",
-    "adjoint_entry_rows",
+    "adjoint_rows",
     "adjoint_matrix",
 ]
 
@@ -164,35 +165,67 @@ def quat_twist(ti, tf, q: np.ndarray) -> np.ndarray:
     return out.view(float)
 
 
-def adjoint_entry_rows(q, i, j):
-    """Entry (i, j) of the adjoint matrix (adjoint_matrix) on component rows
-    q = (a, v0, v1, v2).  The product convention here is opposite to
-    Hamilton's, so conjugation by q acts as the classical rotation matrix of
-    the conjugate quaternion (a, -v): entry (i, i) is a a + v_i v_i less the
-    other two v_k v_k, and entry (i, j), k the third index, is
-    2 (v_i v_j + a v_k) when (i, j, k) is a cyclic order of (0, 1, 2) and
-    2 (v_i v_j - a v_k) otherwise.  Each is evaluated left to right, the
-    squares in the order of k: negation being exact, these are the bits of
-    the same forms on the conjugate's components, and adjoint_matrix and
-    the dictionary's adjoint rows read the same bits."""
-    a, v = q[0], q[1:]
-    if i == j:
-        out = a * a
-        for k in range(3):
-            out = out + v[k] * v[k] if k == i else out - v[k] * v[k]
-        return out
-    k = 3 - i - j
-    if (j - i) % 3 == 1:
-        return 2 * (v[i] * v[j] + a * v[k])
-    return 2 * (v[i] * v[j] - a * v[k])
+# entry (i, j) of adjoint_matrix on the pair z = a + bi, w = c + di of its
+# quaternion, as (op, x, y): op of x and y, each the real or imaginary part
+# of a pair product, or a factor.  On the components these are the rotation
+# matrix of the conjugate quaternion (a, -b, -c, -d), the product
+# convention here being opposite to Hamilton's: z^2 = a^2 - b^2 + 2abi,
+# w^2 = c^2 - d^2 + 2cdi, z w = ac - bd + (ad + bc)i,
+# z conj(w) = ac + bd + (bc - ad)i, and z conj(z) - w conj(w) = |z|^2 - |w|^2.
+# -2 Re(z w) is 2 Re((-z) w), whose zeros are +0 as the component
+# formulas' are
+_ADJOINT_FORMS = {
+    (0, 0): (np.subtract, ("zz*", "real"), ("ww*", "real")),
+    (0, 1): (np.multiply, ("zw", "imag"), 2.0),
+    (0, 2): (np.multiply, ("-zw", "real"), 2.0),
+    (1, 0): (np.multiply, ("zw*", "imag"), 2.0),
+    (1, 1): (np.add, ("zz", "real"), ("ww", "real")),
+    (1, 2): (np.add, ("zz", "imag"), ("ww", "imag")),
+    (2, 0): (np.multiply, ("zw*", "real"), 2.0),
+    (2, 1): (np.subtract, ("ww", "imag"), ("zz", "imag")),
+    (2, 2): (np.subtract, ("zz", "real"), ("ww", "real")),
+}
+
+
+def adjoint_rows(pair, entries, out):
+    """Entries (i, j) of adjoint_matrix, `entries` in order, of (..., 2)
+    complex pairs (quat_pair), written into the rows of the real
+    (len(entries), ...) array `out` and returned.  Each entry is a real or
+    imaginary part of one of the pair products z^2, w^2, z w, (-z) w,
+    z conj(w) times 2, or the sum or difference of two parts, |z|^2 - |w|^2
+    that of z conj(z) and w conj(w); each product is made once, and only
+    if an entry reads it."""
+    z, w = pair[..., 0], pair[..., 1]
+    factors = {
+        "zz": lambda: (z, z),
+        "ww": lambda: (w, w),
+        "zw": lambda: (z, w),
+        "-zw": lambda: (np.negative(z), w),
+        "zw*": lambda: (z, np.conjugate(w)),
+        "zz*": lambda: (z, np.conjugate(z)),
+        "ww*": lambda: (w, np.conjugate(w)),
+    }
+    products = {}
+
+    def part(key, attr):
+        if key not in products:
+            products[key] = np.multiply(*factors[key](), out=np.empty(z.shape, dtype=complex))
+        return getattr(products[key], attr)
+
+    for row, entry in enumerate(entries):
+        op, x, y = _ADJOINT_FORMS[entry]
+        op(part(*x), y if isinstance(y, float) else part(*y), out=out[row, ...])
+    return out
 
 
 def adjoint_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of the conjugation action m -> q m q^{-1} on the
-    imaginary part (b, c, d).  Columns are the images of i, j, k."""
-    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    m = [[adjoint_entry_rows(rows, i, j) for j in range(3)] for i in range(3)]
-    return np.moveaxis(np.array(m), (0, 1), (-2, -1))
+    imaginary part (b, c, d), as (..., 3, 3).  Columns are the images of
+    i, j, k.  Its nine entries are adjoint_rows of q's complex pair."""
+    pair = quat_pair(q)
+    out = np.empty((9,) + pair.shape[:-1])
+    adjoint_rows(pair, [(i, j) for i in range(3) for j in range(3)], out)
+    return np.moveaxis(out.reshape((3, 3) + pair.shape[:-1]), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------

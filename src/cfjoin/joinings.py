@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import adjoint_entry_rows, adjoint_matrix, pair_mul, quat_mul, quat_pair
+from .groups import adjoint_matrix, adjoint_rows, pair_mul, quat_mul, quat_pair
 from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
@@ -45,12 +45,12 @@ __all__ = [
 ]
 
 
-# draws per block of empirical_joining: one (16, 2^12) complex value block is
-# 1 MiB.  Blocks of 2^14 (cf_engine.ROW_BLOCK) free about 12 MiB at each
-# block's end, which the allocator hands back to the system and the next
-# block faults in again; at 2^12 the freed arrays are reused.  Minor faults
-# per joinings run at the acceptance config: 19.9k at 2^14, 28.9k at 2^13,
-# 1.4k at 2^12
+# draws per block of empirical_joining: one (26, 2^12) real value block is
+# 0.8 MiB.  Blocks of 2^14 (cf_engine.ROW_BLOCK) freed about 12 MiB at each
+# block's end when value blocks were (16, n) complex, which the allocator
+# handed back to the system and the next block faulted in again; at 2^12
+# the freed arrays are reused.  Minor faults per joinings run at the
+# acceptance config then: 19.9k at 2^14, 28.9k at 2^13, 1.4k at 2^12
 JOINING_BLOCK = 2**12
 
 
@@ -69,7 +69,18 @@ class CFDictionary:
     harmonics of a level-1 time t = (T + rho)/D have period N = a_1 D in the
     ticks T, so for one residual rho they are the columns T mod N of a
     tick_table.
+
+    Values are real blocks of `height` = 26 rows, one column per point: the
+    real parts of the harmonics m = 1..8 (rows 0-7) and their imaginary
+    parts (rows 8-15), the real and imaginary parts of the defining rows z
+    and w (16-19), and the six adjoint rows (20-25), which are real.
+    `layout` reads the K observables off a block: observable i is row
+    re[i] plus i times row im[i], im[i] = height for a real observable (a
+    row of zeros past the block's end), and its squared modulus is row
+    sq[i] of squared_moduli.
     """
+
+    height = 26
 
     def __init__(self, levels: CFLevels):
         self.a1 = levels.a(1)
@@ -97,60 +108,89 @@ class CFDictionary:
         # the harmonic rows in the order of m, and the (row, code) of the rest
         self._harm = [row for row, (_, (kind, _)) in enumerate(spec) if kind == "harm"]
         self._fiber = [(row, code) for row, (_, code) in enumerate(spec) if code[0] != "harm"]
+        # the adjoint entries in the order of their rows
+        self._adjoint = [arg for _, (kind, arg) in self._fiber if kind == "adj"]
+        harmonics = len(self._harm)
+        # the first row past the harmonics' parts
+        self._split = 2 * harmonics
+        re, im, sq = (np.empty(len(spec), dtype=np.intp) for _ in range(3))
+        for row, (_, (kind, arg)) in enumerate(spec):
+            if kind == "harm":
+                re[row], im[row], sq[row] = arg - 1, harmonics + arg - 1, 0
+            elif kind == "def":
+                k = "zw".index(arg)
+                re[row], im[row], sq[row] = self._split + 2 * k, self._split + 2 * k + 1, 1 + k
+            else:
+                k = self._adjoint.index(arg)
+                re[row], im[row], sq[row] = self._split + 4 + k, self.height, 3 + k
+        self.layout = (re, im, sq)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def tick_table(self, rho: float) -> np.ndarray:
-        """(8, N) complex table of the harmonics at the residual rho in
-        [0, 1): row m - 1, column k holds scale e^(2 pi i m (k + rho) / N),
-        harmonic m at every level-1 time (T + rho)/D with T = k mod N.  The
-        phase is taken in quarter turns, 4 ((m k) mod N + m rho) / N: the
-        nearest whole quarter turn of 4 ((m k) mod N) / N is split off in
-        integers, and turns the unit exactly (a swap and signs), so the one
-        float angle left is at most about an eighth of a turn."""
-        n = self.period
-        m = np.arange(1, len(self._harm) + 1)[:, None]
+        """(16, N) real table of the harmonics at the residual rho in
+        [0, 1): rows m - 1 and 8 + m - 1, column k, hold the real and
+        imaginary parts of scale e^(2 pi i m (k + rho) / N), harmonic m at
+        every level-1 time (T + rho)/D with T = k mod N.  The phase is
+        taken in quarter turns, 4 ((m k) mod N + m rho) / N: the nearest
+        whole quarter turn of 4 ((m k) mod N) / N is split off in integers,
+        and turns the unit exactly (a swap and signs), so the one float
+        angle left is at most about an eighth of a turn."""
+        n, harmonics = self.period, len(self._harm)
+        m = np.arange(1, harmonics + 1)[:, None]
         k4 = 4 * (m * np.arange(n) % n)
         quarter = (k4 + n // 2) // n
         angle = (k4 - quarter * n + 4 * m * rho) * (math.pi / (2 * n))
         cos, sin = np.cos(angle), np.sin(angle)
         odd, quarter = quarter & 1, quarter & 3
         # i^quarter (cos + i sin), scaled: the signs and the swap are exact
-        table = np.empty(angle.shape, dtype=complex)
-        table.real = np.where(odd, sin, cos) * np.where((quarter == 1) | (quarter == 2), -self.scale, self.scale)
-        table.imag = np.where(odd, cos, sin) * np.where(quarter >= 2, -self.scale, self.scale)
+        table = np.empty((2 * harmonics, n))
+        np.multiply(np.where(odd, sin, cos), np.where((quarter == 1) | (quarter == 2), -self.scale, self.scale),
+                    out=table[:harmonics])
+        np.multiply(np.where(odd, cos, sin), np.where(quarter >= 2, -self.scale, self.scale), out=table[harmonics:])
         return table
 
-    def evaluate(self, batch, table) -> np.ndarray:
-        """batch = (valid, T, q) level-1 coordinates as translate returns
-        them: the times in ticks, whose residual rho `table`, the
-        tick_table of rho, holds, and (n, 4) fibers.  Each harmonic row is
-        one take of its table row at T mod N; each fiber row is sqrt 2 or
-        sqrt 3 times a matrix coefficient of q, then scaled: z and w of q's
-        complex pair, and the adjoint entries of
-        groups.adjoint_entry_rows, without adjoint_matrix's (n, 3, 3) array,
-        scaled on the row's real view, its imaginary part zero."""
+    def evaluate(self, batch, table, harmonics=None) -> np.ndarray:
+        """The (26, n) real value block of batch = (valid, T, q), level-1
+        coordinates as translate returns them: the times in ticks, whose
+        residual rho `table`, the tick_table of rho, holds, and (n, 4)
+        fibers.  The 16 harmonic rows are one take of the table's columns
+        at T mod N, or, given `harmonics`, a value block of the same lanes
+        and times, its harmonic rows copied.  The defining rows are the
+        components of q, the parts of its complex pair z and w, times
+        sqrt 2 scale, and the adjoint rows groups.adjoint_rows of the pair
+        times sqrt 3 scale.  Every row is 0 on the lanes off level 1."""
         valid, T, q = batch
-        out = np.empty((self.size, len(q)), dtype=complex)
-        # T mod N, as T less its floor quotient's multiple: numpy divides by
-        # an integer scalar several times faster than np.remainder does
-        cols = T - T // self.period * self.period
-        for harmonic, row in zip(table, self._harm):
-            harmonic.take(cols, out=out[row], mode="clip")
-        pair = quat_pair(q)
-        for row, (kind, arg) in self._fiber:
-            if kind == "def":
-                np.multiply(pair[:, "zw".index(arg)], math.sqrt(2.0), out=out[row])
-                out[row] *= self.scale
-            else:
-                real = out[row].real
-                np.multiply(adjoint_entry_rows(q.T, *arg), math.sqrt(3.0), out=real)
-                real *= self.scale
-                out[row].imag = 0.0
+        out = np.empty((self.height, len(q)))
+        split = self._split
+        if harmonics is None:
+            # T mod N, as T less its floor quotient's multiple: numpy divides
+            # by an integer scalar several times faster than np.remainder does
+            cols = T - T // self.period * self.period
+            table.take(cols, axis=1, out=out[:split], mode="clip")
+        else:
+            out[:split] = harmonics[:split]
+        np.multiply(q.T, math.sqrt(2.0) * self.scale, out=out[split:split + 4])
+        adjoint = adjoint_rows(quat_pair(q), self._adjoint, out[split + 4:])
+        adjoint *= math.sqrt(3.0) * self.scale
         out[:, ~valid] = 0.0
         return out
+
+    def squared_moduli(self, values, valid) -> np.ndarray:
+        """The (9, n) squared moduli of a value block's observables (rows
+        `layout` sq): row 0 is scale^2 on the lanes on level 1 and 0 off
+        them, every harmonic's squared modulus; rows 1 and 2 are |z|^2 and
+        |w|^2 of the defining rows, the sums of their parts' squares, and
+        rows 3-8 the adjoint rows squared."""
+        split = self._split
+        sq = np.empty((9, values.shape[1]))
+        np.multiply(valid, self.scale**2, out=sq[0])
+        parts = np.square(values[split:split + 4])
+        np.add(parts[0::2], parts[1::2], out=sq[1:3])
+        np.square(values[split + 4:], out=sq[3:])
+        return sq
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +225,47 @@ def joining_metric_stderr(x: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * x.stderr**2)))
 
 
-def _sq_moduli(f: np.ndarray, out=None) -> np.ndarray:
-    """|f|^2, squared in place in the one real array it makes or in out."""
-    sq = np.abs(f, out=out)
-    return np.square(sq, out=sq)
-
-
 class _TableSums:
     """Running sums of one correlation table over row blocks: the means of
     scale * f_i(x_k) conj(f_j(y_k)) over the pairs added, with the stderr
-    of each mean.
+    of each mean, from real value blocks laid out as `layout` (re, im, sq)
+    says (CFDictionary).
 
-    Each block gives two (K, n_b) x (n_b, K) matrix products: the cross
-    sum conj(f_x) f_y^T, whose conjugate is the table's f_x f_y^H, and,
-    since |f_i g_j|^2 = |f_i|^2 |g_j|^2, the second moment |f_x|^2
-    (|f_y|^2)^T.  No (K, K, N) array, nor any (K, N) table of all N pairs,
-    is formed.
+    Each block gives two real matrix products: the cross sums R = F_x F_y^T
+    of the blocks' rows, and, since |f_i g_j|^2 = |f_i|^2 |g_j|^2, the
+    second moments of their squared moduli.  No (K, K, N) array, nor any
+    table of all N pairs, is formed.  The (K, K) complex table is read off
+    the sums once, at the end: f_i conj(g_j) sums to
+    R[re_i, re_j] + R[im_i, im_j] + i (R[im_i, re_j] - R[re_i, im_j]).
     """
 
-    def __init__(self):
+    def __init__(self, layout):
+        self.re, self.im, self.sq = layout
         self.n = 0
         self.cross = self.second = 0.0
 
-    def add(self, conj_x, sq_x, fy, sq_y) -> None:
-        """Add the pairs of one block: conj(f_x) and |f_x|^2, (K, n_b) rows
-        that every table of x's block shares, and f_y and |f_y|^2, (K, m)
-        with m <= n_b, paired with x's first m columns."""
+    def add(self, fx, sq_x, fy, sq_y) -> None:
+        """Add the pairs of one block: x's value block and squared moduli,
+        whose columns every table of x's block shares, and y's, of m
+        columns, m at most x's, paired with x's first m columns.  Where y's
+        block is x's first m columns themselves, the cross sums are x's one
+        syrk, symmetric bit for bit, and so the table Hermitian."""
         m = fy.shape[1]
         self.n += m
-        self.cross = self.cross + conj_x[:, :m] @ fy.T
-        self.second = self.second + sq_x[:, :m] @ sq_y.T
+        self.cross += fx[:, :m] @ fy.T
+        self.second += sq_x[:, :m] @ sq_y.T
 
     def table(self, scale: float) -> EmpiricalJoining:
-        corr = self.cross.conj() * (scale / self.n)
-        var = np.maximum(self.second * (scale**2 / self.n) - np.abs(corr) ** 2, 0.0)
+        # a row of zeros for the imaginary parts of real observables
+        cross = np.zeros(np.add(self.cross.shape, 1))
+        cross[:-1, :-1] = self.cross
+        re, im = self.re, self.im
+        corr = np.empty((len(re), len(re)), dtype=complex)
+        corr.real = cross[np.ix_(re, re)] + cross[np.ix_(im, im)]
+        corr.imag = cross[np.ix_(im, re)] - cross[np.ix_(re, im)]
+        corr *= scale / self.n
+        second = self.second[np.ix_(self.sq, self.sq)]
+        var = np.maximum(second * (scale**2 / self.n) - np.abs(corr) ** 2, 0.0)
         return EmpiricalJoining(corr, np.sqrt(var / self.n))
 
 
@@ -357,14 +404,14 @@ def empirical_joining(
     and peels both embeddings by the block's translates (shift_peel): bit
     for bit a translate of each per block.  Their harmonic rows are read
     from a tick_table of each point's residual, made once.  The partner
-    shares x's times and tails, so it reads x's table at x's ticks, and its
-    fiber is phi_g(m) q', q' x's translated fiber: (0, m) acts on the left,
-    every embed and peel step multiplies on the right, and phi_g is an
-    automorphism.  x's values are conjugated once, in place, for all three
-    tables, and one partner block is held at a time, its fiber written by
-    groups.pair_mul into a buffer of the block's own, after x's fiber is
-    last read; the diagonal's block, x's values conjugated back, comes
-    last, when no other partner is held.
+    shares x's times and tails, so its harmonic rows are x's, copied, and
+    its fiber is phi_g(m) q', q' x's translated fiber: (0, m) acts on the
+    left, every embed and peel step multiplies on the right, and phi_g is
+    an automorphism.  Every table is one real product of x's value block
+    with a partner's per block (_TableSums); one partner block is held at
+    a time, its fiber written by groups.pair_mul into a buffer of the
+    block's own, after x's fiber is last read; the diagonal's partner, x's
+    own block on its first draws, comes last.
     """
     if window.max_abs() >= 2**63:
         raise LevelTooDeepError(f"window-{window.n} translates reach {window.max_abs()}, past int64")
@@ -372,7 +419,7 @@ def empirical_joining(
     # the translates g = b + 2 a~_n t, b drawn before t
     g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
-    paired, independent, diagonal = _TableSums(), _TableSums(), _TableSums()
+    paired, independent, diagonal = (_TableSums(dictionary.layout) for _ in range(3))
     mz, mw = (quat_pair(m)[..., c] for c in (0, 1))  # phi_g(m) = (mz, +-mw)
     # each point's residual rho, which no translate moves, and its harmonic table
     table_x, table_y = (dictionary.tick_table(float(_to_ticks(levels, 1, ti, tf)[1][0])) for ti, tf, *_ in (x, y))
@@ -381,32 +428,25 @@ def empirical_joining(
         for rows in row_blocks(samples, JOINING_BLOCK):
             valid, T, _, q = shift_peel(levels, *embedded_x, g[rows], 1, top)
             fx = dictionary.evaluate((valid, T, q), table_x)
-            sq_x = _sq_moduli(fx)
-            conj_x = np.conjugate(fx, out=fx)
+            sq_x = dictionary.squared_moduli(fx, valid)
             # the paired partner's fiber phi_g(m) q', the last read of x's fiber
             qy = np.empty((len(q), 2), dtype=complex)
             pair_mul((mz, np.where(g[rows] & 1, -mw, mw)), quat_pair(q).T, qy.T, np.empty(len(q), dtype=complex))
             del q
-            # its harmonic rows and their squared moduli are x's
-            fy = dictionary.evaluate((valid, T, qy.view(float)), table_x)
+            fy = dictionary.evaluate((valid, T, qy.view(float)), None, harmonics=fx)
             del qy
-            sq_y = sq_x.copy()
-            for row, _ in dictionary._fiber:
-                _sq_moduli(fy[row], out=sq_y[row])
-            paired.add(conj_x, sq_x, fy, sq_y)
-            del fy, sq_y
+            paired.add(fx, sq_x, fy, dictionary.squared_moduli(fy, valid))
+            del fy
             valid_y, T_y, _, q_y = shift_peel(levels, *embedded_y, g[rows], 1, top)
             fy = dictionary.evaluate((valid_y, T_y, q_y), table_y)
-            del valid_y, T_y, q_y
-            independent.add(conj_x, sq_x, fy, _sq_moduli(fy))
-            del fy
-            # the diagonal's partner: x's own values, on its first draws; its
-            # squared moduli are x's, copied: numpy's sq_x @ sq_x.T is a syrk,
-            # which rounds otherwise
-            fd = np.conjugate(conj_x[:, : max(samples // 2 - rows.start, 0)])
-            diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
+            del T_y, q_y
+            independent.add(fx, sq_x, fy, dictionary.squared_moduli(fy, valid_y))
+            del fy, valid_y
+            # the diagonal's partner: x's own values, on its first draws
+            first = max(samples // 2 - rows.start, 0)
+            diagonal.add(fx, sq_x, fx[:, :first], sq_x[:, :first])
             # nothing of this block is left when the next one is made
-            del conj_x, sq_x, fd
+            del fx, sq_x
     except OrbitLeftTruncationError as exc:
         raise OrbitLeftTruncationError(
             f"window-{window.n} translates up to |g| = {window.max_abs()} "

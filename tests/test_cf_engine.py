@@ -1143,6 +1143,28 @@ class TestInputsUnchanged:
             assert valid.all() and np.array_equal(ti1, ti)
             assert _frozen(pair.hi, pair.lo, tf7, rows) == embedded
 
+    @pytest.mark.parametrize("rows, g_lanes", [(1, 500), (300, 0), (300, 300)])
+    def test_no_entry_writes_what_it_is_given(self, levels, rows, g_lanes):
+        # shift_peel hands the peel a low digit it has made itself, which
+        # the peel then moves in place; nothing given to shift_peel,
+        # translate or peel_batch comes back changed, and read-only inputs
+        # (a one-row embedding broadcast to many g, one g for every row, a
+        # g per row) are never written
+        ti, tf, q, tails = cf.sample_point_batch(levels, rows, 6, np.random.default_rng(48))
+        two = 2 * levels.a_tilde(6)
+        g = np.random.default_rng(49).integers(-3 * two, 3 * two, max(g_lanes, 1))
+        g = g if g_lanes else g[0]
+        pair, rho, fibers = cf.embed_batch(levels, ti, tf, q, tails, 1, 7, radix=True)
+        given = [ti, tf, q, tails, pair.hi, pair.lo, rho, fibers, np.asarray(g)]
+        before = _frozen(*given)
+        _read_only(*given)
+        moved = cf.shift_peel(levels, pair, rho, fibers, g, 1, 7)
+        assert _frozen(*given) == before
+        for got, want in zip(moved, cf.translate(levels, ti, tf, q, tails, g, 1, 7)):
+            assert _frozen(got) == _frozen(want)
+        assert cf.peel_batch(levels, pair, rho, fibers, 7, 1)[0].all()
+        assert _frozen(*given) == before
+
     def test_translate_of_one_row_to_many_g(self, levels):
         ti, tf, q, tails = cf.sample_point_batch(levels, 4, 6, np.random.default_rng(44))
         before = _frozen(ti, tf, q, tails)

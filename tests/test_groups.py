@@ -12,7 +12,6 @@ from cfjoin.groups import (
     SU2_H0,
     SU2_I,
     SU2Element,
-    adjoint_entry_rows,
     adjoint_matrix,
     conj_star,
     g_inv,
@@ -88,24 +87,16 @@ class TestSU2:
 
     def test_adjoint_matches_the_written_out_matrix(self):
         # the oracle: the nine entries written out one by one on the
-        # conjugate's components; the same bits, signed zeros of the units
-        # included
-        q = np.vstack([rand_su2(np.random.default_rng(21), 1000), np.eye(4), -np.eye(4)])
-        a, b, c, d = q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]
-        m = np.empty((len(q), 3, 3))
-        m[:, 0, 0] = a * a + b * b - c * c - d * d
-        m[:, 0, 1] = 2 * (b * c - a * d)
-        m[:, 0, 2] = 2 * (b * d + a * c)
-        m[:, 1, 0] = 2 * (b * c + a * d)
-        m[:, 1, 1] = a * a - b * b + c * c - d * d
-        m[:, 1, 2] = 2 * (c * d - a * b)
-        m[:, 2, 0] = 2 * (b * d - a * c)
-        m[:, 2, 1] = 2 * (c * d + a * b)
-        m[:, 2, 2] = a * a - b * b - c * c + d * d
-        assert adjoint_matrix(q).tobytes() == m.tobytes()
-        assert adjoint_matrix(q[7]).tobytes() == m[7].tobytes()
-        for i, j in np.ndindex(3, 3):
-            assert adjoint_entry_rows(q.T, i, j).tobytes() == m[:, i, j].tobytes()
+        # conjugate's components, as signed products, each entry within 2
+        # ulps of their exact sum; the units' entries are exact
+        q = np.vstack([rand_su2(np.random.default_rng(21), 300), np.eye(4), -np.eye(4)])
+        got = adjoint_matrix(q)
+        assert got.shape == (len(q), 3, 3)
+        for row, m in zip(q.tolist(), got):
+            _within_ulps(m.ravel(), _adjoint_terms(row), 2)
+        units = np.vstack([np.eye(4), -np.eye(4)])
+        assert np.array_equal(adjoint_matrix(units), [np.diag(d) for d in ([1, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                                                            [-1, -1, 1])] * 2)
 
     def test_normalize_matches_the_reduction_bit_for_bit(self):
         # the left-to-right column sum against the old np.sum(q * q,
@@ -238,6 +229,24 @@ def _within_ulps(got, terms, ulps):
         assert abs(Fraction(value) - exact) <= ulps * Fraction(2.0**-52) * scale
 
 
+def _adjoint_terms(q):
+    """The nine entries of adjoint_matrix, row by row, as signed products
+    of the components of the conjugate (a, b, c, d) = (q0, -q1, -q2, -q3):
+    the rotation matrix of the classical convention, written out."""
+    a, b, c, d = q[0], -q[1], -q[2], -q[3]
+    return [
+        [(1, a, a), (1, b, b), (-1, c, c), (-1, d, d)],
+        [(2, b, c), (-2, a, d)],
+        [(2, b, d), (2, a, c)],
+        [(2, b, c), (2, a, d)],
+        [(1, a, a), (-1, b, b), (1, c, c), (-1, d, d)],
+        [(2, c, d), (-2, a, b)],
+        [(2, b, d), (-2, a, c)],
+        [(2, c, d), (2, a, b)],
+        [(1, a, a), (-1, b, b), (-1, c, c), (1, d, d)],
+    ]
+
+
 class TestRowsWrappers:
     """quat_mul and quat_twist are (..., 4) forms of the complex-pair
     kernels: the bits of the pair expressions, broadcast shapes included,
@@ -266,9 +275,9 @@ class TestRowsWrappers:
 
 class TestPairKernels:
     """numpy's complex multiply may fuse a multiply and an add (it does on
-    AVX-512), so the product and the twist are held to the real formula
-    within a rounding bound, and to their own bits wherever a row sits:
-    alone, broadcast, strided or in a long batch."""
+    AVX-512), so the product, the twist and the adjoint entries are held to
+    the real formula within a rounding bound, and to their own bits
+    wherever a row sits: alone, broadcast, strided or in a batch."""
 
     @given(p=_ROW, q=_ROW)
     def test_product_is_the_real_formula_within_two_ulps(self, p, q):
@@ -291,6 +300,12 @@ class TestPairKernels:
         a, b, c, d = q.tolist()
         terms = [[(1, a, 1.0)], [(1, b, 1.0)], [(1, c, cos), (1, d, sin)], [(1, d, cos), (-1, c, sin)]]
         _within_ulps(quat_twist(ti, tf, q), terms, 2)
+
+    @given(q=_ROW)
+    def test_adjoint_is_the_real_formula_within_two_ulps(self, q):
+        # each entry is a part of one pair product, or a sum or difference
+        # of two, at most three roundings of the terms' absolute sum
+        _within_ulps(adjoint_matrix(q).ravel(), _adjoint_terms(q.tolist()), 2)
 
     @given(p=_ROW, q=_ROW, n=st.integers(1, 40), at=st.integers(0, 2**14 - 1), seed=st.integers(0, 2**32 - 1))
     def test_a_row_has_the_same_bits_wherever_it_is(self, p, q, n, at, seed):
@@ -315,6 +330,9 @@ class TestPairKernels:
         assert quat_twist(ti, tf, batch_q)[at].tobytes() == want
         assert quat_twist(ti[at], tf[at], strided[::2])[i].tobytes() == want
         assert quat_twist(ti[at:at + 1], tf[at:at + 1], q[None])[0].tobytes() == want
+        want = adjoint_matrix(q).tobytes()
+        assert adjoint_matrix(batch_q[at - i: at - i + n])[i].tobytes() == want
+        assert adjoint_matrix(strided[::2])[i].tobytes() == want
 
 
 class TestG:

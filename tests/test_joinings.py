@@ -26,18 +26,19 @@ def dictionary(levels):
 
 
 def reference_evaluate(dictionary, batch, table):
-    """CFDictionary.evaluate as it was before it wrote the fiber rows from q
+    """CFDictionary.evaluate as it was before it wrote real rows from q
     directly: zeroed complex rows, complex temporaries, the (n, 3, 3)
     adjoint_matrix, then one complex scale pass over the fiber rows; the
-    harmonic rows indexed out of the tick table at T mod N.  The oracle for
-    evaluate."""
+    harmonic rows indexed out of the tick table's real and imaginary rows
+    at T mod N.  The oracle for evaluate, as a complex (K, n) block."""
     valid, T, q = batch
     out = np.zeros((dictionary.size, len(T)), dtype=complex)
     adj = None
     for row, label in enumerate(dictionary.labels):
         kind, arg = label.split("-")
         if kind == "harm":
-            out[row] = table[int(arg) - 1][np.asarray(T) % dictionary.period]
+            cols = np.asarray(T) % dictionary.period
+            out[row] = table[int(arg) - 1][cols] + 1j * table[8 + int(arg) - 1][cols]
         elif kind == "def":
             if arg == "z":
                 out[row] = math.sqrt(2.0) * (q[:, 0] + 1j * q[:, 1])
@@ -51,6 +52,15 @@ def reference_evaluate(dictionary, batch, table):
         out[row] *= dictionary.scale
     out[:, ~valid] = 0.0
     return out
+
+
+def complex_values(dictionary, block):
+    """The (K, n) complex observables of a real value block, read off it by
+    the dictionary's layout: row re[i] plus i times row im[i], a row of
+    zeros for a real observable."""
+    re, im, _ = dictionary.layout
+    padded = np.vstack([block, np.zeros((1, block.shape[1]))])
+    return padded[re] + 1j * padded[im]
 
 
 def point_table(dictionary, levels, point):
@@ -67,12 +77,24 @@ def same_table(a, b) -> bool:
     return same_bits(a.corr, b.corr) and same_bits(a.stderr, b.stderr)
 
 
+def real_layout(k):
+    """The real layout of (k, n) complex values: their real parts, then
+    their imaginary parts, with one squared modulus row each."""
+    return np.arange(k), np.arange(k, 2 * k), np.arange(k)
+
+
+def real_rows(f):
+    """The real block of (k, n) complex values f in real_layout(k), and
+    their squared moduli."""
+    return np.vstack([f.real, f.imag]), f.real**2 + f.imag**2
+
+
 def correlation_table(pairs, scale=1.0):
-    """The table of the (fx, fy) value blocks `pairs`, through the
-    estimator's accumulator."""
-    sums = jo._TableSums()
+    """The table of the complex (fx, fy) value blocks `pairs`, through the
+    estimator's accumulator in their real layout."""
+    sums = jo._TableSums(real_layout(pairs[0][0].shape[0]))
     for fx, fy in pairs:
-        sums.add(fx.conj(), np.abs(fx) ** 2, fy, np.abs(fy) ** 2)
+        sums.add(*real_rows(fx), *real_rows(fy))
     return sums.table(scale)
 
 
@@ -162,8 +184,8 @@ class TestCorrelationTable:
         # partner of m columns pairs with x's first m, the rest of x's
         # block unread
         fx, fy = (rng.standard_normal((16, 1000)) + 1j * rng.standard_normal((16, 1000)) for _ in "xy")
-        sums = jo._TableSums()
-        sums.add(fx.conj(), np.abs(fx) ** 2, fy[:, :300].copy(), np.abs(fy[:, :300]) ** 2)
+        sums = jo._TableSums(real_layout(16))
+        sums.add(*real_rows(fx), *real_rows(fy[:, :300]))
         assert sums.n == 300
         assert same_table(sums.table(0.37), correlation_table([(fx[:, :300].copy(), fy[:, :300].copy())], 0.37))
 
@@ -300,6 +322,7 @@ class TestDictionary:
         _, _, q, _ = cf.sample_point_batch(levels, samples, 0, rng)
         table = dictionary.tick_table(float(rng.random()))
         vals = dictionary.evaluate((np.ones(samples, dtype=bool), level1_ticks(levels, rng, samples), q), table)
+        vals = complex_values(dictionary, vals)
         mu1 = levels.mu_xn(1)
         for label, row in zip(dictionary.labels, vals):
             sq = np.abs(row) ** 2 * mu1  # mu-integral via X_1 conditioning
@@ -312,9 +335,10 @@ class TestDictionary:
         T = np.array([3 * levels.grid + 1, 5 * levels.grid + 5], dtype=np.int64)
         q = np.tile(np.array([1.0, 0, 0, 0]), (2, 1))
         vals = dictionary.evaluate((valid, T, q), dictionary.tick_table(0.6))
+        assert vals.shape == (dictionary.height, 2)
         assert np.all(vals[:, 1] == 0.0)
         # the harmonic entries are nonvanishing at any valid point
-        assert abs(vals[0, 0]) > 0.9
+        assert abs(complex_values(dictionary, vals)[0, 0]) > 0.9
 
     def test_harmonic_powers_match_direct_exponentials(self, levels, dictionary):
         # harmonic m of the time (T + rho)/D read off the tick table at
@@ -325,6 +349,7 @@ class TestDictionary:
         q = np.tile(np.array([1.0, 0, 0, 0]), (len(T), 1))
         for rho in (0.0, float(rng.random()), 1.0 - 2.0**-53):
             vals = dictionary.evaluate((np.ones(len(T), dtype=bool), T, q), dictionary.tick_table(rho))
+            vals = complex_values(dictionary, vals)
             for m in range(1, 9):
                 row = dictionary.labels.index(f"harm-{m}")
                 phase = (m * T % dictionary.period + m * rho) / dictionary.period
@@ -339,16 +364,16 @@ class TestDictionary:
         # the entries' modulus, the scale
         table = dictionary.tick_table(rho)
         n = dictionary.period
-        assert table.shape == (8, n)
+        assert table.shape == (16, n)
         step = 1 if rho in (0.0, 0.7071067811865476) else 5
         scale, ulp = decimal.Decimal(dictionary.scale), np.spacing(dictionary.scale)
         worst = 0.0
         for m in range(1, 9):
             for k in range(0, n, step):
                 cos, sin = exact_unit((Fraction(m * k % n) + m * Fraction(rho)) / n)
-                entry = table[m - 1, k]
-                worst = max(worst, abs(float(decimal.Decimal(entry.real) - scale * cos)),
-                            abs(float(decimal.Decimal(entry.imag) - scale * sin)))
+                real, imag = table[m - 1, k], table[8 + m - 1, k]
+                worst = max(worst, abs(float(decimal.Decimal(real) - scale * cos)),
+                            abs(float(decimal.Decimal(imag) - scale * sin)))
         assert worst <= 2 * ulp
 
     @pytest.mark.parametrize("lanes", [0, 1, 1000])
@@ -365,7 +390,25 @@ class TestDictionary:
         if lanes:
             valid[0], q[0] = True, SU2_H0.array()
         batch, table = (valid, T, q), dictionary.tick_table(0.3)
-        assert same_bits(dictionary.evaluate(batch, table), reference_evaluate(dictionary, batch, table))
+        block = dictionary.evaluate(batch, table)
+        got, want = complex_values(dictionary, block), reference_evaluate(dictionary, batch, table)
+        # off level 1 every row is 0; on it the harmonic rows are the
+        # table's entries bit for bit, the defining rows q's components
+        # times sqrt 2 scale, one rounding of that constant and one of the
+        # product against the oracle's two, within 2 ulps of the value, and
+        # the adjoint rows within 4 ulps of their bound sqrt 3 scale: the
+        # pair products and the written-out sums are each within 1.5 ulps
+        # of the exact entry, and the scalings round once more
+        assert not np.any(block[:, ~valid])
+        for row, label in enumerate(dictionary.labels):
+            kind = label.split("-")[0]
+            if kind == "harm":
+                assert same_bits(got[row], want[row])
+            else:
+                bound = 2 * np.abs(want[row]) if kind == "def" else 4 * math.sqrt(3.0) * dictionary.scale
+                for part in ("real", "imag"):
+                    error = np.abs(getattr(got[row], part) - getattr(want[row], part))
+                    assert np.all(error <= bound * 2.0**-52), label
 
     def test_weights_are_dyadic(self, dictionary):
         w = jo._weights(dictionary.size)
@@ -394,7 +437,7 @@ def cubature_values(dictionary, m=None):
     for r in np.unique(rho):
         lanes = rho == r
         batch = (np.ones(lanes.sum(), dtype=bool), T[lanes], q[lanes])
-        out[:, lanes] = dictionary.evaluate(batch, dictionary.tick_table(float(r)))
+        out[:, lanes] = complex_values(dictionary, dictionary.evaluate(batch, dictionary.tick_table(float(r))))
     return out
 
 
@@ -478,50 +521,64 @@ def window_points(levels, *seeds):
     return [cf.sample_point_batch(levels, 1, 12, np.random.default_rng(seed)) for seed in seeds]
 
 
-def reference_table(fx, fy, n, scale):
-    """(corr, stderr) of the first n value pairs of (K, N) values fx and
-    fy: the means of scale f_i(x) conj(f_j(y)) and their stderrs, from the
-    moments summed over JOINING_BLOCK blocks in the estimator's order."""
+def reference_table(dictionary, x, y, n, scale):
+    """(corr, stderr) of the first n value pairs of x and y, each a (26, N)
+    value block and its (9, N) squared moduli: the means of
+    scale f_i(x) conj(f_j(y)) and their stderrs, from the real moments
+    summed over JOINING_BLOCK blocks in the estimator's order, and read
+    off entry by entry through the dictionary's layout."""
+    (fx, sq_x), (fy, sq_y) = x, y
     cross = second = 0.0
     for rows in cf.row_blocks(n, jo.JOINING_BLOCK):
-        cross = cross + fx[:, rows] @ fy[:, rows].conj().T
-        second = second + (np.abs(fx[:, rows]) ** 2) @ (np.abs(fy[:, rows]) ** 2).T
-    corr = cross * (scale / n)
-    var = np.maximum(second * (scale**2 / n) - np.abs(corr) ** 2, 0.0)
+        cross = cross + fx[:, rows] @ fy[:, rows].T
+        second = second + sq_x[:, rows] @ sq_y[:, rows].T
+    re, im, sq = dictionary.layout
+    k = dictionary.size
+
+    def part(r, c):
+        return 0.0 if dictionary.height in (r, c) else cross[r, c]
+
+    corr, moment = np.empty((k, k), dtype=complex), np.empty((k, k))
+    for i, j in np.ndindex(k, k):
+        real = part(re[i], re[j]) + part(im[i], im[j])
+        imag = part(im[i], re[j]) - part(re[i], im[j])
+        corr[i, j] = complex(real * (scale / n), imag * (scale / n))
+        moment[i, j] = second[sq[i], sq[j]] * (scale**2 / n)
+    # numpy's modulus, whose hypot may round otherwise than Python's abs
+    var = np.maximum(moment - np.abs(corr) ** 2, 0.0)
     return jo.EmpiricalJoining(corr, np.sqrt(var / n))
 
 
 def assert_same_values(table, reference):
-    """The stderrs bit for bit and the means equal entry for entry: the
-    estimator takes the means as the conjugate of conj(f_x) f_y^T, and
-    where an imaginary part sums to +0 its conjugate is -0."""
+    """The stderrs bit for bit and the means equal entry for entry, a zero
+    of either sign equal to the other."""
     assert same_bits(table.stderr, reference.stderr)
     assert table.corr.shape == reference.corr.shape and np.array_equal(table.corr, reference.corr)
 
 
 def _full_evaluate_pass(x, y, m, window, dictionary, levels, samples, rng):
-    """empirical_joining's window pass as it was when the paired partner had
-    a full evaluate and its own squared moduli of all K rows, here with the
-    tick table of the partner point (0, m) x itself."""
+    """empirical_joining's window pass with a full evaluate of the paired
+    partner, whose harmonic rows are taken from the tick table of the
+    partner point (0, m) x itself, and its own squared moduli; the
+    diagonal's partner comes first."""
     top = min(window.n + 2, levels.max_level + 1)
     g = (rng.integers(-window.i_max, window.i_max + 1, size=samples)
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
-    paired, independent, diagonal = jo._TableSums(), jo._TableSums(), jo._TableSums()
+    paired, independent, diagonal = (jo._TableSums(dictionary.layout) for _ in range(3))
     table_x, table_y = (point_table(dictionary, levels, p) for p in (x, y))
     table_p = point_table(dictionary, levels, cf.act(GElement(0.0, SU2Element.from_array(m)), *x[:3]))
     for rows in cf.row_blocks(samples, jo.JOINING_BLOCK):
         valid, T, _, q = cf.translate(levels, *x, g[rows], 1, top)
         fx = dictionary.evaluate((valid, T, q), table_x)
-        fd = fx[:, : max(samples // 2 - rows.start, 0)].copy()
-        sq_x = jo._sq_moduli(fx)
-        conj_x = np.conjugate(fx, out=fx)
-        diagonal.add(conj_x, sq_x, fd, sq_x[:, : fd.shape[1]].copy())
+        sq_x = dictionary.squared_moduli(fx, valid)
+        first = max(samples // 2 - rows.start, 0)
+        diagonal.add(fx, sq_x, fx[:, :first], sq_x[:, :first])
         q = quat_mul(quat_phi_int(g[rows], np.broadcast_to(m, q.shape)), q)
         fy = dictionary.evaluate((valid, T, q), table_p)
-        paired.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
+        paired.add(fx, sq_x, fy, dictionary.squared_moduli(fy, valid))
         valid, T, _, q = cf.translate(levels, *y, g[rows], 1, top)
         fy = dictionary.evaluate((valid, T, q), table_y)
-        independent.add(conj_x, sq_x, fy, jo._sq_moduli(fy))
+        independent.add(fx, sq_x, fy, dictionary.squared_moduli(fy, valid))
     scale = levels.mu_xn(window.n)
     return paired.table(scale), independent.table(scale), diagonal.table(scale)
 
@@ -530,9 +587,9 @@ def _full_evaluate_pass(x, y, m, window, dictionary, levels, samples, rng):
 def one_pass(levels, dictionary):
     """The window pass's tables (paired, independent, diagonal) and their
     whole-array reference on the same draws.  The reference translates x,
-    act((0, h0), x) and y over every draw at once and evaluates them with
-    reference_evaluate.  3 JOINING_BLOCK + 123 draws put the diagonal's
-    samples // 2 cut inside the second block."""
+    act((0, h0), x) and y over every draw at once and evaluates each with
+    one evaluate of all its lanes.  3 JOINING_BLOCK + 123 draws put the
+    diagonal's samples // 2 cut inside the second block."""
     w = jo.folner_window(4, levels)
     x, y = window_points(levels, 18, 19)
     samples = 3 * jo.JOINING_BLOCK + 123
@@ -542,12 +599,14 @@ def one_pass(levels, dictionary):
     ts = rng.integers(-w.j_max, w.j_max + 1, size=samples)
     top = min(w.n + 2, levels.max_level + 1)
     partner = (*cf.act(GElement(0.0, SU2_H0), *x[:3]), x[3])
-    fx, fp, fy = (reference_evaluate(dictionary, (valid, T, q), dictionary.tick_table(float(rho[0])))
-                  for valid, T, rho, q in (cf.translate(levels, *p, bs + w.spacing * ts, 1, top)
-                                           for p in (x, partner, y)))
-    assert 0 < (fx[0] != 0).sum() < samples  # some lanes off level 1
+    fx, fp, fy = ((f, dictionary.squared_moduli(f, valid))
+                  for valid, f in ((valid, dictionary.evaluate((valid, T, q), dictionary.tick_table(float(rho[0]))))
+                                   for valid, T, rho, q in (cf.translate(levels, *p, bs + w.spacing * ts, 1, top)
+                                                            for p in (x, partner, y))))
+    assert 0 < (fx[1][0] != 0).sum() < samples  # some lanes off level 1
     scale = levels.mu_xn(w.n)
-    reference = [reference_table(fx, f, n, scale) for f, n in ((fp, samples), (fy, samples), (fx, samples // 2))]
+    reference = [reference_table(dictionary, fx, f, n, scale)
+                 for f, n in ((fp, samples), (fy, samples), (fx, samples // 2))]
     return tables, reference
 
 
@@ -595,6 +654,15 @@ class TestEmpiricalJoining:
         tables, reference = one_pass
         assert_same_values(tables[2], reference[2])
 
+    def test_diagonal_table_is_hermitian_bit_for_bit(self, one_pass):
+        # x's block against its own first columns is one syrk, whose sums
+        # are symmetric bit for bit, so the table's real parts and stderrs
+        # are symmetric and its imaginary parts antisymmetric, exactly
+        diagonal = one_pass[0][2]
+        assert same_bits(diagonal.corr.real, diagonal.corr.real.T)
+        assert not np.any(diagonal.corr.imag + diagonal.corr.imag.T)
+        assert same_bits(diagonal.stderr, diagonal.stderr.T)
+
     @pytest.mark.parametrize("partner", ["paired", "independent"])
     def test_partner_matches_two_translates(self, one_pass, partner):
         # an independent point takes its own translate, and its table is the
@@ -609,10 +677,10 @@ class TestEmpiricalJoining:
             assert np.max(np.abs(tables[i].stderr - reference[i].stderr)) <= 1e-15
 
     def test_paired_partner_reuses_harmonic_rows_bit_for_bit(self, levels, dictionary):
-        # the paired partner reads x's tick table at x's ticks, and takes
-        # the squared moduli of x's harmonic rows; every table is the
-        # full-evaluate pass's, whose partner reads the table of its own
-        # point, bit for bit
+        # the paired partner copies x's harmonic rows, and its squared
+        # moduli read the same lanes; every table is, bit for bit, the
+        # full-evaluate pass's, whose partner takes its harmonic rows from
+        # the tick table of its own point
         w = jo.folner_window(4, levels)
         x, y = window_points(levels, 18, 19)
         samples = 2 * jo.JOINING_BLOCK + 123
@@ -622,13 +690,14 @@ class TestEmpiricalJoining:
             assert same_bits(table.corr, reference.corr) and same_bits(table.stderr, reference.stderr)
 
     def test_peak_memory_below_three_value_blocks(self, levels, dictionary):
-        # a (16, ROW_BLOCK) complex value block is 4 MiB.  Live at once are
-        # x's block, conjugated in place (1 block), its squared moduli (1/2),
-        # one partner block (1) and its squared moduli (1/2): 3 blocks, and
-        # the draws and one block's translate arrays stay under half a block
-        # more.  The first block's diagonal partner is x's whole block, the
-        # second's is empty.  Conjugating a copy of x's block and a copy of
-        # each partner block would hold 2 blocks more
+        # the bound is 3.5 of the (16, ROW_BLOCK) complex blocks of 4 MiB
+        # that the estimator once held.  Its real value blocks are (26, n)
+        # float, 26/32 of such a block, and their squared moduli (9, n),
+        # 9/32: live at once are x's block and moduli and one partner's,
+        # 35/16 blocks of n columns, and the draws and one block's
+        # translate arrays.  Its blocks of JOINING_BLOCK = ROW_BLOCK / 4
+        # columns hold under a quarter of that.  The first block's diagonal
+        # partner is x's whole block, read in place, the second's is empty
         w = jo.folner_window(4, levels)
         x, y = window_points(levels, 63, 64)
         tracemalloc.start()
@@ -641,9 +710,11 @@ class TestEmpiricalJoining:
 
     def test_peak_memory_below_four_of_its_value_blocks(self, levels, dictionary):
         # over 8 of the estimator's blocks the traced peak stays under 4 of
-        # its (16, JOINING_BLOCK) complex value blocks, 4 MiB: the 3 blocks
-        # of the test above, and the draws and one block's translate arrays.
-        # Blocks of 2^14 held about 12.8 MiB at this sample size
+        # the (16, JOINING_BLOCK) complex value blocks it once held, 4 MiB:
+        # x's and one partner's real (26, JOINING_BLOCK) value block and
+        # (9, JOINING_BLOCK) squared moduli, 35/16 such blocks, and the
+        # draws and one block's translate arrays.  Blocks of 2^14 held
+        # about 12.8 MiB at this sample size
         block = dictionary.size * jo.JOINING_BLOCK * np.dtype(complex).itemsize
         assert block == 2**20
         w = jo.folner_window(4, levels)
