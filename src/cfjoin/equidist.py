@@ -277,8 +277,6 @@ class DistributionTestError(RuntimeError):
     """Raised when the pair-distribution check keeps failing after retries."""
 
     def __init__(self, n: int, distance: float, tolerance: float, retries: int):
-        self.distance = distance
-        self.tolerance = tolerance
         super().__init__(
             f"distribution test failed at level {n}: pair l1 distance "
             f"{distance:.4f} >= {tolerance:.4f} after {retries} retries"

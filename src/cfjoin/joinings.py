@@ -13,7 +13,6 @@ low-index slots where the metric can see them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .cf_engine import (
     CFLevels,
     LevelTooDeepError,
     OrbitLeftTruncationError,
-    _to_ticks,
     embed_batch,
     row_blocks,
     shift_peel,
@@ -73,109 +71,94 @@ class CFDictionary:
     Values are real blocks of `height` = 26 rows, one column per point: the
     real parts of the harmonics m = 1..8 (rows 0-7) and their imaginary
     parts (rows 8-15), the real and imaginary parts of the defining rows z
-    and w (16-19), and the six adjoint rows (20-25), which are real.
-    `layout` reads the K observables off a block: observable i is row
-    re[i] plus i times row im[i], im[i] = height for a real observable (a
-    row of zeros past the block's end), and its squared modulus is row
-    sq[i] of squared_moduli.
+    and w (16-19), and the adjoint entries ADJOINT (20-25), which are real.
+    OBSERVABLES lists the K = `size` observables in metric order: observable
+    i, with its label, is row re plus i times row im of a block, im = height
+    for a real observable (a row of zeros past the block's end), and its
+    squared modulus is row sq of squared_moduli; `layout` is the table's
+    columns (re, im, sq) as index arrays.
     """
 
     height = 26
+    OBSERVABLES = (  # (label, re, im, sq)
+        ("harm-1", 0, 8, 0),
+        ("def-z", 16, 17, 1),
+        ("def-w", 18, 19, 2),
+        ("adj-11", 20, height, 3),
+        ("harm-2", 1, 9, 0),
+        ("adj-22", 21, height, 4),
+        ("harm-3", 2, 10, 0),
+        ("adj-33", 22, height, 5),
+        ("harm-4", 3, 11, 0),
+        ("adj-12", 23, height, 6),
+        ("harm-5", 4, 12, 0),
+        ("adj-23", 24, height, 7),
+        ("harm-6", 5, 13, 0),
+        ("adj-13", 25, height, 8),
+        ("harm-7", 6, 14, 0),
+        ("harm-8", 7, 15, 0),
+    )
+    size = len(OBSERVABLES)
+    # the adjoint_matrix entries of rows 20-25, in order
+    ADJOINT = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
 
     def __init__(self, levels: CFLevels):
-        self.a1 = levels.a(1)
-        self.period = self.a1 * levels.grid
+        self.period = levels.a(1) * levels.grid
         self.scale = 1.0 / math.sqrt(levels.mu_xn(1))
-        spec = [
-            ("harm-1", ("harm", 1)),
-            ("def-z", ("def", "z")),
-            ("def-w", ("def", "w")),
-            ("adj-11", ("adj", (0, 0))),
-            ("harm-2", ("harm", 2)),
-            ("adj-22", ("adj", (1, 1))),
-            ("harm-3", ("harm", 3)),
-            ("adj-33", ("adj", (2, 2))),
-            ("harm-4", ("harm", 4)),
-            ("adj-12", ("adj", (0, 1))),
-            ("harm-5", ("harm", 5)),
-            ("adj-23", ("adj", (1, 2))),
-            ("harm-6", ("harm", 6)),
-            ("adj-13", ("adj", (0, 2))),
-            ("harm-7", ("harm", 7)),
-            ("harm-8", ("harm", 8)),
-        ]
-        self.labels = [name for name, _ in spec]
-        # the harmonic rows in the order of m, and the (row, code) of the rest
-        self._harm = [row for row, (_, (kind, _)) in enumerate(spec) if kind == "harm"]
-        self._fiber = [(row, code) for row, (_, code) in enumerate(spec) if code[0] != "harm"]
-        # the adjoint entries in the order of their rows
-        self._adjoint = [arg for _, (kind, arg) in self._fiber if kind == "adj"]
-        harmonics = len(self._harm)
-        # the first row past the harmonics' parts
-        self._split = 2 * harmonics
-        re, im, sq = (np.empty(len(spec), dtype=np.intp) for _ in range(3))
-        for row, (_, (kind, arg)) in enumerate(spec):
-            if kind == "harm":
-                re[row], im[row], sq[row] = arg - 1, harmonics + arg - 1, 0
-            elif kind == "def":
-                k = "zw".index(arg)
-                re[row], im[row], sq[row] = self._split + 2 * k, self._split + 2 * k + 1, 1 + k
-            else:
-                k = self._adjoint.index(arg)
-                re[row], im[row], sq[row] = self._split + 4 + k, self.height, 3 + k
-        self.layout = (re, im, sq)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+        _, *layout = zip(*self.OBSERVABLES)
+        self.layout = tuple(np.array(rows) for rows in layout)
 
     def tick_table(self, rho: float) -> np.ndarray:
-        """(16, N) real table of the harmonics at the residual rho in
-        [0, 1): rows m - 1 and 8 + m - 1, column k, hold the real and
+        """(16, N + 1) real table of the harmonics at the residual rho in
+        [0, 1): rows m - 1 and 8 + m - 1, column k < N, hold the real and
         imaginary parts of scale e^(2 pi i m (k + rho) / N), harmonic m at
-        every level-1 time (T + rho)/D with T = k mod N.  The phase is
-        taken in quarter turns, 4 ((m k) mod N + m rho) / N: the nearest
-        whole quarter turn of 4 ((m k) mod N) / N is split off in integers,
-        and turns the unit exactly (a swap and signs), so the one float
-        angle left is at most about an eighth of a turn."""
-        n, harmonics = self.period, len(self._harm)
-        m = np.arange(1, harmonics + 1)[:, None]
+        every level-1 time (T + rho)/D with T = k mod N; column N is 0, the
+        harmonics off level 1.  The phase is taken in quarter turns,
+        4 ((m k) mod N + m rho) / N: the nearest whole quarter turn of
+        4 ((m k) mod N) / N is split off in integers, and turns the unit
+        exactly (a swap and signs), so the one float angle left is at most
+        about an eighth of a turn."""
+        n = self.period
+        m = np.arange(1, 9)[:, None]
         k4 = 4 * (m * np.arange(n) % n)
         quarter = (k4 + n // 2) // n
         angle = (k4 - quarter * n + 4 * m * rho) * (math.pi / (2 * n))
         cos, sin = np.cos(angle), np.sin(angle)
         odd, quarter = quarter & 1, quarter & 3
         # i^quarter (cos + i sin), scaled: the signs and the swap are exact
-        table = np.empty((2 * harmonics, n))
+        table = np.zeros((16, n + 1))
         np.multiply(np.where(odd, sin, cos), np.where((quarter == 1) | (quarter == 2), -self.scale, self.scale),
-                    out=table[:harmonics])
-        np.multiply(np.where(odd, cos, sin), np.where(quarter >= 2, -self.scale, self.scale), out=table[harmonics:])
+                    out=table[:8, :n])
+        np.multiply(np.where(odd, cos, sin), np.where(quarter >= 2, -self.scale, self.scale), out=table[8:, :n])
         return table
 
     def evaluate(self, batch, table, harmonics=None) -> np.ndarray:
         """The (26, n) real value block of batch = (valid, T, q), level-1
         coordinates as translate returns them: the times in ticks, whose
         residual rho `table`, the tick_table of rho, holds, and (n, 4)
-        fibers.  The 16 harmonic rows are one take of the table's columns
-        at T mod N, or, given `harmonics`, a value block of the same lanes
-        and times, its harmonic rows copied.  The defining rows are the
-        components of q, the parts of its complex pair z and w, times
-        sqrt 2 scale, and the adjoint rows groups.adjoint_rows of the pair
-        times sqrt 3 scale.  Every row is 0 on the lanes off level 1."""
+        fibers.  The 16 harmonic rows are one take of the table's columns,
+        at T mod N on the lanes on level 1 and at the zero column N off it,
+        or, given `harmonics`, a value block of the same lanes and times,
+        its harmonic rows copied.  The defining rows are the components of
+        q, the parts of its complex pair z and w, times sqrt 2 scale, and
+        the adjoint rows groups.adjoint_rows of the pair times sqrt 3 scale.
+        Off level 1 the harmonic rows read the zero column and the 10 fiber
+        rows are zeroed, so every row is 0 there."""
         valid, T, q = batch
         out = np.empty((self.height, len(q)))
-        split = self._split
+        off = np.flatnonzero(~valid)
         if harmonics is None:
             # T mod N, as T less its floor quotient's multiple: numpy divides
             # by an integer scalar several times faster than np.remainder does
             cols = T - T // self.period * self.period
-            table.take(cols, axis=1, out=out[:split], mode="clip")
+            cols[off] = self.period
+            table.take(cols, axis=1, out=out[:16], mode="clip")
         else:
-            out[:split] = harmonics[:split]
-        np.multiply(q.T, math.sqrt(2.0) * self.scale, out=out[split:split + 4])
-        adjoint = adjoint_rows(quat_pair(q), self._adjoint, out[split + 4:])
+            out[:16] = harmonics[:16]
+        np.multiply(q.T, math.sqrt(2.0) * self.scale, out=out[16:20])
+        adjoint = adjoint_rows(quat_pair(q), self.ADJOINT, out[20:])
         adjoint *= math.sqrt(3.0) * self.scale
-        out[:, ~valid] = 0.0
+        out[16:, off] = 0.0
         return out
 
     def squared_moduli(self, values, valid) -> np.ndarray:
@@ -184,12 +167,11 @@ class CFDictionary:
         them, every harmonic's squared modulus; rows 1 and 2 are |z|^2 and
         |w|^2 of the defining rows, the sums of their parts' squares, and
         rows 3-8 the adjoint rows squared."""
-        split = self._split
         sq = np.empty((9, values.shape[1]))
         np.multiply(valid, self.scale**2, out=sq[0])
-        parts = np.square(values[split:split + 4])
+        parts = np.square(values[16:20])
         np.add(parts[0::2], parts[1::2], out=sq[1:3])
-        np.square(values[split + 4:], out=sq[3:])
+        np.square(values[20:], out=sq[3:])
         return sq
 
 
@@ -225,6 +207,21 @@ def joining_metric_stderr(x: EmpiricalJoining) -> float:
     return float(np.sqrt(np.sum(w**2 * x.stderr**2)))
 
 
+def _read(cross, layout) -> np.ndarray:
+    """The (K, K) complex table of the real (height, height) sums `cross`
+    of products of two value blocks' rows, laid out as `layout` (re, im, sq)
+    says (CFDictionary): f_i conj(g_j) sums to
+    R[re_i, re_j] + R[im_i, im_j] + i (R[im_i, re_j] - R[re_i, im_j])."""
+    re, im, _ = layout
+    # a row of zeros for the imaginary parts of real observables
+    padded = np.zeros(np.add(cross.shape, 1))
+    padded[:-1, :-1] = cross
+    corr = np.empty((len(re), len(re)), dtype=complex)
+    corr.real = padded[np.ix_(re, re)] + padded[np.ix_(im, im)]
+    corr.imag = padded[np.ix_(im, re)] - padded[np.ix_(re, im)]
+    return corr
+
+
 class _TableSums:
     """Running sums of one correlation table over row blocks: the means of
     scale * f_i(x_k) conj(f_j(y_k)) over the pairs added, with the stderr
@@ -235,12 +232,11 @@ class _TableSums:
     of the blocks' rows, and, since |f_i g_j|^2 = |f_i|^2 |g_j|^2, the
     second moments of their squared moduli.  No (K, K, N) array, nor any
     table of all N pairs, is formed.  The (K, K) complex table is read off
-    the sums once, at the end: f_i conj(g_j) sums to
-    R[re_i, re_j] + R[im_i, im_j] + i (R[im_i, re_j] - R[re_i, im_j]).
+    the sums once, at the end, by _read.
     """
 
     def __init__(self, layout):
-        self.re, self.im, self.sq = layout
+        self.layout = layout
         self.n = 0
         self.cross = self.second = 0.0
 
@@ -256,15 +252,10 @@ class _TableSums:
         self.second += sq_x[:, :m] @ sq_y.T
 
     def table(self, scale: float) -> EmpiricalJoining:
-        # a row of zeros for the imaginary parts of real observables
-        cross = np.zeros(np.add(self.cross.shape, 1))
-        cross[:-1, :-1] = self.cross
-        re, im = self.re, self.im
-        corr = np.empty((len(re), len(re)), dtype=complex)
-        corr.real = cross[np.ix_(re, re)] + cross[np.ix_(im, im)]
-        corr.imag = cross[np.ix_(im, re)] - cross[np.ix_(re, im)]
+        corr = _read(self.cross, self.layout)
         corr *= scale / self.n
-        second = self.second[np.ix_(self.sq, self.sq)]
+        sq = self.layout[2]
+        second = self.second[np.ix_(sq, sq)]
         var = np.maximum(second * (scale**2 / self.n) - np.abs(corr) ** 2, 0.0)
         return EmpiricalJoining(corr, np.sqrt(var / self.n))
 
@@ -421,10 +412,10 @@ def empirical_joining(
          + window.spacing * rng.integers(-window.j_max, window.j_max + 1, size=samples))
     paired, independent, diagonal = (_TableSums(dictionary.layout) for _ in range(3))
     mz, mw = (quat_pair(m)[..., c] for c in (0, 1))  # phi_g(m) = (mz, +-mw)
-    # each point's residual rho, which no translate moves, and its harmonic table
-    table_x, table_y = (dictionary.tick_table(float(_to_ticks(levels, 1, ti, tf)[1][0])) for ti, tf, *_ in (x, y))
     try:
         embedded_x, embedded_y = (embed_batch(levels, *p, 1, top, radix=True) for p in (x, y))
+        # each point's residual rho, which no translate moves, and its harmonic table
+        table_x, table_y = (dictionary.tick_table(float(rho[0])) for _, rho, _ in (embedded_x, embedded_y))
         for rows in row_blocks(samples, JOINING_BLOCK):
             valid, T, _, q = shift_peel(levels, *embedded_x, g[rows], 1, top)
             fx = dictionary.evaluate((valid, T, q), table_x)
@@ -456,10 +447,6 @@ def empirical_joining(
     return paired.table(scale), independent.table(scale), diagonal.table(scale)
 
 
-# the defining rows read sqrt 2 times these coefficients of q
-_DEF_COEFFS = {"z": np.array([1.0, 1j, 0.0, 0.0]), "w": np.array([0.0, 0.0, 1.0, 1j])}
-
-
 def graph_joining_target(m: np.ndarray, dictionary: CFDictionary) -> np.ndarray:
     """Exact (K, K) table of the graph joining along the fiber element
     k = (0, m), m a (4,) unit quaternion: int f_i(x) conj(f_j(T_k x)).
@@ -467,31 +454,26 @@ def graph_joining_target(m: np.ndarray, dictionary: CFDictionary) -> np.ndarray:
     T_k (t, q) = (t, m q) leaves the level-1 time in place and the
     observables vanish off X_1, so the table is the mean over a uniform
     level-1 time and a Haar fiber of g_i(t, q) conj(g_j(t, m q)), g the
-    observables without their mu(X_1)^{-1/2} scale.  By Schur orthogonality:
-    - the harmonic rows give the identity, the harmonics running over whole
-      periods of (-a_1, a_1];
-    - a harmonic against a fiber row gives 0, the fiber rows having Haar
-      mean 0;
-    - two defining rows sqrt 2 c.q and sqrt 2 c'.(m q) give
-      (1/2) c^T P conj(c'), where E[q q^T] = I/4 and P = quat_mul(m, I_4),
-      whose row e is m e_e, so that m q = P^T q;
+    observables without their mu(X_1)^{-1/2} scale.  _read, the reader of
+    the estimates, reads it off the exact means of the products of the
+    value rows (CFDictionary) at (t, q) and at (t, m q), by Schur
+    orthogonality:
+    - each real or imaginary part of a harmonic gives 1/2 against itself,
+      the harmonics running over whole periods of (-a_1, a_1];
+    - two defining component rows sqrt 2 q_a and sqrt 2 (m q)_b give
+      (1/2) P_ab, where E[q q^T] = I/4 and P = quat_mul(m, I_4), whose row
+      e is m e_e, so that m q = P^T q;
     - two adjoint rows sqrt 3 A(q)_ab and sqrt 3 A(m q)_cd give
       delta_bd A(m)_ca, A = adjoint_matrix;
-    - a defining row against an adjoint row gives 0, the representations
-      being inequivalent.
+    - every other pair gives 0: the fiber rows have Haar mean 0, and the
+      defining and adjoint representations are inequivalent.
     """
-    k = dictionary.size
-    corr = np.zeros((k, k), dtype=complex)
-    corr[dictionary._harm, dictionary._harm] = 1.0
-    left = quat_mul(m, np.eye(4))
-    adj = adjoint_matrix(m)
-    for (i, (kind, arg)), (j, (kind2, arg2)) in itertools.product(dictionary._fiber, repeat=2):
-        if kind == kind2 == "def":
-            corr[i, j] = 0.5 * (_DEF_COEFFS[arg] @ left @ _DEF_COEFFS[arg2].conj())
-        elif kind == kind2 == "adj":
-            (a, b), (c, d) = arg, arg2
-            corr[i, j] = adj[c, a] if b == d else 0.0
-    return corr
+    cross = np.zeros((dictionary.height, dictionary.height))
+    np.fill_diagonal(cross[:16, :16], 0.5)
+    cross[16:20, 16:20] = 0.5 * quat_mul(m, np.eye(4))
+    a, b = np.array(dictionary.ADJOINT).T
+    cross[20:, 20:] = np.where(b[:, None] == b, adjoint_matrix(m).T[np.ix_(a, a)], 0.0)
+    return _read(cross, dictionary.layout)
 
 
 def product_joining_target(dictionary: CFDictionary) -> np.ndarray:

@@ -167,19 +167,27 @@ def test_criterion_11_nonuniqueness_bundle(cfg):
 
 
 def test_criterion_12_determinism(tmp_path):
+    # two runs of one config write the same bytes: four experiments at seed
+    # 99, and every experiment of `cfjoin all` at the acceptance config
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(seed=99, mc_samples=20_000, output_dir="det")
-    names = ("sequences", "validate-cf", "weakmix", "counterexample-51")
-    paths = []
-    for run in range(2):
-        verifier._build_levels.cache_clear()  # each run builds its own levels
-        reports = [EXPERIMENTS[name](cfg) for name in names]
-        out = tmp_path / f"run{run}"
-        emit_report(reports, str(out), cfg)
-        paths.append(out)
-    files = sorted(p.name for p in paths[0].iterdir())
-    ok = bool(files)
-    for name in files:
-        ok &= filecmp.cmp(paths[0] / name, paths[1] / name, shallow=False)
+    runs = {
+        "seed-99": (ExperimentConfig(seed=99, mc_samples=20_000, output_dir="det"),
+                    ("sequences", "validate-cf", "weakmix", "counterexample-51")),
+        "acceptance": (ExperimentConfig(seed=SEED, mc_samples=1_000_000, output_dir="det"), tuple(EXPERIMENTS)),
+    }
+    ok, files = True, []
+    for label, (cfg, names) in runs.items():
+        paths = []
+        for run in range(2):
+            verifier._build_levels.cache_clear()  # each run builds its own levels
+            reports = [EXPERIMENTS[name](cfg) for name in names]
+            out = tmp_path / label / f"run{run}"
+            emit_report(reports, str(out), cfg)
+            paths.append(out)
+        written = sorted(p.name for p in paths[0].iterdir())
+        ok &= bool(written) and written == sorted(p.name for p in paths[1].iterdir())
+        for name in written:
+            ok &= filecmp.cmp(paths[0] / name, paths[1] / name, shallow=False)
+        files += [f"{label}/{name}" for name in written]
     elapsed = time.perf_counter() - t0
     _line(12, ok, 300.0, elapsed, f"byte-identical outputs: {', '.join(files)}")

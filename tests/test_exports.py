@@ -26,28 +26,43 @@ def test_all_names_resolve(name):
 ROOT = Path(__file__).resolve().parent.parent
 
 def _names_read(paths) -> tuple[set[str], set[str]]:
-    """The names loaded (ast.Name), and the names taken as an attribute
-    (ast.Attribute) together with the attribute parts of the keys of a
-    TRACED dict, such as the benchmark's "cf_engine.act", which its tracer
-    looks up with getattr."""
+    """The names loaded (ast.Name), and the names read as an attribute
+    (ast.Attribute, not as the target of an assignment) together with the
+    attribute parts of the keys of a TRACED dict, such as the benchmark's
+    "cf_engine.act", which its tracer looks up with getattr."""
     names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
                 attributes.update(part for key in node.value.keys for part in key.value.split(".")[1:])
     return names, attributes
 
 
+def _class_attributes(cls):
+    """The names a class body assigns a value to (its constants, and the
+    fields of a dataclass that have a default), and the attributes its
+    __init__ sets on self."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            yield from (n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield node.target.id
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            yield from (n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self")
+
+
 def test_every_export_has_a_caller():
     # a name whose only reader is its own test is dead weight in the program:
     # every __all__ name, and every module-level function and class, private
     # ones too, such as a helper whose last caller has gone; and every method
-    # and property of those classes, which only an attribute read can reach
-    # (dunder methods are read by the language itself)
+    # and property of those classes, their constants and the attributes their
+    # constructors set, which only an attribute read can reach (dunder
+    # methods are read by the language itself)
     program = sorted((ROOT / "src" / "cfjoin").glob("*.py"))
     sources = program + [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
     names, attributes = _names_read(sources)
@@ -67,6 +82,13 @@ def test_every_export_has_a_caller():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    }
+    members |= {
+        f"{stem}.{cls.name}.{attr}"
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for attr in _class_attributes(cls)
     }
     read = names | attributes
     unread = [name for name in defined if name.partition(".")[2] not in read]

@@ -18,6 +18,8 @@ from cfjoin.groups import (
 
 H0 = SU2_H0.array()
 H0_STAR = conj_star(0.0, H0)[1]
+# the dictionary's labels, in metric order
+LABELS = [label for label, *_ in jo.CFDictionary.OBSERVABLES]
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def reference_evaluate(dictionary, batch, table):
     valid, T, q = batch
     out = np.zeros((dictionary.size, len(T)), dtype=complex)
     adj = None
-    for row, label in enumerate(dictionary.labels):
+    for row, label in enumerate(LABELS):
         kind, arg = label.split("-")
         if kind == "harm":
             cols = np.asarray(T) % dictionary.period
@@ -48,8 +50,9 @@ def reference_evaluate(dictionary, batch, table):
             if adj is None:
                 adj = adjoint_matrix(q)
             out[row] = math.sqrt(3.0) * adj[:, int(arg[0]) - 1, int(arg[1]) - 1]
-    for row, _ in dictionary._fiber:
-        out[row] *= dictionary.scale
+    for row, label in enumerate(LABELS):
+        if not label.startswith("harm"):
+            out[row] *= dictionary.scale
     out[:, ~valid] = 0.0
     return out
 
@@ -324,7 +327,7 @@ class TestDictionary:
         vals = dictionary.evaluate((np.ones(samples, dtype=bool), level1_ticks(levels, rng, samples), q), table)
         vals = complex_values(dictionary, vals)
         mu1 = levels.mu_xn(1)
-        for label, row in zip(dictionary.labels, vals):
+        for label, row in zip(LABELS, vals):
             sq = np.abs(row) ** 2 * mu1  # mu-integral via X_1 conditioning
             norm = math.sqrt(float(np.mean(sq)))
             se = float(np.std(sq, ddof=1) / math.sqrt(samples)) / (2 * max(norm, 1e-9))
@@ -340,6 +343,25 @@ class TestDictionary:
         # the harmonic entries are nonvanishing at any valid point
         assert abs(complex_values(dictionary, vals)[0, 0]) > 0.9
 
+    def test_lanes_off_level1_read_zero_whatever_their_time(self, levels, dictionary):
+        # the lanes off level 1 take the tick table's zero column and their
+        # fiber rows are zeroed, whatever time and fiber the peel left
+        # there: huge and negative ticks, the ends of int64, NaN fibers
+        rng = np.random.default_rng(33)
+        T = np.array([2**62 + 3, -2**62 - 5, 2**63 - 1, -2**63, -1, 0, dictionary.period, 17], dtype=np.int64)
+        T = np.concatenate([T, rng.integers(-2**63, 2**63 - 1, size=200, endpoint=True)])
+        valid = np.zeros(len(T), dtype=bool)
+        valid[rng.random(len(T)) < 0.3] = True
+        _, _, q, _ = cf.sample_point_batch(levels, len(T), 0, rng)
+        q[~valid & (np.arange(len(T)) % 2 == 0)] = np.nan
+        block = dictionary.evaluate((valid, T, q), dictionary.tick_table(0.25))
+        assert block.shape == (dictionary.height, len(T))
+        assert not np.any(block[:, ~valid])
+        assert np.all(np.isfinite(block))
+        # the paired partner's block, its harmonic rows copied from x's
+        partner = dictionary.evaluate((valid, T, q[::-1].copy()), None, harmonics=block)
+        assert not np.any(partner[:, ~valid])
+
     def test_harmonic_powers_match_direct_exponentials(self, levels, dictionary):
         # harmonic m of the time (T + rho)/D read off the tick table at
         # T mod N, also for T past one period either way, against the
@@ -351,7 +373,7 @@ class TestDictionary:
             vals = dictionary.evaluate((np.ones(len(T), dtype=bool), T, q), dictionary.tick_table(rho))
             vals = complex_values(dictionary, vals)
             for m in range(1, 9):
-                row = dictionary.labels.index(f"harm-{m}")
+                row = LABELS.index(f"harm-{m}")
                 phase = (m * T % dictionary.period + m * rho) / dictionary.period
                 direct = dictionary.scale * np.exp(2j * math.pi * phase)
                 assert np.max(np.abs(vals[row] - direct)) <= 1e-12
@@ -364,7 +386,9 @@ class TestDictionary:
         # the entries' modulus, the scale
         table = dictionary.tick_table(rho)
         n = dictionary.period
-        assert table.shape == (16, n)
+        # column N is the harmonics off level 1
+        assert table.shape == (16, n + 1)
+        assert not np.any(table[:, n])
         step = 1 if rho in (0.0, 0.7071067811865476) else 5
         scale, ulp = decimal.Decimal(dictionary.scale), np.spacing(dictionary.scale)
         worst = 0.0
@@ -400,7 +424,7 @@ class TestDictionary:
         # pair products and the written-out sums are each within 1.5 ulps
         # of the exact entry, and the scalings round once more
         assert not np.any(block[:, ~valid])
-        for row, label in enumerate(dictionary.labels):
+        for row, label in enumerate(LABELS):
             kind = label.split("-")[0]
             if kind == "harm":
                 assert same_bits(got[row], want[row])
@@ -414,6 +438,37 @@ class TestDictionary:
         w = jo._weights(dictionary.size)
         assert w[0, 0] == 0.25
         assert w[1, 0] == w[0, 1] == 0.125
+
+    def test_observables_table_states_the_layout(self, dictionary):
+        # every value row is the real or imaginary part of exactly one
+        # observable, the zero row past the block's end the imaginary part
+        # of the real ones; every squared-modulus row is read; the labels
+        # are unique and `layout` is the table's columns
+        labels, re, im, sq = zip(*dictionary.OBSERVABLES)
+        assert len(set(labels)) == dictionary.size == 16
+        assert [list(rows) for rows in dictionary.layout] == [list(re), list(im), list(sq)]
+        parts = list(re) + [row for row in im if row != dictionary.height]
+        assert sorted(parts) == list(range(dictionary.height))
+        assert set(sq) == set(range(9))
+        # the adjoint observables read the rows 20-25 that evaluate writes
+        # with ADJOINT, each the adjoint_matrix entry its label names, and
+        # are real; the harmonics' and defining rows' parts come in pairs
+        for label, r, i, _ in dictionary.OBSERVABLES:
+            kind, arg = label.split("-")
+            if kind == "adj":
+                assert i == dictionary.height
+                assert dictionary.ADJOINT[r - 20] == (int(arg[0]) - 1, int(arg[1]) - 1)
+            elif kind == "harm":
+                assert (r, i) == (int(arg) - 1, 8 + int(arg) - 1)
+            else:
+                assert (r, i) == {"z": (16, 17), "w": (18, 19)}[arg]
+        q = random_su2(34)
+        block = dictionary.evaluate((np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64), q[None]),
+                                    dictionary.tick_table(0.0))
+        entries = adjoint_matrix(q)[tuple(np.array(dictionary.ADJOINT).T)]
+        # within the 4 ulps of sqrt 3 scale of test_matches_reference_evaluate
+        bound = 4 * math.sqrt(3.0) * dictionary.scale * 2.0**-52
+        assert np.max(np.abs(block[20:, 0] - math.sqrt(3.0) * dictionary.scale * entries)) <= bound
 
 
 def cubature_values(dictionary, m=None):
@@ -441,6 +496,31 @@ def cubature_values(dictionary, m=None):
     return out
 
 
+# the defining rows read sqrt 2 times these coefficients of q
+_DEF_COEFFS = {"z": np.array([1.0, 1j, 0.0, 0.0]), "w": np.array([0.0, 0.0, 1.0, 1j])}
+
+
+def reference_graph_target(m, dictionary):
+    """graph_joining_target entry by entry, as it was written before the
+    table was read off the exact cross moments: 1 on the harmonic
+    diagonal; between defining rows (1/2) c^T P conj(c'), P = quat_mul(m,
+    I_4) and c the coefficients of q that the row reads; between adjoint
+    rows (a, b) and (c, d), delta_bd A(m)_ca; 0 elsewhere."""
+    k = dictionary.size
+    corr = np.zeros((k, k), dtype=complex)
+    left, adj = quat_mul(m, np.eye(4)), adjoint_matrix(m)
+    codes = [label.split("-") for label in LABELS]
+    for (i, (kind, arg)), (j, (kind2, arg2)) in itertools.product(enumerate(codes), repeat=2):
+        if kind == kind2 == "harm" and i == j:
+            corr[i, j] = 1.0
+        elif kind == kind2 == "def":
+            corr[i, j] = 0.5 * (_DEF_COEFFS[arg] @ left @ _DEF_COEFFS[arg2].conj())
+        elif kind == kind2 == "adj":
+            (a, b), (c, d) = (int(arg[0]) - 1, int(arg[1]) - 1), (int(arg2[0]) - 1, int(arg2[1]) - 1)
+            corr[i, j] = adj[c, a] if b == d else 0.0
+    return corr
+
+
 def random_su2(seed):
     return quat_normalize(np.random.default_rng(seed).standard_normal(4))
 
@@ -457,6 +537,15 @@ class TestTargets:
     def test_identity_graph_is_diagonal(self, dictionary):
         diag = jo.graph_joining_target(SU2_I.array(), dictionary)
         assert same_bits(diag, np.eye(dictionary.size, dtype=complex))
+
+    @pytest.mark.parametrize("name", ["I", "h0", "h0-star", "haar"])
+    def test_graph_target_is_the_entry_formula(self, dictionary, name):
+        # the table read off the exact cross moments equals the per-entry
+        # formula exactly, a zero of either sign equal to the other; at 50
+        # Haar elements for "haar"
+        elements = [random_su2(100 + i) for i in range(50)] if name == "haar" else [GRAPH_ELEMENTS[name]]
+        for m in elements:
+            assert np.array_equal(jo.graph_joining_target(m, dictionary), reference_graph_target(m, dictionary))
 
     def test_mixture_is_average(self, levels, dictionary):
         # the mixture joining pairs x with (0, h0) x or with (0, h0*) x, each
@@ -500,7 +589,7 @@ class TestTargets:
         m12 = quat_mul(m1, m2)
         tables = [jo.graph_joining_target(m, dictionary) for m in (m1, m2, m12)]
         for labels in (["def-z", "def-w"], ["adj-13", "adj-23", "adj-33"]):
-            rows = [dictionary.labels.index(label) for label in labels]
+            rows = [LABELS.index(label) for label in labels]
             b1, b2, b12 = (t[np.ix_(rows, rows)] for t in tables)
             assert np.max(np.abs(b12 - b2 @ b1)) <= 1e-15
 
@@ -642,7 +731,7 @@ class TestEmpiricalJoining:
         x, y = window_points(levels, 27, 29)
         emp = jo.empirical_joining(x, y, H0, jo.folner_window(n, levels), dictionary, levels,
                                    10**6, np.random.default_rng(28))[0]
-        rows = [dictionary.labels.index(f"harm-{m}") for m in range(1, 9)]
+        rows = [LABELS.index(f"harm-{m}") for m in range(1, 9)]
         raw = emp.corr[rows, rows].real / levels.mu_xn(n)
         sigma = emp.stderr[rows, rows] / levels.mu_xn(n)
         assert np.all(np.abs(raw - 1 / levels.mu_xn(n)) <= 4 * sigma)
@@ -744,11 +833,12 @@ class TestEmpiricalJoining:
         monkeypatch.setattr(jo, "embed_batch", counting)
         got = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(22))
         assert embeds == [1, 1]
-        # the oracle: the "embedding" is the point itself, which each block
-        # translates
-        monkeypatch.setattr(jo, "embed_batch", lambda levels, *point, radix: point[:4])
-        monkeypatch.setattr(jo, "shift_peel", lambda levels, ti, tf, q, tails, g, lo, top:
-                            cf.translate(levels, ti, tf, q, tails, g, lo, top))
+        # the oracle: the "embedding" is the point itself, beside its
+        # residual, and each block translates the point
+        monkeypatch.setattr(jo, "embed_batch", lambda levels, *point, radix:
+                            (point[:4], cf._to_ticks(levels, 1, *point[:2])[1], None))
+        monkeypatch.setattr(jo, "shift_peel", lambda levels, point, rho, rows, g, lo, top:
+                            cf.translate(levels, *point, g, lo, top))
         want = jo.empirical_joining(x, y, H0, w, dictionary, levels, samples, np.random.default_rng(22))
         for table, reference in zip(got, want, strict=True):
             assert same_table(table, reference)
